@@ -9,13 +9,22 @@
 //! cross-process against the full chaos rigs), plus the deterministic
 //! merge rule itself: completions at the same virtual timestamp
 //! surface in admission-ticket order, never host-arrival order.
+//!
+//! The same harness also drives the two device classes whose execution
+//! mutates shared state and therefore never reaches the pool — a
+//! `-full` device (shared ORAM) and an `-ES` device whose layer-3
+//! page-store adversary is still armed — against digests checked in
+//! below ([`ORACLE`]). No seeded soak covers those rounds, so the
+//! constants are what holds their virtual schedule still across
+//! refactors of the gateway round.
 
 use hardtape::{
     merge_completions, Bundle, Completion, Gateway, GatewayConfig, GatewayError, HarDTape,
-    SecurityConfig, ServiceConfig,
+    SecurityConfig, ServiceConfig, ServiceError,
 };
 use std::collections::BTreeSet;
 use tape_evm::{Env, Transaction};
+use tape_hevm::HevmAbort;
 use tape_primitives::{Address, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::interleave;
@@ -75,15 +84,38 @@ fn bomb_bundle() -> Bundle {
 /// rendered error for failures.
 type Receipts = Vec<(u64, bool, Vec<u8>)>;
 
+/// Which device a run drives, and what it arms beyond the channel
+/// adversaries every run carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rig {
+    /// `-ES`, no ORAM: every round batches to the worker pool.
+    Es,
+    /// `-full`: every dispatch reads and re-encrypts the shared ORAM.
+    Full,
+    /// `-ES` with a layer-3 page-store adversary whose budget drains
+    /// mid-run: rounds execute on the shared clock while faults can
+    /// still fire and batch to the pool once the budget is spent.
+    EsPageStore,
+}
+
+impl Rig {
+    fn level(self) -> SecurityConfig {
+        match self {
+            Rig::Es | Rig::EsPageStore => SecurityConfig::Es,
+            Rig::Full => SecurityConfig::Full,
+        }
+    }
+}
+
 /// One seeded run at the given worker count: interleaved transfers
 /// from three tenants, seeded channel adversaries (tamper/drop →
 /// revocations), periodic gas bombs that preempt at the 100k slice and
 /// resume across rounds, DRR drains under pressure, full drain at the
 /// end. Asserts exactly-once and the §IV-D audit, returns the combined
 /// digest and the receipts.
-fn pooled_run(seed: u64, workers: usize) -> (String, Receipts) {
+fn pooled_run(rig: Rig, seed: u64, workers: usize) -> (String, Receipts) {
     let mut service =
-        ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Es) };
+        ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(rig.level()) };
     service.hevm.gas_slice = Some(100_000);
     let mut gateway = Gateway::new(
         HarDTape::new(service, Env::default(), &genesis()).expect("device boots"),
@@ -101,7 +133,17 @@ fn pooled_run(seed: u64, workers: usize) -> (String, Receipts) {
         12,
         4,
     );
-    gateway.device_mut().arm_faults(plan);
+    if rig == Rig::EsPageStore {
+        // Every suspension seals the bomb's frames out to layer 3; one
+        // swap-out in two is corrupted until three have landed.
+        plan.arm(
+            FaultSite::PageStore,
+            &[FaultKind::BitFlip, FaultKind::Truncate, FaultKind::Replay],
+            2,
+            3,
+        );
+    }
+    gateway.device_mut().arm_faults(plan.clone());
 
     let mut sessions = Vec::new();
     for i in 0..TENANTS {
@@ -111,7 +153,12 @@ fn pooled_run(seed: u64, workers: usize) -> (String, Receipts) {
                 .expect("attestation succeeds"),
         );
     }
-    let bomber = gateway.connect(b"parallel bomber").expect("attestation succeeds");
+    let mut bomber = gateway.connect(b"parallel bomber").expect("attestation succeeds");
+    let mut bombers = 0usize;
+    // Preemptions counted when the page-store budget ran dry: segments
+    // before it executed on the shared clock, segments after it on the
+    // pool.
+    let mut preempted_at_drain = None;
 
     let counts = [24usize, 16, 10];
     let order = interleave(&counts, seed);
@@ -147,9 +194,40 @@ fn pooled_run(seed: u64, workers: usize) -> (String, Receipts) {
         if op % 3 == 2 {
             completions.extend(gateway.run_round());
         }
+        // A corrupted frame kills the resuming bomb and revokes the
+        // bomber, whose queued bombs then fail typed. A fresh bomber
+        // tenant takes over so later bombs keep sealing frames out and
+        // the page-store budget actually drains.
+        let tampered = completions.iter().any(|c| {
+            c.session == bomber
+                && matches!(
+                    c.outcome,
+                    Err(GatewayError::Service(ServiceError::Hevm(HevmAbort::Layer3Tampered)))
+                )
+        });
+        if tampered {
+            bombers += 1;
+            bomber = gateway
+                .connect(format!("parallel bomber {bombers}").as_bytes())
+                .expect("attestation succeeds");
+        }
+        if rig == Rig::EsPageStore
+            && preempted_at_drain.is_none()
+            && plan.remaining_budget(FaultSite::PageStore) == 0
+        {
+            preempted_at_drain = Some(gateway.stats().preempted);
+        }
     }
     completions.extend(gateway.run_until_idle());
     assert_eq!(gateway.queued(), 0, "drain left work queued");
+    if rig == Rig::EsPageStore {
+        let at_drain = preempted_at_drain.expect("page-store budget must drain mid-run");
+        assert!(at_drain > 0, "no segment ran while the page store was armed");
+        assert!(
+            gateway.stats().preempted > at_drain,
+            "no segment ran after the page-store budget drained"
+        );
+    }
 
     // Exactly-once at this worker count: every admitted ticket resolves
     // to exactly one completion.
@@ -184,9 +262,9 @@ fn pooled_run(seed: u64, workers: usize) -> (String, Receipts) {
 #[test]
 fn digests_and_receipts_are_byte_identical_across_worker_counts() {
     for seed in [0xC0FFEE_u64, 0x9A11E7] {
-        let (digest_1, receipts_1) = pooled_run(seed, 1);
+        let (digest_1, receipts_1) = pooled_run(Rig::Es, seed, 1);
         for workers in [2usize, 4] {
-            let (digest_n, receipts_n) = pooled_run(seed, workers);
+            let (digest_n, receipts_n) = pooled_run(Rig::Es, seed, workers);
             assert_eq!(
                 digest_1, digest_n,
                 "seed {seed}: digest diverged between 1 and {workers} workers"
@@ -197,6 +275,54 @@ fn digests_and_receipts_are_byte_identical_across_worker_counts() {
             );
         }
         println!("PARALLEL_DIGEST seed={seed} digest={digest_1}");
+    }
+}
+
+/// `log.digest():telemetry.digest()` of [`pooled_run`] on the two
+/// rigs whose rounds execute (at least partly) on the shared clock,
+/// recorded before the gateway's sequential and pooled rounds were
+/// merged into one.
+const ORACLE: [(Rig, u64, &str); 4] = [
+    (
+        Rig::Full,
+        0xC0FFEE,
+        "6e91dce50e5e595e39abd773fb851e14dbc3ee88db288bea0978b3a54ed4cae1:7e3a5d268b27fc56de1c9f06582c776cc981d6e631adbef6336dd62993238842",
+    ),
+    (
+        Rig::Full,
+        0x9A11E7,
+        "d62a972de12b3791a13dde51e2e4c0f187b72bc1397334fd45093bc2ca9157c8:4ba76eb49b4a0f3e1cc3190f99e06a0f1893cb25927c0723a3c52459217b606d",
+    ),
+    (
+        Rig::EsPageStore,
+        0xC0FFEE,
+        "7bc6b7f930f15a38e49814e671864ed99fa69586c7e2dcfececb2e70b44edd12:86485840aa4c84f39e6940ca5830bc3c926ee709f2c783f1e42603ffe8526bf2",
+    ),
+    (
+        Rig::EsPageStore,
+        0x9A11E7,
+        "b410ab946f96bb01df03e6072cbb517611222c19f33935e8e0ae6869d79bcc2c:6c524cfb1b9749617cebc87237921fa8a6de1554bffc1cd745bfdb4744ad8d01",
+    ),
+];
+
+/// Worker counts the oracle replays at: 1 and 4, or the single count
+/// `HARDTAPE_SOAK_WORKERS` names (the `verify.sh --soak` replay leg).
+fn oracle_workers() -> Vec<usize> {
+    match std::env::var("HARDTAPE_SOAK_WORKERS") {
+        Ok(v) => vec![v.parse().expect("HARDTAPE_SOAK_WORKERS must be a usize")],
+        Err(_) => vec![1, 4],
+    }
+}
+
+#[test]
+fn shared_state_rigs_reproduce_their_checked_in_digests() {
+    for (rig, seed, expected) in ORACLE {
+        for workers in oracle_workers() {
+            let (digest, _) = pooled_run(rig, seed, workers);
+            assert_eq!(digest, expected, "{rig:?} seed {seed:#x} workers {workers}");
+        }
+        let name = if rig == Rig::Full { "FULL_DIGEST" } else { "PAGESTORE_DIGEST" };
+        println!("{name} seed={seed} digest={expected}");
     }
 }
 

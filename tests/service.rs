@@ -2,7 +2,10 @@
 //! security configuration, bundle semantics, block synchronization, and
 //! the Fig. 4 cost ordering.
 
-use hardtape::{Bundle, HarDTape, SecurityConfig, ServiceConfig, ServiceError};
+use hardtape::{
+    Bundle, Gateway, GatewayConfig, HarDTape, SecurityConfig, ServiceConfig, ServiceError,
+};
+use tape_crypto::SecureRng;
 use tape_evm::{Env, Transaction};
 use tape_primitives::{Address, U256};
 use tape_state::{Account, InMemoryState};
@@ -103,6 +106,64 @@ fn signature_present_only_with_es_and_above() {
         let mut user = device.connect_user(b"sig user").unwrap();
         let report = device.pre_execute(&mut user, &bundle).unwrap();
         assert_eq!(report.signature.is_some(), level.signature(), "{level}");
+    }
+}
+
+#[test]
+fn direct_and_gateway_execution_agree_at_every_level() {
+    // The same seeded bundle sequence through `pre_execute` and through
+    // a one-tenant, one-bundle-per-round gateway: one executor, so the
+    // signed traces, the virtual timings, the ORAM traffic and the
+    // final device clock must all be identical. The 20k gas slice
+    // makes every token transfer preempt, so resumes are covered too.
+    let mut rng = SecureRng::from_seed(b"direct vs gateway");
+    let bundles: Vec<Bundle> = (0..6)
+        .map(|step| {
+            let amount = U256::from(1 + rng.next_below(200));
+            let token_tx = Transaction {
+                gas_limit: 300_000,
+                ..Transaction::call(
+                    alice(),
+                    token(),
+                    contracts::encode_call(
+                        contracts::sel::transfer(),
+                        &[bob().into_word(), amount],
+                    ),
+                )
+            };
+            match step % 3 {
+                0 => Bundle::single(token_tx),
+                1 => Bundle::single(Transaction::transfer(bob(), alice(), amount)),
+                _ => Bundle {
+                    transactions: vec![Transaction::transfer(alice(), bob(), amount), token_tx],
+                },
+            }
+        })
+        .collect();
+    for level in SecurityConfig::ALL {
+        let mut config = ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(level) };
+        config.hevm.gas_slice = Some(20_000);
+        let boot = || HarDTape::new(config.clone(), Env::default(), &genesis()).expect("boots");
+
+        let mut device = boot();
+        let mut user = device.connect_user(b"same user").unwrap();
+        let mut gateway = Gateway::new(boot(), GatewayConfig::default());
+        let session = gateway.connect(b"same user").unwrap();
+
+        for (step, bundle) in bundles.iter().enumerate() {
+            let direct = device.pre_execute(&mut user, bundle).unwrap();
+            gateway.submit(session, bundle.clone()).unwrap();
+            let mut completions = gateway.run_until_idle();
+            assert_eq!(completions.len(), 1, "{level} step {step}");
+            let served = completions.remove(0).outcome.unwrap();
+            assert_eq!(served.encode(), direct.encode(), "{level} step {step}: trace");
+            assert_eq!(served.signature, direct.signature, "{level} step {step}: signature");
+            assert_eq!(served.total_ns, direct.total_ns, "{level} step {step}: total_ns");
+            assert_eq!(served.per_tx_ns, direct.per_tx_ns, "{level} step {step}: per_tx_ns");
+        }
+        assert!(gateway.stats().preempted > 0, "{level}: no bundle was preempted");
+        assert_eq!(gateway.device().oram_stats(), device.oram_stats(), "{level}: ORAM traffic");
+        assert_eq!(gateway.device().clock().now(), device.clock().now(), "{level}: clock");
     }
 }
 
