@@ -36,17 +36,17 @@
 //!   the last attested head with an explicit [`StalenessBound`] stamped
 //!   on every affected report.
 //!
-//! * **Worker-pool execution** — on pool-eligible devices (no ORAM)
-//!   each round runs in three phases: a sequential *prepare* pass
-//!   (the DRR loop, channel delivery, admission — everything on the
-//!   shared clock), a parallel *execute* pass fanning the round's
-//!   bundles across [`GatewayConfig::workers`] host threads (each
-//!   against a private virtual clock), and a sequential *commit* pass
-//!   replaying every task onto the shared timeline in dispatch order.
-//!   Virtual time stays serialized, so the schedule — and every
-//!   digest — is byte-identical for 1 and N workers; only host
-//!   wall-clock time shrinks. Completions are merged into a single
-//!   deterministic global order by [`merge_completions`].
+//! * **Worker-pool execution** — every served bundle goes through the
+//!   device's prepare → execute → commit steps. Unless executing a
+//!   bundle mutates state other bundles share (see
+//!   [`Gateway::run_round`]), a round prepares all its bundles in the
+//!   DRR loop, fans their execution across [`GatewayConfig::workers`]
+//!   host threads (each against a private virtual clock), and commits
+//!   them onto the shared timeline in dispatch order. Virtual time
+//!   stays serialized, so the schedule — and every digest — is
+//!   byte-identical for 1 and N workers; only host wall-clock time
+//!   shrinks. Completions are merged into a single deterministic
+//!   global order by [`merge_completions`].
 //!
 //! Everything is driven by the deterministic virtual clock, so a given
 //! seed and submission sequence produces a byte-identical schedule —
@@ -55,8 +55,8 @@
 use crate::config::GatewayConfig;
 use crate::pool;
 use crate::service::{
-    Bundle, BundlePause, BundleReport, ForkPoint, HarDTape, PreExecOutcome, PreparedTask,
-    ServiceError, StalenessBound, SyncOutcome, UserHandle,
+    Bundle, BundlePause, BundleReport, Execution, ForkPoint, HarDTape, PreExecOutcome,
+    PreparedTask, ServiceError, StalenessBound, SyncOutcome, UserHandle,
 };
 use std::collections::HashMap;
 use tape_node::{BlockFeed, BreakerState, CircuitBreaker, FeedSet};
@@ -274,10 +274,9 @@ pub struct Gateway {
     inflight_ns: Nanos,
 }
 
-/// One prepared dispatch awaiting pool execution: the queue entry it
-/// came from (checkpoint already consumed into the task), plus the
-/// commit-time context the sequential path would have captured at
-/// execute time.
+/// One prepared dispatch awaiting commit: the queue entry it came
+/// from (checkpoint already consumed into the task), plus what commit
+/// needs to know about the moment it was dequeued.
 struct Dispatch {
     index: usize,
     admitted: Admitted,
@@ -484,113 +483,26 @@ impl Gateway {
     /// covers the head bundle's cost. Expired bundles are shed at
     /// dequeue (no credit spent — they never reach a core).
     ///
-    /// Returns the completions produced this round, in execution order
-    /// (pooled rounds: merged by [`merge_completions`]).
-    pub fn run_round(&mut self) -> Vec<Completion> {
-        // The path choice depends only on the device configuration —
-        // never on the worker count — so a 1-worker run takes the
-        // exact same code as an N-worker run and their digests can be
-        // compared byte for byte.
-        if self.device.pooled_eligible() {
-            self.run_round_pooled()
-        } else {
-            self.run_round_sequential()
-        }
-    }
-
-    /// The legacy single-thread round, kept for configurations the
-    /// pool cannot serve (an ORAM device shares mutable tree state
-    /// across bundles, and an armed page-store/ORAM fault plan draws
-    /// from the shared RNG mid-execution).
-    fn run_round_sequential(&mut self) -> Vec<Completion> {
-        // Sample queue occupancy and DRR pressure at round start.
-        let max_deficit =
-            (0..self.tenants.len()).map(|i| self.drr.deficit(i)).max().unwrap_or(0);
-        let t = self.device.telemetry().clone();
-        t.gauge(GaugeId::GwQueueDepth, self.queued_total as u64);
-        t.gauge(GaugeId::DrrDeficit, max_deficit);
-        t.record(TelemetryEvent::QueueDepth {
-            at: self.now(),
-            queued: self.queued_total as u32,
-            max_deficit,
-        });
-        let mut completions = Vec::new();
-        for index in 0..self.tenants.len() {
-            if self.tenants[index].queue.is_empty() {
-                // The classic DRR rule: an idle queue cannot hoard
-                // credit for a future burst.
-                self.drr.forfeit(index);
-                continue;
-            }
-            self.drr.begin_round(index);
-            loop {
-                // Shed every expired head first: deadline is checked at
-                // dequeue so stale work never occupies a core.
-                while let Some(head) = self.tenants[index].queue.peek() {
-                    let now = self.now();
-                    if now <= head.deadline {
-                        break;
-                    }
-                    let expired = self.tenants[index]
-                        .queue
-                        .pop()
-                        .unwrap_or_else(|| unreachable!("peeked head exists"));
-                    self.queued_total -= 1;
-                    self.stats.shed_deadline += 1;
-                    let session = self.tenants[index].session;
-                    self.log.record(format!(
-                        "t={now} shed session={session} ticket={} deadline={}",
-                        expired.ticket, expired.deadline
-                    ));
-                    t.count(CounterId::GwShed, 1);
-                    t.record(TelemetryEvent::Shed { at: now, session, ticket: expired.ticket });
-                    completions.push(Completion {
-                        ticket: expired.ticket,
-                        session,
-                        outcome: Err(GatewayError::DeadlineExceeded {
-                            admitted_at: expired.admitted_at,
-                            deadline: expired.deadline,
-                            now,
-                        }),
-                    });
-                }
-                let Some(head) = self.tenants[index].queue.peek() else {
-                    self.drr.forfeit(index);
-                    break;
-                };
-                if !self.drr.try_spend(index, head.cost) {
-                    break; // credit exhausted: the tenant waits a round
-                }
-                let admitted = self.tenants[index]
-                    .queue
-                    .pop()
-                    .unwrap_or_else(|| unreachable!("peeked head exists"));
-                self.queued_total -= 1;
-                if let Some(completion) = self.execute(index, admitted) {
-                    completions.push(completion);
-                }
-            }
-        }
-        completions
-    }
-
-    /// One round on the worker-pool runtime, in three phases:
+    /// Each served bundle is *prepared* on the shared clock (revocation,
+    /// channel delivery, admission, per-dispatch RNG draws) and then
+    /// executes and commits at one of two points. When executing
+    /// mutates state other bundles share — an ORAM, or a page-store /
+    /// ORAM-server fault budget that is still armed — it does so at
+    /// once, on the shared clock, before the next bundle is dequeued
+    /// (so deadlines are re-read after every bundle). Otherwise the
+    /// round's tasks fan out across [`GatewayConfig::workers`] host
+    /// threads after the DRR loop and commit in dispatch order. A fault
+    /// budget drains while the gateway serves, so the rule is read once
+    /// per round: a device changes class between rounds, never inside
+    /// one. The worker count is never consulted, so a 1-worker run
+    /// takes the same code as an N-worker run and their digests compare
+    /// byte for byte.
     ///
-    /// 1. **Prepare** (sequential, shared clock): the same DRR loop as
-    ///    the sequential round — forfeits, deadline sheds, credit
-    ///    spends — but each served bundle is *prepared* (revocation,
-    ///    channel delivery, admission, per-dispatch RNG draws) into a
-    ///    [`PreparedTask`] instead of executed.
-    /// 2. **Execute** (parallel): the round's tasks fan out across
-    ///    [`GatewayConfig::workers`] host threads, each running against
-    ///    a private virtual clock starting at zero. Pure functions of
-    ///    the prepared task — worker count cannot change any result.
-    /// 3. **Commit** (sequential, dispatch order): each finished task
-    ///    replays its telemetry onto the shared timeline and advances
-    ///    the shared clock by its virtual duration, so virtual time
-    ///    remains serialized and the schedule digest is identical for
-    ///    any worker count.
-    fn run_round_pooled(&mut self) -> Vec<Completion> {
+    /// Returns the completions produced this round, merged by
+    /// [`merge_completions`].
+    pub fn run_round(&mut self) -> Vec<Completion> {
+        let inline = !self.device.pooled_eligible();
+        // Sample queue occupancy and DRR pressure at round start.
         let max_deficit =
             (0..self.tenants.len()).map(|i| self.drr.deficit(i)).max().unwrap_or(0);
         let t = self.device.telemetry().clone();
@@ -606,11 +518,15 @@ impl Gateway {
         let mut tasks: Vec<PreparedTask> = Vec::new();
         for index in 0..self.tenants.len() {
             if self.tenants[index].queue.is_empty() {
+                // The classic DRR rule: an idle queue cannot hoard
+                // credit for a future burst.
                 self.drr.forfeit(index);
                 continue;
             }
             self.drr.begin_round(index);
             loop {
+                // Shed every expired head first: deadline is checked at
+                // dequeue so stale work never occupies a core.
                 while let Some(head) = self.tenants[index].queue.peek() {
                     let now = self.now();
                     if now <= head.deadline {
@@ -672,19 +588,18 @@ impl Gateway {
                 ) {
                     Ok(task) => {
                         self.inflight_ns = self.inflight_ns.saturating_add(charge);
-                        tasks.push(task);
-                        dispatches.push(Dispatch {
-                            index,
-                            admitted,
-                            degraded,
-                            dispatched_at: now,
-                            charge,
-                        });
+                        let dispatch =
+                            Dispatch { index, admitted, degraded, dispatched_at: now, charge };
+                        if inline {
+                            self.commit(dispatch, Execution::Inline(task), &mut timed);
+                        } else {
+                            dispatches.push(dispatch);
+                            tasks.push(task);
+                        }
                     }
                     Err(err) => {
-                        // Failed before reaching a worker (revoked
-                        // session, channel attack, admission): same
-                        // terminal surface as the sequential path.
+                        // Failed before taking a core (revoked session,
+                        // channel attack, admission).
                         let err = GatewayError::Service(err);
                         self.stats.completed_err += 1;
                         t.count(CounterId::GwFailed, 1);
@@ -705,36 +620,37 @@ impl Gateway {
                 }
             }
         }
-        let workers = self.config.workers.max(1);
-        let finished = {
-            let ctx = self.device.exec_ctx();
-            pool::run_tasks(workers, &ctx, tasks)
-        };
+        let finished = pool::run_tasks(
+            self.config.workers.max(1),
+            &self.device.exec_ctx(),
+            dispatches.iter().map(|d| &d.admitted.bundle).zip(tasks),
+        );
         for (dispatch, finished) in dispatches.into_iter().zip(finished) {
-            self.inflight_ns = self.inflight_ns.saturating_sub(dispatch.charge);
-            if let Some(completion) = self.commit(dispatch, finished) {
-                timed.push((self.now(), completion));
-            }
+            self.commit(dispatch, Execution::Pooled(finished), &mut timed);
         }
         merge_completions(timed)
     }
 
-    /// Commits one finished task onto the shared timeline: hypervisor
-    /// accounting, telemetry replay, clock advance, then the same
-    /// terminal bookkeeping as the sequential [`Self::execute`].
-    /// Returns `None` on preemption (the bundle re-queued with its
-    /// checkpoint and resumes in a later round).
+    /// Commits one dispatched segment — executing it first when it is
+    /// [`Execution::Inline`] — and does the terminal bookkeeping: a
+    /// timestamped completion for a finished or failed bundle, nothing
+    /// on preemption (the bundle re-queued at the back of its tenant
+    /// queue carrying its checkpoint; short bundles queued behind it
+    /// jump ahead, and its one completion comes from a later dequeue).
     fn commit(
         &mut self,
         dispatch: Dispatch,
-        finished: crate::service::FinishedTask,
-    ) -> Option<Completion> {
-        let Dispatch { index, mut admitted, degraded, dispatched_at, .. } = dispatch;
+        execution: Execution,
+        timed: &mut Vec<(Nanos, Completion)>,
+    ) {
+        let Dispatch { index, mut admitted, degraded, dispatched_at, charge } = dispatch;
+        self.inflight_ns = self.inflight_ns.saturating_sub(charge);
         let session = self.tenants[index].session;
-        let outcome = match self
-            .device
-            .commit_task(&mut self.tenants[index].handle, finished)
-        {
+        let outcome = match self.device.commit_task(
+            &mut self.tenants[index].handle,
+            &admitted.bundle,
+            execution,
+        ) {
             Ok(PreExecOutcome::Preempted(pause)) => {
                 self.stats.preempted += 1;
                 let now = self.now();
@@ -748,10 +664,12 @@ impl Gateway {
                 if self.tenants[index].queue.push(admitted).is_err() {
                     unreachable!("re-queueing a just-popped bundle cannot overflow");
                 }
-                return None;
+                return;
             }
             Ok(PreExecOutcome::Done(mut report)) => {
                 if degraded {
+                    // The feed is out: the report is served from the
+                    // last attested head, and says so.
                     report.staleness = Some(StalenessBound {
                         head: self.device.head(),
                         age_ns: dispatched_at
@@ -788,7 +706,7 @@ impl Gateway {
                 ));
             }
         }
-        Some(Completion { ticket: admitted.ticket, session, outcome })
+        timed.push((self.now(), Completion { ticket: admitted.ticket, session, outcome }));
     }
 
     /// Runs DRR rounds until every queue is empty; every bundle queued
@@ -800,87 +718,6 @@ impl Gateway {
             completions.extend(self.run_round());
         }
         completions
-    }
-
-    /// Runs one *segment* of the admitted bundle: until it finishes, a
-    /// typed error kills it, or its gas slice runs out. Returns `None`
-    /// on preemption — the bundle re-queued at the back of its tenant
-    /// queue carrying its checkpoint, and its completion will come from
-    /// a later dequeue (exactly-once is preserved; the pause is not
-    /// clonable).
-    fn execute(&mut self, index: usize, mut admitted: Admitted) -> Option<Completion> {
-        let session = self.tenants[index].session;
-        let now = self.now();
-        self.log.record(format!(
-            "t={now} execute session={session} ticket={} segment={}",
-            admitted.ticket,
-            admitted.pause.as_ref().map_or(0, BundlePause::segments),
-        ));
-        self.note_breaker();
-        let degraded = self.last_breaker != BreakerState::Closed;
-        let resume = admitted.pause.take();
-        let outcome = match self
-            .device
-            .pre_execute_preemptible(&mut self.tenants[index].handle, &admitted.bundle, resume)
-        {
-            Ok(PreExecOutcome::Preempted(pause)) => {
-                // Gas slice exhausted: back of the line. Short bundles
-                // queued behind this one jump ahead; the checkpoint
-                // rides along so no work is lost or repeated.
-                self.stats.preempted += 1;
-                let now = self.now();
-                self.log.record(format!(
-                    "t={now} preempt session={session} ticket={} segment={}",
-                    admitted.ticket,
-                    pause.segments(),
-                ));
-                admitted.pause = Some(pause);
-                self.queued_total += 1;
-                if self.tenants[index].queue.push(admitted).is_err() {
-                    unreachable!("re-queueing a just-popped bundle cannot overflow");
-                }
-                return None;
-            }
-            Ok(PreExecOutcome::Done(mut report)) => {
-                if degraded {
-                    // The feed is out: the report is served from the
-                    // last attested head, and says so.
-                    report.staleness = Some(StalenessBound {
-                        head: self.device.head(),
-                        age_ns: now.saturating_sub(self.last_sync_at.unwrap_or(0)),
-                        fork_point: self.last_fork,
-                    });
-                    self.stats.served_stale += 1;
-                }
-                Ok(report)
-            }
-            Err(err) => Err(GatewayError::Service(err)),
-        };
-        self.device.telemetry().count(
-            if outcome.is_ok() { CounterId::GwExecuted } else { CounterId::GwFailed },
-            1,
-        );
-        match &outcome {
-            Ok(report) => {
-                self.stats.completed_ok += 1;
-                self.log.record(format!(
-                    "t={} complete session={session} ticket={} txs={} stale={}",
-                    self.now(),
-                    admitted.ticket,
-                    report.results.len(),
-                    report.staleness.is_some(),
-                ));
-            }
-            Err(err) => {
-                self.stats.completed_err += 1;
-                self.log.record(format!(
-                    "t={} error session={session} ticket={} err={err}",
-                    self.now(),
-                    admitted.ticket
-                ));
-            }
-        }
-        Some(Completion { ticket: admitted.ticket, session, outcome })
     }
 
     /// Synchronizes the device from `feed` through the circuit breaker.

@@ -313,7 +313,7 @@ impl BundlePause {
     }
 }
 
-/// How one `run_bundle_segment` call ended (internal).
+/// How one [`drive_segment_with`] call ended (internal).
 // Same transient-return-value argument as `PreExecOutcome` for the
 // variant-size disparity.
 #[allow(clippy::type_complexity, clippy::large_enum_variant)]
@@ -972,150 +972,13 @@ impl HarDTape {
         bundle: &Bundle,
         resume: Option<BundlePause>,
     ) -> Result<PreExecOutcome, ServiceError> {
-        if self.revoked.contains(&user.session) {
-            return Err(ServiceError::ReattestationRequired);
-        }
-        let security = self.config.security;
-        let (started, pause) = match resume {
-            Some(pause) => {
-                assert_eq!(
-                    pause.session, user.session,
-                    "pause resumed by a different session"
-                );
-                (pause.started, Some(pause))
-            }
-            None => {
-                let started = self.clock.now();
-                let payload = bundle.encode();
-
-                // User → device: sign and seal the bundle. The wire
-                // between the two is untrusted — an armed fault plan may
-                // tamper, drop, or replay the sealed message in transit.
-                let signature =
-                    security.signature().then(|| sign_bundle(&user.user_key, &payload));
-                if security.encryption() {
-                    let opened = self.deliver_to_device(user, &payload)?;
-                    debug_assert_eq!(opened, payload);
-                }
-                self.record_phase(PhaseKind::Receive, started);
-                let decode_started = self.clock.now();
-                if let Some(sig) = &signature {
-                    // Device verifies the user's bundle signature on the A53.
-                    self.clock.advance(self.cost.ecdsa_verify_ns);
-                    verify_bundle(&user.public_key(), &payload, sig)
-                        .map_err(ServiceError::Channel)?;
-                }
-                self.record_phase(PhaseKind::Decode, decode_started);
-
-                // Static admission: refuse bundles whose callees cannot
-                // fit the hardware stack capacities before a core is
-                // even assigned.
-                self.admission_check(bundle)?;
-                (started, None)
-            }
-        };
-
-        // Exclusive HEVM assignment (per segment: a paused bundle holds
-        // no core).
-        let slot = self.hypervisor.assign(user.session).map_err(|e| match e {
-            SlotError::AllQuarantined => ServiceError::AllCoresQuarantined,
-            _ => ServiceError::Busy,
-        })?;
-
-        let execute_started = self.clock.now();
-        let outcome = self.run_bundle_segment(bundle, pause);
-        self.record_phase(PhaseKind::Execute, execute_started);
-        self.telemetry
-            .observe(HistId::ExecuteNs, self.clock.now() - execute_started);
-
-        // Hardware-level failures (layer-3 integrity violations, watchdog
-        // trips) count against the core; three in a row quarantine it —
-        // a quarantined core is pulled from rotation instead of released.
-        // A preemption is a success: the core did its slice and returns
-        // to the pool.
-        let core_failure = matches!(
-            &outcome,
-            Err(ServiceError::Hevm(HevmAbort::Layer3Tampered | HevmAbort::Watchdog { .. }))
-        );
-        if core_failure {
-            if !self.hypervisor.record_failure(slot) {
-                self.hypervisor
-                    .release(slot, user.session)
-                    .expect("slot was assigned above");
-            }
-        } else {
-            self.hypervisor.record_success(slot);
-            self.hypervisor
-                .release(slot, user.session)
-                .expect("slot was assigned above");
-        }
-        if let Some(oram) = &self.oram {
-            // Segment/bundle end: on-chip caches cleared before the core
-            // can serve another tenant.
-            oram.clear_cache();
-        }
-        // Integrity failures revoke the session: the bundle is aborted
-        // and the user must re-attest before submitting another one.
-        if matches!(
-            &outcome,
-            Err(ServiceError::Oram(_)) | Err(ServiceError::Hevm(HevmAbort::Layer3Tampered))
-        ) {
-            self.revoked.insert(user.session);
-        }
-        let (results, changes, per_tx_ns, hevm_stats, lints) = match outcome? {
-            SegmentOutcome::Yielded(mut pause) => {
-                pause.started = started;
-                pause.session = user.session;
-                return Ok(PreExecOutcome::Preempted(pause));
-            }
-            SegmentOutcome::Finished(results, changes, per_tx, stats, lints) => {
-                (results, changes, per_tx, stats, lints)
-            }
-        };
-
-        let mut report = BundleReport {
-            results,
-            changes,
-            per_tx_ns,
-            total_ns: 0,
-            signature: None,
-            hevm_stats,
-            staleness: None,
-            lints,
-        };
-
-        // Device → user: sign and seal the trace.
-        let trace = report.encode();
-        let sign_started = self.clock.now();
-        if security.signature() {
-            self.clock.advance(self.cost.ecdsa_sign_ns);
-            // The device signs the trace with its attested session key;
-            // the user verifies against the quote's session public key.
-            report.signature = Some(sign_bundle(&user.device_key, &trace));
-        }
-        self.record_phase(PhaseKind::Sign, sign_started);
-        let seal_started = self.clock.now();
-        if security.encryption() {
-            let sealed = user.device_tx.seal(&trace);
-            self.clock.advance(self.cost.protected_message_ns(sealed.sealed.len()));
-            let opened = user.from_device.open(&sealed).map_err(ServiceError::Channel)?;
-            debug_assert_eq!(opened, trace);
-        }
-        self.record_phase(PhaseKind::Seal, seal_started);
-
-        report.total_ns = self.clock.now() - started;
-        self.telemetry.count(CounterId::Bundles, 1);
-        self.telemetry
-            .count(CounterId::Transactions, bundle.transactions.len() as u64);
-        self.telemetry.observe(HistId::BundleLatencyNs, report.total_ns);
-        Ok(PreExecOutcome::Done(report))
+        let task = self.prepare_task(user, bundle, resume)?;
+        self.commit_task(user, bundle, Execution::Inline(task))
     }
 
     /// Records one completed service phase (duration since `started`).
     fn record_phase(&self, phase: PhaseKind, started: Nanos) {
-        let at = self.clock.now();
-        self.telemetry
-            .record(TelemetryEvent::Phase { at, phase, ns: at - started });
+        record_phase_into(&mut self.telemetry.clone(), &self.clock, phase, started);
     }
 
     /// Carries one sealed user→device message across the untrusted wire,
@@ -1177,295 +1040,6 @@ impl HarDTape {
             }
             None => user.device_rx.open(&sealed).map_err(ServiceError::Channel),
         }
-    }
-
-    /// Executes one gas-slice segment of a bundle against the bundle's
-    /// journal overlay: a fresh overlay when `resume` is `None`, the
-    /// checkpointed one otherwise. Returns at the first preemption or
-    /// when every transaction has retired.
-    fn run_bundle_segment(
-        &mut self,
-        bundle: &Bundle,
-        resume: Option<BundlePause>,
-    ) -> Result<SegmentOutcome, ServiceError> {
-        let segment_started = self.clock.now();
-        if let Some(pause) = resume {
-            // Re-dispatching a suspended context is not free: the
-            // Hypervisor's scheduler restores the parked HEVM state
-            // before the first cycle of the new slice executes. Charged
-            // here (inside the segment window) so preemption's overhead
-            // shows up in SliceNs and every latency built on it.
-            self.clock.advance(self.cost.sched_dispatch_ns);
-            let BundlePause {
-                checkpoint,
-                hevm_config,
-                results,
-                per_tx,
-                tx_index,
-                tx_elapsed,
-                lints,
-                ..
-            } = pause;
-            // The reader detached at suspension was just a view of the
-            // device state; rebuild it fresh (the world may even have
-            // advanced a block — pre-execution reads whatever the
-            // device's current head serves, exactly like a bundle that
-            // was still queued).
-            let reader =
-                HybridState::new(self.config.security, &self.local, self.oram.as_ref());
-            let mut hevm = Hevm::resume(
-                hevm_config.clone(),
-                self.env.clone(),
-                reader,
-                self.clock.clone(),
-                checkpoint,
-            );
-            let before = self.clock.now();
-            let first = Some(hevm.continue_transact());
-            return self.drive_segment(
-                bundle,
-                hevm,
-                first,
-                hevm_config,
-                results,
-                per_tx,
-                tx_index,
-                tx_elapsed,
-                before,
-                lints,
-                segment_started,
-                true,
-            );
-        }
-        // Static pass over the bundle's top-level callees (§IV-D): the
-        // decode phase already knows every `to` address, and the
-        // analyzer's page-reachability sets turn the old dense prefetch
-        // into a precise plan — only pages some execution path can
-        // actually touch are prefetched, and the same sets are
-        // advertised to the telemetry auditor as the per-contract plan
-        // the observed code traffic must stay inside.
-        let mut callees: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for tx in &bundle.transactions {
-            let Some(to) = tx.to else { continue };
-            if seen.insert(to) {
-                if let Some(analysis) = self.analyze_code(&to) {
-                    callees.push((to, analysis));
-                }
-            }
-        }
-
-        // Secret-dependency lints, surfaced per bundle in the signed
-        // report (sorted for a deterministic encoding).
-        let mut lints: Vec<(Address, LintFinding)> = Vec::new();
-        for (addr, analysis) in &callees {
-            lints.extend(analysis.lints.iter().map(|l| (*addr, *l)));
-        }
-        lints.sort_unstable();
-        self.telemetry.count(CounterId::LintFindings, lints.len() as u64);
-
-        // A callee with dynamic call targets (or foreign-code reads) can
-        // reach any code-bearing account, so precise plans must cover
-        // the whole mirror or the auditor would flag honest inner-call
-        // fetches. Collect those extra analyses up front (full-page
-        // plans where the analysis itself reads code dynamically).
-        let plan_everything = callees
-            .iter()
-            .any(|(_, a)| a.dynamic_calls || a.reads_foreign_code);
-        let mut extra_plans: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
-        if plan_everything && self.oram.is_some() && self.config.security.oram_code() {
-            let mut others: Vec<Address> = self
-                .local
-                .iter()
-                .filter(|(a, acc)| !acc.code.is_empty() && !seen.contains(*a))
-                .map(|(a, _)| *a)
-                .collect();
-            // The mirror is a HashMap: sort so plan advertisement order
-            // (and with it the telemetry digest) is process-independent.
-            others.sort_unstable();
-            for addr in others {
-                if let Some(analysis) = self.analyze_code(&addr) {
-                    extra_plans.push((addr, analysis));
-                }
-            }
-        }
-
-        // World-state prefetch plans (§IV-D, value-set analysis): full
-        // plans for every analyzed contract the bundle can enter — the
-        // top-level callees, their constant inner-call targets, and the
-        // mirror-wide extra analyses — plus meta-only plans for records
-        // the bundle reads outside any plan (sender/recipient account
-        // metas, accounts named by BALANCE/EXTCODE* operands). The ORAM
-        // layer advertises each plan, batch-fetches it, and pins the
-        // records on-chip; the auditor then holds observed kv traffic
-        // to the advertised set.
-        let mut state_plans: Vec<(Address, Vec<U256>, bool)> = Vec::new();
-        let mut meta_only: std::collections::BTreeSet<Address> = std::collections::BTreeSet::new();
-        if self.oram.is_some() && self.config.security.oram_storage() {
-            let mut planned: std::collections::BTreeSet<Address> =
-                std::collections::BTreeSet::new();
-            let mut inner_targets: Vec<Address> = Vec::new();
-            for (addr, analysis) in callees.iter().chain(extra_plans.iter()) {
-                if planned.insert(*addr) {
-                    state_plans.push((
-                        *addr,
-                        analysis.state_plan.slots.iter().copied().collect(),
-                        analysis.state_plan.dynamic,
-                    ));
-                }
-                meta_only.extend(analysis.state_plan.accounts.iter().copied());
-                inner_targets.extend(analysis.call_targets.iter().copied());
-            }
-            // Constant inner-call targets execute their own storage
-            // accesses under their own address: give code-bearing ones
-            // a full plan too, so honest inner-call kv traffic is
-            // covered rather than merely exempted.
-            for target in inner_targets {
-                if planned.contains(&target) {
-                    continue;
-                }
-                if let Some(analysis) = self.analyze_code(&target) {
-                    planned.insert(target);
-                    state_plans.push((
-                        target,
-                        analysis.state_plan.slots.iter().copied().collect(),
-                        analysis.state_plan.dynamic,
-                    ));
-                } else {
-                    meta_only.insert(target);
-                }
-            }
-            for tx in &bundle.transactions {
-                meta_only.insert(tx.from);
-                if let Some(to) = tx.to {
-                    meta_only.insert(to);
-                }
-            }
-            meta_only.retain(|a| !planned.contains(a));
-        }
-
-        if let Some(oram) = &self.oram {
-            if self.config.security.oram_storage() {
-                for (addr, slots, dynamic) in &state_plans {
-                    oram.set_state_plan(*addr, slots, *dynamic);
-                }
-                for addr in &meta_only {
-                    oram.set_state_plan(*addr, &[], false);
-                }
-            }
-            if self.config.security.oram_code() {
-                if self.legacy_prefetch.get() {
-                    // Pre-fix pipeline (starvation ablation): dense
-                    // prefetch of every code page, no plans advertised.
-                    use tape_state::StateReader as _;
-                    let page_size = self.config.hevm.mem.page_size;
-                    for (addr, _) in &callees {
-                        let code_len =
-                            self.local.account(addr).map(|i| i.code_len).unwrap_or(0);
-                        if code_len > 0 {
-                            oram.schedule_prefetch(*addr, code_len.div_ceil(page_size) as u32);
-                        }
-                    }
-                } else {
-                    for (addr, analysis) in &callees {
-                        oram.set_code_plan(*addr, &analysis.reachable_pages);
-                        // Prefetch stays limited to the top-level
-                        // callees: inner-call pages are demand-paced,
-                        // not drained.
-                        oram.schedule_prefetch_pages(*addr, &analysis.reachable_pages);
-                    }
-                    for (addr, analysis) in &extra_plans {
-                        oram.set_code_plan(*addr, &analysis.reachable_pages);
-                    }
-                }
-            }
-        }
-        let reader = HybridState::new(self.config.security, &self.local, self.oram.as_ref());
-        let mut hevm_config = self.config.hevm.clone();
-        // Whatever the ORAM serves charges the clock itself; whatever
-        // stays local is charged by the HEVM at local-fetch cost. Under
-        // -ESO that split differs per query class: K-V via ORAM, code
-        // local.
-        hevm_config.charge_local_fetch = !self.config.security.oram_storage();
-        hevm_config.charge_local_code = !self.config.security.oram_code();
-        // Fresh session-local layer-3 sealing key and noise seed from the
-        // device RNG (paper §IV-C: session keys differ per session).
-        let mut layer3_key = [0u8; 16];
-        self.rng.fill_bytes(&mut layer3_key);
-        hevm_config.layer3_key = layer3_key;
-        hevm_config.layer3_noise_seed = self.rng.next_u64();
-        hevm_config.faults = self.faults.clone();
-        hevm_config.checkpoint_cover = !self.checkpoint_ablation.get();
-        let mut hevm =
-            Hevm::new(hevm_config.clone(), self.env.clone(), reader, self.clock.clone());
-
-        // The first dispatch of a bundle onto a core pays the same
-        // scheduler context-switch as every re-dispatch: charged inside
-        // the segment window (but outside per-transaction time), so a
-        // bundle suspended S−1 times carries exactly 2S−1 dispatch
-        // charges — S dispatches plus S−1 parks.
-        self.clock.advance(self.cost.sched_dispatch_ns);
-        let before = self.clock.now();
-        let first = bundle
-            .transactions
-            .first()
-            .map(|tx| hevm.transact_sliced(tx));
-        self.drive_segment(
-            bundle,
-            hevm,
-            first,
-            hevm_config,
-            Vec::with_capacity(bundle.transactions.len()),
-            Vec::with_capacity(bundle.transactions.len()),
-            0,
-            0,
-            before,
-            lints,
-            segment_started,
-            false,
-        )
-    }
-
-    /// Drives an engine (fresh or resumed) until the slice yields or
-    /// the bundle retires, flushing swap traffic and segment telemetry.
-    /// Delegates to [`drive_segment_with`] against the device's shared
-    /// clock and telemetry; worker tasks call the same driver against a
-    /// private clock and a [`TaskBuffer`].
-    #[allow(clippy::too_many_arguments)]
-    fn drive_segment<'a>(
-        &self,
-        bundle: &Bundle,
-        hevm: Hevm<HybridState<'a>>,
-        first: Option<Result<SliceOutcome, HevmAbort>>,
-        hevm_config: HevmConfig,
-        results: Vec<TxResult>,
-        per_tx: Vec<Nanos>,
-        tx_index: usize,
-        tx_elapsed: Nanos,
-        before: Nanos,
-        lints: Vec<(Address, LintFinding)>,
-        segment_started: Nanos,
-        resumed: bool,
-    ) -> Result<SegmentOutcome, ServiceError> {
-        let mut sink = self.telemetry.clone();
-        drive_segment_with(
-            bundle,
-            hevm,
-            first,
-            hevm_config,
-            results,
-            per_tx,
-            tx_index,
-            tx_elapsed,
-            before,
-            lints,
-            segment_started,
-            resumed,
-            &self.clock,
-            &self.cost,
-            self.oram.as_ref(),
-            &mut sink,
-        )
     }
 
     /// Synchronizes a new block's state delta (paper step 11): verifies
@@ -1835,38 +1409,96 @@ impl HarDTape {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool execution: prepare → execute → commit.
+// One bundle segment: prepare → execute → commit.
 //
-// The gateway's pooled runtime splits `pre_execute_preemptible` into
-// three phases so the host-expensive middle can run on N worker
-// threads while every observable effect stays deterministic:
-//
-// * `prepare_task` (sequential, shared clock) — revocation check,
+// * `prepare_task` (shared clock, `&mut` device) — revocation check,
 //   channel delivery with its fault draws and sequence numbers, static
-//   admission, lint collection, and the per-dispatch RNG draws for the
-//   HEVM config. Everything that touches shared mutable state.
-// * `execute_task` (parallel, no `&self`) — ECDSA sign/verify, the
-//   HEVM segment, and trace signing, against a private virtual clock
-//   that starts at zero and a private [`TaskBuffer`] telemetry sink.
-//   A pure function of the prepared task, so its result is identical
-//   for any worker count.
-// * `commit_task` (sequential, dispatch order) — hypervisor core
-//   accounting, buffer replay onto the shared timeline, the shared
-//   clock advance by the task's virtual duration, and the seal phase
-//   (sequential channel state). Virtual time therefore stays
-//   *serialized*: the pool parallelizes host wall-clock work only, and
-//   the virtual schedule is byte-identical for 1 and N workers.
+//   admission, lint and prefetch-plan construction, and the
+//   per-dispatch RNG draws for the HEVM config. Everything that touches
+//   shared mutable state before a core is taken.
+// * `execute_task` (no `&self`) — ECDSA sign/verify, the HEVM segment,
+//   and trace signing, against whatever clock, telemetry sink and ORAM
+//   the caller hands it. A pure function of the prepared task and
+//   those three.
+// * `commit_task` (shared clock, `&mut` device) — takes the core, lands
+//   the execution on the shared timeline, then core accounting,
+//   revocation, and the seal phase (sequential channel state).
+//
+// Where the execution happens is the one thing that differs between
+// devices (`Execution`): inside commit, on the shared clock, straight
+// into `Telemetry`, when executing mutates state other bundles share
+// (`pooled_eligible` states the rule); otherwise possibly ahead of its
+// commit, on a pool worker against a private clock starting at zero
+// and a `TaskBuffer`. Commit then replays the buffer and advances the
+// shared clock by the task's duration, so virtual time stays
+// serialized and the schedule is byte-identical for 1 and N workers.
 // ---------------------------------------------------------------------------
 
-/// The `Sync` subset of device state a worker thread needs: read-only
-/// world state plus the execution parameters. Only built for
-/// pool-eligible configurations (no ORAM), so the borrowed mirror is
-/// never written during the parallel phase.
+/// The `Sync` subset of device state an executing task reads: the
+/// world-state mirror plus the execution parameters.
 pub(crate) struct ExecCtx<'a> {
     security: SecurityConfig,
     env: &'a Env,
     cost: &'a CostModel,
     local: &'a InMemoryState,
+}
+
+/// The ORAM prefetch plans of a fresh bundle (§IV-D): built at prepare
+/// because the analysis cache needs `&mut` device, handed to the ORAM
+/// inside the `Execute` window, where their batch fetches are charged.
+struct PrefetchPlans {
+    /// World-state plans `(contract, enumerable slots, dynamic)` for
+    /// every analyzed contract the bundle can enter.
+    state: Vec<(Address, Vec<U256>, bool)>,
+    /// Records the bundle reads outside any plan (sender/recipient
+    /// account metas, accounts named by BALANCE/EXTCODE* operands).
+    meta_only: std::collections::BTreeSet<Address>,
+    /// Code plans (`None` under `-ESO`, where code stays local).
+    code: Option<CodePlans>,
+}
+
+/// The code half of [`PrefetchPlans`].
+enum CodePlans {
+    /// Reachable-page plans: advertised for every analysis, prefetched
+    /// for the top-level `callees` only — inner-call pages (`extra`)
+    /// are demand-paced, not drained.
+    Planned {
+        callees: Vec<(Address, Arc<CodeAnalysis>)>,
+        extra: Vec<(Address, Arc<CodeAnalysis>)>,
+    },
+    /// Pre-fix pipeline (starvation ablation): dense prefetch of every
+    /// code page `(callee, pages)`, no plans advertised.
+    Dense(Vec<(Address, u32)>),
+}
+
+impl PrefetchPlans {
+    /// Advertises every plan to the ORAM layer, which batch-fetches and
+    /// pins the planned records and schedules the code prefetch.
+    fn apply(&self, oram: &ObliviousState) {
+        for (addr, slots, dynamic) in &self.state {
+            oram.set_state_plan(*addr, slots, *dynamic);
+        }
+        for addr in &self.meta_only {
+            oram.set_state_plan(*addr, &[], false);
+        }
+        match &self.code {
+            Some(CodePlans::Planned { callees, extra }) => {
+                for (addr, analysis) in callees {
+                    oram.set_code_plan(*addr, &analysis.reachable_pages);
+                    oram.schedule_prefetch_pages(*addr, &analysis.reachable_pages);
+                }
+                for (addr, analysis) in extra {
+                    oram.set_code_plan(*addr, &analysis.reachable_pages);
+                }
+            }
+            Some(CodePlans::Dense(pages)) => {
+                for (addr, count) in pages {
+                    oram.schedule_prefetch(*addr, *count);
+                }
+            }
+            None => {}
+        }
+    }
 }
 
 /// What kind of work a prepared task carries.
@@ -1877,24 +1509,26 @@ enum TaskKind {
     /// A bundle entering the service: channel delivery and admission
     /// already ran at prepare; signature work and execution remain.
     Fresh {
-        bundle: Bundle,
         /// The canonical bundle encoding (what the user signs).
         payload: Vec<u8>,
         /// The user's signing key, cloned so the (host-expensive)
-        /// bundle signature can be computed on the worker.
+        /// bundle signature can be computed by whoever executes.
         user_key: SecretKey,
-        /// Pre-collected lint findings (analysis needs `&mut` device).
+        /// Secret-dependency lint findings for the signed report.
         lints: Vec<(Address, LintFinding)>,
+        /// Prefetch plans (`None` without an ORAM).
+        plans: Option<PrefetchPlans>,
         /// Fully resolved engine config, including the per-dispatch
         /// layer-3 key/noise draws made at prepare in dispatch order.
         hevm_config: HevmConfig,
     },
     /// A preempted bundle resuming from its checkpoint.
-    Resume { bundle: Bundle, pause: BundlePause },
+    Resume(BundlePause),
 }
 
-/// One unit of work for the worker pool, produced by
-/// [`HarDTape::prepare_task`] in dispatch order.
+/// One prepared bundle segment, produced by [`HarDTape::prepare_task`]
+/// in dispatch order. The bundle itself stays with the caller and is
+/// passed by reference to execute and commit.
 pub(crate) struct PreparedTask {
     /// Shared-clock time the bundle entered the service (prepare time
     /// for fresh bundles, the original admission for resumed ones).
@@ -1909,11 +1543,6 @@ pub(crate) struct PreparedTask {
 // pause embeds the full checkpoint and the value is transient.
 #[allow(clippy::large_enum_variant)]
 enum TaskResult {
-    /// Failed before the point where the sequential path would have
-    /// assigned a core (bundle-signature verification): commit replays
-    /// the buffer and advances the clock but touches no hypervisor
-    /// state.
-    PreAssign(ServiceError),
     /// The bundle retired; the trace is signed and ready to seal.
     Done {
         report: BundleReport,
@@ -1923,12 +1552,13 @@ enum TaskResult {
     },
     /// The gas slice ran out; the pause re-queues at commit.
     Preempted(BundlePause),
-    /// Execution failed after core assignment (HEVM abort classes).
+    /// The segment failed (bundle-signature check, HEVM abort classes,
+    /// ORAM integrity).
     Failed(ServiceError),
 }
 
-/// The result of [`execute_task`]: everything `commit_task` needs to
-/// splice the task into the shared timeline.
+/// A task a pool worker already executed off the shared timeline:
+/// everything `commit_task` needs to splice it in.
 pub(crate) struct FinishedTask {
     started: Nanos,
     /// Virtual time the task consumed on its private clock.
@@ -1938,13 +1568,24 @@ pub(crate) struct FinishedTask {
     outcome: TaskResult,
 }
 
+/// Where a prepared task's execution happens relative to its commit.
+pub(crate) enum Execution {
+    /// Inside commit, on the shared clock, straight into `Telemetry`:
+    /// the only choice when executing mutates shared state, and what
+    /// [`HarDTape::pre_execute_preemptible`] always does.
+    Inline(PreparedTask),
+    /// Ahead of commit, on a pool worker ([`execute_detached`]).
+    Pooled(FinishedTask),
+}
+
 impl HarDTape {
-    /// Whether bundle execution can run on the worker pool: workers
-    /// execute against private clocks with no access to the shared
-    /// ORAM, so the pool serves only ORAM-less configurations whose
-    /// layer-3 page store has no armed faults (an armed
-    /// `PageStore`/`OramServer` site would consume the shared fault
-    /// RNG mid-execution, breaking determinism across worker counts).
+    /// Whether executing a bundle leaves every piece of state other
+    /// bundles share untouched, so tasks may run ahead of their commit
+    /// on the worker pool: no ORAM (its tree and the shared clock move
+    /// with every query), and no armed `PageStore`/`OramServer` fault
+    /// budget (an armed site draws from the shared fault RNG
+    /// mid-execution). The budget drains during a run, so this can
+    /// turn true while a gateway is serving.
     pub(crate) fn pooled_eligible(&self) -> bool {
         self.oram.is_none()
             && self.faults.as_ref().is_none_or(|plan| {
@@ -1953,7 +1594,7 @@ impl HarDTape {
             })
     }
 
-    /// The worker-shareable execution context (see [`ExecCtx`]).
+    /// The execution context tasks read (see [`ExecCtx`]).
     pub(crate) fn exec_ctx(&self) -> ExecCtx<'_> {
         ExecCtx {
             security: self.config.security,
@@ -1963,18 +1604,19 @@ impl HarDTape {
         }
     }
 
-    /// Phase 1 of pooled execution: everything that must stay on the
+    /// Step 1 of a bundle segment: everything that must stay on the
     /// shared clock and shared mutable state, in dispatch order —
     /// revocation, channel delivery (sequence numbers + fault draws),
-    /// the `Receive` phase, static admission, lint collection, and the
-    /// per-dispatch RNG draws for the engine config.
+    /// the `Receive` phase, static admission, lint and prefetch-plan
+    /// construction, and the per-dispatch RNG draws for the engine
+    /// config.
     ///
     /// # Errors
     ///
-    /// The same pre-execution surface as
-    /// [`Self::pre_execute_preemptible`] up to core assignment:
-    /// revoked sessions, channel attacks, analysis rejections. A
-    /// prepare error terminates the bundle without a task.
+    /// The pre-execution surface of [`Self::pre_execute_preemptible`]
+    /// up to core assignment: revoked sessions, channel attacks,
+    /// analysis rejections. A prepare error terminates the bundle
+    /// without a task.
     pub(crate) fn prepare_task(
         &mut self,
         user: &mut UserHandle,
@@ -1992,41 +1634,60 @@ impl HarDTape {
             return Ok(PreparedTask {
                 started: pause.started,
                 device_key: user.device_key.clone(),
-                kind: TaskKind::Resume { bundle: bundle.clone(), pause },
+                kind: TaskKind::Resume(pause),
             });
         }
         let security = self.config.security;
         let started = self.clock.now();
         let payload = bundle.encode();
+        // User → device over the untrusted wire: an armed fault plan
+        // may tamper, drop, or replay the sealed message in transit.
         if security.encryption() {
             let opened = self.deliver_to_device(user, &payload)?;
             debug_assert_eq!(opened, payload);
         }
         self.record_phase(PhaseKind::Receive, started);
+        // Static admission: refuse bundles whose callees cannot fit the
+        // hardware stack capacities before a core is even assigned.
         self.admission_check(bundle)?;
 
-        // Secret-dependency lints for the signed report, collected here
-        // because the analysis cache needs `&mut self` (sorted for a
-        // deterministic encoding, exactly as the sequential path does).
-        let mut lints: Vec<(Address, LintFinding)> = Vec::new();
+        // Static pass over the bundle's top-level callees (§IV-D): the
+        // decode phase already knows every `to` address.
+        let mut callees: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
         for tx in &bundle.transactions {
             let Some(to) = tx.to else { continue };
             if seen.insert(to) {
                 if let Some(analysis) = self.analyze_code(&to) {
-                    lints.extend(analysis.lints.iter().map(|l| (to, *l)));
+                    callees.push((to, analysis));
                 }
             }
         }
+        // Secret-dependency lints, surfaced per bundle in the signed
+        // report (sorted for a deterministic encoding).
+        let mut lints: Vec<(Address, LintFinding)> = Vec::new();
+        for (addr, analysis) in &callees {
+            lints.extend(analysis.lints.iter().map(|l| (*addr, *l)));
+        }
         lints.sort_unstable();
         self.telemetry.count(CounterId::LintFindings, lints.len() as u64);
+        let plans = if self.oram.is_some() {
+            Some(self.prefetch_plans(bundle, callees, &seen))
+        } else {
+            None
+        };
 
         let mut hevm_config = self.config.hevm.clone();
+        // Whatever the ORAM serves charges the clock itself; whatever
+        // stays local is charged by the HEVM at local-fetch cost. Under
+        // -ESO that split differs per query class: K-V via ORAM, code
+        // local.
         hevm_config.charge_local_fetch = !security.oram_storage();
         hevm_config.charge_local_code = !security.oram_code();
-        // Session-local layer-3 key and noise seed, drawn from the
+        // Fresh session-local layer-3 sealing key and noise seed (paper
+        // §IV-C: session keys differ per session), drawn from the
         // device RNG in dispatch order so the values are independent of
-        // the worker count.
+        // where the task executes.
         let mut layer3_key = [0u8; 16];
         self.rng.fill_bytes(&mut layer3_key);
         hevm_config.layer3_key = layer3_key;
@@ -2037,52 +1698,169 @@ impl HarDTape {
             started,
             device_key: user.device_key.clone(),
             kind: TaskKind::Fresh {
-                bundle: bundle.clone(),
                 payload,
                 user_key: user.user_key.clone(),
                 lints,
+                plans,
                 hevm_config,
             },
         })
     }
 
-    /// Phase 3 of pooled execution, in dispatch order: hypervisor core
-    /// accounting, telemetry replay onto the shared timeline, the
-    /// shared clock advance, session revocation, and the seal phase.
+    /// Turns the analyzer's page-reachability and state-access sets
+    /// into the bundle's prefetch plans: only pages some execution path
+    /// can actually touch are prefetched, and the same sets are what
+    /// the telemetry auditor holds the observed code and kv traffic to.
+    /// `seen` is the set of top-level callee addresses behind `callees`.
+    fn prefetch_plans(
+        &mut self,
+        bundle: &Bundle,
+        callees: Vec<(Address, Arc<CodeAnalysis>)>,
+        seen: &std::collections::BTreeSet<Address>,
+    ) -> PrefetchPlans {
+        let oram_code = self.config.security.oram_code();
+        // A callee with dynamic call targets (or foreign-code reads) can
+        // reach any code-bearing account, so precise plans must cover
+        // the whole mirror or the auditor would flag honest inner-call
+        // fetches. Collect those extra analyses up front (full-page
+        // plans where the analysis itself reads code dynamically).
+        let plan_everything = callees
+            .iter()
+            .any(|(_, a)| a.dynamic_calls || a.reads_foreign_code);
+        let mut extra: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
+        if plan_everything && oram_code {
+            let mut others: Vec<Address> = self
+                .local
+                .iter()
+                .filter(|(a, acc)| !acc.code.is_empty() && !seen.contains(*a))
+                .map(|(a, _)| *a)
+                .collect();
+            // The mirror is a HashMap: sort so plan advertisement order
+            // (and with it the telemetry digest) is process-independent.
+            others.sort_unstable();
+            for addr in others {
+                if let Some(analysis) = self.analyze_code(&addr) {
+                    extra.push((addr, analysis));
+                }
+            }
+        }
+
+        // World-state plans (value-set analysis): full plans for every
+        // analyzed contract the bundle can enter — the top-level
+        // callees, their constant inner-call targets, and the
+        // mirror-wide extra analyses — plus meta-only plans for records
+        // the bundle reads outside any plan.
+        let mut state: Vec<(Address, Vec<U256>, bool)> = Vec::new();
+        let mut meta_only = std::collections::BTreeSet::new();
+        let mut planned = std::collections::BTreeSet::new();
+        let mut inner_targets: Vec<Address> = Vec::new();
+        for (addr, analysis) in callees.iter().chain(extra.iter()) {
+            if planned.insert(*addr) {
+                state.push((
+                    *addr,
+                    analysis.state_plan.slots.iter().copied().collect(),
+                    analysis.state_plan.dynamic,
+                ));
+            }
+            meta_only.extend(analysis.state_plan.accounts.iter().copied());
+            inner_targets.extend(analysis.call_targets.iter().copied());
+        }
+        // Constant inner-call targets execute their own storage
+        // accesses under their own address: give code-bearing ones a
+        // full plan too, so honest inner-call kv traffic is covered
+        // rather than merely exempted.
+        for target in inner_targets {
+            if planned.contains(&target) {
+                continue;
+            }
+            if let Some(analysis) = self.analyze_code(&target) {
+                planned.insert(target);
+                state.push((
+                    target,
+                    analysis.state_plan.slots.iter().copied().collect(),
+                    analysis.state_plan.dynamic,
+                ));
+            } else {
+                meta_only.insert(target);
+            }
+        }
+        for tx in &bundle.transactions {
+            meta_only.insert(tx.from);
+            if let Some(to) = tx.to {
+                meta_only.insert(to);
+            }
+        }
+        meta_only.retain(|a| !planned.contains(a));
+
+        let code = if !oram_code {
+            None
+        } else if self.legacy_prefetch.get() {
+            use tape_state::StateReader as _;
+            let page_size = self.config.hevm.mem.page_size;
+            Some(CodePlans::Dense(
+                callees
+                    .iter()
+                    .filter_map(|(addr, _)| {
+                        let code_len = self.local.account(addr).map_or(0, |i| i.code_len);
+                        (code_len > 0).then(|| (*addr, code_len.div_ceil(page_size) as u32))
+                    })
+                    .collect(),
+            ))
+        } else {
+            Some(CodePlans::Planned { callees, extra })
+        };
+        PrefetchPlans { state, meta_only, code }
+    }
+
+    /// Step 3 of a bundle segment: exclusive core assignment, the
+    /// execution landing on the shared timeline (run now, or a worker's
+    /// buffer replayed and the clock advanced by its duration), core
+    /// accounting, session revocation, and the seal phase.
     ///
     /// # Errors
     ///
-    /// The post-assignment surface of
-    /// [`Self::pre_execute_preemptible`]: busy/quarantined cores, HEVM
-    /// aborts carried in the finished task, seal-channel failures.
+    /// The post-prepare surface of [`Self::pre_execute_preemptible`]:
+    /// busy/quarantined cores, HEVM aborts and ORAM integrity failures
+    /// from the execution, seal-channel failures.
     pub(crate) fn commit_task(
         &mut self,
         user: &mut UserHandle,
-        finished: FinishedTask,
+        bundle: &Bundle,
+        execution: Execution,
     ) -> Result<PreExecOutcome, ServiceError> {
-        let FinishedTask { started, duration, buffer, outcome } = finished;
-        let outcome = match outcome {
-            TaskResult::PreAssign(err) => {
-                // The sequential path fails these before taking a core:
-                // replay the partial timeline (the verify cost was
-                // spent) and surface the error.
-                buffer.replay_into(&self.telemetry, self.clock.now());
-                self.clock.advance(duration);
-                return Err(err);
-            }
-            other => other,
-        };
-        // Exclusive HEVM assignment, per task in commit order — the
-        // pool holds at most one slot at a time, exactly like the
-        // sequential drain. A task refused a core is discarded without
-        // advancing the clock (its execution never happened on the
-        // shared timeline).
+        // Exclusive HEVM assignment, per segment (a paused bundle holds
+        // no core) and one at a time. A task refused a core leaves
+        // nothing on the shared timeline: an inline one never runs, a
+        // pooled one is dropped with its buffer, the clock untouched.
         let slot = self.hypervisor.assign(user.session).map_err(|e| match e {
             SlotError::AllQuarantined => ServiceError::AllCoresQuarantined,
             _ => ServiceError::Busy,
         })?;
-        buffer.replay_into(&self.telemetry, self.clock.now());
-        self.clock.advance(duration);
+        let (started, outcome) = match execution {
+            Execution::Inline(task) => {
+                let started = task.started;
+                let mut sink = self.telemetry.clone();
+                let outcome = execute_task(
+                    &self.exec_ctx(),
+                    bundle,
+                    task,
+                    &self.clock,
+                    &mut sink,
+                    self.oram.as_ref(),
+                );
+                (started, outcome)
+            }
+            Execution::Pooled(FinishedTask { started, duration, buffer, outcome }) => {
+                buffer.replay_into(&self.telemetry, self.clock.now());
+                self.clock.advance(duration);
+                (started, outcome)
+            }
+        };
+        // Hardware-level failures (layer-3 integrity violations, watchdog
+        // trips) count against the core; three in a row quarantine it —
+        // a quarantined core is pulled from rotation instead of released.
+        // A preemption is a success: the core did its slice and returns
+        // to the pool.
         let core_failure = matches!(
             &outcome,
             TaskResult::Failed(ServiceError::Hevm(
@@ -2101,6 +1879,8 @@ impl HarDTape {
                 .release(slot, user.session)
                 .expect("slot was assigned above");
         }
+        // Integrity failures revoke the session: the bundle is aborted
+        // and the user must re-attest before submitting another one.
         if matches!(
             &outcome,
             TaskResult::Failed(
@@ -2110,7 +1890,6 @@ impl HarDTape {
             self.revoked.insert(user.session);
         }
         match outcome {
-            TaskResult::PreAssign(_) => unreachable!("handled above"),
             TaskResult::Failed(err) => Err(err),
             TaskResult::Preempted(mut pause) => {
                 pause.started = started;
@@ -2118,9 +1897,9 @@ impl HarDTape {
                 Ok(PreExecOutcome::Preempted(pause))
             }
             TaskResult::Done { mut report, trace } => {
-                let security = self.config.security;
+                // Device → user: seal the signed trace.
                 let seal_started = self.clock.now();
-                if security.encryption() {
+                if self.config.security.encryption() {
                     let sealed = user.device_tx.seal(&trace);
                     self.clock
                         .advance(self.cost.protected_message_ns(sealed.sealed.len()));
@@ -2140,170 +1919,142 @@ impl HarDTape {
     }
 }
 
-/// Phase 2 of pooled execution: runs one prepared task to its segment
-/// boundary (or completion) against a private clock starting at zero
-/// and a private telemetry buffer. Takes no `&self` — a pure function
-/// of the task and the read-only context — so N workers produce
-/// byte-identical results to one.
-pub(crate) fn execute_task(ctx: &ExecCtx<'_>, task: PreparedTask) -> FinishedTask {
+/// Executes a prepared task ahead of its commit, off the shared
+/// timeline: a private clock starting at zero, a private telemetry
+/// buffer, no ORAM. What pool workers run — byte-identical results for
+/// any worker count.
+pub(crate) fn execute_detached(
+    ctx: &ExecCtx<'_>,
+    bundle: &Bundle,
+    task: PreparedTask,
+) -> FinishedTask {
+    let started = task.started;
     let clock = Clock::new();
-    let mut sink = TaskBuffer::new();
-    let PreparedTask { started, device_key, kind } = task;
-    let outcome = match kind {
-        TaskKind::Fresh { bundle, payload, user_key, lints, hevm_config } => {
-            execute_fresh(
-                ctx,
-                &clock,
-                &mut sink,
-                &bundle,
-                &payload,
-                &user_key,
-                &device_key,
-                lints,
-                hevm_config,
-            )
-        }
-        TaskKind::Resume { bundle, pause } => {
-            execute_resume(ctx, &clock, &mut sink, &bundle, &device_key, pause)
-        }
-    };
-    FinishedTask { started, duration: clock.now(), buffer: sink, outcome }
+    let mut buffer = TaskBuffer::new();
+    let outcome = execute_task(ctx, bundle, task, &clock, &mut buffer, None);
+    FinishedTask { started, duration: clock.now(), buffer, outcome }
 }
 
-/// A fresh bundle's worker half: user signature (deferred from prepare
-/// — it costs no virtual time and keeps the expensive host-side ECDSA
-/// in the parallel phase), verification, and the first segment.
-#[allow(clippy::too_many_arguments)]
-fn execute_fresh(
-    ctx: &ExecCtx<'_>,
-    clock: &Clock,
-    sink: &mut TaskBuffer,
-    bundle: &Bundle,
-    payload: &[u8],
-    user_key: &SecretKey,
-    device_key: &SecretKey,
-    lints: Vec<(Address, LintFinding)>,
-    hevm_config: HevmConfig,
-) -> TaskResult {
-    let signature = ctx.security.signature().then(|| sign_bundle(user_key, payload));
-    let decode_started = clock.now();
-    if let Some(sig) = &signature {
-        clock.advance(ctx.cost.ecdsa_verify_ns);
-        if let Err(err) = verify_bundle(&user_key.public_key(), payload, sig) {
-            return TaskResult::PreAssign(ServiceError::Channel(err));
-        }
-    }
+/// Records one completed phase (duration since `started`) into `sink`.
+fn record_phase_into<S: Sink>(sink: &mut S, clock: &Clock, phase: PhaseKind, started: Nanos) {
     let at = clock.now();
-    sink.record(TelemetryEvent::Phase {
-        at,
-        phase: PhaseKind::Decode,
-        ns: at - decode_started,
-    });
+    sink.record(TelemetryEvent::Phase { at, phase, ns: at - started });
+}
 
-    let execute_started = clock.now();
-    let reader = HybridState::new(ctx.security, ctx.local, None);
-    let mut hevm =
-        Hevm::new(hevm_config.clone(), ctx.env.clone(), reader, clock.clone());
-    // Same first-dispatch charge as the sequential fresh path: putting
-    // the bundle onto a core is a context switch like any re-dispatch.
-    clock.advance(ctx.cost.sched_dispatch_ns);
-    let before = clock.now();
-    let first = bundle.transactions.first().map(|tx| hevm.transact_sliced(tx));
+/// Step 2 of a bundle segment: runs one prepared task to its segment
+/// boundary (or completion) against the given clock, telemetry sink
+/// and ORAM — the `Decode` phase for a fresh bundle (the user signature
+/// is made here, not at prepare: it costs no virtual time and keeps the
+/// host-expensive ECDSA wherever execution is), the `Execute` window,
+/// and on completion the report, trace encoding and device signature
+/// (`Sign` phase). Sealing needs the sequential channel state and
+/// happens at commit.
+fn execute_task<S: Sink>(
+    ctx: &ExecCtx<'_>,
+    bundle: &Bundle,
+    task: PreparedTask,
+    clock: &Clock,
+    sink: &mut S,
+    oram: Option<&ObliviousState>,
+) -> TaskResult {
+    let execute_started;
+    let resumed = matches!(task.kind, TaskKind::Resume(_));
+    // Both arms put an engine on the core and start its first slice.
+    let (hevm, first, hevm_config, results, per_tx, tx_index, tx_elapsed, before, lints) =
+        match task.kind {
+            TaskKind::Fresh { payload, user_key, lints, plans, hevm_config } => {
+                let signature =
+                    ctx.security.signature().then(|| sign_bundle(&user_key, &payload));
+                let decode_started = clock.now();
+                if let Some(sig) = &signature {
+                    // Device verifies the user's bundle signature on the A53.
+                    clock.advance(ctx.cost.ecdsa_verify_ns);
+                    if let Err(err) = verify_bundle(&user_key.public_key(), &payload, sig) {
+                        return TaskResult::Failed(ServiceError::Channel(err));
+                    }
+                }
+                record_phase_into(sink, clock, PhaseKind::Decode, decode_started);
+
+                execute_started = clock.now();
+                if let (Some(oram), Some(plans)) = (oram, &plans) {
+                    plans.apply(oram);
+                }
+                let reader = HybridState::new(ctx.security, ctx.local, oram);
+                let mut hevm =
+                    Hevm::new(hevm_config.clone(), ctx.env.clone(), reader, clock.clone());
+                // The first dispatch of a bundle onto a core pays the same
+                // scheduler context-switch as every re-dispatch: charged
+                // inside the segment window (but outside per-transaction
+                // time), so a bundle suspended S−1 times carries exactly
+                // 2S−1 dispatch charges — S dispatches plus S−1 parks.
+                clock.advance(ctx.cost.sched_dispatch_ns);
+                let before = clock.now();
+                let first = bundle.transactions.first().map(|tx| hevm.transact_sliced(tx));
+                let results = Vec::with_capacity(bundle.transactions.len());
+                let per_tx = Vec::with_capacity(bundle.transactions.len());
+                (hevm, first, hevm_config, results, per_tx, 0, 0, before, lints)
+            }
+            TaskKind::Resume(pause) => {
+                execute_started = clock.now();
+                // Re-dispatching a suspended context is not free: the
+                // Hypervisor's scheduler restores the parked HEVM state
+                // before the first cycle of the new slice executes. Charged
+                // inside the segment window so preemption's overhead shows
+                // up in SliceNs and every latency built on it.
+                clock.advance(ctx.cost.sched_dispatch_ns);
+                let BundlePause {
+                    checkpoint,
+                    hevm_config,
+                    results,
+                    per_tx,
+                    tx_index,
+                    tx_elapsed,
+                    lints,
+                    ..
+                } = pause;
+                // The reader detached at suspension was just a view of the
+                // device state; rebuild it fresh (the world may even have
+                // advanced a block — pre-execution reads whatever the
+                // device's current head serves, exactly like a bundle that
+                // was still queued).
+                let reader = HybridState::new(ctx.security, ctx.local, oram);
+                let mut hevm = Hevm::resume(
+                    hevm_config.clone(),
+                    ctx.env.clone(),
+                    reader,
+                    clock.clone(),
+                    checkpoint,
+                );
+                let before = clock.now();
+                let first = Some(hevm.continue_transact());
+                (hevm, first, hevm_config, results, per_tx, tx_index, tx_elapsed, before, lints)
+            }
+        };
     let segment = drive_segment_with(
         bundle,
         hevm,
         first,
         hevm_config,
-        Vec::with_capacity(bundle.transactions.len()),
-        Vec::with_capacity(bundle.transactions.len()),
-        0,
-        0,
+        results,
+        per_tx,
+        tx_index,
+        tx_elapsed,
         before,
         lints,
         execute_started,
-        false,
+        resumed,
         clock,
         ctx.cost,
-        None,
+        oram,
         sink,
     );
-    finish_task(ctx, clock, sink, device_key, execute_started, segment)
-}
-
-/// A resumed bundle's worker half: re-dispatch cost, checkpoint
-/// re-entry, and the next segment.
-fn execute_resume(
-    ctx: &ExecCtx<'_>,
-    clock: &Clock,
-    sink: &mut TaskBuffer,
-    bundle: &Bundle,
-    device_key: &SecretKey,
-    pause: BundlePause,
-) -> TaskResult {
-    let segment_started = clock.now();
-    // Same re-dispatch charge as the sequential resume path: restoring
-    // the parked HEVM state is not free.
-    clock.advance(ctx.cost.sched_dispatch_ns);
-    let BundlePause {
-        checkpoint,
-        hevm_config,
-        results,
-        per_tx,
-        tx_index,
-        tx_elapsed,
-        lints,
-        ..
-    } = pause;
-    let reader = HybridState::new(ctx.security, ctx.local, None);
-    let mut hevm = Hevm::resume(
-        hevm_config.clone(),
-        ctx.env.clone(),
-        reader,
-        clock.clone(),
-        checkpoint,
-    );
-    let before = clock.now();
-    let first = Some(hevm.continue_transact());
-    let segment = drive_segment_with(
-        bundle,
-        hevm,
-        first,
-        hevm_config,
-        results,
-        per_tx,
-        tx_index,
-        tx_elapsed,
-        before,
-        lints,
-        segment_started,
-        true,
-        clock,
-        ctx.cost,
-        None,
-        sink,
-    );
-    finish_task(ctx, clock, sink, device_key, segment_started, segment)
-}
-
-/// The shared tail of both worker halves: the `Execute` phase record,
-/// then — on completion — the report, trace encoding, and device
-/// signature (`Sign` phase). Sealing needs the sequential channel
-/// state and happens at commit.
-fn finish_task(
-    ctx: &ExecCtx<'_>,
-    clock: &Clock,
-    sink: &mut TaskBuffer,
-    device_key: &SecretKey,
-    execute_started: Nanos,
-    segment: Result<SegmentOutcome, ServiceError>,
-) -> TaskResult {
-    let at = clock.now();
-    sink.record(TelemetryEvent::Phase {
-        at,
-        phase: PhaseKind::Execute,
-        ns: at - execute_started,
-    });
-    sink.observe(HistId::ExecuteNs, at - execute_started);
+    record_phase_into(sink, clock, PhaseKind::Execute, execute_started);
+    sink.observe(HistId::ExecuteNs, clock.now() - execute_started);
+    if let Some(oram) = oram {
+        // Segment/bundle end: on-chip caches cleared (before the trace
+        // is signed) so the core can serve another tenant.
+        oram.clear_cache();
+    }
     let (results, changes, per_tx_ns, hevm_stats, lints) = match segment {
         Err(err) => return TaskResult::Failed(err),
         Ok(SegmentOutcome::Yielded(pause)) => return TaskResult::Preempted(pause),
@@ -2325,21 +2076,17 @@ fn finish_task(
     let sign_started = clock.now();
     if ctx.security.signature() {
         clock.advance(ctx.cost.ecdsa_sign_ns);
-        report.signature = Some(sign_bundle(device_key, &trace));
+        // The device signs the trace with its attested session key;
+        // the user verifies against the quote's session public key.
+        report.signature = Some(sign_bundle(&task.device_key, &trace));
     }
-    let at = clock.now();
-    sink.record(TelemetryEvent::Phase {
-        at,
-        phase: PhaseKind::Sign,
-        ns: at - sign_started,
-    });
+    record_phase_into(sink, clock, PhaseKind::Sign, sign_started);
     TaskResult::Done { report, trace }
 }
 
 /// Drives an engine (fresh or resumed) until the slice yields or the
 /// bundle retires, flushing swap traffic and segment telemetry into
-/// `sink`. Shared by the sequential device path (shared clock +
-/// [`Telemetry`]) and the worker pool (private clock + [`TaskBuffer`]).
+/// `sink`.
 #[allow(clippy::too_many_arguments)]
 fn drive_segment_with<S: Sink>(
     bundle: &Bundle,

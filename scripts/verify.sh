@@ -52,11 +52,16 @@
 # mid-soak crash of 1 of 4 devices with live migration, and a mid-soak
 # reorg — every admitted bundle must resolve exactly-once, survivors
 # must converge on one head, and the fleet-wide digest must replay
-# byte-identically across processes. Finally, one seed of the chaos,
-# preemption, and fleet soaks is replayed with a 2-thread worker pool
-# (HARDTAPE_SOAK_WORKERS=2) and must reproduce the 1-worker digest
-# byte-for-byte — parallelism is a host throughput knob, never a
-# schedule input.
+# byte-identically across processes. A fifth leg replays the two
+# shared-state gateway rigs of tests/parallel.rs — a -full device
+# (FULL_DIGEST) and an -ES device whose armed page-store fault budget
+# drains mid-run (PAGESTORE_DIGEST), the rounds that execute on the
+# shared clock instead of the pool — whose digests are checked in and
+# must also agree across processes. Finally, one seed of the chaos,
+# preemption, and fleet soaks, and the shared-state rigs, are replayed
+# with a 2-thread worker pool (HARDTAPE_SOAK_WORKERS=2) and must
+# reproduce the 1-worker digest byte-for-byte — parallelism is a host
+# throughput knob, never a schedule input.
 #
 # With --bench, runs the deterministic pre-execution benchmark under
 # its fixed baked-in seed, writing BENCH_pre_execute.json. The binary
@@ -202,6 +207,16 @@ fleet_digest() {
         | grep -E '^FLEET_DIGEST '
 }
 
+shared_state_digests() {
+    # Prints the FULL_DIGEST and PAGESTORE_DIGEST lines (two baked-in
+    # seeds each) for one fresh-process run of the shared-state rigs;
+    # the test itself asserts them against the checked-in constants.
+    # Optional arg: worker-pool size (default 1).
+    HARDTAPE_SOAK_WORKERS="${1:-1}" cargo test -q --test parallel \
+        shared_state_rigs_reproduce_their_checked_in_digests -- --nocapture \
+        | grep -E '^(FULL|PAGESTORE)_DIGEST '
+}
+
 if [[ "$RUN_SOAK" -eq 1 ]]; then
     echo "==> gateway chaos soak (determinism across processes)"
     for seed in 1337 424242 12648430; do
@@ -251,6 +266,16 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
         fi
         echo "seed $seed: $first"
     done
+    echo "==> shared-state rigs (-full, armed page store: checked-in digests across processes)"
+    first="$(shared_state_digests)"
+    second="$(shared_state_digests)"
+    if [[ "$first" != "$second" ]]; then
+        echo "shared-state rigs: NONDETERMINISM" >&2
+        echo "  run 1: $first" >&2
+        echo "  run 2: $second" >&2
+        exit 1
+    fi
+    echo "$first"
     echo "==> worker-pool invariance (2-worker digests must equal 1-worker, seed 1337)"
     # The pool contract: the worker count is a host throughput knob,
     # never a schedule input. One seed of each soak replayed at 2
@@ -266,6 +291,14 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
         fi
         echo "$kind seed 1337: 2-worker digest matches 1-worker"
     done
+    two="$(shared_state_digests 2)"
+    if [[ "$first" != "$two" ]]; then
+        echo "shared-state rigs: WORKER-COUNT DEPENDENCE" >&2
+        echo "  1 worker:  $first" >&2
+        echo "  2 workers: $two" >&2
+        exit 1
+    fi
+    echo "shared-state rigs: 2-worker digests match 1-worker"
 fi
 
 recover_soak() {
