@@ -10,7 +10,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use tape_crypto::{keccak256, AesGcm, SecretKey, SecureRng};
+use tape_crypto::{keccak256, Aes128, AesGcm, SecretKey, SecureRng};
 use tape_evm::{Env, Evm, Transaction};
 use tape_hevm::{Hevm, HevmConfig};
 use tape_mpt::MerkleTrie;
@@ -39,9 +39,24 @@ fn bench_crypto() {
     let data_1k = vec![0xABu8; 1024];
     bench("crypto/keccak256_1KiB", 2_000, || keccak256(black_box(&data_1k)));
 
+    let aes = Aes128::new(&[7u8; 16]);
+    let mut block = [0u8; 16];
+    bench("crypto/aes128_block", 200_000, || aes.encrypt_block(black_box(&mut block)));
+
     let gcm = AesGcm::new(&[7u8; 16]);
+    let nonce = [0u8; 12];
     bench("crypto/aes_gcm_seal_1KiB", 2_000, || {
-        gcm.seal(black_box(&[0u8; 12]), b"", black_box(&data_1k))
+        gcm.seal(black_box(&nonce), b"", black_box(&data_1k))
+    });
+    let sealed = gcm.seal(&nonce, b"", &data_1k);
+    bench("crypto/aes_gcm_open_1KiB", 2_000, || {
+        gcm.open(black_box(&nonce), b"", black_box(&sealed))
+    });
+    // CTR is an involution, so sealing the same buffer over and over
+    // needs no copy to reset it — this row is the kernel alone.
+    let mut buf = data_1k.clone();
+    bench("crypto/aes_gcm_seal_in_place_1KiB", 2_000, || {
+        gcm.seal_in_place(black_box(&nonce), b"", black_box(&mut buf))
     });
 
     let sk = SecretKey::from_seed(b"bench");
@@ -78,8 +93,10 @@ fn bench_mpt() {
     bench("mpt/prove", 5_000, || trie.prove(black_box(&500u32.to_be_bytes())));
 }
 
-fn bench_oram() {
-    let config = OramConfig { block_size: 1024, bucket_capacity: 4, height: 12 };
+/// One warm Path ORAM read at the given tree height over 256 resident
+/// 1 KiB blocks.
+fn bench_oram_access(name: &str, height: u32) {
+    let config = OramConfig { block_size: 1024, bucket_capacity: 4, height };
     let mut server = OramServer::new(config.clone());
     let mut client = OramClient::new(config, &[1u8; 16], SecureRng::from_seed(b"bench"));
     let clock = Clock::new();
@@ -90,12 +107,18 @@ fn bench_oram() {
             .unwrap();
     }
     let mut i = 0u64;
-    bench("oram/access_height12_1KiB", 200, || {
+    bench(name, 200, || {
         i = (i + 1) % 256;
         client
             .read(&mut server, &clock, &cost, &keccak256(i.to_be_bytes()))
             .unwrap()
     });
+}
+
+fn bench_oram() {
+    // Height 10 is the benchmark workloads' tree (44 slots a path).
+    bench_oram_access("oram/access_h10", 10);
+    bench_oram_access("oram/access_height12_1KiB", 12);
 }
 
 fn erc20_fixture() -> (InMemoryState, Transaction) {

@@ -28,15 +28,42 @@ const SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-#[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
+/// `TE[0][x]` is SubBytes + MixColumns of a column holding `x` in row 0:
+/// the bytes `(2·S[x], S[x], S[x], 3·S[x])`, row 0 in the most
+/// significant byte. `TE[r]` is the same word rotated down by `r` bytes —
+/// the contribution of a byte sitting in row `r`.
+static TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let word = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        let mut row = 0;
+        while row < 4 {
+            te[row][x] = word.rotate_right(8 * row as u32);
+            row += 1;
+        }
+        x += 1;
+    }
+    te
+};
+
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
 /// AES-128 block cipher (encryption direction only).
+///
+/// The state is four big-endian `u32` columns; a round is sixteen
+/// look-ups in [`TE`] (ShiftRows is the choice of which column each
+/// look-up reads).
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    round_keys: [u32; 44],
 }
 
 impl fmt::Debug for Aes128 {
@@ -48,85 +75,55 @@ impl fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands a 128-bit key.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
+        let mut w = [0u32; 44];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
         }
         for i in 4..44 {
             let mut t = w[i - 1];
             if i % 4 == 0 {
-                t.rotate_left(1);
-                for b in &mut t {
-                    *b = SBOX[*b as usize];
-                }
-                t[0] ^= RCON[i / 4 - 1];
+                t = sub_word(t.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ t[j];
-            }
+            w[i] = w[i - 4] ^ t;
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Aes128 { round_keys }
+        Aes128 { round_keys: w }
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
+        *block = self.encrypt_columns(u128::from_be_bytes(*block)).to_be_bytes();
+    }
+
+    /// Encrypts one block held as a big-endian `u128` (column 0 on top).
+    fn encrypt_columns(&self, block: u128) -> u128 {
+        let rk = &self.round_keys;
+        let mut s = [0u32; 4];
+        for (c, col) in s.iter_mut().enumerate() {
+            *col = (block >> (96 - 32 * c)) as u32 ^ rk[c];
+        }
         for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+            let mut t = [0u32; 4];
+            for (c, col) in t.iter_mut().enumerate() {
+                *col = TE[0][(s[c] >> 24) as usize]
+                    ^ TE[1][(s[(c + 1) % 4] >> 16) as u8 as usize]
+                    ^ TE[2][(s[(c + 2) % 4] >> 8) as u8 as usize]
+                    ^ TE[3][s[(c + 3) % 4] as u8 as usize]
+                    ^ rk[4 * round + c];
+            }
+            s = t;
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
-    }
-}
-
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State is column-major: byte (row, col) lives at `col*4 + row`.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    for row in 1..4 {
-        let mut tmp = [0u8; 4];
-        for col in 0..4 {
-            tmp[col] = state[((col + row) % 4) * 4 + row];
+        // Last round: no MixColumns, so plain S-box bytes.
+        let mut out = 0u128;
+        for c in 0..4 {
+            let col = u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+                SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+                SBOX[s[(c + 3) % 4] as u8 as usize],
+            ]);
+            out = (out << 32) | u128::from(col ^ rk[40 + c]);
         }
-        for col in 0..4 {
-            state[col * 4 + row] = tmp[col];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let c = &mut state[col * 4..col * 4 + 4];
-        let a = [c[0], c[1], c[2], c[3]];
-        let t = a[0] ^ a[1] ^ a[2] ^ a[3];
-        c[0] = a[0] ^ t ^ xtime(a[0] ^ a[1]);
-        c[1] = a[1] ^ t ^ xtime(a[1] ^ a[2]);
-        c[2] = a[2] ^ t ^ xtime(a[2] ^ a[3]);
-        c[3] = a[3] ^ t ^ xtime(a[3] ^ a[0]);
+        out
     }
 }
 
@@ -146,37 +143,73 @@ impl fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
-/// Multiplies two elements of GF(2^128) with the GCM bit order.
-fn ghash_mul(x: u128, y: u128) -> u128 {
-    const R: u128 = 0xe1 << 120;
-    let mut z = 0u128;
-    let mut v = y;
-    for i in 0..128 {
-        if (x >> (127 - i)) & 1 == 1 {
-            z ^= v;
+/// Carry-less 64×64 → low-64 multiply from integer multiplies: each
+/// operand is split into four words holding every fourth bit, so the
+/// carries of `wrapping_mul` fall into the three-bit holes and are
+/// masked away. Constant-time wherever integer multiply is.
+fn bmul64(x: u64, y: u64) -> u64 {
+    const M: u64 = 0x1111_1111_1111_1111;
+    let xs = [x & M, x & (M << 1), x & (M << 2), x & (M << 3)];
+    let ys = [y & M, y & (M << 1), y & (M << 2), y & (M << 3)];
+    let mut z = 0;
+    for k in 0..4 {
+        let mut zk = 0;
+        for i in 0..4 {
+            zk ^= xs[i].wrapping_mul(ys[(4 + k - i) % 4]);
         }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
+        z |= zk & (M << k);
     }
     z
 }
 
-fn ghash(h: u128, aad: &[u8], ciphertext: &[u8]) -> u128 {
-    let mut y = 0u128;
-    let mut absorb = |data: &[u8]| {
-        for chunk in data.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            y = ghash_mul(y ^ u128::from_be_bytes(block), h);
+/// The hash key `H` in the shape [`GhashKey::mul`] consumes: its two
+/// halves, their xor (the Karatsuba middle operand), and the
+/// bit-reversal of all three. Rebuilt from the 16-byte `H` per message,
+/// so the per-key state stays 16 bytes.
+struct GhashKey {
+    h: [u64; 3],
+    h_rev: [u64; 3],
+}
+
+impl GhashKey {
+    fn new(h: u128) -> Self {
+        let (h1, h0) = ((h >> 64) as u64, h as u64);
+        let h = [h0, h1, h0 ^ h1];
+        GhashKey { h, h_rev: h.map(u64::reverse_bits) }
+    }
+
+    /// Multiplies `y` by `H` in GF(2^128) with the GCM bit order.
+    ///
+    /// Karatsuba over [`bmul64`]: three products give the low halves of
+    /// the 64×64 partial products, three products of the bit-reversed
+    /// operands give the high halves. GCM numbers bits from the other
+    /// end, so the 255-bit product is shifted up by one and then folded
+    /// by x^128 = x^7 + x^2 + x + 1.
+    fn mul(&self, y: u128) -> u128 {
+        let (y1, y0) = ((y >> 64) as u64, y as u64);
+        let (y1r, y0r) = (y1.reverse_bits(), y0.reverse_bits());
+        let (ys, ys_rev) = ([y0, y1, y0 ^ y1], [y0r, y1r, y0r ^ y1r]);
+        let mut lo = [0u64; 3];
+        let mut hi = [0u64; 3];
+        for i in 0..3 {
+            lo[i] = bmul64(ys[i], self.h[i]);
+            hi[i] = bmul64(ys_rev[i], self.h_rev[i]).reverse_bits() >> 1;
         }
-    };
-    absorb(aad);
-    absorb(ciphertext);
-    let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
-    ghash_mul(y ^ lengths, h)
+        lo[2] ^= lo[0] ^ lo[1];
+        hi[2] ^= hi[0] ^ hi[1];
+        let product = [lo[0], hi[0] ^ lo[2], lo[1] ^ hi[2], hi[1]];
+
+        let mut v = [0u64; 4];
+        v[0] = product[0] << 1;
+        for i in 1..4 {
+            v[i] = (product[i] << 1) | (product[i - 1] >> 63);
+        }
+        for i in 0..2 {
+            v[i + 2] ^= v[i] ^ (v[i] >> 1) ^ (v[i] >> 2) ^ (v[i] >> 7);
+            v[i + 1] ^= (v[i] << 63) ^ (v[i] << 62) ^ (v[i] << 57);
+        }
+        (u128::from(v[3]) << 64) | u128::from(v[2])
+    }
 }
 
 /// AES-128-GCM authenticated encryption with a 96-bit nonce and 128-bit tag.
@@ -209,43 +242,98 @@ impl AesGcm {
     /// Creates a GCM instance from a 128-bit key.
     pub fn new(key: &[u8; 16]) -> Self {
         let cipher = Aes128::new(key);
-        let mut h_block = [0u8; 16];
-        cipher.encrypt_block(&mut h_block);
-        AesGcm { cipher, h: u128::from_be_bytes(h_block) }
+        let h = cipher.encrypt_columns(0);
+        AesGcm { cipher, h }
     }
 
-    fn counter_block(&self, nonce: &[u8; 12], counter: u32) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[..12].copy_from_slice(nonce);
-        block[12..].copy_from_slice(&counter.to_be_bytes());
-        self.cipher.encrypt_block(&mut block);
-        block
+    /// The encrypted counter block `nonce ‖ counter`.
+    fn keystream(&self, nonce: u128, counter: u32) -> u128 {
+        self.cipher.encrypt_columns(nonce | u128::from(counter))
     }
 
-    fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
-        for (i, chunk) in data.chunks_mut(16).enumerate() {
-            let ks = self.counter_block(nonce, 2 + i as u32);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+    fn ctr_xor(&self, nonce: u128, data: &mut [u8]) {
+        let (blocks, tail) = data.as_chunks_mut::<16>();
+        let mut counter = 2u32;
+        for block in blocks {
+            let ks = self.keystream(nonce, counter);
+            *block = (u128::from_be_bytes(*block) ^ ks).to_be_bytes();
+            counter = counter.wrapping_add(1);
+        }
+        if !tail.is_empty() {
+            let ks = self.keystream(nonce, counter).to_be_bytes();
+            for (b, k) in tail.iter_mut().zip(ks) {
                 *b ^= k;
             }
         }
     }
 
-    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let s = ghash(self.h, aad, ciphertext);
-        let j0 = self.counter_block(nonce, 1);
-        (s ^ u128::from_be_bytes(j0)).to_be_bytes()
+    fn tag(&self, nonce: u128, aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+        let key = GhashKey::new(self.h);
+        let mut y = 0u128;
+        for data in [aad, ciphertext] {
+            let (blocks, tail) = data.as_chunks::<16>();
+            for block in blocks {
+                y = key.mul(y ^ u128::from_be_bytes(*block));
+            }
+            if !tail.is_empty() {
+                let mut block = [0u8; 16];
+                block[..tail.len()].copy_from_slice(tail);
+                y = key.mul(y ^ u128::from_be_bytes(block));
+            }
+        }
+        let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
+        y = key.mul(y ^ lengths);
+        (y ^ self.keystream(nonce, 1)).to_be_bytes()
     }
 
-    /// Encrypts `plaintext`, authenticating `aad` as well. Returns
-    /// `ciphertext || 16-byte tag`.
+    /// Encrypts `buf` where it lies, authenticating `aad` as well, and
+    /// returns the 16-byte tag.
     ///
     /// Reusing a `(key, nonce)` pair destroys confidentiality; callers in
     /// this workspace derive nonces from monotonic counters.
+    pub fn seal_in_place(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut [u8]) -> [u8; 16] {
+        let nonce = nonce_columns(nonce);
+        self.ctr_xor(nonce, buf);
+        self.tag(nonce, aad, buf)
+    }
+
+    /// Verifies `tag` over the ciphertext in `buf` and, only if it
+    /// holds, decrypts `buf` where it lies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] if the tag does not verify (wrong key, nonce,
+    /// AAD, or tampered ciphertext); `buf` still holds the ciphertext.
+    pub fn open_in_place(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        buf: &mut [u8],
+        tag: &[u8; 16],
+    ) -> Result<(), AuthError> {
+        let nonce = nonce_columns(nonce);
+        let expected = self.tag(nonce, aad, buf);
+        // Constant-time comparison.
+        let mut diff = 0u8;
+        for (a, b) in expected.iter().zip(tag.iter()) {
+            diff |= a ^ b;
+        }
+        if diff != 0 {
+            return Err(AuthError);
+        }
+        self.ctr_xor(nonce, buf);
+        Ok(())
+    }
+
+    /// Encrypts `plaintext`, authenticating `aad` as well. Returns
+    /// `ciphertext || 16-byte tag`; see [`seal_in_place`] for the nonce
+    /// rule.
+    ///
+    /// [`seal_in_place`]: AesGcm::seal_in_place
     pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        self.ctr_xor(nonce, &mut out);
-        let tag = self.tag(nonce, aad, &out);
+        let mut out = Vec::with_capacity(plaintext.len() + 16);
+        out.extend_from_slice(plaintext);
+        let tag = self.seal_in_place(nonce, aad, &mut out);
         out.extend_from_slice(&tag);
         out
     }
@@ -264,23 +352,18 @@ impl AesGcm {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, AuthError> {
-        if sealed.len() < 16 {
-            return Err(AuthError);
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - 16);
-        let expected = self.tag(nonce, aad, ciphertext);
-        // Constant-time comparison.
-        let mut diff = 0u8;
-        for (a, b) in expected.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
-            return Err(AuthError);
-        }
+        let (ciphertext, tag) = sealed.split_last_chunk::<16>().ok_or(AuthError)?;
         let mut out = ciphertext.to_vec();
-        self.ctr_xor(nonce, &mut out);
+        self.open_in_place(nonce, aad, &mut out, tag)?;
         Ok(out)
     }
+}
+
+/// The nonce as the top 96 bits of a counter block.
+fn nonce_columns(nonce: &[u8; 12]) -> u128 {
+    let mut block = [0u8; 16];
+    block[..12].copy_from_slice(nonce);
+    u128::from_be_bytes(block)
 }
 
 #[cfg(test)]

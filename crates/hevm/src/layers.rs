@@ -109,11 +109,12 @@ impl Layer3Pager {
         let mut nonce = [0u8; 12];
         nonce[4..].copy_from_slice(&self.nonce_counter.to_be_bytes());
         let aad = (self.store.len() as u64).to_be_bytes();
-        let sealed = {
-            let mut out = nonce.to_vec();
-            out.extend(self.cipher.seal(&nonce, &aad, frame_bytes));
-            out
-        };
+        // nonce ‖ ciphertext ‖ tag, sealed in the buffer the store keeps.
+        let mut sealed = Vec::with_capacity(12 + frame_bytes.len() + 16);
+        sealed.extend_from_slice(&nonce);
+        sealed.extend_from_slice(frame_bytes);
+        let tag = self.cipher.seal_in_place(&nonce, &aad, &mut sealed[12..]);
+        sealed.extend_from_slice(&tag);
         let index = self.store.len();
         self.store.push(sealed);
 
@@ -179,15 +180,9 @@ impl Layer3Pager {
         cost: &CostModel,
     ) -> Result<Vec<u8>, Layer3Tampered> {
         let sealed = self.store.get(handle.index).ok_or(Layer3Tampered)?;
-        if sealed.len() < 12 {
-            return Err(Layer3Tampered);
-        }
-        let nonce: [u8; 12] = sealed[..12].try_into().expect("length checked");
+        let (nonce, sealed) = sealed.split_first_chunk::<12>().ok_or(Layer3Tampered)?;
         let aad = (handle.index as u64).to_be_bytes();
-        let bytes = self
-            .cipher
-            .open(&nonce, &aad, &sealed[12..])
-            .map_err(|_| Layer3Tampered)?;
+        let bytes = self.cipher.open(nonce, &aad, sealed).map_err(|_| Layer3Tampered)?;
 
         let noise = self.rng.next_below(self.max_noise as u64 + 1) as usize;
         let observed = handle.pages + noise;

@@ -251,7 +251,7 @@ impl OramServer {
                         actual: 0,
                     });
                 }
-                self.backend.write_bucket(idx as u64, &bucket).map_err(OramError::Store)?;
+                self.backend.write_bucket(idx as u64, bucket).map_err(OramError::Store)?;
             }
         }
         // A dishonest drop still commits (an empty transaction): the
@@ -339,6 +339,10 @@ impl core::fmt::Display for OramError {
 
 impl std::error::Error for OramError {}
 
+/// Bytes of slot plaintext ahead of the payload: validity byte, block
+/// id, embedded leaf.
+const SLOT_HEADER: usize = 1 + 32 + 8;
+
 /// A stash entry: a decrypted real block waiting for eviction, carrying
 /// its embedded leaf assignment (kept in the ciphertext so eviction never
 /// needs the position map — the property recursion relies on).
@@ -422,51 +426,53 @@ impl OramClient {
         nonce
     }
 
-    fn encrypt_slot(&mut self, id: Option<(&BlockId, u64, &[u8])>) -> Vec<u8> {
+    /// Seals one slot as `nonce ‖ ciphertext ‖ tag`, built in the one
+    /// buffer the server will keep. `None` is a dummy: its all-zero
+    /// plaintext is the freshly zeroed buffer itself.
+    fn encrypt_slot(&mut self, block: Option<(&BlockId, u64, &[u8])>) -> Vec<u8> {
         // Slot plaintext: 1 validity byte + 32-byte id + 8-byte leaf +
         // payload. The embedded leaf makes eviction position-map-free.
-        let mut plain = Vec::with_capacity(41 + self.config.block_size);
-        match id {
-            Some((id, leaf, data)) => {
-                plain.push(1);
-                plain.extend_from_slice(id.as_bytes());
-                plain.extend_from_slice(&leaf.to_be_bytes());
-                plain.extend_from_slice(data);
-            }
-            None => {
-                plain.push(0);
-                plain.extend_from_slice(&[0u8; 40]);
-                plain.extend(std::iter::repeat_n(0u8, self.config.block_size));
-            }
-        }
+        let plain_len = SLOT_HEADER + self.config.block_size;
+        let mut out = vec![0u8; 12 + plain_len + 16];
         let nonce = self.next_nonce();
-        let mut out = nonce.to_vec();
-        out.extend(self.cipher.seal(&nonce, b"oram", &plain));
+        let (nonce_out, rest) = out.split_at_mut(12);
+        let (plain, tag_out) = rest.split_at_mut(plain_len);
+        nonce_out.copy_from_slice(&nonce);
+        if let Some((id, leaf, data)) = block {
+            plain[0] = 1;
+            plain[1..33].copy_from_slice(id.as_bytes());
+            plain[33..SLOT_HEADER].copy_from_slice(&leaf.to_be_bytes());
+            plain[SLOT_HEADER..].copy_from_slice(data);
+        }
+        tag_out.copy_from_slice(&self.cipher.seal_in_place(&nonce, b"oram", plain));
         out
     }
 
-    fn decrypt_slot(&self, slot: &[u8]) -> Result<Option<(BlockId, u64, Vec<u8>)>, OramError> {
+    /// Opens a slot where it lies; a real block's payload is what is
+    /// left of the buffer once nonce, header and tag are cut away.
+    fn decrypt_slot(
+        &self,
+        mut slot: Vec<u8>,
+    ) -> Result<Option<(BlockId, u64, Vec<u8>)>, OramError> {
         if slot.is_empty() {
             // Never-written slot: treated as a dummy.
             return Ok(None);
         }
-        if slot.len() < 12 {
+        let plain_end = 12 + SLOT_HEADER + self.config.block_size;
+        if slot.len() != plain_end + 16 {
             return Err(OramError::Tampered);
         }
-        let nonce: [u8; 12] = slot[..12].try_into().expect("length checked");
-        let plain = self
-            .cipher
-            .open(&nonce, b"oram", &slot[12..])
-            .map_err(|_| OramError::Tampered)?;
-        if plain.len() != 41 + self.config.block_size {
-            return Err(OramError::Tampered);
-        }
+        let (sealed, tag) = slot.split_last_chunk_mut::<16>().expect("length checked");
+        let (nonce, plain) = sealed.split_first_chunk_mut::<12>().expect("length checked");
+        self.cipher.open_in_place(nonce, b"oram", plain, tag).map_err(|_| OramError::Tampered)?;
         if plain[0] == 0 {
             return Ok(None);
         }
         let id = B256::from_slice(&plain[1..33]);
-        let leaf = u64::from_be_bytes(plain[33..41].try_into().expect("fixed layout"));
-        Ok(Some((id, leaf, plain[41..].to_vec())))
+        let leaf = u64::from_be_bytes(plain[33..SLOT_HEADER].try_into().expect("fixed layout"));
+        slot.truncate(plain_end);
+        slot.drain(..12 + SLOT_HEADER);
+        Ok(Some((id, leaf, slot)))
     }
 
     /// Reads a block; `None` if the id was never written.
@@ -527,10 +533,10 @@ impl OramClient {
         let new_leaf = self.rng.next_below(leaves);
 
         let is_write = new_data.is_some();
-        let old = self.access_at(server, clock, cost, id, old_leaf, new_leaf, |existing| {
+        let old = self.access_at(server, clock, cost, id, old_leaf, new_leaf, |block| {
             match new_data {
-                Some(data) => Some(data),
-                None => existing,
+                Some(data) => block.replace(data),
+                None => block.clone(),
             }
         })?;
 
@@ -551,15 +557,20 @@ impl OramClient {
 
     /// The map-free access primitive: the caller supplies the current and
     /// next leaf of the target block (recursive position maps do exactly
-    /// this). `update` receives the block's current contents (`None` when
-    /// absent) and returns what to store (`None` deletes/keeps absent).
-    /// Returns the previous contents.
+    /// this). `update` edits the block's contents where they lie (`None`
+    /// when absent; leaving `None` deletes/keeps absent) and its result
+    /// is handed back.
     ///
     /// # Errors
     ///
     /// [`OramError::Tampered`] if the server returned forged ciphertexts.
+    ///
+    /// # Panics
+    ///
+    /// If `update` leaves contents that are not
+    /// [`block_size`](OramConfig::block_size) bytes long.
     #[allow(clippy::too_many_arguments)]
-    pub fn access_at(
+    pub fn access_at<R>(
         &mut self,
         server: &mut OramServer,
         clock: &Clock,
@@ -567,25 +578,20 @@ impl OramClient {
         id: &BlockId,
         old_leaf: u64,
         new_leaf: u64,
-        update: impl FnOnce(Option<Vec<u8>>) -> Option<Vec<u8>>,
-    ) -> Result<Option<Vec<u8>>, OramError> {
+        update: impl FnOnce(&mut Option<Vec<u8>>) -> R,
+    ) -> Result<R, OramError> {
         // Read the whole path into the stash; embedded leaves ride along.
-        let slots = server.read_path(old_leaf, clock.now())?;
-        for slot in &slots {
+        for slot in server.read_path(old_leaf, clock.now())? {
             if let Some((slot_id, leaf, data)) = self.decrypt_slot(slot)? {
                 self.stash.entry(slot_id).or_insert(StashEntry { data, leaf });
             }
         }
 
         // Serve the request from the stash, remapping the target.
-        let old = self.stash.get(id).map(|e| e.data.clone());
-        match update(old.clone()) {
-            Some(data) => {
-                self.stash.insert(*id, StashEntry { data, leaf: new_leaf });
-            }
-            None => {
-                self.stash.remove(id);
-            }
+        let mut block = self.stash.remove(id).map(|e| e.data);
+        let result = update(&mut block);
+        if let Some(data) = block {
+            self.stash.insert(*id, StashEntry { data, leaf: new_leaf });
         }
 
         // Greedy eviction: walk the path leaf-to-root, placing stash
@@ -633,7 +639,7 @@ impl OramClient {
 
         self.max_stash = self.max_stash.max(self.stash.len());
         clock.advance(cost.oram_query_ns(self.config.blocks_per_access()));
-        Ok(old)
+        Ok(result)
     }
 
     /// A fresh uniform leaf from the client's secure RNG.
@@ -652,30 +658,30 @@ impl OramClient {
         // the consumed counter value (the restored client never reuses
         // it).
         let nonce = self.next_nonce();
-        let mut plain = Vec::new();
-        plain.push(1u8); // version
-        plain.extend_from_slice(&self.nonce_prefix);
-        plain.extend_from_slice(&self.nonce_counter.to_be_bytes());
-        plain.extend_from_slice(&self.rng.snapshot());
-        plain.extend_from_slice(&(self.max_stash as u64).to_be_bytes());
+        let mut out = nonce.to_vec();
+        out.push(1u8); // version
+        out.extend_from_slice(&self.nonce_prefix);
+        out.extend_from_slice(&self.nonce_counter.to_be_bytes());
+        out.extend_from_slice(&self.rng.snapshot());
+        out.extend_from_slice(&(self.max_stash as u64).to_be_bytes());
         let mut positions: Vec<(&BlockId, &u64)> = self.position.iter().collect();
         positions.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-        plain.extend_from_slice(&(positions.len() as u32).to_be_bytes());
+        out.extend_from_slice(&(positions.len() as u32).to_be_bytes());
         for (id, leaf) in positions {
-            plain.extend_from_slice(id.as_bytes());
-            plain.extend_from_slice(&leaf.to_be_bytes());
+            out.extend_from_slice(id.as_bytes());
+            out.extend_from_slice(&leaf.to_be_bytes());
         }
         let mut stash: Vec<(&BlockId, &StashEntry)> = self.stash.iter().collect();
         stash.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-        plain.extend_from_slice(&(stash.len() as u32).to_be_bytes());
+        out.extend_from_slice(&(stash.len() as u32).to_be_bytes());
         for (id, entry) in stash {
-            plain.extend_from_slice(id.as_bytes());
-            plain.extend_from_slice(&entry.leaf.to_be_bytes());
-            plain.extend_from_slice(&(entry.data.len() as u32).to_be_bytes());
-            plain.extend_from_slice(&entry.data);
+            out.extend_from_slice(id.as_bytes());
+            out.extend_from_slice(&entry.leaf.to_be_bytes());
+            out.extend_from_slice(&(entry.data.len() as u32).to_be_bytes());
+            out.extend_from_slice(&entry.data);
         }
-        let mut out = nonce.to_vec();
-        out.extend(self.cipher.seal(&nonce, b"oram-client-state", &plain));
+        let tag = self.cipher.seal_in_place(&nonce, b"oram-client-state", &mut out[12..]);
+        out.extend_from_slice(&tag);
         out
     }
 
@@ -691,13 +697,9 @@ impl OramClient {
         sealed: &[u8],
     ) -> Result<Self, OramError> {
         let cipher = AesGcm::new(key);
-        if sealed.len() < 12 {
-            return Err(OramError::Tampered);
-        }
-        let nonce: [u8; 12] = sealed[..12].try_into().map_err(|_| OramError::Tampered)?;
-        let plain = cipher
-            .open(&nonce, b"oram-client-state", &sealed[12..])
-            .map_err(|_| OramError::Tampered)?;
+        let (nonce, sealed) = sealed.split_first_chunk::<12>().ok_or(OramError::Tampered)?;
+        let plain =
+            cipher.open(nonce, b"oram-client-state", sealed).map_err(|_| OramError::Tampered)?;
         let mut r = SliceReader { buf: &plain, off: 0 };
         if r.byte()? != 1 {
             return Err(OramError::Tampered);

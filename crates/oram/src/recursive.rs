@@ -229,8 +229,8 @@ impl RecursiveOram {
                 &level_block_id(k, idx[k]),
                 old_leaf,
                 new_leaf[k],
-                |existing| {
-                    let mut page = existing.unwrap_or_else(|| vec![0u8; block_size]);
+                |block| {
+                    let page = block.get_or_insert_with(|| vec![0u8; block_size]);
                     let at = entry * 8;
                     let raw =
                         u64::from_be_bytes(page[at..at + 8].try_into().expect("in range"));
@@ -238,7 +238,6 @@ impl RecursiveOram {
                         child_old = Some(raw - 1);
                     }
                     page[at..at + 8].copy_from_slice(&(child_new + 1).to_be_bytes());
-                    Some(page)
                 },
             )?;
             cur_leaf = child_old;
@@ -258,9 +257,9 @@ impl RecursiveOram {
             &level_block_id(0, idx[0]),
             old_leaf,
             new_leaf[0],
-            |existing| match new_data {
-                Some(data) => Some(data),
-                None => existing,
+            |block| match new_data {
+                Some(data) => block.replace(data),
+                None => block.clone(),
             },
         )
         .map(|old| if was_present { old } else { None })

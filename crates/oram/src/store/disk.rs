@@ -686,9 +686,9 @@ impl BucketBackend for DiskStore {
         self.decode_mirror(bucket)
     }
 
-    fn write_bucket(&mut self, bucket: u64, slots: &[Vec<u8>]) -> Result<(), StoreError> {
+    fn write_bucket(&mut self, bucket: u64, slots: Vec<Vec<u8>>) -> Result<(), StoreError> {
         self.guard()?;
-        self.staged.push((bucket, super::codec::encode_slots(slots)));
+        self.staged.push((bucket, super::codec::encode_slots(&slots)));
         Ok(())
     }
 

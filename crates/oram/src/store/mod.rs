@@ -97,7 +97,7 @@ pub trait BucketBackend: core::fmt::Debug {
     /// # Errors
     ///
     /// [`StoreError`] on disk faults or a crashed store.
-    fn write_bucket(&mut self, bucket: u64, slots: &[Vec<u8>]) -> Result<(), StoreError>;
+    fn write_bucket(&mut self, bucket: u64, slots: Vec<Vec<u8>>) -> Result<(), StoreError>;
 
     /// Commits the open transaction: staged bucket writes plus the
     /// pending meta blob become visible and durable, and
@@ -175,8 +175,8 @@ impl BucketBackend for MemBackend {
         Ok(self.buckets[bucket as usize].clone())
     }
 
-    fn write_bucket(&mut self, bucket: u64, slots: &[Vec<u8>]) -> Result<(), StoreError> {
-        self.staged.push((bucket, slots.to_vec()));
+    fn write_bucket(&mut self, bucket: u64, slots: Vec<Vec<u8>>) -> Result<(), StoreError> {
+        self.staged.push((bucket, slots));
         Ok(())
     }
 
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn mem_backend_commit_gates_visibility_of_meta_and_seq() {
         let mut store = MemBackend::new(7, 2);
-        store.write_bucket(3, &[vec![1], vec![2]]).expect("stage");
+        store.write_bucket(3, vec![vec![1], vec![2]]).expect("stage");
         store.put_meta(b"client-state");
         assert_eq!(store.committed_seq(), 0);
         assert_eq!(store.meta(), None);
@@ -244,16 +244,16 @@ mod tests {
     fn digest_tracks_content_not_history() {
         let mut a = MemBackend::new(3, 1);
         let mut b = MemBackend::new(3, 1);
-        a.write_bucket(0, &[vec![9]]).expect("stage");
+        a.write_bucket(0, vec![vec![9]]).expect("stage");
         a.commit().expect("commit");
-        a.write_bucket(1, &[vec![5]]).expect("stage");
+        a.write_bucket(1, vec![vec![5]]).expect("stage");
         a.commit().expect("commit");
         // Same final content, different commit history.
-        b.write_bucket(1, &[vec![5]]).expect("stage");
-        b.write_bucket(0, &[vec![9]]).expect("stage");
+        b.write_bucket(1, vec![vec![5]]).expect("stage");
+        b.write_bucket(0, vec![vec![9]]).expect("stage");
         b.commit().expect("commit");
         assert_eq!(a.state_digest(), b.state_digest());
-        b.write_bucket(0, &[vec![8]]).expect("stage");
+        b.write_bucket(0, vec![vec![8]]).expect("stage");
         b.commit().expect("commit");
         assert_ne!(a.state_digest(), b.state_digest());
     }
