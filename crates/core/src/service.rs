@@ -448,12 +448,16 @@ pub struct UserHandle {
     /// Hypervisor session id.
     pub session: u64,
     user_key: SecretKey,
+    /// `user_key`'s public half, derived once at connect.
+    user_public: PublicKey,
     to_device: Channel,
     from_device: Channel,
     /// Device session secret and channels (held by the Hypervisor;
     /// co-located here because the simulation runs both endpoints
     /// in-process).
     device_key: SecretKey,
+    /// The attested session key from the verified quote.
+    device_public: PublicKey,
     device_rx: Channel,
     device_tx: Channel,
 }
@@ -468,13 +472,13 @@ impl UserHandle {
     /// The user's verification key (the device checks bundle signatures
     /// against it).
     pub fn public_key(&self) -> PublicKey {
-        self.user_key.public_key()
+        self.user_public
     }
 
     /// The device's attested session key (from the verified quote); the
     /// user checks trace signatures against it.
     pub fn device_key(&self) -> PublicKey {
-        self.device_key.public_key()
+        self.device_public
     }
 }
 
@@ -910,10 +914,12 @@ impl HarDTape {
 
         Ok(UserHandle {
             session,
+            user_public: user_key.public_key(),
             user_key,
             to_device: Channel::new(&k_user, 0),
             from_device: Channel::new(&k_user, 1),
             device_key: device_secret,
+            device_public: quote.session_key,
             device_rx: Channel::new(&k_device, 0),
             device_tx: Channel::new(&k_device, 1),
         })
@@ -1514,6 +1520,8 @@ enum TaskKind {
         /// The user's signing key, cloned so the (host-expensive)
         /// bundle signature can be computed by whoever executes.
         user_key: SecretKey,
+        /// Its public half, which the device verifies against.
+        user_public: PublicKey,
         /// Secret-dependency lint findings for the signed report.
         lints: Vec<(Address, LintFinding)>,
         /// Prefetch plans (`None` without an ORAM).
@@ -1700,6 +1708,7 @@ impl HarDTape {
             kind: TaskKind::Fresh {
                 payload,
                 user_key: user.user_key.clone(),
+                user_public: user.user_public,
                 lints,
                 plans,
                 hevm_config,
@@ -1962,14 +1971,14 @@ fn execute_task<S: Sink>(
     // Both arms put an engine on the core and start its first slice.
     let (hevm, first, hevm_config, results, per_tx, tx_index, tx_elapsed, before, lints) =
         match task.kind {
-            TaskKind::Fresh { payload, user_key, lints, plans, hevm_config } => {
+            TaskKind::Fresh { payload, user_key, user_public, lints, plans, hevm_config } => {
                 let signature =
                     ctx.security.signature().then(|| sign_bundle(&user_key, &payload));
                 let decode_started = clock.now();
                 if let Some(sig) = &signature {
                     // Device verifies the user's bundle signature on the A53.
                     clock.advance(ctx.cost.ecdsa_verify_ns);
-                    if let Err(err) = verify_bundle(&user_key.public_key(), &payload, sig) {
+                    if let Err(err) = verify_bundle(&user_public, &payload, sig) {
                         return TaskResult::Failed(ServiceError::Channel(err));
                     }
                 }

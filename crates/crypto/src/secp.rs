@@ -11,6 +11,7 @@
 
 use crate::keccak::keccak256;
 use core::fmt;
+use std::sync::OnceLock;
 use tape_primitives::{B256, U256};
 
 /// The field prime `p = 2^256 - 2^32 - 977`.
@@ -43,49 +44,108 @@ const GY: U256 = U256::from_limbs([
     0x483a_da77_26a3_c465,
 ]);
 
-#[inline]
-fn fadd(a: U256, b: U256, m: U256) -> U256 {
-    a.add_mod(b, m)
+/// Arithmetic modulo `m = 2^256 − c` with `c` held in `L` limbs. Both of
+/// the curve's moduli have this special form, so a 512-bit product is
+/// reduced by folding its high half back in as `hi·c` — no division.
+/// Operands and results are fully reduced.
+struct Field<const L: usize> {
+    m: U256,
+    c: [u64; L],
 }
 
-#[inline]
-fn fsub(a: U256, b: U256, m: U256) -> U256 {
-    if a >= b {
-        a.wrapping_sub(b)
-    } else {
-        m.wrapping_sub(b).wrapping_add(a)
-    }
-}
+/// The coordinate field: `c = 2^32 + 977`.
+const FP: Field<1> = Field { m: P, c: [0x1_0000_03d1] };
 
-#[inline]
-fn fmul(a: U256, b: U256, m: U256) -> U256 {
-    a.mul_mod(b, m)
-}
+/// The scalar field: `c = 2^256 − n ≈ 2^128.1`.
+const FN: Field<3> = Field { m: N, c: [0x402d_a173_2fc9_bebf, 0x4551_2319_50b7_5fc4, 1] };
 
-/// Modular exponentiation by squaring.
-fn fpow(mut base: U256, exp: U256, m: U256) -> U256 {
-    let mut result = U256::ONE;
-    let nbits = exp.bits();
-    for i in 0..nbits {
-        if exp.bit(i as usize) {
-            result = fmul(result, base, m);
+impl<const L: usize> Field<L> {
+    #[inline]
+    fn add(&self, a: U256, b: U256) -> U256 {
+        let (sum, carry) = a.overflowing_add(b);
+        if carry || sum >= self.m {
+            sum.wrapping_sub(self.m)
+        } else {
+            sum
         }
-        base = fmul(base, base, m);
     }
-    result
+
+    #[inline]
+    fn sub(&self, a: U256, b: U256) -> U256 {
+        let (diff, borrow) = a.overflowing_sub(b);
+        if borrow {
+            diff.wrapping_add(self.m)
+        } else {
+            diff
+        }
+    }
+
+    #[inline]
+    fn mul(&self, a: U256, b: U256) -> U256 {
+        let mut w = a.mul_wide(b);
+        // 2^256 ≡ c, so lo + hi·2^256 ≡ lo + hi·c. That sum fits 4 + L
+        // limbs (c is far below 2^(64·L)), and each fold shortens the high
+        // half by 256 − 64·L bits or more until nothing is left of it.
+        while w[4] | w[5] | w[6] | w[7] != 0 {
+            let hi = [w[4], w[5], w[6], w[7]];
+            w = [w[0], w[1], w[2], w[3], 0, 0, 0, 0];
+            for i in 0..4 {
+                let mut carry = 0u128;
+                for j in 0..L {
+                    let acc = hi[i] as u128 * self.c[j] as u128 + w[i + j] as u128 + carry;
+                    w[i + j] = acc as u64;
+                    carry = acc >> 64;
+                }
+                for limb in &mut w[i + L..4 + L] {
+                    let acc = *limb as u128 + carry;
+                    *limb = acc as u64;
+                    carry = acc >> 64;
+                }
+            }
+        }
+        // m > 2^255, so what is left is below 2m.
+        let r = U256::from_limbs([w[0], w[1], w[2], w[3]]);
+        if r >= self.m {
+            r.wrapping_sub(self.m)
+        } else {
+            r
+        }
+    }
+
+    #[inline]
+    fn sqr(&self, a: U256) -> U256 {
+        self.mul(a, a)
+    }
+
+    /// Exponentiation by squaring.
+    fn pow(&self, mut base: U256, exp: U256) -> U256 {
+        let mut result = U256::ONE;
+        for i in 0..exp.bits() {
+            if exp.bit(i as usize) {
+                result = self.mul(result, base);
+            }
+            base = self.sqr(base);
+        }
+        result
+    }
+
+    /// Inverse via Fermat's little theorem (the modulus is prime).
+    fn inv(&self, a: U256) -> U256 {
+        self.pow(a, self.m.wrapping_sub(U256::from(2u64)))
+    }
 }
 
-/// Modular inverse via Fermat's little theorem (the modulus is prime).
-fn finv(a: U256, m: U256) -> U256 {
-    fpow(a, m.wrapping_sub(U256::from(2u64)), m)
+/// `x³ + 7`, the right-hand side of the curve equation.
+fn curve_rhs(x: U256) -> U256 {
+    FP.add(FP.mul(FP.sqr(x), x), U256::from(7u64))
 }
 
 /// Square root mod p, valid because `p ≡ 3 (mod 4)`. Returns `None` if the
 /// input is not a quadratic residue.
 fn fsqrt(a: U256) -> Option<U256> {
     let exp = P.wrapping_add(U256::ONE).shr_word(2);
-    let r = fpow(a, exp, P);
-    if fmul(r, r, P) == a {
+    let r = FP.pow(a, exp);
+    if FP.sqr(r) == a {
         Some(r)
     } else {
         None
@@ -114,6 +174,45 @@ struct Jacobian {
     z: U256,
 }
 
+/// The `i`-th 4-bit digit of `k`, least significant first.
+#[inline]
+fn nibble(k: U256, i: usize) -> usize {
+    (k.limbs()[i / 16] >> (4 * (i % 16))) as usize & 0xf
+}
+
+/// `COMB[i][j − 1] = j·16^i·G` in affine coordinates: with one row per
+/// scalar nibble, `k·G` is a sum of at most 64 table entries and needs no
+/// doublings. 64 × 15 × 64 bytes = 60 KiB, the same for every key, so it
+/// lives in one static (zero-initialised `.bss`, not heap) filled on first
+/// use.
+static COMB: OnceLock<[[(U256, U256); 15]; 64]> = OnceLock::new();
+
+fn build_comb() -> [[(U256, U256); 15]; 64] {
+    let mut table = [[(U256::ZERO, U256::ZERO); 15]; 64];
+    let mut base = (GX, GY);
+    for row in &mut table {
+        // 1·B … 16·B in Jacobian form, then one shared inversion
+        // (Montgomery's trick) brings the whole row back to affine.
+        let mut multiples = [Jacobian { x: base.0, y: base.1, z: U256::ONE }; 16];
+        let mut prefix = [U256::ONE; 16];
+        for j in 1..16 {
+            multiples[j] = multiples[j - 1].add_affine(base);
+            prefix[j] = FP.mul(prefix[j - 1], multiples[j - 1].z);
+        }
+        let mut inv = FP.inv(FP.mul(prefix[15], multiples[15].z));
+        let mut affine = [base; 16];
+        for j in (0..16).rev() {
+            let zi = FP.mul(inv, prefix[j]);
+            inv = FP.mul(inv, multiples[j].z);
+            let zi2 = FP.sqr(zi);
+            affine[j] = (FP.mul(multiples[j].x, zi2), FP.mul(multiples[j].y, FP.mul(zi2, zi)));
+        }
+        row.copy_from_slice(&affine[..15]);
+        base = affine[15];
+    }
+    table
+}
+
 impl Jacobian {
     const INFINITY: Jacobian = Jacobian { x: U256::ONE, y: U256::ONE, z: U256::ZERO };
 
@@ -128,24 +227,25 @@ impl Jacobian {
         if self.z.is_zero() {
             return Point::Infinity;
         }
-        let zi = finv(self.z, P);
-        let zi2 = fmul(zi, zi, P);
-        let zi3 = fmul(zi2, zi, P);
-        Point::Affine { x: fmul(self.x, zi2, P), y: fmul(self.y, zi3, P) }
+        let zi = FP.inv(self.z);
+        let zi2 = FP.sqr(zi);
+        Point::Affine { x: FP.mul(self.x, zi2), y: FP.mul(self.y, FP.mul(zi2, zi)) }
     }
 
+    /// a = 0 doubling in 2M + 5S (EFD `dbl-2009-l`).
     fn double(self) -> Jacobian {
         if self.z.is_zero() || self.y.is_zero() {
             return Jacobian::INFINITY;
         }
-        // Standard a=0 doubling formulas.
-        let y2 = fmul(self.y, self.y, P);
-        let s = fmul(U256::from(4u64), fmul(self.x, y2, P), P);
-        let m = fmul(U256::from(3u64), fmul(self.x, self.x, P), P);
-        let x3 = fsub(fmul(m, m, P), fmul(U256::from(2u64), s, P), P);
-        let y4 = fmul(y2, y2, P);
-        let y3 = fsub(fmul(m, fsub(s, x3, P), P), fmul(U256::from(8u64), y4, P), P);
-        let z3 = fmul(U256::from(2u64), fmul(self.y, self.z, P), P);
+        let dbl = |v| FP.add(v, v);
+        let a = FP.sqr(self.x);
+        let b = FP.sqr(self.y);
+        let c = FP.sqr(b);
+        let d = dbl(FP.sub(FP.sub(FP.sqr(FP.add(self.x, b)), a), c));
+        let e = FP.add(dbl(a), a);
+        let x3 = FP.sub(FP.sqr(e), dbl(d));
+        let y3 = FP.sub(FP.mul(e, FP.sub(d, x3)), dbl(dbl(dbl(c))));
+        let z3 = dbl(FP.mul(self.y, self.z));
         Jacobian { x: x3, y: y3, z: z3 }
     }
 
@@ -156,36 +256,74 @@ impl Jacobian {
         if other.z.is_zero() {
             return self;
         }
-        let z1z1 = fmul(self.z, self.z, P);
-        let z2z2 = fmul(other.z, other.z, P);
-        let u1 = fmul(self.x, z2z2, P);
-        let u2 = fmul(other.x, z1z1, P);
-        let s1 = fmul(self.y, fmul(z2z2, other.z, P), P);
-        let s2 = fmul(other.y, fmul(z1z1, self.z, P), P);
+        let z1z1 = FP.sqr(self.z);
+        let z2z2 = FP.sqr(other.z);
+        let u1 = FP.mul(self.x, z2z2);
+        let u2 = FP.mul(other.x, z1z1);
+        let s1 = FP.mul(self.y, FP.mul(z2z2, other.z));
+        let s2 = FP.mul(other.y, FP.mul(z1z1, self.z));
+        self.add_tail(u1, s1, u2, s2, FP.mul(self.z, other.z))
+    }
+
+    /// Mixed addition: the operand is affine (`z = 1`), which saves five
+    /// of the general addition's sixteen multiplications.
+    fn add_affine(self, (x, y): (U256, U256)) -> Jacobian {
+        if self.z.is_zero() {
+            return Jacobian { x, y, z: U256::ONE };
+        }
+        let z1z1 = FP.sqr(self.z);
+        let u2 = FP.mul(x, z1z1);
+        let s2 = FP.mul(y, FP.mul(z1z1, self.z));
+        self.add_tail(self.x, self.y, u2, s2, self.z)
+    }
+
+    /// The shared tail of both additions: `self` and the operand brought
+    /// to the common denominator as `(u1, s1)` and `(u2, s2)`, `z` the
+    /// product of their z coordinates.
+    fn add_tail(self, u1: U256, s1: U256, u2: U256, s2: U256, z: U256) -> Jacobian {
         if u1 == u2 {
             if s1 == s2 {
                 return self.double();
             }
             return Jacobian::INFINITY;
         }
-        let h = fsub(u2, u1, P);
-        let h2 = fmul(h, h, P);
-        let h3 = fmul(h2, h, P);
-        let r = fsub(s2, s1, P);
-        let u1h2 = fmul(u1, h2, P);
-        let x3 = fsub(fsub(fmul(r, r, P), h3, P), fmul(U256::from(2u64), u1h2, P), P);
-        let y3 = fsub(fmul(r, fsub(u1h2, x3, P), P), fmul(s1, h3, P), P);
-        let z3 = fmul(h, fmul(self.z, other.z, P), P);
-        Jacobian { x: x3, y: y3, z: z3 }
+        let h = FP.sub(u2, u1);
+        let h2 = FP.sqr(h);
+        let h3 = FP.mul(h2, h);
+        let r = FP.sub(s2, s1);
+        let u1h2 = FP.mul(u1, h2);
+        let x3 = FP.sub(FP.sub(FP.sqr(r), h3), FP.add(u1h2, u1h2));
+        let y3 = FP.sub(FP.mul(r, FP.sub(u1h2, x3)), FP.mul(s1, h3));
+        Jacobian { x: x3, y: y3, z: FP.mul(h, z) }
     }
 
-    fn mul_scalar(self, k: U256) -> Jacobian {
+    /// Fixed-base `k·G` off the comb table: one mixed addition per
+    /// non-zero nibble of `k`.
+    fn mul_g(k: U256) -> Jacobian {
+        let comb = COMB.get_or_init(build_comb);
         let mut acc = Jacobian::INFINITY;
-        let nbits = k.bits();
-        for i in (0..nbits).rev() {
-            acc = acc.double();
-            if k.bit(i as usize) {
-                acc = acc.add(self);
+        for (i, row) in comb.iter().enumerate() {
+            match nibble(k, i) {
+                0 => {}
+                j => acc = acc.add_affine(row[j - 1]),
+            }
+        }
+        acc
+    }
+
+    /// Variable-base `k·self` in 4-bit fixed windows: `1·self … 15·self`
+    /// once, then four doublings and at most one addition per nibble.
+    fn mul_window(self, k: U256) -> Jacobian {
+        let mut multiples = [self; 15];
+        for j in 1..15 {
+            multiples[j] = multiples[j - 1].add(self);
+        }
+        let mut acc = Jacobian::INFINITY;
+        for i in (0..k.bits().div_ceil(4) as usize).rev() {
+            acc = acc.double().double().double().double();
+            match nibble(k, i) {
+                0 => {}
+                j => acc = acc.add(multiples[j - 1]),
             }
         }
         acc
@@ -201,14 +339,7 @@ impl Point {
     pub fn is_on_curve(&self) -> bool {
         match self {
             Point::Infinity => true,
-            Point::Affine { x, y } => {
-                if *x >= P || *y >= P {
-                    return false;
-                }
-                let y2 = fmul(*y, *y, P);
-                let x3 = fmul(fmul(*x, *x, P), *x, P);
-                y2 == fadd(x3, U256::from(7u64), P)
-            }
+            Point::Affine { x, y } => *x < P && *y < P && FP.sqr(*y) == curve_rhs(*x),
         }
     }
 
@@ -217,20 +348,17 @@ impl Point {
     // group operations reading as method calls matches the EC literature.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, k: U256) -> Point {
-        let k = k.rem_evm(N);
-        if k.is_zero() {
-            return Point::Infinity;
-        }
-        Jacobian::from_affine(self).mul_scalar(k).to_affine()
+        Jacobian::from_affine(self).mul_window(k.rem_evm(N)).to_affine()
     }
 
     /// Point addition.
     // Kept as an inherent method alongside `mul` (see above).
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, other: Point) -> Point {
-        Jacobian::from_affine(self)
-            .add(Jacobian::from_affine(other))
-            .to_affine()
+        match other {
+            Point::Infinity => self,
+            Point::Affine { x, y } => Jacobian::from_affine(self).add_affine((x, y)).to_affine(),
+        }
     }
 
     /// SEC1 uncompressed encoding (`0x04 || x || y`); `None` for infinity.
@@ -272,9 +400,7 @@ impl Point {
         if x >= P {
             return None;
         }
-        let x3 = fmul(fmul(x, x, P), x, P);
-        let y2 = fadd(x3, U256::from(7u64), P);
-        let mut y = fsqrt(y2)?;
+        let mut y = fsqrt(curve_rhs(x))?;
         if y.bit(0) != odd {
             y = P.wrapping_sub(y);
         }
@@ -365,7 +491,7 @@ impl SecretKey {
 
     /// Computes the matching public key.
     pub fn public_key(&self) -> PublicKey {
-        PublicKey { point: Point::GENERATOR.mul(self.scalar) }
+        PublicKey { point: Jacobian::mul_g(self.scalar).to_affine() }
     }
 
     /// Signs a 32-byte message digest, producing a low-s signature with a
@@ -376,25 +502,23 @@ impl SecretKey {
         let mut counter = 0u64;
         loop {
             // Deterministic nonce: keccak(d || z || counter), reduced mod n.
-            let mut material = Vec::with_capacity(72);
-            material.extend_from_slice(&self.scalar.to_be_bytes());
-            material.extend_from_slice(digest.as_bytes());
-            material.extend_from_slice(&counter.to_be_bytes());
+            let mut material = [0u8; 72];
+            material[..32].copy_from_slice(&self.scalar.to_be_bytes());
+            material[32..64].copy_from_slice(digest.as_bytes());
+            material[64..].copy_from_slice(&counter.to_be_bytes());
             counter += 1;
-            let k = keccak256(&material).into_u256().rem_evm(N);
+            let k = keccak256(material).into_u256().rem_evm(N);
             if k.is_zero() {
                 continue;
             }
-            let Point::Affine { x, y } = Point::GENERATOR.mul(k) else {
+            let Point::Affine { x, y } = Jacobian::mul_g(k).to_affine() else {
                 continue;
             };
             let r = x.rem_evm(N);
             if r.is_zero() {
                 continue;
             }
-            let k_inv = finv(k, N);
-            let rd = fmul(r, self.scalar, N);
-            let s = fmul(k_inv, fadd(z, rd, N), N);
+            let s = FN.mul(FN.inv(k), FN.add(z, FN.mul(r, self.scalar)));
             if s.is_zero() {
                 continue;
             }
@@ -472,11 +596,12 @@ impl PublicKey {
             return Err(EcdsaError::InvalidScalar);
         }
         let z = digest.into_u256().rem_evm(N);
-        let s_inv = finv(sig.s, N);
-        let u1 = fmul(z, s_inv, N);
-        let u2 = fmul(sig.r, s_inv, N);
-        let point = Point::GENERATOR.mul(u1).add(self.point.mul(u2));
-        match point {
+        let s_inv = FN.inv(sig.s);
+        let u1 = FN.mul(z, s_inv);
+        let u2 = FN.mul(sig.r, s_inv);
+        // u₁·G + u₂·Q, summed in Jacobian form: one inversion in all.
+        let sum = Jacobian::mul_g(u1).add(Jacobian::from_affine(self.point).mul_window(u2));
+        match sum.to_affine() {
             Point::Affine { x, .. } if x.rem_evm(N) == sig.r => Ok(()),
             _ => Err(EcdsaError::BadSignature),
         }
@@ -496,16 +621,12 @@ pub fn recover(digest: &B256, sig: &Signature) -> Result<PublicKey, EcdsaError> 
     }
     let r_point = Point::lift_x(sig.r, sig.v == 1).ok_or(EcdsaError::RecoveryFailed)?;
     let z = digest.into_u256().rem_evm(N);
-    let r_inv = finv(sig.r, N);
-    // Q = r^-1 (s·R − z·G)
-    let sr = r_point.mul(sig.s);
-    let zg = Point::GENERATOR.mul(z);
-    let neg_zg = match zg {
-        Point::Infinity => Point::Infinity,
-        Point::Affine { x, y } => Point::Affine { x, y: P.wrapping_sub(y) },
-    };
-    let q = sr.add(neg_zg).mul(r_inv);
-    PublicKey::from_point(q).map_err(|_| EcdsaError::RecoveryFailed)
+    let r_inv = FN.inv(sig.r);
+    // Q = r⁻¹(s·R − z·G) = (s·r⁻¹)·R + (−z·r⁻¹)·G
+    let u1 = FN.sub(U256::ZERO, FN.mul(z, r_inv));
+    let u2 = FN.mul(sig.s, r_inv);
+    let q = Jacobian::mul_g(u1).add(Jacobian::from_affine(r_point).mul_window(u2));
+    PublicKey::from_point(q.to_affine()).map_err(|_| EcdsaError::RecoveryFailed)
 }
 
 /// Computes the ECDH shared secret: `keccak256(x-coordinate of d·Q)`.
@@ -524,6 +645,50 @@ pub fn ecdh(secret: &SecretKey, peer: &PublicKey) -> Result<B256, EcdsaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prop::check;
+
+    /// `f`'s operations against `U256`'s generic division-based ones.
+    fn agrees_with_generic<const L: usize>(f: &Field<L>, a: U256, b: U256) {
+        let (a, b) = (a.rem_evm(f.m), b.rem_evm(f.m));
+        assert_eq!(f.mul(a, b), a.mul_mod(b, f.m));
+        assert_eq!(f.sqr(a), a.mul_mod(a, f.m));
+        assert_eq!(f.add(a, b), a.add_mod(b, f.m));
+        assert_eq!(f.add(f.sub(a, b), b), a);
+    }
+
+    #[test]
+    fn special_form_fields_match_generic_reduction() {
+        // c really is 2^256 − m.
+        assert_eq!(U256::ZERO.wrapping_sub(P), U256::from_limbs([FP.c[0], 0, 0, 0]));
+        assert_eq!(U256::ZERO.wrapping_sub(N), U256::from_limbs([FN.c[0], FN.c[1], FN.c[2], 0]));
+        // The operands that make the folds carry: both ends of each field
+        // and 2^256 − 1 reduced.
+        let one_less = |m: U256| m.wrapping_sub(U256::ONE);
+        let edges = [U256::ZERO, U256::ONE, one_less(P), one_less(N), U256::MAX];
+        for a in edges {
+            for b in edges {
+                agrees_with_generic(&FP, a, b);
+                agrees_with_generic(&FN, a, b);
+            }
+        }
+        check("special_form_fields_match_generic_reduction", 512, |g| {
+            let (a, b) = (U256::from_be_bytes(g.array()), U256::from_be_bytes(g.array()));
+            agrees_with_generic(&FP, a, b);
+            agrees_with_generic(&FN, a, b);
+            let a = a.rem_evm(N).max(U256::ONE);
+            assert_eq!(FN.mul(a, FN.inv(a)), U256::ONE);
+        });
+    }
+
+    #[test]
+    fn comb_rows_are_the_nibble_multiples_of_g() {
+        let comb = COMB.get_or_init(build_comb);
+        for (i, j) in [(0, 1), (0, 15), (1, 1), (17, 9), (63, 15)] {
+            let (x, y) = comb[i][j - 1];
+            let k = U256::from(j as u64).shl_word(4 * i as u32);
+            assert_eq!(Point::Affine { x, y }, Point::GENERATOR.mul(k), "{j}·16^{i}·G");
+        }
+    }
 
     #[test]
     fn generator_is_on_curve() {

@@ -262,6 +262,175 @@ fn ecdsa_cross_key_rejection() {
     });
 }
 
+/// secp256k1 straight from the textbook, sharing nothing with the
+/// crate's arithmetic: bit-by-bit double-and-add in Jacobian coordinates
+/// with every field operation a generic `U256::mul_mod` division — slow
+/// and obviously right, the differential oracle for the special-form
+/// fields, the comb and the windowed multiplication.
+mod ec_oracle {
+    use tape_crypto::secp::{Point, N, P};
+    use tape_primitives::U256;
+
+    type Jacobian = (U256, U256, U256);
+
+    fn mul(a: U256, b: U256) -> U256 {
+        a.mul_mod(b, P)
+    }
+
+    fn sub(a: U256, b: U256) -> U256 {
+        a.add_mod(P.wrapping_sub(b), P)
+    }
+
+    /// `base^exp mod m`; with `exp = m − 2` the inverse mod a prime.
+    pub fn pow(base: U256, exp: U256, m: U256) -> U256 {
+        (0..exp.bits()).rev().fold(U256::ONE, |acc, i| {
+            let acc = acc.mul_mod(acc, m);
+            if exp.bit(i as usize) { acc.mul_mod(base, m) } else { acc }
+        })
+    }
+
+    fn double((x, y, z): Jacobian) -> Jacobian {
+        let small = |k: u64, v| mul(U256::from(k), v);
+        let (y2, m) = (mul(y, y), small(3, mul(x, x)));
+        let s = small(4, mul(x, y2));
+        let x3 = sub(mul(m, m), small(2, s));
+        (x3, sub(mul(m, sub(s, x3)), small(8, mul(y2, y2))), small(2, mul(y, z)))
+    }
+
+    fn add(p: Jacobian, q: Jacobian) -> Jacobian {
+        let ((x1, y1, z1), (x2, y2, z2)) = (p, q);
+        if z1.is_zero() || z2.is_zero() {
+            return if z1.is_zero() { q } else { p };
+        }
+        let (z1z1, z2z2) = (mul(z1, z1), mul(z2, z2));
+        let (u1, u2) = (mul(x1, z2z2), mul(x2, z1z1));
+        let (s1, s2) = (mul(y1, mul(z2z2, z2)), mul(y2, mul(z1z1, z1)));
+        if u1 == u2 {
+            return if s1 == s2 { double(p) } else { (U256::ONE, U256::ONE, U256::ZERO) };
+        }
+        let (h, r) = (sub(u2, u1), sub(s2, s1));
+        let (h2, h3) = (mul(h, h), mul(mul(h, h), h));
+        let x3 = sub(sub(mul(r, r), h3), mul(U256::from(2u64), mul(u1, h2)));
+        (x3, sub(mul(r, sub(mul(u1, h2), x3)), mul(s1, h3)), mul(h, mul(z1, z2)))
+    }
+
+    /// `k·p + l·q`, each by plain double-and-add.
+    pub fn mul_add(k: U256, p: Point, l: U256, q: Point) -> Point {
+        let ladder = |k: U256, p: Point| {
+            let Point::Affine { x, y } = p else { return (U256::ONE, U256::ONE, U256::ZERO) };
+            let k = k.rem_evm(N);
+            (0..k.bits()).rev().fold((U256::ONE, U256::ONE, U256::ZERO), |acc, i| {
+                let acc = double(acc);
+                if k.bit(i as usize) { add(acc, (x, y, U256::ONE)) } else { acc }
+            })
+        };
+        let (x, y, z) = add(ladder(k, p), ladder(l, q));
+        if z.is_zero() {
+            return Point::Infinity;
+        }
+        let zi = pow(z, P.wrapping_sub(U256::from(2u64)), P);
+        Point::Affine { x: mul(x, mul(zi, zi)), y: mul(y, mul(mul(zi, zi), zi)) }
+    }
+}
+
+fn scalar(g: &mut Gen) -> U256 {
+    U256::from_be_bytes(g.array())
+}
+
+#[test]
+fn point_mul_matches_double_and_add_oracle() {
+    let oracle = |k, p| ec_oracle::mul_add(k, p, U256::ZERO, secp::Point::Infinity);
+    let gen = secp::Point::GENERATOR;
+    // Window edge cases: no nibble set, a single low / top nibble, every
+    // nibble 0xF (reduced mod n), and the ends of the scalar range.
+    let top = |nibble: u64| U256::from(nibble).shl_word(252);
+    let minus_one = secp::N.wrapping_sub(U256::ONE);
+    let (fifteen, sixteen) = (U256::from(15u64), U256::from(16u64));
+    let edges =
+        [U256::ZERO, U256::ONE, fifteen, sixteen, top(1), top(15), U256::MAX, minus_one, secp::N];
+    for k in edges {
+        assert_eq!(gen.mul(k), oracle(k, gen), "k = {k:x}");
+    }
+    check("point_mul_matches_double_and_add_oracle", CASES, |g| {
+        let (k, l) = (scalar(g), scalar(g));
+        let q = oracle(l, gen);
+        assert_eq!(gen.mul(k), oracle(k, gen));
+        assert_eq!(q.mul(k), oracle(k, q));
+        let edge = edges[g.index(edges.len())];
+        assert_eq!(q.mul(edge), oracle(edge, q));
+        // Key generation runs off the comb, not the window.
+        if let Ok(sk) = SecretKey::from_scalar(k) {
+            assert_eq!(sk.public_key().point(), oracle(k, gen));
+        }
+    });
+}
+
+/// What `verify` must decide, computed by the oracle: is the x
+/// coordinate of `(z/s)·G + (r/s)·Q`, reduced mod n, equal to `r`?
+fn oracle_accepts(q: secp::Point, z: U256, sig: &secp::Signature) -> bool {
+    let s_inv = ec_oracle::pow(sig.s, secp::N.wrapping_sub(U256::from(2u64)), secp::N);
+    let (u1, u2) = (z.mul_mod(s_inv, secp::N), sig.r.mul_mod(s_inv, secp::N));
+    match ec_oracle::mul_add(u1, secp::Point::GENERATOR, u2, q) {
+        secp::Point::Affine { x, .. } => x.rem_evm(secp::N) == sig.r,
+        secp::Point::Infinity => false,
+    }
+}
+
+#[test]
+fn verify_edge_cases_match_oracle() {
+    check("verify_edge_cases_match_oracle", CASES, |g| {
+        let sk = SecretKey::from_seed(&g.array::<8>());
+        let pk = sk.public_key();
+        // u₁ = 0: a digest that is 0 mod n leaves only the u₂·Q half.
+        for zero in [B256::ZERO, B256::new(secp::N.to_be_bytes())] {
+            let sig = sk.sign(&B256::ZERO);
+            assert_eq!(pk.verify(&zero, &sig), Ok(()));
+            assert!(oracle_accepts(pk.point(), U256::ZERO, &sig));
+        }
+        // The mirrored high-s form is accepted, as by `ecrecover`.
+        let digest = keccak256(g.bytes(0, 64));
+        let sig = sk.sign(&digest);
+        let mirrored = secp::Signature { s: secp::N.wrapping_sub(sig.s), ..sig };
+        assert_eq!(pk.verify(&digest, &mirrored), Ok(()));
+        assert!(oracle_accepts(pk.point(), digest.into_u256().rem_evm(secp::N), &mirrored));
+
+        // Q = ±G with z = r makes u₁ = u₂, so the two halves of the sum
+        // are the same point (Q = G: the addition must double) or opposite
+        // points (Q = −G: the sum is infinity and nothing verifies).
+        let k = scalar(g).rem_evm(secp::N).max(U256::ONE);
+        let secp::Point::Affine { x, .. } = secp::Point::GENERATOR.mul(k) else { unreachable!() };
+        let r = x.rem_evm(secp::N);
+        let k_inv = ec_oracle::pow(k, secp::N.wrapping_sub(U256::from(2u64)), secp::N);
+        let digest = B256::new(r.to_be_bytes());
+        let minus_one = secp::N.wrapping_sub(U256::ONE);
+        for (d, expected) in
+            [(U256::ONE, Ok(())), (minus_one, Err(secp::EcdsaError::BadSignature))]
+        {
+            let q = SecretKey::from_scalar(d).unwrap().public_key();
+            // s = k⁻¹(z + r·d) with z = r; for d = −1 that is 0, so any s will do.
+            let z_plus_rd = r.add_mod(r.mul_mod(d, secp::N), secp::N);
+            let s = k_inv.mul_mod(z_plus_rd, secp::N).max(U256::ONE);
+            let sig = secp::Signature { r, s, v: 0 };
+            assert_eq!(q.verify(&digest, &sig), expected);
+            assert_eq!(oracle_accepts(q.point(), r, &sig), expected.is_ok());
+        }
+    });
+}
+
+#[test]
+fn recover_with_flipped_v_never_names_the_signer() {
+    check("recover_with_flipped_v_never_names_the_signer", CASES, |g| {
+        let sk = SecretKey::from_seed(&g.array::<8>());
+        let digest = keccak256(g.bytes(0, 64));
+        let sig = sk.sign(&digest);
+        let flipped = secp::Signature { v: sig.v ^ 1, ..sig };
+        assert_ne!(secp::recover(&digest, &flipped), Ok(sk.public_key()));
+        // Recovery from the mirrored form needs the mirrored parity.
+        let mirrored = secp::Signature { s: secp::N.wrapping_sub(sig.s), v: sig.v ^ 1, ..sig };
+        assert_eq!(secp::recover(&digest, &mirrored), Ok(sk.public_key()));
+    });
+}
+
 #[test]
 fn ecdh_symmetric() {
     check("ecdh_symmetric", CASES, |g| {

@@ -67,12 +67,17 @@
 # its fixed baked-in seed, writing BENCH_pre_execute.json. The binary
 # fails if the telemetry digest drifts between two in-process runs or
 # the leakage auditor reports violations, and — when a committed
-# BENCH_pre_execute.json exists — if ORAM queries per bundle or the
-# worker-pool drain wall-clock (median-of-3 at 1/2/4 workers) regress
-# more than 10% against it. The same run measures host wall-clock
-# bundles/sec per worker count and asserts the cross-worker digest
-# contract in-process; the >= 2x-at-4-workers bound is enforced only
-# on hosts with at least 4 cores. Three negative controls prove the
+# BENCH_pre_execute.json exists — if a deterministic figure (ORAM
+# queries per bundle, in memory or on disk, the honest short-bundle
+# p99 in virtual time, the resolved-jump ratio) regresses more than
+# 10% against it. The same run measures host wall-clock bundles/sec
+# per worker count and per disk-backed ORAM query and writes them to
+# the report, but guards neither: wall-clock on a shared VM moves more
+# than 10% between runs of the same code, and `benchmark/ --compare`
+# (paired, alternating, per-index minima) is the host-time gate. The
+# cross-worker digest contract is asserted in-process; the
+# >= 2x-at-4-workers bound is enforced only on hosts with at least 4
+# cores. Three negative controls prove the
 # auditor has teeth: --starve (prefetcher starvation, pre-fix pipeline),
 # --omit-plan (a prefetch plan mis-advertising one page), and
 # --omit-state-plan (a world-state plan mis-advertising one storage
