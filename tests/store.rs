@@ -611,6 +611,22 @@ fn device_warm_restart_resumes_from_the_disk_store() {
         let mut user = device.connect_user(b"restart user").unwrap();
         let report = device.pre_execute(&mut user, &transfer).unwrap();
         assert!(report.results[0].success);
+        // Durability must not change what the SP observes: the same
+        // boot + bundle on the in-memory backend issues the same ORAM
+        // queries, class by class.
+        let mut twin = HarDTape::new(
+            ServiceConfig { store_dir: None, ..config() },
+            Env::default(),
+            &genesis,
+        )
+        .expect("in-memory twin boots");
+        let mut twin_user = twin.connect_user(b"restart user").unwrap();
+        twin.pre_execute(&mut twin_user, &transfer).unwrap();
+        assert_eq!(
+            device.oram_stats(),
+            twin.oram_stats(),
+            "the disk backend changed the ORAM query count"
+        );
         (
             device.oram_state_digest().expect("oram digest"),
             device.oram_committed_seq().expect("oram seq"),
