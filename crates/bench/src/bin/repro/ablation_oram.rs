@@ -9,11 +9,12 @@
 //! 3. **Recursion** — the cost of storing the position map in
 //!    higher-level ORAMs instead of on-chip.
 
+use tape_bench::Verdict;
 use tape_crypto::{keccak256, SecureRng};
 use tape_oram::{OramClient, OramConfig, OramServer, RecursiveOram};
 use tape_sim::{Clock, CostModel};
 
-fn main() {
+pub fn run() -> Verdict {
     let cost = CostModel::default();
 
     // ---- 1. height sweep -------------------------------------------------
@@ -125,4 +126,5 @@ fn main() {
          budget), i.e. the flat row; recursion is the documented scaling\n\
          path beyond that."
     );
+    Verdict::Informational
 }

@@ -8,11 +8,12 @@
 //! and mean absolute error — the quantified version of the paper's
 //! "too imprecise to identify the running contract" argument.
 
+use tape_bench::Verdict;
 use tape_crypto::SecureRng;
 use tape_hevm::Layer3Pager;
 use tape_sim::{Clock, CostModel};
 
-fn main() {
+pub fn run() -> Verdict {
     let cost = CostModel::default();
     println!("=== Pre-evict/pre-load noise vs adversary inference (A5) ===\n");
     println!(
@@ -85,4 +86,5 @@ fn main() {
         );
     }
     println!("\nNoise costs microseconds per swap; swaps are rare (Table I).");
+    Verdict::Informational
 }

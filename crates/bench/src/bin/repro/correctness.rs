@@ -5,6 +5,7 @@
 //! roll-up style frames trigger.
 
 use hardtape::{HybridState, SecurityConfig};
+use tape_bench::Verdict;
 use tape_evm::{Evm, StructTracer, Transaction};
 use tape_hevm::{Hevm, HevmAbort, HevmConfig};
 use tape_oram::{ObliviousState, OramClient, OramConfig, OramServer};
@@ -14,7 +15,7 @@ use tape_sim::{Clock, CostModel};
 use tape_state::{Account, InMemoryState};
 use tape_workload::EvalSet;
 
-fn main() {
+pub fn run() -> Verdict {
     let config = tape_bench::eval_config();
     let set = EvalSet::generate(&config);
     println!("§VI-B correctness: {} transactions, trace-for-trace\n", set.len());
@@ -27,7 +28,7 @@ fn main() {
         &[0x0Au8; 16],
         tape_crypto::SecureRng::from_seed(b"vi-b"),
     );
-    let oram = ObliviousState::new(client, server, Clock::new(), CostModel::default());
+    let oram = ObliviousState::new(client, server, Clock::new(), CostModel::default(), None);
     oram.sync_full_state(set.genesis.iter().map(|(a, acc)| (*a, acc.clone())))
         .expect("sync");
     let empty_local = InMemoryState::new();
@@ -97,8 +98,5 @@ fn main() {
         other => println!("  unexpected: {other:?}"),
     }
 
-    println!(
-        "\nShape: {}",
-        if divergent == 0 { "REPRODUCED (all traces identical to ground truth)" } else { "DRIFTED" }
-    );
+    Verdict::check(divergent == 0, "all traces identical to ground truth")
 }

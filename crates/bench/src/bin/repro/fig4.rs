@@ -7,12 +7,12 @@
 //! (code ORAM), totaling ≈ 164 ms — all under the 600 ms usability bound.
 
 use hardtape::{Bundle, HarDTape, SecurityConfig, ServiceConfig};
-use tape_bench::{ms, GethTimer};
+use tape_bench::{ms, GethTimer, Verdict};
 use tape_evm::Evm;
 use tape_sim::{Clock, CostModel};
 use tape_workload::EvalSet;
 
-fn main() {
+pub fn run() -> Verdict {
     let config = tape_bench::eval_config();
     let set = EvalSet::generate(&config);
     let total = set.len();
@@ -65,12 +65,8 @@ fn main() {
 
     let full = means.last().expect("full config ran").1;
     println!("\n-full mean: {}  (usability bound: 600 ms)", ms(full));
-    println!(
-        "Shape: {}",
-        if full < 600_000_000.0 && means.windows(2).all(|w| w[0].1 < w[1].1) {
-            "REPRODUCED (monotonic ladder, under the latency bound)"
-        } else {
-            "DRIFTED"
-        }
-    );
+    Verdict::check(
+        full < 600_000_000.0 && means.windows(2).all(|w| w[0].1 < w[1].1),
+        "monotonic ladder, under the latency bound",
+    )
 }

@@ -6,7 +6,7 @@
 //! Expected shape (paper): no significant difference between the three
 //! platforms, except Geth slower on Transfer (frame-setup overhead).
 
-use tape_bench::GethTimer;
+use tape_bench::{GethTimer, Verdict};
 use tape_evm::{Env, Evm, Transaction};
 use tape_hevm::{Hevm, HevmConfig};
 use tape_primitives::{Address, U256};
@@ -87,7 +87,7 @@ fn hevm_time(state: &InMemoryState, tx: &Transaction, local_fetch: bool) -> u64 
     (clock.now() - before).saturating_sub(base_ns)
 }
 
-fn main() {
+pub fn run() -> Verdict {
     println!("Fig. 5 — time per operation, all data local/warm (log scale in the paper)\n");
     println!("{:<12} {:>14} {:>14} {:>14}", "benchmark", "Geth", "TSC-VEE", "HarDTAPE");
 
@@ -153,12 +153,8 @@ fn main() {
     // shows: it is the slowest platform on Transfer (the paper's finding).
     let geth_slower_on_transfer = transfer.1 > transfer.2 && transfer.1 > transfer.3;
 
-    println!(
-        "\nShape: {}",
-        if arithmetic_parity && storage_parity && geth_slower_on_transfer {
-            "REPRODUCED (parity on local ops; Geth pays per-call overhead on Transfer)"
-        } else {
-            "DRIFTED"
-        }
-    );
+    Verdict::check(
+        arithmetic_parity && storage_parity && geth_slower_on_transfer,
+        "parity on local ops; Geth pays per-call overhead on Transfer",
+    )
 }

@@ -20,35 +20,28 @@
 //! within 3x the no-loss K = 4 p99. Losing a quarter of the fleet
 //! costs tail latency — survivors absorb the migrated load — but it
 //! must not cost completions (exactly-once is asserted) and must not
-//! blow the tail unboundedly. The committed JSON is the measured
-//! evidence; `scripts/verify.sh --bench` regenerates and re-checks it.
+//! blow the tail unboundedly. Every figure is virtual time, so the
+//! committed JSON is a pure function of the code;
+//! `scripts/verify.sh --bench` regenerates it and compares byte for byte.
 //!
 //! A dead device's frozen log keeps its never-completed admits; work
 //! resubmitted on a survivor is measured from its re-admission there.
 //! The failover gap itself is visible in the makespan, not the
 //! per-bundle latencies.
 //!
-//! Flags:
-//!
-//! * `--out PATH` — output path (default `BENCH_fleet.json`).
-//! * `--baseline PATH` — regression guard: reads `no_loss_p99` and
-//!   `one_loss_p99` from a previously committed report and fails
-//!   (exit 1) when the fresh run regresses by more than 10% on either.
-//!   Read before the output is written, so `--baseline` and `--out`
-//!   may name the same file.
-//!
 //! The kill-at-50% scenario runs twice and the two router digests must
 //! agree — the fleet schedule (sharding, migration, resubmission
 //! order) is deterministic per seed, or the benchmark fails.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use hardtape::{Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig};
+use tape_bench::{json_escape, percentile, served, Verdict};
 use tape_evm::{Env, Transaction};
 use tape_fleet::{FleetConfig, FleetError, FleetRouter, FleetStats};
 use tape_node::{BlockFeed, FeedSet, FeedSetConfig, Node};
 use tape_primitives::{Address, U256};
-use tape_sim::queue::{interleave, EventLog};
+use tape_sim::queue::interleave;
 use tape_state::{Account, InMemoryState};
 
 const SEED: u64 = 0xF1EE7;
@@ -123,42 +116,6 @@ fn router(devices: usize, seed: u64) -> FleetRouter {
         })
         .collect();
     FleetRouter::new(gateways, FleetConfig::default())
-}
-
-/// Admit→complete virtual latencies parsed from one gateway's event
-/// log, plus the device's last completion timestamp (for makespan).
-fn gateway_latencies(log: &EventLog) -> (Vec<u64>, u64) {
-    let mut admits: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
-    let mut last_complete = 0u64;
-    for line in log.lines() {
-        let mut parts = line.split_whitespace();
-        let Some(t) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("t="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let Some(verb) = parts.next() else { continue };
-        let ticket = parts
-            .nth(1)
-            .and_then(|p| p.strip_prefix("ticket="))
-            .and_then(|v| v.parse::<u64>().ok());
-        match (verb, ticket) {
-            ("admit", Some(k)) => {
-                admits.insert(k, t);
-            }
-            ("complete", Some(k)) => {
-                if let Some(&at) = admits.get(&k) {
-                    out.push(t - at);
-                    last_complete = last_complete.max(t);
-                }
-            }
-            _ => {}
-        }
-    }
-    (out, last_complete)
 }
 
 struct ScenarioOutcome {
@@ -268,9 +225,10 @@ fn run_scenario(devices: usize, seed: u64, kill_at: Option<usize>) -> ScenarioOu
         if kill_at.is_some() && d == KILL_DEVICE {
             continue; // frozen log: its resubmitted work is measured on survivors
         }
-        let (device_latencies, last_complete) = gateway_latencies(router.gateway(d).log());
-        latencies.extend(device_latencies);
-        makespan_ns = makespan_ns.max(last_complete);
+        for bundle in served(router.gateway(d).log()) {
+            latencies.push(bundle.completed_at - bundle.admitted_at);
+            makespan_ns = makespan_ns.max(bundle.completed_at);
+        }
         staleness_max_ns = staleness_max_ns.max(router.gateway(d).staleness_ns());
         served_stale += router.gateway(d).stats().served_stale;
     }
@@ -287,14 +245,6 @@ fn run_scenario(devices: usize, seed: u64, kill_at: Option<usize>) -> ScenarioOu
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Jain's fairness index over per-device completed-bundle counts:
 /// 1.0 = perfectly even, 1/n = all work on one device.
 fn jain_index(xs: &[u64]) -> f64 {
@@ -307,82 +257,12 @@ fn jain_index(xs: &[u64]) -> f64 {
     (sum * sum) / (n * sum_sq)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts a `"<key>": <number>` value from a previously written
-/// report, by hand — the workspace is hermetic (no serde).
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)?;
-    let rest = &text[at + needle.len()..];
-    let end = rest
-        .find(|c: char| c != ' ' && c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-struct Baseline {
-    no_loss_p99: f64,
-    one_loss_p99: f64,
-}
-
-fn read_baseline(path: &str) -> Baseline {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|err| {
-        eprintln!("--baseline: cannot read {path}: {err}");
-        std::process::exit(2);
-    });
-    let (Some(no_loss_p99), Some(one_loss_p99)) =
-        (baseline_field(&text, "no_loss_p99"), baseline_field(&text, "one_loss_p99"))
-    else {
-        eprintln!("--baseline: {path} lacks no_loss_p99 / one_loss_p99 fields");
-        std::process::exit(2);
-    };
-    Baseline { no_loss_p99, one_loss_p99 }
-}
-
-fn main() {
-    let mut out_path = String::from("BENCH_fleet.json");
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            "--baseline" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--baseline requires a path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("usage: bench_fleet [--out PATH] [--baseline PATH] (got {other})");
-                std::process::exit(2);
-            }
-        }
-    }
-    let baseline = baseline_path.as_deref().map(read_baseline);
-
+pub fn run(out_path: &str) -> Verdict {
     // Latency vs device count over the identical workload.
     let mut scaling = Vec::new();
     for &k in &[1usize, 2, 4] {
         let outcome = run_scenario(k, SEED, None);
-        eprintln!(
+        println!(
             "K={k}: {} bundles, p50={} p99={} makespan={}",
             outcome.latencies.len(),
             percentile(&outcome.latencies, 50.0),
@@ -405,7 +285,7 @@ fn main() {
         let outcome = run_scenario(FLEET_K, SEED, Some(kill_at));
         assert_eq!(outcome.stats.device_failures, 1);
         assert!(outcome.stats.migrations > 0, "kill@{frac}% migrates the dead device's tenants");
-        eprintln!(
+        println!(
             "kill@{frac}%: p99={} migrations={} makespan={}",
             percentile(&outcome.latencies, 99.0),
             outcome.stats.migrations,
@@ -418,49 +298,14 @@ fn main() {
     }
     let replay = run_scenario(FLEET_K, SEED, Some(total_ops * 50 / 100));
     let digests_match = replay.digest == mid_digest;
-    if !digests_match {
-        eprintln!("FAIL: kill@50% fleet digest drifted across in-process runs");
-    }
 
     let one_loss = &curve.iter().find(|(f, _)| *f == 50).expect("50% ran").1;
     let one_loss_p99 = percentile(&one_loss.latencies, 99.0);
     let ratio_x100 = (one_loss_p99 * 100).checked_div(no_loss_p99).unwrap_or(0);
-    let bound_ok = ratio_x100 <= ONE_LOSS_P99_BOUND_X100;
-    if bound_ok {
-        eprintln!(
-            "OK: one-device-loss honest p99 {one_loss_p99} within {}x of no-loss {no_loss_p99} \
-             (ratio {ratio_x100}/100)",
-            ONE_LOSS_P99_BOUND_X100 / 100,
-        );
-    } else {
-        eprintln!(
-            "FAIL: one-device-loss honest p99 {one_loss_p99} exceeds {}x no-loss {no_loss_p99} \
-             (ratio {ratio_x100}/100)",
-            ONE_LOSS_P99_BOUND_X100 / 100,
-        );
-    }
 
     let fairness_jain = jain_index(&no_loss.ok_per_device);
     let shard_min = no_loss.tenants_per_device.iter().min().copied().unwrap_or(0);
     let shard_max = no_loss.tenants_per_device.iter().max().copied().unwrap_or(0);
-
-    // Regression guard before writing, so --baseline and --out may
-    // name the same file.
-    let mut regressed = false;
-    if let Some(base) = &baseline {
-        for (name, fresh, base) in [
-            ("no_loss_p99", no_loss_p99 as f64, base.no_loss_p99),
-            ("one_loss_p99", one_loss_p99 as f64, base.one_loss_p99),
-        ] {
-            let limit = base * 1.10;
-            if fresh > limit {
-                eprintln!("FAIL: {name} {fresh:.0} exceeds baseline {base:.0} by >10%");
-                regressed = true;
-            } else {
-                eprintln!("OK: {name} {fresh:.0} within 10% of baseline {base:.0}");
-            }
-        }
-    }
 
     let scaling_json: Vec<String> = scaling
         .iter()
@@ -516,13 +361,20 @@ fn main() {
         curve_json.join(",\n"),
         json_escape(&mid_digest),
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|err| {
-        eprintln!("cannot write {out_path}: {err}");
-        std::process::exit(2);
-    });
-    eprintln!("wrote {out_path}");
-
-    if !digests_match || !bound_ok || regressed {
-        std::process::exit(1);
+    if let Err(err) = std::fs::write(out_path, &json) {
+        return Verdict::Drifted(format!("cannot write {out_path}: {err}"));
     }
+    println!("wrote {out_path}");
+
+    if !digests_match {
+        return Verdict::Drifted("kill@50% fleet digest drifted across in-process runs".into());
+    }
+    if ratio_x100 > ONE_LOSS_P99_BOUND_X100 {
+        return Verdict::Drifted(format!(
+            "one-device-loss honest p99 {one_loss_p99} exceeds {}x no-loss {no_loss_p99} \
+             (ratio {ratio_x100}/100)",
+            ONE_LOSS_P99_BOUND_X100 / 100,
+        ));
+    }
+    Verdict::Reproduced("one-device-loss honest p99 within 3x of no-loss; fleet digest replays")
 }

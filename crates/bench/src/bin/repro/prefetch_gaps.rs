@@ -8,6 +8,7 @@
 //! the adversary-visible gap distribution with and without the
 //! prefetcher.
 
+use tape_bench::Verdict;
 use tape_crypto::SecureRng;
 use tape_oram::{CodePrefetcher, PageKey};
 use tape_primitives::Address;
@@ -34,7 +35,7 @@ fn stats(mut times: Vec<u64>) -> (usize, f64, f64, f64) {
     (times.len(), mean, var.sqrt(), burstiness)
 }
 
-fn main() {
+pub fn run() -> Verdict {
     let kv = kv_schedule();
     let contract = Address::from_low_u64(0xC0DE);
     let code_pages = 8u32;
@@ -106,6 +107,8 @@ fn main() {
         burst1 * 100.0,
         if burst2 < burst1 / 4.0 { "eliminated" } else { "reduced" }
     );
-    assert!(burst2 < burst1 / 2.0, "prefetcher failed to smooth the bursts");
-    println!("\nShape: REPRODUCED (prefetching makes query intervals approximately consistent)");
+    Verdict::check(
+        burst2 < burst1 / 2.0,
+        "prefetching makes query intervals approximately consistent",
+    )
 }

@@ -5,9 +5,10 @@
 //! BRAM is derived from the memory architecture; LUT/FF are the paper's
 //! Vivado constants (synthesis cannot be re-run here — see DESIGN.md).
 
+use tape_bench::Verdict;
 use tape_sim::resources::{report, ChipCapacity, MemoryConfig};
 
-fn main() {
+pub fn run() -> Verdict {
     let config = MemoryConfig::default();
     let chip = ChipCapacity::default();
     let r = report(&config, &chip);
@@ -49,5 +50,5 @@ fn main() {
         && r.bottleneck == "LUT"
         && r.bram_per_hevm == 509 * 1024
         && r.hypervisor_fits;
-    println!("\nShape: {}", if reproduced { "REPRODUCED" } else { "DRIFTED" });
+    Verdict::check(reproduced, "3 HEVMs per chip, LUT-bound, 509 KB BRAM each, Hypervisor in OCM")
 }

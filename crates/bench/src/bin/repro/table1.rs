@@ -4,10 +4,11 @@
 //!
 //! Run with `TAPE_EVAL_SCALE=full` for the paper-sized 100×200 workload.
 
+use tape_bench::Verdict;
 use tape_evm::Evm;
 use tape_workload::{table_one, EvalSet, TableOneCollector};
 
-fn main() {
+pub fn run() -> Verdict {
     let config = tape_bench::eval_config();
     println!(
         "Generating evaluation set: {} blocks x {} txs (seed {})",
@@ -50,5 +51,5 @@ fn main() {
         }
         println!("check {name}: {:.1}% [{:.0}%..{:.0}%] {status}", value * 100.0, lo * 100.0, hi * 100.0);
     }
-    println!("\nTable I shape: {}", if ok { "REPRODUCED" } else { "DRIFTED" });
+    Verdict::check(ok, "every marginal inside its calibration band")
 }

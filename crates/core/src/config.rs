@@ -4,7 +4,6 @@
 //! ([`GatewayConfig`]): how much demand is admitted, how long admitted
 //! work stays fresh, and when the full-node circuit breaker trips.
 
-use crate::scalability::ScalabilityReport;
 use tape_node::RetryPolicy;
 use tape_sim::Nanos;
 
@@ -95,8 +94,7 @@ pub struct GatewayConfig {
     /// Per-tenant bounded-FIFO depth.
     pub queue_depth: usize,
     /// Global cap on simultaneously queued bundles across all tenants
-    /// (the admission budget; cores × queue depth when derived from a
-    /// [`ScalabilityReport`]).
+    /// (the admission budget; the default is cores × queue depth).
     pub admission_budget: usize,
     /// Virtual-time budget from admission to dequeue: work older than
     /// this is shed before it wastes a core.
@@ -147,31 +145,6 @@ impl Default for GatewayConfig {
     }
 }
 
-impl GatewayConfig {
-    /// Derives the admission policy from a measured
-    /// [`ScalabilityReport`]: the global budget is cores × queue depth,
-    /// the per-bundle estimate is the measured per-transaction time,
-    /// and the deadline is the time to drain a full backlog through the
-    /// chip (so an admitted bundle is only shed when the gateway could
-    /// not have reached it in time at measured throughput). The worker
-    /// pool is sized to the core count, so the drain rate the budget
-    /// assumes is the drain rate the gateway actually runs.
-    pub fn from_report(report: &ScalabilityReport, queue_depth: usize) -> Self {
-        let admission_budget = report.hevm_count.max(1) * queue_depth;
-        GatewayConfig {
-            queue_depth,
-            admission_budget,
-            deadline_ns: report
-                .per_tx_ns
-                .saturating_mul(admission_budget as u64)
-                .max(1),
-            per_bundle_estimate_ns: report.per_tx_ns.max(1),
-            workers: report.hevm_count.max(1),
-            ..GatewayConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,28 +172,5 @@ mod tests {
     fn labels_match_paper() {
         let labels: Vec<&str> = SecurityConfig::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels, vec!["-raw", "-E", "-ES", "-ESO", "-full"]);
-    }
-
-    #[test]
-    fn gateway_config_derives_from_scalability_report() {
-        // Paper §VI-D numbers: 164.4 ms per tx, 3 HEVMs.
-        let report = crate::scalability::estimate(164_400_000, 3, 25_000, 630_000);
-        let config = GatewayConfig::from_report(&report, 8);
-        assert_eq!(config.admission_budget, 24, "cores x queue depth");
-        assert_eq!(config.per_bundle_estimate_ns, 164_400_000);
-        assert_eq!(config.deadline_ns, 164_400_000 * 24, "full-backlog drain time");
-        assert_eq!(config.workers, 3, "pool sized to the measured core count");
-    }
-
-    #[test]
-    fn gateway_config_survives_degenerate_report() {
-        // A zero-core, zero-time report must still produce a usable
-        // (non-zero) policy rather than a divide-by-zero or a gateway
-        // that admits nothing and sheds everything instantly.
-        let report = crate::scalability::estimate(0, 0, 0, 0);
-        let config = GatewayConfig::from_report(&report, 4);
-        assert_eq!(config.admission_budget, 4);
-        assert!(config.deadline_ns >= 1);
-        assert!(config.per_bundle_estimate_ns >= 1);
     }
 }

@@ -8,11 +8,10 @@
 //!
 //! * **Admission control** — each tenant gets a bounded FIFO
 //!   ([`tape_sim::queue::BoundedQueue`]); a global admission budget
-//!   (cores × queue depth, derivable from a measured
-//!   [`ScalabilityReport`](crate::ScalabilityReport) via
-//!   [`GatewayConfig::from_report`]) caps total queued work. Beyond
-//!   either bound, submission is refused with
-//!   [`GatewayError::Overloaded`] carrying a `retry_after` hint.
+//!   ([`GatewayConfig::admission_budget`], cores × queue depth by
+//!   default) caps total queued work. Beyond either bound, submission
+//!   is refused with [`GatewayError::Overloaded`] carrying a
+//!   `retry_after` hint.
 //! * **Deadline propagation** — every bundle is stamped with a
 //!   virtual-clock deadline at admission and re-checked at dequeue;
 //!   stale work is shed with [`GatewayError::DeadlineExceeded`] *before*
@@ -731,27 +730,44 @@ impl Gateway {
     /// underlying [`ServiceError`] otherwise (which also counts toward
     /// opening the breaker).
     pub fn sync(&mut self, feed: &mut BlockFeed) -> Result<(), GatewayError> {
+        let retry = self.config.sync_retry;
+        self.through_breaker("sync", |device| device.sync_from_feed_with(feed, &retry))?;
+        self.log.record(format!("t={} sync ok", self.now()));
+        self.note_breaker();
+        Ok(())
+    }
+
+    /// The circuit-breaker protocol both sync flavours share: refuse
+    /// while the breaker is open, otherwise run `call` on the device and
+    /// settle the breaker with its result. `label` prefixes the log
+    /// lines. On success the caller logs what happened and then calls
+    /// [`note_breaker`](Self::note_breaker) — in that order, so a reorg's
+    /// shed events precede the breaker transition in the telemetry
+    /// stream.
+    fn through_breaker<T>(
+        &mut self,
+        label: &str,
+        call: impl FnOnce(&mut HarDTape) -> Result<T, ServiceError>,
+    ) -> Result<T, GatewayError> {
         let now = self.now();
         if !self.breaker.call_permitted(now) {
             self.stats.sync_refused += 1;
             let retry_after = self.breaker.retry_after(now);
-            self.log.record(format!("t={now} sync refused retry_after={retry_after}"));
+            self.log.record(format!("t={now} {label} refused retry_after={retry_after}"));
             self.note_breaker();
             return Err(GatewayError::FeedBreakerOpen { retry_after });
         }
-        match self.device.sync_from_feed_with(feed, &self.config.sync_retry) {
-            Ok(()) => {
+        match call(&mut self.device) {
+            Ok(value) => {
                 self.breaker.record_success();
                 self.last_sync_at = Some(self.now());
-                self.log.record(format!("t={} sync ok", self.now()));
-                self.note_breaker();
-                Ok(())
+                Ok(value)
             }
             Err(err) => {
                 let now = self.now();
                 self.breaker.record_failure(now);
                 self.log.record(format!(
-                    "t={now} sync err={err} breaker={}",
+                    "t={now} {label} err={err} breaker={}",
                     self.breaker.state(now)
                 ));
                 self.note_breaker();
@@ -775,52 +791,28 @@ impl Gateway {
     /// quorum winner, finality violations, forged proofs — all of which
     /// also count toward opening the breaker).
     pub fn sync_set(&mut self, feeds: &mut FeedSet) -> Result<SyncReport, GatewayError> {
-        let now = self.now();
-        if !self.breaker.call_permitted(now) {
-            self.stats.sync_refused += 1;
-            let retry_after = self.breaker.retry_after(now);
-            self.log.record(format!("t={now} sync-set refused retry_after={retry_after}"));
-            self.note_breaker();
-            return Err(GatewayError::FeedBreakerOpen { retry_after });
-        }
-        match self.device.sync_from_feeds(feeds) {
-            Ok(outcome) => {
-                self.breaker.record_success();
-                self.last_sync_at = Some(self.now());
-                let (shed, revalidated) = match &outcome {
-                    SyncOutcome::Reorged { fork, depth, orphaned, adopted } => {
-                        self.last_fork = Some(*fork);
-                        self.log.record(format!(
-                            "t={} sync-set reorg depth={depth} fork={} adopted={adopted}",
-                            self.now(),
-                            fork.hash,
-                        ));
-                        self.repin_or_shed(*fork, orphaned.clone(), *adopted)
-                    }
-                    SyncOutcome::Advanced { blocks } => {
-                        self.log
-                            .record(format!("t={} sync-set ok blocks={blocks}", self.now()));
-                        (Vec::new(), Vec::new())
-                    }
-                    SyncOutcome::AlreadySynced => {
-                        self.log.record(format!("t={} sync-set ok (no-op)", self.now()));
-                        (Vec::new(), Vec::new())
-                    }
-                };
-                self.note_breaker();
-                Ok(SyncReport { outcome, shed, revalidated })
-            }
-            Err(err) => {
-                let now = self.now();
-                self.breaker.record_failure(now);
+        let outcome = self.through_breaker("sync-set", |device| device.sync_from_feeds(feeds))?;
+        let (shed, revalidated) = match &outcome {
+            SyncOutcome::Reorged { fork, depth, orphaned, adopted } => {
+                self.last_fork = Some(*fork);
                 self.log.record(format!(
-                    "t={now} sync-set err={err} breaker={}",
-                    self.breaker.state(now)
+                    "t={} sync-set reorg depth={depth} fork={} adopted={adopted}",
+                    self.now(),
+                    fork.hash,
                 ));
-                self.note_breaker();
-                Err(GatewayError::Service(err))
+                self.repin_or_shed(*fork, orphaned.clone(), *adopted)
             }
-        }
+            SyncOutcome::Advanced { blocks } => {
+                self.log.record(format!("t={} sync-set ok blocks={blocks}", self.now()));
+                (Vec::new(), Vec::new())
+            }
+            SyncOutcome::AlreadySynced => {
+                self.log.record(format!("t={} sync-set ok (no-op)", self.now()));
+                (Vec::new(), Vec::new())
+            }
+        };
+        self.note_breaker();
+        Ok(SyncReport { outcome, shed, revalidated })
     }
 
     /// Walks every tenant queue after a reorg: bundles pinned to an

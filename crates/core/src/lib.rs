@@ -49,7 +49,6 @@ mod config;
 pub mod gateway;
 mod pool;
 mod reader;
-pub mod scalability;
 mod service;
 
 pub use config::{BreakerConfig, GatewayConfig, SecurityConfig};
@@ -58,7 +57,6 @@ pub use gateway::{
 };
 pub use reader::HybridState;
 pub use tape_analysis::PrecisionSummary;
-pub use scalability::{estimate, ScalabilityReport, ETHEREUM_TPS};
 pub use service::{
     Bundle, BundlePause, BundleReport, ForkPoint, HarDTape, PreExecOutcome, ServiceConfig,
     ServiceError, StalenessBound, SyncOutcome, UserHandle,

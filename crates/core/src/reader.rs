@@ -96,7 +96,7 @@ mod tests {
         let config = OramConfig { block_size: 1024, bucket_capacity: 4, height: 8 };
         let server = OramServer::new(config.clone());
         let client = OramClient::new(config, &[1u8; 16], SecureRng::from_seed(b"hybrid"));
-        let state = ObliviousState::new(client, server, Clock::new(), CostModel::default());
+        let state = ObliviousState::new(client, server, Clock::new(), CostModel::default(), None);
         state.sync_account(&addr, account).unwrap();
         state
     }

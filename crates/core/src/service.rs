@@ -17,7 +17,7 @@ use tape_oram::{
     RecoveryReport,
 };
 use tape_primitives::{rlp, Address, B256, U256};
-use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
+use tape_sim::fault::{Ablation, FaultKind, FaultPlan, FaultSite};
 use tape_sim::telemetry::{
     CounterId, GaugeId, HistId, PhaseKind, Sink, TaskBuffer, Telemetry, TelemetryEvent,
 };
@@ -55,6 +55,10 @@ pub struct ServiceConfig {
     /// access instead of re-syncing genesis. `None` (the default) keeps
     /// the in-memory backend.
     pub store_dir: Option<std::path::PathBuf>,
+    /// Negative-control posture: the one protection this device runs
+    /// without (see [`Ablation`]). Fixed before the first attestation;
+    /// `None` (the default) is the production device.
+    pub ablation: Option<Ablation>,
 }
 
 impl Default for ServiceConfig {
@@ -73,6 +77,7 @@ impl Default for ServiceConfig {
             finality_depth: 8,
             undo_capacity: 16,
             store_dir: None,
+            ablation: None,
         }
     }
 }
@@ -503,11 +508,6 @@ pub struct HarDTape {
     recent_heads: Vec<(u64, B256)>,
     /// Per-block world-state pre-images enabling in-place rollback.
     undo: UndoRing,
-    /// Rollback-ablation switch: restores only the local mirror during
-    /// a rollback, skipping the ORAM writes while still advertising
-    /// them — the §IV-D auditor's negative control (the reorg must be
-    /// *observable* as missing sync traffic).
-    rollback_ablation: std::cell::Cell<bool>,
     /// Deterministic adversary schedule, when armed (see [`FaultPlan`]).
     faults: Option<FaultPlan>,
     /// Sessions revoked after an integrity failure: their bundles are
@@ -522,13 +522,6 @@ pub struct HarDTape {
     /// immutable, so one CFG/dataflow pass serves every bundle that
     /// calls the same code.
     analysis_cache: std::collections::HashMap<B256, Arc<CodeAnalysis>>,
-    /// Starvation-ablation side switch: bundles use the legacy dense
-    /// prefetch (no static plans), reproducing the pre-fix pipeline.
-    legacy_prefetch: std::cell::Cell<bool>,
-    /// Checkpoint-cover ablation switch: suspensions capture frames
-    /// in-enclave with no swap traffic while the segment window still
-    /// advertises them — the §IV-D segment lens's negative control.
-    checkpoint_ablation: std::cell::Cell<bool>,
     /// Hardware capacities the admission gate checks stack bounds
     /// against (derived from the HEVM memory configuration).
     limits: Limits,
@@ -617,7 +610,13 @@ impl HarDTape {
                     SecureRng::from_seed(&(config.seed ^ 0x04A8u64).to_be_bytes()),
                 ),
             };
-            let state = ObliviousState::new(client, server, clock.clone(), cost.clone());
+            let state = ObliviousState::new(
+                client,
+                server,
+                clock.clone(),
+                cost.clone(),
+                config.ablation,
+            );
             state.set_telemetry(telemetry.clone());
             if config.store_dir.is_some() {
                 state.make_durable();
@@ -678,14 +677,11 @@ impl HarDTape {
             head_height: None,
             recent_heads: Vec::new(),
             undo,
-            rollback_ablation: std::cell::Cell::new(false),
             faults: None,
             revoked: std::collections::HashSet::new(),
             telemetry,
             recovery,
             analysis_cache: std::collections::HashMap::new(),
-            legacy_prefetch: std::cell::Cell::new(false),
-            checkpoint_ablation: std::cell::Cell::new(false),
             limits,
         })
     }
@@ -714,53 +710,9 @@ impl HarDTape {
         self.oram.as_ref().map(|o| o.committed_seq())
     }
 
-    /// Switches the code prefetcher to the pre-fix starving driver —
-    /// the leakage auditor's negative control. No-op without an ORAM.
-    pub fn set_prefetch_ablation(&self, on: bool) {
-        // The ablation reproduces the *pre-fix* pipeline end to end:
-        // besides the starving driver, bundles fall back to the legacy
-        // dense prefetch (every code page, no static plans), so the
-        // multi-page drain burst the auditor must catch is exactly what
-        // the old system produced.
-        self.legacy_prefetch.set(on);
-        if let Some(oram) = &self.oram {
-            oram.set_prefetch_ablation(on);
-        }
-    }
-
     /// Prefetcher lifetime stats (None without a code-ORAM prefetcher).
     pub fn prefetch_stats(&self) -> Option<tape_oram::PrefetchStats> {
         self.oram.as_ref().and_then(|o| o.prefetch_stats())
-    }
-
-    /// Switches checkpoint suspensions to in-enclave capture (no cover
-    /// swap traffic, frames still advertised) — the §IV-D segment
-    /// lens's negative control. Only observable when `gas_slice` is
-    /// configured and bundles actually preempt.
-    pub fn set_checkpoint_ablation(&self, on: bool) {
-        self.checkpoint_ablation.set(on);
-    }
-
-    /// Replaces the last advertised page of every static prefetch plan
-    /// with a decoy index while leaving the operational plan intact —
-    /// the plan-coverage auditor's negative control. Execution is
-    /// unchanged; the audit must flag the true page's fetch as
-    /// unplanned. No-op without an ORAM.
-    pub fn set_plan_ablation(&self, on: bool) {
-        if let Some(oram) = &self.oram {
-            oram.set_plan_ablation(on);
-        }
-    }
-
-    /// Replaces the last enumerated storage group of every *state*
-    /// prefetch plan with a decoy id while leaving the operational
-    /// batch intact — the kv plan-coverage auditor's negative control.
-    /// Execution is unchanged; the audit must flag the true group's
-    /// fetch as an unplanned state access. No-op without an ORAM.
-    pub fn set_state_plan_ablation(&self, on: bool) {
-        if let Some(oram) = &self.oram {
-            oram.set_state_plan_ablation(on);
-        }
     }
 
     /// Aggregate value-set-analysis precision over every contract
@@ -1283,10 +1235,12 @@ impl HarDTape {
         };
         let accounts: u32 = popped.iter().map(|d| d.pre.len() as u32).sum();
         // Advertise the ORAM coverage the rollback owes: zero without an
-        // ORAM (nothing oblivious to restore). The ablation keeps the
-        // honest advertisement while skipping the writes — the auditor
-        // must catch the gap.
+        // ORAM (nothing oblivious to restore). The mirror-only ablation
+        // keeps the honest advertisement while skipping the writes —
+        // the auditor must catch the gap.
         let advertised = if self.oram.is_some() { accounts } else { 0 };
+        let mirror_only = self.config.ablation == Some(Ablation::MirrorOnlyRollback);
+        let oram = self.oram.as_ref().filter(|_| !mirror_only);
         self.telemetry.record(TelemetryEvent::RollbackBegin {
             at: self.clock.now(),
             height: fork.height,
@@ -1299,22 +1253,15 @@ impl HarDTape {
                 match pre {
                     Some(account) => {
                         self.local.put_account(*address, account.clone());
-                        if let Some(oram) = &self.oram {
-                            if !self.rollback_ablation.get() {
-                                pages += oram
-                                    .sync_account(address, account)
-                                    .map_err(ServiceError::Oram)?;
-                            }
+                        if let Some(oram) = oram {
+                            pages +=
+                                oram.sync_account(address, account).map_err(ServiceError::Oram)?;
                         }
                     }
                     None => {
                         self.local.remove_account(address);
-                        if let Some(oram) = &self.oram {
-                            if !self.rollback_ablation.get() {
-                                pages += oram
-                                    .remove_account(address)
-                                    .map_err(ServiceError::Oram)?;
-                            }
+                        if let Some(oram) = oram {
+                            pages += oram.remove_account(address).map_err(ServiceError::Oram)?;
                         }
                     }
                 }
@@ -1329,13 +1276,6 @@ impl HarDTape {
         self.head_height = Some(fork.height);
         self.recent_heads.retain(|&(h, _)| h <= fork.height);
         Ok(popped.iter().map(|d| d.block_hash).collect())
-    }
-
-    /// Switches the rollback to local-mirror-only (ORAM writes skipped
-    /// while still advertised) — the reorg auditor's negative control.
-    /// No-op for configurations without an ORAM.
-    pub fn set_rollback_ablation(&self, on: bool) {
-        self.rollback_ablation.set(on);
     }
 
     /// Pulls the head block from a (possibly adversarial, possibly
@@ -1701,7 +1641,9 @@ impl HarDTape {
         hevm_config.layer3_key = layer3_key;
         hevm_config.layer3_noise_seed = self.rng.next_u64();
         hevm_config.faults = self.faults.clone();
-        hevm_config.checkpoint_cover = !self.checkpoint_ablation.get();
+        if self.config.ablation == Some(Ablation::UncoveredCheckpoint) {
+            hevm_config.checkpoint_cover = false;
+        }
         Ok(PreparedTask {
             started,
             device_key: user.device_key.clone(),
@@ -1803,7 +1745,7 @@ impl HarDTape {
 
         let code = if !oram_code {
             None
-        } else if self.legacy_prefetch.get() {
+        } else if self.config.ablation == Some(Ablation::Starve) {
             use tape_state::StateReader as _;
             let page_size = self.config.hevm.mem.page_size;
             Some(CodePlans::Dense(

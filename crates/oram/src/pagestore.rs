@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tape_crypto::{Keccak256, SecureRng};
 use tape_primitives::{Address, B256, U256};
-use tape_sim::fault::FaultPlan;
+use tape_sim::fault::{Ablation, FaultPlan};
 use tape_sim::telemetry::{CounterId, GaugeId, HistId, QueryKind, Telemetry, TelemetryEvent};
 use tape_sim::{Clock, CostModel, Nanos};
 use tape_state::{Account, AccountInfo, StateReader};
@@ -145,29 +145,25 @@ struct Inner {
     /// execution — and an unsound one fails safe). Addresses without a
     /// plan fetch every page, the pre-analysis behaviour.
     plans: HashMap<Address, std::collections::BTreeSet<u32>>,
-    /// Advertise plans to telemetry minus their last page (negative
-    /// control: the auditor must flag the resulting unplanned fetch).
-    plan_ablation: bool,
     /// World-state prefetch plans, per contract: which kv records (the
     /// meta page plus enumerated storage groups) the value-set analysis
     /// advertised, and whether the contract also has non-enumerable
     /// (dynamic) accesses. Merged across calls; used to keep repeated
     /// plans from re-advertising records.
     kv_plans: HashMap<Address, KvPlan>,
-    /// Advertise state plans with the last enumerated storage group
-    /// replaced by a decoy id (negative control: the operational batch
-    /// still fetches the true group, which the auditor must flag).
-    state_plan_ablation: bool,
     /// Pages pinned on-chip by state plans: batch-fetched once at plan
     /// time and retained across [`ObliviousState::clear_cache`], so
     /// per-segment cache clears never re-trigger their wire traffic.
     pinned: std::collections::HashSet<PageKey>,
     /// The §IV-D code prefetcher, when enabled (`-full` only).
     prefetcher: Option<CodePrefetcher>,
-    /// Drives the prefetcher with the legacy unconditionally-re-arming
-    /// `on_query` (the starvation bug) and skips demand-fetch pacing —
-    /// the leakage auditor's negative control.
-    starve_ablation: bool,
+    /// The negative control this store was built under, if any. This
+    /// layer honours three: [`Ablation::Starve`] drives the prefetcher
+    /// with the legacy unconditionally-re-arming `on_query` and skips
+    /// demand-fetch pacing; [`Ablation::OmitPlan`] and
+    /// [`Ablation::OmitStatePlan`] mis-advertise the last page / storage
+    /// group of every plan while the operational fetch stays complete.
+    ablation: Option<Ablation>,
     /// Checkpoint every ORAM access into the server's durable backend:
     /// seal the client into the commit's meta slot so a cold restart
     /// resumes bit-for-bit at the last committed access.
@@ -209,8 +205,16 @@ impl core::fmt::Debug for ObliviousState {
 }
 
 impl ObliviousState {
-    /// Wraps a populated ORAM in a state reader.
-    pub fn new(client: OramClient, server: OramServer, clock: Clock, cost: CostModel) -> Self {
+    /// Wraps a populated ORAM in a state reader. `ablation` is the
+    /// negative control to run under (`None` in production); it cannot
+    /// be changed afterwards.
+    pub fn new(
+        client: OramClient,
+        server: OramServer,
+        clock: Clock,
+        cost: CostModel,
+        ablation: Option<Ablation>,
+    ) -> Self {
         let page_size = client.config().block_size;
         ObliviousState {
             inner: RefCell::new(Inner {
@@ -223,12 +227,10 @@ impl ObliviousState {
                 stats: QueryStats::default(),
                 page_size,
                 plans: HashMap::new(),
-                plan_ablation: false,
                 kv_plans: HashMap::new(),
-                state_plan_ablation: false,
                 pinned: std::collections::HashSet::new(),
                 prefetcher: None,
-                starve_ablation: false,
+                ablation,
                 durable: false,
                 telemetry: None,
                 last_wire_at: None,
@@ -242,12 +244,6 @@ impl ObliviousState {
     /// per-query wire time).
     pub fn enable_prefetch(&self, rng: SecureRng, initial_gap_ns: Nanos) {
         self.inner.borrow_mut().prefetcher = Some(CodePrefetcher::new(rng, initial_gap_ns));
-    }
-
-    /// Switches the prefetcher driver to the pre-fix starving behaviour
-    /// (ablation for the leakage auditor's negative control).
-    pub fn set_prefetch_ablation(&self, on: bool) {
-        self.inner.borrow_mut().starve_ablation = on;
     }
 
     /// Attaches a telemetry sink; every wire query, prefetch drain, and
@@ -316,7 +312,7 @@ impl ObliviousState {
             // (Dropping the page outright would make single-page
             // contracts *unplanned*, which the auditor rightly exempts.)
             let mut advertised: Vec<u32> = plan.iter().copied().collect();
-            if inner.plan_ablation {
+            if inner.ablation == Some(Ablation::OmitPlan) {
                 if let Some(last) = advertised.last_mut() {
                     *last = last.wrapping_add(0x4000_0000);
                 }
@@ -332,12 +328,6 @@ impl ObliviousState {
             }
         }
         inner.plans.insert(address, plan);
-    }
-
-    /// Turns the plan-advertisement ablation on or off (the auditor's
-    /// plan-vs-observed negative control).
-    pub fn set_plan_ablation(&self, on: bool) {
-        self.inner.borrow_mut().plan_ablation = on;
     }
 
     /// Installs the value-set analyzer's world-state prefetch plan for
@@ -387,7 +377,7 @@ impl ObliviousState {
             // negative control. Meta-only plans have no group to decoy
             // and stay intact.
             let mut advertised = fresh_groups.clone();
-            if inner.state_plan_ablation {
+            if inner.ablation == Some(Ablation::OmitStatePlan) {
                 if let Some(last) = advertised.last_mut() {
                     *last = last.wrapping_add(U256::from(0x4000_0000u64));
                 }
@@ -427,13 +417,6 @@ impl ObliviousState {
             inner.pinned.insert(key);
             let _ = inner.fetch_page(key);
         }
-    }
-
-    /// Turns the state-plan advertisement ablation on or off (the
-    /// auditor's kv plan-vs-observed negative control); see
-    /// [`set_state_plan`](Self::set_state_plan).
-    pub fn set_state_plan_ablation(&self, on: bool) {
-        self.inner.borrow_mut().state_plan_ablation = on;
     }
 
     /// The prefetcher's lifetime stats, when one is enabled.
@@ -777,7 +760,7 @@ impl Inner {
     fn drive_prefetch(&mut self, now: Nanos) {
         let due = match self.prefetcher.as_mut() {
             Some(pf) => {
-                if self.starve_ablation {
+                if self.ablation == Some(Ablation::Starve) {
                     pf.on_query_rearming(now);
                 } else {
                     pf.on_query(now);
@@ -824,7 +807,7 @@ impl Inner {
     /// `true` when demand code fetches must be paced onto the prefetch
     /// cadence (prefetcher enabled, ablation off).
     fn pacing_active(&self) -> bool {
-        self.prefetcher.is_some() && !self.starve_ablation
+        self.prefetcher.is_some() && self.ablation != Some(Ablation::Starve)
     }
 
     /// A demand code fetch disguised as a timer prefetch: stall for the
@@ -917,10 +900,18 @@ mod tests {
     use tape_crypto::SecureRng;
 
     fn oblivious_with(accounts: Vec<(Address, Account)>) -> ObliviousState {
+        oblivious_under(None, accounts)
+    }
+
+    fn oblivious_under(
+        ablation: Option<Ablation>,
+        accounts: Vec<(Address, Account)>,
+    ) -> ObliviousState {
         let config = OramConfig { block_size: 1024, bucket_capacity: 4, height: 8 };
         let server = OramServer::new(config.clone());
         let client = OramClient::new(config, &[3u8; 16], SecureRng::from_seed(b"pagestore"));
-        let state = ObliviousState::new(client, server, Clock::new(), CostModel::default());
+        let state =
+            ObliviousState::new(client, server, Clock::new(), CostModel::default(), ablation);
         state.sync_full_state(accounts.into_iter()).unwrap();
         state
     }
@@ -1062,11 +1053,10 @@ mod tests {
     fn starvation_ablation_drains_instead_of_issuing() {
         let addr = Address::from_low_u64(5);
         let account = Account::with_code(vec![1u8; 2500]); // 3 pages
-        let state = oblivious_with(vec![(addr, account)]);
+        let state = oblivious_under(Some(Ablation::Starve), vec![(addr, account)]);
         let t = Telemetry::new();
         state.set_telemetry(t.clone());
         state.enable_prefetch(SecureRng::from_seed(b"pf"), 2_300_000);
-        state.set_prefetch_ablation(true);
         state.schedule_prefetch(addr, 3);
 
         state.account(&addr);
@@ -1187,11 +1177,10 @@ mod tests {
         let mut account = Account::with_balance(U256::ONE);
         account.storage.insert(U256::from(3u64), U256::from(0x33u64)); // group 0
         account.storage.insert(U256::from(40u64), U256::from(0x44u64)); // group 1
-        let state = oblivious_with(vec![(addr, account)]);
+        let state = oblivious_under(Some(Ablation::OmitStatePlan), vec![(addr, account)]);
         let t = Telemetry::new();
         state.set_telemetry(t.clone());
 
-        state.set_state_plan_ablation(true);
         state.set_state_plan(addr, &[U256::from(3u64), U256::from(40u64)], false);
         // The operational batch fetched the *true* records...
         assert_eq!(state.stats().kv_queries, 3);

@@ -94,7 +94,7 @@ fn query_types_produce_identical_wire_shape() {
     let config = OramConfig { block_size: 1024, bucket_capacity: 4, height: 8 };
     let server = OramServer::new(config.clone());
     let client = OramClient::new(config, &[2u8; 16], SecureRng::from_seed(b"shape"));
-    let state = ObliviousState::new(client, server, Clock::new(), CostModel::default());
+    let state = ObliviousState::new(client, server, Clock::new(), CostModel::default(), None);
 
     let addr = Address::from_low_u64(1);
     let mut account = Account::with_code(vec![0xCC; 1000]);

@@ -196,6 +196,38 @@ pub struct FaultEvent {
     pub param: u64,
 }
 
+/// One protection deliberately switched off — the negative controls
+/// that prove each §IV-D audit lens has teeth. A device carries at most
+/// one, fixed at construction (`ServiceConfig::ablation`): there is no
+/// runtime switch, so nothing reachable after attestation can turn the
+/// cover traffic off. Every variant leaves execution results unchanged
+/// and must FAIL the leakage audit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ablation {
+    /// The pre-fix prefetch pipeline end to end: the re-arming driver
+    /// that starves the timer, dense prefetch of every code page with no
+    /// static plans, and unpaced demand fetches — the multi-page drain
+    /// burst the auditor must flag as `CodeBurst`.
+    Starve,
+    /// Code plans are advertised with their last page replaced by a
+    /// decoy index while the operational plan stays complete; the true
+    /// page's fetch must be flagged as `UnplannedCodePage`.
+    OmitPlan,
+    /// World-state plans are advertised with their last storage group
+    /// replaced by a decoy id while the operational batch stays
+    /// complete; the true group's fetch must be flagged as
+    /// `UnplannedStateAccess`.
+    OmitStatePlan,
+    /// Checkpoint suspensions capture frames in-enclave with no cover
+    /// swap traffic while the segment window still advertises them
+    /// (`CheckpointUncovered`). Only observable on a gas-sliced device whose
+    /// bundles actually preempt.
+    UncoveredCheckpoint,
+    /// A reorg rollback restores only the local mirror, skipping the
+    /// ORAM writes it still advertises (`RollbackUncovered`).
+    MirrorOnlyRollback,
+}
+
 #[derive(Debug, Clone)]
 struct Arming {
     kinds: Vec<FaultKind>,

@@ -34,252 +34,155 @@ use std::sync::{Arc, Mutex};
 /// by the auditor rather than silently skewing the digest.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 18;
 
-/// Monotonic counters, indexed densely for the heap-free registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-#[allow(missing_docs)] // variant names are the documentation
-pub enum CounterId {
-    /// Bundles fully pre-executed by the service.
-    Bundles,
-    /// Transactions executed across all bundles.
-    Transactions,
-    /// ORAM K-V (account/storage) queries.
-    OramKv,
-    /// ORAM code-page queries issued on demand.
-    OramCode,
-    /// ORAM prefetch queries (timer-issued + dummies).
-    OramPrefetch,
-    /// Code pages issued through the prefetch timer.
-    PrefetchIssued,
-    /// Code pages released by frame-end drains (the burst the §IV-D
-    /// discipline tries to avoid — should be 0 with the fixed driver).
-    PrefetchDrained,
-    /// Layer-2→3 swap-out events.
-    SwapOuts,
-    /// Layer-3→2 swap-in events.
-    SwapIns,
-    /// True call-stack pages moved by swaps.
-    SwapTruePages,
-    /// Noise pages added to swap traffic (observed − true).
-    SwapNoisePages,
-    /// Gateway: bundles admitted.
-    GwAdmitted,
-    /// Gateway: submissions rejected at admission.
-    GwRejected,
-    /// Gateway: admitted bundles shed past deadline.
-    GwShed,
-    /// Gateway: bundles executed successfully.
-    GwExecuted,
-    /// Gateway: bundles that failed in execution.
-    GwFailed,
-    /// Node: sync retries after transient feed faults.
-    NodeRetries,
-    /// Node: circuit-breaker open transitions.
-    BreakerOpens,
-    /// Bundles refused by the static-analysis admission gate.
-    AnalysisRejects,
-    /// Secret-dependency lint findings surfaced in bundle reports.
-    LintFindings,
-    /// Code pages advertised in static prefetch plans.
-    PlannedPages,
-    /// World-state records (account metas + storage groups) advertised
-    /// in static state prefetch plans.
-    PlannedKvRecords,
-    /// ORAM page writes issued by block synchronization (forward sync
-    /// *and* rollback — the two must be indistinguishable on the bus).
-    OramSync,
-    /// Feed equivocations detected by the multi-feed quorum.
-    EquivocationsDetected,
-    /// Feeds quarantined (forged proofs, equivocation, stalled heads).
-    FeedsQuarantined,
-    /// Reorgs applied: rollback to a fork point + winning-branch replay.
-    ReorgsApplied,
-    /// Gas-slice segments executed (every bundle runs ≥ 1 per tx).
-    Segments,
-    /// Preemptions: segments that yielded the core mid-transaction.
-    Preemptions,
-    /// Fleet: device health-state transitions (Healthy/Suspect/
-    /// Quarantined/Probation edges, plus terminal Failed).
-    FleetHealthTransitions,
-    /// Fleet: tenant sessions migrated to a surviving device.
-    FleetMigrations,
-    /// Fleet: bundles shed with a typed `DeviceFailed` completion
-    /// because their device (and any checkpoint on it) was lost.
-    FleetShedOnFailure,
-    /// Disk store: bucket records appended (journal + segment).
-    DiskWrites,
-    /// Disk store: fsync barriers issued at commit boundaries.
-    DiskFsyncs,
-    /// Disk store: committed journal transactions replayed into
-    /// segments during cold-start recovery.
-    RecoveryReplays,
+/// Declares a densely indexed id enum from one table: each row is a
+/// variant, its doc comment and its stable snake_case name (used in
+/// reports and JSON output). Generates the `#[repr(usize)]` enum, `COUNT`,
+/// `ALL` (index order) and `name()`.
+macro_rules! id_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $id:ident {
+            $( $(#[$vmeta:meta])* $variant:ident => $name:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $id {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        impl $id {
+            /// Number of ids in the registry.
+            pub const COUNT: usize = [$($name),+].len();
+            /// Every id, in index order.
+            pub const ALL: [$id; Self::COUNT] = [$($id::$variant),+];
+
+            /// Stable snake_case name.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( $id::$variant => $name, )+
+                }
+            }
+        }
+    };
 }
 
-impl CounterId {
-    /// Number of counters in the registry.
-    pub const COUNT: usize = 34;
-    /// Every counter, in index order.
-    pub const ALL: [CounterId; Self::COUNT] = [
-        CounterId::Bundles,
-        CounterId::Transactions,
-        CounterId::OramKv,
-        CounterId::OramCode,
-        CounterId::OramPrefetch,
-        CounterId::PrefetchIssued,
-        CounterId::PrefetchDrained,
-        CounterId::SwapOuts,
-        CounterId::SwapIns,
-        CounterId::SwapTruePages,
-        CounterId::SwapNoisePages,
-        CounterId::GwAdmitted,
-        CounterId::GwRejected,
-        CounterId::GwShed,
-        CounterId::GwExecuted,
-        CounterId::GwFailed,
-        CounterId::NodeRetries,
-        CounterId::BreakerOpens,
-        CounterId::AnalysisRejects,
-        CounterId::LintFindings,
-        CounterId::PlannedPages,
-        CounterId::PlannedKvRecords,
-        CounterId::OramSync,
-        CounterId::EquivocationsDetected,
-        CounterId::FeedsQuarantined,
-        CounterId::ReorgsApplied,
-        CounterId::Segments,
-        CounterId::Preemptions,
-        CounterId::FleetHealthTransitions,
-        CounterId::FleetMigrations,
-        CounterId::FleetShedOnFailure,
-        CounterId::DiskWrites,
-        CounterId::DiskFsyncs,
-        CounterId::RecoveryReplays,
-    ];
-
-    /// Stable snake_case name (used in reports and JSON output).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CounterId::Bundles => "bundles",
-            CounterId::Transactions => "transactions",
-            CounterId::OramKv => "oram_kv_queries",
-            CounterId::OramCode => "oram_code_queries",
-            CounterId::OramPrefetch => "oram_prefetch_queries",
-            CounterId::PrefetchIssued => "prefetch_issued",
-            CounterId::PrefetchDrained => "prefetch_drained",
-            CounterId::SwapOuts => "swap_outs",
-            CounterId::SwapIns => "swap_ins",
-            CounterId::SwapTruePages => "swap_true_pages",
-            CounterId::SwapNoisePages => "swap_noise_pages",
-            CounterId::GwAdmitted => "gw_admitted",
-            CounterId::GwRejected => "gw_rejected",
-            CounterId::GwShed => "gw_shed",
-            CounterId::GwExecuted => "gw_executed",
-            CounterId::GwFailed => "gw_failed",
-            CounterId::NodeRetries => "node_retries",
-            CounterId::BreakerOpens => "breaker_opens",
-            CounterId::AnalysisRejects => "analysis_rejects",
-            CounterId::LintFindings => "lint_findings",
-            CounterId::PlannedPages => "planned_pages",
-            CounterId::PlannedKvRecords => "planned_kv_records",
-            CounterId::OramSync => "oram_sync_writes",
-            CounterId::EquivocationsDetected => "equivocations_detected",
-            CounterId::FeedsQuarantined => "feeds_quarantined",
-            CounterId::ReorgsApplied => "reorgs_applied",
-            CounterId::Segments => "segments",
-            CounterId::Preemptions => "preemptions",
-            CounterId::FleetHealthTransitions => "fleet_health_transitions",
-            CounterId::FleetMigrations => "fleet_migrations",
-            CounterId::FleetShedOnFailure => "fleet_shed_on_failure",
-            CounterId::DiskWrites => "disk_writes",
-            CounterId::DiskFsyncs => "disk_fsyncs",
-            CounterId::RecoveryReplays => "recovery_replays",
-        }
+id_table! {
+    /// Monotonic counters, indexed densely for the heap-free registry.
+    pub enum CounterId {
+        /// Bundles fully pre-executed by the service.
+        Bundles => "bundles",
+        /// Transactions executed across all bundles.
+        Transactions => "transactions",
+        /// ORAM K-V (account/storage) queries.
+        OramKv => "oram_kv_queries",
+        /// ORAM code-page queries issued on demand.
+        OramCode => "oram_code_queries",
+        /// ORAM prefetch queries (timer-issued + dummies).
+        OramPrefetch => "oram_prefetch_queries",
+        /// Code pages issued through the prefetch timer.
+        PrefetchIssued => "prefetch_issued",
+        /// Code pages released by frame-end drains (the burst the §IV-D
+        /// discipline tries to avoid — should be 0 with the fixed driver).
+        PrefetchDrained => "prefetch_drained",
+        /// Layer-2→3 swap-out events.
+        SwapOuts => "swap_outs",
+        /// Layer-3→2 swap-in events.
+        SwapIns => "swap_ins",
+        /// True call-stack pages moved by swaps.
+        SwapTruePages => "swap_true_pages",
+        /// Noise pages added to swap traffic (observed − true).
+        SwapNoisePages => "swap_noise_pages",
+        /// Gateway: bundles admitted.
+        GwAdmitted => "gw_admitted",
+        /// Gateway: submissions rejected at admission.
+        GwRejected => "gw_rejected",
+        /// Gateway: admitted bundles shed past deadline.
+        GwShed => "gw_shed",
+        /// Gateway: bundles executed successfully.
+        GwExecuted => "gw_executed",
+        /// Gateway: bundles that failed in execution.
+        GwFailed => "gw_failed",
+        /// Node: sync retries after transient feed faults.
+        NodeRetries => "node_retries",
+        /// Node: circuit-breaker open transitions.
+        BreakerOpens => "breaker_opens",
+        /// Bundles refused by the static-analysis admission gate.
+        AnalysisRejects => "analysis_rejects",
+        /// Secret-dependency lint findings surfaced in bundle reports.
+        LintFindings => "lint_findings",
+        /// Code pages advertised in static prefetch plans.
+        PlannedPages => "planned_pages",
+        /// World-state records (account metas + storage groups) advertised
+        /// in static state prefetch plans.
+        PlannedKvRecords => "planned_kv_records",
+        /// ORAM page writes issued by block synchronization (forward sync
+        /// *and* rollback — the two must be indistinguishable on the bus).
+        OramSync => "oram_sync_writes",
+        /// Feed equivocations detected by the multi-feed quorum.
+        EquivocationsDetected => "equivocations_detected",
+        /// Feeds quarantined (forged proofs, equivocation, stalled heads).
+        FeedsQuarantined => "feeds_quarantined",
+        /// Reorgs applied: rollback to a fork point + winning-branch replay.
+        ReorgsApplied => "reorgs_applied",
+        /// Gas-slice segments executed (every bundle runs ≥ 1 per tx).
+        Segments => "segments",
+        /// Preemptions: segments that yielded the core mid-transaction.
+        Preemptions => "preemptions",
+        /// Fleet: device health-state transitions (Healthy/Suspect/
+        /// Quarantined/Probation edges, plus terminal Failed).
+        FleetHealthTransitions => "fleet_health_transitions",
+        /// Fleet: tenant sessions migrated to a surviving device.
+        FleetMigrations => "fleet_migrations",
+        /// Fleet: bundles shed with a typed `DeviceFailed` completion
+        /// because their device (and any checkpoint on it) was lost.
+        FleetShedOnFailure => "fleet_shed_on_failure",
+        /// Disk store: bucket records appended (journal + segment).
+        DiskWrites => "disk_writes",
+        /// Disk store: fsync barriers issued at commit boundaries.
+        DiskFsyncs => "disk_fsyncs",
+        /// Disk store: committed journal transactions replayed into
+        /// segments during cold-start recovery.
+        RecoveryReplays => "recovery_replays",
     }
 }
 
-/// Gauges (instantaneous values with peak tracking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum GaugeId {
-    /// Gateway: total queued bundles across tenants.
-    GwQueueDepth,
-    /// Gateway: maximum per-tenant DRR deficit this round.
-    DrrDeficit,
-    /// HEVM: peak layer-2 call-stack page occupancy per bundle.
-    L2PeakPages,
-    /// HEVM: maximum call depth per bundle.
-    CallDepth,
-    /// ORAM: prefetcher inter-query gap EMA (ns).
-    PrefetchGapEmaNs,
-    /// ORAM: client stash occupancy (blocks).
-    OramStash,
-}
-
-impl GaugeId {
-    /// Number of gauges in the registry.
-    pub const COUNT: usize = 6;
-    /// Every gauge, in index order.
-    pub const ALL: [GaugeId; Self::COUNT] = [
-        GaugeId::GwQueueDepth,
-        GaugeId::DrrDeficit,
-        GaugeId::L2PeakPages,
-        GaugeId::CallDepth,
-        GaugeId::PrefetchGapEmaNs,
-        GaugeId::OramStash,
-    ];
-
-    /// Stable snake_case name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GaugeId::GwQueueDepth => "gw_queue_depth",
-            GaugeId::DrrDeficit => "drr_deficit",
-            GaugeId::L2PeakPages => "l2_peak_pages",
-            GaugeId::CallDepth => "call_depth",
-            GaugeId::PrefetchGapEmaNs => "prefetch_gap_ema_ns",
-            GaugeId::OramStash => "oram_stash_blocks",
-        }
+id_table! {
+    /// Gauges (instantaneous values with peak tracking).
+    pub enum GaugeId {
+        /// Gateway: total queued bundles across tenants.
+        GwQueueDepth => "gw_queue_depth",
+        /// Gateway: maximum per-tenant DRR deficit this round.
+        DrrDeficit => "drr_deficit",
+        /// HEVM: peak layer-2 call-stack page occupancy per bundle.
+        L2PeakPages => "l2_peak_pages",
+        /// HEVM: maximum call depth per bundle.
+        CallDepth => "call_depth",
+        /// ORAM: prefetcher inter-query gap EMA (ns).
+        PrefetchGapEmaNs => "prefetch_gap_ema_ns",
+        /// ORAM: client stash occupancy (blocks).
+        OramStash => "oram_stash_blocks",
     }
 }
 
-/// Fixed-bucket histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum HistId {
-    /// Per-bundle total latency (ns).
-    BundleLatencyNs,
-    /// Execute-phase latency (ns).
-    ExecuteNs,
-    /// Inter-arrival gap between consecutive ORAM queries (ns).
-    OramGapNs,
-    /// Depth of each applied reorg (blocks rolled back).
-    ReorgDepth,
-    /// Per-segment execution latency (ns): the slice the core was held.
-    SliceNs,
+id_table! {
+    /// Fixed-bucket histograms.
+    pub enum HistId {
+        /// Per-bundle total latency (ns).
+        BundleLatencyNs => "bundle_latency_ns",
+        /// Execute-phase latency (ns).
+        ExecuteNs => "execute_ns",
+        /// Inter-arrival gap between consecutive ORAM queries (ns).
+        OramGapNs => "oram_gap_ns",
+        /// Depth of each applied reorg (blocks rolled back).
+        ReorgDepth => "reorg_depth",
+        /// Per-segment execution latency (ns): the slice the core was held.
+        SliceNs => "slice_ns",
+    }
 }
 
 impl HistId {
-    /// Number of histograms in the registry.
-    pub const COUNT: usize = 5;
-    /// Every histogram, in index order.
-    pub const ALL: [HistId; Self::COUNT] = [
-        HistId::BundleLatencyNs,
-        HistId::ExecuteNs,
-        HistId::OramGapNs,
-        HistId::ReorgDepth,
-        HistId::SliceNs,
-    ];
-
-    /// Stable snake_case name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            HistId::BundleLatencyNs => "bundle_latency_ns",
-            HistId::ExecuteNs => "execute_ns",
-            HistId::OramGapNs => "oram_gap_ns",
-            HistId::ReorgDepth => "reorg_depth",
-            HistId::SliceNs => "slice_ns",
-        }
-    }
-
     /// The fixed upper bounds (inclusive) of this histogram's buckets;
     /// one implicit overflow bucket follows. Chosen once per metric so
     /// the registry never allocates.

@@ -3,89 +3,37 @@
 #
 #   scripts/verify.sh [--soak] [--bench] [--recover] [--lint]
 #
-# Runs, in order:
-#   1. release build of the whole workspace
-#   2. the root-package test suite (the tier-1 gate; includes the
-#      static-analyzer self-tests via the workspace run below)
-#   3. the full workspace test suite
-#   4. clippy over EVERY workspace crate with warnings denied and
-#      `.unwrap()` forbidden. Any allow-listed exception must carry a
-#      justifying comment at the allow site.
-#   5. an `#![forbid(unsafe_code)]` assertion: every crate root must
-#      carry the attribute, so no `unsafe` block can enter the TCB
-#      without flipping a tracked line in review.
-#   6. a repo-wide determinism lint: no host clocks
-#      (`Instant::now`/`SystemTime::now`) or ambient entropy
-#      (`rand::`/`getrandom`/`from_entropy`) anywhere outside the
-#      crates/bench allowlist — replay digests assume virtual time and
-#      seeded randomness.
+# Always: release build, the workspace test suite (tier-1 — the root
+# manifest's default members are every crate), then the static gates:
+#   - clippy over every crate, warnings denied, `.unwrap()` forbidden
+#     (an allow-listed exception carries a justifying comment);
+#   - `#![forbid(unsafe_code)]` in every crate root;
+#   - determinism lint: no host clock and no ambient entropy anywhere in
+#     the workspace — replay digests assume virtual time and seeded
+#     randomness, and host time is measured from outside by benchmark/;
+#   - scratch hygiene: disk-writing tests go through `tape_sim::Scratch`
+#     (per-seed dirs under target/scratch/, kept and printed on failure).
 #
-#   7. a scratch-hygiene lint: disk-writing tests must route through
-#      `tape_sim::Scratch` (per-seed dirs under target/scratch/,
-#      removed on success, preserved and printed on failure) and never
-#      touch /tmp or env::temp_dir.
-#
-# With --lint, stops after the static gates (4-7) — no build or
-# test run. Useful as a fast pre-commit hook.
-#
-# With --recover, runs the disk-recovery chaos soak: one uninterrupted
-# run of the disk-backed device, one run hard-killed (process abort —
-# buffered segment writes die with it) right after a seeded bundle,
-# then a recovery run over the killed directory that must finish the
-# workload and print a completion digest byte-identical to the
-# uninterrupted run's.
-#
-# With --soak, additionally replays the gateway chaos soak under three
-# fixed seeds, running each seed in two separate processes and failing
-# if the schedule digests differ — cross-process nondeterminism (hash
-# ordering, ambient randomness) has nowhere to hide. The soak digest
-# now covers the telemetry stream too, and each run asserts the §IV-D
-# leakage auditor passes on the soak workload. The same discipline is
-# applied to the seeded reorg schedule (REORG_DIGEST): a mid-run
-# depth-3 reorg must shed/re-pin queued work exactly-once and replay
-# byte-identically across processes. A third schedule arms the gas-bomb
-# adversary against a gas-sliced gateway (PREEMPT_DIGEST): preempted
-# bundles must resume, complete exactly-once, pass the §IV-D segment
-# audit, and replay byte-identically across processes. A fourth
-# schedule runs the fleet chaos soak (FLEET_DIGEST): ~10³ tenants
-# rendezvous-sharded over 4 devices, seeded DeviceHang faults, a
-# mid-soak crash of 1 of 4 devices with live migration, and a mid-soak
-# reorg — every admitted bundle must resolve exactly-once, survivors
-# must converge on one head, and the fleet-wide digest must replay
-# byte-identically across processes. A fifth leg replays the two
-# shared-state gateway rigs of tests/parallel.rs — a -full device
-# (FULL_DIGEST) and an -ES device whose armed page-store fault budget
-# drains mid-run (PAGESTORE_DIGEST), the rounds that execute on the
-# shared clock instead of the pool — whose digests are checked in and
-# must also agree across processes. Finally, one seed of the chaos,
-# preemption, and fleet soaks, and the shared-state rigs, are replayed
-# with a 2-thread worker pool (HARDTAPE_SOAK_WORKERS=2) and must
-# reproduce the 1-worker digest byte-for-byte — parallelism is a host
-# throughput knob, never a schedule input.
-#
-# With --bench, runs the deterministic pre-execution benchmark under
-# its fixed baked-in seed, writing BENCH_pre_execute.json. The binary
-# fails if the telemetry digest drifts between two in-process runs or
-# the leakage auditor reports violations, and — when a committed
-# BENCH_pre_execute.json exists — if a deterministic figure (ORAM
-# queries per bundle, in memory or on disk, the honest short-bundle
-# p99 in virtual time, the resolved-jump ratio) regresses more than
-# 10% against it. The same run measures host wall-clock bundles/sec
-# per worker count and per disk-backed ORAM query and writes them to
-# the report, but guards neither: wall-clock on a shared VM moves more
-# than 10% between runs of the same code, and `benchmark/ --compare`
-# (paired, alternating, per-index minima) is the host-time gate. The
-# cross-worker digest contract is asserted in-process; the
-# >= 2x-at-4-workers bound is enforced only on hosts with at least 4
-# cores. Three negative controls prove the
-# auditor has teeth: --starve (prefetcher starvation, pre-fix pipeline),
-# --omit-plan (a prefetch plan mis-advertising one page), and
-# --omit-state-plan (a world-state plan mis-advertising one storage
-# group) must each *fail* the audit. The fleet benchmark (BENCH_fleet.json) runs under
-# the same discipline: latency vs device count, shard fairness,
-# staleness, and the kill-one-device degradation curve, with the
-# one-device-loss honest p99 bounded in-process (3x no-loss) and
-# guarded against >10% regression when a committed baseline exists.
+# --lint     only the static gates; no build, no tests.
+# --soak     every seeded schedule — gateway chaos (SOAK), depth-3 reorg
+#            (REORG), gas-bomb preemption (PREEMPT), 4-device fleet with
+#            a crash, migration and reorg (FLEET) — under three seeds,
+#            each in two fresh processes whose digest lines must agree;
+#            the checked-in -full / armed-page-store rig digests
+#            (FULL, PAGESTORE); then one seed of each pooled schedule
+#            and the rigs again at 2 workers, which must reproduce the
+#            1-worker digest: parallelism is a host throughput knob,
+#            never a schedule input. Exactly-once accounting and the
+#            §IV-D audit are asserted inside the tests.
+# --recover  disk-recovery soak: an uninterrupted run, a run aborted
+#            (real process abort) after a seeded bundle, and a recovery
+#            run over the killed directory that must print the
+#            uninterrupted run's RECOVER_DIGEST byte for byte.
+# --bench    `repro all` (every figure must print REPRODUCED), then the
+#            two checked-in virtual-time reports are regenerated and must
+#            not differ from git by a byte, then the three negative
+#            controls, which exit 0 only when the audit FAILED the way
+#            the removed protection predicts.
 #
 # Everything is hermetic: no network access is required.
 
@@ -122,16 +70,14 @@ lint_gates() {
         exit 1
     fi
 
-    echo "==> determinism lint (no host clocks or entropy outside crates/bench)"
+    echo "==> determinism lint (no host clocks or ambient entropy in the workspace)"
     # Replay determinism is load-bearing: every schedule digest in the
-    # soaks and the telemetry digest in the audit assume virtual time
-    # (the simulator Clock) and seeded randomness (the DRBG). Host
-    # clocks and ambient entropy are allowed only in the benchmark
-    # harness, which measures real wall-clock by design.
-    if grep -rnE 'Instant::now|SystemTime::now|std::time::(Instant|SystemTime)|rand::|getrandom|from_entropy' \
-        src crates/*/src tests examples 2>/dev/null \
-        | grep -v '^crates/bench/'; then
-        echo "determinism lint: host time/entropy outside the crates/bench allowlist" >&2
+    # soaks, the telemetry digest in the audit and both checked-in
+    # reports assume virtual time (the simulator Clock) and seeded
+    # randomness (the DRBG).
+    if grep -rnE 'Instant::now|SystemTime|std::time::Instant|rand::|getrandom|from_entropy' \
+        src crates tests examples 2>/dev/null; then
+        echo "determinism lint: host time or ambient entropy in the workspace" >&2
         exit 1
     fi
 
@@ -167,11 +113,8 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (tier-1)"
+echo "==> cargo test -q (tier-1: the whole workspace)"
 cargo test -q
-
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
 
 lint_gates
 
@@ -222,88 +165,51 @@ shared_state_digests() {
         | grep -E '^(FULL|PAGESTORE)_DIGEST '
 }
 
+replays_identically() {
+    # Args: label, digest function, then the arguments to try it with
+    # (seeds; none = one argument-less run). Each is run in two fresh
+    # processes whose digest lines must agree — cross-process
+    # nondeterminism (hash ordering, ambient randomness) has nowhere to
+    # hide.
+    local label="$1" digest_fn="$2" first second
+    shift 2
+    for seed in "${@:-}"; do
+        first="$("$digest_fn" $seed)"
+        second="$("$digest_fn" $seed)"
+        if [[ "$first" != "$second" ]]; then
+            echo "$label: NONDETERMINISM${seed:+ at seed $seed}" >&2
+            echo "  run 1: $first" >&2
+            echo "  run 2: $second" >&2
+            exit 1
+        fi
+        echo "${seed:+seed $seed: }$first"
+    done
+}
+
 if [[ "$RUN_SOAK" -eq 1 ]]; then
+    SEEDS=(1337 424242 12648430)
     echo "==> gateway chaos soak (determinism across processes)"
-    for seed in 1337 424242 12648430; do
-        first="$(soak_digest "$seed")"
-        second="$(soak_digest "$seed")"
-        if [[ "$first" != "$second" ]]; then
-            echo "soak: NONDETERMINISM at seed $seed" >&2
-            echo "  run 1: $first" >&2
-            echo "  run 2: $second" >&2
-            exit 1
-        fi
-        echo "seed $seed: $first"
-    done
+    replays_identically "soak" soak_digest "${SEEDS[@]}"
     echo "==> reorg schedule soak (byte-identical digests across a depth-3 reorg)"
-    for seed in 1337 424242 12648430; do
-        first="$(reorg_digest "$seed")"
-        second="$(reorg_digest "$seed")"
-        if [[ "$first" != "$second" ]]; then
-            echo "reorg soak: NONDETERMINISM at seed $seed" >&2
-            echo "  run 1: $first" >&2
-            echo "  run 2: $second" >&2
-            exit 1
-        fi
-        echo "seed $seed: $first"
-    done
+    replays_identically "reorg soak" reorg_digest "${SEEDS[@]}"
     echo "==> preemption soak (gas-bomb adversary, byte-identical preempted schedules)"
-    for seed in 1337 424242 12648430; do
-        first="$(preempt_digest "$seed")"
-        second="$(preempt_digest "$seed")"
-        if [[ "$first" != "$second" ]]; then
-            echo "preempt soak: NONDETERMINISM at seed $seed" >&2
-            echo "  run 1: $first" >&2
-            echo "  run 2: $second" >&2
-            exit 1
-        fi
-        echo "seed $seed: $first"
-    done
+    replays_identically "preempt soak" preempt_digest "${SEEDS[@]}"
     echo "==> fleet chaos soak (device crash + migration, byte-identical fleet digests)"
-    for seed in 1337 424242 12648430; do
-        first="$(fleet_digest "$seed")"
-        second="$(fleet_digest "$seed")"
-        if [[ "$first" != "$second" ]]; then
-            echo "fleet soak: NONDETERMINISM at seed $seed" >&2
-            echo "  run 1: $first" >&2
-            echo "  run 2: $second" >&2
-            exit 1
-        fi
-        echo "seed $seed: $first"
-    done
+    replays_identically "fleet soak" fleet_digest "${SEEDS[@]}"
     echo "==> shared-state rigs (-full, armed page store: checked-in digests across processes)"
-    first="$(shared_state_digests)"
-    second="$(shared_state_digests)"
-    if [[ "$first" != "$second" ]]; then
-        echo "shared-state rigs: NONDETERMINISM" >&2
-        echo "  run 1: $first" >&2
-        echo "  run 2: $second" >&2
-        exit 1
-    fi
-    echo "$first"
+    replays_identically "shared-state rigs" shared_state_digests
     echo "==> worker-pool invariance (2-worker digests must equal 1-worker, seed 1337)"
-    # The pool contract: the worker count is a host throughput knob,
-    # never a schedule input. One seed of each soak replayed at 2
-    # workers must reproduce the 1-worker digest byte-for-byte.
-    for kind in soak preempt fleet; do
-        one="$("${kind}_digest" 1337 1)"
-        two="$("${kind}_digest" 1337 2)"
+    for kind in "soak_digest 1337" "preempt_digest 1337" "fleet_digest 1337" shared_state_digests; do
+        one="$($kind 1)"
+        two="$($kind 2)"
         if [[ "$one" != "$two" ]]; then
-            echo "$kind soak: WORKER-COUNT DEPENDENCE at seed 1337" >&2
+            echo "$kind: WORKER-COUNT DEPENDENCE" >&2
             echo "  1 worker:  $one" >&2
             echo "  2 workers: $two" >&2
             exit 1
         fi
-        echo "$kind seed 1337: 2-worker digest matches 1-worker"
+        echo "$kind: 2-worker digest matches 1-worker"
     done
-    two="$(shared_state_digests 2)"
-    if [[ "$first" != "$two" ]]; then
-        echo "shared-state rigs: WORKER-COUNT DEPENDENCE" >&2
-        echo "  1 worker:  $first" >&2
-        echo "  2 workers: $two" >&2
-        exit 1
-    fi
-    echo "shared-state rigs: 2-worker digests match 1-worker"
 fi
 
 recover_soak() {
@@ -348,32 +254,21 @@ if [[ "$RUN_RECOVER" -eq 1 ]]; then
 fi
 
 if [[ "$RUN_BENCH" -eq 1 ]]; then
-    echo "==> pre-execution benchmark (digest drift + leakage audit + regression guard)"
-    # The committed report is the regression baseline: a fresh run may
-    # not add more than 10% ORAM queries per bundle. The binary reads
-    # the baseline before overwriting it.
-    BASELINE_ARGS=()
-    if git ls-files --error-unmatch BENCH_pre_execute.json >/dev/null 2>&1; then
-        BASELINE_ARGS=(--baseline BENCH_pre_execute.json)
+    repro() { cargo run -q --release -p tape-bench --bin repro -- "$@"; }
+    echo "==> repro all (every figure must print REPRODUCED)"
+    repro all
+    echo "==> checked-in reports (virtual time only: regenerated files must equal git's)"
+    repro pre-execute --out BENCH_pre_execute.json
+    repro fleet --out BENCH_fleet.json
+    if ! git diff --exit-code -- BENCH_pre_execute.json BENCH_fleet.json; then
+        echo "bench: a checked-in report no longer reproduces — if the virtual-time" >&2
+        echo "change is intended, re-record the file in its own commit" >&2
+        exit 1
     fi
-    cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
-        --out BENCH_pre_execute.json "${BASELINE_ARGS[@]}"
-    echo "==> starvation ablation (the auditor must detect the leak)"
-    cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
-        --starve --out target/BENCH_pre_execute.starve.json
-    echo "==> plan-omission ablation (the auditor must detect the leak)"
-    cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
-        --omit-plan --out target/BENCH_pre_execute.omit_plan.json
-    echo "==> state-plan-omission ablation (the auditor must detect the leak)"
-    cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
-        --omit-state-plan --out target/BENCH_pre_execute.omit_state_plan.json
-    echo "==> fleet benchmark (scaling + degradation curve + regression guard)"
-    FLEET_BASELINE_ARGS=()
-    if git ls-files --error-unmatch BENCH_fleet.json >/dev/null 2>&1; then
-        FLEET_BASELINE_ARGS=(--baseline BENCH_fleet.json)
-    fi
-    cargo run -q --release -p tape-bench --bin bench_fleet -- \
-        --out BENCH_fleet.json "${FLEET_BASELINE_ARGS[@]}"
+    for ablation in starve omit-plan omit-state-plan; do
+        echo "==> negative control: --ablation $ablation (the auditor must detect the leak)"
+        repro pre-execute --ablation "$ablation" --out "target/BENCH_pre_execute.$ablation.json"
+    done
 fi
 
 echo "==> verify: all gates passed"

@@ -3,13 +3,17 @@
 //! `Violation` variant, while the un-ablated twin passes.
 
 use hardtape::{Bundle, HarDTape, SecurityConfig, ServiceConfig};
+use tape_sim::fault::Ablation;
 use tape_sim::telemetry::audit::{audit_events, AuditConfig, AuditReport, Violation};
 use tape_workload::{EvalSet, EvalSetConfig};
 
-fn audit_after(set: &EvalSet, arm: fn(&HarDTape)) -> AuditReport {
-    let config = ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Full) };
+fn audit_under(set: &EvalSet, ablation: Option<Ablation>) -> AuditReport {
+    let config = ServiceConfig {
+        oram_height: 10,
+        ablation,
+        ..ServiceConfig::at_level(SecurityConfig::Full)
+    };
     let mut device = HarDTape::new(config, set.env.clone(), &set.genesis).expect("device boots");
-    arm(&device);
     let mut user = device.connect_user(b"ablation user").expect("attestation");
     for tx in set.all_transactions() {
         device.pre_execute(&mut user, &Bundle::single(tx.clone())).expect("bundle accepted");
@@ -21,25 +25,20 @@ fn audit_after(set: &EvalSet, arm: fn(&HarDTape)) -> AuditReport {
 #[test]
 fn every_oram_ablation_fails_the_audit_with_its_own_violation() {
     let set = EvalSet::generate(&EvalSetConfig { blocks: 2, ..EvalSetConfig::small() });
-    let clean = audit_after(&set, |_| {});
+    let clean = audit_under(&set, None);
     assert!(clean.passed(), "un-ablated twin must pass: {:?}", clean.violations);
 
-    type Row = (&'static str, fn(&HarDTape), fn(&Violation) -> bool);
-    let table: [Row; 3] = [
-        ("starve", |d| d.set_prefetch_ablation(true), |v| matches!(v, Violation::CodeBurst { .. })),
-        ("omit-plan", |d| d.set_plan_ablation(true), |v| {
-            matches!(v, Violation::UnplannedCodePage { .. })
-        }),
-        ("omit-state-plan", |d| d.set_state_plan_ablation(true), |v| {
-            matches!(v, Violation::UnplannedStateAccess { .. })
-        }),
+    let table: [(Ablation, fn(&Violation) -> bool); 3] = [
+        (Ablation::Starve, |v| matches!(v, Violation::CodeBurst { .. })),
+        (Ablation::OmitPlan, |v| matches!(v, Violation::UnplannedCodePage { .. })),
+        (Ablation::OmitStatePlan, |v| matches!(v, Violation::UnplannedStateAccess { .. })),
     ];
-    for (name, arm, expected) in table {
-        let report = audit_after(&set, arm);
-        assert!(!report.passed(), "{name}: the ablated run must FAIL the audit");
+    for (ablation, expected) in table {
+        let report = audit_under(&set, Some(ablation));
+        assert!(!report.passed(), "{ablation:?}: the ablated run must FAIL the audit");
         assert!(
             report.violations.iter().any(expected),
-            "{name}: wrong violation kind: {:?}",
+            "{ablation:?}: wrong violation kind: {:?}",
             report.violations.first()
         );
     }

@@ -21,7 +21,8 @@ fn build_oram(genesis: &InMemoryState, height: u32) -> ObliviousState {
         &[0x0Au8; 16],
         tape_crypto::SecureRng::from_seed(b"correctness"),
     );
-    let state = ObliviousState::new(client, server, Clock::new(), tape_sim::CostModel::default());
+    let state =
+        ObliviousState::new(client, server, Clock::new(), tape_sim::CostModel::default(), None);
     state
         .sync_full_state(genesis.iter().map(|(a, acc)| (*a, acc.clone())))
         .unwrap();

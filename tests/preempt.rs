@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use tape_evm::{Env, Transaction};
 use tape_hevm::HevmAbort;
 use tape_primitives::{Address, U256};
+use tape_sim::fault::Ablation;
 use tape_sim::queue::EventLog;
 use tape_sim::telemetry::audit::{audit_events, AuditConfig, Violation};
 use tape_state::{Account, InMemoryState};
@@ -347,8 +348,15 @@ fn checkpoint_cover_ablation_fails_the_segment_audit() {
     // Negative control (the ISSUE's ablation): same run with checkpoint
     // cover skipped — frames are captured silently in-enclave, and the
     // audit must flag every advertised-but-uncovered checkpoint.
-    let mut ablated = device(Some(GAS_SLICE));
-    ablated.set_checkpoint_ablation(true);
+    let mut ablated = HarDTape::new(
+        ServiceConfig {
+            ablation: Some(Ablation::UncoveredCheckpoint),
+            ..service_config(Some(GAS_SLICE))
+        },
+        Env::default(),
+        &genesis(),
+    )
+    .expect("ablated device boots");
     let mut user = ablated.connect_user(b"ablation user").expect("attestation succeeds");
     ablated
         .pre_execute(&mut user, &Bundle::single(bomb_tx(1_000_000)))

@@ -14,7 +14,7 @@ use hardtape::{
 use tape_evm::{Env, Transaction};
 use tape_node::{BlockFeed, FeedSet, FeedSetConfig, Node, QuarantineReason};
 use tape_primitives::{Address, U256};
-use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
+use tape_sim::fault::{Ablation, FaultKind, FaultPlan, FaultSite};
 use tape_sim::telemetry::audit::{audit_events, AuditConfig, Violation};
 use tape_sim::telemetry::CounterId;
 use tape_state::{Account, InMemoryState};
@@ -46,8 +46,16 @@ fn branch_b_txs(h: u64) -> Vec<Transaction> {
 }
 
 fn full_device() -> HarDTape {
+    full_device_under(None)
+}
+
+fn full_device_under(ablation: Option<Ablation>) -> HarDTape {
     HarDTape::new(
-        ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Full) },
+        ServiceConfig {
+            oram_height: 10,
+            ablation,
+            ..ServiceConfig::at_level(SecurityConfig::Full)
+        },
         Env::default(),
         &genesis(),
     )
@@ -176,10 +184,8 @@ fn rollback_outside_oram_path_fails_the_audit() {
     // rollback restores only the local mirror (ORAM writes skipped while
     // still advertised). The auditor must flag the uncovered window.
     let mut feeds = three_feeds();
-    let mut device = full_device();
+    let mut device = full_device_under(Some(Ablation::MirrorOnlyRollback));
     grow_branch_a(&mut device, &mut feeds, 4);
-
-    device.set_rollback_ablation(true);
     for i in 0..3 {
         adopt_branch_b(&mut feeds, i, 4);
     }

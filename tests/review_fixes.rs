@@ -146,6 +146,7 @@ fn stale_storage_group_cleared_on_resync() {
         OramServer::new(config),
         Clock::new(),
         CostModel::default(),
+        None,
     );
 
     let mut account = Account::with_balance(U256::ONE);
