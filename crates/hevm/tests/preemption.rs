@@ -275,3 +275,65 @@ fn preempted_overlay_discard_is_clean() {
     use tape_state::StateReader;
     assert_eq!(b.storage(&contract(), &U256::ONE), U256::ZERO);
 }
+
+/// An endless loop (~17 gas, 80 virtual ns an iteration).
+fn spinner() -> Vec<u8> {
+    Asm::new().label("top").push(1u64).op(op::POP).jump("top").build()
+}
+
+#[test]
+fn watchdog_fires_at_the_identical_instruction_sliced_or_not() {
+    // 50 µs past the per-transaction overhead. Every slice below is
+    // longer than that, so no segment ends before the watchdog trips:
+    // the sliced engines run their per-instruction slice check, never
+    // yield, and must abort exactly where the unsliced engine does.
+    let budget = 1_050_000;
+    let b = backend(spinner());
+    let mut tx = Transaction::call(sender(), contract(), vec![]);
+    tx.gas_limit = 5_000_000;
+
+    let run = |gas_slice: Option<u64>| {
+        let config = HevmConfig { watchdog_ns: Some(budget), gas_slice, ..HevmConfig::default() };
+        let clock = Clock::new();
+        let mut hevm = Hevm::new(config, Env::default(), &b, clock.clone());
+        let abort = hevm.transact(&tx).unwrap_err();
+        (abort, hevm.stats(), clock.now())
+    };
+
+    let (abort, stats, now) = run(None);
+    assert_eq!(abort, HevmAbort::Watchdog { budget_ns: budget });
+    // Recorded on the stepwise driver: the first instruction whose
+    // predecessor pushed the clock past the deadline.
+    assert_eq!(stats.instructions, 2_376);
+    assert_eq!(now, 1_050_010);
+    for gas_slice in [25_000, 1_000_000, u64::MAX] {
+        assert_eq!(run(Some(gas_slice)), (abort.clone(), stats, now), "gas_slice {gas_slice}");
+    }
+}
+
+#[test]
+fn gas_slice_changes_neither_receipt_nor_stats_nor_clock() {
+    // In-place continuation costs nothing on the virtual clock, so any
+    // slice length must reproduce the unsliced run exactly — over a flat
+    // loop and over a deep stack that spills to layer 3.
+    let mut hog_tx = Transaction::call(sender(), contract(), vec![]);
+    hog_tx.gas_limit = 3_000_000;
+    for (code, tx, base) in [
+        (burner(20_000), burner_tx(), HevmConfig::default()),
+        (memory_hog(2), hog_tx, tiny_layer2(None)),
+    ] {
+        let b = backend(code);
+        let run = |gas_slice: Option<u64>| {
+            let clock = Clock::new();
+            let config = HevmConfig { gas_slice, ..base.clone() };
+            let mut hevm = Hevm::new(config, Env::default(), &b, clock.clone());
+            let result = hevm.transact(&tx).unwrap();
+            (result, hevm.stats(), clock.now(), hevm.swap_log().to_vec())
+        };
+        let unsliced = run(None);
+        assert!(unsliced.0.success, "halt: {:?}", unsliced.0.halt);
+        for gas_slice in [1, 997, 7_777, 100_000, 10_000_000] {
+            assert_eq!(run(Some(gas_slice)), unsliced, "gas_slice {gas_slice}");
+        }
+    }
+}
