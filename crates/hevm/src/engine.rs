@@ -12,7 +12,7 @@
 //! explicit frame vector that *is* the layer-2 call stack.
 
 use crate::layers::{Layer3Pager, SwapEvent, SwappedFrame};
-use crate::memlike::MemLike;
+use crate::memlike::{copy_padded, MemLike};
 use std::sync::Arc;
 use tape_crypto::SecureRng;
 use tape_evm::gas::{self, Gas};
@@ -167,11 +167,24 @@ struct FrameData {
 }
 
 impl FrameData {
+    /// Byte lengths of the three growable memory-likes: the frame's
+    /// layer-2 footprint can only have moved if one of these did.
+    fn lens(&self) -> (usize, usize, usize) {
+        (self.input.len(), self.memory.len(), self.ret.len())
+    }
+
+    fn l1_misses(&self) -> u64 {
+        self.input.l1_misses() + self.memory.l1_misses() + self.ret.l1_misses()
+    }
+
     fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let words = self.stack.as_slice();
+        let (input, memory, ret) = self.lens();
+        let payload = input + memory + ret;
+        let mut out = Vec::with_capacity(5 * 8 + 32 * words.len() + payload);
         out.extend_from_slice(&(self.pc as u64).to_be_bytes());
-        out.extend_from_slice(&(self.stack.len() as u64).to_be_bytes());
-        for word in self.stack.as_slice() {
+        out.extend_from_slice(&(words.len() as u64).to_be_bytes());
+        for word in words {
             out.extend_from_slice(&word.to_be_bytes());
         }
         for mem in [&self.input, &self.memory, &self.ret] {
@@ -252,6 +265,9 @@ enum Ended {
 
 /// What the stepper asks the driver to do.
 enum Next {
+    /// From `step`: carry on with the next instruction. From a whole
+    /// run: the frame's footprint moved — rebalance layer 2, then carry
+    /// on.
     Step,
     End(Ended),
     Call { msg: CallMsg, out_offset: usize, out_len: usize },
@@ -480,6 +496,16 @@ pub struct Hevm<R, I = NoopInspector> {
     root_gas: u64,
     /// Gas-executed-so-far at the start of the current segment.
     slice_used_start: u64,
+    /// Virtual time retired by the running frame and not yet put on the
+    /// shared clock. Zero whenever anything but the stepper can look:
+    /// `world()` settles it before the stepper touches state, and
+    /// `execute_top` after every run.
+    unticked_ns: Nanos,
+    /// One jump-destination analysis per distinct code image for the
+    /// life of the engine, keyed by the image's allocation — the journal
+    /// overlay hands out one `Arc` per account, and the clone held here
+    /// keeps that address from being reused.
+    jump_tables: Vec<(Arc<Vec<u8>>, Arc<JumpTable>)>,
 }
 
 impl<R: StateReader> Hevm<R> {
@@ -553,6 +579,8 @@ impl<R: StateReader> Hevm<R> {
             pending: Some(pending),
             root_gas,
             slice_used_start: 0,
+            unticked_ns: 0,
+            jump_tables: Vec::new(),
         }
     }
 }
@@ -595,6 +623,8 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             pending: None,
             root_gas: 0,
             slice_used_start: 0,
+            unticked_ns: 0,
+            jump_tables: Vec::new(),
         }
     }
 
@@ -1151,7 +1181,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
 
         self.inspector.state_access(&StateAccess::Code(msg.code_address, code.len()));
         self.charge_local_code_fetch(code.len());
-        let jump = Arc::new(JumpTable::analyze(&code));
+        let jump = self.jump_table(&code);
         let meta = FrameMeta {
             code,
             jump,
@@ -1284,9 +1314,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
 
         // The next top frame's counters restart from its own history.
         self.frame_misses_seen = match self.slots.last() {
-            Some(Slot::Resident { data, .. }) => {
-                data.input.l1_misses() + data.memory.l1_misses() + data.ret.l1_misses()
-            }
+            Some(Slot::Resident { data, .. }) => data.l1_misses(),
             _ => 0,
         };
         let (success, gas_left, output, halt) = match ended {
@@ -1417,63 +1445,126 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
     // The stepper
     // ------------------------------------------------------------------
 
-    /// Runs the top frame until it ends or spawns a child.
+    /// Runs the top frame until it ends, spawns a child or yields.
+    ///
+    /// The frame is detached from its slot once per *run* — a stretch
+    /// of instructions with no frame switch and no change of footprint —
+    /// and put back, with the shared clock settled, before anything
+    /// outside the stepper can look at the engine again.
     fn execute_top(&mut self) -> Result<Next, HevmAbort> {
         self.ensure_top_resident()?;
+        // `deliver` (a child's output) and a resume change the frame
+        // between two of its instructions, outside any run: whatever the
+        // first instruction after an entry does, layer 2 is rebalanced
+        // behind it. After that, only when a memory-like changed length.
+        let mut balanced = None;
+        loop {
+            let Some(Slot::Resident { mut meta, mut data }) = self.slots.pop() else {
+                unreachable!("ensured resident top");
+            };
+            // The frames below cannot move while the top one executes.
+            let gas_below = self.gas_in_flight();
+            let retired_before = self.stats.instructions;
+            let ended = self.run(&mut meta, &mut data, gas_below, balanced);
+            self.tick();
+            // A run cut off before its first instruction (the watchdog
+            // or the slice check on entry) accounts nothing.
+            if self.stats.instructions != retired_before {
+                // Accumulate only this run's delta: per-frame counters
+                // are cumulative, and several frames contribute over a
+                // bundle.
+                let misses = data.l1_misses();
+                self.stats.l1_misses += misses.saturating_sub(self.frame_misses_seen);
+                self.frame_misses_seen = misses;
+            }
+            balanced = Some(data.lens());
+            self.slots.push(Slot::Resident { meta, data });
+            let next = ended?;
+            if !matches!(next, Next::End(_) | Next::Preempt) {
+                // Growth may have changed the footprint.
+                self.rebalance_layer2()?;
+            }
+            if !matches!(next, Next::Step) {
+                return Ok(next);
+            }
+        }
+    }
+
+    /// One run: executes the detached top frame in place until a
+    /// boundary. `Next::Step` means the footprint differs from
+    /// `balanced` and layer 2 is owed a rebalance before the next
+    /// instruction; everything else is the stepper's own boundary, a
+    /// spent gas slice, or the watchdog. Virtual time accumulates in
+    /// `unticked_ns`; the caller settles it.
+    fn run(
+        &mut self,
+        meta: &mut FrameMeta,
+        data: &mut FrameData,
+        gas_below: u64,
+        balanced: Option<(usize, usize, usize)>,
+    ) -> Result<Next, HevmAbort> {
+        let deadline = self.watchdog_deadline;
+        let slice = self.config.gas_slice.filter(|_| self.pending.is_some());
         loop {
             // A runaway execution (adversarial bytecode, a huge honest
             // loop, or an engine defect) must not stall the core: the
-            // watchdog bounds each transaction in virtual time.
-            if let Some(deadline) = self.watchdog_deadline {
-                if self.clock.now() > deadline {
+            // watchdog bounds each segment in virtual time.
+            if let Some(deadline) = deadline {
+                if self.clock.now() + self.unticked_ns > deadline {
                     return Err(HevmAbort::Watchdog {
                         budget_ns: self.config.watchdog_ns.unwrap_or(0),
                     });
                 }
             }
             // Gas-slice preemption: yield once this segment has executed
-            // its budget. Checked at the same boundary as the watchdog,
-            // with the frame stack fully materialized (top pushed back),
-            // so the engine is suspendable right here.
-            if let Some(slice) = self.config.gas_slice {
-                if self.pending.is_some() {
-                    let used = self.root_gas.saturating_sub(self.gas_in_flight());
-                    if used.saturating_sub(self.slice_used_start) >= slice {
-                        return Ok(Next::Preempt);
-                    }
+            // its budget. Checked at the same boundary as the watchdog;
+            // the caller puts the frame back, so the engine is
+            // suspendable as soon as this returns.
+            if let Some(slice) = slice {
+                let used = self.root_gas.saturating_sub(gas_below + meta.gas.remaining());
+                if used.saturating_sub(self.slice_used_start) >= slice {
+                    return Ok(Next::Preempt);
                 }
             }
-            // Temporarily detach the top slot to satisfy the borrow
-            // checker; the stepper needs &mut self for state access.
-            let Some(Slot::Resident { mut meta, mut data }) = self.slots.pop() else {
-                unreachable!("ensured resident top");
-            };
-            let stepped = self.step(&mut meta, &mut data);
-            let next = match stepped {
-                Ok(Next::Step) => None,
-                Ok(other) => Some(other),
+            let next = match self.step(meta, data) {
+                Ok(next) => next,
                 Err(err) => {
                     meta.gas.consume_all();
-                    Some(Next::End(Ended::Halt(err)))
+                    Next::End(Ended::Halt(err))
                 }
             };
-            let misses =
-                data.input.l1_misses() + data.memory.l1_misses() + data.ret.l1_misses();
-            // Accumulate only this step's delta: per-frame counters are
-            // cumulative, and several frames contribute over a bundle.
-            let delta = misses.saturating_sub(self.frame_misses_seen);
-            self.stats.l1_misses += delta;
-            self.frame_misses_seen = misses;
-            self.slots.push(Slot::Resident { meta, data });
-            if let Some(next) = next {
-                // Growth may have changed the footprint.
-                if !matches!(next, Next::End(_)) {
-                    self.rebalance_layer2()?;
-                }
+            if !matches!(next, Next::Step) || Some(data.lens()) != balanced {
                 return Ok(next);
             }
-            self.rebalance_layer2()?;
         }
+    }
+
+    /// Puts the retired-but-unticked virtual time on the shared clock.
+    #[inline]
+    fn tick(&mut self) {
+        if self.unticked_ns != 0 {
+            self.clock.advance(std::mem::take(&mut self.unticked_ns));
+        }
+    }
+
+    /// The journaled state as the stepper reaches it: the clock is
+    /// settled first, so a reader behind the overlay — an ORAM client
+    /// stamping its queries, a recording test reader — sees exact time.
+    #[inline]
+    fn world(&mut self) -> &mut JournaledState<R> {
+        self.tick();
+        &mut self.state
+    }
+
+    /// The jump-destination table of `code`, analysed once per image.
+    fn jump_table(&mut self, code: &Arc<Vec<u8>>) -> Arc<JumpTable> {
+        let known = self.jump_tables.iter().find(|(image, _)| Arc::ptr_eq(image, code));
+        if let Some((_, jump)) = known {
+            return Arc::clone(jump);
+        }
+        let jump = Arc::new(JumpTable::analyze(code));
+        self.jump_tables.push((Arc::clone(code), Arc::clone(&jump)));
+        jump
     }
 
     /// Decode + execute one instruction (the fetch/decode stages of the
@@ -1497,9 +1588,10 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             address: meta.address,
         });
 
-        // Pipeline timing: every retired instruction advances the clock.
+        // Pipeline timing: every retired instruction advances the clock
+        // (settled at the next point anything can read it).
         self.stats.instructions += 1;
-        self.clock.advance(self.config.cost.hevm_instruction_ns(byte));
+        self.unticked_ns += self.config.cost.hevm_instruction_ns(byte);
 
         if !meta.gas.charge(info.base_gas) {
             return Err(VmError::OutOfGas);
@@ -1518,8 +1610,8 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 if !meta.gas.charge(gas::keccak_cost(len)) {
                     return Err(VmError::OutOfGas);
                 }
-                let bytes = data.memory.load_slice(offset, len);
-                data.stack.push(tape_crypto::keccak256(&bytes).into_u256())?;
+                let hash = tape_crypto::keccak256(data.memory.slice(offset, len));
+                data.stack.push(hash.into_u256())?;
             }
             C::FrameState => self.exec_frame_state(byte, meta, data)?,
             C::Stack => exec_stack(byte, pc, meta, data)?,
@@ -1558,7 +1650,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                     return Err(VmError::OutOfGas);
                 }
                 let bytes = data.memory.load_slice(offset, len);
-                self.state.log(Log { address: meta.address, topics, data: bytes });
+                self.world().log(Log { address: meta.address, topics, data: bytes });
             }
             C::CallReturn => return self.exec_call_return(byte, meta, data),
             C::Invalid => return Err(VmError::InvalidOpcode(byte)),
@@ -1590,10 +1682,10 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             op::BASEFEE => self.env.base_fee,
             op::MSIZE => U256::from(data.memory.len()),
             op::GAS => U256::from(meta.gas.remaining()),
-            op::SELFBALANCE => self.state.balance(&meta.address),
+            op::SELFBALANCE => self.world().balance(&meta.address),
             op::BALANCE => {
                 let addr = Address::from_word(data.stack.pop()?);
-                let (info, is_cold) = self.state.load_account(addr);
+                let (info, is_cold) = self.world().load_account(addr);
                 self.inspector.state_access(&StateAccess::Account(addr));
                 if is_cold {
                     self.charge_local_fetch();
@@ -1605,7 +1697,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             }
             op::EXTCODESIZE => {
                 let addr = Address::from_word(data.stack.pop()?);
-                let (info, is_cold) = self.state.load_account(addr);
+                let (info, is_cold) = self.world().load_account(addr);
                 self.inspector.state_access(&StateAccess::Account(addr));
                 if is_cold {
                     self.charge_local_fetch();
@@ -1617,7 +1709,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             }
             op::EXTCODEHASH => {
                 let addr = Address::from_word(data.stack.pop()?);
-                let (_, is_cold) = self.state.load_account(addr);
+                let (_, is_cold) = self.world().load_account(addr);
                 self.inspector.state_access(&StateAccess::Account(addr));
                 if is_cold {
                     self.charge_local_fetch();
@@ -1625,7 +1717,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 if !meta.gas.charge(gas::account_access_cost(is_cold)) {
                     return Err(VmError::OutOfGas);
                 }
-                self.state.code_hash(&addr).into_u256()
+                self.world().code_hash(&addr).into_u256()
             }
             op::BLOCKHASH => {
                 let number = data.stack.pop()?;
@@ -1633,7 +1725,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                     Some(n)
                         if n < self.env.block_number && self.env.block_number - n <= 256 =>
                     {
-                        self.state.reader().block_hash(n).into_u256()
+                        self.world().reader().block_hash(n).into_u256()
                     }
                     _ => U256::ZERO,
                 }
@@ -1688,13 +1780,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 let offset = data.stack.pop()?;
                 let mut word = [0u8; 32];
                 if let Some(off) = offset.try_into_usize() {
-                    for (i, b) in word.iter_mut().enumerate() {
-                        *b = off
-                            .checked_add(i)
-                            .and_then(|p| data.input.as_bytes().get(p))
-                            .copied()
-                            .unwrap_or(0);
-                    }
+                    copy_padded(&mut word, data.input.as_bytes(), off);
                 }
                 data.stack.push(U256::from_be_bytes(word))?;
             }
@@ -1711,7 +1797,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             }
             op::EXTCODECOPY => {
                 let addr = Address::from_word(data.stack.pop()?);
-                let (_, is_cold) = self.state.load_account(addr);
+                let (_, is_cold) = self.world().load_account(addr);
                 if is_cold {
                     self.charge_local_fetch();
                 }
@@ -1719,7 +1805,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                     return Err(VmError::OutOfGas);
                 }
                 let (dst, src, len) = copy_triplet(meta, data)?;
-                let code = self.state.code(&addr);
+                let code = self.world().code(&addr);
                 self.inspector.state_access(&StateAccess::Code(addr, code.len()));
                 data.memory.store_padded(dst, &code, src, len);
             }
@@ -1754,7 +1840,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         match byte {
             op::SLOAD => {
                 let key = data.stack.pop()?;
-                let result = self.state.sload(&meta.address, &key);
+                let result = self.world().sload(&meta.address, &key);
                 self.inspector
                     .state_access(&StateAccess::StorageRead(meta.address, key));
                 if result.is_cold {
@@ -1774,7 +1860,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 }
                 let key = data.stack.pop()?;
                 let value = data.stack.pop()?;
-                let result = self.state.sstore(&meta.address, &key, value);
+                let result = self.world().sstore(&meta.address, &key, value);
                 self.inspector
                     .state_access(&StateAccess::StorageWrite(meta.address, key, value));
                 if result.is_cold {
@@ -1789,7 +1875,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             }
             op::TLOAD => {
                 let key = data.stack.pop()?;
-                let value = self.state.tload(&meta.address, &key);
+                let value = self.world().tload(&meta.address, &key);
                 data.stack.push(value)?;
             }
             op::TSTORE => {
@@ -1798,7 +1884,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 }
                 let key = data.stack.pop()?;
                 let value = data.stack.pop()?;
-                self.state.tstore(&meta.address, &key, value);
+                self.world().tstore(&meta.address, &key, value);
             }
             other => return Err(VmError::InvalidOpcode(other)),
         }
@@ -1829,20 +1915,20 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                     return Err(VmError::StaticViolation);
                 }
                 let beneficiary = Address::from_word(data.stack.pop()?);
-                let (info, is_cold) = self.state.load_account(beneficiary);
+                let (info, is_cold) = self.world().load_account(beneficiary);
                 let mut cost = 0u64;
                 if is_cold {
                     cost += gas::COLD_ACCOUNT_ACCESS;
                     self.charge_local_fetch();
                 }
-                let balance = self.state.balance(&meta.address);
+                let balance = self.world().balance(&meta.address);
                 if info.is_empty() && !balance.is_zero() {
                     cost += gas::SELFDESTRUCT_NEW_ACCOUNT;
                 }
                 if !meta.gas.charge(cost) {
                     return Err(VmError::OutOfGas);
                 }
-                self.state.selfdestruct(&meta.address, &beneficiary);
+                self.world().selfdestruct(&meta.address, &beneficiary);
                 Ok(Next::End(Ended::SelfDestruct))
             }
             op::CALL | op::CALLCODE | op::DELEGATECALL | op::STATICCALL => {
@@ -1878,7 +1964,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         let (out_offset, out_len) = mem_charge(meta, &mut data.memory, out_offset, out_len)?;
         let input = data.memory.load_slice(in_offset, in_len);
 
-        let (target_info, is_cold) = self.state.load_account(target);
+        let (target_info, is_cold) = self.world().load_account(target);
         if is_cold {
             self.charge_local_fetch();
         }
@@ -1891,7 +1977,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         if !value.is_zero() {
             extra += gas::CALL_VALUE;
             stipend = gas::CALL_STIPEND;
-            if byte == op::CALL && target_info.is_empty() && !self.state.exists(target) {
+            if byte == op::CALL && target_info.is_empty() && !self.world().exists(target) {
                 extra += gas::CALL_NEW_ACCOUNT;
             }
         }
@@ -1910,7 +1996,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         let child_gas = child_gas + stipend;
 
         if meta.depth >= gas::CALL_DEPTH_LIMIT
-            || (!value.is_zero() && self.state.balance(&meta.address) < value)
+            || (!value.is_zero() && self.world().balance(&meta.address) < value)
         {
             meta.gas.reclaim(child_gas - stipend);
             data.ret = MemLike::new(self.config.mem.return_cache);
@@ -1973,14 +2059,14 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             return Err(VmError::OutOfGas);
         }
 
-        if meta.depth >= gas::CALL_DEPTH_LIMIT || self.state.balance(&meta.address) < value {
+        if meta.depth >= gas::CALL_DEPTH_LIMIT || self.world().balance(&meta.address) < value {
             meta.gas.reclaim(child_gas);
             data.ret = MemLike::new(self.config.mem.return_cache);
             data.stack.push(U256::ZERO)?;
             return Ok(Next::Step);
         }
 
-        let nonce = self.state.inc_nonce(&meta.address);
+        let nonce = self.world().inc_nonce(&meta.address);
         let created = match salt {
             Some(salt) => create2_address(&meta.address, &salt, &initcode),
             None => create_address(&meta.address, nonce),

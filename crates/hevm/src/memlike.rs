@@ -3,7 +3,10 @@
 //!
 //! Each memory-like tracks its byte contents plus how many 1 KB pages it
 //! occupies in the execution frame; accesses beyond the layer-1 cache
-//! partition are layer-2 hits and charged a miss penalty by the engine.
+//! partition are layer-2 hits. The engine *counts* them
+//! (`HevmStats::l1_misses`) but charges no virtual time for them yet:
+//! `CostModel::l1_miss_ns` exists and nothing reads it (ROADMAP, "Found,
+//! not fixed").
 
 use tape_primitives::U256;
 
@@ -126,25 +129,22 @@ impl MemLike {
         }
         self.expand(offset, len);
         self.note_access(offset, len);
-        for i in 0..len {
-            // checked_add: a sentinel src_offset of usize::MAX must read
-            // as zero-padding, not wrap around to the buffer start.
-            self.data[offset + i] = src_offset
-                .checked_add(i)
-                .and_then(|p| src.get(p))
-                .copied()
-                .unwrap_or(0);
-        }
+        copy_padded(&mut self.data[offset..offset + len], src, src_offset);
     }
 
-    /// Reads `len` bytes, expanding.
-    pub fn load_slice(&mut self, offset: usize, len: usize) -> Vec<u8> {
+    /// Borrows `len` bytes, expanding.
+    pub fn slice(&mut self, offset: usize, len: usize) -> &[u8] {
         if len == 0 {
-            return Vec::new();
+            return &[];
         }
         self.expand(offset, len);
         self.note_access(offset, len);
-        self.data[offset..offset + len].to_vec()
+        &self.data[offset..offset + len]
+    }
+
+    /// Reads `len` bytes into an owned buffer, expanding.
+    pub fn load_slice(&mut self, offset: usize, len: usize) -> Vec<u8> {
+        self.slice(offset, len).to_vec()
     }
 
     /// Overlap-safe internal copy (MCOPY).
@@ -162,6 +162,17 @@ impl MemLike {
     pub fn get(&self, offset: usize) -> Option<u8> {
         self.data.get(offset).copied()
     }
+}
+
+/// Fills `dst` from `src[src_offset..]`, zero-padding past the source
+/// end. A `src_offset` at or beyond the end — the `usize::MAX` sentinel
+/// for an offset that does not fit a `usize` included — reads as all
+/// padding, never wrapping around to the buffer start.
+pub(crate) fn copy_padded(dst: &mut [u8], src: &[u8], src_offset: usize) {
+    let tail = src.get(src_offset..).unwrap_or(&[]);
+    let copied = tail.len().min(dst.len());
+    dst[..copied].copy_from_slice(&tail[..copied]);
+    dst[copied..].fill(0);
 }
 
 #[cfg(test)]
@@ -193,6 +204,24 @@ mod tests {
         let mut m = MemLike::new(1024);
         m.store_padded(0, &[1, 2], 1, 4);
         assert_eq!(&m.as_bytes()[..4], &[2, 0, 0, 0]);
+        // Padding overwrites what was there, and a source longer than
+        // the window is cut, not spilled.
+        m.store_padded(0, &[9, 8, 7, 6, 5], 1, 2);
+        assert_eq!(&m.as_bytes()[..4], &[8, 7, 0, 0]);
+        m.store_padded(1, &[3], 1, 2);
+        assert_eq!(&m.as_bytes()[..4], &[8, 0, 0, 0]);
+    }
+
+    #[test]
+    fn padded_copy_sentinel_offset_reads_as_padding() {
+        // `usize::MAX` stands for "offset does not fit": all zeros, no
+        // wrap-around to the buffer start.
+        let mut m = MemLike::new(1024);
+        m.store_slice(0, &[0xAA; 8]);
+        m.store_padded(2, &[1, 2, 3], usize::MAX, 4);
+        assert_eq!(&m.as_bytes()[..8], &[0xAA, 0xAA, 0, 0, 0, 0, 0xAA, 0xAA]);
+        m.store_padded(0, &[1, 2, 3], usize::MAX - 1, 2);
+        assert_eq!(&m.as_bytes()[..2], &[0, 0]);
     }
 
     #[test]

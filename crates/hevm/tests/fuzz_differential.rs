@@ -3,13 +3,21 @@
 //! and the HEVM — same success flag, gas, output, logs, state changes,
 //! and structured trace. This is §VI-B pushed past the curated
 //! evaluation set into the adversarial corner cases.
+//!
+//! Tier-1 runs [`CASES`] cases per property on the default hierarchy.
+//! The `#[ignore]`d soak at the bottom (`scripts/verify.sh --soak`, in
+//! release) runs twenty times as many, then the same generators again
+//! on a tiny layer 2 (frames spill to layer 3 and come back) and with
+//! a small gas slice (every few dozen instructions a segment ends and
+//! the next continues in place).
 
 use tape_crypto::prop::check;
 use tape_evm::asm::Asm;
 use tape_evm::opcode::op;
 use tape_evm::{Env, Evm, StructTracer, Transaction};
-use tape_hevm::{Hevm, HevmConfig};
+use tape_hevm::{Hevm, HevmAbort, HevmConfig, HevmStats};
 use tape_primitives::{Address, U256};
+use tape_sim::resources::MemoryConfig;
 use tape_sim::Clock;
 use tape_state::{Account, InMemoryState};
 
@@ -27,7 +35,36 @@ fn helper() -> Address {
     Address::from_low_u64(0xCA11)
 }
 
-fn run_both(code: Vec<u8>, helper_code: Vec<u8>, input: Vec<u8>, gas: u64) {
+/// The HEVM configuration a property runs against.
+#[derive(Default)]
+struct Rig {
+    config: HevmConfig,
+    /// A layer 2 small enough that an honest frame can exceed the
+    /// single-frame limit: the HEVM then aborts the bundle (§IV-B), the
+    /// reference engine has no such notion, and the case says nothing.
+    may_overflow: bool,
+}
+
+impl Rig {
+    fn tiny_layer2() -> Self {
+        let mem = MemoryConfig { layer2_bytes: 128 * 1024, ..MemoryConfig::default() };
+        Rig { config: HevmConfig { mem, ..HevmConfig::default() }, may_overflow: true }
+    }
+
+    fn small_slice() -> Self {
+        Rig { config: HevmConfig { gas_slice: Some(400), ..HevmConfig::default() }, may_overflow: false }
+    }
+}
+
+/// Runs one case on both engines and returns the HEVM's statistics
+/// (`None` when the rig's layer 2 made it abort the bundle).
+fn run_both(
+    rig: &Rig,
+    code: Vec<u8>,
+    helper_code: Vec<u8>,
+    input: Vec<u8>,
+    gas: u64,
+) -> Option<HevmStats> {
     let mut backend = InMemoryState::new();
     backend.put_account(sender(), Account::with_balance(U256::from(u64::MAX)));
     let mut main = Account::with_code(code);
@@ -44,13 +81,16 @@ fn run_both(code: Vec<u8>, helper_code: Vec<u8>, input: Vec<u8>, gas: u64) {
     let mut reference = Evm::with_inspector(Env::default(), &backend, StructTracer::new());
     let expected = reference.transact(&tx).expect("reference accepts");
     let mut hevm = Hevm::with_inspector(
-        HevmConfig::default(),
+        rig.config.clone(),
         Env::default(),
         &backend,
         Clock::new(),
         StructTracer::new(),
     );
-    let actual = hevm.transact(&tx).expect("hevm accepts");
+    let actual = match hevm.transact(&tx) {
+        Err(HevmAbort::MemoryOverflow { .. }) if rig.may_overflow => return None,
+        outcome => outcome.expect("hevm accepts"),
+    };
 
     assert_eq!(expected, actual, "tx result");
     let ref_trace = reference.inspector();
@@ -63,35 +103,33 @@ fn run_both(code: Vec<u8>, helper_code: Vec<u8>, input: Vec<u8>, gas: u64) {
         );
     }
     assert_eq!(reference.state().changes(), hevm.state().changes(), "state changes");
+    Some(hevm.stats())
 }
 
 /// Pure byte soup: whatever it does — halt, revert, run off the end —
 /// both engines must agree exactly.
-#[test]
-fn random_bytes_agree() {
-    check("random_bytes_agree", CASES, |g| {
+fn random_bytes(rig: &Rig, cases: u32) {
+    check("random_bytes_agree", cases, |g| {
         let code = g.bytes(0, 200);
         let input = g.bytes(0, 64);
-        run_both(code, vec![], input, 300_000);
+        run_both(rig, code, vec![], input, 300_000);
     });
 }
 
 /// Byte soup biased toward defined opcodes (higher chance of real
 /// execution paths than uniform bytes).
-#[test]
-fn biased_opcode_soup_agrees() {
-    check("biased_opcode_soup_agrees", CASES, |g| {
+fn biased_opcode_soup(rig: &Rig, cases: u32) {
+    check("biased_opcode_soup_agrees", cases, |g| {
         let ops = g.vec_of(1, 150, |g| g.below(0xA5) as u8);
         let input = g.bytes(0, 32);
-        run_both(ops, vec![], input, 300_000);
+        run_both(rig, ops, vec![], input, 300_000);
     });
 }
 
 /// Structured programs: random straight-line stack/ALU/memory work
 /// with a proper epilogue, so deep execution paths are exercised
 /// (not just early halts).
-#[test]
-fn structured_programs_agree() {
+fn structured_programs(rig: &Rig, cases: u32) {
     const ALU: &[u8] = &[
         op::ADD,
         op::MUL,
@@ -114,7 +152,7 @@ fn structured_programs_agree() {
         op::BYTE,
         op::SIGNEXTEND,
     ];
-    check("structured_programs_agree", CASES, |g| {
+    check("structured_programs_agree", cases, |g| {
         let words = g.vec_of(1, 20, |g| g.u64());
         let alu = g.vec_of(0, 30, |g| *g.choose(ALU));
         let store_slot = g.u8();
@@ -132,16 +170,15 @@ fn structured_programs_agree() {
             .op(op::SSTORE)
             .ret_top()
             .build();
-        run_both(code, vec![], vec![], 500_000);
+        run_both(rig, code, vec![], vec![], 500_000);
     });
 }
 
 /// Random cross-contract calls: the helper runs random (possibly
 /// crashing) code; the caller forwards random gas and input, then
 /// stores the success flag.
-#[test]
-fn random_subcalls_agree() {
-    check("random_subcalls_agree", CASES, |g| {
+fn random_subcalls(rig: &Rig, cases: u32) {
+    check("random_subcalls_agree", cases, |g| {
         let helper_code = g.bytes(0, 100);
         let call_gas = g.below(200_000);
         let value = g.below(2_000);
@@ -160,15 +197,14 @@ fn random_subcalls_agree() {
             .op(op::RETURNDATASIZE)
             .ret_top()
             .build();
-        run_both(code, helper_code, vec![0xAB; 4], 400_000);
+        run_both(rig, code, helper_code, vec![0xAB; 4], 400_000);
     });
 }
 
 /// Random memory traffic: MSTORE/MLOAD/MCOPY/KECCAK over arbitrary
 /// (bounded) offsets, exercising expansion metering in both engines.
-#[test]
-fn random_memory_traffic_agrees() {
-    check("random_memory_traffic_agrees", CASES, |g| {
+fn random_memory_traffic(rig: &Rig, cases: u32) {
+    check("random_memory_traffic_agrees", cases, |g| {
         let ops = g.vec_of(1, 25, |g| (g.below(5) as u8, g.below(4096), g.below(4096)));
         let mut asm = Asm::new();
         for (kind, a, b) in &ops {
@@ -180,15 +216,14 @@ fn random_memory_traffic_agrees() {
                 _ => asm.push(32u64).push(*a).op(op::KECCAK256).op(op::POP),
             };
         }
-        run_both(asm.op(op::MSIZE).ret_top().build(), vec![], vec![], 2_000_000);
+        run_both(rig, asm.op(op::MSIZE).ret_top().build(), vec![], vec![], 2_000_000);
     });
 }
 
 /// Tight gas limits: out-of-gas must strike at the same instruction
 /// in both engines (verified via identical traces and gas_used).
-#[test]
-fn gas_exhaustion_agrees() {
-    check("gas_exhaustion_agrees", CASES, |g| {
+fn gas_exhaustion(rig: &Rig, cases: u32) {
+    check("gas_exhaustion_agrees", cases, |g| {
         let gas = g.range(21_000, 40_000);
         let spin = g.bool();
         let code = if spin {
@@ -201,6 +236,129 @@ fn gas_exhaustion_agrees() {
             }
             asm.stop().build()
         };
-        run_both(code, vec![], vec![], gas);
+        run_both(rig, code, vec![], vec![], gas);
     });
+}
+
+/// Random self-recursion: every level grows Memory by a random amount,
+/// calls itself one level down with a random output window, records the
+/// callee's flag and ReturnData size, and returns a random-length slice
+/// of its Memory. The one generator that builds a deep stack — on the
+/// tiny layer 2 its lower frames spill and are reloaded on the way up.
+fn random_recursion(rig: &Rig, cases: u32) {
+    let mut swaps = 0;
+    check("random_recursion_agrees", cases, |g| {
+        let depth = g.below(9);
+        let grow = g.below(6 * 1024);
+        let out_len = g.below(96);
+        let ret_len = g.below(2 * 1024);
+        let forward = if g.bool() { u64::MAX } else { g.range(2_000, 400_000) };
+        let code = Asm::new()
+            .push(0xEEu64)
+            .push(grow)
+            .op(op::MSTORE8)
+            .push(0u64)
+            .op(op::CALLDATALOAD) // [n]
+            .op(op::DUP1)
+            .op(op::ISZERO)
+            .jumpi("leaf")
+            .op(op::DUP1)
+            .push(1u64)
+            .op(op::SWAP1)
+            .op(op::SUB)
+            .push(0u64)
+            .op(op::MSTORE) // mem[0] = n - 1
+            .push(out_len)
+            .push(64u64)
+            .push(32u64)
+            .push(0u64)
+            .push(0u64)
+            .op(op::ADDRESS)
+            .push(forward)
+            .op(op::CALL) // [n, ok]
+            .op(op::RETURNDATASIZE)
+            .op(op::ADD)
+            .op(op::SWAP1)
+            .op(op::SSTORE) // storage[n] = ok + returndatasize
+            .push(ret_len)
+            .push(0u64)
+            .op(op::RETURN)
+            .label("leaf")
+            .push(ret_len)
+            .push(0u64)
+            .op(op::RETURN)
+            .build();
+        let input = U256::from(depth).to_be_bytes().to_vec();
+        if let Some(stats) = run_both(rig, code, vec![], input, 3_000_000) {
+            swaps += stats.swaps;
+        }
+    });
+    assert!(swaps > 0 || !rig.may_overflow, "the tiny layer 2 never spilled a frame");
+}
+
+/// A property: runs `cases` seeded cases against a rig.
+type Property = fn(&Rig, u32);
+
+/// Every property, by name.
+const PROPERTIES: [(&str, Property); 7] = [
+    ("random_bytes", random_bytes),
+    ("biased_opcode_soup", biased_opcode_soup),
+    ("structured_programs", structured_programs),
+    ("random_subcalls", random_subcalls),
+    ("random_memory_traffic", random_memory_traffic),
+    ("gas_exhaustion", gas_exhaustion),
+    ("random_recursion", random_recursion),
+];
+
+#[test]
+fn random_bytes_agree() {
+    random_bytes(&Rig::default(), CASES);
+}
+
+#[test]
+fn biased_opcode_soup_agrees() {
+    biased_opcode_soup(&Rig::default(), CASES);
+}
+
+#[test]
+fn structured_programs_agree() {
+    structured_programs(&Rig::default(), CASES);
+}
+
+#[test]
+fn random_subcalls_agree() {
+    random_subcalls(&Rig::default(), CASES);
+}
+
+#[test]
+fn random_memory_traffic_agrees() {
+    random_memory_traffic(&Rig::default(), CASES);
+}
+
+#[test]
+fn gas_exhaustion_agrees() {
+    gas_exhaustion(&Rig::default(), CASES);
+}
+
+#[test]
+fn random_recursion_agrees() {
+    random_recursion(&Rig::default(), CASES);
+    random_recursion(&Rig::tiny_layer2(), CASES);
+}
+
+/// The soak: twenty times tier-1's cases per property, on the default
+/// hierarchy, on a tiny layer 2 and with a small gas slice.
+#[test]
+#[ignore = "long; scripts/verify.sh --soak runs it in release"]
+fn every_property_holds_at_length_and_under_pressure() {
+    for (rig_name, rig) in [
+        ("default", Rig::default()),
+        ("tiny_layer2", Rig::tiny_layer2()),
+        ("small_slice", Rig::small_slice()),
+    ] {
+        for (name, property) in PROPERTIES {
+            property(&rig, 20 * CASES);
+            println!("FUZZ_SOAK {rig_name} {name}: {} cases agree", 20 * CASES);
+        }
+    }
 }

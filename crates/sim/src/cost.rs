@@ -49,6 +49,9 @@ pub struct CostModel {
     /// disabled (`-raw`/`-E`/`-ES` configurations).
     pub local_state_fetch_ns: u64,
     /// Layer-1 cache miss penalty (refill from layer 2), per access.
+    /// Not charged anywhere yet: the HEVM counts misses
+    /// (`HevmStats::l1_misses`) but nothing reads this constant, so a
+    /// miss costs no virtual time (ROADMAP, "Found, not fixed").
     pub l1_miss_ns: u64,
     /// Scheduler dispatch overhead per segment suspend *or* resume: the
     /// Hypervisor's A53 parks one HEVM context and readies another
@@ -82,12 +85,16 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// HEVM pipeline cycles for one instruction. The four-stage pipeline
-    /// retires simple ops every cycle; multi-cycle ALU ops (256-bit
-    /// MUL/DIV/EXP), keccak rounds, and frame switches stall it.
-    pub fn hevm_cycles(&self, opcode: u8) -> u64 {
-        match opcode {
+/// HEVM pipeline cycles for one instruction, indexed by opcode byte. The
+/// four-stage pipeline retires simple ops every cycle; multi-cycle ALU
+/// ops (256-bit MUL/DIV/EXP), keccak rounds, and frame switches stall
+/// it. A `const` table: the engine looks a cost up per retired
+/// instruction, and nothing about it varies per device.
+pub const HEVM_CYCLES: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut opcode = 0usize;
+    while opcode < 256 {
+        table[opcode] = match opcode as u8 {
             op::MUL => 8,
             op::DIV | op::SDIV | op::MOD | op::SMOD => 40,
             op::ADDMOD | op::MULMOD => 48,
@@ -98,18 +105,23 @@ impl CostModel {
             op::CREATE | op::CREATE2 => 400,
             op::CALL | op::CALLCODE | op::DELEGATECALL | op::STATICCALL | op::RETURN
             | op::REVERT | op::SELFDESTRUCT => 240, // L1 dump/reload on frame switch
-            _ => match opcode::info(opcode).category {
+            _ => match opcode::OPCODES[opcode].category {
                 OpCategory::Arithmetic => 4,
                 OpCategory::Memory => 2,
                 OpCategory::Log => 8,
                 _ => 1,
             },
-        }
+        };
+        opcode += 1;
     }
+    table
+};
 
+impl CostModel {
     /// Virtual time for one HEVM instruction.
+    #[inline]
     pub fn hevm_instruction_ns(&self, opcode: u8) -> u64 {
-        self.hevm_cycles(opcode) * self.hevm_cycle_ns
+        HEVM_CYCLES[opcode as usize] as u64 * self.hevm_cycle_ns
     }
 
     /// Virtual time for one Geth (software interpreter) instruction.
@@ -157,11 +169,15 @@ mod tests {
     #[test]
     fn hevm_cycle_ordering() {
         let m = CostModel::default();
+        let cycles = |opcode: u8| HEVM_CYCLES[opcode as usize];
         // Simple ALU < MUL < DIV < CALL.
-        assert!(m.hevm_cycles(op::ADD) < m.hevm_cycles(op::MUL));
-        assert!(m.hevm_cycles(op::MUL) < m.hevm_cycles(op::DIV));
-        assert!(m.hevm_cycles(op::DIV) < m.hevm_cycles(op::CALL));
-        assert_eq!(m.hevm_cycles(op::DUP1), 1);
+        assert!(cycles(op::ADD) < cycles(op::MUL));
+        assert!(cycles(op::MUL) < cycles(op::DIV));
+        assert!(cycles(op::DIV) < cycles(op::CALL));
+        assert_eq!(cycles(op::DUP1), 1);
+        assert_eq!(cycles(op::MSTORE), 2);
+        assert_eq!(cycles(op::LOG2), 8);
+        assert_eq!(cycles(0x0c), 1); // undefined opcodes halt in one cycle
         assert_eq!(m.hevm_instruction_ns(op::ADD), 40);
     }
 

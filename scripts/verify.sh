@@ -24,7 +24,10 @@
 #            and the rigs again at 2 workers, which must reproduce the
 #            1-worker digest: parallelism is a host throughput knob,
 #            never a schedule input. Exactly-once accounting and the
-#            §IV-D audit are asserted inside the tests.
+#            §IV-D audit are asserted inside the tests. Last, the
+#            HEVM-vs-reference differential fuzz at length, in release:
+#            20x tier-1's cases per property, then the same generators
+#            on a tiny layer 2 and with a small gas slice.
 # --recover  disk-recovery soak: an uninterrupted run, a run aborted
 #            (real process abort) after a seeded bundle, and a recovery
 #            run over the killed directory that must print the
@@ -210,6 +213,9 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
         fi
         echo "$kind: 2-worker digest matches 1-worker"
     done
+    echo "==> differential fuzz soak (release: 20x cases, tiny layer 2, small gas slice)"
+    cargo test -q --release -p tape-hevm --test fuzz_differential -- --ignored --nocapture \
+        | grep -E '^FUZZ_SOAK '
 fi
 
 recover_soak() {
