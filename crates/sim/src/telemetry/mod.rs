@@ -1194,6 +1194,48 @@ mod tests {
             bufs.push(buf);
         }
         assert_ne!(bufs[0], bufs[1]);
+
+        // One sample of every variant, every field a distinct value: the
+        // wire form is what every checked-in digest chains over, so its
+        // bytes are pinned here.
+        let (address, group) = ([0xA5; 20], [0x5A; 32]);
+        let samples = [
+            TelemetryEvent::Phase { at: 1, phase: PhaseKind::Sign, ns: 2 },
+            TelemetryEvent::OramQuery { at: 3, kind: QueryKind::Prefetch, bytes: 4 },
+            TelemetryEvent::PrefetchDrained { at: 5, pages: 6 },
+            TelemetryEvent::Swap { at: 7, out: true, true_pages: 8, observed_pages: 9 },
+            TelemetryEvent::QueueDepth { at: 10, queued: 11, max_deficit: 12 },
+            TelemetryEvent::Admit { at: 13, session: 14, ticket: 15 },
+            TelemetryEvent::Reject { at: 16, session: 17, tenant_local: true, backlog_ns: 18 },
+            TelemetryEvent::Shed { at: 19, session: 20, ticket: 21 },
+            TelemetryEvent::Breaker { at: 22, state: 2 },
+            TelemetryEvent::NodeRetry { at: 23, attempt: 24, backoff_ns: 25 },
+            TelemetryEvent::PlanPage { at: 26, address, page: 27 },
+            TelemetryEvent::CodePageFetch { at: 28, address, page: 29 },
+            TelemetryEvent::PlanKv { at: 30, address, meta: true, group },
+            TelemetryEvent::PlanKvDynamic { at: 31, address },
+            TelemetryEvent::KvFetch { at: 32, address, meta: false, group },
+            TelemetryEvent::RollbackBegin { at: 33, height: 34, depth: 35, accounts: 36 },
+            TelemetryEvent::RollbackEnd { at: 37, pages: 38 },
+            TelemetryEvent::SegmentYield { at: 39, segment: 40, frames: 41 },
+            TelemetryEvent::SegmentEnd { at: 42, swaps: 43 },
+            TelemetryEvent::RecoveryBegin { at: 44, journal_records: 45 },
+            TelemetryEvent::RecoveryEnd { at: 46, replayed: 47, discarded: 48 },
+            TelemetryEvent::DiskUnverified { at: 49, bucket: 50 },
+        ];
+        let mut wire = Vec::new();
+        let mut tags = std::collections::BTreeSet::new();
+        for ev in samples {
+            let start = wire.len();
+            ev.encode(&mut wire);
+            tags.insert(wire[start]);
+        }
+        assert_eq!(tags.len(), samples.len(), "two variants share a tag byte");
+        assert_eq!(
+            tape_crypto::keccak256(&wire).to_string(),
+            "0x971752bbc699130eebebc310d8f9a7413ca78c74821db316790b84fa0d2733d5",
+            "the canonical event encoding changed"
+        );
     }
 
     #[test]

@@ -39,19 +39,41 @@ fn fresh_client() -> OramClient {
     OramClient::new(geometry(), &KEY, SecureRng::from_seed(CLIENT_SEED))
 }
 
-/// Opens the disk store in `dir` and wraps it in a checkpointing server
-/// (autocommit off: every op seals the client into its commit).
+fn config(dir: &std::path::Path) -> DiskStoreConfig {
+    DiskStoreConfig::new(dir, MAC_KEY)
+}
+
+/// [`config`] at the smallest segment size the store accepts. One
+/// checkpointed op of this geometry appends more than that (six bucket
+/// records and a sealed client), so segments roll at every opportunity.
+fn rolling(dir: &std::path::Path) -> DiskStoreConfig {
+    DiskStoreConfig { segment_roll_bytes: 4096, ..config(dir) }
+}
+
+/// Opens the disk store `cfg` describes, arms `plan` underneath it, and
+/// wraps it in a checkpointing server (autocommit off: every op seals
+/// the client into its commit).
+fn open_store(
+    cfg: DiskStoreConfig,
+    plan: Option<&FaultPlan>,
+    clock: &Clock,
+    telemetry: Option<Telemetry>,
+) -> (OramServer, RecoveryReport) {
+    let (mut store, report) =
+        DiskStore::open(cfg, &geometry(), clock, telemetry).expect("open disk store");
+    if let Some(plan) = plan {
+        store.arm_faults(plan.clone());
+    }
+    let mut server = OramServer::with_backend(geometry(), Box::new(store));
+    server.set_autocommit(false);
+    (server, report)
+}
+
 fn open_disk(
     dir: &std::path::Path,
     telemetry: Option<Telemetry>,
 ) -> (OramServer, RecoveryReport) {
-    let clock = Clock::new();
-    let (store, report) =
-        DiskStore::open(DiskStoreConfig::new(dir, MAC_KEY), &geometry(), &clock, telemetry)
-            .expect("open disk store");
-    let mut server = OramServer::with_backend(geometry(), Box::new(store));
-    server.set_autocommit(false);
-    (server, report)
+    open_store(config(dir), None, &Clock::new(), telemetry)
 }
 
 /// [`open_disk`], with the fault plan armed underneath the server.
@@ -60,13 +82,7 @@ fn open_armed(
     plan: &FaultPlan,
     clock: &Clock,
 ) -> (OramServer, RecoveryReport) {
-    let (mut store, report) =
-        DiskStore::open(DiskStoreConfig::new(dir, MAC_KEY), &geometry(), clock, None)
-            .expect("open armed store");
-    store.arm_faults(plan.clone());
-    let mut server = OramServer::with_backend(geometry(), Box::new(store));
-    server.set_autocommit(false);
-    (server, report)
+    open_store(config(dir), Some(plan), clock, None)
 }
 
 /// One checkpointed op: write block `i`, seal the client into the
@@ -119,8 +135,8 @@ fn twin_digests(total: u64) -> Vec<B256> {
 /// recovered commit count, restore the client from the durable meta
 /// slot, finish the workload, and check byte-identity with the twin's
 /// final state.
-fn reopen_and_finish(dir: &std::path::Path, total: u64, twins: &[B256]) -> RecoveryReport {
-    let (mut server, report) = open_disk(dir, None);
+fn reopen_and_finish(cfg: DiskStoreConfig, total: u64, twins: &[B256]) -> RecoveryReport {
+    let (mut server, report) = open_store(cfg, None, &Clock::new(), None);
     let s = report.committed_seq;
     assert!(s <= total, "recovered seq {s} beyond the {total} ops ever attempted");
     assert_eq!(
@@ -191,26 +207,23 @@ fn disk_backed_roundtrip_matches_twin_and_survives_reopen() {
     }
 }
 
-#[test]
-fn kill_matrix_every_crash_point_recovers_byte_identical() {
-    let total = 3u64;
+/// Crashes a `total`-op run at every I/O boundary in turn (the
+/// `CrashPoint { n }` countdown) and recovers each one against the
+/// twin. Returns how many crash points the sweep covered.
+fn kill_matrix(total: u64, cfg: fn(&std::path::Path) -> DiskStoreConfig) -> u32 {
     let twins = twin_digests(total);
     let mut crashes = 0u32;
-    let mut n = 0u32;
     loop {
-        let scratch = Scratch::new("store-kill", u64::from(n));
+        let scratch = Scratch::new("store-kill", total << 32 | u64::from(crashes));
         let clock = Clock::new();
         let plan = FaultPlan::new(0xC0FFEE, &clock);
-        plan.arm(FaultSite::Disk, &[FaultKind::CrashPoint { n }], 1, 1);
-        let (mut server, _) = open_armed(scratch.path(), &plan, &clock);
+        plan.arm(FaultSite::Disk, &[FaultKind::CrashPoint { n: crashes }], 1, 1);
+        let (mut server, _) = open_store(cfg(scratch.path()), Some(&plan), &clock, None);
         let mut client = fresh_client();
         match run_ops(&mut server, &mut client, 0, total) {
-            Ok(()) => {
-                // The countdown outlived every I/O boundary of the run:
-                // the whole matrix has been swept.
-                assert!(crashes >= 20, "matrix swept only {crashes} crash points");
-                break;
-            }
+            // The countdown outlived every I/O boundary of the run:
+            // the whole matrix has been swept.
+            Ok(()) => return crashes,
             Err((_, OramError::Store(StoreError::Crashed))) => {
                 crashes += 1;
                 // Poisoned store refuses everything until reopen.
@@ -219,12 +232,49 @@ fn kill_matrix_every_crash_point_recovers_byte_identical() {
                     Err(OramError::Store(StoreError::Crashed))
                 ));
                 drop(server);
-                reopen_and_finish(scratch.path(), total, &twins);
+                reopen_and_finish(cfg(scratch.path()), total, &twins);
             }
             Err((i, err)) => panic!("op {i}: unexpected error {err}"),
         }
-        n += 1;
     }
+}
+
+#[test]
+fn kill_matrix_every_crash_point_recovers_byte_identical() {
+    let crashes = kill_matrix(3, config);
+    assert!(crashes >= 20, "matrix swept only {crashes} crash points");
+}
+
+/// The same sweep with crash points landing on segment rolls too.
+#[test]
+#[ignore = "ROADMAP debt (a)"]
+fn kill_matrix_across_segment_rolls_recovers_byte_identical() {
+    let crashes = kill_matrix(12, rolling);
+    assert!(crashes >= 80, "matrix swept only {crashes} crash points");
+}
+
+/// A clean stop (the server is dropped, nothing is torn) after every
+/// commit count in turn, with most transactions straddling a segment
+/// roll: each reopen must find exactly the commits made and the twin's
+/// tree at that count.
+#[test]
+#[ignore = "ROADMAP debt (a)"]
+fn clean_stop_at_every_commit_index_recovers_the_twin() {
+    let total = 40u64;
+    let twins = twin_digests(total);
+    let mut wrong = Vec::new();
+    for stop in 1..=total {
+        let scratch = Scratch::new("store-clean-stop", stop);
+        let (mut server, _) = open_store(rolling(scratch.path()), None, &Clock::new(), None);
+        run_ops(&mut server, &mut fresh_client(), 0, stop).expect("clean run");
+        drop(server);
+        let (server, report) = open_store(rolling(scratch.path()), None, &Clock::new(), None);
+        assert_eq!(report.committed_seq, stop, "a clean stop loses no commit");
+        if server.state_digest() != twins[stop as usize] {
+            wrong.push(stop);
+        }
+    }
+    assert!(wrong.is_empty(), "stops that recovered a different tree: {wrong:?}");
 }
 
 #[test]
@@ -244,7 +294,7 @@ fn torn_journal_write_is_discarded_on_recovery() {
             run_ops(&mut server, &mut client, 0, total).expect_err("torn write must crash");
         assert_eq!(err, OramError::Store(StoreError::Crashed), "op {i}");
         drop(server);
-        let report = reopen_and_finish(scratch.path(), total, &twins);
+        let report = reopen_and_finish(config(scratch.path()), total, &twins);
         assert!(report.committed_seq <= i, "torn commit {i} must not be visible");
     }
 }
@@ -272,7 +322,7 @@ fn lost_fsync_surfaces_at_the_next_crash() {
     assert_eq!(err, OramError::Store(StoreError::Crashed));
     drop(server);
 
-    let report = reopen_and_finish(scratch.path(), total, &twins);
+    let report = reopen_and_finish(config(scratch.path()), total, &twins);
     assert_eq!(
         report.committed_seq, 0,
         "the lost fsync means nothing was ever durable, whatever the store reported"
@@ -309,7 +359,7 @@ fn bit_rot_is_detected_and_reopen_recovers() {
     // The rot lived in the serving copy; the durable bytes are intact,
     // so a fresh open recovers the full committed state.
     drop(server);
-    reopen_and_finish(scratch.path(), total, &twins);
+    reopen_and_finish(config(scratch.path()), total, &twins);
 }
 
 #[test]
