@@ -35,8 +35,9 @@
 
 use std::collections::BTreeMap;
 
+use hardtape::gateway::served;
 use hardtape::{Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig};
-use tape_bench::{json_escape, percentile, served, Verdict};
+use tape_bench::{json_escape, percentile, Verdict};
 use tape_evm::{Env, Transaction};
 use tape_fleet::{FleetConfig, FleetError, FleetRouter, FleetStats};
 use tape_node::{BlockFeed, FeedSet, FeedSetConfig, Node};

@@ -27,11 +27,12 @@
 //! within 2x the unloaded baseline) — the committed JSON is the measured
 //! evidence.
 
+use hardtape::gateway::served;
 use hardtape::{
     Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, PrecisionSummary, SecurityConfig,
     ServiceConfig,
 };
-use tape_bench::{json_escape, percentile, served, Verdict};
+use tape_bench::{json_escape, percentile, Verdict};
 use tape_evm::{Env, Transaction};
 use tape_oram::OramConfig;
 use tape_primitives::{Address, U256};

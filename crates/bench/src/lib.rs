@@ -12,7 +12,6 @@
 
 use tape_evm::{FrameStart, Inspector, StateAccess, StepInfo};
 use tape_sim::fault::Ablation;
-use tape_sim::queue::EventLog;
 use tape_sim::{Clock, CostModel};
 
 /// How an experiment ended.
@@ -237,51 +236,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// One bundle a gateway admitted and later completed, read back from
-/// its deterministic event log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Served {
-    /// The tenant session.
-    pub session: u64,
-    /// Virtual time of the `admit` line.
-    pub admitted_at: u64,
-    /// Virtual time of the `complete` line.
-    pub completed_at: u64,
-}
-
-/// Every admit→complete pair in a gateway log, in completion order
-/// (`t=<ns> admit|complete session=<s> ticket=<k> ...` lines; anything
-/// else is skipped).
-pub fn served(log: &EventLog) -> Vec<Served> {
-    fn field(part: Option<&str>, prefix: &str) -> Option<u64> {
-        part?.strip_prefix(prefix)?.parse().ok()
-    }
-    let mut admits = std::collections::HashMap::new();
-    let mut out = Vec::new();
-    for line in log.lines() {
-        let mut parts = line.split_whitespace();
-        let Some(at) = field(parts.next(), "t=") else { continue };
-        let verb = parts.next();
-        let (Some(session), Some(ticket)) =
-            (field(parts.next(), "session="), field(parts.next(), "ticket="))
-        else {
-            continue;
-        };
-        match verb {
-            Some("admit") => {
-                admits.insert(ticket, at);
-            }
-            Some("complete") => {
-                if let Some(&admitted_at) = admits.get(&ticket) {
-                    out.push(Served { session, admitted_at, completed_at: at });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,18 +279,6 @@ mod tests {
     #[test]
     fn json_escape_covers_quotes_and_controls() {
         assert_eq!(json_escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
-    }
-
-    #[test]
-    fn served_pairs_admits_with_completions() {
-        let mut log = EventLog::default();
-        log.record("t=10 admit session=1 ticket=7 cost=1");
-        log.record("t=12 admit session=2 ticket=8 cost=1");
-        log.record("t=15 sync ok");
-        log.record("t=30 complete session=2 ticket=8 txs=1 stale=false");
-        log.record("t=40 error session=1 ticket=7 err=boom");
-        log.record("t=50 complete session=3 ticket=9 txs=1 stale=false"); // never admitted here
-        assert_eq!(served(&log), vec![Served { session: 2, admitted_at: 12, completed_at: 30 }]);
     }
 
     fn stub(name: &'static str, run: fn() -> Verdict) -> Experiment {

@@ -311,11 +311,6 @@ impl BundlePause {
             .sum();
         self.checkpoint.remaining_gas().saturating_add(rest)
     }
-
-    /// The session that submitted the paused bundle.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
 }
 
 /// How one [`drive_segment_with`] call ended (internal).
@@ -349,7 +344,9 @@ pub enum ServiceError {
     Oram(OramError),
     /// The session was revoked after an integrity failure; the user must
     /// re-attest (a fresh [`HarDTape::connect_user`]) before submitting
-    /// further bundles.
+    /// further bundles. Also the refusal for a [`BundlePause`] resumed
+    /// under a different session than the one it was taken in: the
+    /// bundle is dead and must be resubmitted under the fresh session.
     ReattestationRequired,
     /// The full node stayed unreachable through every retry.
     NodeUnavailable,
@@ -572,7 +569,7 @@ impl HarDTape {
                 height: config.oram_height,
             };
             // Durable deployments open the disk store first: recovery
-            // (journal replay, torn-tail truncation) happens here, and a
+            // (log replay, torn-tail truncation) happens here, and a
             // sealed client checkpoint in the committed meta slot marks
             // a warm restart — the world state is already in the tree.
             let (server, sealed_client) = match &config.store_dir {
@@ -729,7 +726,7 @@ impl HarDTape {
     /// The static analysis of `address`'s code, memoized by code hash
     /// (`None` for accounts without code). One CFG + dataflow pass per
     /// distinct bytecode, shared by every later bundle.
-    pub fn analyze_code(&mut self, address: &Address) -> Option<Arc<CodeAnalysis>> {
+    pub(crate) fn analyze_code(&mut self, address: &Address) -> Option<Arc<CodeAnalysis>> {
         use tape_state::StateReader as _;
         let info = self.local.account(address)?;
         if info.code_len == 0 {
@@ -922,8 +919,9 @@ impl HarDTape {
     ///
     /// # Errors
     ///
-    /// As [`Self::pre_execute`]. `resume` must carry a pause produced
-    /// for the same `user` session and `bundle`.
+    /// As [`Self::pre_execute`]; [`ServiceError::ReattestationRequired`]
+    /// when `resume` carries a pause taken under a different session
+    /// than `user`'s. `resume` must belong to `bundle`.
     pub fn pre_execute_preemptible(
         &mut self,
         user: &mut UserHandle,
@@ -1575,10 +1573,12 @@ impl HarDTape {
             return Err(ServiceError::ReattestationRequired);
         }
         if let Some(pause) = resume {
-            assert_eq!(
-                pause.session, user.session,
-                "pause resumed by a different session"
-            );
+            // A checkpoint belongs to the session that was attested when
+            // it was taken; under any other (a tenant re-attested while
+            // its paused bundle sat queued) it is dropped, not resumed.
+            if pause.session != user.session {
+                return Err(ServiceError::ReattestationRequired);
+            }
             return Ok(PreparedTask {
                 started: pause.started,
                 device_key: user.device_key.clone(),

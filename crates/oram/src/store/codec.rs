@@ -1,8 +1,7 @@
 //! On-disk record framing for the durable bucket store.
 //!
-//! Every byte the store persists — journal appends, segment
-//! checkpoints, commit and meta records — is one self-describing,
-//! MAC-extended record:
+//! Every byte the store persists is one self-describing, MAC-extended
+//! record:
 //!
 //! ```text
 //! magic u16 | rtype u8 | bucket u64 | seq u64 | len u32 | payload | mac[32]
@@ -17,51 +16,46 @@
 //!
 //! Decoding distinguishes two failure shapes with different recovery
 //! semantics: [`Decoded::Incomplete`] (the buffer ends mid-record — a
-//! torn tail, legal only at end-of-file and silently discarded by
+//! torn tail, legal only at the end of the log and truncated away by
 //! recovery) and [`CodecError::BadMac`]/[`CodecError::Malformed`]
 //! (corruption that no crash can explain — a typed, fatal error).
 
 use tape_crypto::Keccak256;
 
-/// Record magic ("disk store, framing v1").
-pub const MAGIC: u16 = 0xD15C;
+/// Record magic ("disk store, framing v2": one log, two record types).
+/// Directories written by the journal-plus-segments v1 store fail here.
+pub const MAGIC: u16 = 0xD15D;
 
-/// Journal (write-ahead) bucket record: staged, invisible until the
-/// transaction's commit record lands.
-pub const RT_WAL_BUCKET: u8 = 1;
-/// Journal commit record: seals one transaction (one ORAM access) and
-/// carries the sealed client meta blob as payload.
+/// Bucket record: one bucket's slots, invisible until its transaction's
+/// commit record lands.
+pub const RT_BUCKET: u8 = 1;
+/// Commit record: seals one transaction (one ORAM access) and carries
+/// the sealed client meta blob as payload.
 pub const RT_COMMIT: u8 = 2;
-/// Segment bucket record: the checkpointed, directly-visible copy.
-pub const RT_SEG_BUCKET: u8 = 3;
-/// Segment meta record: re-homes the latest sealed meta blob into the
-/// segment before the journal is trimmed, so cold start never depends
-/// on journal contents that were legally truncated.
-pub const RT_META: u8 = 4;
 
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 2 + 1 + 8 + 8 + 4;
 /// MAC bytes after the payload.
 pub const MAC_LEN: usize = 32;
 
-/// One decoded record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+/// One record, its payload borrowed from the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
     /// Record type (`RT_*`).
     pub rtype: u8,
-    /// Bucket index (0 for commit/meta records).
+    /// Bucket index (0 for commit records).
     pub bucket: u64,
     /// Commit sequence number the record belongs to.
     pub seq: u64,
     /// Type-specific payload (slot bytes, or the sealed meta blob).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// Outcome of decoding at a record boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Decoded {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decoded<'a> {
     /// A complete record and the bytes it consumed.
-    Record(Record, usize),
+    Record(Record<'a>, usize),
     /// The buffer ends mid-record: a torn tail (legal at end-of-file).
     Incomplete,
 }
@@ -114,7 +108,7 @@ fn mac(key: &[u8; 32], header: &[u8], payload: &[u8]) -> [u8; 32] {
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a store bug, not a
 /// runtime condition).
-pub fn encode_record(key: &[u8; 32], record: &Record) -> Vec<u8> {
+pub fn encode_record(key: &[u8; 32], record: &Record<'_>) -> Vec<u8> {
     assert!(record.payload.len() <= MAX_PAYLOAD, "payload too large");
     let mut out = Vec::with_capacity(HEADER_LEN + record.payload.len() + MAC_LEN);
     out.extend_from_slice(&MAGIC.to_be_bytes());
@@ -122,8 +116,8 @@ pub fn encode_record(key: &[u8; 32], record: &Record) -> Vec<u8> {
     out.extend_from_slice(&record.bucket.to_be_bytes());
     out.extend_from_slice(&record.seq.to_be_bytes());
     out.extend_from_slice(&(record.payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&record.payload);
-    let tag = mac(key, &out[..HEADER_LEN], &record.payload);
+    out.extend_from_slice(record.payload);
+    let tag = mac(key, &out[..HEADER_LEN], record.payload);
     out.extend_from_slice(&tag);
     out
 }
@@ -139,7 +133,11 @@ pub fn encode_record(key: &[u8; 32], record: &Record) -> Vec<u8> {
 /// [`CodecError`] on corruption that a torn trailing write cannot
 /// explain; a mid-record end-of-buffer is the non-error
 /// [`Decoded::Incomplete`].
-pub fn decode_record(key: &[u8; 32], buf: &[u8], verify: bool) -> Result<Decoded, CodecError> {
+pub fn decode_record<'a>(
+    key: &[u8; 32],
+    buf: &'a [u8],
+    verify: bool,
+) -> Result<Decoded<'a>, CodecError> {
     if buf.len() < HEADER_LEN {
         return if buf.is_empty() { Err(CodecError::Malformed("empty buffer")) } else { Ok(Decoded::Incomplete) };
     }
@@ -148,7 +146,7 @@ pub fn decode_record(key: &[u8; 32], buf: &[u8], verify: bool) -> Result<Decoded
         return Err(CodecError::BadMagic);
     }
     let rtype = buf[2];
-    if !(RT_WAL_BUCKET..=RT_META).contains(&rtype) {
+    if !(RT_BUCKET..=RT_COMMIT).contains(&rtype) {
         return Err(CodecError::Malformed("unknown record type"));
     }
     let bucket = u64::from_be_bytes(buf[3..11].try_into().expect("fixed layout"));
@@ -168,10 +166,7 @@ pub fn decode_record(key: &[u8; 32], buf: &[u8], verify: bool) -> Result<Decoded
             return Err(CodecError::BadMac { rtype, bucket });
         }
     }
-    Ok(Decoded::Record(
-        Record { rtype, bucket, seq, payload: payload.to_vec() },
-        total,
-    ))
+    Ok(Decoded::Record(Record { rtype, bucket, seq, payload }, total))
 }
 
 /// Encodes one bucket's slot ciphertexts as a record payload:
@@ -222,18 +217,18 @@ mod tests {
 
     const KEY: [u8; 32] = [0x42; 32];
 
-    fn sample() -> Record {
-        Record {
-            rtype: RT_SEG_BUCKET,
-            bucket: 17,
-            seq: 3,
-            payload: encode_slots(&[vec![1, 2, 3], Vec::new(), vec![9; 40]]),
-        }
+    fn slots() -> Vec<u8> {
+        encode_slots(&[vec![1, 2, 3], Vec::new(), vec![9; 40]])
+    }
+
+    fn sample(payload: &[u8]) -> Record<'_> {
+        Record { rtype: RT_BUCKET, bucket: 17, seq: 3, payload }
     }
 
     #[test]
     fn roundtrip() {
-        let rec = sample();
+        let payload = slots();
+        let rec = sample(&payload);
         let bytes = encode_record(&KEY, &rec);
         match decode_record(&KEY, &bytes, true).expect("decodes") {
             Decoded::Record(got, used) => {
@@ -242,13 +237,13 @@ mod tests {
             }
             Decoded::Incomplete => panic!("complete record reported incomplete"),
         }
-        let slots = decode_slots(&rec.payload).expect("slots decode");
+        let slots = decode_slots(rec.payload).expect("slots decode");
         assert_eq!(slots, vec![vec![1, 2, 3], Vec::new(), vec![9; 40]]);
     }
 
     #[test]
     fn every_truncation_is_incomplete_never_a_panic() {
-        let bytes = encode_record(&KEY, &sample());
+        let bytes = encode_record(&KEY, &sample(&slots()));
         for cut in 1..bytes.len() {
             match decode_record(&KEY, &bytes[..cut], true) {
                 Ok(Decoded::Incomplete) => {}
@@ -259,8 +254,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let rec = sample();
-        let bytes = encode_record(&KEY, &rec);
+        let bytes = encode_record(&KEY, &sample(&slots()));
         for byte in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[byte] ^= 1;
@@ -277,7 +271,7 @@ mod tests {
 
     #[test]
     fn wrong_key_fails_mac() {
-        let bytes = encode_record(&KEY, &sample());
+        let bytes = encode_record(&KEY, &sample(&slots()));
         let other = [0x43; 32];
         assert!(matches!(
             decode_record(&other, &bytes, true),
@@ -287,7 +281,7 @@ mod tests {
 
     #[test]
     fn verify_false_skips_the_mac() {
-        let mut bytes = encode_record(&KEY, &sample());
+        let mut bytes = encode_record(&KEY, &sample(&slots()));
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // corrupt the MAC itself
         assert!(matches!(
@@ -298,7 +292,7 @@ mod tests {
 
     #[test]
     fn absurd_length_rejected_without_allocating() {
-        let mut bytes = encode_record(&KEY, &sample());
+        let mut bytes = encode_record(&KEY, &sample(&slots()));
         bytes[19..23].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
             decode_record(&KEY, &bytes, true),

@@ -1,4 +1,4 @@
-//! Crash-safe disk-backed bucket store.
+//! Crash-safe disk-backed bucket store: one append-only log.
 //!
 //! # Durability model
 //!
@@ -12,33 +12,33 @@
 //!
 //! # Crash-consistency contract
 //!
-//! One ORAM access is one transaction. [`commit`] appends the staged
-//! bucket records plus a commit record to the write-ahead journal and
-//! fsyncs it — that fsync is the durability point; the commit record
-//! gates visibility. The same bucket records are then checkpointed into
-//! the active append-only segment (buffered), and every
-//! `wal_trim_every` commits the segment is fsynced and the journal
-//! truncated. [`DiskStore::open`] rebuilds the tree: scan segments
-//! (later records override earlier; a torn tail is legal only at the
-//! end of the last file), then replay committed journal transactions
-//! newer than the segment state, discarding any torn or uncommitted
-//! journal tail. Recovery is announced on the telemetry stream as a
-//! [`RecoveryBegin`]/[`RecoveryEnd`] window so the §IV-D auditor can
-//! prove no ORAM query leaked into it.
+//! One ORAM access is one transaction: its bucket records followed by
+//! one commit record (payload = the sealed client meta), appended to the
+//! active `seg-NNNN.dat`. [`commit`] fsyncs that file — that fsync is
+//! the durability point, and the commit record is the only thing
+//! recovery has to believe. Segments roll only *between* transactions.
+//! [`DiskStore::open`] is one pass over the segment files in order: a
+//! transaction's records are held until its commit record arrives, then
+//! applied (later records override earlier). Whatever trails the last
+//! commit record of the last file — torn or merely uncommitted — is
+//! truncated away, so a later commit can never adopt it; the same shape
+//! anywhere else, a MAC failure or a gap in the commit sequence is
+//! [`StoreError::Corrupt`]. Recovery is announced on the telemetry
+//! stream as a [`RecoveryBegin`]/[`RecoveryEnd`] window so the §IV-D
+//! auditor can prove no ORAM query leaked into it.
 //!
 //! [`commit`]: super::BucketBackend::commit
 //! [`RecoveryBegin`]: TelemetryEvent::RecoveryBegin
 //! [`RecoveryEnd`]: TelemetryEvent::RecoveryEnd
 
 use super::codec::{
-    decode_record, decode_slots, encode_record, CodecError, Decoded, Record, RT_COMMIT, RT_META,
-    RT_SEG_BUCKET, RT_WAL_BUCKET,
+    decode_record, decode_slots, encode_record, encode_slots, CodecError, Decoded, Record,
+    RT_BUCKET, RT_COMMIT,
 };
 use super::{digest_bucket, BucketBackend, StoreError};
 use crate::OramConfig;
-use std::collections::HashMap;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tape_crypto::Keccak256;
 use tape_primitives::B256;
 use tape_sim::fault::{FaultDecision, FaultKind, FaultPlan, FaultSite};
@@ -48,7 +48,7 @@ use tape_sim::Clock;
 /// Tuning for a [`DiskStore`].
 #[derive(Debug, Clone)]
 pub struct DiskStoreConfig {
-    /// Directory holding the journal and segment files.
+    /// Directory holding the segment files.
     pub dir: PathBuf,
     /// Keyed-keccak MAC key for record framing (durability integrity;
     /// the client's AES-GCM remains the security boundary).
@@ -57,9 +57,12 @@ pub struct DiskStoreConfig {
     /// memory, skipping per-read MAC re-verification on the hot upper
     /// levels every access touches.
     pub tree_top_levels: u32,
-    /// Commits between segment fsync + journal truncation.
+    /// Shim: the store reads it nowhere (there is no journal to trim).
+    /// It stays, at 8, because the frozen `benchmark/` package still
+    /// pads to it; delete it together with `pad_to_trim_boundary`.
     pub wal_trim_every: u64,
-    /// Roll the active segment file once it reaches this many bytes.
+    /// Start a new segment file once the active one holds this many
+    /// bytes (checked between transactions; at least 4 KiB).
     pub segment_roll_bytes: usize,
     /// Verify record MACs on read (`false` only for the
     /// checksum-disabled ablation, which must fail the audit).
@@ -83,93 +86,48 @@ impl DiskStoreConfig {
 /// What cold-start recovery found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Complete records found in the journal on open.
-    pub journal_records: u32,
-    /// Committed journal transactions replayed into segments.
+    /// Committed transactions read back from the log. Shim: the log is
+    /// never compacted, so this always equals `committed_seq`; it stays
+    /// because the frozen `benchmark/` package reports it.
     pub replayed: u32,
-    /// Torn or uncommitted trailing journal records discarded.
+    /// Trailing records (torn or uncommitted) truncated off the log.
     pub discarded: u32,
     /// Sequence number of the last committed transaction recovered.
     pub committed_seq: u64,
 }
 
-/// A buffered append-only file: `bytes[..durable]` is what the platter
-/// (the real file) holds; the tail past `durable` is in-process buffer
-/// that a crash loses.
+/// A buffered append-only file: the real file at `path` holds `durable`
+/// bytes (what the platter has); `tail` is the in-process buffer past
+/// them, which a crash loses.
 #[derive(Debug)]
 struct SimFile {
     path: PathBuf,
-    bytes: Vec<u8>,
     durable: usize,
+    tail: Vec<u8>,
 }
 
 fn io_err(op: &'static str, err: std::io::Error) -> StoreError {
     StoreError::Io { op, detail: err.to_string() }
 }
 
+fn seg_path(dir: &Path, index: u32) -> PathBuf {
+    dir.join(format!("seg-{index:04}.dat"))
+}
+
 impl SimFile {
-    /// Loads an existing file (everything on disk is durable) or an
-    /// empty one.
-    fn load(path: PathBuf) -> Result<Self, StoreError> {
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(err) => return Err(io_err("read file", err)),
-        };
-        let durable = bytes.len();
-        Ok(SimFile { path, bytes, durable })
-    }
-
-    fn append(&mut self, record: &[u8]) {
-        self.bytes.extend_from_slice(record);
-    }
-
-    /// Writes the buffered tail through to the real file.
-    fn fsync(&mut self) -> Result<(), StoreError> {
-        if self.durable < self.bytes.len() {
+    /// Writes the first `n` buffered bytes through to the real file.
+    fn flush(&mut self, n: usize) -> Result<(), StoreError> {
+        if n > 0 {
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&self.path)
                 .map_err(|e| io_err("open for append", e))?;
-            f.write_all(&self.bytes[self.durable..]).map_err(|e| io_err("append", e))?;
+            f.write_all(&self.tail[..n]).map_err(|e| io_err("append", e))?;
             f.flush().map_err(|e| io_err("flush", e))?;
-            self.durable = self.bytes.len();
+            self.durable += n;
+            self.tail.drain(..n);
         }
-        Ok(())
-    }
-
-    /// Power dies mid-flush: a `param`-derived prefix of the buffered
-    /// tail reaches the platter, the rest never does.
-    fn torn_flush(&mut self, param: u64) -> Result<(), StoreError> {
-        let pending = self.bytes.len() - self.durable;
-        if pending > 0 {
-            let keep = (param as usize) % pending;
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.path)
-                .map_err(|e| io_err("open for torn append", e))?;
-            f.write_all(&self.bytes[self.durable..self.durable + keep])
-                .map_err(|e| io_err("torn append", e))?;
-            f.flush().map_err(|e| io_err("torn flush", e))?;
-            self.durable += keep;
-        }
-        self.bytes.truncate(self.durable);
-        Ok(())
-    }
-
-    /// Discards the un-fsynced buffer (a crash).
-    fn drop_buffered(&mut self) {
-        self.bytes.truncate(self.durable);
-    }
-
-    /// Rewrites the file as exactly `bytes[..n]` (recovery truncation of
-    /// torn tails, journal trims).
-    fn truncate_to(&mut self, n: usize) -> Result<(), StoreError> {
-        self.bytes.truncate(n);
-        std::fs::write(&self.path, &self.bytes).map_err(|e| io_err("truncate", e))?;
-        self.durable = self.bytes.len();
         Ok(())
     }
 }
@@ -186,29 +144,27 @@ enum Io {
 /// durability model and recovery contract.
 #[derive(Debug)]
 pub struct DiskStore {
+    dir: PathBuf,
     key: [u8; 32],
     capacity: usize,
-    bucket_count: u64,
-    tree_top: u64,
-    wal_trim_every: u64,
     roll_bytes: usize,
     verify: bool,
     clock: Clock,
-    wal: SimFile,
-    segs: Vec<SimFile>,
-    /// Latest committed *encoded segment record* per bucket — the
-    /// in-memory mirror that serves reads (decode + MAC verify per read
-    /// unless the bucket sits in the tree-top cache).
-    mirror: HashMap<u64, Vec<u8>>,
-    /// Decoded slots for the hot upper tree levels.
-    cache: HashMap<u64, Vec<Vec<u8>>>,
+    /// Index of the active segment file.
+    segment: u32,
+    active: SimFile,
+    /// Latest committed *encoded record* per bucket (empty = never
+    /// written) — the in-memory mirror that serves reads (decode + MAC
+    /// verify per read unless the bucket sits in the tree-top cache).
+    mirror: Vec<Vec<u8>>,
+    /// Decoded slots for the hot upper tree levels (the first buckets).
+    cache: Vec<Option<Vec<Vec<u8>>>>,
     /// Open transaction: `(bucket, slots payload)` staged since the
     /// last commit.
     staged: Vec<(u64, Vec<u8>)>,
     pending_meta: Option<Vec<u8>>,
     meta: Option<Vec<u8>>,
     seq: u64,
-    commits_since_trim: u64,
     faults: Option<FaultPlan>,
     telemetry: Option<Telemetry>,
     /// Injected crash countdown: crash when it reaches 0 at a boundary.
@@ -219,15 +175,16 @@ pub struct DiskStore {
 impl DiskStore {
     /// Opens (creating or recovering) the store in `config.dir` for the
     /// given tree geometry. Recovery runs before this returns: the
-    /// store is serving the last committed transaction, the journal is
-    /// clean, and the [`RecoveryReport`] says what was found.
+    /// store is serving the last committed transaction, the log ends at
+    /// its commit record, and the [`RecoveryReport`] says what was found.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on host filesystem failure;
-    /// [`StoreError::Corrupt`] on corruption no crash can explain
-    /// (MAC-bad or mis-framed records anywhere but a trailing torn
-    /// write).
+    /// [`StoreError::Corrupt`] on anything no crash of this store can
+    /// explain: MAC-bad, mis-framed or out-of-sequence records, a torn
+    /// or uncommitted tail anywhere but the end of the last segment, or
+    /// a directory in the older journal-plus-segments format.
     pub fn open(
         config: DiskStoreConfig,
         geometry: &OramConfig,
@@ -236,52 +193,47 @@ impl DiskStore {
     ) -> Result<(Self, RecoveryReport), StoreError> {
         std::fs::create_dir_all(&config.dir).map_err(|e| io_err("create dir", e))?;
 
-        let wal = SimFile::load(config.dir.join("wal.log"))?;
-        let mut seg_paths: Vec<(u32, PathBuf)> = Vec::new();
+        let mut segments: Vec<(u32, PathBuf)> = Vec::new();
         let entries = std::fs::read_dir(&config.dir).map_err(|e| io_err("read dir", e))?;
         for entry in entries {
             let entry = entry.map_err(|e| io_err("read dir entry", e))?;
             let name = entry.file_name().to_string_lossy().into_owned();
+            if name == "wal.log" {
+                // Skipping it would silently drop whatever it committed.
+                return Err(StoreError::Corrupt {
+                    detail: "wal.log found: a journal-plus-segments (v1) directory".into(),
+                });
+            }
             if let Some(idx) = name.strip_prefix("seg-").and_then(|s| s.strip_suffix(".dat")) {
                 if let Ok(idx) = idx.parse::<u32>() {
-                    seg_paths.push((idx, entry.path()));
+                    segments.push((idx, entry.path()));
                 }
             }
         }
-        seg_paths.sort();
-        if seg_paths.is_empty() {
-            seg_paths.push((0, config.dir.join("seg-0000.dat")));
-        }
-        let mut segs = Vec::with_capacity(seg_paths.len());
-        for (_, path) in seg_paths {
-            segs.push(SimFile::load(path)?);
-        }
+        segments.sort();
 
-        let tree_top = (1u64 << config.tree_top_levels.min(geometry.height + 1)) - 1;
+        let tree_top = (1usize << config.tree_top_levels.min(geometry.height + 1)) - 1;
         let mut store = DiskStore {
+            active: SimFile { path: seg_path(&config.dir, 0), durable: 0, tail: Vec::new() },
+            dir: config.dir,
             key: config.key,
             capacity: geometry.bucket_capacity,
-            bucket_count: geometry.buckets(),
-            tree_top,
-            wal_trim_every: config.wal_trim_every.max(1),
             roll_bytes: config.segment_roll_bytes.max(1 << 12),
             verify: config.verify_macs,
             clock: clock.clone(),
-            wal,
-            segs,
-            mirror: HashMap::new(),
-            cache: HashMap::new(),
+            segment: 0,
+            mirror: vec![Vec::new(); geometry.buckets() as usize],
+            cache: vec![None; tree_top],
             staged: Vec::new(),
             pending_meta: None,
             meta: None,
             seq: 0,
-            commits_since_trim: 0,
             faults: None,
             telemetry,
             crash_in: None,
             poisoned: false,
         };
-        let report = store.recover()?;
+        let report = store.recover(&segments)?;
         Ok((store, report))
     }
 
@@ -302,171 +254,77 @@ impl DiskStore {
         }
     }
 
-    /// Replays segments then the journal, truncating torn tails; leaves
-    /// the journal empty and the segment durable.
-    fn recover(&mut self) -> Result<RecoveryReport, StoreError> {
-        // Count complete journal records up front so RecoveryBegin can
-        // announce them before any replay work.
-        let mut report = RecoveryReport {
-            journal_records: count_complete_records(&self.key, &self.wal.bytes),
-            ..RecoveryReport::default()
-        };
+    /// Reads the log back in one pass, applying each transaction at its
+    /// commit record, and leaves the last file ending at its last one.
+    fn recover(&mut self, segments: &[(u32, PathBuf)]) -> Result<RecoveryReport, StoreError> {
+        let mut report = RecoveryReport::default();
         self.record_event(TelemetryEvent::RecoveryBegin {
             at: self.clock.now(),
-            journal_records: report.journal_records,
+            segments: segments.len() as u32,
         });
 
-        let mut seg_seq = 0u64;
-        let mut meta: Option<(u64, Vec<u8>)> = None;
-        let mut segs = std::mem::take(&mut self.segs);
-        let last_seg = segs.len() - 1;
-        let mut seg_result: Result<(), StoreError> = Ok(());
-        'segs: for (i, seg) in segs.iter_mut().enumerate() {
-            let mut off = 0;
-            while off < seg.bytes.len() {
-                match decode_record(&self.key, &seg.bytes[off..], self.verify) {
-                    Ok(Decoded::Record(rec, used)) => {
-                        match rec.rtype {
-                            RT_SEG_BUCKET => {
-                                self.mirror.insert(rec.bucket, seg.bytes[off..off + used].to_vec());
-                            }
-                            RT_META => {
-                                if meta.as_ref().is_none_or(|(s, _)| rec.seq >= *s) {
-                                    meta = Some((rec.seq, rec.payload.clone()));
-                                }
-                            }
-                            _ => {
-                                seg_result = Err(StoreError::Corrupt {
-                                    detail: format!(
-                                        "journal-type record {} inside segment {i}",
-                                        rec.rtype
-                                    ),
-                                });
-                                break 'segs;
-                            }
-                        }
-                        seg_seq = seg_seq.max(rec.seq);
-                        off += used;
-                    }
-                    Ok(Decoded::Incomplete) => {
-                        if i != last_seg {
-                            seg_result = Err(StoreError::Corrupt {
-                                detail: format!("torn record mid-chain in segment {i}"),
-                            });
-                            break 'segs;
-                        }
-                        // Torn trailing segment write: discard it.
-                        seg.truncate_to(off)?;
-                        report.discarded += 1;
-                        break;
-                    }
-                    Err(err) => {
-                        seg_result = Err(StoreError::Corrupt {
-                            detail: format!("segment {i} offset {off}: {err}"),
-                        });
-                        break 'segs;
-                    }
+        for (i, (index, path)) in segments.iter().enumerate() {
+            let bytes = std::fs::read(path).map_err(|e| io_err("read segment", e))?;
+            let corrupt = |off: usize, what: &dyn core::fmt::Display| StoreError::Corrupt {
+                detail: format!("segment {index} offset {off}: {what}"),
+            };
+            // The transaction being read: its bucket records (as ranges
+            // of `bytes`) are held until its commit record arrives.
+            let mut held: Vec<(usize, core::ops::Range<usize>)> = Vec::new();
+            let (mut off, mut committed) = (0, 0);
+            while off < bytes.len() {
+                let (rec, used) = match decode_record(&self.key, &bytes[off..], self.verify) {
+                    Ok(Decoded::Record(rec, used)) => (rec, used),
+                    Ok(Decoded::Incomplete) => break,
+                    Err(err) => return Err(corrupt(off, &err)),
+                };
+                if rec.seq != self.seq + 1 {
+                    let what = format!("sequence {} follows commit {}", rec.seq, self.seq);
+                    return Err(corrupt(off, &what));
                 }
+                if rec.rtype == RT_BUCKET {
+                    if rec.bucket >= self.mirror.len() as u64 {
+                        return Err(corrupt(off, &format!("bucket {} outside the tree", rec.bucket)));
+                    }
+                    held.push((rec.bucket as usize, off..off + used));
+                } else {
+                    for (bucket, range) in held.drain(..) {
+                        self.mirror[bucket].clear();
+                        self.mirror[bucket].extend_from_slice(&bytes[range]);
+                    }
+                    self.meta = (!rec.payload.is_empty()).then(|| rec.payload.to_vec());
+                    self.seq = rec.seq;
+                    report.replayed += 1;
+                    committed = off + used;
+                }
+                off += used;
             }
-        }
-        self.segs = segs;
-        seg_result?;
-
-        // Journal replay: committed transactions newer than the
-        // segment state are re-applied; anything trailing the last
-        // commit record is a casualty of the crash and is discarded.
-        let mut off = 0;
-        let mut pending: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-        let mut max_seq = seg_seq;
-        let wal_bytes = std::mem::take(&mut self.wal.bytes);
-        let mut wal_result: Result<(), StoreError> = Ok(());
-        while off < wal_bytes.len() {
-            match decode_record(&self.key, &wal_bytes[off..], self.verify) {
-                Ok(Decoded::Record(rec, used)) => {
-                    match rec.rtype {
-                        RT_WAL_BUCKET => pending.push((rec.bucket, rec.seq, rec.payload.clone())),
-                        RT_COMMIT => {
-                            if rec.seq > seg_seq {
-                                for (bucket, seq, payload) in pending.drain(..) {
-                                    let encoded = encode_record(
-                                        &self.key,
-                                        &Record {
-                                            rtype: RT_SEG_BUCKET,
-                                            bucket,
-                                            seq,
-                                            payload,
-                                        },
-                                    );
-                                    self.append_seg_raw(&encoded)?;
-                                    self.mirror.insert(bucket, encoded);
-                                    self.count(CounterId::DiskWrites, 1);
-                                }
-                                if meta.as_ref().is_none_or(|(s, _)| rec.seq >= *s) {
-                                    meta = Some((rec.seq, rec.payload.clone()));
-                                }
-                                report.replayed += 1;
-                            } else {
-                                pending.clear();
-                            }
-                            max_seq = max_seq.max(rec.seq);
-                        }
-                        other => {
-                            wal_result = Err(StoreError::Corrupt {
-                                detail: format!("segment-type record {other} inside journal"),
-                            });
-                            break;
-                        }
-                    }
-                    off += used;
+            if committed < bytes.len() {
+                // What trails the last commit record never became
+                // visible. Only a crash mid-transaction leaves that, and
+                // only at the very end of the log; it must go before the
+                // next commit record could adopt it.
+                if i + 1 != segments.len() {
+                    return Err(corrupt(committed, &"torn or uncommitted records mid-log"));
                 }
-                Ok(Decoded::Incomplete) => {
-                    // Torn trailing journal write.
-                    report.discarded += 1;
-                    break;
-                }
-                Err(err) => {
-                    wal_result = Err(StoreError::Corrupt {
-                        detail: format!("journal offset {off}: {err}"),
-                    });
-                    break;
-                }
+                report.discarded += held.len() as u32 + u32::from(off < bytes.len());
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(path)
+                    .and_then(|f| f.set_len(committed as u64))
+                    .map_err(|e| io_err("truncate", e))?;
             }
+            // The last file read is the one appends continue in.
+            self.segment = *index;
+            self.active = SimFile { path: path.clone(), durable: committed, tail: Vec::new() };
         }
-        self.wal.bytes = wal_bytes;
-        wal_result?;
-        // Uncommitted trailing bucket records: staged but never
-        // committed — the crash-consistency contract discards them.
-        report.discarded += pending.len() as u32;
-
-        self.seq = max_seq;
-        self.meta = meta.and_then(|(_, m)| if m.is_empty() { None } else { Some(m) });
         report.committed_seq = self.seq;
 
-        // Re-home the replayed meta into the segment: the journal is about
-        // to be truncated, and a second cold start must recover the same
-        // sealed client without it.
-        if report.replayed > 0 {
-            let meta_rec = encode_record(
-                &self.key,
-                &Record { rtype: RT_META, bucket: 0, seq: self.seq, payload: self.meta_payload() },
-            );
-            self.append_seg_raw(&meta_rec)?;
-        }
-
-        // Make the recovered state durable, then reset the journal: the
-        // segment now owns everything the journal proved.
-        if let Some(seg) = self.segs.last_mut() {
-            seg.fsync()?;
-        }
-        self.count(CounterId::DiskFsyncs, 1);
-        self.wal.truncate_to(0)?;
-
         // Warm the tree-top cache from the verified mirror.
-        let top_buckets: Vec<u64> =
-            self.mirror.keys().copied().filter(|b| *b < self.tree_top).collect();
-        for bucket in top_buckets {
-            let slots = self.decode_mirror(bucket)?;
-            self.cache.insert(bucket, slots);
+        for bucket in 0..self.cache.len() {
+            if !self.mirror[bucket].is_empty() {
+                self.cache[bucket] = Some(self.decode_mirror(bucket as u64)?);
+            }
         }
 
         self.count(CounterId::RecoveryReplays, u64::from(report.replayed));
@@ -481,14 +339,15 @@ impl DiskStore {
     /// Decodes the mirror record for `bucket` (MAC verified per
     /// [`DiskStoreConfig::verify_macs`]).
     fn decode_mirror(&self, bucket: u64) -> Result<Vec<Vec<u8>>, StoreError> {
-        let Some(record) = self.mirror.get(&bucket) else {
+        let record = &self.mirror[bucket as usize];
+        if record.is_empty() {
             return Ok(vec![Vec::new(); self.capacity]);
-        };
+        }
         if !self.verify {
             self.record_event(TelemetryEvent::DiskUnverified { at: self.clock.now(), bucket });
         }
         match decode_record(&self.key, record, self.verify) {
-            Ok(Decoded::Record(rec, _)) => decode_slots(&rec.payload).map_err(|err| {
+            Ok(Decoded::Record(rec, _)) => decode_slots(rec.payload).map_err(|err| {
                 StoreError::Corrupt { detail: format!("bucket {bucket} slots: {err}") }
             }),
             // A bit flip in the length field can make a stored record
@@ -536,10 +395,7 @@ impl DiskStore {
     /// The injected crash: buffered appends are lost, the store is
     /// poisoned, and only a fresh [`DiskStore::open`] recovers.
     fn crash(&mut self) -> StoreError {
-        self.wal.drop_buffered();
-        for seg in &mut self.segs {
-            seg.drop_buffered();
-        }
+        self.active.tail.clear();
         self.crash_in = None;
         self.poisoned = true;
         StoreError::Crashed
@@ -553,98 +409,41 @@ impl DiskStore {
         }
     }
 
-    fn append_wal(&mut self, record: &[u8]) -> Result<(), StoreError> {
+    fn append(&mut self, record: &[u8]) -> Result<(), StoreError> {
         self.boundary(Io::Append)?;
-        self.wal.append(record);
+        self.active.tail.extend_from_slice(record);
         self.count(CounterId::DiskWrites, 1);
         Ok(())
     }
 
-    /// Segment append without fault consultation (recovery path).
-    fn append_seg_raw(&mut self, record: &[u8]) -> Result<(), StoreError> {
-        if self.segs.last().map_or(0, |s| s.bytes.len()) >= self.roll_bytes {
-            self.roll_segment()?;
-        }
-        if let Some(seg) = self.segs.last_mut() {
-            seg.append(record);
-        }
-        Ok(())
-    }
-
-    fn append_seg(&mut self, record: &[u8]) -> Result<(), StoreError> {
-        self.boundary(Io::Append)?;
-        self.append_seg_raw(record)?;
-        self.count(CounterId::DiskWrites, 1);
-        Ok(())
-    }
-
-    /// Finishes the active segment (flush it durable) and starts the
-    /// next one.
-    fn roll_segment(&mut self) -> Result<(), StoreError> {
-        self.fsync_file(true)?;
-        let idx = self.segs.len() as u32;
-        let path = self
-            .segs
-            .last()
-            .map(|s| s.path.clone())
-            .and_then(|p| p.parent().map(|d| d.join(format!("seg-{idx:04}.dat"))))
-            .ok_or(StoreError::Io { op: "roll segment", detail: "no parent dir".into() })?;
-        self.segs.push(SimFile { path, bytes: Vec::new(), durable: 0 });
-        Ok(())
-    }
-
-    /// A logical fsync of the journal (`seg` false) or active segment
-    /// (`seg` true), with torn-write / lost-fsync injection applied.
-    fn fsync_file(&mut self, seg: bool) -> Result<(), StoreError> {
+    /// A logical fsync of the active segment, with torn-write /
+    /// lost-fsync injection applied.
+    fn fsync(&mut self) -> Result<(), StoreError> {
         let decision = self.boundary(Io::Fsync)?;
         self.count(CounterId::DiskFsyncs, 1);
-        match decision {
+        let pending = self.active.tail.len();
+        let (reaches_platter, survives) = match decision {
+            // Power dies mid-flush: a `param`-derived prefix of the
+            // buffered tail reaches the platter, the rest never does.
             Some(FaultDecision { kind: FaultKind::TornWrite, param }) => {
-                if seg {
-                    if let Some(f) = self.segs.last_mut() {
-                        f.torn_flush(param)?;
-                    }
-                } else {
-                    self.wal.torn_flush(param)?;
-                }
-                Err(self.crash())
+                (param as usize % pending.max(1), false)
             }
             // The lying disk: success reported, nothing durable.
-            Some(FaultDecision { kind: FaultKind::FsyncLost, .. }) => Ok(()),
-            _ => {
-                if seg {
-                    if let Some(f) = self.segs.last_mut() {
-                        f.fsync()?;
-                    }
-                    Ok(())
-                } else {
-                    self.wal.fsync()
-                }
+            Some(FaultDecision { kind: FaultKind::FsyncLost, .. }) => return Ok(()),
+            _ => (pending, true),
+        };
+        match self.active.flush(reaches_platter) {
+            Ok(()) if survives => Ok(()),
+            Ok(()) => Err(self.crash()),
+            // A failed host write leaves the file in an unknown state;
+            // only a reopen, which truncates to the last commit record,
+            // may append to it again.
+            Err(err) => {
+                self.crash();
+                Err(err)
             }
         }
     }
-
-    fn meta_payload(&self) -> Vec<u8> {
-        self.meta.clone().unwrap_or_default()
-    }
-}
-
-/// Counts the complete records at the head of `bytes` (for the
-/// [`TelemetryEvent::RecoveryBegin`] announcement; errors end the count
-/// early and are re-diagnosed by the real scan).
-fn count_complete_records(key: &[u8; 32], bytes: &[u8]) -> u32 {
-    let mut off = 0;
-    let mut n = 0;
-    while off < bytes.len() {
-        match decode_record(key, &bytes[off..], false) {
-            Ok(Decoded::Record(_, used)) => {
-                off += used;
-                n += 1;
-            }
-            _ => break,
-        }
-    }
-    n
 }
 
 impl BucketBackend for DiskStore {
@@ -655,32 +454,27 @@ impl BucketBackend for DiskStore {
             return decode_slots(payload)
                 .map_err(|err| StoreError::Corrupt { detail: format!("staged bucket: {err}") });
         }
+        let at = bucket as usize;
         // Disk read-path faults: bit rot lands in the stored record (and
         // evicts any cached copy so the MAC check actually runs); a
         // short read returns a truncated record without mutating it.
-        if let Some(plan) = &self.faults {
-            if let Some(decision) =
-                plan.decide_for(FaultSite::Disk, &[FaultKind::BitRot, FaultKind::ShortRead])
-            {
-                match decision.kind {
-                    FaultKind::BitRot => {
-                        if let Some(record) = self.mirror.get_mut(&bucket) {
-                            let byte = (decision.param % record.len() as u64) as usize;
-                            record[byte] ^= 1 << ((decision.param >> 24) % 8);
-                            self.cache.remove(&bucket);
-                        }
-                    }
-                    _ => {
-                        if let Some(record) = self.mirror.get(&bucket) {
-                            let expected = record.len() as u32;
-                            let actual = (decision.param % record.len() as u64) as u32;
-                            return Err(StoreError::ShortRead { bucket, expected, actual });
-                        }
-                    }
+        let fault = self.faults.as_ref().and_then(|plan| {
+            plan.decide_for(FaultSite::Disk, &[FaultKind::BitRot, FaultKind::ShortRead])
+        });
+        if let Some(decision) = fault.filter(|_| !self.mirror[at].is_empty()) {
+            let record = &mut self.mirror[at];
+            let byte = (decision.param % record.len() as u64) as usize;
+            if matches!(decision.kind, FaultKind::BitRot) {
+                record[byte] ^= 1 << ((decision.param >> 24) % 8);
+                if let Some(cached) = self.cache.get_mut(at) {
+                    *cached = None;
                 }
+            } else {
+                let (expected, actual) = (record.len() as u32, byte as u32);
+                return Err(StoreError::ShortRead { bucket, expected, actual });
             }
         }
-        if let Some(slots) = self.cache.get(&bucket) {
+        if let Some(Some(slots)) = self.cache.get(at) {
             return Ok(slots.clone());
         }
         self.decode_mirror(bucket)
@@ -688,68 +482,48 @@ impl BucketBackend for DiskStore {
 
     fn write_bucket(&mut self, bucket: u64, slots: Vec<Vec<u8>>) -> Result<(), StoreError> {
         self.guard()?;
-        self.staged.push((bucket, super::codec::encode_slots(&slots)));
+        self.staged.push((bucket, encode_slots(&slots)));
         Ok(())
     }
 
     fn commit(&mut self) -> Result<(), StoreError> {
         self.guard()?;
+        // Segments roll only between transactions, and only once the
+        // old one is wholly durable (after a lost fsync its records are
+        // still in the buffer and must reach the file they belong to).
+        if self.active.tail.is_empty() && self.active.durable >= self.roll_bytes {
+            self.segment += 1;
+            self.active.path = seg_path(&self.dir, self.segment);
+            self.active.durable = 0;
+        }
         let seq = self.seq + 1;
         let staged = std::mem::take(&mut self.staged);
-        let meta = match self.pending_meta.take() {
-            Some(meta) => meta,
-            None => self.meta_payload(),
-        };
+        let meta = self.pending_meta.take().or_else(|| self.meta.clone()).unwrap_or_default();
 
-        // 1. Write-ahead: bucket records then the commit record.
+        // The transaction: its bucket records, then the commit record.
+        let mut records = Vec::with_capacity(staged.len());
         for (bucket, payload) in &staged {
-            let rec = encode_record(
-                &self.key,
-                &Record { rtype: RT_WAL_BUCKET, bucket: *bucket, seq, payload: payload.clone() },
-            );
-            self.append_wal(&rec)?;
+            let rec = Record { rtype: RT_BUCKET, bucket: *bucket, seq, payload };
+            let encoded = encode_record(&self.key, &rec);
+            self.append(&encoded)?;
+            records.push(encoded);
         }
-        let commit = encode_record(
-            &self.key,
-            &Record { rtype: RT_COMMIT, bucket: 0, seq, payload: meta.clone() },
-        );
-        self.append_wal(&commit)?;
+        let rec = Record { rtype: RT_COMMIT, bucket: 0, seq, payload: &meta };
+        self.append(&encode_record(&self.key, &rec))?;
 
-        // 2. The durability point: journal fsync gates visibility.
-        self.fsync_file(false)?;
+        // The durability point: the fsync gates visibility.
+        self.fsync()?;
 
-        // 3. Checkpoint into the active segment (buffered).
-        for (bucket, payload) in staged {
-            let encoded = encode_record(
-                &self.key,
-                &Record { rtype: RT_SEG_BUCKET, bucket, seq, payload: payload.clone() },
-            );
-            self.append_seg(&encoded)?;
-            if bucket < self.tree_top {
+        for ((bucket, payload), encoded) in staged.into_iter().zip(records) {
+            if let Some(cached) = self.cache.get_mut(bucket as usize) {
                 let slots = decode_slots(&payload)
                     .map_err(|err| StoreError::Corrupt { detail: format!("commit: {err}") })?;
-                self.cache.insert(bucket, slots);
+                *cached = Some(slots);
             }
-            self.mirror.insert(bucket, encoded);
+            self.mirror[bucket as usize] = encoded;
         }
-
         self.seq = seq;
-        self.meta = if meta.is_empty() { None } else { Some(meta) };
-        self.commits_since_trim += 1;
-
-        // 4. Periodic checkpoint barrier: once the segment is durable
-        //    (meta re-homed into it first), the journal can be trimmed.
-        if self.commits_since_trim >= self.wal_trim_every {
-            let meta_rec = encode_record(
-                &self.key,
-                &Record { rtype: RT_META, bucket: 0, seq, payload: self.meta_payload() },
-            );
-            self.append_seg(&meta_rec)?;
-            self.fsync_file(true)?;
-            self.boundary(Io::Append)?;
-            self.wal.truncate_to(0)?;
-            self.commits_since_trim = 0;
-        }
+        self.meta = (!meta.is_empty()).then_some(meta);
         Ok(())
     }
 
@@ -768,18 +542,20 @@ impl BucketBackend for DiskStore {
     fn state_digest(&self) -> B256 {
         let mut h = Keccak256::new();
         let empty = vec![Vec::new(); self.capacity];
-        for bucket in 0..self.bucket_count {
-            match self.mirror.get(&bucket) {
-                Some(record) => match decode_record(&self.key, record, false) {
-                    Ok(Decoded::Record(rec, _)) => match decode_slots(&rec.payload) {
-                        Ok(slots) => digest_bucket(&mut h, bucket, &slots),
-                        // Undecodable content still changes the digest
-                        // (never silently matches a healthy twin).
-                        Err(_) => h.update(record),
-                    },
-                    _ => h.update(record),
-                },
-                None => digest_bucket(&mut h, bucket, &empty),
+        for (bucket, record) in self.mirror.iter().enumerate() {
+            if record.is_empty() {
+                digest_bucket(&mut h, bucket as u64, &empty);
+                continue;
+            }
+            let slots = match decode_record(&self.key, record, false) {
+                Ok(Decoded::Record(rec, _)) => decode_slots(rec.payload).ok(),
+                _ => None,
+            };
+            match slots {
+                Some(slots) => digest_bucket(&mut h, bucket as u64, &slots),
+                // Undecodable content still changes the digest (never
+                // silently matches a healthy twin).
+                None => h.update(record),
             }
         }
         h.finalize()
@@ -789,28 +565,20 @@ impl BucketBackend for DiskStore {
         // The malicious SP rewrites its own storage: slots are mutated
         // and re-framed with valid MACs — only the client's AES-GCM can
         // catch this, which is exactly the layering under test.
-        let buckets: Vec<u64> = self.mirror.keys().copied().collect();
-        for bucket in buckets {
-            let Ok(Decoded::Record(rec, _)) =
-                decode_record(&self.key, &self.mirror[&bucket], false)
+        for bucket in 0..self.mirror.len() {
+            let Ok(Decoded::Record(rec, _)) = decode_record(&self.key, &self.mirror[bucket], false)
             else {
                 continue;
             };
-            let Ok(mut slots) = decode_slots(&rec.payload) else { continue };
+            let Ok(mut slots) = decode_slots(rec.payload) else { continue };
             for (i, slot) in slots.iter_mut().enumerate() {
-                f(bucket, i, slot);
+                f(bucket as u64, i, slot);
             }
-            let encoded = encode_record(
-                &self.key,
-                &Record {
-                    rtype: RT_SEG_BUCKET,
-                    bucket,
-                    seq: rec.seq,
-                    payload: super::codec::encode_slots(&slots),
-                },
-            );
-            self.cache.remove(&bucket);
-            self.mirror.insert(bucket, encoded);
+            let payload = encode_slots(&slots);
+            self.mirror[bucket] = encode_record(&self.key, &Record { payload: &payload, ..rec });
+            if let Some(cached) = self.cache.get_mut(bucket) {
+                *cached = None;
+            }
         }
     }
 }

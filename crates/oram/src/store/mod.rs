@@ -6,16 +6,16 @@
 //!
 //! * [`MemBackend`] — the original in-memory tree (the default, and the
 //!   "twin" reference in crash-recovery tests);
-//! * [`DiskStore`] — a crash-safe, MAC-authenticated store: a
-//!   write-ahead journal whose commit record gates visibility, segmented
-//!   append-only checkpoint files, an in-memory tree-top cache for the
-//!   hot upper levels, and deterministic disk fault injection
-//!   ([`FaultSite::Disk`]).
+//! * [`DiskStore`] — a crash-safe, MAC-authenticated store: one
+//!   append-only log of segment files in which a commit record gates
+//!   the visibility of the bucket records before it, an in-memory
+//!   tree-top cache for the hot upper levels, and deterministic disk
+//!   fault injection ([`FaultSite::Disk`]).
 //!
 //! The crash-consistency contract (see DESIGN.md "Durability & crash
 //! recovery"): one ORAM access is one transaction; a transaction is
-//! visible iff its journal commit record is durable; recovery on open
-//! replays committed transactions, truncates torn trailing writes, and
+//! visible iff its commit record is durable; recovery on open reads the
+//! log back, truncates whatever trails the last commit record, and
 //! leaves the store byte-identical to the last committed access.
 //!
 //! [`FaultSite::Disk`]: tape_sim::fault::FaultSite::Disk

@@ -162,8 +162,8 @@ pub enum FaultKind {
     FsyncLost,
     /// Kill the store process at the `n`-th disk I/O boundary after the
     /// decision fires (n = 0 crashes at the very next boundary). Seeded
-    /// kill-matrix tests sweep `n` across every journal/segment write
-    /// of one eviction.
+    /// kill-matrix tests sweep `n` across every append and fsync of one
+    /// eviction.
     CrashPoint {
         /// I/O boundaries to survive before dying.
         n: u32,

@@ -66,7 +66,7 @@
 //!    ([`TelemetryEvent::RecoveryBegin`] … [`RecoveryEnd`]) happens
 //!    before the device serves anyone, so no ORAM query of any kind may
 //!    appear inside the window (query traffic there would correlate
-//!    journal replay with specific world-state accesses), and the
+//!    log replay with specific world-state accesses), and the
 //!    window must close. Independently, every disk bucket record must
 //!    be MAC-verified before use: a single
 //!    [`TelemetryEvent::DiskUnverified`] event anywhere in the stream —
@@ -273,7 +273,7 @@ pub enum Violation {
         needed: usize,
     },
     /// An ORAM query appeared inside a disk-store recovery window:
-    /// journal replay runs before the device serves anyone, so query
+    /// log replay runs before the device serves anyone, so query
     /// traffic there correlates recovery with specific accesses.
     RecoveryLeak {
         /// When the query happened.
@@ -458,7 +458,7 @@ pub struct AuditStats {
     pub segment_cover_swaps: u64,
     /// Disk-store recovery windows seen.
     pub recoveries: u64,
-    /// Committed journal transactions replayed across all recoveries.
+    /// Committed transactions read back across all recoveries.
     pub recovery_replayed: u64,
     /// Disk bucket records served without MAC verification.
     pub unverified_disk_reads: u64,
@@ -588,7 +588,7 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
                     report.violations.push(Violation::SegmentLeak { at, kind });
                 }
                 if recovery.is_some() {
-                    // Journal replay precedes service; query traffic
+                    // Log replay precedes service; query traffic
                     // inside the window correlates the two.
                     report.violations.push(Violation::RecoveryLeak { at, kind });
                 }
@@ -1309,7 +1309,7 @@ mod tests {
     #[test]
     fn clean_recovery_window_passes() {
         let events = [
-            TelemetryEvent::RecoveryBegin { at: 0, journal_records: 12 },
+            TelemetryEvent::RecoveryBegin { at: 0, segments: 12 },
             TelemetryEvent::RecoveryEnd { at: 1_000, replayed: 3, discarded: 1 },
             q(2_000_000, QueryKind::Kv),
         ];
@@ -1322,7 +1322,7 @@ mod tests {
     #[test]
     fn query_inside_recovery_window_is_a_leak() {
         let events = [
-            TelemetryEvent::RecoveryBegin { at: 0, journal_records: 4 },
+            TelemetryEvent::RecoveryBegin { at: 0, segments: 4 },
             q(500, QueryKind::Kv),
             TelemetryEvent::RecoveryEnd { at: 1_000, replayed: 1, discarded: 0 },
         ];
@@ -1335,7 +1335,7 @@ mod tests {
 
     #[test]
     fn unterminated_recovery_is_a_violation() {
-        let events = [TelemetryEvent::RecoveryBegin { at: 7_000, journal_records: 2 }];
+        let events = [TelemetryEvent::RecoveryBegin { at: 7_000, segments: 2 }];
         let report = audit_events(&events, 0, &AuditConfig::default());
         assert!(report
             .violations

@@ -138,12 +138,12 @@ id_table! {
         /// Fleet: bundles shed with a typed `DeviceFailed` completion
         /// because their device (and any checkpoint on it) was lost.
         FleetShedOnFailure => "fleet_shed_on_failure",
-        /// Disk store: bucket records appended (journal + segment).
+        /// Disk store: records appended to the log (buckets + commits).
         DiskWrites => "disk_writes",
         /// Disk store: fsync barriers issued at commit boundaries.
         DiskFsyncs => "disk_fsyncs",
-        /// Disk store: committed journal transactions replayed into
-        /// segments during cold-start recovery.
+        /// Disk store: committed transactions read back from the log
+        /// during cold-start recovery.
         RecoveryReplays => "recovery_replays",
     }
 }
@@ -430,439 +430,334 @@ impl QueryKind {
     }
 }
 
-/// One structured telemetry event. `Copy` so the ring buffer and the
-/// auditor never allocate per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TelemetryEvent {
-    /// A service phase completed in `ns` virtual time.
-    Phase {
-        /// Virtual time at phase end.
-        at: Nanos,
-        /// Which phase.
-        phase: PhaseKind,
-        /// Phase duration.
-        ns: Nanos,
-    },
-    /// An ORAM query hit the wire.
-    OramQuery {
-        /// Virtual time of the query.
-        at: Nanos,
-        /// Query classification.
-        kind: QueryKind,
-        /// Block payload size on the wire.
-        bytes: u32,
-    },
-    /// Pending prefetch pages were drained without riding the timer.
-    PrefetchDrained {
-        /// Virtual time of the drain.
-        at: Nanos,
-        /// Pages released.
-        pages: u32,
-    },
-    /// A layer-2↔3 call-stack swap.
-    Swap {
-        /// Virtual time of the swap.
-        at: Nanos,
-        /// `true` for swap-out (L2→L3), `false` for swap-in.
-        out: bool,
-        /// Pages actually moved.
-        true_pages: u32,
-        /// Pages visible on the bus (true + noise).
-        observed_pages: u32,
-    },
-    /// Gateway queue-depth sample (taken each scheduling round).
-    QueueDepth {
-        /// Virtual time of the sample.
-        at: Nanos,
-        /// Bundles queued across all tenants.
-        queued: u32,
-        /// Maximum per-tenant DRR deficit.
-        max_deficit: u64,
-    },
-    /// Gateway admitted a submission.
-    Admit {
-        /// Virtual time of admission.
-        at: Nanos,
-        /// Submitting session id.
-        session: u64,
-        /// Ticket assigned.
-        ticket: u64,
-    },
-    /// Gateway rejected a submission at admission.
-    Reject {
-        /// Virtual time of rejection.
-        at: Nanos,
-        /// Submitting session id.
-        session: u64,
-        /// `true` when the tenant's own queue was full (vs the global
-        /// admission budget).
-        tenant_local: bool,
-        /// Backlog estimate at rejection time (undivided virtual-time
-        /// work outstanding). Recorded instead of the quoted
-        /// `retry_after` hint so the event stream stays byte-identical
-        /// across worker counts: the hint divides this by the pool
-        /// size, which is a host-side throughput knob, not a schedule
-        /// input.
-        backlog_ns: Nanos,
-    },
-    /// Gateway shed an admitted bundle past its deadline.
-    Shed {
-        /// Virtual time of the shed.
-        at: Nanos,
-        /// Owning session id.
-        session: u64,
-        /// Ticket shed.
-        ticket: u64,
-    },
-    /// Circuit-breaker state transition (0=closed, 1=open, 2=half-open).
-    Breaker {
-        /// Virtual time of the transition.
-        at: Nanos,
-        /// New state.
-        state: u8,
-    },
-    /// Node sync retried after a transient fault.
-    NodeRetry {
-        /// Virtual time of the retry decision.
-        at: Nanos,
-        /// Attempt number (1-based).
-        attempt: u32,
-        /// Backoff before the retry.
-        backoff_ns: Nanos,
-    },
-    /// The static analyzer declared one code page reachable — part of a
-    /// contract's advertised prefetch plan for the current bundle.
-    PlanPage {
-        /// Virtual time of plan registration.
-        at: Nanos,
-        /// Contract address owning the page.
-        address: [u8; 20],
-        /// Planned page index.
-        page: u32,
-    },
-    /// A *real* code page crossed the ORAM wire (demand, paced, or
-    /// prefetch — cache-hit dummies excluded). The auditor checks every
-    /// one of these against the advertised plan.
-    CodePageFetch {
-        /// Virtual time of the fetch.
-        at: Nanos,
-        /// Contract address owning the page.
-        address: [u8; 20],
-        /// Fetched page index.
-        page: u32,
-    },
-    /// The static analyzer declared one world-state record fetchable —
-    /// part of a contract's advertised state prefetch plan for the
-    /// current bundle: either the account's meta record (`meta`) or one
-    /// 32-slot storage group (`group` = slot >> 5, big-endian).
-    PlanKv {
-        /// Virtual time of plan registration.
-        at: Nanos,
-        /// Account the record belongs to.
-        address: [u8; 20],
-        /// `true` for the account-meta record; `false` for a storage
-        /// group (whose id is in `group`).
-        meta: bool,
-        /// Storage-group id (slot >> 5), big-endian; zero for meta
-        /// records.
-        group: [u8; 32],
-    },
-    /// The static analyzer could *not* enumerate this contract's state
-    /// keys (calldata-affine or dynamic sites): its kv traffic is
-    /// exempt from the plan cross-check, and the exemption itself is on
-    /// the record.
-    PlanKvDynamic {
-        /// Virtual time of plan registration.
-        at: Nanos,
-        /// Account whose storage accesses are unpredictable.
-        address: [u8; 20],
-    },
-    /// A *real* world-state record crossed the ORAM wire (demand or
-    /// plan-driven batch — cache-hit dummies excluded). The auditor
-    /// checks every one of these against the advertised state plan.
-    KvFetch {
-        /// Virtual time of the fetch.
-        at: Nanos,
-        /// Account the record belongs to.
-        address: [u8; 20],
-        /// `true` for the account-meta record.
-        meta: bool,
-        /// Storage-group id (slot >> 5), big-endian; zero for meta
-        /// records.
-        group: [u8; 32],
-    },
-    /// World-state rollback to a fork point began. Everything between
-    /// this and the matching [`RollbackEnd`](TelemetryEvent::RollbackEnd)
-    /// is the *rollback window*: the auditor requires it to contain only
-    /// sync-shaped ORAM traffic, and at least one page write per account
-    /// the rollback advertises.
-    RollbackBegin {
-        /// Virtual time the rollback started.
-        at: Nanos,
-        /// Height of the fork point being rolled back to.
-        height: u64,
-        /// Blocks being undone.
-        depth: u32,
-        /// Accounts whose pre-images will be restored.
-        accounts: u32,
-    },
-    /// World-state rollback completed.
-    RollbackEnd {
-        /// Virtual time the rollback finished.
-        at: Nanos,
-        /// ORAM page writes issued by the rollback.
-        pages: u32,
-    },
-    /// A gas-slice segment yielded the core mid-transaction. Everything
-    /// between this and the matching
-    /// [`SegmentEnd`](TelemetryEvent::SegmentEnd) is the *segment
-    /// window*: the auditor requires the checkpoint to be observable
-    /// only as ordinary swap traffic — at least one swap-out per frame
-    /// the suspension advertises, and no ORAM queries riding along.
-    SegmentYield {
-        /// Virtual time of the yield (before cover traffic).
-        at: Nanos,
-        /// 1-based segment index within the transaction.
-        segment: u32,
-        /// Frames the suspension seals out (the advertised cover).
-        frames: u32,
-    },
-    /// The segment's checkpoint finished flushing to layer 3.
-    SegmentEnd {
-        /// Virtual time the checkpoint was sealed.
-        at: Nanos,
-        /// Swap-out events emitted inside the segment window.
-        swaps: u32,
-    },
-    /// Disk-store cold-start recovery began. Everything between this
-    /// and the matching [`RecoveryEnd`](TelemetryEvent::RecoveryEnd) is
-    /// the *recovery window*: journal replay happens before the device
-    /// serves anyone, so no ORAM query may appear inside it — query
-    /// traffic there would let the adversary correlate recovery with
-    /// specific world-state accesses.
-    RecoveryBegin {
-        /// Virtual time recovery started.
-        at: Nanos,
-        /// Journal records found on open.
-        journal_records: u32,
-    },
-    /// Disk-store cold-start recovery finished.
-    RecoveryEnd {
-        /// Virtual time recovery finished.
-        at: Nanos,
-        /// Committed journal transactions replayed into segments.
-        replayed: u32,
-        /// Torn/uncommitted trailing records discarded.
-        discarded: u32,
-    },
-    /// A disk bucket record was served WITHOUT its MAC being verified
-    /// (the checksum-ablation negative control). Any occurrence is an
-    /// integrity-audit violation: the §IV-D argument assumes every
-    /// off-chip byte is authenticated inside the trust boundary.
-    DiskUnverified {
-        /// Virtual time of the unverified read.
-        at: Nanos,
-        /// Bucket index served unverified.
-        bucket: u64,
-    },
+/// Canonical wire form of one event field: fixed width, big-endian.
+trait Enc {
+    fn enc(&self, out: &mut Vec<u8>);
 }
 
-impl TelemetryEvent {
-    /// The same event shifted `base` virtual nanoseconds later. Worker
-    /// tasks record against a private clock that starts at zero; the
-    /// commit step rebases every buffered event onto the shared
-    /// timeline before replaying it into the global sink.
-    pub fn rebased(mut self, base: Nanos) -> TelemetryEvent {
-        match &mut self {
-            TelemetryEvent::Phase { at, .. }
-            | TelemetryEvent::OramQuery { at, .. }
-            | TelemetryEvent::PrefetchDrained { at, .. }
-            | TelemetryEvent::Swap { at, .. }
-            | TelemetryEvent::QueueDepth { at, .. }
-            | TelemetryEvent::Admit { at, .. }
-            | TelemetryEvent::Reject { at, .. }
-            | TelemetryEvent::Shed { at, .. }
-            | TelemetryEvent::Breaker { at, .. }
-            | TelemetryEvent::NodeRetry { at, .. }
-            | TelemetryEvent::PlanPage { at, .. }
-            | TelemetryEvent::CodePageFetch { at, .. }
-            | TelemetryEvent::PlanKv { at, .. }
-            | TelemetryEvent::PlanKvDynamic { at, .. }
-            | TelemetryEvent::KvFetch { at, .. }
-            | TelemetryEvent::RollbackBegin { at, .. }
-            | TelemetryEvent::RollbackEnd { at, .. }
-            | TelemetryEvent::SegmentYield { at, .. }
-            | TelemetryEvent::SegmentEnd { at, .. }
-            | TelemetryEvent::RecoveryBegin { at, .. }
-            | TelemetryEvent::RecoveryEnd { at, .. }
-            | TelemetryEvent::DiskUnverified { at, .. } => *at = at.saturating_add(base),
-        }
-        self
-    }
+macro_rules! enc_impl {
+    ($($ty:ty: |$v:ident| $bytes:expr;)+) => {
+        $(impl Enc for $ty {
+            fn enc(&self, out: &mut Vec<u8>) {
+                let $v = *self;
+                out.extend_from_slice(&$bytes);
+            }
+        })+
+    };
+}
 
-    /// Virtual timestamp of the event.
-    pub fn at(&self) -> Nanos {
-        match *self {
-            TelemetryEvent::Phase { at, .. }
-            | TelemetryEvent::OramQuery { at, .. }
-            | TelemetryEvent::PrefetchDrained { at, .. }
-            | TelemetryEvent::Swap { at, .. }
-            | TelemetryEvent::QueueDepth { at, .. }
-            | TelemetryEvent::Admit { at, .. }
-            | TelemetryEvent::Reject { at, .. }
-            | TelemetryEvent::Shed { at, .. }
-            | TelemetryEvent::Breaker { at, .. }
-            | TelemetryEvent::NodeRetry { at, .. }
-            | TelemetryEvent::PlanPage { at, .. }
-            | TelemetryEvent::CodePageFetch { at, .. }
-            | TelemetryEvent::PlanKv { at, .. }
-            | TelemetryEvent::PlanKvDynamic { at, .. }
-            | TelemetryEvent::KvFetch { at, .. }
-            | TelemetryEvent::RollbackBegin { at, .. }
-            | TelemetryEvent::RollbackEnd { at, .. }
-            | TelemetryEvent::SegmentYield { at, .. }
-            | TelemetryEvent::SegmentEnd { at, .. }
-            | TelemetryEvent::RecoveryBegin { at, .. }
-            | TelemetryEvent::RecoveryEnd { at, .. }
-            | TelemetryEvent::DiskUnverified { at, .. } => at,
-        }
-    }
+enc_impl! {
+    u8: |v| [v];
+    bool: |v| [v as u8];
+    PhaseKind: |v| [v as u8];
+    QueryKind: |v| [v as u8];
+    u32: |v| v.to_be_bytes();
+    u64: |v| v.to_be_bytes();
+    [u8; 20]: |v| v;
+    [u8; 32]: |v| v;
+}
 
-    /// Canonical fixed-width encoding: a tag byte followed by the fields
-    /// big-endian. Equal streams ⇔ equal encodings ⇔ equal digests.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            TelemetryEvent::Phase { at, phase, ns } => {
-                out.push(0x01);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.push(phase as u8);
-                out.extend_from_slice(&ns.to_be_bytes());
+/// Declares the event enum from one table: each row is a variant, its
+/// tag byte and its fields in wire order (`at` first). Generates the
+/// enum plus `at()`, `rebased()` and `encode()`.
+macro_rules! event_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal {
+                    $(#[$ameta:meta])*
+                    at: Nanos,
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+                },
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $(#[$ameta])*
+                    at: Nanos,
+                    $( $(#[$fmeta])* $field: $ty, )*
+                },
+            )+
+        }
+
+        impl $name {
+            /// The same event shifted `base` virtual nanoseconds later.
+            /// Worker tasks record against a private clock that starts at
+            /// zero; the commit step rebases every buffered event onto
+            /// the shared timeline before replaying it into the global
+            /// sink.
+            pub fn rebased(mut self, base: Nanos) -> $name {
+                match &mut self {
+                    $( $name::$variant { at, .. } )|+ => *at = at.saturating_add(base),
+                }
+                self
             }
-            TelemetryEvent::OramQuery { at, kind, bytes } => {
-                out.push(0x02);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.push(kind as u8);
-                out.extend_from_slice(&bytes.to_be_bytes());
+
+            /// Virtual timestamp of the event.
+            pub fn at(&self) -> Nanos {
+                match *self {
+                    $( $name::$variant { at, .. } )|+ => at,
+                }
             }
-            TelemetryEvent::PrefetchDrained { at, pages } => {
-                out.push(0x03);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&pages.to_be_bytes());
-            }
-            TelemetryEvent::Swap { at, out: dir, true_pages, observed_pages } => {
-                out.push(0x04);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.push(dir as u8);
-                out.extend_from_slice(&true_pages.to_be_bytes());
-                out.extend_from_slice(&observed_pages.to_be_bytes());
-            }
-            TelemetryEvent::QueueDepth { at, queued, max_deficit } => {
-                out.push(0x05);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&queued.to_be_bytes());
-                out.extend_from_slice(&max_deficit.to_be_bytes());
-            }
-            TelemetryEvent::Admit { at, session, ticket } => {
-                out.push(0x06);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&session.to_be_bytes());
-                out.extend_from_slice(&ticket.to_be_bytes());
-            }
-            TelemetryEvent::Reject { at, session, tenant_local, backlog_ns } => {
-                out.push(0x07);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&session.to_be_bytes());
-                out.push(tenant_local as u8);
-                out.extend_from_slice(&backlog_ns.to_be_bytes());
-            }
-            TelemetryEvent::Shed { at, session, ticket } => {
-                out.push(0x08);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&session.to_be_bytes());
-                out.extend_from_slice(&ticket.to_be_bytes());
-            }
-            TelemetryEvent::Breaker { at, state } => {
-                out.push(0x09);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.push(state);
-            }
-            TelemetryEvent::NodeRetry { at, attempt, backoff_ns } => {
-                out.push(0x0a);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&attempt.to_be_bytes());
-                out.extend_from_slice(&backoff_ns.to_be_bytes());
-            }
-            TelemetryEvent::PlanPage { at, address, page } => {
-                out.push(0x0b);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&address);
-                out.extend_from_slice(&page.to_be_bytes());
-            }
-            TelemetryEvent::CodePageFetch { at, address, page } => {
-                out.push(0x0c);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&address);
-                out.extend_from_slice(&page.to_be_bytes());
-            }
-            TelemetryEvent::RollbackBegin { at, height, depth, accounts } => {
-                out.push(0x0d);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&height.to_be_bytes());
-                out.extend_from_slice(&depth.to_be_bytes());
-                out.extend_from_slice(&accounts.to_be_bytes());
-            }
-            TelemetryEvent::RollbackEnd { at, pages } => {
-                out.push(0x0e);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&pages.to_be_bytes());
-            }
-            TelemetryEvent::SegmentYield { at, segment, frames } => {
-                out.push(0x0f);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&segment.to_be_bytes());
-                out.extend_from_slice(&frames.to_be_bytes());
-            }
-            TelemetryEvent::SegmentEnd { at, swaps } => {
-                out.push(0x10);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&swaps.to_be_bytes());
-            }
-            TelemetryEvent::PlanKv { at, address, meta, group } => {
-                out.push(0x11);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&address);
-                out.push(meta as u8);
-                out.extend_from_slice(&group);
-            }
-            TelemetryEvent::PlanKvDynamic { at, address } => {
-                out.push(0x12);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&address);
-            }
-            TelemetryEvent::KvFetch { at, address, meta, group } => {
-                out.push(0x13);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&address);
-                out.push(meta as u8);
-                out.extend_from_slice(&group);
-            }
-            TelemetryEvent::RecoveryBegin { at, journal_records } => {
-                out.push(0x14);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&journal_records.to_be_bytes());
-            }
-            TelemetryEvent::RecoveryEnd { at, replayed, discarded } => {
-                out.push(0x15);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&replayed.to_be_bytes());
-                out.extend_from_slice(&discarded.to_be_bytes());
-            }
-            TelemetryEvent::DiskUnverified { at, bucket } => {
-                out.push(0x16);
-                out.extend_from_slice(&at.to_be_bytes());
-                out.extend_from_slice(&bucket.to_be_bytes());
+
+            /// Canonical fixed-width encoding: a tag byte followed by the
+            /// fields big-endian. Equal streams ⇔ equal encodings ⇔ equal
+            /// digests.
+            pub fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( $name::$variant { at, $($field),* } => {
+                        buf.push($tag);
+                        at.enc(buf);
+                        $( $field.enc(buf); )*
+                    } )+
+                }
             }
         }
+    };
+}
+
+event_table! {
+    /// One structured telemetry event. `Copy` so the ring buffer and the
+    /// auditor never allocate per event.
+    pub enum TelemetryEvent {
+        /// A service phase completed in `ns` virtual time.
+        Phase = 0x01 {
+            /// Virtual time at phase end.
+            at: Nanos,
+            /// Which phase.
+            phase: PhaseKind,
+            /// Phase duration.
+            ns: Nanos,
+        },
+        /// An ORAM query hit the wire.
+        OramQuery = 0x02 {
+            /// Virtual time of the query.
+            at: Nanos,
+            /// Query classification.
+            kind: QueryKind,
+            /// Block payload size on the wire.
+            bytes: u32,
+        },
+        /// Pending prefetch pages were drained without riding the timer.
+        PrefetchDrained = 0x03 {
+            /// Virtual time of the drain.
+            at: Nanos,
+            /// Pages released.
+            pages: u32,
+        },
+        /// A layer-2↔3 call-stack swap.
+        Swap = 0x04 {
+            /// Virtual time of the swap.
+            at: Nanos,
+            /// `true` for swap-out (L2→L3), `false` for swap-in.
+            out: bool,
+            /// Pages actually moved.
+            true_pages: u32,
+            /// Pages visible on the bus (true + noise).
+            observed_pages: u32,
+        },
+        /// Gateway queue-depth sample (taken each scheduling round).
+        QueueDepth = 0x05 {
+            /// Virtual time of the sample.
+            at: Nanos,
+            /// Bundles queued across all tenants.
+            queued: u32,
+            /// Maximum per-tenant DRR deficit.
+            max_deficit: u64,
+        },
+        /// Gateway admitted a submission.
+        Admit = 0x06 {
+            /// Virtual time of admission.
+            at: Nanos,
+            /// Submitting session id.
+            session: u64,
+            /// Ticket assigned.
+            ticket: u64,
+        },
+        /// Gateway rejected a submission at admission.
+        Reject = 0x07 {
+            /// Virtual time of rejection.
+            at: Nanos,
+            /// Submitting session id.
+            session: u64,
+            /// `true` when the tenant's own queue was full (vs the global
+            /// admission budget).
+            tenant_local: bool,
+            /// Backlog estimate at rejection time (undivided virtual-time
+            /// work outstanding). Recorded instead of the quoted
+            /// `retry_after` hint so the event stream stays byte-identical
+            /// across worker counts: the hint divides this by the pool
+            /// size, which is a host-side throughput knob, not a schedule
+            /// input.
+            backlog_ns: Nanos,
+        },
+        /// Gateway shed an admitted bundle past its deadline.
+        Shed = 0x08 {
+            /// Virtual time of the shed.
+            at: Nanos,
+            /// Owning session id.
+            session: u64,
+            /// Ticket shed.
+            ticket: u64,
+        },
+        /// Circuit-breaker state transition (0=closed, 1=open, 2=half-open).
+        Breaker = 0x09 {
+            /// Virtual time of the transition.
+            at: Nanos,
+            /// New state.
+            state: u8,
+        },
+        /// Node sync retried after a transient fault.
+        NodeRetry = 0x0a {
+            /// Virtual time of the retry decision.
+            at: Nanos,
+            /// Attempt number (1-based).
+            attempt: u32,
+            /// Backoff before the retry.
+            backoff_ns: Nanos,
+        },
+        /// The static analyzer declared one code page reachable — part of a
+        /// contract's advertised prefetch plan for the current bundle.
+        PlanPage = 0x0b {
+            /// Virtual time of plan registration.
+            at: Nanos,
+            /// Contract address owning the page.
+            address: [u8; 20],
+            /// Planned page index.
+            page: u32,
+        },
+        /// A *real* code page crossed the ORAM wire (demand, paced, or
+        /// prefetch — cache-hit dummies excluded). The auditor checks every
+        /// one of these against the advertised plan.
+        CodePageFetch = 0x0c {
+            /// Virtual time of the fetch.
+            at: Nanos,
+            /// Contract address owning the page.
+            address: [u8; 20],
+            /// Fetched page index.
+            page: u32,
+        },
+        /// The static analyzer declared one world-state record fetchable —
+        /// part of a contract's advertised state prefetch plan for the
+        /// current bundle: either the account's meta record (`meta`) or one
+        /// 32-slot storage group (`group` = slot >> 5, big-endian).
+        PlanKv = 0x11 {
+            /// Virtual time of plan registration.
+            at: Nanos,
+            /// Account the record belongs to.
+            address: [u8; 20],
+            /// `true` for the account-meta record; `false` for a storage
+            /// group (whose id is in `group`).
+            meta: bool,
+            /// Storage-group id (slot >> 5), big-endian; zero for meta
+            /// records.
+            group: [u8; 32],
+        },
+        /// The static analyzer could *not* enumerate this contract's state
+        /// keys (calldata-affine or dynamic sites): its kv traffic is
+        /// exempt from the plan cross-check, and the exemption itself is on
+        /// the record.
+        PlanKvDynamic = 0x12 {
+            /// Virtual time of plan registration.
+            at: Nanos,
+            /// Account whose storage accesses are unpredictable.
+            address: [u8; 20],
+        },
+        /// A *real* world-state record crossed the ORAM wire (demand or
+        /// plan-driven batch — cache-hit dummies excluded). The auditor
+        /// checks every one of these against the advertised state plan.
+        KvFetch = 0x13 {
+            /// Virtual time of the fetch.
+            at: Nanos,
+            /// Account the record belongs to.
+            address: [u8; 20],
+            /// `true` for the account-meta record.
+            meta: bool,
+            /// Storage-group id (slot >> 5), big-endian; zero for meta
+            /// records.
+            group: [u8; 32],
+        },
+        /// World-state rollback to a fork point began. Everything between
+        /// this and the matching [`RollbackEnd`](TelemetryEvent::RollbackEnd)
+        /// is the *rollback window*: the auditor requires it to contain only
+        /// sync-shaped ORAM traffic, and at least one page write per account
+        /// the rollback advertises.
+        RollbackBegin = 0x0d {
+            /// Virtual time the rollback started.
+            at: Nanos,
+            /// Height of the fork point being rolled back to.
+            height: u64,
+            /// Blocks being undone.
+            depth: u32,
+            /// Accounts whose pre-images will be restored.
+            accounts: u32,
+        },
+        /// World-state rollback completed.
+        RollbackEnd = 0x0e {
+            /// Virtual time the rollback finished.
+            at: Nanos,
+            /// ORAM page writes issued by the rollback.
+            pages: u32,
+        },
+        /// A gas-slice segment yielded the core mid-transaction. Everything
+        /// between this and the matching
+        /// [`SegmentEnd`](TelemetryEvent::SegmentEnd) is the *segment
+        /// window*: the auditor requires the checkpoint to be observable
+        /// only as ordinary swap traffic — at least one swap-out per frame
+        /// the suspension advertises, and no ORAM queries riding along.
+        SegmentYield = 0x0f {
+            /// Virtual time of the yield (before cover traffic).
+            at: Nanos,
+            /// 1-based segment index within the transaction.
+            segment: u32,
+            /// Frames the suspension seals out (the advertised cover).
+            frames: u32,
+        },
+        /// The segment's checkpoint finished flushing to layer 3.
+        SegmentEnd = 0x10 {
+            /// Virtual time the checkpoint was sealed.
+            at: Nanos,
+            /// Swap-out events emitted inside the segment window.
+            swaps: u32,
+        },
+        /// Disk-store cold-start recovery began. Everything between this
+        /// and the matching [`RecoveryEnd`](TelemetryEvent::RecoveryEnd) is
+        /// the *recovery window*: the log is read back before the device
+        /// serves anyone, so no ORAM query may appear inside it — query
+        /// traffic there would let the adversary correlate recovery with
+        /// specific world-state accesses.
+        RecoveryBegin = 0x14 {
+            /// Virtual time recovery started.
+            at: Nanos,
+            /// Segment files found on open.
+            segments: u32,
+        },
+        /// Disk-store cold-start recovery finished.
+        RecoveryEnd = 0x15 {
+            /// Virtual time recovery finished.
+            at: Nanos,
+            /// Committed transactions read back from the log.
+            replayed: u32,
+            /// Torn/uncommitted trailing records discarded.
+            discarded: u32,
+        },
+        /// A disk bucket record was served WITHOUT its MAC being verified
+        /// (the checksum-ablation negative control). Any occurrence is an
+        /// integrity-audit violation: the §IV-D argument assumes every
+        /// off-chip byte is authenticated inside the trust boundary.
+        DiskUnverified = 0x16 {
+            /// Virtual time of the unverified read.
+            at: Nanos,
+            /// Bucket index served unverified.
+            bucket: u64,
+        },
     }
 }
 
@@ -1219,7 +1114,7 @@ mod tests {
             TelemetryEvent::RollbackEnd { at: 37, pages: 38 },
             TelemetryEvent::SegmentYield { at: 39, segment: 40, frames: 41 },
             TelemetryEvent::SegmentEnd { at: 42, swaps: 43 },
-            TelemetryEvent::RecoveryBegin { at: 44, journal_records: 45 },
+            TelemetryEvent::RecoveryBegin { at: 44, segments: 45 },
             TelemetryEvent::RecoveryEnd { at: 46, replayed: 47, discarded: 48 },
             TelemetryEvent::DiskUnverified { at: 49, bucket: 50 },
         ];

@@ -28,10 +28,11 @@
 #            HEVM-vs-reference differential fuzz at length, in release:
 #            20x tier-1's cases per property, then the same generators
 #            on a tiny layer 2 and with a small gas slice.
-# --recover  disk-recovery soak: an uninterrupted run, a run aborted
-#            (real process abort) after a seeded bundle, and a recovery
-#            run over the killed directory that must print the
-#            uninterrupted run's RECOVER_DIGEST byte for byte.
+# --recover  disk-recovery soak: one uninterrupted run, then for every
+#            bundle index a run aborted (real process abort) right after
+#            that bundle and a recovery run over the killed directory
+#            that must print the uninterrupted run's RECOVER_DIGEST byte
+#            for byte.
 # --bench    `repro all` (every figure must print REPRODUCED), then the
 #            two checked-in virtual-time reports are regenerated and must
 #            not differ from git by a byte, then the three negative
@@ -230,33 +231,37 @@ recover_soak() {
 }
 
 if [[ "$RUN_RECOVER" -eq 1 ]]; then
-    echo "==> disk recovery soak (hard kill mid-soak, byte-identical completion digest)"
-    # An uninterrupted run and a killed-then-recovered run over the
+    echo "==> disk recovery soak (hard kill after every bundle, byte-identical completion digest)"
+    # An uninterrupted run and every killed-then-recovered run over the
     # disk-backed ORAM must converge on the same RECOVER_DIGEST line:
     # recovery is byte-exact, not merely "consistent". The kill is a
-    # real process abort — buffered segment writes die with it.
-    KILL_AT=5
+    # real process abort — whatever the store had only buffered dies
+    # with it.
+    BUNDLES="${HARDTAPE_SOAK_BUNDLES:-12}"
     RECOVER_ROOT=target/scratch/verify-recover
     rm -rf "$RECOVER_ROOT"
-    mkdir -p "$RECOVER_ROOT/uninterrupted" "$RECOVER_ROOT/killed"
+    mkdir -p "$RECOVER_ROOT/uninterrupted"
     uninterrupted="$(recover_soak "$RECOVER_ROOT/uninterrupted" | grep -E '^RECOVER_DIGEST ')"
-    # The kill run aborts the test process by design; only the marker
-    # matters, not the harness exit code.
-    killed_out="$(recover_soak "$RECOVER_ROOT/killed" "$KILL_AT" || true)"
-    if ! grep -qE '^RECOVER_KILLED ' <<<"$killed_out"; then
-        echo "recover soak: the kill run never reached its abort point" >&2
-        exit 1
-    fi
-    recovered="$(recover_soak "$RECOVER_ROOT/killed" "" "$((KILL_AT + 1))" \
-        | grep -E '^RECOVER_DIGEST ')"
-    if [[ "$uninterrupted" != "$recovered" ]]; then
-        echo "recover soak: DIGEST MISMATCH after hard kill at bundle $KILL_AT" >&2
-        echo "  uninterrupted: $uninterrupted" >&2
-        echo "  recovered:     $recovered" >&2
-        exit 1
-    fi
+    for ((KILL_AT = 0; KILL_AT < BUNDLES; KILL_AT++)); do
+        mkdir -p "$RECOVER_ROOT/killed-$KILL_AT"
+        # The kill run aborts the test process by design; only the marker
+        # matters, not the harness exit code.
+        killed_out="$(recover_soak "$RECOVER_ROOT/killed-$KILL_AT" "$KILL_AT" || true)"
+        if ! grep -qE '^RECOVER_KILLED ' <<<"$killed_out"; then
+            echo "recover soak: the kill run never reached its abort point (bundle $KILL_AT)" >&2
+            exit 1
+        fi
+        recovered="$(recover_soak "$RECOVER_ROOT/killed-$KILL_AT" "" "$((KILL_AT + 1))" \
+            | grep -E '^RECOVER_DIGEST ')"
+        if [[ "$uninterrupted" != "$recovered" ]]; then
+            echo "recover soak: DIGEST MISMATCH after hard kill at bundle $KILL_AT" >&2
+            echo "  uninterrupted: $uninterrupted" >&2
+            echo "  recovered:     $recovered" >&2
+            exit 1
+        fi
+        echo "hard kill at bundle $KILL_AT: $recovered"
+    done
     rm -rf "$RECOVER_ROOT"
-    echo "hard kill at bundle $KILL_AT: $recovered"
 fi
 
 if [[ "$RUN_BENCH" -eq 1 ]]; then

@@ -8,11 +8,11 @@
 //! Everything runs on the deterministic virtual clock, so every
 //! latency, hint, and digest below is exact — no flake margins needed.
 
+use hardtape::gateway::served;
 use hardtape::{
     Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, PreExecOutcome, SecurityConfig,
     ServiceConfig, ServiceError,
 };
-use std::collections::HashMap;
 use tape_evm::{Env, Transaction};
 use tape_hevm::HevmAbort;
 use tape_primitives::{Address, U256};
@@ -87,46 +87,14 @@ fn device(gas_slice: Option<u64>) -> HarDTape {
         .expect("device boots")
 }
 
-/// Admit→complete virtual latencies for `sessions`, parsed from the
-/// gateway's deterministic event log ("t=<ns> admit/complete
-/// session=<s> ticket=<k> ..." lines).
+/// Admit→complete virtual latencies for `sessions`, read back from the
+/// gateway's deterministic event log.
 fn latencies(log: &EventLog, sessions: &[u64]) -> Vec<u64> {
-    let mut admits: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
-    for line in log.lines() {
-        let mut parts = line.split_whitespace();
-        let Some(t) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("t="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let Some(verb) = parts.next() else { continue };
-        let Some(session) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("session="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let ticket = parts
-            .next()
-            .and_then(|p| p.strip_prefix("ticket="))
-            .and_then(|v| v.parse::<u64>().ok());
-        match (verb, ticket) {
-            ("admit", Some(k)) => {
-                admits.insert(k, t);
-            }
-            ("complete", Some(k)) if sessions.contains(&session) => {
-                if let Some(&at) = admits.get(&k) {
-                    out.push(t - at);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+    served(log)
+        .iter()
+        .filter(|bundle| sessions.contains(&bundle.session))
+        .map(|bundle| bundle.completed_at - bundle.admitted_at)
+        .collect()
 }
 
 fn p99(mut samples: Vec<u64>) -> u64 {
@@ -409,6 +377,61 @@ fn preempted_bomb_completes_exactly_once_through_the_gateway() {
         .find(|c| c.ticket == honest_ticket)
         .expect("short bundle completed");
     assert!(short.outcome.as_ref().expect("short bundle serves").results[0].success);
+}
+
+/// A tenant re-attested while its paused bundle sits queued: the
+/// checkpoint belongs to the revoked session, so the next dispatch
+/// refuses it with a typed error — one completion, no panic.
+#[test]
+fn reconnect_with_a_paused_bundle_queued_is_a_typed_refusal() {
+    let mut gateway = Gateway::new(device(Some(GAS_SLICE)), GatewayConfig::default());
+    let bomber = gateway.connect(b"refused bomber").expect("attestation succeeds");
+    let ticket = gateway.submit(bomber, bomb_bundle()).expect("bomb admitted");
+    assert!(gateway.run_round().is_empty(), "the first segment only preempts");
+    assert_eq!(gateway.stats().preempted, 1);
+
+    let fresh = gateway.reconnect(bomber, b"refused bomber again").expect("re-attestation");
+    let completions = gateway.run_until_idle();
+    assert_eq!(completions.len(), 1, "exactly one completion for the paused bundle");
+    assert_eq!((completions[0].ticket, completions[0].session), (ticket, fresh));
+    assert_eq!(
+        completions[0].outcome.as_ref().expect_err("the pause must not resume"),
+        &GatewayError::Service(ServiceError::ReattestationRequired)
+    );
+    let stats = gateway.stats();
+    assert_eq!((stats.preempted, stats.completed_ok, stats.completed_err), (1, 0, 1));
+
+    // The other order: the tenant is already re-attested when its next
+    // bundle is preempted, so every pause carries the fresh session and
+    // the bundle resumes to its one completion.
+    let ticket = gateway.submit(fresh, Bundle::single(bomb_tx(3 * GAS_SLICE))).expect("admitted");
+    let completions = gateway.run_until_idle();
+    assert_eq!(completions.len(), 1);
+    assert_eq!(completions[0].ticket, ticket);
+    let report = completions[0].outcome.as_ref().expect("resumed under the fresh session");
+    assert_eq!(report.results[0].gas_used, 3 * GAS_SLICE);
+    assert!(gateway.stats().preempted > 1, "the second bomb must have been preempted too");
+}
+
+/// The same refusal straight from the service: a pause handed back with
+/// another session's handle is consumed and refused.
+#[test]
+fn foreign_session_pause_is_refused_by_the_service() {
+    let mut device = device(Some(GAS_SLICE));
+    let mut owner = device.connect_user(b"pause owner").expect("attestation succeeds");
+    let mut other = device.connect_user(b"pause thief").expect("attestation succeeds");
+    let bundle = bomb_bundle();
+    let pause = match device.pre_execute_preemptible(&mut owner, &bundle, None) {
+        Ok(PreExecOutcome::Preempted(pause)) => pause,
+        other => panic!("an {BOMB_GAS}-gas bomb must outlast one slice, got {other:?}"),
+    };
+    match device.pre_execute_preemptible(&mut other, &bundle, Some(pause)) {
+        Err(ServiceError::ReattestationRequired) => {}
+        other => panic!("expected ReattestationRequired, got {other:?}"),
+    }
+    // Nothing is left held: the owner's next bundle takes a core and runs.
+    let report = device.pre_execute(&mut owner, &transfer_bundle(3, 0)).expect("device still serves");
+    assert!(report.results[0].success);
 }
 
 /// The scheduler's context-switch cost is charged into the executed

@@ -44,8 +44,8 @@ fn config(dir: &std::path::Path) -> DiskStoreConfig {
 }
 
 /// [`config`] at the smallest segment size the store accepts. One
-/// checkpointed op of this geometry appends more than that (six bucket
-/// records and a sealed client), so segments roll at every opportunity.
+/// checkpointed op of this geometry appends ≈ 3.9 KB (six bucket records
+/// and a sealed client), so a segment is full after two of them.
 fn rolling(dir: &std::path::Path) -> DiskStoreConfig {
     DiskStoreConfig { segment_roll_bytes: 4096, ..config(dir) }
 }
@@ -247,7 +247,6 @@ fn kill_matrix_every_crash_point_recovers_byte_identical() {
 
 /// The same sweep with crash points landing on segment rolls too.
 #[test]
-#[ignore = "ROADMAP debt (a)"]
 fn kill_matrix_across_segment_rolls_recovers_byte_identical() {
     let crashes = kill_matrix(12, rolling);
     assert!(crashes >= 80, "matrix swept only {crashes} crash points");
@@ -258,7 +257,6 @@ fn kill_matrix_across_segment_rolls_recovers_byte_identical() {
 /// roll: each reopen must find exactly the commits made and the twin's
 /// tree at that count.
 #[test]
-#[ignore = "ROADMAP debt (a)"]
 fn clean_stop_at_every_commit_index_recovers_the_twin() {
     let total = 40u64;
     let twins = twin_digests(total);
@@ -278,7 +276,7 @@ fn clean_stop_at_every_commit_index_recovers_the_twin() {
 }
 
 #[test]
-fn torn_journal_write_is_discarded_on_recovery() {
+fn torn_write_is_discarded_on_recovery() {
     let total = 4u64;
     let twins = twin_digests(total);
     // Sweep the torn-prefix space: the fault param drives how much of
@@ -310,7 +308,7 @@ fn lost_fsync_surfaces_at_the_next_crash() {
     let (mut server, _) = open_armed(scratch.path(), &plan, &clock);
     let mut client = fresh_client();
 
-    // Op 0 "succeeds": the disk lied about the journal fsync.
+    // Op 0 "succeeds": the disk lied about the commit fsync.
     let (c, cost) = (Clock::new(), CostModel::default());
     checkpointed_op(&mut server, &mut client, &c, &cost, 0).expect("lying disk reports success");
     assert_eq!(server.committed_seq(), 1, "in-process view believes the commit");
@@ -397,26 +395,46 @@ fn short_read_is_typed_and_transient() {
     );
 }
 
+/// Every file in `dir`, by name.
+fn dir_bytes(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("store dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("read store file"))
+        })
+        .collect()
+}
+
 #[test]
 fn recovery_is_idempotent() {
     let total = 5u64;
     let scratch = Scratch::new("store-idempotent", 1);
     let clock = Clock::new();
     let plan = FaultPlan::new(0x1D, &clock);
-    plan.arm(FaultSite::Disk, &[FaultKind::CrashPoint { n: 9 }], 1, 1);
     let (mut server, _) = open_armed(scratch.path(), &plan, &clock);
     let mut client = fresh_client();
-    run_ops(&mut server, &mut client, 0, total).expect_err("crash point fires");
+    run_ops(&mut server, &mut client, 0, 3).expect("clean prefix");
+    plan.arm(FaultSite::Disk, &[FaultKind::TornWrite], 1, 1);
+    run_ops(&mut server, &mut client, 3, total).expect_err("torn write crashes");
     drop(server);
 
+    // The first open has a torn transaction to truncate.
     let (first, report1) = open_disk(scratch.path(), None);
+    assert_eq!(report1.committed_seq, 3);
+    assert!(report1.discarded > 0, "seed must leave a torn tail on the platter");
     let digest1 = first.state_digest();
     drop(first);
-    let (second, report2) = open_disk(scratch.path(), None);
-    assert_eq!(report2.committed_seq, report1.committed_seq);
-    assert_eq!(report2.replayed, 0, "second open finds nothing left to replay");
-    assert_eq!(report2.discarded, 0, "second open finds nothing left to discard");
-    assert_eq!(second.state_digest(), digest1, "recovery must be a fixed point");
+    let files = dir_bytes(scratch.path());
+    // The second and third find a clean log and leave it alone.
+    for _ in 0..2 {
+        let (again, report) = open_disk(scratch.path(), None);
+        assert_eq!(report, RecoveryReport { discarded: 0, ..report1 });
+        assert_eq!(again.state_digest(), digest1, "recovery must be a fixed point");
+        drop(again);
+        assert_eq!(dir_bytes(scratch.path()), files, "a clean recovery rewrote the directory");
+    }
 }
 
 #[test]
@@ -588,44 +606,84 @@ fn prop_disk_and_memory_backends_stay_in_lockstep() {
 }
 
 #[test]
-fn prop_arbitrary_journal_truncation_never_panics() {
-    check("journal truncation", 8, |g: &mut Gen| {
+fn prop_arbitrary_log_truncation_never_panics() {
+    check("log truncation", 8, |g: &mut Gen| {
         let seed = g.u64();
         let scratch = Scratch::new("store-truncate", seed);
-        let clock = Clock::new();
-        // Keep the journal populated: trim far beyond the op count.
-        let mut cfg = DiskStoreConfig::new(scratch.path(), MAC_KEY);
-        cfg.wal_trim_every = 1_000;
-        let (store, _) = DiskStore::open(cfg, &geometry(), &clock, None).expect("open store");
-        let mut server = OramServer::with_backend(geometry(), Box::new(store));
-        server.set_autocommit(false);
-        let mut client = fresh_client();
-        let (c, cost) = (Clock::new(), CostModel::default());
-        let total = g.range(2, 5);
-        for i in 0..total {
-            checkpointed_op(&mut server, &mut client, &c, &cost, i).expect("op");
-        }
+        let total = g.range(3, 8);
+        let twins = twin_digests(total);
+        let (mut server, _) = open_store(rolling(scratch.path()), None, &Clock::new(), None);
+        run_ops(&mut server, &mut fresh_client(), 0, total).expect("clean run");
         drop(server);
+        let pristine = dir_bytes(scratch.path());
+        assert!(pristine.len() >= 2, "the roll size must spread the log over several files");
+        let chop = |name: &String, cut: usize| {
+            std::fs::write(scratch.join(name), &pristine[name][..cut]).expect("truncate segment");
+        };
 
-        // Chop the durable journal at an arbitrary byte: recovery must
+        // Chop the last segment file at an arbitrary byte: recovery must
         // come up with a typed verdict — a prefix of the commits, no
         // panic, and never an unverified bucket.
-        let wal_path = scratch.join("wal.log");
-        let wal = std::fs::read(&wal_path).expect("journal exists");
-        assert!(!wal.is_empty(), "trim threshold must keep the journal populated");
-        let cut = g.index(wal.len() + 1);
-        std::fs::write(&wal_path, &wal[..cut]).expect("truncate journal");
-
-        let (server, report) = open_disk(scratch.path(), None);
+        let (last, bytes) = pristine.last_key_value().expect("a segment");
+        let cut = g.index(bytes.len() + 1);
+        chop(last, cut);
+        let (server, report) = open_store(rolling(scratch.path()), None, &Clock::new(), None);
         assert!(report.committed_seq <= total, "truncation cannot invent commits");
         // What *was* recovered is a consistent prefix: byte-identical to
         // the twin at that op count.
         assert_eq!(
             server.state_digest(),
-            twin_digests(total)[report.committed_seq as usize],
+            twins[report.committed_seq as usize],
             "cut at byte {cut}: recovered state is not a committed prefix"
         );
+        drop(server);
+
+        // Chop any earlier file short instead: the log now has a hole
+        // with commits after it, which no crash can explain — typed
+        // corruption, never a panic or a silently shorter history.
+        chop(last, bytes.len());
+        let (earlier, bytes) =
+            pristine.iter().nth(g.index(pristine.len() - 1)).expect("an earlier segment");
+        let cut = g.index(bytes.len());
+        chop(earlier, cut);
+        let err = DiskStore::open(rolling(scratch.path()), &geometry(), &Clock::new(), None)
+            .expect_err("a hole in the log must not open");
+        assert!(
+            matches!(err, StoreError::Corrupt { .. }),
+            "{earlier} cut at byte {cut}: expected typed corruption, got {err}"
+        );
     });
+}
+
+/// A directory written by the journal-plus-segments store this one
+/// replaced is refused, not misread: its records carry the old magic,
+/// and a `wal.log` may hold commits no segment has.
+#[test]
+fn old_format_directory_is_refused_as_corrupt() {
+    let open = |dir: &std::path::Path| {
+        DiskStore::open(config(dir), &geometry(), &Clock::new(), None).map(|(_, report)| report)
+    };
+
+    // A v1 segment record: magic 0xD15C, type 3, bucket 0, seq 1, empty
+    // payload, MAC.
+    let scratch = Scratch::new("store-old-format", 1);
+    let mut v1 = vec![0xD1, 0x5C, 3];
+    v1.extend_from_slice(&[0; 8]);
+    v1.extend_from_slice(&1u64.to_be_bytes());
+    v1.extend_from_slice(&[0; 4 + 32]);
+    std::fs::write(scratch.join("seg-0000.dat"), &v1).expect("write v1 segment");
+    let err = open(scratch.path()).expect_err("v1 segment must not open");
+    assert!(matches!(err, StoreError::Corrupt { .. }), "expected typed corruption, got {err}");
+
+    // A stray journal beside an otherwise healthy log.
+    let scratch = Scratch::new("store-old-format", 2);
+    let (mut server, _) = open_disk(scratch.path(), None);
+    run_ops(&mut server, &mut fresh_client(), 0, 2).expect("clean run");
+    drop(server);
+    assert_eq!(open(scratch.path()).expect("healthy log opens").committed_seq, 2);
+    std::fs::write(scratch.join("wal.log"), b"").expect("write stray journal");
+    let err = open(scratch.path()).expect_err("a journal file must not be ignored");
+    assert!(matches!(err, StoreError::Corrupt { .. }), "expected typed corruption, got {err}");
 }
 
 /// The full device boots on a disk store, serves bundles, and a reboot
@@ -684,6 +742,9 @@ fn device_warm_restart_resumes_from_the_disk_store() {
         )
     };
     assert!(seq > 0, "durable device commits every access");
+    // benchmark/'s restart only ever stops on a multiple of 8 commits
+    // (its `pad_to_trim_boundary`); this one covers the other stops.
+    assert_ne!(seq % 8, 0, "stop the device off a multiple of 8 commits");
 
     // Warm boot: recovery resumes at the committed sequence with a
     // byte-identical tree, skips the genesis sync, and the device still
