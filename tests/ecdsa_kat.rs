@@ -14,9 +14,14 @@
 //! `sign` emits is pinned by `GRID_DIGESTS`: keccak digests of
 //! (`public_key` ‖ `sign` ‖ `ecdh`) over a 32-key × 4-digest grid,
 //! recorded on the double-and-add implementation over `U256::mul_mod`;
-//! any replacement arithmetic must reproduce them unchanged.
+//! any replacement arithmetic must reproduce them unchanged. What
+//! `verify` and `recover` *decide* — honest, mirrored, tampered and
+//! cross-key inputs on the same grid — is pinned by `GRID_DECISIONS`,
+//! recorded on the comb-and-window implementation, and the one case no
+//! honest signature reaches (`R`'s x coordinate above `n`) by a crafted
+//! vector of its own.
 
-use tape_crypto::secp::{self, Point, Signature, N, P};
+use tape_crypto::secp::{self, EcdsaError, Point, PublicKey, Signature, N, P};
 use tape_crypto::{keccak256, sha256, Keccak256, SecretKey};
 use tape_primitives::{hex, Address, B256, U256};
 
@@ -145,5 +150,102 @@ fn sign_public_key_and_ecdh_are_pinned_byte_for_byte() {
             column.update(shared.as_bytes());
         }
         assert_eq!(hex::encode(column.finalize().as_bytes()), expected);
+    }
+}
+
+/// What `verify` answered, as one byte.
+fn decision(result: Result<(), EcdsaError>) -> u8 {
+    match result {
+        Ok(()) => 0,
+        Err(EcdsaError::BadSignature) => 1,
+        Err(EcdsaError::InvalidScalar) => 2,
+        Err(EcdsaError::InvalidPoint) => 3,
+        Err(EcdsaError::RecoveryFailed) => 4,
+    }
+}
+
+/// `x` with one bit flipped.
+fn flip(x: U256, bit: usize) -> U256 {
+    x ^ U256::ONE.shl_word(bit as u32)
+}
+
+/// One digest per column of the grid, over every key's `verify` decision
+/// and `recover`ed address (or error) for: the honest signature, its
+/// mirrored high-s form, one flipped bit in `r`, in `s` and in the
+/// digest, and the honest signature under the next key.
+const GRID_DECISIONS: [&str; 4] = [
+    "d61e4b48fd3add156a7d62ba253637a015998eb7c80e0e9af3c5fc083f455f0c",
+    "92e2077be12fb7b07c6d95c392092837e2d49af874ec554490da6014c5241024",
+    "a6ffc422fc6d95238ca6557dba1069c1bb2bfeeb142b5b8d1a2c473cf9e99a07",
+    "8c4c52252916c84b2bb2ad8551bb21ba460f476b5e1055697606f3b2ebb0c972",
+];
+
+#[test]
+fn verify_decisions_and_recovered_addresses_are_pinned() {
+    let publics: Vec<_> = (0..GRID_KEYS)
+        .map(|i| SecretKey::from_seed(format!("ecdsa-kat-key-{i}").as_bytes()).public_key())
+        .collect();
+    for (j, (digest, expected)) in grid_digests().iter().zip(GRID_DECISIONS).enumerate() {
+        let mut column = Keccak256::new();
+        for i in 0..GRID_KEYS {
+            let key = SecretKey::from_seed(format!("ecdsa-kat-key-{i}").as_bytes());
+            let sig = key.sign(digest);
+            // Which bit moves differs from cell to cell and covers the
+            // whole word over the grid.
+            let bit = (37 * i + 101 * j) % 256;
+            let flipped_digest = B256::new(flip(digest.into_u256(), bit).to_be_bytes());
+            let cases = [
+                (publics[i], *digest, sig),
+                (publics[i], *digest, Signature { s: N.wrapping_sub(sig.s), v: sig.v ^ 1, ..sig }),
+                (publics[i], *digest, Signature { r: flip(sig.r, bit), ..sig }),
+                (publics[i], *digest, Signature { s: flip(sig.s, bit), ..sig }),
+                (publics[i], flipped_digest, sig),
+                (publics[(i + 1) % GRID_KEYS], *digest, sig),
+            ];
+            for (case, (key, digest, sig)) in cases.iter().enumerate() {
+                let verdict = key.verify(digest, sig);
+                assert_eq!(verdict.is_ok(), case < 2, "key {i}, digest {j}, case {case}");
+                column.update(&[decision(verdict)]);
+                match secp::recover(digest, sig) {
+                    Ok(signer) => {
+                        assert_eq!(signer == publics[i], case < 2 || case == 5);
+                        column.update(signer.to_eth_address().as_bytes());
+                    }
+                    Err(e) => column.update(&[decision(Err(e))]),
+                }
+            }
+        }
+        assert_eq!(hex::encode(column.finalize().as_bytes()), expected, "column {j}");
+    }
+}
+
+#[test]
+fn nonce_point_with_x_above_n_verifies_under_the_reduced_r() {
+    // `verify` compares `x mod n` with `r`, and `p − n ≈ 2^128.4` values of
+    // `x` lie above `n` — no honest signature will ever meet one, so this
+    // one is crafted. `n + 2` is on the curve (`n + 1` is not, `n` itself
+    // would give `r = 0`): with `R = lift_x(n + 2, odd)`, `r = 2` and an
+    // arbitrary `s` and digest, `Q = r⁻¹(s·R − z·G)` is the key the
+    // signature verifies under. `Q` below was computed outside this
+    // workspace (affine double-and-add over Python integers).
+    let r_point = Point::lift_x(N.wrapping_add(U256::from(2u64)), true).expect("on the curve");
+    let (r, s) = (U256::from(2u64), U256::from_be_bytes([0x22; 32]));
+    let digest = B256::new([0x11; 32]);
+    let q = affine(
+        "af4cb1801bad101fb1f320b93cb1c7a9fe106baadbe8ab3f6ec92c0de9bd56bb",
+        "a9d270ab30f8bf0a32858c252063ed1bb00dc8576725a441ba0d1273f2599bcc",
+    );
+    // The same construction through the code under test: r⁻¹ = (n + 1)/2.
+    let half = N.shr_word(1).wrapping_add(U256::ONE);
+    let minus_z = N.wrapping_sub(digest.into_u256().rem_evm(N));
+    assert_eq!(r_point.mul(s).add(Point::GENERATOR.mul(minus_z)).mul(half), q);
+
+    let key = PublicKey::from_point(q).expect("on the curve");
+    for v in 0..2 {
+        assert_eq!(key.verify(&digest, &Signature { r, s, v }), Ok(()));
+        let three = Signature { r: U256::from(3u64), s, v };
+        assert_eq!(key.verify(&digest, &three), Err(EcdsaError::BadSignature));
+        // `recover` lifts `r` itself, never `r + n`: it names another key.
+        assert_ne!(secp::recover(&digest, &Signature { r, s, v }), Ok(key));
     }
 }
