@@ -44,6 +44,45 @@ const GY: U256 = U256::from_limbs([
     0x483a_da77_26a3_c465,
 ]);
 
+/// A primitive cube root of unity mod `n`: secp256k1's endomorphism
+/// `φ(x, y) = (β·x, y)` is multiplication by `λ` on the curve's group.
+pub const LAMBDA: U256 = U256::from_limbs([
+    0xdf02_967c_1b23_bd72,
+    0x122e_22ea_2081_6678,
+    0xa526_1c02_8812_645a,
+    0x5363_ad4c_c05c_30e0,
+]);
+
+/// The cube root of unity mod `p` that pairs with [`LAMBDA`].
+pub const BETA: U256 = U256::from_limbs([
+    0xc139_6c28_7195_01ee,
+    0x9cf0_4975_12f5_8995,
+    0x6e64_479e_ac34_34e9,
+    0x7ae9_6a2b_657c_0710,
+]);
+
+/// `−b₁` and `b₂` of the reduced basis `(a₁, b₁), (a₂, b₂)` of the lattice
+/// `{(x, y) : x + y·λ ≡ 0 (mod n)}` (`a₁ = b₂`; `a₂` is never needed).
+pub const MINUS_B1: U256 = U256::from_limbs([0x6f54_7fa9_0abf_e4c3, 0xe443_7ed6_010e_8828, 0, 0]);
+/// See [`MINUS_B1`].
+pub const B2: U256 = U256::from_limbs([0xe86c_90e4_9284_eb15, 0x3086_d221_a7d4_6bcd, 0, 0]);
+
+/// `round(2^384·b₂ / n)` and `round(2^384·(−b₁) / n)`: with them the two
+/// divisions by `n` in [`split_scalar`] are a multiplication and a shift.
+pub const G1: U256 = U256::from_limbs([
+    0xe893_209a_45db_b031,
+    0x3daa_8a14_71e8_ca7f,
+    0xe86c_90e4_9284_eb15,
+    0x3086_d221_a7d4_6bcd,
+]);
+/// See [`G1`].
+pub const G2: U256 = U256::from_limbs([
+    0x1571_b4ae_8ac4_7f71,
+    0x2212_08ac_9df5_06c6,
+    0x6f54_7fa9_0abf_e4c4,
+    0xe443_7ed6_010e_8828,
+]);
+
 /// Arithmetic modulo `m = 2^256 − c` with `c` held in `L` limbs. Both of
 /// the curve's moduli have this special form, so a 512-bit product is
 /// reduced by folding its high half back in as `hi·c` — no division.
@@ -117,7 +156,7 @@ impl<const L: usize> Field<L> {
         self.mul(a, a)
     }
 
-    /// Exponentiation by squaring.
+    /// Exponentiation by squaring; what is left of it is the square root.
     fn pow(&self, mut base: U256, exp: U256) -> U256 {
         let mut result = U256::ONE;
         for i in 0..exp.bits() {
@@ -129,10 +168,133 @@ impl<const L: usize> Field<L> {
         result
     }
 
-    /// Inverse via Fermat's little theorem (the modulus is prime).
+    #[inline]
     fn inv(&self, a: U256) -> U256 {
-        self.pow(a, self.m.wrapping_sub(U256::from(2u64)))
+        inv_mod(a, self.m)
     }
+}
+
+/// The low 62 bits of a word.
+const M62: u64 = u64::MAX >> 2;
+
+/// A signed integer below 2^310 in magnitude as five 62-bit limbs, least
+/// significant first: the top limb carries the sign, the others lie in
+/// `[0, 2^62)`. Sums of a few limb products fit an `i128` with room left.
+type Signed62 = [i64; 5];
+
+fn to_signed62(a: U256) -> Signed62 {
+    let [a0, a1, a2, a3] = a.into_limbs();
+    [a0, a0 >> 62 | a1 << 2, a1 >> 60 | a2 << 4, a2 >> 58 | a3 << 6, a3 >> 56]
+        .map(|limb| (limb & M62) as i64)
+}
+
+/// 62 division steps (Bernstein–Yang, "Fast constant-time gcd computation
+/// and modular inversion", run in variable time) on the low words of `f`
+/// (odd) and `g`. A step halves `g` if it is even; otherwise it first
+/// swaps `(f, g) ← (g, −f)` when `delta > 0`, then replaces `g` by
+/// `(g + f)/2`. Only the low 62 bits of either operand can influence 62
+/// steps, so the batch runs on machine words and returns the new `delta`
+/// with the matrix `[u, v, q, r]` for the full-width update:
+/// `2^62·(f′, g′) = (u·f + v·g, q·f + r·g)`, `|u| + |v|, |q| + |r| ≤ 2^62`.
+fn divsteps_62(mut delta: i64, mut f: u64, mut g: u64) -> (i64, [i64; 4]) {
+    let (mut u, mut v, mut q, mut r) = (1i64, 0i64, 0i64, 1i64);
+    let mut left = 62;
+    loop {
+        // Every trailing zero of g is a step that only halves it; the
+        // sentinel bit stops the count at the end of the batch. Doubling
+        // f's row instead keeps the matrix integral.
+        let zeros = (g | u64::MAX << left).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        delta += i64::from(zeros);
+        left -= zeros;
+        if left == 0 {
+            return (delta, [u, v, q, r]);
+        }
+        if delta > 0 {
+            delta = -delta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, v, q, r) = (q, r, -u, -v);
+        }
+        // Add the multiple w of f that clears g's low `limit` bits, as
+        // many as the next steps would clear one by one before delta
+        // turns positive again. f is its own inverse mod 8; one Newton
+        // round makes that six bits.
+        let limit = (1 - delta).min(i64::from(left)).min(6);
+        let minus_f_inv = f.wrapping_mul(f).wrapping_sub(2).wrapping_mul(f);
+        let w = (minus_f_inv.wrapping_mul(g) & ((1 << limit) - 1)) as i64;
+        g = g.wrapping_add(f.wrapping_mul(w as u64));
+        q += u * w;
+        r += v * w;
+    }
+}
+
+/// `(x, y) ← (t·(x, y) + m·(kx, ky)) / 2^62`, where the caller has made
+/// sure both numerators end in 62 zero bits.
+fn transform(x: &mut Signed62, y: &mut Signed62, t: [i64; 4], m: &Signed62, k: [i64; 2]) {
+    let [u, v, q, r, kx, ky] = [t[0], t[1], t[2], t[3], k[0], k[1]].map(i128::from);
+    let (mut cx, mut cy) = (0i128, 0i128);
+    for i in 0..5 {
+        let (xi, yi, mi) = (i128::from(x[i]), i128::from(y[i]), i128::from(m[i]));
+        cx += u * xi + v * yi + kx * mi;
+        cy += q * xi + r * yi + ky * mi;
+        if i > 0 {
+            x[i - 1] = (cx as u64 & M62) as i64;
+            y[i - 1] = (cy as u64 & M62) as i64;
+        }
+        cx >>= 62;
+        cy >>= 62;
+    }
+    (x[4], y[4]) = (cx as i64, cy as i64);
+}
+
+/// `a⁻¹ mod m` for an odd `m` and an `a < m` coprime to it; `0` for
+/// `a = 0`, as `a^(m−2)` would give for a prime `m`.
+///
+/// A gcd, not an exponentiation: division steps reduce `(f, g) = (m, a)`
+/// to `(±1, 0)` in batches of 62 decided on the low words alone, and each
+/// batch's 2×2 matrix is applied once to the 256-bit `(f, g)` and once,
+/// mod `m`, to the coefficients `(d, e)` that keep `d·a ≡ f` and
+/// `e·a ≡ g`. About ten batches for a 256-bit modulus, against the 256
+/// squarings and ≈ 250 multiplications of Fermat's exponent. Variable
+/// time, like everything else in this module.
+pub fn inv_mod(a: U256, m: U256) -> U256 {
+    let m62 = to_signed62(m);
+    // m⁻¹ mod 2^62 by Newton's iteration: m is its own inverse mod 8, and
+    // every round doubles the number of correct low bits.
+    let m0 = m.low_u64();
+    let m_inv = (0..5).fold(m0, |x, _| x.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(x))));
+    let (mut f, mut g) = (m62, to_signed62(a));
+    let (mut d, mut e): (Signed62, Signed62) = ([0; 5], [1, 0, 0, 0, 0]);
+    let mut delta = 1;
+    while g != [0; 5] {
+        let (next, t) = divsteps_62(delta, f[0] as u64, g[0] as u64);
+        delta = next;
+        // d and e stay in (−2m, m): a negative one first takes its row of
+        // the matrix in multiples of m, then each takes the multiple of m
+        // below 2^62 that clears the low 62 bits of its numerator.
+        let negative = [d[4] >> 63, e[4] >> 63];
+        let mut k = [0, 2].map(|row| (t[row] & negative[0]) + (t[row + 1] & negative[1]));
+        for (row, k) in k.iter_mut().enumerate() {
+            let low = t[2 * row].wrapping_mul(d[0]).wrapping_add(t[2 * row + 1].wrapping_mul(e[0]));
+            *k -= (m_inv.wrapping_mul(low as u64).wrapping_add(*k as u64) & M62) as i64;
+        }
+        transform(&mut d, &mut e, t, &m62, k);
+        transform(&mut f, &mut g, t, &m62, [0, 0]);
+    }
+    // d = hi·2^256 + lo, brought into [0, m) and given f's sign.
+    let [d0, d1, d2, d3, d4] = d.map(|limb| limb as u64);
+    let limbs = [d0 | d1 << 62, d1 >> 2 | d2 << 60, d2 >> 4 | d3 << 58, d3 >> 6 | d4 << 56];
+    let (mut lo, mut hi) = (U256::from_limbs(limbs), d[4] >> 8);
+    while hi < 0 {
+        let (sum, carry) = lo.overflowing_add(m);
+        (lo, hi) = (sum, hi + i64::from(carry));
+    }
+    if f[4] < 0 && !lo.is_zero() {
+        lo = m.wrapping_sub(lo);
+    }
+    lo
 }
 
 /// `x³ + 7`, the right-hand side of the curve equation.
@@ -150,6 +312,48 @@ fn fsqrt(a: U256) -> Option<U256> {
     } else {
         None
     }
+}
+
+/// Splits `k < n` as `k ≡ k₁ + k₂·λ (mod n)` with `|k₁|, |k₂| < 2^128`,
+/// each half returned as (is negative, magnitude).
+///
+/// `(k, 0)` minus the lattice vector nearest to it is such a pair, and
+/// Babai's rounding finds one near enough: `c₁ = ⌊b₂·k/n⌉`,
+/// `c₂ = ⌊−b₁·k/n⌉`, `k₂ = −c₁·b₁ − c₂·b₂`, `k₁ = k − k₂·λ`.
+pub fn split_scalar(k: U256) -> [(bool, u128); 2] {
+    let round_shift_384 = |g: U256| {
+        let w = k.mul_wide(g);
+        U256::from((u128::from(w[7]) << 64 | u128::from(w[6])) + u128::from(w[5] >> 63))
+    };
+    let (c1, c2) = (round_shift_384(G1), round_shift_384(G2));
+    let k2 = FN.sub(FN.mul(c1, MINUS_B1), FN.mul(c2, B2));
+    let k1 = FN.sub(k, FN.mul(k2, LAMBDA));
+    [k1, k2].map(|half| {
+        let negative = half.limbs()[3] != 0;
+        let magnitude = if negative { N.wrapping_sub(half) } else { half };
+        debug_assert_eq!(magnitude.limbs()[2..], [0, 0], "half of {k:x} exceeds 128 bits");
+        (negative, magnitude.low_u128())
+    })
+}
+
+/// The width-5 non-adjacent form of `k`, least significant digit first:
+/// `k = Σ dᵢ·2^i` with every non-zero `dᵢ` odd, `|dᵢ| < 16`, and at least
+/// four zeros between any two of them — one addition in six doublings on
+/// average, off a table of the eight odd multiples. 129 digits, because
+/// rounding up can carry out of bit 127.
+pub fn wnaf(mut k: u128) -> [i8; 129] {
+    let mut digits = [0i8; 129];
+    let mut i = 0;
+    while k != 0 {
+        let zeros = k.trailing_zeros() as usize;
+        let low = (k >> zeros) as i8 & 31;
+        // A window above 16 stands for `low − 32` and carries one into the
+        // bits above it.
+        digits[i + zeros] = if low > 16 { low - 32 } else { low };
+        k = (k >> zeros >> 5) + u128::from(low > 16);
+        i += zeros + 5;
+    }
+    digits
 }
 
 /// A point on secp256k1 in affine coordinates, or the point at infinity.
@@ -311,19 +515,29 @@ impl Jacobian {
         acc
     }
 
-    /// Variable-base `k·self` in 4-bit fixed windows: `1·self … 15·self`
-    /// once, then four doublings and at most one addition per nibble.
-    fn mul_window(self, k: U256) -> Jacobian {
-        let mut multiples = [self; 15];
-        for j in 1..15 {
-            multiples[j] = multiples[j - 1].add(self);
+    /// Variable-base `k·self` for `k < n` and `self` on the curve, where
+    /// `φ(self) = λ·self`: with `k = k₁ + k₂·λ` the product is
+    /// `k₁·self + k₂·φ(self)`, two 128-bit halves that share their
+    /// doublings (Strauss–Shamir) and, up to one multiplication by `β` an
+    /// entry, their table of odd multiples.
+    fn mul_glv(self, k: U256) -> Jacobian {
+        let twice = self.double();
+        let mut odd = [self; 8];
+        for j in 1..8 {
+            odd[j] = odd[j - 1].add(twice);
         }
+        let phi = odd.map(|q| Jacobian { x: FP.mul(q.x, BETA), ..q });
+        let halves = split_scalar(k).map(|(negative, magnitude)| (negative, wnaf(magnitude)));
         let mut acc = Jacobian::INFINITY;
-        for i in (0..k.bits().div_ceil(4) as usize).rev() {
-            acc = acc.double().double().double().double();
-            match nibble(k, i) {
-                0 => {}
-                j => acc = acc.add(multiples[j - 1]),
+        for i in (0..129).rev() {
+            acc = acc.double();
+            for (table, (negative, digits)) in [&odd, &phi].into_iter().zip(&halves) {
+                if digits[i] != 0 {
+                    let entry = table[usize::from(digits[i].unsigned_abs() / 2)];
+                    let minus = (digits[i] < 0) != *negative;
+                    let y = if minus { FP.sub(U256::ZERO, entry.y) } else { entry.y };
+                    acc = acc.add(Jacobian { y, ..entry });
+                }
             }
         }
         acc
@@ -344,11 +558,20 @@ impl Point {
     }
 
     /// Scalar multiplication `k·self`.
+    ///
+    /// `self` must be on the curve: the product is assembled from `self`
+    /// and its image under the curve's endomorphism, which is a multiple
+    /// of `self` only in the curve's own group. Every decoder in this
+    /// module ([`Point::from_uncompressed`], [`Point::lift_x`],
+    /// [`PublicKey::from_point`], [`PublicKey::from_bytes`]) refuses
+    /// coordinates that are not; a hand-built [`Point::Affine`] is the
+    /// caller's to check with [`Point::is_on_curve`].
     // Not `impl Mul`: the operand is a scalar, not another Point, and
     // group operations reading as method calls matches the EC literature.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, k: U256) -> Point {
-        Jacobian::from_affine(self).mul_window(k.rem_evm(N)).to_affine()
+        debug_assert!(self.is_on_curve(), "scalar multiple of an off-curve point");
+        Jacobian::from_affine(self).mul_glv(k.rem_evm(N)).to_affine()
     }
 
     /// Point addition.
@@ -599,11 +822,18 @@ impl PublicKey {
         let s_inv = FN.inv(sig.s);
         let u1 = FN.mul(z, s_inv);
         let u2 = FN.mul(sig.r, s_inv);
-        // u₁·G + u₂·Q, summed in Jacobian form: one inversion in all.
-        let sum = Jacobian::mul_g(u1).add(Jacobian::from_affine(self.point).mul_window(u2));
-        match sum.to_affine() {
-            Point::Affine { x, .. } if x.rem_evm(N) == sig.r => Ok(()),
-            _ => Err(EcdsaError::BadSignature),
+        // u₁·G + u₂·Q = (X, Y, Z) stands for the affine x = X/Z². Instead
+        // of dividing, compare X with the candidates times Z²: x ≡ r
+        // (mod n) and x < p < 2n leave only x = r and, when it is below p,
+        // x = r + n.
+        let sum = Jacobian::mul_g(u1).add(Jacobian::from_affine(self.point).mul_glv(u2));
+        let z2 = FP.sqr(sum.z);
+        let matches = |x: U256| x < P && FP.mul(x, z2) == sum.x;
+        let (r_plus_n, carry) = sig.r.overflowing_add(N);
+        if !sum.z.is_zero() && (matches(sig.r) || (!carry && matches(r_plus_n))) {
+            Ok(())
+        } else {
+            Err(EcdsaError::BadSignature)
         }
     }
 }
@@ -625,7 +855,7 @@ pub fn recover(digest: &B256, sig: &Signature) -> Result<PublicKey, EcdsaError> 
     // Q = r⁻¹(s·R − z·G) = (s·r⁻¹)·R + (−z·r⁻¹)·G
     let u1 = FN.sub(U256::ZERO, FN.mul(z, r_inv));
     let u2 = FN.mul(sig.s, r_inv);
-    let q = Jacobian::mul_g(u1).add(Jacobian::from_affine(r_point).mul_window(u2));
+    let q = Jacobian::mul_g(u1).add(Jacobian::from_affine(r_point).mul_glv(u2));
     PublicKey::from_point(q.to_affine()).map_err(|_| EcdsaError::RecoveryFailed)
 }
 

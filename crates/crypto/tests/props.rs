@@ -1,4 +1,8 @@
 //! Property-based tests for the cryptographic substrates.
+//!
+//! The `#[ignore]`d `ecdsa_differential_soak` at the bottom
+//! (`scripts/verify.sh --soak`, in release) runs every public secp256k1
+//! operation against the double-and-add oracle 4 096 times over.
 
 use tape_crypto::prop::{check, Gen};
 use tape_crypto::{keccak256, secp, Aes128, AesGcm, AuthError, Keccak256, SecretKey, SecureRng};
@@ -266,7 +270,7 @@ fn ecdsa_cross_key_rejection() {
 /// crate's arithmetic: bit-by-bit double-and-add in Jacobian coordinates
 /// with every field operation a generic `U256::mul_mod` division — slow
 /// and obviously right, the differential oracle for the special-form
-/// fields, the comb and the windowed multiplication.
+/// fields, the gcd inverse, the comb and the endomorphism ladder.
 mod ec_oracle {
     use tape_crypto::secp::{Point, N, P};
     use tape_primitives::U256;
@@ -337,30 +341,45 @@ fn scalar(g: &mut Gen) -> U256 {
     U256::from_be_bytes(g.array())
 }
 
+/// `k·p` by the oracle.
+fn oracle_mul(k: U256, p: secp::Point) -> secp::Point {
+    ec_oracle::mul_add(k, p, U256::ZERO, secp::Point::Infinity)
+}
+
+/// `a⁻¹ mod n` by Fermat's little theorem, the oracle's way.
+fn oracle_inv_n(a: U256) -> U256 {
+    ec_oracle::pow(a, secp::N.wrapping_sub(U256::from(2u64)), secp::N)
+}
+
+/// `−k mod n` for a non-zero `k < n`.
+fn minus(k: U256) -> U256 {
+    secp::N.wrapping_sub(k)
+}
+
 #[test]
 fn point_mul_matches_double_and_add_oracle() {
-    let oracle = |k, p| ec_oracle::mul_add(k, p, U256::ZERO, secp::Point::Infinity);
     let gen = secp::Point::GENERATOR;
-    // Window edge cases: no nibble set, a single low / top nibble, every
-    // nibble 0xF (reduced mod n), and the ends of the scalar range.
+    // Scalars at the edges of a digit recoding: nothing set, a single low
+    // / top nibble, every nibble 0xF (reduced mod n), and the ends of the
+    // scalar range.
     let top = |nibble: u64| U256::from(nibble).shl_word(252);
     let minus_one = secp::N.wrapping_sub(U256::ONE);
     let (fifteen, sixteen) = (U256::from(15u64), U256::from(16u64));
     let edges =
         [U256::ZERO, U256::ONE, fifteen, sixteen, top(1), top(15), U256::MAX, minus_one, secp::N];
     for k in edges {
-        assert_eq!(gen.mul(k), oracle(k, gen), "k = {k:x}");
+        assert_eq!(gen.mul(k), oracle_mul(k, gen), "k = {k:x}");
     }
     check("point_mul_matches_double_and_add_oracle", CASES, |g| {
         let (k, l) = (scalar(g), scalar(g));
-        let q = oracle(l, gen);
-        assert_eq!(gen.mul(k), oracle(k, gen));
-        assert_eq!(q.mul(k), oracle(k, q));
+        let q = oracle_mul(l, gen);
+        assert_eq!(gen.mul(k), oracle_mul(k, gen));
+        assert_eq!(q.mul(k), oracle_mul(k, q));
         let edge = edges[g.index(edges.len())];
-        assert_eq!(q.mul(edge), oracle(edge, q));
-        // Key generation runs off the comb, not the window.
+        assert_eq!(q.mul(edge), oracle_mul(edge, q));
+        // Key generation runs off the comb, not the ladder.
         if let Ok(sk) = SecretKey::from_scalar(k) {
-            assert_eq!(sk.public_key().point(), oracle(k, gen));
+            assert_eq!(sk.public_key().point(), oracle_mul(k, gen));
         }
     });
 }
@@ -368,7 +387,7 @@ fn point_mul_matches_double_and_add_oracle() {
 /// What `verify` must decide, computed by the oracle: is the x
 /// coordinate of `(z/s)·G + (r/s)·Q`, reduced mod n, equal to `r`?
 fn oracle_accepts(q: secp::Point, z: U256, sig: &secp::Signature) -> bool {
-    let s_inv = ec_oracle::pow(sig.s, secp::N.wrapping_sub(U256::from(2u64)), secp::N);
+    let s_inv = oracle_inv_n(sig.s);
     let (u1, u2) = (z.mul_mod(s_inv, secp::N), sig.r.mul_mod(s_inv, secp::N));
     match ec_oracle::mul_add(u1, secp::Point::GENERATOR, u2, q) {
         secp::Point::Affine { x, .. } => x.rem_evm(secp::N) == sig.r,
@@ -400,7 +419,7 @@ fn verify_edge_cases_match_oracle() {
         let k = scalar(g).rem_evm(secp::N).max(U256::ONE);
         let secp::Point::Affine { x, .. } = secp::Point::GENERATOR.mul(k) else { unreachable!() };
         let r = x.rem_evm(secp::N);
-        let k_inv = ec_oracle::pow(k, secp::N.wrapping_sub(U256::from(2u64)), secp::N);
+        let k_inv = oracle_inv_n(k);
         let digest = B256::new(r.to_be_bytes());
         let minus_one = secp::N.wrapping_sub(U256::ONE);
         for (d, expected) in
@@ -413,6 +432,332 @@ fn verify_edge_cases_match_oracle() {
             let sig = secp::Signature { r, s, v: 0 };
             assert_eq!(q.verify(&digest, &sig), expected);
             assert_eq!(oracle_accepts(q.point(), r, &sig), expected.is_ok());
+        }
+    });
+}
+
+/// What `recover` must return, computed by the oracle:
+/// `Q = (−z/r)·G + (s/r)·R`, `None` for the point at infinity.
+fn oracle_recovers(r_point: secp::Point, z: U256, sig: &secp::Signature) -> Option<secp::Point> {
+    let r_inv = oracle_inv_n(sig.r);
+    let u1 = secp::N.wrapping_sub(z.mul_mod(r_inv, secp::N));
+    let q = ec_oracle::mul_add(u1, secp::Point::GENERATOR, sig.s.mul_mod(r_inv, secp::N), r_point);
+    (q != secp::Point::Infinity).then_some(q)
+}
+
+/// `x mod n` of a finite point and the parity of its `y`: the `r` and `v`
+/// of a signature whose nonce point it is.
+fn r_and_v(p: secp::Point) -> (U256, u8) {
+    let secp::Point::Affine { x, y } = p else { panic!("finite point") };
+    (x.rem_evm(secp::N), y.bit(0) as u8)
+}
+
+fn lambda_squared() -> U256 {
+    secp::LAMBDA.mul_mod(secp::LAMBDA, secp::N)
+}
+
+#[test]
+fn ladder_collisions_match_oracle() {
+    // The two halves of `verify`'s and `recover`'s sum meet — same point
+    // (the addition must double) or opposite points (the sum is infinity)
+    // — when the variable base is a known multiple `d` of G and the digest
+    // is chosen to match. d = ±1 is the classic case; d = ±λ, ±λ² are the
+    // ones the endomorphism adds: there φ(Q) is itself a small multiple of
+    // G's images and the split halves line up with the comb's.
+    let gen = secp::Point::GENERATOR;
+    let multiples = [U256::ONE, secp::LAMBDA, lambda_squared()];
+    check("ladder_collisions_match_oracle", 8, |g| {
+        let k = scalar(g).rem_evm(secp::N).max(U256::ONE);
+        let (r, _) = r_and_v(gen.mul(k));
+        let k_inv = oracle_inv_n(k);
+        for d in multiples {
+            // verify: z = r·d makes u₁·G = (r·d/s)·G = u₂·(d·G).
+            let z = r.mul_mod(d, secp::N);
+            let digest = B256::new(z.to_be_bytes());
+            for (key, expected) in [(d, Ok(())), (minus(d), Err(secp::EcdsaError::BadSignature))] {
+                let q = SecretKey::from_scalar(key).unwrap().public_key();
+                assert_eq!(q.point(), oracle_mul(key, gen));
+                // s = k⁻¹(z + r·key); for key = −d that is 0, so any s will do.
+                let s = k_inv.mul_mod(z.add_mod(r.mul_mod(key, secp::N), secp::N), secp::N);
+                let sig = secp::Signature { r, s: s.max(U256::ONE), v: 0 };
+                assert_eq!(q.verify(&digest, &sig), expected, "d = {d:x}");
+                assert_eq!(oracle_accepts(q.point(), z, &sig), expected.is_ok());
+            }
+
+            // recover: R = d·G and z = ∓s·d make −z·G = ±s·R.
+            let r_point = oracle_mul(d, gen);
+            let (r, v) = r_and_v(r_point);
+            let s = scalar(g).rem_evm(secp::N).max(U256::ONE);
+            let sig = secp::Signature { r, s, v };
+            for z in [minus(s.mul_mod(d, secp::N)), s.mul_mod(d, secp::N), U256::ZERO] {
+                let expected = oracle_recovers(r_point, z, &sig);
+                let recovered = secp::recover(&B256::new(z.to_be_bytes()), &sig);
+                assert_eq!(recovered.ok().map(|q| q.point()), expected, "d = {d:x}, z = {z:x}");
+            }
+            assert_eq!(oracle_recovers(r_point, s.mul_mod(d, secp::N), &sig), None);
+        }
+    });
+
+    // Point::mul on the same bases, with scalars whose halves vanish,
+    // coincide or carry.
+    let pow128 = U256::ONE.shl_word(128);
+    let scalars = [
+        U256::ZERO,
+        U256::ONE,
+        U256::from(2u64),
+        secp::LAMBDA,
+        minus(secp::LAMBDA),
+        lambda_squared(),
+        secp::LAMBDA.add_mod(U256::ONE, secp::N),
+        pow128.wrapping_sub(U256::ONE),
+        pow128.wrapping_add(U256::ONE),
+        minus(U256::ONE),
+    ];
+    for d in [U256::ONE, minus(U256::ONE), secp::LAMBDA, lambda_squared()] {
+        let q = oracle_mul(d, gen);
+        for k in scalars {
+            assert_eq!(q.mul(k), oracle_mul(k, q), "{k:x}·({d:x}·G)");
+        }
+    }
+}
+
+/// The sum `k₁ + k₂·λ (mod n)` of a split, halves given as (negative?,
+/// magnitude).
+fn recompose([k1, k2]: [(bool, u128); 2]) -> U256 {
+    let signed = |(negative, magnitude): (bool, u128)| {
+        let m = U256::from(magnitude);
+        if negative && magnitude != 0 { secp::N.wrapping_sub(m) } else { m }
+    };
+    signed(k1).add_mod(signed(k2).mul_mod(secp::LAMBDA, secp::N), secp::N)
+}
+
+#[test]
+fn glv_split_recomposes_with_128_bit_halves() {
+    // The halves are `u128`s, so "both below 2^128" holds by type as long
+    // as nothing was truncated — which recomposing detects (and
+    // `split_scalar` itself asserts in debug builds).
+    let pow128 = U256::ONE.shl_word(128);
+    let small = U256::from(0xdead_beefu64);
+    let edges = [
+        U256::ZERO,
+        U256::ONE,
+        minus(U256::ONE),
+        secp::LAMBDA,
+        minus(secp::LAMBDA),
+        pow128.wrapping_sub(U256::ONE),
+        pow128.wrapping_add(U256::ONE),
+        // k₂ = 0 and k₁ = 0.
+        small,
+        small.mul_mod(secp::LAMBDA, secp::N),
+        minus(small.mul_mod(secp::LAMBDA, secp::N)),
+    ];
+    for k in edges {
+        assert_eq!(recompose(secp::split_scalar(k)), k, "k = {k:x}");
+    }
+    assert_eq!(secp::split_scalar(small), [(false, 0xdead_beef), (false, 0)]);
+    assert_eq!(
+        secp::split_scalar(small.mul_mod(secp::LAMBDA, secp::N)),
+        [(false, 0), (false, 0xdead_beef)]
+    );
+    check("glv_split_recomposes_with_128_bit_halves", 512, |g| {
+        let k = scalar(g).rem_evm(secp::N);
+        assert_eq!(recompose(secp::split_scalar(k)), k);
+    });
+}
+
+/// Asserts `wnaf(k)`'s contract: the digits sum back to `k`, every
+/// non-zero one is odd and below 16 in magnitude, and any five
+/// consecutive positions hold at most one.
+fn assert_wnaf(k: u128) {
+    let digits = secp::wnaf(k);
+    let (mut plus, mut minus) = (U256::ZERO, U256::ZERO);
+    for (i, &d) in digits.iter().enumerate() {
+        let term = U256::from(u64::from(d.unsigned_abs())).shl_word(i as u32);
+        if d < 0 {
+            minus = minus.wrapping_add(term);
+        } else {
+            plus = plus.wrapping_add(term);
+        }
+        assert!(d == 0 || (d % 2 != 0 && d.abs() < 16), "digit {d} at {i} of {k:x}");
+    }
+    assert_eq!(plus.wrapping_sub(minus), U256::from(k), "k = {k:x}");
+    for window in digits.windows(5) {
+        assert!(window.iter().filter(|&&d| d != 0).count() <= 1, "k = {k:x}");
+    }
+}
+
+#[test]
+fn wnaf_digits_recompose_and_are_sparse() {
+    // u128::MAX is the carry case: −1 at the bottom, +1 in digit 128.
+    let max = secp::wnaf(u128::MAX);
+    assert_eq!((max[0], max[128]), (-1, 1));
+    assert_eq!(max.iter().filter(|&&d| d != 0).count(), 2);
+    assert_eq!(secp::wnaf(0), [0; 129]);
+    for k in [0, 1, 2, 15, 16, 17, 31, 32, 33, 1 << 127, (1 << 127) - 1, u128::MAX - 1, u128::MAX] {
+        assert_wnaf(k);
+    }
+    check("wnaf_digits_recompose_and_are_sparse", 512, |g| {
+        // Uniform values, then runs of ones and zeros (long carries).
+        assert_wnaf(g.u128());
+        assert_wnaf(g.u128() | g.u128() | g.u128());
+        assert_wnaf(g.u128() & g.u128() & g.u128());
+        assert_wnaf(u128::MAX << g.below(128) >> g.below(128));
+    });
+}
+
+#[test]
+fn endomorphism_is_multiplication_by_lambda() {
+    let phi = |p: secp::Point| match p {
+        secp::Point::Affine { x, y } => secp::Point::Affine { x: x.mul_mod(secp::BETA, secp::P), y },
+        secp::Point::Infinity => p,
+    };
+    let gen = secp::Point::GENERATOR;
+    assert_eq!(phi(gen), oracle_mul(secp::LAMBDA, gen));
+    check("endomorphism_is_multiplication_by_lambda", CASES, |g| {
+        let p = oracle_mul(scalar(g), gen);
+        assert_eq!(phi(p), oracle_mul(secp::LAMBDA, p));
+        assert_eq!(phi(p), p.mul(secp::LAMBDA));
+        assert_eq!(phi(phi(phi(p))), p);
+    });
+}
+
+/// `⌊(b·2^384 + n/2) / n⌋` by binary long division.
+fn rounded_quotient_shifted_384(b: U256) -> U256 {
+    let half = secp::N.shr_word(1).into_limbs();
+    let [b0, b1, ..] = b.into_limbs();
+    let numerator = [half[0], half[1], half[2], half[3], 0, 0, b0, b1];
+    let (mut quotient, mut rem) = (U256::ZERO, U256::ZERO);
+    for i in (0..512).rev() {
+        let carry = rem.bit(255);
+        rem = rem.shl_word(1) | U256::from(numerator[i / 64] >> (i % 64) & 1);
+        quotient = quotient.shl_word(1);
+        if carry || rem >= secp::N {
+            rem = rem.wrapping_sub(secp::N);
+            quotient |= U256::ONE;
+        }
+    }
+    quotient
+}
+
+#[test]
+fn glv_constants_rederive_from_p_and_n() {
+    // λ and β: the primitive cube roots of unity are h^((m−1)/3) and its
+    // square for any non-cube h; 2 is one mod both p and n.
+    for (m, root) in [(secp::P, secp::BETA), (secp::N, secp::LAMBDA)] {
+        let third = m.wrapping_sub(U256::ONE).div_evm(U256::from(3u64));
+        let c = ec_oracle::pow(U256::from(2u64), third, m);
+        assert_ne!(c, U256::ONE);
+        assert_eq!(c.mul_mod(c, m).mul_mod(c, m), U256::ONE);
+        assert!(root == c || root == c.mul_mod(c, m), "{root:x} is not a cube root of unity");
+    }
+    // … and of the four ways to pair them, λ goes with β.
+    let secp::Point::Affine { x, y } = secp::Point::GENERATOR else { unreachable!() };
+    let gen = secp::Point::GENERATOR;
+    assert_eq!(
+        oracle_mul(secp::LAMBDA, gen),
+        secp::Point::Affine { x: x.mul_mod(secp::BETA, secp::P), y }
+    );
+
+    // The basis (Gallant–Lambert–Vanstone, algorithm 3.74 in Hankerson–
+    // Menezes–Vanstone): the extended Euclidean algorithm on (n, λ) yields
+    // rᵢ = sᵢ·n + tᵢ·λ, so every (rᵢ, −tᵢ) is in the lattice; with l the
+    // last index where rₗ ≥ √n, take (rₗ₊₁, −tₗ₊₁) and the shorter of its
+    // two neighbours. |tᵢ| is tracked; tᵢ is positive exactly at odd i.
+    let (mut r, mut t) = (vec![secp::N, secp::LAMBDA], vec![U256::ZERO, U256::ONE]);
+    while !r[r.len() - 1].is_zero() {
+        let (a, b) = (r[r.len() - 2], r[r.len() - 1]);
+        r.push(a.rem_evm(b));
+        t.push(t[t.len() - 2].wrapping_add(a.div_evm(b).wrapping_mul(t[t.len() - 1])));
+    }
+    let l = r.iter().rposition(|&ri| ri >= secp::N.isqrt()).expect("r₀ = n");
+    // (a₁, b₁) = (rₗ₊₁, −tₗ₊₁) with l + 1 odd: b₁ is negative.
+    assert_eq!(l % 2, 0);
+    assert_eq!((r[l + 1], t[l + 1]), (secp::B2, secp::MINUS_B1));
+    // (a₂, b₂) = (rₗ, −tₗ) — shorter than (rₗ₊₂, −tₗ₊₂) in either norm —
+    // with l even: b₂ = |tₗ| is positive, and equals a₁.
+    assert!(r[l].max(t[l]) < r[l + 2].max(t[l + 2]));
+    assert_eq!(format!("{:x}", r[l]), "114ca50f7a8e2f3f657c1108d9d44cfd8");
+    assert_eq!(t[l], secp::B2);
+    // Both vectors are in the lattice: a + b·λ ≡ 0 (mod n).
+    let times_lambda = |b: U256| b.mul_mod(secp::LAMBDA, secp::N);
+    assert_eq!(secp::B2, times_lambda(secp::MINUS_B1));
+    assert_eq!(r[l].add_mod(times_lambda(secp::B2), secp::N), U256::ZERO);
+
+    // The rounding constants are the two quotients they stand for.
+    assert_eq!(rounded_quotient_shifted_384(secp::B2), secp::G1);
+    assert_eq!(rounded_quotient_shifted_384(secp::MINUS_B1), secp::G2);
+}
+
+#[test]
+fn inv_mod_matches_fermat() {
+    for m in [secp::P, secp::N] {
+        let fermat = |a: U256| ec_oracle::pow(a, m.wrapping_sub(U256::from(2u64)), m);
+        let half_up = m.shr_word(1).wrapping_add(U256::ONE);
+        for a in [U256::ONE, U256::from(2u64), m.wrapping_sub(U256::ONE), half_up] {
+            assert_eq!(secp::inv_mod(a, m), fermat(a), "a = {a:x}");
+        }
+        assert_eq!(secp::inv_mod(half_up, m), U256::from(2u64));
+        // Zero has no inverse; like a^(m−2), the gcd answers zero.
+        assert_eq!(secp::inv_mod(U256::ZERO, m), U256::ZERO);
+        assert_eq!(fermat(U256::ZERO), U256::ZERO);
+        check("inv_mod_matches_fermat", 512, |g| {
+            // Full-width values, and short ones (few batches, early exit).
+            let a = scalar(g).rem_evm(m);
+            assert_eq!(secp::inv_mod(a, m), fermat(a), "a = {a:x}");
+            let short = a.shr_word(g.below(256) as u32).max(U256::ONE);
+            assert_eq!(secp::inv_mod(short, m).mul_mod(short, m), U256::ONE, "a = {short:x}");
+        });
+    }
+}
+
+#[test]
+fn every_decoder_refuses_off_curve_coordinates() {
+    // `Point::mul`'s endomorphism split is only `k·P` on the curve itself;
+    // these are all the ways bytes become a `Point` or a `PublicKey`.
+    use secp::{Point, PublicKey};
+    let encode = |x: U256, y: U256| {
+        let mut bytes = [4u8; 65];
+        bytes[1..33].copy_from_slice(&x.to_be_bytes());
+        bytes[33..].copy_from_slice(&y.to_be_bytes());
+        bytes
+    };
+    let refused = |x: U256, y: U256| {
+        assert!(!Point::Affine { x, y }.is_on_curve());
+        assert_eq!(Point::from_uncompressed(&encode(x, y)), Err(secp::EcdsaError::InvalidPoint));
+        assert_eq!(PublicKey::from_bytes(&encode(x, y)), Err(secp::EcdsaError::InvalidPoint));
+        assert_eq!(
+            PublicKey::from_point(Point::Affine { x, y }),
+            Err(secp::EcdsaError::InvalidPoint)
+        );
+    };
+    assert_eq!(PublicKey::from_point(Point::Infinity), Err(secp::EcdsaError::InvalidPoint));
+    // (1, √8) is on the curve; the same point with a coordinate written
+    // as its residue plus p is not a canonical encoding of it.
+    let Some(Point::Affine { x: one, y }) = Point::lift_x(U256::ONE, false) else {
+        panic!("x = 1 is on the curve")
+    };
+    assert!(Point::from_uncompressed(&encode(one, y)).is_ok());
+    refused(secp::P.wrapping_add(U256::ONE), y);
+    assert_eq!(Point::lift_x(secp::P.wrapping_add(U256::ONE), false), None);
+    assert_eq!(Point::lift_x(secp::P, false), None);
+    refused(U256::ZERO, U256::ZERO);
+    check("every_decoder_refuses_off_curve_coordinates", CASES, |g| {
+        // Arbitrary coordinates are off the curve (1 in 2^256 is not).
+        refused(scalar(g), scalar(g));
+        // One flipped bit anywhere in a valid encoding takes it off.
+        let key = SecretKey::from_seed(&g.array::<8>()).public_key();
+        let mut bytes = key.to_bytes();
+        assert_eq!(PublicKey::from_bytes(&bytes), Ok(key));
+        bytes[1 + g.index(64)] ^= 1 << g.below(8);
+        assert_eq!(PublicKey::from_bytes(&bytes), Err(secp::EcdsaError::InvalidPoint));
+        assert_eq!(Point::from_uncompressed(&bytes), Err(secp::EcdsaError::InvalidPoint));
+        // lift_x answers with a point on the curve, of the parity asked
+        // for, or not at all — about half of all x have no y.
+        let (x, odd) = (scalar(g), g.bool());
+        match Point::lift_x(x, odd) {
+            Some(p @ Point::Affine { y, .. }) => assert!(p.is_on_curve() && y.bit(0) == odd),
+            Some(Point::Infinity) => panic!("lift_x never returns infinity"),
+            None => assert!(!Point::Affine { x, y: U256::ONE }.is_on_curve()),
         }
     });
 }
@@ -489,4 +834,48 @@ fn eth_address_known_vector() {
 #[test]
 fn b256_zero_hash_distinct_from_hash_of_zeroes() {
     assert_ne!(keccak256([0u8; 32]), B256::ZERO);
+}
+
+/// The soak: every public secp256k1 operation against the oracle, on
+/// arbitrary keys, digests and scalars.
+#[test]
+#[ignore = "long; scripts/verify.sh --soak runs it in release"]
+fn ecdsa_differential_soak() {
+    const SOAK_CASES: u32 = 4096;
+    let gen = secp::Point::GENERATOR;
+    check("ecdsa_differential_soak", SOAK_CASES, |g| {
+        let (d, e) = (scalar(g).rem_evm(secp::N).max(U256::ONE), scalar(g));
+        let (sk, pk) = (SecretKey::from_scalar(d).unwrap(), oracle_mul(d, gen));
+        assert_eq!(sk.public_key().point(), pk);
+        // mul and ecdh: an arbitrary scalar on an arbitrary point.
+        assert_eq!(pk.mul(e), oracle_mul(e, pk));
+        let peer = SecretKey::from_scalar(e.rem_evm(secp::N).max(U256::ONE)).unwrap();
+        let secp::Point::Affine { x, .. } = oracle_mul(d, peer.public_key().point()) else {
+            unreachable!("d < n and the peer's key is finite")
+        };
+        assert_eq!(secp::ecdh(&sk, &peer.public_key()), Ok(keccak256(x.to_be_bytes())));
+        // sign → verify and recover, then the same with one value moved.
+        let digest = B256::new(g.array());
+        let z = digest.into_u256().rem_evm(secp::N);
+        let sig = sk.sign(&digest);
+        assert!(oracle_accepts(pk, z, &sig));
+        assert_eq!(sk.public_key().verify(&digest, &sig), Ok(()));
+        assert_eq!(secp::recover(&digest, &sig).map(|q| q.point()), Ok(pk));
+        let bit = U256::ONE.shl_word(g.below(256) as u32);
+        let moved = match g.below(3) {
+            0 => secp::Signature { r: sig.r ^ bit, ..sig },
+            1 => secp::Signature { s: sig.s ^ bit, ..sig },
+            _ => secp::Signature { v: sig.v ^ 1, ..sig },
+        };
+        if moved.r.is_zero() || moved.r >= secp::N || moved.s.is_zero() || moved.s >= secp::N {
+            assert_eq!(secp::recover(&digest, &moved), Err(secp::EcdsaError::InvalidScalar));
+            return;
+        }
+        let accepted = sk.public_key().verify(&digest, &moved).is_ok();
+        assert_eq!(accepted, oracle_accepts(pk, z, &moved));
+        let expected = secp::Point::lift_x(moved.r, moved.v == 1)
+            .and_then(|r_point| oracle_recovers(r_point, z, &moved));
+        assert_eq!(secp::recover(&digest, &moved).ok().map(|q| q.point()), expected);
+    });
+    println!("ECDSA_SOAK cases={SOAK_CASES} ok");
 }

@@ -11,10 +11,9 @@
 //! All three page kinds share one block size, so their ORAM responses
 //! are indistinguishable — solving the paper's problems (1) and (2).
 
-use crate::path_oram::{BlockId, OramClient, OramError, OramServer};
+use crate::path_oram::{BlockId, FixedMap, FixedSet, OramClient, OramError, OramServer};
 use crate::prefetch::{CodePrefetcher, PrefetchStats};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 use tape_crypto::{Keccak256, SecureRng};
 use tape_primitives::{Address, B256, U256};
@@ -132,7 +131,7 @@ struct Inner {
     clock: Clock,
     cost: CostModel,
     /// On-chip page cache: fetched pages for the current bundle.
-    cache: HashMap<PageKey, Option<Vec<u8>>>,
+    cache: FixedMap<PageKey, Option<Vec<u8>>>,
     /// Storage groups synced per account, so a later sync can zero groups
     /// that no longer exist (stale pages would otherwise serve old data).
     /// BTree collections keep every write sequence deterministic.
@@ -144,17 +143,17 @@ struct Inner {
     /// (zero bytes decode as `STOP`, so a sound plan can never change
     /// execution — and an unsound one fails safe). Addresses without a
     /// plan fetch every page, the pre-analysis behaviour.
-    plans: HashMap<Address, std::collections::BTreeSet<u32>>,
+    plans: FixedMap<Address, std::collections::BTreeSet<u32>>,
     /// World-state prefetch plans, per contract: which kv records (the
     /// meta page plus enumerated storage groups) the value-set analysis
     /// advertised, and whether the contract also has non-enumerable
     /// (dynamic) accesses. Merged across calls; used to keep repeated
     /// plans from re-advertising records.
-    kv_plans: HashMap<Address, KvPlan>,
+    kv_plans: FixedMap<Address, KvPlan>,
     /// Pages pinned on-chip by state plans: batch-fetched once at plan
     /// time and retained across [`ObliviousState::clear_cache`], so
     /// per-segment cache clears never re-trigger their wire traffic.
-    pinned: std::collections::HashSet<PageKey>,
+    pinned: FixedSet<PageKey>,
     /// The §IV-D code prefetcher, when enabled (`-full` only).
     prefetcher: Option<CodePrefetcher>,
     /// The negative control this store was built under, if any. This
@@ -222,13 +221,13 @@ impl ObliviousState {
                 server,
                 clock,
                 cost,
-                cache: HashMap::new(),
+                cache: FixedMap::default(),
                 synced_groups: std::collections::BTreeMap::new(),
                 stats: QueryStats::default(),
                 page_size,
-                plans: HashMap::new(),
-                kv_plans: HashMap::new(),
-                pinned: std::collections::HashSet::new(),
+                plans: FixedMap::default(),
+                kv_plans: FixedMap::default(),
+                pinned: FixedSet::default(),
                 prefetcher: None,
                 ablation,
                 durable: false,

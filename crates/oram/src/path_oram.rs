@@ -8,7 +8,8 @@
 //! §IV-D.
 
 use crate::store::{BucketBackend, MemBackend, StoreError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use tape_crypto::{AesGcm, SecureRng};
 use tape_primitives::B256;
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
@@ -16,6 +17,20 @@ use tape_sim::{Clock, CostModel};
 
 /// Logical block identifier (a hash of the page key).
 pub type BlockId = B256;
+
+/// SipHash under a fixed key, where `RandomState` draws one per process.
+/// How a table that is inserted into and erased from lays out its
+/// tombstones — and so whether it next rehashes in place or reallocates
+/// — depends on the hash key, and two runs of one schedule should make
+/// the same allocations. Nothing here needs the random key: block ids
+/// are keccak outputs nobody can aim, and the page cache, whose keys a
+/// user does choose, pays an ORAM access for every entry it gains —
+/// next to that a long probe sequence costs nothing.
+pub(crate) type FixedState = BuildHasherDefault<DefaultHasher>;
+/// A `HashMap` that behaves the same in every process.
+pub(crate) type FixedMap<K, V> = HashMap<K, V, FixedState>;
+/// A `HashSet` that behaves the same in every process.
+pub(crate) type FixedSet<K> = HashSet<K, FixedState>;
 
 /// Tree and block geometry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,8 +376,8 @@ pub struct OramClient {
     config: OramConfig,
     cipher: AesGcm,
     rng: SecureRng,
-    position: HashMap<BlockId, u64>,
-    stash: HashMap<BlockId, StashEntry>,
+    position: FixedMap<BlockId, u64>,
+    stash: FixedMap<BlockId, StashEntry>,
     /// Random per-client nonce prefix: clients in a fleet share the ORAM
     /// key (paper §IV-D), so each client must own a disjoint nonce space
     /// or AES-GCM security collapses on the first counter collision.
@@ -390,8 +405,8 @@ impl OramClient {
             config,
             cipher: AesGcm::new(key),
             rng,
-            position: HashMap::new(),
-            stash: HashMap::new(),
+            position: FixedMap::default(),
+            stash: FixedMap::default(),
             nonce_prefix,
             nonce_counter: 0,
             max_stash: 0,
@@ -601,8 +616,9 @@ impl OramClient {
             vec![Vec::new(); self.config.path_len() as usize];
         // Deterministic candidate order: the durability layer compares
         // bucket digests against an in-memory twin, and a restored client
-        // rebuilds its stash map with a fresh hash seed — iterating the
-        // map directly would make slot placement run-dependent.
+        // rebuilds its stash map in sorted order, not in the order the
+        // blocks arrived — iterating the map directly would make slot
+        // placement depend on the map's history.
         let mut stash_ids: Vec<BlockId> = self.stash.keys().copied().collect();
         stash_ids.sort_unstable();
         for level in (0..=self.config.height).rev() {
@@ -709,13 +725,13 @@ impl OramClient {
         let rng = SecureRng::from_snapshot(r.take(SecureRng::SNAPSHOT_LEN)?)
             .ok_or(OramError::Tampered)?;
         let max_stash = r.u64()? as usize;
-        let mut position = HashMap::new();
+        let mut position = FixedMap::default();
         let positions = r.u32()? as usize;
         for _ in 0..positions {
             let id = B256::from_slice(r.take(32)?);
             position.insert(id, r.u64()?);
         }
-        let mut stash = HashMap::new();
+        let mut stash = FixedMap::default();
         let entries = r.u32()? as usize;
         for _ in 0..entries {
             let id = B256::from_slice(r.take(32)?);

@@ -24,10 +24,13 @@
 #            and the rigs again at 2 workers, which must reproduce the
 #            1-worker digest: parallelism is a host throughput knob,
 #            never a schedule input. Exactly-once accounting and the
-#            §IV-D audit are asserted inside the tests. Last, the
+#            §IV-D audit are asserted inside the tests. Then the
 #            HEVM-vs-reference differential fuzz at length, in release:
 #            20x tier-1's cases per property, then the same generators
-#            on a tiny layer 2 and with a small gas slice.
+#            on a tiny layer 2 and with a small gas slice. Last, the
+#            secp256k1 differential soak, in release: 4 096 cases of
+#            mul / sign -> verify / recover / ecdh against the
+#            double-and-add oracle in crates/crypto/tests/props.rs.
 # --recover  disk-recovery soak: one uninterrupted run, then for every
 #            bundle index a run aborted (real process abort) right after
 #            that bundle and a recovery run over the killed directory
@@ -217,6 +220,9 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
     echo "==> differential fuzz soak (release: 20x cases, tiny layer 2, small gas slice)"
     cargo test -q --release -p tape-hevm --test fuzz_differential -- --ignored --nocapture \
         | grep -E '^FUZZ_SOAK '
+    echo "==> ECDSA differential soak (release: comb, endomorphism ladder and gcd inverse against double-and-add)"
+    cargo test -q --release -p tape-crypto --test props -- --ignored --nocapture \
+        | grep -E '^ECDSA_SOAK '
 fi
 
 recover_soak() {
