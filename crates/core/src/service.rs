@@ -590,7 +590,7 @@ impl HarDTape {
                     .map_err(|e| ServiceError::Oram(OramError::Store(e)))?;
                     recovery = Some(report);
                     let server = OramServer::with_backend(oram_config.clone(), Box::new(store));
-                    let sealed = server.meta();
+                    let sealed = server.meta().map(<[u8]>::to_vec);
                     (server, sealed)
                 }
                 None => (OramServer::new(oram_config.clone()), None),

@@ -564,3 +564,74 @@ fn bundle_of_sequential_transactions_match() {
     }
     assert_eq!(reference.state().changes(), hevm.state().changes());
 }
+
+/// A state holding one funded account and nothing else.
+fn funded(addr: Address) -> InMemoryState {
+    let mut s = InMemoryState::new();
+    s.put_account(addr, Account::with_balance(U256::from(u64::MAX)));
+    s
+}
+
+/// Initcode that simply STOPs must deploy an *empty* contract and push
+/// the created address — on both engines identically.
+#[test]
+fn create_with_stop_initcode_deploys_empty_contract() {
+    let sender = Address::from_low_u64(0xAA);
+    let backend = funded(sender);
+    let tx = Transaction::create(sender, vec![op::STOP]);
+
+    let mut reference = Evm::new(Env::default(), &backend);
+    let ref_result = reference.transact(&tx).unwrap();
+    assert!(ref_result.success);
+    let created = ref_result.created.expect("STOP initcode still deploys");
+    assert_eq!(created, tape_evm::create_address(&sender, 0));
+    assert!(reference.state_mut().code(&created).is_empty());
+    assert_eq!(reference.state_mut().nonce(&created), 1);
+
+    let mut hevm = Hevm::new(HevmConfig::default(), Env::default(), &backend, Clock::new());
+    let hevm_result = hevm.transact(&tx).unwrap();
+    assert_eq!(ref_result, hevm_result);
+
+    // Same via the CREATE opcode: the factory receives the address, not 0.
+    let factory_code = Asm::new()
+        .push(0u64) // initcode len 0 -> empty initcode -> empty deploy
+        .push(0u64)
+        .push(0u64)
+        .op(op::CREATE)
+        .ret_top()
+        .build();
+    let mut backend = funded(sender);
+    let factory = Address::from_low_u64(0xFAC);
+    backend.put_account(factory, Account::with_code(factory_code));
+    let mut evm = Evm::new(Env::default(), &backend);
+    let result = evm.transact(&Transaction::call(sender, factory, vec![])).unwrap();
+    assert!(result.success);
+    let reported = Address::from_word(U256::from_be_slice(&result.output));
+    assert_ne!(reported, Address::ZERO, "CREATE must push the address");
+}
+
+/// Calldata reads near `usize::MAX` zero-pad instead of wrapping to the
+/// start of the buffer (release-mode correctness).
+#[test]
+fn calldataload_at_max_offset_reads_zero() {
+    let sender = Address::from_low_u64(0xAA);
+    let target = Address::from_low_u64(0xC0DE);
+    // CALLDATALOAD(2^64 - 16): half the word is beyond usize range.
+    let code = Asm::new()
+        .push(U256::from(u64::MAX - 15))
+        .op(op::CALLDATALOAD)
+        .ret_top()
+        .build();
+    let mut backend = funded(sender);
+    backend.put_account(target, Account::with_code(code));
+    let input = vec![0xFFu8; 64]; // nonzero: a wraparound would read 0xFF
+
+    let mut reference = Evm::new(Env::default(), &backend);
+    let r = reference.transact(&Transaction::call(sender, target, input.clone())).unwrap();
+    assert!(r.success);
+    assert_eq!(U256::from_be_slice(&r.output), U256::ZERO);
+
+    let mut hevm = Hevm::new(HevmConfig::default(), Env::default(), &backend, Clock::new());
+    let h = hevm.transact(&Transaction::call(sender, target, input)).unwrap();
+    assert_eq!(r, h);
+}

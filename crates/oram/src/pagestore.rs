@@ -636,7 +636,7 @@ impl Inner {
             return Ok(());
         }
         let sealed = self.client.seal_state();
-        self.server.put_meta(&sealed);
+        self.server.put_meta(sealed);
         self.server.commit()
     }
 

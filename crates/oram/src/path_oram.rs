@@ -13,7 +13,7 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 use tape_crypto::{AesGcm, SecureRng};
 use tape_primitives::B256;
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
-use tape_sim::{Clock, CostModel};
+use tape_sim::{Clock, CostModel, Nanos};
 
 /// Logical block identifier (a hash of the page key).
 pub type BlockId = B256;
@@ -73,6 +73,18 @@ impl OramConfig {
         self.path_len() * self.bucket_capacity as u64
     }
 
+    /// Bytes of one slot wherever it is stored or sent:
+    /// `nonce ‖ validity byte, block id, leaf ‖ payload ‖ tag`. Fixed by
+    /// the geometry, which is what makes every query the same size.
+    pub fn slot_len(&self) -> usize {
+        NONCE_LEN + SLOT_HEADER + self.block_size + TAG_LEN
+    }
+
+    /// Bytes of one bucket: its `Z` slots end to end.
+    fn bucket_len(&self) -> usize {
+        self.bucket_capacity * self.slot_len()
+    }
+
     /// Bucket index of the node at `level` on the path to `leaf`
     /// (level 0 = root).
     fn bucket_index(&self, leaf: u64, level: u32) -> usize {
@@ -89,7 +101,7 @@ impl OramConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservedAccess {
     /// Virtual time of the query.
-    pub at: tape_sim::Nanos,
+    pub at: Nanos,
     /// The leaf whose path was read and rewritten.
     pub leaf: u64,
 }
@@ -160,12 +172,12 @@ impl OramServer {
 
     /// Stages an opaque meta blob (the sealed client state) to ride the
     /// next commit.
-    pub fn put_meta(&mut self, meta: &[u8]) {
+    pub fn put_meta(&mut self, meta: Vec<u8>) {
         self.backend.put_meta(meta);
     }
 
     /// The meta blob carried by the last committed transaction.
-    pub fn meta(&self) -> Option<Vec<u8>> {
+    pub fn meta(&self) -> Option<&[u8]> {
         self.backend.meta()
     }
 
@@ -183,11 +195,15 @@ impl OramServer {
     /// Adversary hook: mutates stored slot ciphertexts in place (the
     /// malicious SP rewriting its own storage — caught only by the
     /// client's AES-GCM).
-    pub fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut Vec<u8>)) {
+    pub fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8])) {
         self.backend.corrupt_slots(f);
     }
 
-    /// Reads all ciphertexts on the path to `leaf`, logging the access.
+    /// Fills `path` — [`OramConfig::blocks_per_access`] slots of
+    /// [`OramConfig::slot_len`] bytes, root bucket first — with the
+    /// ciphertexts on the path to `leaf`, logging the access. Bit `level`
+    /// of the result is set when that level's bucket was ever written; a
+    /// never-written level's bytes are left as they were.
     ///
     /// An armed adversarial server may serve a *different* path
     /// ([`FaultKind::WrongPath`]) or flip a bit in one returned
@@ -199,7 +215,13 @@ impl OramServer {
     ///
     /// [`OramError::Store`] when the bucket backend fails (disk fault,
     /// corruption, crashed store).
-    pub fn read_path(&mut self, leaf: u64, at: tape_sim::Nanos) -> Result<Vec<Vec<u8>>, OramError> {
+    ///
+    /// # Panics
+    ///
+    /// If `path` is not one path long.
+    pub fn read_path(&mut self, leaf: u64, at: Nanos, path: &mut [u8]) -> Result<u64, OramError> {
+        let bucket_len = self.config.bucket_len();
+        assert_eq!(path.len(), self.config.path_len() as usize * bucket_len, "not one path long");
         self.queries += 1;
         self.log.push(ObservedAccess { at, leaf });
         let mut served_leaf = leaf;
@@ -219,53 +241,46 @@ impl OramServer {
                 }
             }
         }
-        let mut out = Vec::with_capacity(self.config.blocks_per_access() as usize);
-        for level in 0..=self.config.height {
-            let idx = self.config.bucket_index(served_leaf, level);
-            out.extend(self.backend.read_bucket(idx as u64).map_err(OramError::Store)?);
-        }
-        if let Some(param) = flip {
-            let slot = (param % out.len() as u64) as usize;
-            if !out[slot].is_empty() {
-                let byte = ((param >> 16) % out[slot].len() as u64) as usize;
-                out[slot][byte] ^= 1 << ((param >> 32) % 8);
+        let mut written = 0u64;
+        for (level, bucket) in path.chunks_exact_mut(bucket_len).enumerate() {
+            let idx = self.config.bucket_index(served_leaf, level as u32);
+            if self.backend.read_bucket(idx as u64, bucket).map_err(OramError::Store)? {
+                written |= 1 << level;
             }
         }
-        Ok(out)
+        if let Some(param) = flip {
+            let slot = (param % self.config.blocks_per_access()) as usize;
+            if written >> (slot / self.config.bucket_capacity) & 1 == 1 {
+                let slot_len = self.config.slot_len();
+                let byte = ((param >> 16) % slot_len as u64) as usize;
+                path[slot * slot_len + byte] ^= 1 << ((param >> 32) % 8);
+            }
+        }
+        Ok(written)
     }
 
-    /// Overwrites the path to `leaf` with fresh ciphertexts
-    /// (`blocks.len()` must equal [`OramConfig::blocks_per_access`]).
+    /// Overwrites the path to `leaf` with the fresh ciphertexts in
+    /// `path` (laid out as [`read_path`](Self::read_path) fills it).
     ///
     /// An armed adversarial server may silently discard the write-back
     /// ([`FaultKind::DropWrite`]) while still reporting success.
     ///
     /// # Errors
     ///
-    /// [`OramError::BadPathLength`] when the block count does not match
-    /// the path geometry.
-    pub fn write_path(&mut self, leaf: u64, blocks: Vec<Vec<u8>>) -> Result<(), OramError> {
-        if blocks.len() as u64 != self.config.blocks_per_access() {
-            return Err(OramError::BadPathLength {
-                expected: self.config.blocks_per_access(),
-                actual: blocks.len() as u64,
-            });
-        }
+    /// [`OramError::Store`] when the bucket backend fails.
+    ///
+    /// # Panics
+    ///
+    /// If `path` is not exactly one path long.
+    pub fn write_path(&mut self, leaf: u64, path: &[u8]) -> Result<(), OramError> {
+        let bucket_len = self.config.bucket_len();
+        assert_eq!(path.len(), self.config.path_len() as usize * bucket_len, "not one path long");
         let dropped = self.faults.as_ref().is_some_and(|plan| {
             plan.decide_for(FaultSite::OramServer, &[FaultKind::DropWrite]).is_some()
         });
         if !dropped {
-            let mut it = blocks.into_iter();
-            for level in 0..=self.config.height {
-                let idx = self.config.bucket_index(leaf, level);
-                let bucket: Vec<Vec<u8>> =
-                    (&mut it).take(self.config.bucket_capacity).collect();
-                if bucket.len() != self.config.bucket_capacity {
-                    return Err(OramError::BadPathLength {
-                        expected: self.config.blocks_per_access(),
-                        actual: 0,
-                    });
-                }
+            for (level, bucket) in path.chunks_exact(bucket_len).enumerate() {
+                let idx = self.config.bucket_index(leaf, level as u32);
                 self.backend.write_bucket(idx as u64, bucket).map_err(OramError::Store)?;
             }
         }
@@ -305,13 +320,6 @@ pub enum OramError {
     /// the server served a wrong path or dropped a write-back (attack
     /// A5: dishonest path service).
     MissingBlock(BlockId),
-    /// A path write-back carried the wrong number of blocks.
-    BadPathLength {
-        /// Blocks one path must carry ([`OramConfig::blocks_per_access`]).
-        expected: u64,
-        /// Blocks actually supplied.
-        actual: u64,
-    },
     /// A recursive-ORAM access targeted an index beyond the capacity
     /// fixed at construction.
     IndexOutOfRange {
@@ -341,9 +349,6 @@ impl core::fmt::Display for OramError {
             OramError::MissingBlock(id) => {
                 write!(f, "mapped ORAM block {id} missing from its path")
             }
-            OramError::BadPathLength { expected, actual } => {
-                write!(f, "bad path length: expected {expected} blocks, got {actual}")
-            }
             OramError::IndexOutOfRange { index, capacity } => {
                 write!(f, "recursive ORAM index {index} out of range (capacity {capacity})")
             }
@@ -355,8 +360,12 @@ impl core::fmt::Display for OramError {
 impl std::error::Error for OramError {}
 
 /// Bytes of slot plaintext ahead of the payload: validity byte, block
-/// id, embedded leaf.
+/// id, embedded leaf. The embedded leaf makes eviction position-map-free.
 const SLOT_HEADER: usize = 1 + 32 + 8;
+/// AES-GCM nonce bytes at the head of every slot.
+const NONCE_LEN: usize = 12;
+/// AES-GCM tag bytes at the tail of every slot.
+const TAG_LEN: usize = 16;
 
 /// A stash entry: a decrypted real block waiting for eviction, carrying
 /// its embedded leaf assignment (kept in the ciphertext so eviction never
@@ -384,6 +393,19 @@ pub struct OramClient {
     nonce_prefix: [u8; 4],
     nonce_counter: u64,
     max_stash: usize,
+    /// The one path in flight, as [`OramServer::read_path`] fills it:
+    /// opened, re-sealed and written back from where it lies, access
+    /// after access.
+    path: Vec<u8>,
+}
+
+/// The next nonce of a client's space: its prefix, then the counter.
+fn next_nonce(prefix: [u8; 4], counter: &mut u64) -> [u8; NONCE_LEN] {
+    *counter += 1;
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce[..4].copy_from_slice(&prefix);
+    nonce[4..].copy_from_slice(&counter.to_be_bytes());
+    nonce
 }
 
 impl core::fmt::Debug for OramClient {
@@ -402,6 +424,7 @@ impl OramClient {
         let mut nonce_prefix = [0u8; 4];
         rng.fill_bytes(&mut nonce_prefix);
         OramClient {
+            path: vec![0u8; config.path_len() as usize * config.bucket_len()],
             config,
             cipher: AesGcm::new(key),
             rng,
@@ -431,63 +454,6 @@ impl OramClient {
     /// High-water mark of the stash (for the O(log n) bound checks).
     pub fn max_stash_seen(&self) -> usize {
         self.max_stash
-    }
-
-    fn next_nonce(&mut self) -> [u8; 12] {
-        self.nonce_counter += 1;
-        let mut nonce = [0u8; 12];
-        nonce[..4].copy_from_slice(&self.nonce_prefix);
-        nonce[4..].copy_from_slice(&self.nonce_counter.to_be_bytes());
-        nonce
-    }
-
-    /// Seals one slot as `nonce ‖ ciphertext ‖ tag`, built in the one
-    /// buffer the server will keep. `None` is a dummy: its all-zero
-    /// plaintext is the freshly zeroed buffer itself.
-    fn encrypt_slot(&mut self, block: Option<(&BlockId, u64, &[u8])>) -> Vec<u8> {
-        // Slot plaintext: 1 validity byte + 32-byte id + 8-byte leaf +
-        // payload. The embedded leaf makes eviction position-map-free.
-        let plain_len = SLOT_HEADER + self.config.block_size;
-        let mut out = vec![0u8; 12 + plain_len + 16];
-        let nonce = self.next_nonce();
-        let (nonce_out, rest) = out.split_at_mut(12);
-        let (plain, tag_out) = rest.split_at_mut(plain_len);
-        nonce_out.copy_from_slice(&nonce);
-        if let Some((id, leaf, data)) = block {
-            plain[0] = 1;
-            plain[1..33].copy_from_slice(id.as_bytes());
-            plain[33..SLOT_HEADER].copy_from_slice(&leaf.to_be_bytes());
-            plain[SLOT_HEADER..].copy_from_slice(data);
-        }
-        tag_out.copy_from_slice(&self.cipher.seal_in_place(&nonce, b"oram", plain));
-        out
-    }
-
-    /// Opens a slot where it lies; a real block's payload is what is
-    /// left of the buffer once nonce, header and tag are cut away.
-    fn decrypt_slot(
-        &self,
-        mut slot: Vec<u8>,
-    ) -> Result<Option<(BlockId, u64, Vec<u8>)>, OramError> {
-        if slot.is_empty() {
-            // Never-written slot: treated as a dummy.
-            return Ok(None);
-        }
-        let plain_end = 12 + SLOT_HEADER + self.config.block_size;
-        if slot.len() != plain_end + 16 {
-            return Err(OramError::Tampered);
-        }
-        let (sealed, tag) = slot.split_last_chunk_mut::<16>().expect("length checked");
-        let (nonce, plain) = sealed.split_first_chunk_mut::<12>().expect("length checked");
-        self.cipher.open_in_place(nonce, b"oram", plain, tag).map_err(|_| OramError::Tampered)?;
-        if plain[0] == 0 {
-            return Ok(None);
-        }
-        let id = B256::from_slice(&plain[1..33]);
-        let leaf = u64::from_be_bytes(plain[33..SLOT_HEADER].try_into().expect("fixed layout"));
-        slot.truncate(plain_end);
-        slot.drain(..12 + SLOT_HEADER);
-        Ok(Some((id, leaf, slot)))
     }
 
     /// Reads a block; `None` if the id was never written.
@@ -595,10 +561,28 @@ impl OramClient {
         new_leaf: u64,
         update: impl FnOnce(&mut Option<Vec<u8>>) -> R,
     ) -> Result<R, OramError> {
-        // Read the whole path into the stash; embedded leaves ride along.
-        for slot in server.read_path(old_leaf, clock.now())? {
-            if let Some((slot_id, leaf, data)) = self.decrypt_slot(slot)? {
-                self.stash.entry(slot_id).or_insert(StashEntry { data, leaf });
+        let (slot_len, bucket_len) = (self.config.slot_len(), self.config.bucket_len());
+
+        // Read the whole path and open every slot where it lies; a real
+        // block is copied out once, into the stash, embedded leaf and all.
+        let written = server.read_path(old_leaf, clock.now(), &mut self.path)?;
+        for (level, bucket) in self.path.chunks_exact_mut(bucket_len).enumerate() {
+            if written >> level & 1 == 0 {
+                continue; // never written: Z dummies
+            }
+            for slot in bucket.chunks_exact_mut(slot_len) {
+                let (nonce, rest) = slot.split_first_chunk_mut::<NONCE_LEN>().expect("slot_len");
+                let (plain, tag) = rest.split_last_chunk_mut::<TAG_LEN>().expect("slot_len");
+                self.cipher
+                    .open_in_place(nonce, b"oram", plain, tag)
+                    .map_err(|_| OramError::Tampered)?;
+                if plain[0] == 0 {
+                    continue;
+                }
+                let leaf = u64::from_be_bytes(plain[33..SLOT_HEADER].try_into().expect("fixed layout"));
+                self.stash
+                    .entry(B256::from_slice(&plain[1..33]))
+                    .or_insert_with(|| StashEntry { data: plain[SLOT_HEADER..].to_vec(), leaf });
             }
         }
 
@@ -611,9 +595,7 @@ impl OramClient {
 
         // Greedy eviction: walk the path leaf-to-root, placing stash
         // blocks into the deepest bucket whose subtree contains their
-        // embedded leaf.
-        let mut path_buckets: Vec<Vec<(BlockId, u64, Vec<u8>)>> =
-            vec![Vec::new(); self.config.path_len() as usize];
+        // embedded leaf — as plaintext, in the slot that will carry them.
         // Deterministic candidate order: the durability layer compares
         // bucket digests against an in-memory twin, and a restored client
         // rebuilds its stash map in sorted order, not in the order the
@@ -622,36 +604,37 @@ impl OramClient {
         let mut stash_ids: Vec<BlockId> = self.stash.keys().copied().collect();
         stash_ids.sort_unstable();
         for level in (0..=self.config.height).rev() {
-            let capacity = self.config.bucket_capacity;
+            let bucket = &mut self.path[level as usize * bucket_len..][..bucket_len];
+            let mut free = bucket.chunks_exact_mut(slot_len);
+            // The block can live at `level` iff the path to its leaf
+            // passes through the same bucket.
+            let shift = self.config.height - level;
             for sid in &stash_ids {
-                if path_buckets[level as usize].len() >= capacity {
-                    break;
+                if self.stash.get(sid).is_none_or(|e| e.leaf >> shift != old_leaf >> shift) {
+                    continue;
                 }
-                let Some(entry) = self.stash.get(sid) else { continue };
-                // The block can live at `level` iff the path to its leaf
-                // passes through the same bucket.
-                let shift = self.config.height - level;
-                if entry.leaf >> shift == old_leaf >> shift {
-                    if let Some(entry) = self.stash.remove(sid) {
-                        path_buckets[level as usize].push((*sid, entry.leaf, entry.data));
-                    }
-                }
+                let Some(slot) = free.next() else { break };
+                let entry = self.stash.remove(sid).expect("seen a line ago");
+                let plain = &mut slot[NONCE_LEN..slot_len - TAG_LEN];
+                plain[0] = 1;
+                plain[1..33].copy_from_slice(sid.as_bytes());
+                plain[33..SLOT_HEADER].copy_from_slice(&entry.leaf.to_be_bytes());
+                plain[SLOT_HEADER..].copy_from_slice(&entry.data);
+            }
+            // What is left of the bucket is dummies: all-zero plaintext.
+            for slot in free {
+                slot[NONCE_LEN..slot_len - TAG_LEN].fill(0);
             }
         }
 
-        // Re-encrypt the full path (real blocks + dummies).
-        let mut out = Vec::with_capacity(self.config.blocks_per_access() as usize);
-        for bucket in path_buckets {
-            let mut written = 0;
-            for (bid, leaf, data) in &bucket {
-                out.push(self.encrypt_slot(Some((bid, *leaf, data))));
-                written += 1;
-            }
-            for _ in written..self.config.bucket_capacity {
-                out.push(self.encrypt_slot(None));
-            }
+        // Re-encrypt the full path (real blocks + dummies), root first.
+        for slot in self.path.chunks_exact_mut(slot_len) {
+            let nonce = next_nonce(self.nonce_prefix, &mut self.nonce_counter);
+            let (sealed, tag) = slot.split_last_chunk_mut::<TAG_LEN>().expect("slot_len");
+            sealed[..NONCE_LEN].copy_from_slice(&nonce);
+            *tag = self.cipher.seal_in_place(&nonce, b"oram", &mut sealed[NONCE_LEN..]);
         }
-        server.write_path(old_leaf, out)?;
+        server.write_path(old_leaf, &self.path)?;
 
         self.max_stash = self.max_stash.max(self.stash.len());
         clock.advance(cost.oram_query_ns(self.config.blocks_per_access()));
@@ -673,8 +656,16 @@ impl OramClient {
         // Draw the sealing nonce first so the snapshot already reflects
         // the consumed counter value (the restored client never reuses
         // it).
-        let nonce = self.next_nonce();
-        let mut out = nonce.to_vec();
+        let nonce = next_nonce(self.nonce_prefix, &mut self.nonce_counter);
+        // Every term is known before the first byte: the blob is built
+        // once, at its final size.
+        let stash_bytes: usize = self.stash.values().map(|e| 32 + 8 + 4 + e.data.len()).sum();
+        let len = NONCE_LEN + 1 + 4 + 8 + SecureRng::SNAPSHOT_LEN + 8
+            + (4 + self.position.len() * (32 + 8))
+            + (4 + stash_bytes)
+            + TAG_LEN;
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&nonce);
         out.push(1u8); // version
         out.extend_from_slice(&self.nonce_prefix);
         out.extend_from_slice(&self.nonce_counter.to_be_bytes());
@@ -696,8 +687,9 @@ impl OramClient {
             out.extend_from_slice(&(entry.data.len() as u32).to_be_bytes());
             out.extend_from_slice(&entry.data);
         }
-        let tag = self.cipher.seal_in_place(&nonce, b"oram-client-state", &mut out[12..]);
+        let tag = self.cipher.seal_in_place(&nonce, b"oram-client-state", &mut out[NONCE_LEN..]);
         out.extend_from_slice(&tag);
+        debug_assert_eq!(out.len(), len, "seal_state's size formula");
         out
     }
 
@@ -743,6 +735,7 @@ impl OramClient {
             return Err(OramError::Tampered);
         }
         Ok(OramClient {
+            path: vec![0u8; config.path_len() as usize * config.bucket_len()],
             config,
             cipher,
             rng,

@@ -22,12 +22,14 @@
 
 use tape_crypto::Keccak256;
 
-/// Record magic ("disk store, framing v2": one log, two record types).
-/// Directories written by the journal-plus-segments v1 store fail here.
-pub const MAGIC: u16 = 0xD15D;
+/// Record magic ("disk store, framing v3": one log, two record types, a
+/// bucket record's payload is the bucket's bytes). Directories written
+/// by the journal-plus-segments v1 store (`0xD15C`) or with v2's
+/// length-prefixed slot payloads (`0xD15D`) fail here.
+pub const MAGIC: u16 = 0xD15E;
 
-/// Bucket record: one bucket's slots, invisible until its transaction's
-/// commit record lands.
+/// Bucket record: one bucket's `Z` equal-length slot ciphertexts end to
+/// end, invisible until its transaction's commit record lands.
 pub const RT_BUCKET: u8 = 1;
 /// Commit record: seals one transaction (one ORAM access) and carries
 /// the sealed client meta blob as payload.
@@ -102,24 +104,24 @@ fn mac(key: &[u8; 32], header: &[u8], payload: &[u8]) -> [u8; 32] {
     h.finalize().into_bytes()
 }
 
-/// Encodes one record, MAC included.
+/// Appends one record, MAC included, to `out`.
 ///
 /// # Panics
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a store bug, not a
 /// runtime condition).
-pub fn encode_record(key: &[u8; 32], record: &Record<'_>) -> Vec<u8> {
+pub fn encode_record_into(out: &mut Vec<u8>, key: &[u8; 32], record: &Record<'_>) {
     assert!(record.payload.len() <= MAX_PAYLOAD, "payload too large");
-    let mut out = Vec::with_capacity(HEADER_LEN + record.payload.len() + MAC_LEN);
+    let start = out.len();
+    out.reserve(HEADER_LEN + record.payload.len() + MAC_LEN);
     out.extend_from_slice(&MAGIC.to_be_bytes());
     out.push(record.rtype);
     out.extend_from_slice(&record.bucket.to_be_bytes());
     out.extend_from_slice(&record.seq.to_be_bytes());
     out.extend_from_slice(&(record.payload.len() as u32).to_be_bytes());
     out.extend_from_slice(record.payload);
-    let tag = mac(key, &out[..HEADER_LEN], record.payload);
+    let tag = mac(key, &out[start..start + HEADER_LEN], record.payload);
     out.extend_from_slice(&tag);
-    out
 }
 
 /// Decodes the record starting at `buf[0]`.
@@ -169,48 +171,6 @@ pub fn decode_record<'a>(
     Ok(Decoded::Record(Record { rtype, bucket, seq, payload }, total))
 }
 
-/// Encodes one bucket's slot ciphertexts as a record payload:
-/// `count u16` then per slot `len u32 | bytes`.
-pub fn encode_slots(slots: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + slots.iter().map(|s| 4 + s.len()).sum::<usize>());
-    out.extend_from_slice(&(slots.len() as u16).to_be_bytes());
-    for slot in slots {
-        out.extend_from_slice(&(slot.len() as u32).to_be_bytes());
-        out.extend_from_slice(slot);
-    }
-    out
-}
-
-/// Decodes a [`encode_slots`] payload.
-///
-/// # Errors
-///
-/// [`CodecError::Malformed`] when the payload does not parse exactly.
-pub fn decode_slots(payload: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
-    if payload.len() < 2 {
-        return Err(CodecError::Malformed("slot payload too short"));
-    }
-    let count = u16::from_be_bytes([payload[0], payload[1]]) as usize;
-    let mut slots = Vec::with_capacity(count);
-    let mut off = 2;
-    for _ in 0..count {
-        if payload.len() < off + 4 {
-            return Err(CodecError::Malformed("slot length truncated"));
-        }
-        let len = u32::from_be_bytes(payload[off..off + 4].try_into().expect("fixed layout")) as usize;
-        off += 4;
-        if payload.len() < off + len {
-            return Err(CodecError::Malformed("slot bytes truncated"));
-        }
-        slots.push(payload[off..off + len].to_vec());
-        off += len;
-    }
-    if off != payload.len() {
-        return Err(CodecError::Malformed("trailing slot bytes"));
-    }
-    Ok(slots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +178,13 @@ mod tests {
     const KEY: [u8; 32] = [0x42; 32];
 
     fn slots() -> Vec<u8> {
-        encode_slots(&[vec![1, 2, 3], Vec::new(), vec![9; 40]])
+        (0..3 * 40).map(|i| i as u8).collect()
+    }
+
+    fn encode_record(key: &[u8; 32], record: &Record<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record_into(&mut out, key, record);
+        out
     }
 
     fn sample(payload: &[u8]) -> Record<'_> {
@@ -237,8 +203,16 @@ mod tests {
             }
             Decoded::Incomplete => panic!("complete record reported incomplete"),
         }
-        let slots = decode_slots(rec.payload).expect("slots decode");
-        assert_eq!(slots, vec![vec![1, 2, 3], Vec::new(), vec![9; 40]]);
+    }
+
+    #[test]
+    fn a_record_is_appended_behind_what_the_buffer_already_holds() {
+        let payload = slots();
+        let alone = encode_record(&KEY, &sample(&payload));
+        let mut log = b"earlier records".to_vec();
+        encode_record_into(&mut log, &KEY, &sample(&payload));
+        assert_eq!(&log[..15], b"earlier records");
+        assert_eq!(&log[15..], &alone[..], "the MAC covers this record's header, not the buffer's");
     }
 
     #[test]

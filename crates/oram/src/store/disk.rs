@@ -32,10 +32,9 @@
 //! [`RecoveryEnd`]: TelemetryEvent::RecoveryEnd
 
 use super::codec::{
-    decode_record, decode_slots, encode_record, encode_slots, CodecError, Decoded, Record,
-    RT_BUCKET, RT_COMMIT,
+    decode_record, encode_record_into, Decoded, Record, HEADER_LEN, RT_BUCKET, RT_COMMIT,
 };
-use super::{digest_bucket, BucketBackend, StoreError};
+use super::{digest_bucket, overwrite, BucketBackend, Staged, StoreError};
 use crate::OramConfig;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -53,9 +52,9 @@ pub struct DiskStoreConfig {
     /// Keyed-keccak MAC key for record framing (durability integrity;
     /// the client's AES-GCM remains the security boundary).
     pub key: [u8; 32],
-    /// Tree levels (from the root) whose decoded buckets are cached in
-    /// memory, skipping per-read MAC re-verification on the hot upper
-    /// levels every access touches.
+    /// Tree levels (from the root) whose records are served without
+    /// re-verifying their MAC for as long as they stand unchanged — the
+    /// hot upper levels every access touches.
     pub tree_top_levels: u32,
     /// Shim: the store reads it nowhere (there is no journal to trim).
     /// It stays, at 8, because the frozen `benchmark/` package still
@@ -147,6 +146,8 @@ pub struct DiskStore {
     dir: PathBuf,
     key: [u8; 32],
     capacity: usize,
+    /// Bytes of one bucket: the only payload a bucket record may carry.
+    bucket_len: usize,
     roll_bytes: usize,
     verify: bool,
     clock: Clock,
@@ -154,14 +155,15 @@ pub struct DiskStore {
     segment: u32,
     active: SimFile,
     /// Latest committed *encoded record* per bucket (empty = never
-    /// written) — the in-memory mirror that serves reads (decode + MAC
-    /// verify per read unless the bucket sits in the tree-top cache).
-    mirror: Vec<Vec<u8>>,
-    /// Decoded slots for the hot upper tree levels (the first buckets).
-    cache: Vec<Option<Vec<Vec<u8>>>>,
-    /// Open transaction: `(bucket, slots payload)` staged since the
+    /// written), overwritten in place — the in-memory mirror that serves
+    /// reads (MAC verified per read unless the bucket is marked below).
+    mirror: Vec<Box<[u8]>>,
+    /// For the hot upper tree levels (the first buckets): the mirror
+    /// record's MAC was computed or checked since the record last changed.
+    mac_checked: Vec<bool>,
+    /// Open transaction: the encoded bucket records staged since the
     /// last commit.
-    staged: Vec<(u64, Vec<u8>)>,
+    staged: Staged,
     pending_meta: Option<Vec<u8>>,
     meta: Option<Vec<u8>>,
     seq: u64,
@@ -182,9 +184,10 @@ impl DiskStore {
     ///
     /// [`StoreError::Io`] on host filesystem failure;
     /// [`StoreError::Corrupt`] on anything no crash of this store can
-    /// explain: MAC-bad, mis-framed or out-of-sequence records, a torn
-    /// or uncommitted tail anywhere but the end of the last segment, or
-    /// a directory in the older journal-plus-segments format.
+    /// explain: MAC-bad, mis-framed or out-of-sequence records, a bucket
+    /// record that does not hold exactly one bucket of this geometry, a
+    /// torn or uncommitted tail anywhere but the end of the last
+    /// segment, or a directory in an older format.
     pub fn open(
         config: DiskStoreConfig,
         geometry: &OramConfig,
@@ -218,13 +221,14 @@ impl DiskStore {
             dir: config.dir,
             key: config.key,
             capacity: geometry.bucket_capacity,
+            bucket_len: geometry.bucket_capacity * geometry.slot_len(),
             roll_bytes: config.segment_roll_bytes.max(1 << 12),
             verify: config.verify_macs,
             clock: clock.clone(),
             segment: 0,
-            mirror: vec![Vec::new(); geometry.buckets() as usize],
-            cache: vec![None; tree_top],
-            staged: Vec::new(),
+            mirror: vec![Box::default(); geometry.buckets() as usize],
+            mac_checked: vec![false; tree_top],
+            staged: Staged::default(),
             pending_meta: None,
             meta: None,
             seq: 0,
@@ -286,11 +290,13 @@ impl DiskStore {
                     if rec.bucket >= self.mirror.len() as u64 {
                         return Err(corrupt(off, &format!("bucket {} outside the tree", rec.bucket)));
                     }
+                    if rec.payload.len() != self.bucket_len {
+                        return Err(corrupt(off, &format!("a {}-byte bucket", rec.payload.len())));
+                    }
                     held.push((rec.bucket as usize, off..off + used));
                 } else {
                     for (bucket, range) in held.drain(..) {
-                        self.mirror[bucket].clear();
-                        self.mirror[bucket].extend_from_slice(&bytes[range]);
+                        overwrite(&mut self.mirror[bucket], &bytes[range]);
                     }
                     self.meta = (!rec.payload.is_empty()).then(|| rec.payload.to_vec());
                     self.seq = rec.seq;
@@ -320,11 +326,9 @@ impl DiskStore {
         }
         report.committed_seq = self.seq;
 
-        // Warm the tree-top cache from the verified mirror.
-        for bucket in 0..self.cache.len() {
-            if !self.mirror[bucket].is_empty() {
-                self.cache[bucket] = Some(self.decode_mirror(bucket as u64)?);
-            }
+        // Every record now in the mirror came through `decode_record`.
+        for (checked, record) in self.mac_checked.iter_mut().zip(&self.mirror) {
+            *checked = !record.is_empty();
         }
 
         self.count(CounterId::RecoveryReplays, u64::from(report.replayed));
@@ -334,32 +338,6 @@ impl DiskStore {
             discarded: report.discarded,
         });
         Ok(report)
-    }
-
-    /// Decodes the mirror record for `bucket` (MAC verified per
-    /// [`DiskStoreConfig::verify_macs`]).
-    fn decode_mirror(&self, bucket: u64) -> Result<Vec<Vec<u8>>, StoreError> {
-        let record = &self.mirror[bucket as usize];
-        if record.is_empty() {
-            return Ok(vec![Vec::new(); self.capacity]);
-        }
-        if !self.verify {
-            self.record_event(TelemetryEvent::DiskUnverified { at: self.clock.now(), bucket });
-        }
-        match decode_record(&self.key, record, self.verify) {
-            Ok(Decoded::Record(rec, _)) => decode_slots(rec.payload).map_err(|err| {
-                StoreError::Corrupt { detail: format!("bucket {bucket} slots: {err}") }
-            }),
-            // A bit flip in the length field can make a stored record
-            // read as truncated: corruption, not a legal torn tail.
-            Ok(Decoded::Incomplete) => Err(StoreError::Corrupt {
-                detail: format!("bucket {bucket}: stored record reads truncated"),
-            }),
-            Err(CodecError::BadMac { .. }) => Err(StoreError::Corrupt {
-                detail: format!("bucket {bucket} failed MAC verification (bit rot)"),
-            }),
-            Err(err) => Err(StoreError::Corrupt { detail: format!("bucket {bucket}: {err}") }),
-        }
     }
 
     /// Everything that must happen at a disk I/O boundary: run the
@@ -409,9 +387,10 @@ impl DiskStore {
         }
     }
 
-    fn append(&mut self, record: &[u8]) -> Result<(), StoreError> {
+    /// One append boundary; the caller then puts its record at the end
+    /// of `active.tail`.
+    fn before_append(&mut self) -> Result<(), StoreError> {
         self.boundary(Io::Append)?;
-        self.active.tail.extend_from_slice(record);
         self.count(CounterId::DiskWrites, 1);
         Ok(())
     }
@@ -447,42 +426,63 @@ impl DiskStore {
 }
 
 impl BucketBackend for DiskStore {
-    fn read_bucket(&mut self, bucket: u64) -> Result<Vec<Vec<u8>>, StoreError> {
+    fn read_bucket(&mut self, bucket: u64, slots: &mut [u8]) -> Result<bool, StoreError> {
         self.guard()?;
         // Read-your-writes within the open transaction.
-        if let Some((_, payload)) = self.staged.iter().rev().find(|(b, _)| *b == bucket) {
-            return decode_slots(payload)
-                .map_err(|err| StoreError::Corrupt { detail: format!("staged bucket: {err}") });
+        if let Some(record) = self.staged.latest(bucket) {
+            slots.copy_from_slice(&record[HEADER_LEN..][..self.bucket_len]);
+            return Ok(true);
         }
         let at = bucket as usize;
         // Disk read-path faults: bit rot lands in the stored record (and
-        // evicts any cached copy so the MAC check actually runs); a
+        // clears the bucket's mark so the MAC check actually runs); a
         // short read returns a truncated record without mutating it.
         let fault = self.faults.as_ref().and_then(|plan| {
             plan.decide_for(FaultSite::Disk, &[FaultKind::BitRot, FaultKind::ShortRead])
         });
-        if let Some(decision) = fault.filter(|_| !self.mirror[at].is_empty()) {
+        if self.mirror[at].is_empty() {
+            return Ok(false);
+        }
+        if let Some(decision) = fault {
             let record = &mut self.mirror[at];
             let byte = (decision.param % record.len() as u64) as usize;
             if matches!(decision.kind, FaultKind::BitRot) {
                 record[byte] ^= 1 << ((decision.param >> 24) % 8);
-                if let Some(cached) = self.cache.get_mut(at) {
-                    *cached = None;
+                if let Some(checked) = self.mac_checked.get_mut(at) {
+                    *checked = false;
                 }
             } else {
                 let (expected, actual) = (record.len() as u32, byte as u32);
                 return Err(StoreError::ShortRead { bucket, expected, actual });
             }
         }
-        if let Some(Some(slots)) = self.cache.get(at) {
-            return Ok(slots.clone());
+        // The MAC is checked (per `verify_macs`) unless the bucket is
+        // marked as checked since its record last changed.
+        let due = !self.mac_checked.get(at).is_some_and(|checked| *checked);
+        if due && !self.verify {
+            self.record_event(TelemetryEvent::DiskUnverified { at: self.clock.now(), bucket });
         }
-        self.decode_mirror(bucket)
+        let what = match decode_record(&self.key, &self.mirror[at], due && self.verify) {
+            Ok(Decoded::Record(rec, _)) if rec.payload.len() == slots.len() => {
+                slots.copy_from_slice(rec.payload);
+                return Ok(true);
+            }
+            Ok(Decoded::Record(rec, _)) => format!("holds a {}-byte bucket", rec.payload.len()),
+            // A bit flip in the length field can make a stored record
+            // read as truncated: corruption, not a legal torn tail.
+            Ok(Decoded::Incomplete) => "reads truncated".to_string(),
+            // A MAC failure here is bit rot: recovery verified this record.
+            Err(err) => err.to_string(),
+        };
+        Err(StoreError::Corrupt { detail: format!("bucket {bucket}: stored record {what}") })
     }
 
-    fn write_bucket(&mut self, bucket: u64, slots: Vec<Vec<u8>>) -> Result<(), StoreError> {
+    fn write_bucket(&mut self, bucket: u64, slots: &[u8]) -> Result<(), StoreError> {
         self.guard()?;
-        self.staged.push((bucket, encode_slots(&slots)));
+        // Framed and MACed once, here; `commit` moves the bytes.
+        let rec = Record { rtype: RT_BUCKET, bucket, seq: self.seq + 1, payload: slots };
+        self.staged.buckets.push(bucket);
+        encode_record_into(&mut self.staged.bytes, &self.key, &rec);
         Ok(())
     }
 
@@ -497,33 +497,36 @@ impl BucketBackend for DiskStore {
             self.active.durable = 0;
         }
         let seq = self.seq + 1;
-        let staged = std::mem::take(&mut self.staged);
-        let meta = self.pending_meta.take().or_else(|| self.meta.clone()).unwrap_or_default();
+        let mut staged = std::mem::take(&mut self.staged);
+        let meta = self.pending_meta.take();
 
-        // The transaction: its bucket records, then the commit record.
-        let mut records = Vec::with_capacity(staged.len());
-        for (bucket, payload) in &staged {
-            let rec = Record { rtype: RT_BUCKET, bucket: *bucket, seq, payload };
-            let encoded = encode_record(&self.key, &rec);
-            self.append(&encoded)?;
-            records.push(encoded);
+        // The transaction: its bucket records, then the commit record,
+        // which carries the new meta blob or, failing one, the last.
+        for (_, record) in staged.iter() {
+            self.before_append()?;
+            self.active.tail.extend_from_slice(record);
         }
-        let rec = Record { rtype: RT_COMMIT, bucket: 0, seq, payload: &meta };
-        self.append(&encode_record(&self.key, &rec))?;
+        self.before_append()?;
+        let payload = meta.as_deref().or(self.meta.as_deref()).unwrap_or_default();
+        let rec = Record { rtype: RT_COMMIT, bucket: 0, seq, payload };
+        encode_record_into(&mut self.active.tail, &self.key, &rec);
 
         // The durability point: the fsync gates visibility.
         self.fsync()?;
 
-        for ((bucket, payload), encoded) in staged.into_iter().zip(records) {
-            if let Some(cached) = self.cache.get_mut(bucket as usize) {
-                let slots = decode_slots(&payload)
-                    .map_err(|err| StoreError::Corrupt { detail: format!("commit: {err}") })?;
-                *cached = Some(slots);
+        for (bucket, record) in staged.iter() {
+            overwrite(&mut self.mirror[bucket as usize], record);
+            if let Some(checked) = self.mac_checked.get_mut(bucket as usize) {
+                *checked = true;
             }
-            self.mirror[bucket as usize] = encoded;
         }
+        staged.buckets.clear();
+        staged.bytes.clear();
+        self.staged = staged;
         self.seq = seq;
-        self.meta = (!meta.is_empty()).then_some(meta);
+        if let Some(meta) = meta {
+            self.meta = (!meta.is_empty()).then_some(meta);
+        }
         Ok(())
     }
 
@@ -531,37 +534,30 @@ impl BucketBackend for DiskStore {
         self.seq
     }
 
-    fn put_meta(&mut self, meta: &[u8]) {
-        self.pending_meta = Some(meta.to_vec());
+    fn put_meta(&mut self, meta: Vec<u8>) {
+        self.pending_meta = Some(meta);
     }
 
-    fn meta(&self) -> Option<Vec<u8>> {
-        self.meta.clone()
+    fn meta(&self) -> Option<&[u8]> {
+        self.meta.as_deref()
     }
 
     fn state_digest(&self) -> B256 {
         let mut h = Keccak256::new();
-        let empty = vec![Vec::new(); self.capacity];
         for (bucket, record) in self.mirror.iter().enumerate() {
-            if record.is_empty() {
-                digest_bucket(&mut h, bucket as u64, &empty);
-                continue;
-            }
             let slots = match decode_record(&self.key, record, false) {
-                Ok(Decoded::Record(rec, _)) => decode_slots(rec.payload).ok(),
-                _ => None,
-            };
-            match slots {
-                Some(slots) => digest_bucket(&mut h, bucket as u64, &slots),
+                _ if record.is_empty() => &[][..],
+                Ok(Decoded::Record(rec, _)) => rec.payload,
                 // Undecodable content still changes the digest (never
                 // silently matches a healthy twin).
-                None => h.update(record),
-            }
+                _ => record,
+            };
+            digest_bucket(&mut h, bucket as u64, slots, self.capacity);
         }
         h.finalize()
     }
 
-    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut Vec<u8>)) {
+    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8])) {
         // The malicious SP rewrites its own storage: slots are mutated
         // and re-framed with valid MACs — only the client's AES-GCM can
         // catch this, which is exactly the layering under test.
@@ -570,14 +566,16 @@ impl BucketBackend for DiskStore {
             else {
                 continue;
             };
-            let Ok(mut slots) = decode_slots(rec.payload) else { continue };
-            for (i, slot) in slots.iter_mut().enumerate() {
+            let mut slots = rec.payload.to_vec();
+            let slot_len = (slots.len() / self.capacity).max(1);
+            for (i, slot) in slots.chunks_exact_mut(slot_len).enumerate() {
                 f(bucket as u64, i, slot);
             }
-            let payload = encode_slots(&slots);
-            self.mirror[bucket] = encode_record(&self.key, &Record { payload: &payload, ..rec });
-            if let Some(cached) = self.cache.get_mut(bucket) {
-                *cached = None;
+            let mut record = Vec::with_capacity(self.mirror[bucket].len());
+            encode_record_into(&mut record, &self.key, &Record { payload: &slots, ..rec });
+            self.mirror[bucket] = record.into();
+            if let Some(checked) = self.mac_checked.get_mut(bucket) {
+                *checked = false;
             }
         }
     }

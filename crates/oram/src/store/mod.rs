@@ -1,16 +1,16 @@
 //! Durable bucket storage behind the Path ORAM server.
 //!
-//! The ORAM server's bucket tree used to live in a plain `Vec` — gone
-//! on process death. This module puts it behind the [`BucketBackend`]
-//! trait with two implementations:
+//! The ORAM server's bucket tree sits behind the [`BucketBackend`]
+//! trait, which moves a bucket as one slice of `Z` equal-length slot
+//! ciphertexts, with two implementations:
 //!
-//! * [`MemBackend`] — the original in-memory tree (the default, and the
-//!   "twin" reference in crash-recovery tests);
+//! * [`MemBackend`] — the in-memory tree (the default, and the "twin"
+//!   reference in crash-recovery tests);
 //! * [`DiskStore`] — a crash-safe, MAC-authenticated store: one
 //!   append-only log of segment files in which a commit record gates
-//!   the visibility of the bucket records before it, an in-memory
-//!   tree-top cache for the hot upper levels, and deterministic disk
-//!   fault injection ([`FaultSite::Disk`]).
+//!   the visibility of the bucket records before it, MAC checks skipped
+//!   on the hot upper levels while their records stand unchanged, and
+//!   deterministic disk fault injection ([`FaultSite::Disk`]).
 //!
 //! The crash-consistency contract (see DESIGN.md "Durability & crash
 //! recovery"): one ORAM access is one transaction; a transaction is
@@ -84,20 +84,20 @@ impl std::error::Error for StoreError {}
 /// and durable atomically. Reads see committed state plus the current
 /// transaction's own staged writes (read-your-writes within one access).
 pub trait BucketBackend: core::fmt::Debug {
-    /// Reads one bucket's slot ciphertexts. A never-written bucket
-    /// yields `capacity` empty slots.
+    /// Copies one bucket's slot ciphertexts into `slots`; `false`, and
+    /// `slots` untouched, for a bucket that was never written.
     ///
     /// # Errors
     ///
     /// [`StoreError`] on disk faults, corruption, or a crashed store.
-    fn read_bucket(&mut self, bucket: u64) -> Result<Vec<Vec<u8>>, StoreError>;
+    fn read_bucket(&mut self, bucket: u64, slots: &mut [u8]) -> Result<bool, StoreError>;
 
     /// Stages one bucket's slot ciphertexts into the open transaction.
     ///
     /// # Errors
     ///
     /// [`StoreError`] on disk faults or a crashed store.
-    fn write_bucket(&mut self, bucket: u64, slots: Vec<Vec<u8>>) -> Result<(), StoreError>;
+    fn write_bucket(&mut self, bucket: u64, slots: &[u8]) -> Result<(), StoreError>;
 
     /// Commits the open transaction: staged bucket writes plus the
     /// pending meta blob become visible and durable, and
@@ -113,10 +113,10 @@ pub trait BucketBackend: core::fmt::Debug {
 
     /// Stages an opaque meta blob (the sealed ORAM client state) to ride
     /// the next commit. The store never interprets it.
-    fn put_meta(&mut self, meta: &[u8]);
+    fn put_meta(&mut self, meta: Vec<u8>);
 
     /// The meta blob carried by the last committed transaction.
-    fn meta(&self) -> Option<Vec<u8>>;
+    fn meta(&self) -> Option<&[u8]>;
 
     /// A keccak digest over every committed bucket's raw stored slot
     /// bytes, in `(bucket, slot)` order. Two backends holding the same
@@ -128,26 +128,63 @@ pub trait BucketBackend: core::fmt::Debug {
     /// `f(bucket, slot, bytes)`. Models the malicious SP rewriting its
     /// own storage (store-level framing stays valid; only the client's
     /// AES-GCM can catch it).
-    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut Vec<u8>));
+    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8]));
 }
 
 /// Digest helper shared by backends: extends `h` with one bucket's
-/// slots in canonical order.
-fn digest_bucket(h: &mut Keccak256, bucket: u64, slots: &[Vec<u8>]) {
+/// `capacity` slots in canonical order. A never-written bucket is the
+/// empty slice: `capacity` zero-length slots.
+fn digest_bucket(h: &mut Keccak256, bucket: u64, slots: &[u8], capacity: usize) {
     h.update(&bucket.to_be_bytes());
-    for (i, slot) in slots.iter().enumerate() {
+    let slot_len = slots.len() / capacity;
+    for i in 0..capacity {
         h.update(&(i as u32).to_be_bytes());
-        h.update(&(slot.len() as u32).to_be_bytes());
-        h.update(slot);
+        h.update(&(slot_len as u32).to_be_bytes());
+        h.update(&slots[i * slot_len..][..slot_len]);
     }
 }
 
-/// The original in-memory bucket tree — default backend, and the
-/// reference "twin" for disk crash-recovery byte-identity checks.
+/// Overwrites a stored bucket where it lies; its one allocation is made
+/// at its first write.
+fn overwrite(stored: &mut Box<[u8]>, bytes: &[u8]) {
+    if stored.len() == bytes.len() {
+        stored.copy_from_slice(bytes);
+    } else {
+        *stored = bytes.into();
+    }
+}
+
+/// The open transaction's bucket writes: bucket indices in arrival
+/// order and their equal-length byte strings end to end, in two buffers
+/// that are cleared, not dropped, from one transaction to the next.
+#[derive(Debug, Default)]
+struct Staged {
+    buckets: Vec<u64>,
+    bytes: Vec<u8>,
+}
+
+impl Staged {
+    /// Every staged write, oldest first.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, &[u8])> {
+        let each = (self.bytes.len() / self.buckets.len().max(1)).max(1);
+        self.buckets.iter().copied().zip(self.bytes.chunks_exact(each))
+    }
+
+    /// Read-your-writes: the latest staging of `bucket`.
+    fn latest(&self, bucket: u64) -> Option<&[u8]> {
+        self.iter().rev().find(|(b, _)| *b == bucket).map(|(_, bytes)| bytes)
+    }
+}
+
+/// The in-memory bucket tree — default backend, and the reference
+/// "twin" for disk crash-recovery byte-identity checks.
 #[derive(Debug)]
 pub struct MemBackend {
-    buckets: Vec<Vec<Vec<u8>>>,
-    staged: Vec<(u64, Vec<Vec<u8>>)>,
+    capacity: usize,
+    /// One flat allocation per bucket (empty = never written). Not one
+    /// slab for the tree: most buckets of a tall tree are never written.
+    buckets: Vec<Box<[u8]>>,
+    staged: Staged,
     seq: u64,
     pending_meta: Option<Vec<u8>>,
     meta: Option<Vec<u8>>,
@@ -157,8 +194,9 @@ impl MemBackend {
     /// An empty tree of `bucket_count` buckets × `capacity` slots.
     pub fn new(bucket_count: u64, capacity: usize) -> Self {
         MemBackend {
-            buckets: (0..bucket_count).map(|_| vec![Vec::new(); capacity]).collect(),
-            staged: Vec::new(),
+            capacity,
+            buckets: vec![Box::default(); bucket_count as usize],
+            staged: Staged::default(),
             seq: 0,
             pending_meta: None,
             meta: None,
@@ -167,23 +205,27 @@ impl MemBackend {
 }
 
 impl BucketBackend for MemBackend {
-    fn read_bucket(&mut self, bucket: u64) -> Result<Vec<Vec<u8>>, StoreError> {
-        // Read-your-writes: the open transaction's latest staging wins.
-        if let Some((_, slots)) = self.staged.iter().rev().find(|(b, _)| *b == bucket) {
-            return Ok(slots.clone());
+    fn read_bucket(&mut self, bucket: u64, slots: &mut [u8]) -> Result<bool, StoreError> {
+        let stored = self.staged.latest(bucket).unwrap_or(&self.buckets[bucket as usize]);
+        if stored.is_empty() {
+            return Ok(false);
         }
-        Ok(self.buckets[bucket as usize].clone())
+        slots.copy_from_slice(stored);
+        Ok(true)
     }
 
-    fn write_bucket(&mut self, bucket: u64, slots: Vec<Vec<u8>>) -> Result<(), StoreError> {
-        self.staged.push((bucket, slots));
+    fn write_bucket(&mut self, bucket: u64, slots: &[u8]) -> Result<(), StoreError> {
+        self.staged.buckets.push(bucket);
+        self.staged.bytes.extend_from_slice(slots);
         Ok(())
     }
 
     fn commit(&mut self) -> Result<(), StoreError> {
-        for (bucket, slots) in self.staged.drain(..) {
-            self.buckets[bucket as usize] = slots;
+        for (bucket, slots) in self.staged.iter() {
+            overwrite(&mut self.buckets[bucket as usize], slots);
         }
+        self.staged.buckets.clear();
+        self.staged.bytes.clear();
         if let Some(meta) = self.pending_meta.take() {
             self.meta = Some(meta);
         }
@@ -195,25 +237,26 @@ impl BucketBackend for MemBackend {
         self.seq
     }
 
-    fn put_meta(&mut self, meta: &[u8]) {
-        self.pending_meta = Some(meta.to_vec());
+    fn put_meta(&mut self, meta: Vec<u8>) {
+        self.pending_meta = Some(meta);
     }
 
-    fn meta(&self) -> Option<Vec<u8>> {
-        self.meta.clone()
+    fn meta(&self) -> Option<&[u8]> {
+        self.meta.as_deref()
     }
 
     fn state_digest(&self) -> B256 {
         let mut h = Keccak256::new();
         for (bucket, slots) in self.buckets.iter().enumerate() {
-            digest_bucket(&mut h, bucket as u64, slots);
+            digest_bucket(&mut h, bucket as u64, slots, self.capacity);
         }
         h.finalize()
     }
 
-    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut Vec<u8>)) {
+    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8])) {
         for (bucket, slots) in self.buckets.iter_mut().enumerate() {
-            for (i, slot) in slots.iter_mut().enumerate() {
+            let slot_len = (slots.len() / self.capacity).max(1);
+            for (i, slot) in slots.chunks_exact_mut(slot_len).enumerate() {
                 f(bucket as u64, i, slot);
             }
         }
@@ -227,33 +270,53 @@ mod tests {
     #[test]
     fn mem_backend_commit_gates_visibility_of_meta_and_seq() {
         let mut store = MemBackend::new(7, 2);
-        store.write_bucket(3, vec![vec![1], vec![2]]).expect("stage");
-        store.put_meta(b"client-state");
+        let mut slots = [0u8; 2];
+        store.write_bucket(3, &[1, 2]).expect("stage");
+        store.put_meta(b"client-state".to_vec());
         assert_eq!(store.committed_seq(), 0);
         assert_eq!(store.meta(), None);
         // Read-your-writes before commit.
-        assert_eq!(store.read_bucket(3).expect("read"), vec![vec![1], vec![2]]);
+        assert!(store.read_bucket(3, &mut slots).expect("read"));
+        assert_eq!(slots, [1, 2]);
         store.commit().expect("commit");
         assert_eq!(store.committed_seq(), 1);
-        assert_eq!(store.meta().as_deref(), Some(&b"client-state"[..]));
-        assert_eq!(store.read_bucket(3).expect("read"), vec![vec![1], vec![2]]);
-        assert_eq!(store.read_bucket(0).expect("read"), vec![Vec::new(); 2]);
+        assert_eq!(store.meta(), Some(&b"client-state"[..]));
+        slots = [0; 2];
+        assert!(store.read_bucket(3, &mut slots).expect("read"));
+        assert_eq!(slots, [1, 2]);
+        assert!(!store.read_bucket(0, &mut slots).expect("read"), "never written");
+        assert_eq!(slots, [1, 2], "a never-written bucket leaves the buffer alone");
+    }
+
+    #[test]
+    fn the_latest_staging_of_a_bucket_wins() {
+        let mut store = MemBackend::new(3, 2);
+        let mut slots = [0u8; 2];
+        for bytes in [[1, 2], [3, 4]] {
+            store.write_bucket(1, &bytes).expect("stage");
+            store.write_bucket(2, &[9, 9]).expect("stage");
+        }
+        assert!(store.read_bucket(1, &mut slots).expect("read"));
+        assert_eq!(slots, [3, 4]);
+        store.commit().expect("commit");
+        assert!(store.read_bucket(1, &mut slots).expect("read"));
+        assert_eq!(slots, [3, 4]);
     }
 
     #[test]
     fn digest_tracks_content_not_history() {
         let mut a = MemBackend::new(3, 1);
         let mut b = MemBackend::new(3, 1);
-        a.write_bucket(0, vec![vec![9]]).expect("stage");
+        a.write_bucket(0, &[9]).expect("stage");
         a.commit().expect("commit");
-        a.write_bucket(1, vec![vec![5]]).expect("stage");
+        a.write_bucket(1, &[5]).expect("stage");
         a.commit().expect("commit");
         // Same final content, different commit history.
-        b.write_bucket(1, vec![vec![5]]).expect("stage");
-        b.write_bucket(0, vec![vec![9]]).expect("stage");
+        b.write_bucket(1, &[5]).expect("stage");
+        b.write_bucket(0, &[9]).expect("stage");
         b.commit().expect("commit");
         assert_eq!(a.state_digest(), b.state_digest());
-        b.write_bucket(0, vec![vec![8]]).expect("stage");
+        b.write_bucket(0, &[8]).expect("stage");
         b.commit().expect("commit");
         assert_ne!(a.state_digest(), b.state_digest());
     }

@@ -11,6 +11,9 @@
 #   - determinism lint: no host clock and no ambient entropy anywhere in
 #     the workspace — replay digests assume virtual time and seeded
 #     randomness, and host time is measured from outside by benchmark/;
+#   - path shape lint: no `Vec<Vec<u8>>` in crates/oram/src outside the
+#     test modules — a path, a bucket and a staged write are flat slices
+#     of fixed-length slots;
 #   - scratch hygiene: disk-writing tests go through `tape_sim::Scratch`
 #     (per-seed dirs under target/scratch/, kept and printed on failure).
 #
@@ -85,6 +88,24 @@ lint_gates() {
     if grep -rnE 'Instant::now|SystemTime|std::time::Instant|rand::|getrandom|from_entropy' \
         src crates tests examples 2>/dev/null; then
         echo "determinism lint: host time or ambient entropy in the workspace" >&2
+        exit 1
+    fi
+
+    echo "==> path shape lint (no Vec<Vec<u8>> outside #[cfg(test)] under crates/oram/src)"
+    # The §IV-D wire shape is fixed at boot: (height + 1) * Z slots of
+    # OramConfig::slot_len bytes. Client, server and both backends move
+    # it as one flat buffer and slices of it; a nested vector anywhere
+    # on that route brings back a per-slot allocation and a length that
+    # has to be re-checked at every hand-off.
+    nested=0
+    for f in $(find crates/oram/src -name '*.rs'); do
+        if awk '/^#\[cfg\(test\)\]/ { exit } /Vec<Vec<u8>>/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+                END { exit !hit }' "$f"; then
+            nested=1
+        fi
+    done
+    if [[ "$nested" -ne 0 ]]; then
+        echo "path shape lint: nested slot vectors under crates/oram/src" >&2
         exit 1
     fi
 

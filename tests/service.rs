@@ -6,9 +6,13 @@ use hardtape::{
     Bundle, Gateway, GatewayConfig, HarDTape, SecurityConfig, ServiceConfig, ServiceError,
 };
 use tape_crypto::SecureRng;
+use tape_evm::asm::Asm;
+use tape_evm::opcode::op;
 use tape_evm::{Env, Transaction};
+use tape_oram::{ObliviousState, OramClient, OramConfig, OramServer};
 use tape_primitives::{Address, U256};
-use tape_state::{Account, InMemoryState};
+use tape_sim::{Clock, CostModel};
+use tape_state::{Account, InMemoryState, StateReader};
 use tape_workload::contracts;
 
 fn alice() -> Address {
@@ -31,6 +35,13 @@ fn genesis() -> InMemoryState {
     t.storage.insert(contracts::balance_slot(&alice()), U256::from(1_000_000u64));
     state.put_account(token(), t);
     state
+}
+
+/// A state holding one funded account and nothing else.
+fn funded(addr: Address) -> InMemoryState {
+    let mut s = InMemoryState::new();
+    s.put_account(addr, Account::with_balance(U256::from(u64::MAX)));
+    s
 }
 
 fn erc20_transfer_bundle() -> Bundle {
@@ -275,6 +286,117 @@ fn forged_block_sync_rejected_without_side_effects() {
     device.sync_block(&header, &honest).unwrap();
 }
 
+/// On-chain SELFDESTRUCT propagates through the proof-carrying delta:
+/// the device's mirror and ORAM forget the account.
+#[test]
+fn selfdestruct_propagates_through_block_sync() {
+    let owner = Address::from_low_u64(0xA11CE);
+    let doomed = Address::from_low_u64(0xD00D);
+    let mut genesis = funded(owner);
+    let mut contract = Account::with_code(
+        Asm::new().push_address(owner).op(op::SELFDESTRUCT).build(),
+    );
+    contract.balance = U256::from(777u64);
+    contract.storage.insert(U256::ONE, U256::from(9u64));
+    genesis.put_account(doomed, contract);
+
+    let mut node = tape_node::Node::new(genesis.clone(), Env::default());
+    let mut device = HarDTape::new(
+        ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Full) },
+        Env::default(),
+        &genesis,
+    ).expect("device boots");
+    let mut user = device.connect_user(b"sd sync").unwrap();
+
+    // The kill transaction lands on-chain.
+    let mut kill = Transaction::call(owner, doomed, vec![]);
+    kill.gas_limit = 200_000;
+    let block = node.produce_block(vec![kill]);
+    assert!(block.receipts[0].success);
+    assert!(node.state().account(&doomed).is_none());
+
+    let header = node.head().unwrap().header.clone();
+    let delta = node.head_state_delta().unwrap();
+    assert!(delta.deleted.iter().any(|d| d.address == doomed));
+    device.sync_block(&header, &delta).unwrap();
+
+    // Pre-execution no longer sees the account: calling it is a plain
+    // transfer to empty code, and its old storage is gone.
+    let probe_code = Asm::new()
+        .push_address(doomed)
+        .op(op::EXTCODESIZE)
+        .ret_top()
+        .build();
+    let prober = Address::from_low_u64(0x9806);
+    let mut genesis2 = node.state().clone();
+    genesis2.put_account(prober, Account::with_code(probe_code));
+    // Probe through the device that synced the deletion.
+    let tx = Transaction::call(owner, doomed, vec![]);
+    let report = device.pre_execute(&mut user, &Bundle::single(tx)).unwrap();
+    assert!(report.results[0].success);
+    assert_eq!(report.results[0].gas_used, 21_000, "no code left to run");
+}
+
+/// A forged deletion (claiming a live account died) is rejected.
+#[test]
+fn forged_deletion_rejected() {
+    let owner = Address::from_low_u64(0xA11CE);
+    let bystander = Address::from_low_u64(0xB15);
+    let mut genesis = funded(owner);
+    genesis.put_account(bystander, Account::with_balance(U256::from(5u64)));
+
+    let mut node = tape_node::Node::new(genesis.clone(), Env::default());
+    node.produce_block(vec![Transaction::transfer(owner, bystander, U256::ONE)]);
+    let header = node.head().unwrap().header.clone();
+    let mut delta = node.head_state_delta().unwrap();
+    // The SP claims the (live) bystander was deleted, reusing its
+    // presence proof.
+    delta.deleted.push(tape_node::DeletedAccount {
+        address: bystander,
+        proof: delta.accounts.iter().find(|a| a.address == bystander).unwrap().proof.clone(),
+    });
+    let mut device = HarDTape::new(
+        ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Full) },
+        Env::default(),
+        &genesis,
+    ).expect("device boots");
+    assert!(device.sync_block(&header, &delta).is_err());
+}
+
+/// Re-syncing an account whose storage group emptied must clear the
+/// stale ORAM page.
+#[test]
+fn stale_storage_group_cleared_on_resync() {
+    let addr = Address::from_low_u64(0x57A1E);
+    let config = OramConfig { block_size: 1024, bucket_capacity: 4, height: 8 };
+    let state = ObliviousState::new(
+        OramClient::new(config.clone(), &[1u8; 16], SecureRng::from_seed(b"stale")),
+        OramServer::new(config),
+        Clock::new(),
+        CostModel::default(),
+        None,
+    );
+
+    let mut account = Account::with_balance(U256::ONE);
+    account.storage.insert(U256::from(5u64), U256::from(99u64));
+    state.sync_account(&addr, &account).unwrap();
+    assert_eq!(state.storage(&addr, &U256::from(5u64)), U256::from(99u64));
+
+    // The slot is cleared on-chain; the group vanishes from the account.
+    account.storage.clear();
+    state.sync_account(&addr, &account).unwrap();
+    state.clear_cache();
+    assert_eq!(
+        state.storage(&addr, &U256::from(5u64)),
+        U256::ZERO,
+        "stale group page served old data"
+    );
+
+    // Full removal wipes the meta page too.
+    state.remove_account(&addr).unwrap();
+    assert!(state.account(&addr).is_none());
+}
+
 #[test]
 fn distinct_users_get_isolated_sessions() {
     let mut device = small_service(SecurityConfig::Full);
@@ -339,4 +461,43 @@ fn memory_overflow_bundle_reported_as_attack() {
     // The device recovers: the slot was released despite the abort.
     let report = device.pre_execute(&mut user, &erc20_transfer_bundle()).unwrap();
     assert!(report.results[0].success);
+}
+
+/// The device signature now commits to log topics: tampering a topic
+/// breaks verification.
+#[test]
+fn trace_signature_covers_log_topics() {
+    let owner = Address::from_low_u64(0xA11CE);
+    let emitter = Address::from_low_u64(0xE1117);
+    let mut genesis = funded(owner);
+    genesis.put_account(
+        emitter,
+        Account::with_code(
+            Asm::new()
+                .push(0x7071Cu64) // topic
+                .push(0u64) // len
+                .push(0u64) // offset
+                .op(op::LOG1)
+                .stop()
+                .build(),
+        ),
+    );
+    let mut device = HarDTape::new(
+        ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Es) },
+        Env::default(),
+        &genesis,
+    ).expect("device boots");
+    let mut user = device.connect_user(b"topics").unwrap();
+    let mut tx = Transaction::call(owner, emitter, vec![]);
+    tx.gas_limit = 100_000;
+    let report = device.pre_execute(&mut user, &Bundle::single(tx)).unwrap();
+    let sig = report.signature.unwrap();
+    tape_tee::channel::verify_bundle(&user.device_key(), &report.encode(), &sig).unwrap();
+
+    let mut forged = report.clone();
+    forged.results[0].logs[0].topics[0] = tape_primitives::B256::new([0xEE; 32]);
+    assert!(
+        tape_tee::channel::verify_bundle(&user.device_key(), &forged.encode(), &sig).is_err(),
+        "signature must commit to log topics"
+    );
 }

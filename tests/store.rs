@@ -9,6 +9,7 @@
 
 use tape_crypto::prop::{check, Gen};
 use tape_crypto::{keccak256, SecureRng};
+use tape_oram::store::codec;
 use tape_oram::{
     BlockId, DiskStore, DiskStoreConfig, OramClient, OramConfig, OramError, OramServer,
     RecoveryReport, StoreError,
@@ -97,7 +98,7 @@ fn checkpointed_op(
 ) -> Result<(), OramError> {
     client.write(server, clock, cost, &bid(i), data(i))?;
     let sealed = client.seal_state();
-    server.put_meta(&sealed);
+    server.put_meta(sealed);
     server.commit()
 }
 
@@ -591,8 +592,8 @@ fn prop_disk_and_memory_backends_stay_in_lockstep() {
                 let b = mem_client.read(&mut mem, &c, &cost, &id);
                 assert_eq!(a.expect("disk read"), b.expect("mem read"));
             }
-            disk.put_meta(&disk_client.seal_state());
-            mem.put_meta(&mem_client.seal_state());
+            disk.put_meta(disk_client.seal_state());
+            mem.put_meta(mem_client.seal_state());
             disk.commit().expect("disk commit");
             mem.commit().expect("mem commit");
             assert_eq!(disk.state_digest(), mem.state_digest(), "backends diverged");
@@ -655,9 +656,10 @@ fn prop_arbitrary_log_truncation_never_panics() {
     });
 }
 
-/// A directory written by the journal-plus-segments store this one
-/// replaced is refused, not misread: its records carry the old magic,
-/// and a `wal.log` may hold commits no segment has.
+/// A directory written by a store this one replaced is refused, not
+/// misread: its records carry an older magic, and a `wal.log` may hold
+/// commits no segment has. So is a well-framed bucket record that does
+/// not hold exactly one bucket of this geometry.
 #[test]
 fn old_format_directory_is_refused_as_corrupt() {
     let open = |dir: &std::path::Path| {
@@ -674,6 +676,37 @@ fn old_format_directory_is_refused_as_corrupt() {
     std::fs::write(scratch.join("seg-0000.dat"), &v1).expect("write v1 segment");
     let err = open(scratch.path()).expect_err("v1 segment must not open");
     assert!(matches!(err, StoreError::Corrupt { .. }), "expected typed corruption, got {err}");
+
+    // A v2 record: magic 0xD15D, a commit record (type 2, bucket 0,
+    // seq 1) with an empty payload, MAC.
+    let scratch = Scratch::new("store-old-format", 3);
+    let mut v2 = vec![0xD1, 0x5D, 2];
+    v2.extend_from_slice(&[0; 8]);
+    v2.extend_from_slice(&1u64.to_be_bytes());
+    v2.extend_from_slice(&[0; 4 + 32]);
+    std::fs::write(scratch.join("seg-0000.dat"), &v2).expect("write v2 segment");
+    let err = open(scratch.path()).expect_err("v2 segment must not open");
+    assert!(matches!(err, StoreError::Corrupt { .. }), "expected typed corruption, got {err}");
+
+    // Current framing, valid MAC, a bucket inside the tree — and a
+    // payload one byte short of the bucket this geometry stores. The
+    // same record at full length, behind its commit record, opens.
+    let scratch = Scratch::new("store-old-format", 4);
+    let bucket_len = geometry().bucket_capacity * geometry().slot_len();
+    let log = |payload_len: usize| {
+        let payload = vec![0xAB; payload_len];
+        let mut log = Vec::new();
+        for (rtype, payload) in [(codec::RT_BUCKET, &payload[..]), (codec::RT_COMMIT, &[][..])] {
+            let rec = codec::Record { rtype, bucket: 0, seq: 1, payload };
+            codec::encode_record_into(&mut log, &MAC_KEY, &rec);
+        }
+        log
+    };
+    std::fs::write(scratch.join("seg-0000.dat"), log(bucket_len - 1)).expect("write short bucket");
+    let err = open(scratch.path()).expect_err("a record that is not one bucket must not open");
+    assert!(matches!(err, StoreError::Corrupt { .. }), "expected typed corruption, got {err}");
+    std::fs::write(scratch.join("seg-0000.dat"), log(bucket_len)).expect("write whole bucket");
+    assert_eq!(open(scratch.path()).expect("a whole bucket opens").committed_seq, 1);
 
     // A stray journal beside an otherwise healthy log.
     let scratch = Scratch::new("store-old-format", 2);
