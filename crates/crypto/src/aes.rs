@@ -251,9 +251,9 @@ impl AesGcm {
         self.cipher.encrypt_columns(nonce | u128::from(counter))
     }
 
-    fn ctr_xor(&self, nonce: u128, data: &mut [u8]) {
+    /// Xors `data` with the keystream whose first block is `counter`.
+    fn ctr_xor(&self, nonce: u128, mut counter: u32, data: &mut [u8]) {
         let (blocks, tail) = data.as_chunks_mut::<16>();
-        let mut counter = 2u32;
         for block in blocks {
             let ks = self.keystream(nonce, counter);
             *block = (u128::from_be_bytes(*block) ^ ks).to_be_bytes();
@@ -293,7 +293,7 @@ impl AesGcm {
     /// this workspace derive nonces from monotonic counters.
     pub fn seal_in_place(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut [u8]) -> [u8; 16] {
         let nonce = nonce_columns(nonce);
-        self.ctr_xor(nonce, buf);
+        self.ctr_xor(nonce, FIRST_COUNTER, buf);
         self.tag(nonce, aad, buf)
     }
 
@@ -311,6 +311,29 @@ impl AesGcm {
         buf: &mut [u8],
         tag: &[u8; 16],
     ) -> Result<(), AuthError> {
+        self.open_in_place_if(nonce, aad, buf, tag, |_| true).map(|_| ())
+    }
+
+    /// Verifies `tag` over the whole ciphertext in `buf` and, only if it
+    /// holds, decrypts the first 16-byte block (all of a shorter `buf`),
+    /// shows it to `wanted`, and decrypts the rest only if `wanted` says
+    /// so. `Ok(true)`: `buf` is the plaintext. `Ok(false)`: the first
+    /// block is plaintext and every byte after it is still ciphertext —
+    /// authenticated, not decrypted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] if the tag does not verify (wrong key, nonce,
+    /// AAD, or tampered ciphertext); `buf` still holds the ciphertext and
+    /// `wanted` was not called.
+    pub fn open_in_place_if(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        buf: &mut [u8],
+        tag: &[u8; 16],
+        wanted: impl FnOnce(&[u8]) -> bool,
+    ) -> Result<bool, AuthError> {
         let nonce = nonce_columns(nonce);
         let expected = self.tag(nonce, aad, buf);
         // Constant-time comparison.
@@ -321,8 +344,13 @@ impl AesGcm {
         if diff != 0 {
             return Err(AuthError);
         }
-        self.ctr_xor(nonce, buf);
-        Ok(())
+        let (head, rest) = buf.split_at_mut(buf.len().min(16));
+        self.ctr_xor(nonce, FIRST_COUNTER, head);
+        let wanted = wanted(head);
+        if wanted {
+            self.ctr_xor(nonce, FIRST_COUNTER + 1, rest);
+        }
+        Ok(wanted)
     }
 
     /// Encrypts `plaintext`, authenticating `aad` as well. Returns
@@ -358,6 +386,9 @@ impl AesGcm {
         Ok(out)
     }
 }
+
+/// Counter of the first keystream block; counter 1 masks the tag.
+const FIRST_COUNTER: u32 = 2;
 
 /// The nonce as the top 96 bits of a counter block.
 fn nonce_columns(nonce: &[u8; 12]) -> u128 {

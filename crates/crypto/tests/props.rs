@@ -205,22 +205,70 @@ fn gcm_in_place_matches_allocating() {
 }
 
 #[test]
+fn gcm_lazy_open_matches_eager_open() {
+    // `open_in_place` is the oracle: wanted, the lazy entry leaves what
+    // it leaves; not wanted, it stops after the block it showed.
+    check("gcm_lazy_open_matches_eager_open", CASES, |g| {
+        let gcm = AesGcm::new(&g.array());
+        // 1 037 bytes is an ORAM slot's plaintext.
+        for len in [0, 1, 15, 16, 17, 31, 1037, g.index(2049)] {
+            let nonce: [u8; 12] = g.array();
+            let aad = g.bytes(0, 64);
+            let plaintext = g.bytes(len, len + 1);
+            let mut sealed = plaintext.clone();
+            let tag = gcm.seal_in_place(&nonce, &aad, &mut sealed);
+            let head = len.min(16);
+
+            let mut eager = sealed.clone();
+            assert_eq!(gcm.open_in_place(&nonce, &aad, &mut eager, &tag), Ok(()));
+            assert_eq!(eager, plaintext, "len={len}");
+
+            for want in [true, false] {
+                let mut buf = sealed.clone();
+                let mut shown = None;
+                let opened = gcm.open_in_place_if(&nonce, &aad, &mut buf, &tag, |first| {
+                    shown = Some(first.to_vec());
+                    want
+                });
+                assert_eq!(opened, Ok(want), "len={len}");
+                assert_eq!(shown.as_deref(), Some(&plaintext[..head]), "len={len}");
+                assert_eq!(buf[..head], plaintext[..head], "len={len}");
+                let rest = if want { &eager[head..] } else { &sealed[head..] };
+                assert_eq!(&buf[head..], rest, "len={len} want={want}");
+            }
+        }
+    });
+}
+
+#[test]
 fn gcm_failed_open_in_place_leaves_ciphertext() {
-    // Verify-then-decrypt: a rejected buffer is never run through CTR.
+    // Verify-then-decrypt: a rejected buffer is never run through CTR,
+    // not even its first block, and nobody is asked whether they want it.
     check("gcm_failed_open_in_place_leaves_ciphertext", CASES, |g| {
         let gcm = AesGcm::new(&g.array());
-        let nonce: [u8; 12] = g.array();
+        let mut nonce: [u8; 12] = g.array();
         let mut buf = g.bytes(1, 300);
         let mut tag = gcm.seal_in_place(&nonce, b"aad", &mut buf);
         let mut aad = *b"aad";
-        let at = g.index(buf.len());
-        match g.below(3) {
-            0 => buf[at] ^= 1 << g.below(8),
-            1 => tag[g.index(16)] ^= 1 << g.below(8),
-            _ => aad[g.index(3)] ^= 1 << g.below(8),
+        let bit = 1 << g.below(8);
+        let len = buf.len();
+        match g.below(5) {
+            0 => buf[g.index(len.min(16))] ^= bit,
+            1 => buf[g.index(len)] ^= bit,
+            2 => tag[g.index(16)] ^= bit,
+            3 => aad[g.index(3)] ^= bit,
+            _ => nonce[g.index(12)] ^= bit,
         }
         let ciphertext = buf.clone();
         assert_eq!(gcm.open_in_place(&nonce, &aad, &mut buf, &tag), Err(AuthError));
+        assert_eq!(buf, ciphertext);
+        let mut asked = false;
+        let lazy = gcm.open_in_place_if(&nonce, &aad, &mut buf, &tag, |_| {
+            asked = true;
+            true
+        });
+        assert_eq!(lazy, Err(AuthError));
+        assert!(!asked);
         assert_eq!(buf, ciphertext);
     });
 }

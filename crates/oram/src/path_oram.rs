@@ -233,9 +233,11 @@ impl OramServer {
                 match decision.kind {
                     FaultKind::WrongPath => {
                         // Serve some other path; skew by 1 so the fault
-                        // never degenerates into the honest answer.
-                        served_leaf = (leaf + 1 + decision.param % (self.config.leaves() - 1))
-                            % self.config.leaves();
+                        // never degenerates into the honest answer. A
+                        // one-leaf tree has no other path to serve.
+                        if let Some(skew) = decision.param.checked_rem(self.config.leaves() - 1) {
+                            served_leaf = (leaf + 1 + skew) % self.config.leaves();
+                        }
                     }
                     _ => flip = Some(decision.param),
                 }
@@ -563,8 +565,11 @@ impl OramClient {
     ) -> Result<R, OramError> {
         let (slot_len, bucket_len) = (self.config.slot_len(), self.config.bucket_len());
 
-        // Read the whole path and open every slot where it lies; a real
-        // block is copied out once, into the stash, embedded leaf and all.
+        // Read the whole path and authenticate every slot of it, to the
+        // last byte. Only a real block is decrypted past its validity
+        // byte — copied out once, into the stash, embedded leaf and all;
+        // a dummy stays ciphertext behind its first block, and eviction
+        // below overwrites every slot's plaintext area before the re-seal.
         let written = server.read_path(old_leaf, clock.now(), &mut self.path)?;
         for (level, bucket) in self.path.chunks_exact_mut(bucket_len).enumerate() {
             if written >> level & 1 == 0 {
@@ -573,10 +578,11 @@ impl OramClient {
             for slot in bucket.chunks_exact_mut(slot_len) {
                 let (nonce, rest) = slot.split_first_chunk_mut::<NONCE_LEN>().expect("slot_len");
                 let (plain, tag) = rest.split_last_chunk_mut::<TAG_LEN>().expect("slot_len");
-                self.cipher
-                    .open_in_place(nonce, b"oram", plain, tag)
+                let real = self
+                    .cipher
+                    .open_in_place_if(nonce, b"oram", plain, tag, |head| head[0] != 0)
                     .map_err(|_| OramError::Tampered)?;
-                if plain[0] == 0 {
+                if !real {
                     continue;
                 }
                 let leaf = u64::from_be_bytes(plain[33..SLOT_HEADER].try_into().expect("fixed layout"));
@@ -887,6 +893,36 @@ mod tests {
     }
 
     #[test]
+    fn dummy_slot_is_authenticated_to_its_last_byte() {
+        // The client decrypts one block of a dummy and no more; the bytes
+        // it never decrypts are believed no sooner than a real block's.
+        let slot_len = setup().1.config.slot_len();
+        // One bit each in: the nonce, the first ciphertext block, the
+        // last ciphertext byte, the tag.
+        for at in [5, NONCE_LEN + 7, slot_len - TAG_LEN - 1, slot_len - 1] {
+            let (mut server, mut client, clock, cost) = setup();
+            for i in 0..4u64 {
+                client.write(&mut server, &clock, &cost, &bid(i), block(64, i as u8)).unwrap();
+            }
+            // The root bucket lies on every path.
+            let mut flipped = false;
+            server.corrupt_slots(&mut |bucket, _, slot| {
+                if bucket != 0 || flipped {
+                    return;
+                }
+                let (nonce, sealed) = slot.split_first_chunk::<NONCE_LEN>().expect("slot_len");
+                if client.cipher.open(nonce, b"oram", sealed).expect("honest")[0] == 0 {
+                    slot[at] ^= 0x10;
+                    flipped = true;
+                }
+            });
+            assert!(flipped, "no dummy in the root bucket");
+            let err = client.read(&mut server, &clock, &cost, &bid(0)).unwrap_err();
+            assert_eq!(err, OramError::Tampered, "slot byte {at}");
+        }
+    }
+
+    #[test]
     fn access_advances_clock() {
         let (mut server, mut client, clock, cost) = setup();
         client.write(&mut server, &clock, &cost, &bid(1), block(64, 1)).unwrap();
@@ -944,5 +980,20 @@ mod tests {
         }
         assert_eq!(server.observed().len(), 10);
         assert_eq!(server.queries(), 10);
+    }
+
+    #[test]
+    fn wrong_path_on_a_one_leaf_tree_serves_the_only_path() {
+        let config = OramConfig { block_size: 64, bucket_capacity: 4, height: 0 };
+        let mut server = OramServer::new(config.clone());
+        let mut client = OramClient::new(config, &[7u8; 16], SecureRng::from_seed(b"oram test"));
+        let (clock, cost) = (Clock::new(), CostModel::default());
+        let plan = FaultPlan::new(1, &clock);
+        plan.arm(FaultSite::OramServer, &[FaultKind::WrongPath], 1, u64::MAX);
+        server.arm_faults(plan.clone());
+        client.write(&mut server, &clock, &cost, &bid(1), block(64, 3)).unwrap();
+        assert_eq!(client.read(&mut server, &clock, &cost, &bid(1)).unwrap(), Some(block(64, 3)));
+        // Both reads drew their fault all the same.
+        assert_eq!(plan.injected(), 2);
     }
 }

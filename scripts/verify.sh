@@ -4,7 +4,10 @@
 #   scripts/verify.sh [--soak] [--bench] [--recover] [--lint]
 #
 # Always: release build, the workspace test suite (tier-1 — the root
-# manifest's default members are every crate), then the static gates:
+# manifest's default members are every crate; after touching
+# crates/crypto/src/aes.rs the three that answer in seconds are
+# `cargo test -p tape-crypto --test props`, `cargo test --test crypto_kat`
+# and `cargo test -p tape-oram --test wire_pin`), then the static gates:
 #   - clippy over every crate, warnings denied, `.unwrap()` forbidden
 #     (an allow-listed exception carries a justifying comment);
 #   - `#![forbid(unsafe_code)]` in every crate root;

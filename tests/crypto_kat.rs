@@ -1,13 +1,15 @@
 //! Known-answer tests for `tape_crypto`'s AES-128 and AES-GCM, through
 //! the public API only.
 //!
-//! `cargo test -q` runs the root package, not the per-crate suites, so
-//! this file is what puts the cipher's published vectors (FIPS-197 C.1,
-//! NIST GCM test cases 1–4) in tier-1. `SEAL_DIGESTS` additionally pins
-//! every byte `AesGcm::seal` produces over the lengths and AADs the
-//! workspace actually seals (ORAM slots are 1065 bytes under `b"oram"`):
-//! the digests were recorded on the byte-wise reference implementation
-//! and any replacement kernel must reproduce them unchanged.
+//! The cipher as a dependent crate sees it: the published vectors
+//! (FIPS-197 C.1, NIST GCM test cases 1–4) and every entry point —
+//! allocating, in place, and the verify-first open that may stop after
+//! the first block — driven from outside `tape_crypto`, where only its
+//! `pub` items resolve. `SEAL_DIGESTS` additionally pins every byte
+//! `AesGcm::seal` produces over the lengths and AADs the workspace
+//! actually seals (ORAM slots are 1065 bytes under `b"oram"`): the
+//! digests were recorded on the byte-wise reference implementation and
+//! any replacement kernel must reproduce them unchanged.
 
 use tape_crypto::{keccak256, Aes128, AesGcm};
 use tape_primitives::hex;
@@ -178,6 +180,22 @@ fn seal_output_is_pinned_byte_for_byte() {
                     "key {k}, aad {a}, length {len}"
                 );
                 assert_eq!(gcm.open(&nonce, aad, &sealed).expect("authentic"), plaintext);
+
+                // The verify-first open, wanted and not: what it stops
+                // short of decrypting is the sealed bytes, untouched.
+                let (ciphertext, tag) = sealed.split_last_chunk::<16>().expect("tagged");
+                let head = len.min(16);
+                for want in [true, false] {
+                    let mut buf = ciphertext.to_vec();
+                    let opened = gcm.open_in_place_if(&nonce, aad, &mut buf, tag, |first| {
+                        assert_eq!(first, &plaintext[..head]);
+                        want
+                    });
+                    assert_eq!(opened, Ok(want), "key {k}, aad {a}, length {len}");
+                    assert_eq!(buf[..head], plaintext[..head]);
+                    let rest = if want { &plaintext[head..] } else { &ciphertext[head..] };
+                    assert_eq!(&buf[head..], rest, "key {k}, aad {a}, length {len}, wanted {want}");
+                }
             }
         }
     }
