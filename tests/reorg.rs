@@ -235,6 +235,69 @@ fn reorg_below_finality_depth_is_refused() {
 }
 
 #[test]
+fn reorg_at_exactly_finality_depth_is_followed() {
+    // The boundary between the two tests around it: the same depth-3
+    // rewrite against a non-default finality depth of exactly 3 is
+    // legal, so the undo window must reach the fork point and the
+    // device must follow — and end up where a clean sync ends up.
+    let config = ServiceConfig {
+        oram_height: 10,
+        finality_depth: 3,
+        ..ServiceConfig::at_level(SecurityConfig::Full)
+    };
+    let mut feeds = three_feeds();
+    let mut device =
+        HarDTape::new(config.clone(), Env::default(), &genesis()).expect("device boots");
+    grow_branch_a(&mut device, &mut feeds, 4);
+
+    let base = Env::default().block_number;
+    let old_head = device.head().expect("synced head");
+    let fork_hash =
+        feeds.feed_mut(0).expect("feed exists").node().block(0).expect("block 1").header.hash();
+    for i in 0..3 {
+        adopt_branch_b(&mut feeds, i, 4);
+    }
+
+    let outcome = device.sync_from_feeds(&mut feeds).expect("a depth-3 reorg is within finality");
+    let SyncOutcome::Reorged { fork, depth, orphaned, adopted } = outcome else {
+        panic!("expected a reorg, got {outcome:?}");
+    };
+    assert_eq!(depth, 3, "fork point is exactly finality_depth below the old head");
+    assert_eq!(fork, ForkPoint { height: base, hash: fork_hash });
+    assert_eq!(orphaned.len(), 3, "three abandoned blocks");
+    assert_eq!(orphaned[0], old_head, "orphans are reported newest first");
+    assert_eq!(device.head(), Some(adopted));
+    assert_eq!(device.head_height(), Some(base + 4), "winning branch is one taller");
+
+    let bundle = Bundle::single(Transaction::transfer(
+        user(),
+        Address::from_low_u64(0xDEAD),
+        U256::from(7u64),
+    ));
+    let mut session = device.connect_user(b"reorg user").expect("attestation succeeds");
+    let report = device.pre_execute(&mut session, &bundle).expect("pre-execution succeeds");
+
+    let mut clean = HarDTape::new(config, Env::default(), &genesis()).expect("device boots");
+    {
+        let winner = feeds.feed_mut(0).expect("feed exists").node();
+        for i in 0..winner.height() {
+            let header = winner.block(i).expect("block exists").header.clone();
+            let delta = winner.state_delta(i).expect("delta exists");
+            clean.sync_block(&header, &delta).expect("clean sync succeeds");
+        }
+    }
+    assert_eq!(clean.head(), device.head(), "both devices attest the same head");
+    let mut clean_session = clean.connect_user(b"reorg user").expect("attestation succeeds");
+    let clean_report =
+        clean.pre_execute(&mut clean_session, &bundle).expect("pre-execution succeeds");
+    assert_eq!(
+        report.encode(),
+        clean_report.encode(),
+        "post-reorg receipt must be byte-identical to a clean-sync run"
+    );
+}
+
+#[test]
 fn equivocation_without_quorum_is_a_typed_error() {
     // Two feeds, both armed to equivocate from the start of the fork:
     // once both are quarantined there is no verified winner, and the
