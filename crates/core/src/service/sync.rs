@@ -1,0 +1,349 @@
+//! Block synchronization (paper step 11): proof-verified deltas, the
+//! undo window, fork-choice over a feed quorum, and in-place rollback.
+
+use super::{ForkPoint, HarDTape, ServiceError, SyncOutcome};
+use tape_node::{BlockFeed, BlockHeader, FeedError, FeedSet, RetryPolicy, StateDelta};
+use tape_primitives::{Address, B256};
+use tape_sim::fault::Ablation;
+use tape_sim::telemetry::{CounterId, HistId, TelemetryEvent};
+use tape_state::UndoDelta;
+
+impl HarDTape {
+    /// Synchronizes a new block's state delta (paper step 11): verifies
+    /// the Merkle proofs against the block header, checks that the block
+    /// extends the device's chain, then updates the local mirror and the
+    /// ORAM — capturing per-account pre-images in the undo ring first,
+    /// so a later reorg can roll the block back in place.
+    ///
+    /// Re-syncing the current head is an idempotent no-op. A verified
+    /// block at or below the device's height, or one whose parent does
+    /// not match the expected head, is refused with
+    /// [`ServiceError::ReorgDetected`] — the single-feed path cannot
+    /// resolve forks; [`Self::sync_from_feeds`] can.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError`] if the header or any proof fails verification,
+    /// or the block conflicts with the device's chain — nothing is
+    /// applied in either case (A6).
+    pub fn sync_block(
+        &mut self,
+        header: &BlockHeader,
+        delta: &StateDelta,
+    ) -> Result<(), ServiceError> {
+        if delta.block_hash != header.hash() || delta.state_root != header.state_root {
+            return Err(ServiceError::HeaderMismatch);
+        }
+        delta.verify().map_err(ServiceError::BadDelta)?;
+
+        let hash = header.hash();
+        if self.expected_head == Some(hash) {
+            // The quorum (or a recovered feed) re-served the current
+            // head: already applied, nothing to do.
+            return Ok(());
+        }
+        if let (Some(expected), Some(height)) = (self.expected_head, self.head_height) {
+            if header.number <= height {
+                // A verified sibling (or ancestor) of an applied block:
+                // this branch conflicts with ours.
+                return Err(ServiceError::ReorgDetected {
+                    expected,
+                    got: hash,
+                    height: header.number,
+                });
+            }
+            if header.number == height + 1 && header.parent_hash != expected {
+                return Err(ServiceError::ReorgDetected {
+                    expected,
+                    got: header.parent_hash,
+                    height,
+                });
+            }
+            // `number > height + 1` is a gap: the device missed blocks
+            // and this is plain catch-up — apply (legacy behaviour; the
+            // multi-feed path downloads the gap instead).
+        }
+        self.apply_block(header, delta)
+    }
+
+    /// Applies a verified, chain-consistent block: captures undo
+    /// pre-images, writes the delta through the local mirror and the
+    /// ORAM, and advances the head bookkeeping.
+    fn apply_block(
+        &mut self,
+        header: &BlockHeader,
+        delta: &StateDelta,
+    ) -> Result<(), ServiceError> {
+        let hash = header.hash();
+        // Pre-images first: everything this block is about to overwrite
+        // (or delete), exactly what unapplying it must restore.
+        let mut seen = std::collections::BTreeSet::new();
+        let mut pre: Vec<(Address, Option<tape_state::Account>)> = Vec::new();
+        for address in delta
+            .accounts
+            .iter()
+            .map(|e| e.address)
+            .chain(delta.deleted.iter().map(|e| e.address))
+        {
+            if seen.insert(address) {
+                pre.push((address, self.local.account_full(&address).cloned()));
+            }
+        }
+
+        for entry in &delta.accounts {
+            self.local.put_account(entry.address, entry.account.clone());
+            if let Some(oram) = &self.oram {
+                oram.sync_account(&entry.address, &entry.account)
+                    .map_err(ServiceError::Oram)?;
+            }
+        }
+        for entry in &delta.deleted {
+            self.local.remove_account(&entry.address);
+            if let Some(oram) = &self.oram {
+                oram.remove_account(&entry.address).map_err(ServiceError::Oram)?;
+            }
+        }
+        self.undo.push(UndoDelta { height: header.number, block_hash: hash, pre });
+        self.local.put_block_hash(header.number, hash);
+        self.expected_head = Some(hash);
+        self.head_height = Some(header.number);
+        self.recent_heads.retain(|&(h, _)| h < header.number);
+        self.recent_heads.push((header.number, hash));
+        let cap = self.config.undo_capacity + 1;
+        if self.recent_heads.len() > cap {
+            let excess = self.recent_heads.len() - cap;
+            self.recent_heads.drain(..excess);
+        }
+        Ok(())
+    }
+
+    /// Synchronizes from a Byzantine-tolerant [`FeedSet`]: polls every
+    /// feed, lets the set quarantine forgers/equivocators/stalls, and
+    /// follows the fork-choice winner — extending the chain, catching up
+    /// over gaps, or rolling back to a verified fork point and replaying
+    /// the winning branch (paper step 11, under threat A1/A6).
+    ///
+    /// The rollback travels through the normal ORAM sync path, so on the
+    /// wire it is shaped exactly like forward synchronization (§IV-D);
+    /// the telemetry auditor's reorg lens checks precisely that.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Equivocation`] when equivocation evidence leaves
+    /// no verified winner; [`ServiceError::NodeUnavailable`] when no
+    /// feed serves a verifiable head; [`ServiceError::FinalityViolation`]
+    /// when the winning branch forks below the finality depth (or the
+    /// undo window); any [`Self::sync_block`] error from the replay.
+    pub fn sync_from_feeds(&mut self, feeds: &mut FeedSet) -> Result<SyncOutcome, ServiceError> {
+        let report = feeds.poll();
+        if !report.equivocations.is_empty() {
+            self.telemetry
+                .count(CounterId::EquivocationsDetected, report.equivocations.len() as u64);
+        }
+        if !report.newly_quarantined.is_empty() {
+            self.telemetry
+                .count(CounterId::FeedsQuarantined, report.newly_quarantined.len() as u64);
+        }
+        let Some((winner, header, delta)) = report.winner else {
+            // No verified head. Equivocation evidence explains *why*
+            // the quorum failed; surface it over a generic outage.
+            if let Some(ev) = report.equivocations.first() {
+                return Err(ServiceError::Equivocation { height: ev.height, a: ev.a, b: ev.b });
+            }
+            return Err(ServiceError::NodeUnavailable);
+        };
+
+        let adopted = header.hash();
+        if self.expected_head == Some(adopted) {
+            return Ok(SyncOutcome::AlreadySynced);
+        }
+        let (Some(expected), Some(height)) = (self.expected_head, self.head_height) else {
+            // First sync ever: adopt the winner directly.
+            self.apply_block(&header, &delta)?;
+            return Ok(SyncOutcome::Advanced { blocks: 1 });
+        };
+        if header.number == height + 1 && header.parent_hash == expected {
+            self.apply_block(&header, &delta)?;
+            return Ok(SyncOutcome::Advanced { blocks: 1 });
+        }
+
+        // The winner is not a direct extension: walk its ancestry down
+        // (verifying every block) until it attaches to our chain —
+        // either at the head (pure catch-up) or at an earlier applied
+        // block (reorg).
+        let finality = self.config.finality_depth;
+        let mut branch: Vec<(BlockHeader, StateDelta)> = vec![(header, delta)];
+        let fork: ForkPoint = loop {
+            let lowest = &branch.last().expect("branch starts non-empty").0;
+            let parent = lowest.parent_hash;
+            let Some(parent_number) = lowest.number.checked_sub(1) else {
+                // Ran out of chain below the branch without attaching.
+                return Err(ServiceError::FinalityViolation { depth: height, finality });
+            };
+            if parent == expected && parent_number == height {
+                break ForkPoint { height, hash: expected };
+            }
+            if self
+                .recent_heads
+                .iter()
+                .any(|&(h, hh)| h == parent_number && hh == parent)
+            {
+                break ForkPoint { height: parent_number, hash: parent };
+            }
+            // Refuse to dig below finality before fetching further.
+            if parent_number < height.saturating_sub(finality) {
+                return Err(ServiceError::FinalityViolation {
+                    depth: height - parent_number,
+                    finality,
+                });
+            }
+            let (parent_header, parent_delta) = feeds
+                .fetch_block(winner, parent_number)
+                .map_err(|_| ServiceError::NodeUnavailable)?;
+            if parent_header.hash() != parent {
+                // The feed's history does not match the head it served.
+                return Err(ServiceError::HeaderMismatch);
+            }
+            if parent_delta.block_hash != parent
+                || parent_delta.state_root != parent_header.state_root
+            {
+                return Err(ServiceError::HeaderMismatch);
+            }
+            parent_delta.verify().map_err(ServiceError::BadDelta)?;
+            branch.push((parent_header, parent_delta));
+        };
+
+        let depth = height - fork.height;
+        if depth > finality {
+            return Err(ServiceError::FinalityViolation { depth, finality });
+        }
+        let orphaned = if depth > 0 { self.rollback_to(&fork, depth)? } else { Vec::new() };
+
+        // Replay the winning branch, oldest first, through the normal
+        // sync path (each block re-captures undo pre-images).
+        let blocks = branch.len();
+        for (branch_header, branch_delta) in branch.iter().rev() {
+            self.sync_block(branch_header, branch_delta)?;
+        }
+        if depth > 0 {
+            Ok(SyncOutcome::Reorged { fork, depth, orphaned, adopted })
+        } else {
+            Ok(SyncOutcome::Advanced { blocks })
+        }
+    }
+
+    /// Rolls the world state back to `fork` by replaying the undo ring's
+    /// pre-images — through the normal ORAM write path, so rollback
+    /// traffic is indistinguishable from forward sync. Returns the
+    /// orphaned block hashes, newest first.
+    fn rollback_to(&mut self, fork: &ForkPoint, depth: u64) -> Result<Vec<B256>, ServiceError> {
+        let finality = self.config.finality_depth;
+        let Some(popped) = self.undo.pop_above(fork.height) else {
+            // The undo window no longer reaches the fork point.
+            return Err(ServiceError::FinalityViolation { depth, finality });
+        };
+        let accounts: u32 = popped.iter().map(|d| d.pre.len() as u32).sum();
+        // Advertise the ORAM coverage the rollback owes: zero without an
+        // ORAM (nothing oblivious to restore). The mirror-only ablation
+        // keeps the honest advertisement while skipping the writes —
+        // the auditor must catch the gap.
+        let advertised = if self.oram.is_some() { accounts } else { 0 };
+        let mirror_only = self.config.ablation == Some(Ablation::MirrorOnlyRollback);
+        let oram = self.oram.as_ref().filter(|_| !mirror_only);
+        self.telemetry.record(TelemetryEvent::RollbackBegin {
+            at: self.clock.now(),
+            height: fork.height,
+            depth: depth as u32,
+            accounts: advertised,
+        });
+        let mut pages = 0u64;
+        for undo in &popped {
+            for (address, pre) in &undo.pre {
+                match pre {
+                    Some(account) => {
+                        self.local.put_account(*address, account.clone());
+                        if let Some(oram) = oram {
+                            pages +=
+                                oram.sync_account(address, account).map_err(ServiceError::Oram)?;
+                        }
+                    }
+                    None => {
+                        self.local.remove_account(address);
+                        if let Some(oram) = oram {
+                            pages += oram.remove_account(address).map_err(ServiceError::Oram)?;
+                        }
+                    }
+                }
+            }
+        }
+        self.telemetry
+            .record(TelemetryEvent::RollbackEnd { at: self.clock.now(), pages: pages as u32 });
+        self.telemetry.observe(HistId::ReorgDepth, depth);
+        self.telemetry.count(CounterId::ReorgsApplied, 1);
+
+        self.expected_head = Some(fork.hash);
+        self.head_height = Some(fork.height);
+        self.recent_heads.retain(|&(h, _)| h <= fork.height);
+        Ok(popped.iter().map(|d| d.block_hash).collect())
+    }
+
+    /// Pulls the head block from a (possibly adversarial, possibly
+    /// flaky) [`BlockFeed`] and synchronizes it, retrying per the
+    /// default [`RetryPolicy`]. See [`Self::sync_from_feed_with`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::NodeUnavailable`] when the feed stays down
+    /// through every retry (or has no block); any [`Self::sync_block`]
+    /// error for forged responses.
+    pub fn sync_from_feed(&mut self, feed: &mut BlockFeed) -> Result<(), ServiceError> {
+        self.sync_from_feed_with(feed, &RetryPolicy::default())
+    }
+
+    /// Pulls the head block from a (possibly adversarial, possibly
+    /// flaky) [`BlockFeed`] and synchronizes it. Transient
+    /// unavailability is retried with `policy`'s capped exponential
+    /// backoff on the virtual clock; forged responses are rejected by
+    /// [`Self::sync_block`] without retrying — a forgery is an attack,
+    /// not noise.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::NoRetryBudget`] — without touching the feed —
+    /// when `policy.max_attempts` is zero;
+    /// [`ServiceError::NodeUnavailable`] when the feed stays down
+    /// through every retry (or has no block); any [`Self::sync_block`]
+    /// error for forged responses.
+    pub fn sync_from_feed_with(
+        &mut self,
+        feed: &mut BlockFeed,
+        policy: &RetryPolicy,
+    ) -> Result<(), ServiceError> {
+        if policy.max_attempts == 0 {
+            // Fail fast: a zero budget means "never fetch", and silently
+            // reporting an outage (or looping) would mask the
+            // misconfiguration.
+            return Err(ServiceError::NoRetryBudget);
+        }
+        for attempt in 0..policy.max_attempts {
+            match feed.fetch_head() {
+                Ok((header, delta)) => return self.sync_block(&header, &delta),
+                Err(FeedError::NoBlock | FeedError::NoRetryBudget) => {
+                    return Err(ServiceError::NodeUnavailable)
+                }
+                Err(FeedError::Unavailable) if attempt + 1 < policy.max_attempts => {
+                    let backoff = policy.backoff_ns(attempt);
+                    self.telemetry.count(CounterId::NodeRetries, 1);
+                    self.telemetry.record(TelemetryEvent::NodeRetry {
+                        at: self.clock.now(),
+                        attempt: attempt + 1,
+                        backoff_ns: backoff,
+                    });
+                    self.clock.advance(backoff);
+                }
+                Err(FeedError::Unavailable) => return Err(ServiceError::NodeUnavailable),
+            }
+        }
+        Err(ServiceError::NodeUnavailable)
+    }
+}
