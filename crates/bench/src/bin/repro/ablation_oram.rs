@@ -9,9 +9,10 @@
 //! 3. **Recursion** — the cost of storing the position map in
 //!    higher-level ORAMs instead of on-chip.
 
+use tape_bench::recursive::RecursiveOram;
 use tape_bench::Verdict;
 use tape_crypto::{keccak256, SecureRng};
-use tape_oram::{OramClient, OramConfig, OramServer, RecursiveOram};
+use tape_oram::{OramClient, OramConfig, OramServer};
 use tape_sim::{Clock, CostModel};
 
 pub fn run() -> Verdict {

@@ -40,7 +40,7 @@ use hardtape::{Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityC
 use tape_bench::{json_escape, percentile, Verdict};
 use tape_evm::{Env, Transaction};
 use tape_fleet::{FleetConfig, FleetError, FleetRouter, FleetStats};
-use tape_node::{BlockFeed, FeedSet, FeedSetConfig, Node};
+use tape_node::{BlockFeed, FeedSet, Node};
 use tape_primitives::{Address, U256};
 use tape_sim::queue::interleave;
 use tape_state::{Account, InMemoryState};
@@ -89,7 +89,6 @@ fn transfer(tenant: usize, step: usize) -> Bundle {
 fn feedset() -> FeedSet {
     FeedSet::new(
         (0..3).map(|_| BlockFeed::new(Node::new(genesis(), Env::default()))).collect(),
-        FeedSetConfig::default(),
     )
 }
 

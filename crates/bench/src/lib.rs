@@ -10,6 +10,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod recursive;
+
 use tape_evm::{FrameStart, Inspector, StateAccess, StepInfo};
 use tape_sim::fault::Ablation;
 use tape_sim::{Clock, CostModel};

@@ -13,7 +13,7 @@
 //! assigns page indices at (public) block-sync time, so the index
 //! dictionary is public data and needs no protection.
 
-use crate::path_oram::{OramClient, OramConfig, OramError, OramServer};
+use tape_oram::{OramClient, OramConfig, OramError, OramServer};
 use std::collections::HashMap;
 use tape_crypto::{Keccak256, SecureRng};
 use tape_primitives::B256;
@@ -46,8 +46,9 @@ struct Level {
 /// # Examples
 ///
 /// ```
+/// use tape_bench::recursive::RecursiveOram;
 /// use tape_crypto::SecureRng;
-/// use tape_oram::{OramConfig, RecursiveOram};
+/// use tape_oram::OramConfig;
 /// use tape_sim::{Clock, CostModel};
 ///
 /// let config = OramConfig { block_size: 64, bucket_capacity: 4, height: 8 };
@@ -149,7 +150,11 @@ impl RecursiveOram {
     ///
     /// # Errors
     ///
-    /// [`OramError`] on tampering or an out-of-range index.
+    /// [`OramError`] on tampering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is beyond the capacity.
     pub fn read(
         &mut self,
         clock: &Clock,
@@ -163,8 +168,11 @@ impl RecursiveOram {
     ///
     /// # Errors
     ///
-    /// [`OramError`] on tampering, a wrong block size, or an
-    /// out-of-range index.
+    /// [`OramError`] on tampering or a wrong block size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is beyond the capacity.
     pub fn write(
         &mut self,
         clock: &Clock,
@@ -186,9 +194,7 @@ impl RecursiveOram {
         index: u64,
         new_data: Option<Vec<u8>>,
     ) -> Result<Option<Vec<u8>>, OramError> {
-        if index >= self.capacity {
-            return Err(OramError::IndexOutOfRange { index, capacity: self.capacity });
-        }
+        assert!(index < self.capacity, "index {index} out of range (capacity {})", self.capacity);
         let depth = self.levels.len();
         let packing = entries_per_block(self.levels[0].client.config());
 

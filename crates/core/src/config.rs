@@ -4,7 +4,6 @@
 //! ([`GatewayConfig`]): how much demand is admitted, how long admitted
 //! work stays fresh, and when the full-node circuit breaker trips.
 
-use tape_node::RetryPolicy;
 use tape_sim::Nanos;
 
 /// The cumulative security-feature ladder.
@@ -102,13 +101,8 @@ pub struct GatewayConfig {
     /// Deficit-round-robin quantum (cost units credited per round; a
     /// bundle costs its transaction count).
     pub quantum: u64,
-    /// Estimated service time per bundle, used to size `retry_after`
-    /// hints on shed load.
-    pub per_bundle_estimate_ns: Nanos,
     /// Full-node circuit-breaker policy.
     pub breaker: BreakerConfig,
-    /// Per-sync retry discipline (backoff inside one sync attempt).
-    pub sync_retry: RetryPolicy,
     /// When a reorg orphans the block a queued bundle was admitted
     /// against, re-run admission against the new head instead of
     /// shedding it outright. Shedding (false) is the conservative
@@ -133,10 +127,7 @@ impl Default for GatewayConfig {
             // seconds) per queue slot a bundle may wait behind.
             deadline_ns: 8 * 30_000_000_000,
             quantum: 1,
-            // Paper §VI-D: 164.4 ms per transaction at `-full`.
-            per_bundle_estimate_ns: 164_400_000,
             breaker: BreakerConfig::default(),
-            sync_retry: RetryPolicy::default(),
             revalidate_on_reorg: true,
             // One worker: sequential host execution unless the
             // deployment opts into parallelism.

@@ -58,6 +58,7 @@ use crate::service::{
     PreparedTask, ServiceError, StalenessBound, SyncOutcome, UserHandle,
 };
 use std::collections::HashMap;
+use tape_hevm::HevmConfig;
 use tape_node::{BlockFeed, BreakerState, CircuitBreaker, FeedSet};
 use tape_primitives::B256;
 use tape_sim::queue::{BoundedQueue, Drr, EventLog, QueueStats};
@@ -730,8 +731,7 @@ impl Gateway {
     /// underlying [`ServiceError`] otherwise (which also counts toward
     /// opening the breaker).
     pub fn sync(&mut self, feed: &mut BlockFeed) -> Result<(), GatewayError> {
-        let retry = self.config.sync_retry;
-        self.through_breaker("sync", |device| device.sync_from_feed_with(feed, &retry))?;
+        self.through_breaker("sync", |device| device.sync_from_feed(feed))?;
         self.log.record(format!("t={} sync ok", self.now()));
         self.note_breaker();
         Ok(())
@@ -970,7 +970,7 @@ impl Gateway {
     /// queued.
     ///
     /// Per queued bundle the charge is its *remaining* work: a fresh
-    /// bundle owes the full [`GatewayConfig::per_bundle_estimate_ns`],
+    /// bundle owes the full [`PER_BUNDLE_ESTIMATE_NS`],
     /// a preempted bundle only the fraction of its admitted gas still
     /// unburned — and both owe one scheduler dispatch per remaining
     /// resume plus one per yield between segments
@@ -985,8 +985,10 @@ impl Gateway {
     /// [`CostModel::sched_dispatch_ns`]: tape_sim::cost::CostModel
     pub fn retry_after_hint(&self) -> Nanos {
         let workers = u128::from(self.config.workers.max(1) as u64);
-        let est = u128::from(self.config.per_bundle_estimate_ns.max(1));
-        let per_worker = self.backlog_estimate().div_ceil(workers).max(est);
+        let per_worker = self
+            .backlog_estimate()
+            .div_ceil(workers)
+            .max(u128::from(PER_BUNDLE_ESTIMATE_NS));
         u64::try_from(per_worker).unwrap_or(Nanos::MAX)
     }
 
@@ -996,14 +998,11 @@ impl Gateway {
     /// unlike the hint it does not depend on the worker count, so the
     /// digest stays byte-identical across pool sizes.
     fn backlog_estimate(&self) -> u128 {
-        let est = u128::from(self.config.per_bundle_estimate_ns.max(1));
-        let dispatch = u128::from(self.device.config().hevm.cost.sched_dispatch_ns);
-        let gas_slice = self.device.config().hevm.gas_slice;
+        let hevm = &self.device.config().hevm;
         let mut backlog_ns: u128 = u128::from(self.inflight_ns);
         for tenant in &self.tenants {
             for entry in tenant.queue.iter() {
-                backlog_ns +=
-                    entry_cost_ns(est, dispatch, gas_slice, &entry.bundle, entry.pause.as_ref());
+                backlog_ns += entry_cost_ns(hevm, &entry.bundle, entry.pause.as_ref());
             }
         }
         backlog_ns
@@ -1013,10 +1012,8 @@ impl Gateway {
     /// [`Nanos`] — the amount charged to `inflight_ns` while the entry
     /// is dispatched to the pool.
     fn entry_charge(&self, entry: &Admitted) -> Nanos {
-        let est = u128::from(self.config.per_bundle_estimate_ns.max(1));
-        let dispatch = u128::from(self.device.config().hevm.cost.sched_dispatch_ns);
-        let gas_slice = self.device.config().hevm.gas_slice;
-        u64::try_from(entry_cost_ns(est, dispatch, gas_slice, &entry.bundle, entry.pause.as_ref()))
+        let hevm = &self.device.config().hevm;
+        u64::try_from(entry_cost_ns(hevm, &entry.bundle, entry.pause.as_ref()))
             .unwrap_or(Nanos::MAX)
     }
 
@@ -1054,19 +1051,21 @@ impl Gateway {
     }
 }
 
+/// Estimated service time of one bundle, the unit `retry_after` hints
+/// on shed load are sized in: 164.4 ms per transaction at `-full`
+/// (paper §VI-D).
+const PER_BUNDLE_ESTIMATE_NS: Nanos = 164_400_000;
+
 /// Estimated remaining drain cost for one queued bundle: the
-/// gas-prorated share of [`GatewayConfig::per_bundle_estimate_ns`]
-/// still unburned, plus one scheduler dispatch per remaining resume
-/// and one per yield between segments (`2·segments − 1`). Shared by
+/// gas-prorated share of [`PER_BUNDLE_ESTIMATE_NS`] still unburned,
+/// plus one scheduler dispatch per remaining resume and one per yield
+/// between segments (`2·segments − 1`). Shared by
 /// [`Gateway::retry_after_hint`]'s backlog sum and the in-flight
 /// charge taken at dispatch.
-fn entry_cost_ns(
-    est: u128,
-    dispatch: u128,
-    gas_slice: Option<u64>,
-    bundle: &Bundle,
-    pause: Option<&BundlePause>,
-) -> u128 {
+fn entry_cost_ns(hevm: &HevmConfig, bundle: &Bundle, pause: Option<&BundlePause>) -> u128 {
+    let est = u128::from(PER_BUNDLE_ESTIMATE_NS);
+    let dispatch = u128::from(hevm.cost.sched_dispatch_ns);
+    let gas_slice = hevm.gas_slice;
     let total_gas: u64 = bundle.transactions.iter().map(|tx| tx.gas_limit).sum();
     match pause {
         None => {

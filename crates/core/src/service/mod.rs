@@ -45,10 +45,6 @@ pub struct ServiceConfig {
     /// more than this many blocks below the head is refused with
     /// [`ServiceError::FinalityViolation`].
     pub finality_depth: u64,
-    /// Block deltas retained for in-place rollback (the undo ring).
-    /// Must be at least `finality_depth`, or deep-but-legal reorgs die
-    /// on an exhausted window.
-    pub undo_capacity: usize,
     /// When set, the ORAM bucket tree lives in a crash-safe disk store
     /// rooted at this directory instead of volatile memory: every ORAM
     /// access commits (with the sealed client in the meta slot), and a
@@ -76,7 +72,6 @@ impl Default for ServiceConfig {
             hevm_count: 3,
             seed: 0x7A9E,
             finality_depth: 8,
-            undo_capacity: 16,
             store_dir: None,
             ablation: None,
         }
@@ -87,6 +82,13 @@ impl ServiceConfig {
     /// A configuration at a given security level with defaults otherwise.
     pub fn at_level(security: SecurityConfig) -> Self {
         ServiceConfig { security, ..Default::default() }
+    }
+
+    /// Block deltas retained for in-place rollback (the undo ring):
+    /// derived, so it can never be smaller than the deepest reorg
+    /// `finality_depth` allows. Twice that depth — 16 at the default 8.
+    fn undo_window(&self) -> usize {
+        2 * self.finality_depth as usize
     }
 }
 
@@ -295,8 +297,6 @@ pub enum ServiceError {
     ReattestationRequired,
     /// The full node stayed unreachable through every retry.
     NodeUnavailable,
-    /// The sync retry policy allows zero attempts — nothing was fetched.
-    NoRetryBudget,
     /// Every HEVM core is quarantined; the device cannot serve bundles.
     AllCoresQuarantined,
     /// The static analyzer refused the bundle at admission: the callee's
@@ -357,9 +357,6 @@ impl core::fmt::Display for ServiceError {
                 write!(f, "session revoked; re-attestation required")
             }
             ServiceError::NodeUnavailable => write!(f, "full node unavailable after retries"),
-            ServiceError::NoRetryBudget => {
-                write!(f, "sync retry policy allows zero attempts; nothing was fetched")
-            }
             ServiceError::AllCoresQuarantined => {
                 write!(f, "every HEVM core is quarantined; device needs service")
             }
@@ -407,7 +404,7 @@ pub struct HarDTape {
     /// Height of the expected head (`None` until the first sync).
     head_height: Option<u64>,
     /// Recently applied `(height, hash)` heads — the window a reorg's
-    /// fork point is searched in. Bounded by `undo_capacity + 1`.
+    /// fork point is searched in. Bounded by the undo window plus one.
     recent_heads: Vec<(u64, B256)>,
     /// Per-block world-state pre-images enabling in-place rollback.
     undo: UndoRing,
@@ -565,7 +562,7 @@ impl HarDTape {
             layer2_bytes: config.hevm.mem.layer2_bytes,
             min_resident_frames: 2,
         };
-        let undo = UndoRing::new(config.undo_capacity);
+        let undo = UndoRing::new(config.undo_window());
         Ok(HarDTape {
             config,
             env,
@@ -708,13 +705,11 @@ impl HarDTape {
         user: &mut UserHandle,
         bundle: &Bundle,
     ) -> Result<BundleReport, ServiceError> {
-        let mut outcome = self.pre_execute_preemptible(user, bundle, None)?;
+        let mut resume = None;
         loop {
-            match outcome {
+            match self.pre_execute_preemptible(user, bundle, resume)? {
                 PreExecOutcome::Done(report) => return Ok(report),
-                PreExecOutcome::Preempted(pause) => {
-                    outcome = self.pre_execute_preemptible(user, bundle, Some(pause))?;
-                }
+                PreExecOutcome::Preempted(pause) => resume = Some(pause),
             }
         }
     }
@@ -755,10 +750,5 @@ impl HarDTape {
     /// The most recently synchronized block height.
     pub fn head_height(&self) -> Option<u64> {
         self.head_height
-    }
-
-    /// Fresh randomness from the device RNG (used by examples).
-    pub fn nonce(&mut self) -> B256 {
-        self.rng.next_b256()
     }
 }

@@ -43,6 +43,25 @@ use tape_state::{InMemoryState, StateChanges};
 use tape_tee::channel::{sign_bundle, verify_bundle};
 use tape_tee::hypervisor::SlotError;
 
+/// The bundle-level progress a segment starts from and leaves behind:
+/// built once when a fresh bundle first takes a core, then moved
+/// through [`execute_task`] and the segment driver into either the
+/// next [`BundlePause`] or the report.
+#[derive(Debug)]
+struct Progress {
+    /// Fully resolved engine config, including the per-dispatch
+    /// layer-3 key/noise draws made at prepare in dispatch order.
+    hevm_config: HevmConfig,
+    /// One entry per retired transaction, and the time each took.
+    results: Vec<TxResult>,
+    per_tx: Vec<Nanos>,
+    /// Index of the transaction in flight.
+    tx_index: usize,
+    /// Execution time earlier segments already spent on it.
+    tx_elapsed: Nanos,
+    lints: Vec<(Address, LintFinding)>,
+}
+
 /// A paused, partially executed bundle: the engine's typed
 /// [`Checkpoint`] plus the bundle-level progress (results of completed
 /// transactions, per-transaction timing, lints, and the phase clock).
@@ -54,14 +73,7 @@ use tape_tee::hypervisor::SlotError;
 #[derive(Debug)]
 pub struct BundlePause {
     checkpoint: Checkpoint,
-    hevm_config: HevmConfig,
-    results: Vec<TxResult>,
-    per_tx: Vec<Nanos>,
-    /// Index of the transaction the checkpoint pauses.
-    tx_index: usize,
-    /// Execution time already spent on the paused transaction.
-    tx_elapsed: Nanos,
-    lints: Vec<(Address, LintFinding)>,
+    progress: Progress,
     /// Virtual time the bundle entered the service (for `total_ns`).
     started: Nanos,
     /// The submitting session; resume is refused for any other.
@@ -81,20 +93,20 @@ impl BundlePause {
         let rest: u64 = bundle
             .transactions
             .iter()
-            .skip(self.tx_index + 1)
+            .skip(self.progress.tx_index + 1)
             .map(|tx| tx.gas_limit)
             .sum();
         self.checkpoint.remaining_gas().saturating_add(rest)
     }
 }
 
-/// How one [`drive_segment_with`] call ended (internal).
+/// How one [`drive_segment`] call ended (internal).
 // Same transient-return-value argument as `PreExecOutcome` for the
 // variant-size disparity.
-#[allow(clippy::type_complexity, clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant)]
 enum SegmentOutcome {
-    /// Every transaction retired; the bundle-level artifacts follow.
-    Finished(Vec<TxResult>, StateChanges, Vec<Nanos>, HevmStats, Vec<(Address, LintFinding)>),
+    /// Every transaction retired; `progress` carries the results.
+    Finished { progress: Progress, changes: StateChanges, stats: HevmStats },
     /// The current transaction's gas slice ran out mid-execution.
     Yielded(BundlePause),
 }
@@ -205,11 +217,13 @@ pub(crate) struct PreparedTask {
     kind: TaskKind,
 }
 
-/// How one executed task ended (before commit-time accounting).
+/// How one executed task ended (before commit-time accounting), short
+/// of failing: the bundle-signature check, the HEVM abort classes and
+/// ORAM integrity are the `Err` beside it.
 // Variant sizes differ for the same reason as `PreExecOutcome`: the
 // pause embeds the full checkpoint and the value is transient.
 #[allow(clippy::large_enum_variant)]
-enum TaskResult {
+enum TaskOutcome {
     /// The bundle retired; the trace is signed and ready to seal.
     Done {
         report: BundleReport,
@@ -219,9 +233,6 @@ enum TaskResult {
     },
     /// The gas slice ran out; the pause re-queues at commit.
     Preempted(BundlePause),
-    /// The segment failed (bundle-signature check, HEVM abort classes,
-    /// ORAM integrity).
-    Failed(ServiceError),
 }
 
 /// A task a pool worker already executed off the shared timeline:
@@ -232,7 +243,7 @@ pub(crate) struct FinishedTask {
     duration: Nanos,
     /// Task-private telemetry, replayed (rebased) at commit.
     buffer: TaskBuffer,
-    outcome: TaskResult,
+    outcome: Result<TaskOutcome, ServiceError>,
 }
 
 /// Where a prepared task's execution happens relative to its commit.
@@ -298,11 +309,6 @@ impl HarDTape {
             }
         }
         Ok(())
-    }
-
-    /// Records one completed service phase (duration since `started`).
-    fn record_phase(&self, phase: PhaseKind, started: Nanos) {
-        record_phase_into(&mut self.telemetry.clone(), &self.clock, phase, started);
     }
 
     /// Whether executing a bundle leaves every piece of state other
@@ -374,7 +380,7 @@ impl HarDTape {
             let opened = self.deliver_to_device(user, &payload)?;
             debug_assert_eq!(opened, payload);
         }
-        self.record_phase(PhaseKind::Receive, started);
+        record_phase_into(&mut self.telemetry.clone(), &self.clock, PhaseKind::Receive, started);
         // Static admission: refuse bundles whose callees cannot fit the
         // hardware stack capacities before a core is even assigned.
         self.admission_check(bundle)?;
@@ -399,11 +405,7 @@ impl HarDTape {
         }
         lints.sort_unstable();
         self.telemetry.count(CounterId::LintFindings, lints.len() as u64);
-        let plans = if self.oram.is_some() {
-            Some(self.prefetch_plans(bundle, callees, &seen))
-        } else {
-            None
-        };
+        let plans = self.oram.is_some().then(|| self.prefetch_plans(bundle, callees, &seen));
 
         let mut hevm_config = self.config.hevm.clone();
         // Whatever the ORAM serves charges the clock itself; whatever
@@ -594,40 +596,32 @@ impl HarDTape {
         // to the pool.
         let core_failure = matches!(
             &outcome,
-            TaskResult::Failed(ServiceError::Hevm(
-                HevmAbort::Layer3Tampered | HevmAbort::Watchdog { .. }
-            ))
+            Err(ServiceError::Hevm(HevmAbort::Layer3Tampered | HevmAbort::Watchdog { .. }))
         );
-        if core_failure {
-            if !self.hypervisor.record_failure(slot) {
-                self.hypervisor
-                    .release(slot, user.session)
-                    .expect("slot was assigned above");
-            }
+        let quarantined = if core_failure {
+            self.hypervisor.record_failure(slot)
         } else {
             self.hypervisor.record_success(slot);
-            self.hypervisor
-                .release(slot, user.session)
-                .expect("slot was assigned above");
+            false
+        };
+        if !quarantined {
+            self.hypervisor.release(slot, user.session).expect("slot was assigned above");
         }
         // Integrity failures revoke the session: the bundle is aborted
         // and the user must re-attest before submitting another one.
         if matches!(
             &outcome,
-            TaskResult::Failed(
-                ServiceError::Oram(_) | ServiceError::Hevm(HevmAbort::Layer3Tampered)
-            )
+            Err(ServiceError::Oram(_) | ServiceError::Hevm(HevmAbort::Layer3Tampered))
         ) {
             self.revoked.insert(user.session);
         }
-        match outcome {
-            TaskResult::Failed(err) => Err(err),
-            TaskResult::Preempted(mut pause) => {
+        match outcome? {
+            TaskOutcome::Preempted(mut pause) => {
                 pause.started = started;
                 pause.session = user.session;
                 Ok(PreExecOutcome::Preempted(pause))
             }
-            TaskResult::Done { mut report, trace } => {
+            TaskOutcome::Done { mut report, trace } => {
                 // Device → user: seal the signed trace.
                 let seal_started = self.clock.now();
                 if self.config.security.encryption() {
@@ -638,7 +632,8 @@ impl HarDTape {
                         user.from_device.open(&sealed).map_err(ServiceError::Channel)?;
                     debug_assert_eq!(opened, trace);
                 }
-                self.record_phase(PhaseKind::Seal, seal_started);
+                let sink = &mut self.telemetry.clone();
+                record_phase_into(sink, &self.clock, PhaseKind::Seal, seal_started);
                 report.total_ns = self.clock.now() - started;
                 self.telemetry.count(CounterId::Bundles, 1);
                 self.telemetry
@@ -649,6 +644,11 @@ impl HarDTape {
         }
     }
 }
+
+// ---- The execute half ------------------------------------------------------
+// Everything below is what a pool worker runs: it names neither the
+// device nor the session, only the task, `ExecCtx` and what the caller
+// hands it (`scripts/verify.sh --lint` holds it to that).
 
 /// Executes a prepared task ahead of its commit, off the shared
 /// timeline: a private clock starting at zero, a private telemetry
@@ -687,98 +687,54 @@ fn execute_task<S: Sink>(
     clock: &Clock,
     sink: &mut S,
     oram: Option<&ObliviousState>,
-) -> TaskResult {
+) -> Result<TaskOutcome, ServiceError> {
     let execute_started;
-    let resumed = matches!(task.kind, TaskKind::Resume(_));
-    // Both arms put an engine on the core and start its first slice.
-    let (hevm, first, hevm_config, results, per_tx, tx_index, tx_elapsed, before, lints) =
-        match task.kind {
-            TaskKind::Fresh { payload, user_key, user_public, lints, plans, hevm_config } => {
-                let signature =
-                    ctx.security.signature().then(|| sign_bundle(&user_key, &payload));
-                let decode_started = clock.now();
-                if let Some(sig) = &signature {
-                    // Device verifies the user's bundle signature on the A53.
-                    clock.advance(ctx.cost.ecdsa_verify_ns);
-                    if let Err(err) = verify_bundle(&user_public, &payload, sig) {
-                        return TaskResult::Failed(ServiceError::Channel(err));
-                    }
-                }
-                record_phase_into(sink, clock, PhaseKind::Decode, decode_started);
+    // Both arms open the `Execute` window and leave the bundle's
+    // progress plus, for a resumed one, the checkpoint to restart from.
+    let (progress, checkpoint) = match task.kind {
+        TaskKind::Fresh { payload, user_key, user_public, lints, plans, hevm_config } => {
+            let signature = ctx.security.signature().then(|| sign_bundle(&user_key, &payload));
+            let decode_started = clock.now();
+            if let Some(sig) = &signature {
+                // Device verifies the user's bundle signature on the A53.
+                clock.advance(ctx.cost.ecdsa_verify_ns);
+                verify_bundle(&user_public, &payload, sig).map_err(ServiceError::Channel)?;
+            }
+            record_phase_into(sink, clock, PhaseKind::Decode, decode_started);
 
-                execute_started = clock.now();
-                if let (Some(oram), Some(plans)) = (oram, &plans) {
-                    plans.apply(oram);
-                }
-                let reader = HybridState::new(ctx.security, ctx.local, oram);
-                let mut hevm =
-                    Hevm::new(hevm_config.clone(), ctx.env.clone(), reader, clock.clone());
-                // The first dispatch of a bundle onto a core pays the same
-                // scheduler context-switch as every re-dispatch: charged
-                // inside the segment window (but outside per-transaction
-                // time), so a bundle suspended S−1 times carries exactly
-                // 2S−1 dispatch charges — S dispatches plus S−1 parks.
-                clock.advance(ctx.cost.sched_dispatch_ns);
-                let before = clock.now();
-                let first = bundle.transactions.first().map(|tx| hevm.transact_sliced(tx));
-                let results = Vec::with_capacity(bundle.transactions.len());
-                let per_tx = Vec::with_capacity(bundle.transactions.len());
-                (hevm, first, hevm_config, results, per_tx, 0, 0, before, lints)
+            execute_started = clock.now();
+            if let (Some(oram), Some(plans)) = (oram, &plans) {
+                plans.apply(oram);
             }
-            TaskKind::Resume(pause) => {
-                execute_started = clock.now();
-                // Re-dispatching a suspended context is not free: the
-                // Hypervisor's scheduler restores the parked HEVM state
-                // before the first cycle of the new slice executes. Charged
-                // inside the segment window so preemption's overhead shows
-                // up in SliceNs and every latency built on it.
-                clock.advance(ctx.cost.sched_dispatch_ns);
-                let BundlePause {
-                    checkpoint,
-                    hevm_config,
-                    results,
-                    per_tx,
-                    tx_index,
-                    tx_elapsed,
-                    lints,
-                    ..
-                } = pause;
-                // The reader detached at suspension was just a view of the
-                // device state; rebuild it fresh (the world may even have
-                // advanced a block — pre-execution reads whatever the
-                // device's current head serves, exactly like a bundle that
-                // was still queued).
-                let reader = HybridState::new(ctx.security, ctx.local, oram);
-                let mut hevm = Hevm::resume(
-                    hevm_config.clone(),
-                    ctx.env.clone(),
-                    reader,
-                    clock.clone(),
-                    checkpoint,
-                );
-                let before = clock.now();
-                let first = Some(hevm.continue_transact());
-                (hevm, first, hevm_config, results, per_tx, tx_index, tx_elapsed, before, lints)
-            }
-        };
-    let segment = drive_segment_with(
-        bundle,
-        hevm,
-        first,
-        hevm_config,
-        results,
-        per_tx,
-        tx_index,
-        tx_elapsed,
-        before,
-        lints,
-        execute_started,
-        resumed,
-        clock,
-        ctx.cost,
-        oram,
-        sink,
-    );
+            let txs = bundle.transactions.len();
+            let progress = Progress {
+                hevm_config,
+                results: Vec::with_capacity(txs),
+                per_tx: Vec::with_capacity(txs),
+                tx_index: 0,
+                tx_elapsed: 0,
+                lints,
+            };
+            (progress, None)
+        }
+        TaskKind::Resume(pause) => {
+            execute_started = clock.now();
+            (pause.progress, Some(pause.checkpoint))
+        }
+    };
+    // The reader detached at a suspension was just a view of the device
+    // state; a resumed bundle gets a fresh one like a fresh bundle does
+    // (the world may even have advanced a block — pre-execution reads
+    // whatever the device's current head serves, exactly like a bundle
+    // that was still queued).
+    let reader = HybridState::new(ctx.security, ctx.local, oram);
+    let (config, env) = (progress.hevm_config.clone(), ctx.env.clone());
+    let resumed = checkpoint.is_some();
+    let hevm = match checkpoint {
+        None => Hevm::new(config, env, reader, clock.clone()),
+        Some(checkpoint) => Hevm::resume(config, env, reader, clock.clone(), checkpoint),
+    };
+    let segment = drive_segment(bundle, hevm, progress, resumed, execute_started, oram, sink);
     record_phase_into(sink, clock, PhaseKind::Execute, execute_started);
     sink.observe(HistId::ExecuteNs, clock.now() - execute_started);
     if let Some(oram) = oram {
@@ -786,22 +742,19 @@ fn execute_task<S: Sink>(
         // is signed) so the core can serve another tenant.
         oram.clear_cache();
     }
-    let (results, changes, per_tx_ns, hevm_stats, lints) = match segment {
-        Err(err) => return TaskResult::Failed(err),
-        Ok(SegmentOutcome::Yielded(pause)) => return TaskResult::Preempted(pause),
-        Ok(SegmentOutcome::Finished(results, changes, per_tx, stats, lints)) => {
-            (results, changes, per_tx, stats, lints)
-        }
+    let (progress, changes, hevm_stats) = match segment? {
+        SegmentOutcome::Yielded(pause) => return Ok(TaskOutcome::Preempted(pause)),
+        SegmentOutcome::Finished { progress, changes, stats } => (progress, changes, stats),
     };
     let mut report = BundleReport {
-        results,
+        results: progress.results,
         changes,
-        per_tx_ns,
+        per_tx_ns: progress.per_tx,
         total_ns: 0,
         signature: None,
         hevm_stats,
         staleness: None,
-        lints,
+        lints: progress.lints,
     };
     let trace = report.encode();
     let sign_started = clock.now();
@@ -812,32 +765,39 @@ fn execute_task<S: Sink>(
         report.signature = Some(sign_bundle(&task.device_key, &trace));
     }
     record_phase_into(sink, clock, PhaseKind::Sign, sign_started);
-    TaskResult::Done { report, trace }
+    Ok(TaskOutcome::Done { report, trace })
 }
 
-/// Drives an engine (fresh or resumed) until the slice yields or the
-/// bundle retires, flushing swap traffic and segment telemetry into
-/// `sink`.
-#[allow(clippy::too_many_arguments)]
-fn drive_segment_with<S: Sink>(
+/// Drives an engine until the slice yields or the bundle retires —
+/// taking the first slice itself: a resumed engine continues the
+/// transaction its checkpoint paused, a fresh one starts the bundle's
+/// first — and flushes swap traffic and segment telemetry into `sink`.
+/// Runs on the engine's clock and cost model.
+fn drive_segment<S: Sink>(
     bundle: &Bundle,
     mut hevm: Hevm<HybridState<'_>>,
-    first: Option<Result<SliceOutcome, HevmAbort>>,
-    hevm_config: HevmConfig,
-    mut results: Vec<TxResult>,
-    mut per_tx: Vec<Nanos>,
-    mut tx_index: usize,
-    mut tx_elapsed: Nanos,
-    mut before: Nanos,
-    lints: Vec<(Address, LintFinding)>,
-    segment_started: Nanos,
+    mut progress: Progress,
     resumed: bool,
-    clock: &Clock,
-    cost: &CostModel,
+    segment_started: Nanos,
     oram: Option<&ObliviousState>,
     sink: &mut S,
 ) -> Result<SegmentOutcome, ServiceError> {
-    let mut outcome = first;
+    let clock = hevm.clock().clone();
+    let dispatch_ns = progress.hevm_config.cost.sched_dispatch_ns;
+    // Putting a context on a core is not free, whether it is a
+    // bundle's first dispatch or the Hypervisor's scheduler restoring
+    // a parked HEVM: charged inside the segment window (but outside
+    // per-transaction time), so preemption's overhead shows up in
+    // SliceNs and every latency built on it, and a bundle suspended
+    // S−1 times carries exactly 2S−1 dispatch charges — S dispatches
+    // plus S−1 parks.
+    clock.advance(dispatch_ns);
+    let mut before = clock.now();
+    let mut outcome = if resumed {
+        Some(hevm.continue_transact())
+    } else {
+        bundle.transactions.first().map(|tx| hevm.transact_sliced(tx))
+    };
     while let Some(current) = outcome.take() {
         // The StateReader interface cannot propagate ORAM failures,
         // so the pagestore parks the first one; collect it here. An
@@ -850,22 +810,22 @@ fn drive_segment_with<S: Sink>(
         }
         match current? {
             SliceOutcome::Done(result) => {
-                per_tx.push(tx_elapsed + (clock.now() - before));
-                tx_elapsed = 0;
-                results.push(result);
-                tx_index += 1;
-                if tx_index == bundle.transactions.len() {
+                progress.per_tx.push(progress.tx_elapsed + (clock.now() - before));
+                progress.tx_elapsed = 0;
+                progress.results.push(result);
+                progress.tx_index += 1;
+                if progress.tx_index == bundle.transactions.len() {
                     break;
                 }
                 before = clock.now();
-                outcome = Some(hevm.transact_sliced(&bundle.transactions[tx_index]));
+                outcome = Some(hevm.transact_sliced(&bundle.transactions[progress.tx_index]));
             }
             SliceOutcome::Preempted { segment } => {
-                tx_elapsed += clock.now() - before;
+                progress.tx_elapsed += clock.now() - before;
                 // Parking the context costs scheduler time on top of
                 // the cover swaps; charge it to the segment (not the
                 // transaction) so suspension is never free.
-                clock.advance(cost.sched_dispatch_ns);
+                clock.advance(dispatch_ns);
                 let (_reader, mut checkpoint) = hevm.suspend();
                 let yield_at = checkpoint.yield_at();
                 let frames = checkpoint.suspended_frames();
@@ -894,14 +854,10 @@ fn drive_segment_with<S: Sink>(
                 sink.count(CounterId::Segments, 1);
                 sink.count(CounterId::Preemptions, 1);
                 sink.observe(HistId::SliceNs, clock.now() - segment_started);
+                // `started` and `session` are stamped at commit.
                 return Ok(SegmentOutcome::Yielded(BundlePause {
                     checkpoint,
-                    hevm_config,
-                    results,
-                    per_tx,
-                    tx_index,
-                    tx_elapsed,
-                    lints,
+                    progress,
                     started: 0,
                     session: 0,
                 }));
@@ -926,7 +882,7 @@ fn drive_segment_with<S: Sink>(
     if let Some(pf) = oram.and_then(|o| o.prefetch_stats()) {
         sink.gauge(GaugeId::PrefetchGapEmaNs, pf.avg_gap_ns);
     }
-    Ok(SegmentOutcome::Finished(results, changes, per_tx, stats, lints))
+    Ok(SegmentOutcome::Finished { progress, changes, stats })
 }
 
 /// One layer-3 swap event into counters and the event stream.

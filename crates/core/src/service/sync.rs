@@ -2,7 +2,9 @@
 //! undo window, fork-choice over a feed quorum, and in-place rollback.
 
 use super::{ForkPoint, HarDTape, ServiceError, SyncOutcome};
-use tape_node::{BlockFeed, BlockHeader, FeedError, FeedSet, RetryPolicy, StateDelta};
+use tape_node::{
+    backoff_ns, BlockFeed, BlockHeader, FeedError, FeedSet, StateDelta, RETRY_MAX_ATTEMPTS,
+};
 use tape_primitives::{Address, B256};
 use tape_sim::fault::Ablation;
 use tape_sim::telemetry::{CounterId, HistId, TelemetryEvent};
@@ -109,7 +111,7 @@ impl HarDTape {
         self.head_height = Some(header.number);
         self.recent_heads.retain(|&(h, _)| h < header.number);
         self.recent_heads.push((header.number, hash));
-        let cap = self.config.undo_capacity + 1;
+        let cap = self.config.undo_window() + 1;
         if self.recent_heads.len() > cap {
             let excess = self.recent_heads.len() - cap;
             self.recent_heads.drain(..excess);
@@ -288,8 +290,12 @@ impl HarDTape {
     }
 
     /// Pulls the head block from a (possibly adversarial, possibly
-    /// flaky) [`BlockFeed`] and synchronizes it, retrying per the
-    /// default [`RetryPolicy`]. See [`Self::sync_from_feed_with`].
+    /// flaky) [`BlockFeed`] and synchronizes it. Transient
+    /// unavailability is retried — [`RETRY_MAX_ATTEMPTS`] fetches with
+    /// [`backoff_ns`]'s capped exponential backoff on the virtual clock
+    /// between them; forged responses are rejected by
+    /// [`Self::sync_block`] without retrying — a forgery is an attack,
+    /// not noise.
     ///
     /// # Errors
     ///
@@ -297,42 +303,11 @@ impl HarDTape {
     /// through every retry (or has no block); any [`Self::sync_block`]
     /// error for forged responses.
     pub fn sync_from_feed(&mut self, feed: &mut BlockFeed) -> Result<(), ServiceError> {
-        self.sync_from_feed_with(feed, &RetryPolicy::default())
-    }
-
-    /// Pulls the head block from a (possibly adversarial, possibly
-    /// flaky) [`BlockFeed`] and synchronizes it. Transient
-    /// unavailability is retried with `policy`'s capped exponential
-    /// backoff on the virtual clock; forged responses are rejected by
-    /// [`Self::sync_block`] without retrying — a forgery is an attack,
-    /// not noise.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::NoRetryBudget`] — without touching the feed —
-    /// when `policy.max_attempts` is zero;
-    /// [`ServiceError::NodeUnavailable`] when the feed stays down
-    /// through every retry (or has no block); any [`Self::sync_block`]
-    /// error for forged responses.
-    pub fn sync_from_feed_with(
-        &mut self,
-        feed: &mut BlockFeed,
-        policy: &RetryPolicy,
-    ) -> Result<(), ServiceError> {
-        if policy.max_attempts == 0 {
-            // Fail fast: a zero budget means "never fetch", and silently
-            // reporting an outage (or looping) would mask the
-            // misconfiguration.
-            return Err(ServiceError::NoRetryBudget);
-        }
-        for attempt in 0..policy.max_attempts {
+        for attempt in 0..RETRY_MAX_ATTEMPTS {
             match feed.fetch_head() {
                 Ok((header, delta)) => return self.sync_block(&header, &delta),
-                Err(FeedError::NoBlock | FeedError::NoRetryBudget) => {
-                    return Err(ServiceError::NodeUnavailable)
-                }
-                Err(FeedError::Unavailable) if attempt + 1 < policy.max_attempts => {
-                    let backoff = policy.backoff_ns(attempt);
+                Err(FeedError::Unavailable) if attempt + 1 < RETRY_MAX_ATTEMPTS => {
+                    let backoff = backoff_ns(attempt);
                     self.telemetry.count(CounterId::NodeRetries, 1);
                     self.telemetry.record(TelemetryEvent::NodeRetry {
                         at: self.clock.now(),
@@ -341,7 +316,8 @@ impl HarDTape {
                     });
                     self.clock.advance(backoff);
                 }
-                Err(FeedError::Unavailable) => return Err(ServiceError::NodeUnavailable),
+                // No block to serve, or down through the last attempt.
+                Err(_) => break,
             }
         }
         Err(ServiceError::NodeUnavailable)

@@ -673,11 +673,6 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         self.pager.swap_log()
     }
 
-    /// Test hook: tampers with layer-3 ciphertext `index` (attack A4).
-    pub fn tamper_layer3(&mut self, index: usize) {
-        self.pager.tamper(index);
-    }
-
     /// Test hook: corrupts the ciphertext produced by the `nth` swap-out
     /// (0-based) as soon as it is written — an adversary flipping bits in
     /// untrusted memory mid-execution (attack A4).

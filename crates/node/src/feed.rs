@@ -20,11 +20,6 @@ pub enum FeedError {
     NoBlock,
     /// The node is transiently unreachable; the caller should retry.
     Unavailable,
-    /// The caller's retry budget is zero: no fetch was even attempted.
-    /// Distinct from [`Unavailable`](FeedError::Unavailable) so a
-    /// misconfigured (or deliberately fetch-free) policy fails fast and
-    /// visibly instead of looping or masquerading as an outage.
-    NoRetryBudget,
 }
 
 impl core::fmt::Display for FeedError {
@@ -32,9 +27,6 @@ impl core::fmt::Display for FeedError {
         match self {
             FeedError::NoBlock => write!(f, "the node has no block to serve"),
             FeedError::Unavailable => write!(f, "the node is transiently unavailable"),
-            FeedError::NoRetryBudget => {
-                write!(f, "retry policy allows zero attempts; nothing was fetched")
-            }
         }
     }
 }
@@ -273,53 +265,25 @@ fn forge_proof(delta: &mut StateDelta, param: u64) {
     }
 }
 
-/// Retry discipline for transient feed unavailability: how many fetch
-/// attempts to make and how the exponential backoff between them grows.
-///
-/// The backoff for attempt `n` is `base_backoff_ns << n`, saturated at
-/// [`max_backoff_ns`](RetryPolicy::max_backoff_ns) — the shift is capped
-/// *before* it can overflow `u64`, so arbitrarily large attempt numbers
-/// (or a pathological `max_attempts`) yield the cap, never wraparound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Fetch attempts before giving up. Zero means "do not even try":
-    /// callers must fail fast with [`FeedError::NoRetryBudget`].
-    pub max_attempts: u32,
-    /// Backoff before the second attempt.
-    pub base_backoff_ns: Nanos,
-    /// Backoff saturation value.
-    pub max_backoff_ns: Nanos,
-}
+/// Retry discipline for transient feed unavailability, in virtual
+/// time: fetch attempts one sync makes before it gives up.
+pub const RETRY_MAX_ATTEMPTS: u32 = 5;
+/// Backoff before the second attempt.
+const RETRY_BASE_BACKOFF_NS: Nanos = 2_000_000;
+/// Backoff saturation value.
+const RETRY_MAX_BACKOFF_NS: Nanos = 16_000_000;
 
-impl Default for RetryPolicy {
-    /// The service's historical discipline: 5 attempts, 2 ms base,
-    /// 16 ms cap (virtual time).
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff_ns: 2_000_000,
-            max_backoff_ns: 16_000_000,
-        }
+/// The backoff to sleep after failed attempt `attempt` (0-based):
+/// the base shifted left by `attempt`, saturated at the cap — 2, 4, 8,
+/// 16, 16, … ms. Never overflows, whatever the attempt number.
+pub fn backoff_ns(attempt: u32) -> Nanos {
+    // A shift of more than `leading_zeros` would push bits out the
+    // top; that is already past the cap, so clamp to it without
+    // computing the (overflowing) shift at all.
+    if attempt > RETRY_BASE_BACKOFF_NS.leading_zeros() {
+        return RETRY_MAX_BACKOFF_NS;
     }
-}
-
-impl RetryPolicy {
-    /// The backoff to sleep after failed attempt `attempt` (0-based).
-    ///
-    /// Saturates at `max_backoff_ns`; never overflows, whatever the
-    /// attempt number.
-    pub fn backoff_ns(&self, attempt: u32) -> Nanos {
-        if self.base_backoff_ns == 0 {
-            return 0;
-        }
-        // A shift of more than `leading_zeros` would push bits out the
-        // top; that is already past any sane cap, so clamp to the cap
-        // without computing the (overflowing) shift at all.
-        if attempt > self.base_backoff_ns.leading_zeros() {
-            return self.max_backoff_ns;
-        }
-        (self.base_backoff_ns << attempt).min(self.max_backoff_ns)
-    }
+    (RETRY_BASE_BACKOFF_NS << attempt).min(RETRY_MAX_BACKOFF_NS)
 }
 
 /// Circuit-breaker states for the full-node path (standard three-state
@@ -349,8 +313,9 @@ impl core::fmt::Display for BreakerState {
 /// A circuit breaker over the block-feed path.
 ///
 /// The device's `sync_from_feed` already retries *within* one sync
-/// (per [`RetryPolicy`]); the breaker sits above it so a persistent outage
-/// stops consuming that retry budget inline: after
+/// ([`RETRY_MAX_ATTEMPTS`] fetches, [`backoff_ns`] apart); the breaker
+/// sits above it so a persistent outage stops consuming that retry
+/// budget inline: after
 /// `failure_threshold` consecutive failed syncs the breaker opens and
 /// refuses further syncs (cheaply, without touching the feed) until
 /// `cooldown_ns` of virtual time has elapsed, then lets exactly one
@@ -541,22 +506,14 @@ mod tests {
 
     #[test]
     fn backoff_shift_saturates_instead_of_overflowing() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.backoff_ns(0), 2_000_000);
-        assert_eq!(policy.backoff_ns(1), 4_000_000);
-        assert_eq!(policy.backoff_ns(3), 16_000_000);
-        // Shifts that would push bits past the top of a u64 (attempt
-        // 63, 64, 200…) must cap, not wrap to a tiny (or huge) value.
-        for attempt in [40, 62, 63, 64, 200, u32::MAX] {
-            assert_eq!(policy.backoff_ns(attempt), policy.max_backoff_ns);
+        // 2, 4, 8, 16, 16, … ms: shifts that would push bits past the
+        // top of a u64 (a 2 ms base has 43 leading zeros) must cap, not
+        // wrap to a tiny (or huge) value.
+        for attempt in 0..=100 {
+            let expected = if attempt < 3 { 2_000_000 << attempt } else { 16_000_000 };
+            assert_eq!(backoff_ns(attempt), expected, "attempt {attempt}");
         }
-        // A base of 1 exercises the exact leading_zeros boundary.
-        let unit = RetryPolicy { max_attempts: 100, base_backoff_ns: 1, max_backoff_ns: u64::MAX };
-        assert_eq!(unit.backoff_ns(62), 1 << 62);
-        assert_eq!(unit.backoff_ns(63), 1 << 63);
-        assert_eq!(unit.backoff_ns(64), u64::MAX, "shift of 64 saturates");
-        let zero = RetryPolicy { base_backoff_ns: 0, ..unit };
-        assert_eq!(zero.backoff_ns(500), 0);
+        assert_eq!(backoff_ns(u32::MAX), RETRY_MAX_BACKOFF_NS);
     }
 
     #[test]

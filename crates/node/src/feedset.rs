@@ -14,7 +14,7 @@
 //!   exactly that), but returning to a hash it previously abandoned at
 //!   the same height proves it is serving two branches at once.
 //! * **Stalled heads** accrue strikes: a feed whose verified head lags
-//!   the quorum's best for `stall_strikes` consecutive polls is
+//!   the quorum's best for `STALL_STRIKES` consecutive polls is
 //!   quarantined — it may be honest-but-frozen, but it is useless and
 //!   indistinguishable from an adversary withholding blocks.
 //!
@@ -64,26 +64,14 @@ pub struct Equivocation {
     pub b: B256,
 }
 
-/// Tuning knobs for cross-feed checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeedSetConfig {
-    /// Blocks a feed's verified head may lag the best without accruing
-    /// a stall strike.
-    pub stall_lag: u64,
-    /// Consecutive lagging polls before a feed is quarantined as
-    /// stalled.
-    pub stall_strikes: u32,
-    /// Heights of served-hash history retained per feed for
-    /// equivocation detection.
-    pub hash_memory: usize,
-}
-
-impl Default for FeedSetConfig {
-    /// Zero tolerated lag, three strikes, 64 heights of memory.
-    fn default() -> Self {
-        FeedSetConfig { stall_lag: 0, stall_strikes: 3, hash_memory: 64 }
-    }
-}
+/// Blocks a feed's verified head may lag the best without accruing a
+/// stall strike.
+const STALL_LAG: u64 = 0;
+/// Consecutive lagging polls before a feed is quarantined as stalled.
+const STALL_STRIKES: u32 = 3;
+/// Heights of served-hash history retained per feed for equivocation
+/// detection.
+const HASH_MEMORY: usize = 64;
 
 /// A snapshot of one feed's health.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +117,6 @@ pub struct PollReport {
 pub struct FeedSet {
     feeds: Vec<BlockFeed>,
     meta: Vec<FeedMeta>,
-    config: FeedSetConfig,
 }
 
 impl core::fmt::Debug for FeedSet {
@@ -142,15 +129,15 @@ impl core::fmt::Debug for FeedSet {
 }
 
 impl FeedSet {
-    /// Builds a set over `feeds` with `config`'s thresholds.
+    /// Builds a set over `feeds`.
     ///
     /// # Panics
     ///
     /// Panics when `feeds` is empty: a feedless set can never sync.
-    pub fn new(feeds: Vec<BlockFeed>, config: FeedSetConfig) -> Self {
+    pub fn new(feeds: Vec<BlockFeed>) -> Self {
         assert!(!feeds.is_empty(), "a FeedSet needs at least one feed");
         let meta = feeds.iter().map(|_| FeedMeta::default()).collect();
-        FeedSet { feeds, meta, config }
+        FeedSet { feeds, meta }
     }
 
     /// Number of feeds (quarantined included).
@@ -254,9 +241,9 @@ impl FeedSet {
         if let Some(best) = report.heads.iter().map(|&(_, h, _)| h).max() {
             for &(i, height, _) in &report.heads {
                 let meta = &mut self.meta[i];
-                if height.saturating_add(self.config.stall_lag) < best {
+                if height.saturating_add(STALL_LAG) < best {
                     meta.stall_streak += 1;
-                    if meta.stall_streak >= self.config.stall_strikes {
+                    if meta.stall_streak >= STALL_STRIKES {
                         meta.quarantined = Some(QuarantineReason::StalledHead);
                         report
                             .newly_quarantined
@@ -316,7 +303,7 @@ impl FeedSet {
                 }
                 hashes.push(hash);
                 // Bound the per-feed memory: oldest heights first.
-                while meta.served.len() > self.config.hash_memory {
+                while meta.served.len() > HASH_MEMORY {
                     let oldest = *meta.served.keys().next().expect("len > 0");
                     meta.served.remove(&oldest);
                 }
@@ -363,10 +350,7 @@ mod tests {
     }
 
     fn set_of(n: usize, blocks: usize) -> FeedSet {
-        FeedSet::new(
-            (0..n).map(|_| feed_with_chain(blocks)).collect(),
-            FeedSetConfig::default(),
-        )
+        FeedSet::new((0..n).map(|_| feed_with_chain(blocks)).collect())
     }
 
     fn armed_plan(kinds: &[FaultKind]) -> FaultPlan {

@@ -14,10 +14,10 @@
 
 pub mod feed;
 pub mod feedset;
-pub use feed::{BlockFeed, BreakerState, CircuitBreaker, FeedError, RetryPolicy};
-pub use feedset::{
-    Equivocation, FeedSet, FeedSetConfig, FeedStatus, PollReport, QuarantineReason,
+pub use feed::{
+    backoff_ns, BlockFeed, BreakerState, CircuitBreaker, FeedError, RETRY_MAX_ATTEMPTS,
 };
+pub use feedset::{Equivocation, FeedSet, FeedStatus, PollReport, QuarantineReason};
 
 use std::collections::BTreeSet;
 use tape_crypto::keccak256;
@@ -234,11 +234,6 @@ impl Node {
     /// The newest block.
     pub fn head(&self) -> Option<&Block> {
         self.blocks.last()
-    }
-
-    /// Addresses touched by the most recent block.
-    pub fn last_touched(&self) -> &[Address] {
-        self.history.last().map(|log| log.touched.as_slice()).unwrap_or(&[])
     }
 
     /// Maps a block *number* to its index in this node's chain, if the

@@ -35,11 +35,9 @@
 mod pagestore;
 mod path_oram;
 mod prefetch;
-mod recursive;
 pub mod store;
 
 pub use pagestore::{ObliviousState, PageKey, QueryStats, RECORDS_PER_GROUP};
 pub use path_oram::{BlockId, ObservedAccess, OramClient, OramConfig, OramError, OramServer};
 pub use prefetch::{CodePrefetcher, PrefetchStats};
-pub use recursive::RecursiveOram;
 pub use store::{BucketBackend, DiskStore, DiskStoreConfig, MemBackend, RecoveryReport, StoreError};

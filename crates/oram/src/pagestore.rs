@@ -675,7 +675,8 @@ impl Inner {
         }
     }
 
-    fn fetch_page_uncached(&mut self, key: PageKey) -> Option<Vec<u8>> {
+    /// Fetches `key` over the wire into the page cache (absent: `None`).
+    fn fetch_page_uncached(&mut self, key: PageKey) {
         // Real fetches (demand, paced, prefetch, or plan batch — never
         // the cached-hit dummy) are individually visible to the
         // auditor's plan-vs-observed cross-checks: code pages against
@@ -710,8 +711,7 @@ impl Inner {
         }
         let id = key.block_id();
         let page = self.fetch_raw(&id);
-        self.cache.insert(key, page.clone());
-        page
+        self.cache.insert(key, page);
     }
 
     /// Records one wire query of `kind` in the telemetry stream (at the
@@ -748,7 +748,7 @@ impl Inner {
             let dummy = PageKey::CodePage(Address::ZERO, u32::MAX).block_id();
             let _ = self.fetch_raw(&dummy);
         } else {
-            let _ = self.fetch_page_uncached(key);
+            self.fetch_page_uncached(key);
         }
     }
 
@@ -781,26 +781,26 @@ impl Inner {
     }
 
     /// Cached fetch, counting the query type and driving the prefetcher
-    /// at every miss (a miss is a real wire query — a query point).
-    fn fetch_page(&mut self, key: PageKey) -> Option<Vec<u8>> {
-        if let Some(page) = self.cache.get(&key) {
-            return page.clone();
+    /// at every miss (a miss is a real wire query — a query point). The
+    /// page is read where it lies in the cache.
+    fn fetch_page(&mut self, key: PageKey) -> Option<&[u8]> {
+        if !self.cache.contains_key(&key) {
+            let kind = match key {
+                PageKey::CodePage(..) => {
+                    self.stats.code_queries += 1;
+                    QueryKind::Code
+                }
+                _ => {
+                    self.stats.kv_queries += 1;
+                    QueryKind::Kv
+                }
+            };
+            self.record_query(kind);
+            self.fetch_page_uncached(key);
+            let now = self.clock.now();
+            self.drive_prefetch(now);
         }
-        let kind = match key {
-            PageKey::CodePage(..) => {
-                self.stats.code_queries += 1;
-                QueryKind::Code
-            }
-            _ => {
-                self.stats.kv_queries += 1;
-                QueryKind::Kv
-            }
-        };
-        self.record_query(kind);
-        let page = self.fetch_page_uncached(key);
-        let now = self.clock.now();
-        self.drive_prefetch(now);
-        page
+        self.cache.get(&key)?.as_deref()
     }
 
     /// `true` when demand code fetches must be paced onto the prefetch
@@ -813,7 +813,7 @@ impl Inner {
     /// prefetcher's randomized delay before touching the wire, so a
     /// cold contract call does not collapse into the back-to-back burst
     /// §IV-D forbids.
-    fn paced_code_fetch(&mut self, key: PageKey) -> Option<Vec<u8>> {
+    fn paced_code_fetch(&mut self, key: PageKey) -> Option<&[u8]> {
         if let Some(pf) = self.prefetcher.as_mut() {
             let wait = pf.pace();
             self.clock.advance(wait);
@@ -822,18 +822,17 @@ impl Inner {
         }
         self.stats.code_queries += 1;
         self.record_query(QueryKind::Code);
-        let page = self.fetch_page_uncached(key);
+        self.fetch_page_uncached(key);
         let after = self.clock.now();
         self.drive_prefetch(after);
-        page
+        self.cache.get(&key)?.as_deref()
     }
 }
 
 impl StateReader for ObliviousState {
     fn account(&self, address: &Address) -> Option<AccountInfo> {
         let mut inner = self.inner.borrow_mut();
-        let page = inner.fetch_page(PageKey::AccountMeta(*address))?;
-        decode_meta(&page)
+        decode_meta(inner.fetch_page(PageKey::AccountMeta(*address))?)
     }
 
     fn code(&self, address: &Address) -> Arc<Vec<u8>> {
@@ -841,7 +840,7 @@ impl StateReader for ObliviousState {
         let Some(meta_page) = inner.fetch_page(PageKey::AccountMeta(*address)) else {
             return Arc::default();
         };
-        let Some(info) = decode_meta(&meta_page) else {
+        let Some(info) = decode_meta(meta_page) else {
             return Arc::default();
         };
         if info.code_len == 0 {
@@ -860,7 +859,7 @@ impl StateReader for ObliviousState {
             // the fetch-everything behaviour.
             let planned = plan.as_ref().is_none_or(|p| p.contains(&(i as u32)));
             let page = if !planned {
-                Some(vec![0u8; page_size])
+                None
             } else if inner.pacing_active() && !inner.cache.contains_key(&key) {
                 // Pages the prefetcher has not delivered yet are fetched
                 // on demand — but *paced* onto the prefetch cadence,
@@ -871,9 +870,11 @@ impl StateReader for ObliviousState {
                 inner.paced_code_fetch(key)
             } else {
                 inner.fetch_page(key)
+            };
+            match page {
+                Some(page) => code.extend_from_slice(page),
+                None => code.resize(code.len() + page_size, 0),
             }
-            .unwrap_or_else(|| vec![0u8; page_size]);
-            code.extend_from_slice(&page);
         }
         code.truncate(info.code_len);
         Arc::new(code)

@@ -322,14 +322,6 @@ pub enum OramError {
     /// the server served a wrong path or dropped a write-back (attack
     /// A5: dishonest path service).
     MissingBlock(BlockId),
-    /// A recursive-ORAM access targeted an index beyond the capacity
-    /// fixed at construction.
-    IndexOutOfRange {
-        /// The requested index.
-        index: u64,
-        /// The configured capacity.
-        capacity: u64,
-    },
     /// The durable bucket store behind the server failed — disk fault,
     /// corruption, or a crashed store awaiting reopen.
     Store(StoreError),
@@ -350,9 +342,6 @@ impl core::fmt::Display for OramError {
             }
             OramError::MissingBlock(id) => {
                 write!(f, "mapped ORAM block {id} missing from its path")
-            }
-            OramError::IndexOutOfRange { index, capacity } => {
-                write!(f, "recursive ORAM index {index} out of range (capacity {capacity})")
             }
             OramError::Store(err) => write!(f, "bucket store failure: {err}"),
         }

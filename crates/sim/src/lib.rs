@@ -3,8 +3,7 @@
 //! The simulation substrate that replaces the paper's physical testbed:
 //! a deterministic virtual [`Clock`], the calibrated [`CostModel`]
 //! standing in for the FPGA / Cortex-A53 / Ethernet / ORAM-server
-//! hardware, the §VI-A [`resources`] model, and statistics helpers used
-//! by the evaluation harness.
+//! hardware, and the §VI-A [`resources`] model.
 //!
 //! See DESIGN.md for the substitution table mapping each constant to the
 //! paper's measurement.
@@ -17,7 +16,6 @@ pub mod fault;
 pub mod queue;
 pub mod resources;
 pub mod scratch;
-pub mod stats;
 pub mod telemetry;
 
 pub use clock::{format_ns, Clock, Nanos};

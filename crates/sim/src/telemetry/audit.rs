@@ -54,10 +54,10 @@
 //!    prefetcher nearly idle, starving the gap statistics (check 3) of
 //!    samples. The §IV-D argument stays sound at the two extremes: with
 //!    the class *genuinely idle* (at most
-//!    [`AuditConfig::prefetch_idle_floor`] queries) there is no prefetch
+//!    `PREFETCH_IDLE_FLOOR` queries) there is no prefetch
 //!    distribution for the adversary to type — every query on the wire
 //!    is real traffic already covered by checks 1–2; with a *populated*
-//!    class ([`AuditConfig::min_class_samples`] gap samples or more) the
+//!    class (`MIN_CLASS_SAMPLES` gap samples or more) the
 //!    statistics apply in full. The region between is underpowered —
 //!    too few queries for the CV/ratio bounds, enough to stand out
 //!    individually — and is flagged rather than silently skipped.
@@ -85,50 +85,45 @@
 use super::{QueryKind, TelemetryEvent};
 use crate::Nanos;
 
-/// Tunable bounds for the audit invariants.
+/// The two audit bounds that follow the deployment; the rest are the
+/// constants below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
     /// Required uniform ORAM block payload size (paper: 1 KB).
     pub block_size: u32,
-    /// Maximum tolerated tight code-query run length (N in the issue).
-    pub max_code_burst: usize,
     /// Gaps below this bound count as "tight" for burst detection.
     /// Should sit just above the bare wire cost of one query, so a
     /// back-to-back drain is tight but a paced fetch (stall + query)
     /// is not.
     pub burst_gap_ns: Nanos,
-    /// Allowed prefetch-vs-real mean-gap ratio band, ×100
-    /// (`(25, 400)` = prefetch gaps within ¼×–4× of real gaps).
-    pub gap_mean_ratio_x100: (u64, u64),
-    /// Maximum per-class gap coefficient of variation, ×100.
-    pub max_cv_x100: u64,
-    /// Minimum samples per gap class before the statistical checks
-    /// apply (tiny samples would make the CV meaningless).
-    pub min_class_samples: usize,
-    /// Maximum prefetch queries the run may carry while still counting
-    /// as *genuinely idle*. An idle prefetcher is fine — there is no
-    /// prefetch distribution for the adversary to type. More queries
-    /// than this floor but fewer than [`min_class_samples`] gap samples
-    /// is the underpowered region: enough traffic to stand out
-    /// individually, too little for the statistical bounds to apply —
-    /// flagged as [`Violation::PrefetchClassUnderpowered`].
-    ///
-    /// [`min_class_samples`]: AuditConfig::min_class_samples
-    pub prefetch_idle_floor: usize,
 }
+
+/// Maximum tolerated tight code-query run length.
+const MAX_CODE_BURST: usize = 4;
+/// Allowed prefetch-vs-real mean-gap ratio band, ×100: prefetch gaps
+/// within ¼×–4× of real gaps.
+const GAP_MEAN_RATIO_X100: (u64, u64) = (25, 400);
+/// Maximum per-class gap coefficient of variation, ×100.
+const MAX_CV_X100: u64 = 250;
+/// Minimum samples per gap class before the statistical checks apply
+/// (tiny samples would make the CV meaningless).
+const MIN_CLASS_SAMPLES: usize = 8;
+/// Maximum prefetch queries the run may carry while still counting as
+/// *genuinely idle*. An idle prefetcher is fine — there is no prefetch
+/// distribution for the adversary to type. More queries than this
+/// floor but fewer than [`MIN_CLASS_SAMPLES`] gap samples is the
+/// underpowered region: enough traffic to stand out individually, too
+/// little for the statistical bounds to apply — flagged as
+/// [`Violation::PrefetchClassUnderpowered`].
+const PREFETCH_IDLE_FLOOR: usize = 2;
 
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
             block_size: 1024,
-            max_code_burst: 4,
             // Default cost model: one ORAM query ≈ 2.27 ms on the wire
             // (RTT + server op + 60 path blocks); 2.6 ms ≈ 1.15× that.
             burst_gap_ns: 2_600_000,
-            gap_mean_ratio_x100: (25, 400),
-            max_cv_x100: 250,
-            min_class_samples: 8,
-            prefetch_idle_floor: 2,
         }
     }
 }
@@ -627,13 +622,13 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
                 }
                 report.stats.longest_code_burst =
                     report.stats.longest_code_burst.max(code_run);
-                if code_run == cfg.max_code_burst + 1 {
+                if code_run == MAX_CODE_BURST + 1 {
                     // Report each offending burst once, as it crosses
                     // the bound.
                     report.violations.push(Violation::CodeBurst {
                         at,
                         len: code_run,
-                        limit: cfg.max_code_burst,
+                        limit: MAX_CODE_BURST,
                     });
                 }
                 last_query = Some((at, kind));
@@ -769,37 +764,37 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
     let (pf_mean, pf_cv) = mean_and_cv_x100(&prefetch_gaps);
     report.stats.real_gap_mean_ns = real_mean;
     report.stats.prefetch_gap_mean_ns = pf_mean;
-    if real_gaps.len() >= cfg.min_class_samples && prefetch_gaps.len() >= cfg.min_class_samples {
+    if real_gaps.len() >= MIN_CLASS_SAMPLES && prefetch_gaps.len() >= MIN_CLASS_SAMPLES {
         report.stats.real_gap_cv_x100 = real_cv;
         report.stats.prefetch_gap_cv_x100 = pf_cv;
         if real_mean > 0.0 {
             let ratio_x100 = (pf_mean / real_mean * 100.0).round() as u64;
-            let (lo, hi) = cfg.gap_mean_ratio_x100;
+            let (lo, hi) = GAP_MEAN_RATIO_X100;
             if ratio_x100 < lo || ratio_x100 > hi {
                 report
                     .violations
                     .push(Violation::GapMeanRatio { ratio_x100, band: (lo, hi) });
             }
         }
-        if real_cv > cfg.max_cv_x100 {
+        if real_cv > MAX_CV_X100 {
             report.violations.push(Violation::GapCv {
                 prefetch_class: false,
                 cv_x100: real_cv,
-                limit: cfg.max_cv_x100,
+                limit: MAX_CV_X100,
             });
         }
-        if pf_cv > cfg.max_cv_x100 {
+        if pf_cv > MAX_CV_X100 {
             report.violations.push(Violation::GapCv {
                 prefetch_class: true,
                 cv_x100: pf_cv,
-                limit: cfg.max_cv_x100,
+                limit: MAX_CV_X100,
             });
         }
     }
 
     // Swap noise must exist across the run once there are enough swaps
     // for all-zero noise to be a signal rather than chance.
-    if report.stats.swaps >= cfg.min_class_samples as u64 && report.stats.noise_pages == 0 {
+    if report.stats.swaps >= MIN_CLASS_SAMPLES as u64 && report.stats.noise_pages == 0 {
         report
             .violations
             .push(Violation::SwapNoiseAbsent { swaps: report.stats.swaps });
@@ -812,14 +807,14 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
     // longer vacuous: the class exists on the wire but nothing was
     // verified about it. Only meaningful once the run carries enough
     // real traffic for the comparison to have been expected at all.
-    if real_gaps.len() >= cfg.min_class_samples
-        && report.stats.prefetch_queries > cfg.prefetch_idle_floor as u64
-        && prefetch_gaps.len() < cfg.min_class_samples
+    if real_gaps.len() >= MIN_CLASS_SAMPLES
+        && report.stats.prefetch_queries > PREFETCH_IDLE_FLOOR as u64
+        && prefetch_gaps.len() < MIN_CLASS_SAMPLES
     {
         report.violations.push(Violation::PrefetchClassUnderpowered {
             queries: report.stats.prefetch_queries,
-            floor: cfg.prefetch_idle_floor,
-            needed: cfg.min_class_samples,
+            floor: PREFETCH_IDLE_FLOOR,
+            needed: MIN_CLASS_SAMPLES,
         });
     }
 

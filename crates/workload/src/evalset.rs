@@ -216,18 +216,6 @@ impl EvalSet {
         }
     }
 
-    /// A saturation bundle for one adversarial tenant: `count` gas
-    /// bombs of `gas_limit` each — the load shape of the bounded-tail
-    /// acceptance test (one bomb tenant vs. several honest ones).
-    pub fn gas_bomb_bundle(
-        &self,
-        from: Address,
-        count: usize,
-        gas_limit: u64,
-    ) -> Vec<Transaction> {
-        (0..count).map(|_| self.gas_bomb_tx(from, gas_limit)).collect()
-    }
-
     fn pick_user(&self, rng: &mut SecureRng) -> Address {
         self.users[rng.next_below(self.users.len() as u64) as usize]
     }

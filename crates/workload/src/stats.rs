@@ -4,7 +4,6 @@
 use std::collections::HashSet;
 use tape_evm::{FrameEnd, FrameStart, Inspector, StateAccess, StepInfo};
 use tape_primitives::{Address, U256};
-use tape_sim::stats::Histogram;
 
 /// Measurements of one completed execution frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,6 +100,71 @@ impl Inspector for TableOneCollector {
                 _ => {}
             }
         }
+    }
+}
+
+/// A histogram over caller-supplied bucket upper bounds, used for the
+/// Table-I style distribution tables.
+///
+/// # Examples
+///
+/// ```
+/// use tape_workload::stats::Histogram;
+///
+/// // Table I buckets for memory-like sizes: <1k, 1-4k, 4-12k, 12-64k, >64k
+/// let mut h = Histogram::new(vec![1024, 4096, 12 * 1024, 64 * 1024]);
+/// h.record(100);
+/// h.record(5000);
+/// assert_eq!(h.shares(), vec![0.5, 0.0, 0.5, 0.0, 0.0]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Histogram {
+    /// Upper bounds (inclusive) of each bucket; one overflow bucket is
+    /// appended automatically.
+    bounds: Vec<u64>,
+    counts: Vec<u64>,
+    total: u64,
+}
+
+impl Histogram {
+    /// Creates a histogram with the given ascending inclusive bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if bounds are not strictly ascending.
+    pub fn new(bounds: Vec<u64>) -> Self {
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
+        let buckets = bounds.len() + 1;
+        Histogram { bounds, counts: vec![0; buckets], total: 0 }
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, value: u64) {
+        let idx = self
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len());
+        self.counts[idx] += 1;
+        self.total += 1;
+    }
+
+    /// Total observations.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Raw bucket counts (last bucket is the overflow).
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Bucket shares in [0, 1]; all zeros when empty.
+    pub fn shares(&self) -> Vec<f64> {
+        if self.total == 0 {
+            return vec![0.0; self.counts.len()];
+        }
+        self.counts.iter().map(|&c| c as f64 / self.total as f64).collect()
     }
 }
 
@@ -311,5 +375,23 @@ mod tests {
         // The router frame (last to close) received 32-byte returns.
         let router_frame = collector.frames.last().unwrap();
         assert_eq!(router_frame.return_data, 32);
+    }
+
+    #[test]
+    fn histogram_bucketing() {
+        let mut h = Histogram::new(vec![10, 100]);
+        for v in [5, 10, 11, 100, 101, 5000] {
+            h.record(v);
+        }
+        assert_eq!(h.counts(), &[2, 2, 2]);
+        assert_eq!(h.total(), 6);
+        let shares = h.shares();
+        assert!((shares[0] - 1.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend")]
+    fn histogram_bad_bounds() {
+        Histogram::new(vec![10, 10]);
     }
 }

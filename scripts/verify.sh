@@ -17,6 +17,14 @@
 #   - path shape lint: no `Vec<Vec<u8>>` in crates/oram/src outside the
 #     test modules — a path, a bucket and a staged write are flat slices
 #     of fixed-length slots;
+#   - options lint: every `pub` field of a `pub struct …Config` under
+#     crates/*/src is assigned, by name, in some .rs file other than the
+#     one that defines it — a field only its own `Default` sets is a
+#     constant wearing a config's clothes;
+#   - seam lint: the execute half of crates/core/src/service/segment.rs
+#     (what a pool worker runs) names neither `HarDTape` nor
+#     `UserHandle`, and crates/core/src carries no `too_many_arguments`
+#     or `type_complexity` waiver;
 #   - scratch hygiene: disk-writing tests go through `tape_sim::Scratch`
 #     (per-seed dirs under target/scratch/, kept and printed on failure).
 #
@@ -109,6 +117,65 @@ lint_gates() {
     done
     if [[ "$nested" -ne 0 ]]; then
         echo "path shape lint: nested slot vectors under crates/oram/src" >&2
+        exit 1
+    fi
+
+    echo "==> options lint (every pub field of a pub struct …Config is assigned outside its own file)"
+    # An option with one value is a constant: a field that only its own
+    # `Default` ever sets multiplies the configurations tests must cover
+    # and buys nothing. The check is by name — a struct-literal
+    # `field: value` or a `.field = value` in any other .rs file counts,
+    # a declaration (`field: Type`) does not — so it can pass a field
+    # that merely shares its name with another struct's: passing is
+    # necessary, not sufficient.
+    # Allowed, each for its reason:
+    #   DiskStoreConfig::wal_trim_every — ROADMAP item 3's shim: the
+    #     frozen benchmark/ still reads it; it goes when that does.
+    #   MemoryConfig::* — DESIGN §2's table of model constants (like
+    #     `CostModel`, which is not named Config and so not scanned):
+    #     the synthesized geometry, not deployment options.
+    decl='(&|\[|\(|[A-Z][A-Za-z0-9]*|u8|u16|u32|u64|u128|usize|i32|i64|bool|f64)[A-Za-z0-9_<>, ()&\[\]'"'"']*'
+    unset_fields=0
+    for def in $(grep -rlE '^pub struct [A-Za-z]*Config\b' crates/*/src); do
+        while read -r name field; do
+            case "$name::$field" in
+                DiskStoreConfig::wal_trim_every | MemoryConfig::*) continue ;;
+            esac
+            if ! grep -rE "(^|[ {(,])${field}: |\.${field}(\.[a-z_0-9]+)* = " --include='*.rs' \
+                    crates src tests examples benchmark/src \
+                | grep -vE "^${def}:|^[^:]+:\s*(pub(\([a-z]+\))? )?${field}: ${decl},?\s*$|fn " \
+                | grep -q .; then
+                echo "options lint: $name::$field ($def) is set nowhere outside its own file" >&2
+                unset_fields=1
+            fi
+        done < <(awk '/^pub struct [A-Za-z]*Config[ {]/ { name = $3; sub(/[^A-Za-z].*/, "", name); on = 1; next }
+                      on && /^}/ { on = 0 }
+                      on && /^    pub [a-z_0-9]+:/ { f = $2; sub(/:.*/, "", f); print name, f }' "$def")
+    done
+    if [[ "$unset_fields" -ne 0 ]]; then
+        echo "options lint: make the field a constant, or show the second value" >&2
+        exit 1
+    fi
+
+    echo "==> seam lint (the execute half of service/segment.rs names no device or session; no argument-count waivers)"
+    # Pool workers run `execute_detached` and below against an
+    # `ExecCtx`, a private clock and a `TaskBuffer`; the moment that
+    # half mentions the device or a session it has grown a path back to
+    # shared mutable state. And a 16-parameter driver came from
+    # threading one value through as six: the waiver is the symptom.
+    segment=crates/core/src/service/segment.rs
+    if ! grep -q '^// ---- The execute half' "$segment"; then
+        echo "seam lint: $segment lost its execute-half marker" >&2
+        exit 1
+    fi
+    if awk '/^\/\/ ---- The execute half/ { on = 1 }
+            on && /HarDTape|UserHandle/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+            END { exit !hit }' "$segment"; then
+        echo "seam lint: the execute half of $segment names the device or a session" >&2
+        exit 1
+    fi
+    if grep -rnE 'clippy::(too_many_arguments|type_complexity)' crates/core/src; then
+        echo "seam lint: argument-count / type-complexity waiver under crates/core/src" >&2
         exit 1
     fi
 

@@ -24,7 +24,7 @@ use hardtape::{
 };
 use tape_evm::{Env, Transaction};
 use tape_fleet::{FleetCompletion, FleetConfig, FleetError, FleetRouter, FleetStats, HealthState};
-use tape_node::{BlockFeed, FeedSet, FeedSetConfig, Node};
+use tape_node::{BlockFeed, FeedSet, Node};
 use tape_primitives::{Address, B256, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::interleave;
@@ -207,7 +207,6 @@ fn fleet_bomb(tenant: usize) -> Bundle {
 fn fleet_feedset() -> FeedSet {
     FeedSet::new(
         (0..3).map(|_| BlockFeed::new(Node::new(fleet_genesis(), Env::default()))).collect(),
-        FeedSetConfig::default(),
     )
 }
 

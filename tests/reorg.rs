@@ -12,7 +12,7 @@ use hardtape::{
     Bundle, ForkPoint, HarDTape, SecurityConfig, ServiceConfig, ServiceError, SyncOutcome,
 };
 use tape_evm::{Env, Transaction};
-use tape_node::{BlockFeed, FeedSet, FeedSetConfig, Node, QuarantineReason};
+use tape_node::{BlockFeed, FeedSet, Node, QuarantineReason};
 use tape_primitives::{Address, U256};
 use tape_sim::fault::{Ablation, FaultKind, FaultPlan, FaultSite};
 use tape_sim::telemetry::audit::{audit_events, AuditConfig, Violation};
@@ -65,7 +65,6 @@ fn full_device_under(ablation: Option<Ablation>) -> HarDTape {
 fn three_feeds() -> FeedSet {
     FeedSet::new(
         (0..3).map(|_| BlockFeed::new(Node::new(genesis(), Env::default()))).collect(),
-        FeedSetConfig::default(),
     )
 }
 
@@ -304,7 +303,6 @@ fn equivocation_without_quorum_is_a_typed_error() {
     // service surfaces the evidence instead of a generic outage.
     let mut feeds = FeedSet::new(
         (0..2).map(|_| BlockFeed::new(Node::new(genesis(), Env::default()))).collect(),
-        FeedSetConfig::default(),
     );
     let mut device = full_device();
     grow_branch_a(&mut device, &mut feeds, 2);

@@ -23,7 +23,7 @@ use hardtape::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use tape_evm::{Env, Transaction};
-use tape_node::{BlockFeed, BreakerState, FeedSet, FeedSetConfig, Node};
+use tape_node::{BlockFeed, BreakerState, FeedSet, Node};
 use tape_primitives::{Address, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::interleave;
@@ -79,7 +79,6 @@ fn soak_feed() -> BlockFeed {
 fn soak_feedset() -> FeedSet {
     FeedSet::new(
         (0..3).map(|_| BlockFeed::new(Node::new(soak_genesis(), Env::default()))).collect(),
-        FeedSetConfig::default(),
     )
 }
 
