@@ -121,6 +121,37 @@ fn signature_present_only_with_es_and_above() {
 }
 
 #[test]
+fn channel_charges_the_sealed_payload_not_the_header() {
+    // The fixed per-message charge covers the header check and the DMA
+    // setup; only the sealed payload and its 16-byte tag are billed per
+    // byte, in both directions.
+    use tape_sim::telemetry::{PhaseKind, TelemetryEvent};
+    let bundle = erc20_transfer_bundle();
+    for level in [SecurityConfig::E, SecurityConfig::Es] {
+        let cost = ServiceConfig::at_level(level).hevm.cost;
+        let sealed_ns = |len: usize| cost.aes_message_ns + cost.aes_per_byte_ns * (len as u64 + 16);
+        let mut device = small_service(level);
+        let mut user = device.connect_user(b"channel charge").unwrap();
+        let report = device.pre_execute(&mut user, &bundle).unwrap();
+        let phase_ns = |kind: PhaseKind| {
+            let durations: Vec<u64> = device
+                .telemetry()
+                .events()
+                .into_iter()
+                .filter_map(|event| match event {
+                    TelemetryEvent::Phase { phase, ns, .. } if phase == kind => Some(ns),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(durations.len(), 1, "{level}: one {kind:?} phase per bundle");
+            durations[0]
+        };
+        assert_eq!(phase_ns(PhaseKind::Receive), sealed_ns(bundle.encode().len()), "{level}");
+        assert_eq!(phase_ns(PhaseKind::Seal), sealed_ns(report.encode().len()), "{level}");
+    }
+}
+
+#[test]
 fn direct_and_gateway_execution_agree_at_every_level() {
     // The same seeded bundle sequence through `pre_execute` and through
     // a one-tenant, one-bundle-per-round gateway: one executor, so the
