@@ -55,14 +55,6 @@ impl ValueSet {
         }
     }
 
-    /// The single constant, if the set is a singleton.
-    pub fn as_constant(&self) -> Option<U256> {
-        match self {
-            ValueSet::Values(v) if v.len() == 1 => Some(v[0]),
-            _ => None,
-        }
-    }
-
     /// The enumerated members, `None` for ⊤.
     pub fn values(&self) -> Option<&[U256]> {
         match self {
@@ -158,10 +150,9 @@ mod tests {
 
     #[test]
     fn singleton_accessors() {
-        assert_eq!(set(&[7]).as_constant(), Some(U256::from(7u64)));
-        assert_eq!(set(&[7, 8]).as_constant(), None);
-        assert_eq!(ValueSet::Top.as_constant(), None);
+        assert_eq!(set(&[7]).values(), Some(&[U256::from(7u64)][..]));
         assert_eq!(set(&[7, 8]).values().map(<[U256]>::len), Some(2));
+        assert_eq!(ValueSet::Top.values(), None);
     }
 
     #[test]

@@ -136,7 +136,8 @@ impl RecursiveOram {
     }
 
     /// Entries currently held in the on-chip top map.
-    pub fn top_map_len(&self) -> usize {
+    #[cfg(test)]
+    fn top_map_len(&self) -> usize {
         self.top_map.len()
     }
 
@@ -273,7 +274,8 @@ impl RecursiveOram {
 
     /// The leaves observed by the adversary at every level, flattened —
     /// the complete wire view.
-    pub fn observed_leaves(&self) -> Vec<(usize, u64)> {
+    #[cfg(test)]
+    fn observed_leaves(&self) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
         for (k, level) in self.levels.iter().enumerate() {
             for access in level.server.observed() {

@@ -627,7 +627,7 @@ impl HarDTape {
                 if self.config.security.encryption() {
                     let sealed = user.device_tx.seal(&trace);
                     self.clock
-                        .advance(self.cost.protected_message_ns(sealed.sealed.len()));
+                        .advance(self.cost.protected_message_ns(sealed.payload.len()));
                     let opened =
                         user.from_device.open(&sealed).map_err(ServiceError::Channel)?;
                     debug_assert_eq!(opened, trace);

@@ -5,7 +5,7 @@ use super::{HarDTape, ServiceError};
 use tape_crypto::{PublicKey, SecretKey, SecureRng};
 use tape_sim::fault::{FaultKind, FaultSite};
 use tape_tee::attestation::session_key;
-use tape_tee::channel::Channel;
+use tape_tee::channel::{Channel, MessageType};
 
 /// A connected user: the user-side keys and channel state.
 pub struct UserHandle {
@@ -75,12 +75,12 @@ impl HarDTape {
             session,
             user_public: user_key.public_key(),
             user_key,
-            to_device: Channel::new(&k_user, 0),
-            from_device: Channel::new(&k_user, 1),
+            to_device: Channel::new(&k_user, MessageType::Bundle),
+            from_device: Channel::new(&k_user, MessageType::Report),
             device_key: device_secret,
             device_public: quote.session_key,
-            device_rx: Channel::new(&k_device, 0),
-            device_tx: Channel::new(&k_device, 1),
+            device_rx: Channel::new(&k_device, MessageType::Bundle),
+            device_tx: Channel::new(&k_device, MessageType::Report),
         })
     }
 
@@ -94,7 +94,7 @@ impl HarDTape {
         payload: &[u8],
     ) -> Result<Vec<u8>, ServiceError> {
         let sealed = user.to_device.seal(payload);
-        self.clock.advance(self.cost.protected_message_ns(sealed.sealed.len()));
+        self.clock.advance(self.cost.protected_message_ns(sealed.payload.len()));
 
         let fault = self.faults.as_ref().and_then(|plan| {
             plan.decide_for(
@@ -107,8 +107,8 @@ impl HarDTape {
                 // A3: ciphertext flipped in transit. GCM authentication
                 // fails; the device treats the channel as compromised.
                 let mut tampered = sealed.clone();
-                let len = tampered.sealed.len() as u64;
-                tampered.sealed[(decision.param % len) as usize] ^= 0x01;
+                let len = tampered.payload.len() as u64;
+                tampered.payload[(decision.param % len) as usize] ^= 0x01;
                 match user.device_rx.open(&tampered) {
                     Ok(opened) => Ok(opened),
                     Err(err) => {
@@ -123,7 +123,7 @@ impl HarDTape {
                 // number was never consumed, so the retry opens cleanly —
                 // recovery is transparent, only (virtual) time is lost.
                 self.clock
-                    .advance(self.cost.protected_message_ns(sealed.sealed.len()));
+                    .advance(self.cost.protected_message_ns(sealed.payload.len()));
                 user.device_rx.open(&sealed).map_err(ServiceError::Channel)
             }
             Some(_) => {

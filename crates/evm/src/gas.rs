@@ -275,12 +275,6 @@ impl Gas {
     pub fn forwardable(&self) -> u64 {
         self.remaining - self.remaining / 64
     }
-
-    /// Final refund payout per EIP-3529: at most `used / 5`.
-    pub fn effective_refund(&self) -> u64 {
-        let cap = self.used() / 5;
-        (self.refunded.max(0) as u64).min(cap)
-    }
 }
 
 #[cfg(test)]
@@ -403,15 +397,5 @@ mod tests {
     fn forwardable_keeps_64th() {
         let gas = Gas::new(6400);
         assert_eq!(gas.forwardable(), 6400 - 100);
-    }
-
-    #[test]
-    fn refund_cap() {
-        let mut gas = Gas::new(1000);
-        assert!(gas.charge(500));
-        gas.refund(1_000_000);
-        assert_eq!(gas.effective_refund(), 100); // 500 / 5
-        gas.refund(-2_000_000);
-        assert_eq!(gas.effective_refund(), 0); // negative clamps to zero
     }
 }

@@ -25,8 +25,6 @@ use tape_evm::{Env, Evm, StructTracer, Transaction, TxResult};
 use tape_mpt::SecureTrie;
 use tape_primitives::{rlp, Address, B256};
 use tape_state::{Account, InMemoryState};
-#[cfg(test)]
-use tape_state::StateReader;
 
 /// A block header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -267,7 +265,7 @@ impl Node {
     }
 
     /// The environment a new block would execute under.
-    pub fn next_env(&self) -> Env {
+    fn next_env(&self) -> Env {
         let mut env = self.base_env.clone();
         env.block_number = self.base_env.block_number + self.blocks.len() as u64;
         env.timestamp = self.base_env.timestamp + 12 * self.blocks.len() as u64;
@@ -413,17 +411,6 @@ impl Node {
         })
     }
 
-    /// Proves one account of the *current* state against the head root.
-    pub fn prove_account(&self, address: &Address) -> Option<ProvenAccount> {
-        let account = self.state.account_full(address)?.clone();
-        let trie = build_state_trie(&self.state);
-        Some(ProvenAccount {
-            address: *address,
-            account,
-            proof: trie.prove(address.as_bytes()),
-        })
-    }
-
     /// The `debug_traceTransaction` ground-truth API (paper §VI-B):
     /// re-executes block `block_index` up to and including transaction
     /// `tx_index` on the pre-block snapshot, returning the final
@@ -472,6 +459,7 @@ mod tests {
     use tape_evm::asm::Asm;
     use tape_evm::opcode::op;
     use tape_primitives::U256;
+    use tape_state::StateReader;
 
     fn genesis() -> (InMemoryState, Address, Address) {
         let mut state = InMemoryState::new();
@@ -659,21 +647,5 @@ mod tests {
         let delta = node.head_state_delta().expect("branch delta");
         delta.verify().expect("branch delta verifies");
         assert_eq!(node.state().account(&bob).unwrap().balance, U256::from(2_009u64));
-    }
-
-    #[test]
-    fn prove_account_current_state() {
-        let (state, alice, _) = genesis();
-        let node = Node::new(state, Env::default());
-        let proven = node.prove_account(&alice).unwrap();
-        let root = node.state().state_root();
-        let value = tape_mpt::verify_proof(
-            root,
-            keccak256(alice.as_bytes()).as_bytes(),
-            &proven.proof,
-        )
-        .unwrap();
-        assert_eq!(value, Some(proven.account.rlp_encode()));
-        assert!(node.prove_account(&Address::from_low_u64(0xDEAD)).is_none());
     }
 }

@@ -167,11 +167,6 @@ impl U256 {
         self.try_into_u64().and_then(|v| usize::try_from(v).ok())
     }
 
-    /// Saturating conversion to `u64` (values above `u64::MAX` clamp).
-    pub fn saturating_to_u64(self) -> u64 {
-        self.try_into_u64().unwrap_or(u64::MAX)
-    }
-
     /// Addition returning the wrapped value and whether overflow occurred.
     #[inline]
     pub fn overflowing_add(self, rhs: Self) -> (Self, bool) {
@@ -1160,6 +1155,5 @@ mod tests {
     fn saturating_ops() {
         assert_eq!(U256::MAX.saturating_add(U256::ONE), U256::MAX);
         assert_eq!(U256::ZERO.saturating_sub(U256::ONE), U256::ZERO);
-        assert_eq!(U256::MAX.saturating_to_u64(), u64::MAX);
     }
 }

@@ -296,24 +296,6 @@ impl FixedHistogram {
     pub fn buckets(&self) -> &[u64; FixedHistogram::BOUNDS + 1] {
         &self.buckets
     }
-
-    /// Upper bound (inclusive) such that at least `q` (0..=1) of the
-    /// samples fall at or below it, resolved at bucket granularity;
-    /// `u64::MAX` when the quantile lands in the overflow bucket.
-    pub fn quantile_bound(&self, bounds: &[u64; FixedHistogram::BOUNDS], q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i < FixedHistogram::BOUNDS { bounds[i] } else { u64::MAX };
-            }
-        }
-        u64::MAX
-    }
 }
 
 /// The heap-free metrics registry: fixed arrays indexed by the id enums.
@@ -1027,11 +1009,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), 500);
         assert_eq!(h.max(), 10_000_000_000);
-        let bounds = HistId::BundleLatencyNs.bounds();
-        // Median lands in the 4_000 bucket (samples 2k, 2k).
-        assert_eq!(h.quantile_bound(bounds, 0.5), 4_000);
-        // The overflow sample drives the p99 bound to MAX.
-        assert_eq!(h.quantile_bound(bounds, 0.99), u64::MAX);
         // Overflow bucket holds exactly one sample.
         assert_eq!(h.buckets()[FixedHistogram::BOUNDS], 1);
     }

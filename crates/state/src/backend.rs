@@ -159,23 +159,6 @@ impl StateReader for InMemoryState {
     }
 }
 
-/// An empty state: every account is absent. Useful as the base of
-/// synthetic tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EmptyState;
-
-impl StateReader for EmptyState {
-    fn account(&self, _address: &Address) -> Option<AccountInfo> {
-        None
-    }
-    fn code(&self, _address: &Address) -> Arc<Vec<u8>> {
-        Arc::default()
-    }
-    fn storage(&self, _address: &Address, _key: &U256) -> U256 {
-        U256::ZERO
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,13 +222,5 @@ mod tests {
         state.put_block_hash(100, h);
         assert_eq!(state.block_hash(100), h);
         assert_eq!(state.block_hash(101), B256::ZERO);
-    }
-
-    #[test]
-    fn empty_state_reader() {
-        let s = EmptyState;
-        assert!(s.account(&Address::ZERO).is_none());
-        assert!(s.code(&Address::ZERO).is_empty());
-        assert!(s.storage(&Address::ZERO, &U256::ONE).is_zero());
     }
 }

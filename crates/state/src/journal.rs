@@ -532,11 +532,6 @@ impl<R: StateReader> JournaledState<R> {
         balance
     }
 
-    /// Returns `true` if the address was selfdestructed in this bundle.
-    pub fn is_selfdestructed(&self, address: &Address) -> bool {
-        self.selfdestructed.contains(address)
-    }
-
     /// Opens a new frame; pair with [`commit`](Self::commit) or
     /// [`revert`](Self::revert).
     pub fn checkpoint(&mut self) -> Checkpoint {
@@ -850,9 +845,9 @@ mod tests {
         let moved = j.selfdestruct(&alice, &bob);
         assert_eq!(moved, U256::from(1000u64));
         assert_eq!(j.balance(&bob), U256::from(1050u64));
-        assert!(j.is_selfdestructed(&alice));
+        assert_eq!(j.changes().selfdestructs, vec![alice]);
         j.revert(cp);
-        assert!(!j.is_selfdestructed(&alice));
+        assert!(j.changes().selfdestructs.is_empty());
         assert_eq!(j.balance(&alice), U256::from(1000u64));
         assert_eq!(j.balance(&bob), U256::from(50u64));
     }

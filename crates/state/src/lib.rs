@@ -37,7 +37,7 @@ mod journal;
 mod undo;
 
 pub use account::{Account, AccountInfo, Log, EMPTY_CODE_HASH};
-pub use backend::{EmptyState, InMemoryState, StateReader};
+pub use backend::{InMemoryState, StateReader};
 pub use journal::{
     Checkpoint, InsufficientBalance, JournalSuspend, JournaledState, SloadResult, SstoreResult,
     StateChanges,

@@ -25,6 +25,9 @@
 #     (what a pool worker runs) names neither `HarDTape` nor
 #     `UserHandle`, and crates/core/src carries no `too_many_arguments`
 #     or `type_complexity` waiver;
+#   - unwired-fn lint: every `pub` / `pub(crate)` fn under crates/*/src
+#     is named somewhere other than its own tests — a public function
+#     only its unit tests call is a second path beside the live one;
 #   - scratch hygiene: disk-writing tests go through `tape_sim::Scratch`
 #     (per-seed dirs under target/scratch/, kept and printed on failure).
 #
@@ -176,6 +179,57 @@ lint_gates() {
     fi
     if grep -rnE 'clippy::(too_many_arguments|type_complexity)' crates/core/src; then
         echo "seam lint: argument-count / type-complexity waiver under crates/core/src" >&2
+        exit 1
+    fi
+
+    echo "==> unwired-fn lint (every pub / pub(crate) fn under crates/*/src is named outside its own tests)"
+    # A modelled defense beside the live path is neither small nor
+    # evidence: an A.E.DMA and an interrupt queue that only their own
+    # unit tests called once sat next to the channel every bundle took.
+    # The check is by name, so approximate — a shared name passes. A fn
+    # fails when its name appears in no other .rs file of crates/, src/,
+    # tests/, examples/ or benchmark/src/, and nowhere in its own file
+    # above the first `#[cfg(test)]` but its definition. A fn marked
+    # `#[cfg(test)]` is exempt. To clear a failure: delete the fn, make
+    # it a `#[cfg(test)]` helper, or give it a caller.
+    # Allowed, each for its reason, as `path:name` (none).
+    unwired_allowed=()
+    if ! find crates src tests examples benchmark/src -name '*.rs' | sort \
+        | xargs awk -v allowed=" ${unwired_allowed[*]} " '
+            FNR == 1 { in_tests = 0; test_item = 0 }
+            /^#\[cfg\(test\)\]/ { in_tests = 1 }
+            {
+                name = ""
+                if (!in_tests && FILENAME ~ /^crates\/[^\/]+\/src\// &&
+                    match($0, /^[ \t]*pub(\(crate\))? (const )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
+                    name = substr($0, RSTART, RLENGTH)
+                    sub(/.* fn /, "", name)
+                    if (!test_item) { n++; file[n] = FILENAME; line[n] = FNR; fname[n] = name }
+                }
+                if ($0 ~ /^[ \t]*#\[cfg\(test\)\]/) test_item = 1
+                else if ($0 !~ /^[ \t]*#\[/) test_item = 0
+                rest = $0
+                while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                    word = substr(rest, RSTART, RLENGTH)
+                    rest = substr(rest, RSTART + RLENGTH)
+                    if (word == name) { name = ""; continue }  # the definition itself
+                    if (!in_tests) own[FILENAME, word] = 1
+                    if (!((FILENAME, word) in seen)) { seen[FILENAME, word] = 1; files[word]++ }
+                }
+            }
+            END {
+                bad = 0
+                for (i = 1; i <= n; i++) {
+                    elsewhere = files[fname[i]] - ((file[i], fname[i]) in seen)
+                    if (elsewhere > 0 || (file[i], fname[i]) in own) continue
+                    if (index(allowed, " " file[i] ":" fname[i] " ")) continue
+                    print file[i] ":" line[i] ": " fname[i]
+                    bad = 1
+                }
+                exit bad
+            }'; then
+        echo "unwired-fn lint: a pub fn nothing but its own tests names — delete it, make it" >&2
+        echo "  a #[cfg(test)] helper, or give it a caller" >&2
         exit 1
     fi
 
