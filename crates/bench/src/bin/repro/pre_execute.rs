@@ -1,7 +1,7 @@
 //! Deterministic pre-execution report: runs the evaluation set through
 //! a `-full` HarDTAPE device twice in-process, checks that the
-//! telemetry digests agree (replay determinism), runs the §IV-D leakage
-//! auditor over the recorded event stream, and writes
+//! telemetry digests agree (replay determinism), reads the §IV-D leakage
+//! auditor's verdict on the recorded event stream, and writes
 //! `BENCH_pre_execute.json` with bundle-latency percentiles, chip TPS,
 //! and ORAM traffic per bundle — all in virtual time, so the checked-in
 //! file is a pure function of the code and `scripts/verify.sh --bench`
@@ -34,12 +34,10 @@ use hardtape::{
 };
 use tape_bench::{json_escape, percentile, Verdict};
 use tape_evm::{Env, Transaction};
-use tape_oram::OramConfig;
 use tape_primitives::{Address, U256};
 use tape_sim::fault::Ablation;
-use tape_sim::telemetry::audit::{audit_events, AuditConfig, AuditReport, Violation};
+use tape_sim::telemetry::audit::{AuditReport, Violation};
 use tape_sim::telemetry::{CounterId, GaugeId, HistId};
-use tape_sim::CostModel;
 use tape_state::{Account, InMemoryState};
 use tape_workload::{contracts, EvalSet};
 
@@ -69,7 +67,7 @@ struct RunOutcome {
     audit: AuditReport,
 }
 
-fn sweep(set: &EvalSet, ablation: Option<Ablation>, audit_cfg: &AuditConfig) -> RunOutcome {
+fn sweep(set: &EvalSet, ablation: Option<Ablation>) -> RunOutcome {
     let config = ServiceConfig {
         oram_height: 14,
         ablation,
@@ -93,7 +91,6 @@ fn sweep(set: &EvalSet, ablation: Option<Ablation>, audit_cfg: &AuditConfig) -> 
     }
 
     let t = device.telemetry().clone();
-    let audit = audit_events(&t.events(), t.dropped(), audit_cfg);
     let stats = device.oram_stats().expect("full device has ORAM");
     let (issued, drained) = device
         .prefetch_stats()
@@ -115,7 +112,7 @@ fn sweep(set: &EvalSet, ablation: Option<Ablation>, audit_cfg: &AuditConfig) -> 
         execute_mean_ns: t.hist(HistId::ExecuteNs).mean(),
         bundle_mean_ns: t.hist(HistId::BundleLatencyNs).mean(),
         digest: t.digest(),
-        audit,
+        audit: t.audit(),
     }
 }
 
@@ -222,19 +219,8 @@ fn check(out_path: &str, ablation: Option<Ablation>) -> Result<&'static str, Str
     let set = EvalSet::generate(&tape_bench::eval_config());
     println!("pre-execute: {} txs, -full, ablation={}", set.len(), ablation_name.unwrap_or("none"));
 
-    // Burst threshold derived from the cost model: a paced fetch stalls
-    // at least ~avg_gap/4 beyond the bare wire cost, so anything under
-    // 1.15x the per-query cost is "back-to-back" (a drain burst).
-    let cost = CostModel::default();
-    let oram_config = OramConfig { block_size: 1024, bucket_capacity: 4, height: 14 };
-    let query_ns = cost.oram_query_ns(oram_config.blocks_per_access());
-    let audit_cfg = AuditConfig {
-        burst_gap_ns: query_ns + query_ns * 15 / 100,
-        ..AuditConfig::default()
-    };
-
-    let first = sweep(&set, ablation, &audit_cfg);
-    let second = sweep(&set, ablation, &audit_cfg);
+    let first = sweep(&set, ablation);
+    let second = sweep(&set, ablation);
     let digests_match = first.digest == second.digest;
 
     // Gas-bomb tail scenario (skipped on ablation runs — those are

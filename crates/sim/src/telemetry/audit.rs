@@ -1,5 +1,6 @@
 //! Leakage auditor: mechanical checks of the §IV-D indistinguishability
-//! invariants over a recorded [`TelemetryEvent`] stream.
+//! invariants, folded over the [`TelemetryEvent`] stream as it is
+//! recorded.
 //!
 //! The paper's defense against memory-bus traffic analysis rests on four
 //! observable properties, each of which this module verifies from the
@@ -12,9 +13,9 @@
 //! 2. **No code bursts** — demand code-page fetches are never issued in
 //!    tight back-to-back runs longer than a small bound. A burst is a
 //!    maximal run of consecutive `Code`-kind queries whose inter-arrival
-//!    gaps all fall below [`AuditConfig::burst_gap_ns`]; bare wire cost
-//!    with no interleaved pacing is exactly what the starved prefetcher
-//!    produces at frame end.
+//!    gaps all fall below `BURST_GAP_NS`; bare wire cost with no
+//!    interleaved pacing is exactly what the starved prefetcher produces
+//!    at frame end.
 //! 3. **Gap indistinguishability** — the inter-query gap distribution of
 //!    prefetch queries must be statistically indistinct from real
 //!    queries: class means within a ratio band, and each class's
@@ -26,12 +27,12 @@
 //! 5. **Plan coverage** — for every contract whose static analysis
 //!    advertised a page-reachability plan ([`TelemetryEvent::PlanPage`]),
 //!    every real code-page fetch ([`TelemetryEvent::CodePageFetch`])
-//!    must land inside the advertised set. A fetch outside the plan is
-//!    either a leak (the executor touched code the analyzer proved
-//!    unreachable — data-dependent control flow escaping the model) or
-//!    an analyzer soundness bug; both are reportable. Contracts that
-//!    never advertised a plan are exempt.
-//!
+//!    must land inside the set advertised before it. A fetch outside the
+//!    plan is either a leak (the executor touched code the analyzer
+//!    proved unreachable — data-dependent control flow escaping the
+//!    model) or an analyzer soundness bug; both are reportable. A
+//!    contract with no plan yet is exempt. State plans
+//!    ([`TelemetryEvent::PlanKv`]) bind record fetches the same way.
 //! 6. **Reorg lens** — a world-state rollback
 //!    ([`TelemetryEvent::RollbackBegin`] … [`RollbackEnd`]) must look
 //!    exactly like forward block sync on the bus: only sync-shaped page
@@ -40,7 +41,6 @@
 //!    least one page write per account the rollback advertises — a
 //!    rollback applied *outside* the ORAM query path (mirror-only
 //!    restore) produces a visibly empty window and fails the audit.
-//!
 //! 7. **Segment lens** — a gas-slice suspension
 //!    ([`TelemetryEvent::SegmentYield`] … [`SegmentEnd`]) must be
 //!    observable only as ordinary swap traffic: the window must carry at
@@ -49,34 +49,36 @@
 //!    the adversary can correlate with scheduling), and no ORAM query of
 //!    any kind may ride inside the window — checkpointing touches layer
 //!    3 only, so ORAM traffic there types the pause as a preemption.
-//!
-//! 8. **Prefetch floor** — precise static prefetch plans can leave the
-//!    prefetcher nearly idle, starving the gap statistics (check 3) of
-//!    samples. The §IV-D argument stays sound at the two extremes: with
-//!    the class *genuinely idle* (at most
-//!    `PREFETCH_IDLE_FLOOR` queries) there is no prefetch
-//!    distribution for the adversary to type — every query on the wire
-//!    is real traffic already covered by checks 1–2; with a *populated*
-//!    class (`MIN_CLASS_SAMPLES` gap samples or more) the
-//!    statistics apply in full. The region between is underpowered —
-//!    too few queries for the CV/ratio bounds, enough to stand out
-//!    individually — and is flagged rather than silently skipped.
-//!
+//! 8. **Prefetch floor** — precise static plans can leave the prefetcher
+//!    nearly idle, starving check 3 of samples. A *genuinely idle* class
+//!    (at most `PREFETCH_IDLE_FLOOR` queries) has no distribution for the
+//!    adversary to type; a *populated* one (`MIN_CLASS_SAMPLES` gap
+//!    samples or more) gets the statistics in full. The underpowered
+//!    region between is flagged rather than silently skipped.
 //! 9. **Recovery lens** — a disk-store cold-start recovery
-//!    ([`TelemetryEvent::RecoveryBegin`] … [`RecoveryEnd`]) happens
-//!    before the device serves anyone, so no ORAM query of any kind may
-//!    appear inside the window (query traffic there would correlate
-//!    log replay with specific world-state accesses), and the
-//!    window must close. Independently, every disk bucket record must
-//!    be MAC-verified before use: a single
-//!    [`TelemetryEvent::DiskUnverified`] event anywhere in the stream —
-//!    the checksum-ablation negative control — fails the audit, because
-//!    the §IV-D argument assumes all off-chip bytes are authenticated
+//!    ([`TelemetryEvent::RecoveryBegin`] … [`RecoveryEnd`]) runs before
+//!    the device serves anyone, so no ORAM query may appear inside the
+//!    window (it would correlate log replay with specific accesses), and
+//!    the window must close. Independently, one
+//!    [`TelemetryEvent::DiskUnverified`] anywhere — a bucket record used
+//!    without MAC verification, the checksum-ablation negative control —
+//!    fails the audit: §IV-D assumes every off-chip byte is authenticated
 //!    inside the trust boundary.
 //!
-//! A truncated stream (ring-buffer overflow) is itself a violation:
-//! an auditor that silently passes on partial evidence is worse than
-//! none.
+//! **One pass.** [`Telemetry::record`](super::Telemetry::record) feeds
+//! each event to `Auditor::observe` under the lock that extends the
+//! digest chain, so [`Telemetry::audit`](super::Telemetry::audit) judges
+//! every event ever recorded, evicted from the ring or not. The auditor
+//! keeps only what is open — windows, the plans advertised so far, the
+//! previous query's time, exact gap moments — never the stream. A fetch
+//! is therefore judged against the plans advertised *before* it; the
+//! device advertises a bundle's plans at the start of its `Execute`
+//! window, so an honest run never fetches ahead of its plan.
+//!
+//! **Truncation.** Only [`audit_events`], which folds a slice such as a
+//! copy of the ring, can see a partial stream. It reports the lost
+//! events as [`Violation::Truncated`] ahead of every other violation: an
+//! auditor that silently passes on partial evidence is worse than none.
 //!
 //! [`RollbackEnd`]: TelemetryEvent::RollbackEnd
 //! [`SegmentEnd`]: TelemetryEvent::SegmentEnd
@@ -84,20 +86,21 @@
 
 use super::{QueryKind, TelemetryEvent};
 use crate::Nanos;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// The two audit bounds that follow the deployment; the rest are the
-/// constants below.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditConfig {
-    /// Required uniform ORAM block payload size (paper: 1 KB).
-    pub block_size: u32,
-    /// Gaps below this bound count as "tight" for burst detection.
-    /// Should sit just above the bare wire cost of one query, so a
-    /// back-to-back drain is tight but a paced fetch (stall + query)
-    /// is not.
-    pub burst_gap_ns: Nanos,
-}
+/// The audit has no deployment knobs: every bound is a constant below.
+/// The type stays for callers of [`audit_events`] that name it.
+#[derive(Debug, Default)]
+pub struct AuditConfig;
 
+/// Required uniform ORAM block payload size (paper: 1 KB).
+const BLOCK_SIZE: u32 = 1024;
+/// Gaps below this bound count as "tight" for burst detection. It sits
+/// just above the bare wire cost of one query under the default cost
+/// model (RTT + server op + 60 path blocks ≈ 2.27 ms; 2.6 ms ≈ 1.15×
+/// that), so a back-to-back drain is tight but a paced fetch (stall +
+/// query) is not.
+const BURST_GAP_NS: Nanos = 2_600_000;
 /// Maximum tolerated tight code-query run length.
 const MAX_CODE_BURST: usize = 4;
 /// Allowed prefetch-vs-real mean-gap ratio band, ×100: prefetch gaps
@@ -116,17 +119,6 @@ const MIN_CLASS_SAMPLES: usize = 8;
 /// little for the statistical bounds to apply — flagged as
 /// [`Violation::PrefetchClassUnderpowered`].
 const PREFETCH_IDLE_FLOOR: usize = 2;
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            block_size: 1024,
-            // Default cost model: one ORAM query ≈ 2.27 ms on the wire
-            // (RTT + server op + 60 path blocks); 2.6 ms ≈ 1.15× that.
-            burst_gap_ns: 2_600_000,
-        }
-    }
-}
 
 /// One invariant violation found by the auditor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -460,7 +452,7 @@ pub struct AuditStats {
 }
 
 /// The auditor's verdict: violations found plus the numbers behind them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditReport {
     /// Every invariant violation, in stream order (statistical checks
     /// last).
@@ -476,163 +468,68 @@ impl AuditReport {
     }
 }
 
-fn mean_and_cv_x100(samples: &[u64]) -> (f64, u64) {
-    if samples.is_empty() {
-        return (0.0, 0);
-    }
-    let mean = samples.iter().map(|&s| s as f64).sum::<f64>() / samples.len() as f64;
-    if mean == 0.0 {
-        return (0.0, 0);
-    }
-    let var = samples
-        .iter()
-        .map(|&s| {
-            let d = s as f64 - mean;
-            d * d
-        })
-        .sum::<f64>()
-        / samples.len() as f64;
-    (mean, (var.sqrt() / mean * 100.0).round() as u64)
+/// Exact running moments of one gap class: n, Σx and Σx².
+#[derive(Debug, Clone, Copy, Default)]
+struct Moments {
+    n: u64,
+    sum: u128,
+    sum_sq: u128,
 }
 
-/// Replays `events` (with `dropped` ring evictions) against the §IV-D
-/// invariants.
-pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) -> AuditReport {
-    let mut report = AuditReport::default();
-
-    if dropped > 0 {
-        report.violations.push(Violation::Truncated { dropped });
+impl Moments {
+    fn push(&mut self, x: u64) {
+        let x = u128::from(x);
+        self.n += 1;
+        self.sum += x;
+        self.sum_sq += x * x;
     }
 
-    // Plan pre-pass: collect the full advertised plan per contract. Plans
-    // are registered before execution within a bundle, but a run spans
-    // many bundles and a later bundle may extend a plan; the invariant is
-    // set-membership against everything advertised across the run.
-    let mut plans: std::collections::HashMap<[u8; 20], std::collections::BTreeSet<u32>> =
-        std::collections::HashMap::new();
-    // State plans follow the same discipline: per-contract advertised
-    // record sets (the account meta + storage groups), plus an explicit
-    // dynamic exemption when the analyzer could not enumerate the keys.
-    let mut kv_plans: std::collections::HashMap<[u8; 20], (bool, std::collections::BTreeSet<[u8; 32]>)> =
-        std::collections::HashMap::new();
-    let mut kv_dynamic: std::collections::HashSet<[u8; 20]> = std::collections::HashSet::new();
-    for ev in events {
-        match *ev {
-            TelemetryEvent::PlanPage { address, page, .. }
-                if plans.entry(address).or_default().insert(page) =>
-            {
-                report.stats.planned_pages += 1;
-            }
-            TelemetryEvent::PlanKv { address, meta, group, .. } => {
-                let entry = kv_plans.entry(address).or_default();
-                let fresh = if meta {
-                    !std::mem::replace(&mut entry.0, true)
-                } else {
-                    entry.1.insert(group)
-                };
-                if fresh {
-                    report.stats.planned_kv_records += 1;
-                }
-            }
-            TelemetryEvent::PlanKvDynamic { address, .. } => {
-                kv_dynamic.insert(address);
-            }
-            _ => {}
+    /// Mean (exact while Σx < 2^53) and coefficient of variation ×100;
+    /// both 0 for an empty or all-zero class.
+    fn mean_and_cv_x100(&self) -> (f64, u64) {
+        if self.sum == 0 {
+            return (0.0, 0);
         }
+        // n²·variance, exactly: n·Σx² − (Σx)². CV = √that / Σx.
+        let spread = u128::from(self.n) * self.sum_sq - self.sum * self.sum;
+        let cv = (spread as f64).sqrt() / self.sum as f64 * 100.0;
+        (self.sum as f64 / self.n as f64, cv.round() as u64)
     }
+}
 
-    // Single pass: uniform sizes, burst runs, gap classes, swap noise,
-    // plan coverage.
-    let mut last_query: Option<(Nanos, QueryKind)> = None;
-    let mut code_run = 0usize;
-    let mut real_gaps: Vec<u64> = Vec::new();
-    let mut prefetch_gaps: Vec<u64> = Vec::new();
-    // Open rollback window: (begin time, advertised accounts, sync
-    // writes observed so far).
-    let mut rollback: Option<(Nanos, u32, u64)> = None;
-    // Open segment window: (yield time, advertised frames, swap-outs
-    // observed so far).
-    let mut segment: Option<(Nanos, u32, u64)> = None;
-    // Open disk-store recovery window: begin time.
-    let mut recovery: Option<Nanos> = None;
+/// The §IV-D auditor as a fold: [`observe`](Auditor::observe) every
+/// event in stream order, read the verdict with
+/// [`report`](Auditor::report) at any point.
+#[derive(Debug, Default)]
+pub(crate) struct Auditor {
+    /// Violations so far, in stream order, and the running statistics.
+    report: AuditReport,
+    /// Advertised code plans: page indices per contract.
+    plans: HashMap<[u8; 20], BTreeSet<u32>>,
+    /// Advertised state plans per account: (meta planned, groups).
+    kv_plans: HashMap<[u8; 20], (bool, BTreeSet<[u8; 32]>)>,
+    /// Accounts whose state plan declared its keys dynamic.
+    kv_dynamic: HashSet<[u8; 20]>,
+    /// Time of the previous non-sync query.
+    last_query: Option<Nanos>,
+    /// Length of the current tight code-query run.
+    code_run: usize,
+    real_gaps: Moments,
+    prefetch_gaps: Moments,
+    /// Open rollback window: (begin, accounts advertised, sync writes).
+    rollback: Option<(Nanos, u32, u64)>,
+    /// Open segment window: (yield, frames advertised, swap-outs).
+    segment: Option<(Nanos, u32, u64)>,
+    /// Open disk-store recovery window: begin time.
+    recovery: Option<Nanos>,
+}
 
-    for ev in events {
-        match *ev {
-            TelemetryEvent::OramQuery { at, kind, bytes } => {
-                if bytes != cfg.block_size {
-                    report.violations.push(Violation::NonUniformBlock {
-                        at,
-                        kind,
-                        bytes,
-                        expected: cfg.block_size,
-                    });
-                }
-                if let Some((_, _, sync_writes)) = &mut rollback {
-                    if kind == QueryKind::Sync {
-                        *sync_writes += 1;
-                        report.stats.rollback_sync_writes += 1;
-                    } else {
-                        // Anything read-shaped inside the window types
-                        // the operation as a rollback, not a sync.
-                        report.violations.push(Violation::RollbackLeak { at, kind });
-                    }
-                }
-                if segment.is_some() {
-                    // Checkpointing touches layer 3 only; *any* ORAM
-                    // traffic inside the window types the pause.
-                    report.violations.push(Violation::SegmentLeak { at, kind });
-                }
-                if recovery.is_some() {
-                    // Log replay precedes service; query traffic
-                    // inside the window correlates the two.
-                    report.violations.push(Violation::RecoveryLeak { at, kind });
-                }
-                if kind == QueryKind::Sync {
-                    // Sync page writes form their own class: they are
-                    // checked for uniform size (above) and for rollback
-                    // shape, but deliberately do not enter the gap or
-                    // burst statistics — those model in-bundle query
-                    // traffic, and sync happens between bundles.
-                    report.stats.sync_queries += 1;
-                    continue;
-                }
-                match kind {
-                    QueryKind::Kv => report.stats.kv_queries += 1,
-                    QueryKind::Code => report.stats.code_queries += 1,
-                    QueryKind::Prefetch => report.stats.prefetch_queries += 1,
-                    QueryKind::Sync => unreachable!("handled above"),
-                }
-                if let Some((last_at, _)) = last_query {
-                    let gap = at.saturating_sub(last_at);
-                    match kind {
-                        QueryKind::Prefetch => prefetch_gaps.push(gap),
-                        QueryKind::Kv | QueryKind::Code => real_gaps.push(gap),
-                        QueryKind::Sync => unreachable!("sync queries skip gap classes"),
-                    }
-                    // Burst bookkeeping: a Code query extends the tight
-                    // run only when it follows another query within the
-                    // tight-gap bound; anything else restarts the run.
-                    if kind == QueryKind::Code && gap < cfg.burst_gap_ns {
-                        code_run += 1;
-                    } else {
-                        code_run = usize::from(kind == QueryKind::Code);
-                    }
-                } else {
-                    code_run = usize::from(kind == QueryKind::Code);
-                }
-                report.stats.longest_code_burst =
-                    report.stats.longest_code_burst.max(code_run);
-                if code_run == MAX_CODE_BURST + 1 {
-                    // Report each offending burst once, as it crosses
-                    // the bound.
-                    report.violations.push(Violation::CodeBurst {
-                        at,
-                        len: code_run,
-                        limit: MAX_CODE_BURST,
-                    });
-                }
-                last_query = Some((at, kind));
-            }
+impl Auditor {
+    /// Folds one event into the audit.
+    pub(crate) fn observe(&mut self, event: &TelemetryEvent) {
+        let report = &mut self.report;
+        match *event {
+            TelemetryEvent::OramQuery { at, kind, bytes } => self.query(at, kind, bytes),
             TelemetryEvent::Swap { at, out, true_pages, observed_pages } => {
                 report.stats.swaps += 1;
                 if observed_pages < true_pages {
@@ -644,18 +541,37 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
                 }
                 report.stats.noise_pages += u64::from(observed_pages.saturating_sub(true_pages));
                 if out {
-                    if let Some((_, _, cover)) = &mut segment {
+                    if let Some((_, _, cover)) = &mut self.segment {
                         *cover += 1;
                         report.stats.segment_cover_swaps += 1;
                     }
                 }
+            }
+            TelemetryEvent::PlanPage { address, page, .. }
+                if self.plans.entry(address).or_default().insert(page) =>
+            {
+                report.stats.planned_pages += 1;
+            }
+            TelemetryEvent::PlanKv { address, meta, group, .. } => {
+                let entry = self.kv_plans.entry(address).or_default();
+                let fresh = if meta {
+                    !std::mem::replace(&mut entry.0, true)
+                } else {
+                    entry.1.insert(group)
+                };
+                if fresh {
+                    report.stats.planned_kv_records += 1;
+                }
+            }
+            TelemetryEvent::PlanKvDynamic { address, .. } => {
+                self.kv_dynamic.insert(address);
             }
             TelemetryEvent::CodePageFetch { at, address, page } => {
                 report.stats.code_page_fetches += 1;
                 // Only contracts that advertised a plan are bound by it;
                 // an address the analyzer never planned (e.g. discovered
                 // through a dynamic call) stays exempt.
-                if let Some(plan) = plans.get(&address) {
+                if let Some(plan) = self.plans.get(&address) {
                     if !plan.contains(&page) {
                         report.stats.unplanned_fetches += 1;
                         report
@@ -666,12 +582,10 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
             }
             TelemetryEvent::KvFetch { at, address, meta, group } => {
                 report.stats.kv_record_fetches += 1;
-                // Same exemption rule as code plans: only contracts that
-                // advertised a state plan are bound by it, and a plan
-                // that declared its keys dynamic exempts itself — the
-                // exemption is on the record for the report to count.
-                if !kv_dynamic.contains(&address) {
-                    if let Some((meta_planned, groups)) = kv_plans.get(&address) {
+                // Same exemption as code plans; a plan that declared its
+                // keys dynamic exempts itself, on the record.
+                if !self.kv_dynamic.contains(&address) {
+                    if let Some((meta_planned, groups)) = self.kv_plans.get(&address) {
                         let planned = if meta { *meta_planned } else { groups.contains(&group) };
                         if !planned {
                             report.stats.unplanned_kv_fetches += 1;
@@ -688,15 +602,14 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
             TelemetryEvent::RollbackBegin { at, accounts, .. } => {
                 // A begin inside an open window means the previous one
                 // never terminated.
-                if let Some((begun, _, _)) = rollback.replace((at, accounts, 0)) {
+                if let Some((begun, _, _)) = self.rollback.replace((at, accounts, 0)) {
                     report.violations.push(Violation::UnterminatedRollback { at: begun });
                 }
                 report.stats.rollbacks += 1;
             }
             TelemetryEvent::RollbackEnd { at, .. } => {
-                // A stray end (begin evicted from the ring) is already
-                // covered by the Truncated violation.
-                if let Some((_, expected, observed)) = rollback.take() {
+                // A stray end is covered by the Truncated violation.
+                if let Some((_, expected, observed)) = self.rollback.take() {
                     if observed < u64::from(expected) {
                         report.violations.push(Violation::RollbackUncovered {
                             at,
@@ -709,15 +622,13 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
             TelemetryEvent::SegmentYield { at, frames, .. } => {
                 // A yield inside an open window means the previous
                 // segment never closed.
-                if let Some((begun, _, _)) = segment.replace((at, frames, 0)) {
+                if let Some((begun, _, _)) = self.segment.replace((at, frames, 0)) {
                     report.violations.push(Violation::UnterminatedSegment { at: begun });
                 }
                 report.stats.segments += 1;
             }
             TelemetryEvent::SegmentEnd { at, .. } => {
-                // A stray end (yield evicted from the ring) is already
-                // covered by the Truncated violation.
-                if let Some((_, expected, observed)) = segment.take() {
+                if let Some((_, expected, observed)) = self.segment.take() {
                     if observed < u64::from(expected) {
                         report.violations.push(Violation::CheckpointUncovered {
                             at,
@@ -730,15 +641,13 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
             TelemetryEvent::RecoveryBegin { at, .. } => {
                 // A begin inside an open window means the previous one
                 // never terminated.
-                if let Some(begun) = recovery.replace(at) {
+                if let Some(begun) = self.recovery.replace(at) {
                     report.violations.push(Violation::UnterminatedRecovery { at: begun });
                 }
                 report.stats.recoveries += 1;
             }
             TelemetryEvent::RecoveryEnd { replayed, .. } => {
-                // A stray end (begin evicted from the ring) is already
-                // covered by the Truncated violation.
-                recovery.take();
+                self.recovery = None;
                 report.stats.recovery_replayed += u64::from(replayed);
             }
             TelemetryEvent::DiskUnverified { at, bucket } => {
@@ -749,81 +658,171 @@ pub fn audit_events(events: &[TelemetryEvent], dropped: u64, cfg: &AuditConfig) 
         }
     }
 
-    if let Some((begun, _, _)) = rollback {
-        report.violations.push(Violation::UnterminatedRollback { at: begun });
-    }
-    if let Some((begun, _, _)) = segment {
-        report.violations.push(Violation::UnterminatedSegment { at: begun });
-    }
-    if let Some(begun) = recovery {
-        report.violations.push(Violation::UnterminatedRecovery { at: begun });
-    }
-
-    // Statistical checks, applied only with enough evidence per class.
-    let (real_mean, real_cv) = mean_and_cv_x100(&real_gaps);
-    let (pf_mean, pf_cv) = mean_and_cv_x100(&prefetch_gaps);
-    report.stats.real_gap_mean_ns = real_mean;
-    report.stats.prefetch_gap_mean_ns = pf_mean;
-    if real_gaps.len() >= MIN_CLASS_SAMPLES && prefetch_gaps.len() >= MIN_CLASS_SAMPLES {
-        report.stats.real_gap_cv_x100 = real_cv;
-        report.stats.prefetch_gap_cv_x100 = pf_cv;
-        if real_mean > 0.0 {
-            let ratio_x100 = (pf_mean / real_mean * 100.0).round() as u64;
-            let (lo, hi) = GAP_MEAN_RATIO_X100;
-            if ratio_x100 < lo || ratio_x100 > hi {
-                report
-                    .violations
-                    .push(Violation::GapMeanRatio { ratio_x100, band: (lo, hi) });
+    /// One ORAM query: uniform size, window leaks, gap classes, bursts.
+    fn query(&mut self, at: Nanos, kind: QueryKind, bytes: u32) {
+        let report = &mut self.report;
+        if bytes != BLOCK_SIZE {
+            report.violations.push(Violation::NonUniformBlock {
+                at,
+                kind,
+                bytes,
+                expected: BLOCK_SIZE,
+            });
+        }
+        if let Some((_, _, sync_writes)) = &mut self.rollback {
+            if kind == QueryKind::Sync {
+                *sync_writes += 1;
+                report.stats.rollback_sync_writes += 1;
+            } else {
+                // Anything read-shaped inside the window types the
+                // operation as a rollback, not a sync.
+                report.violations.push(Violation::RollbackLeak { at, kind });
             }
         }
-        if real_cv > MAX_CV_X100 {
-            report.violations.push(Violation::GapCv {
-                prefetch_class: false,
-                cv_x100: real_cv,
-                limit: MAX_CV_X100,
+        if self.segment.is_some() {
+            // Checkpointing touches layer 3 only; *any* ORAM traffic
+            // inside the window types the pause.
+            report.violations.push(Violation::SegmentLeak { at, kind });
+        }
+        if self.recovery.is_some() {
+            // Log replay precedes service; query traffic inside the
+            // window correlates the two.
+            report.violations.push(Violation::RecoveryLeak { at, kind });
+        }
+        match kind {
+            QueryKind::Kv => report.stats.kv_queries += 1,
+            QueryKind::Code => report.stats.code_queries += 1,
+            QueryKind::Prefetch => report.stats.prefetch_queries += 1,
+            QueryKind::Sync => {
+                // Sync page writes are checked for size and rollback
+                // shape only: the gap and burst statistics model
+                // in-bundle traffic, and sync happens between bundles.
+                report.stats.sync_queries += 1;
+                return;
+            }
+        }
+        let is_code = kind == QueryKind::Code;
+        match self.last_query {
+            Some(last_at) => {
+                let gap = at.saturating_sub(last_at);
+                if kind == QueryKind::Prefetch {
+                    self.prefetch_gaps.push(gap);
+                } else {
+                    self.real_gaps.push(gap);
+                }
+                // A Code query extends the tight run only when it follows
+                // another query within the tight-gap bound; anything else
+                // restarts the run.
+                if is_code && gap < BURST_GAP_NS {
+                    self.code_run += 1;
+                } else {
+                    self.code_run = usize::from(is_code);
+                }
+            }
+            None => self.code_run = usize::from(is_code),
+        }
+        report.stats.longest_code_burst = report.stats.longest_code_burst.max(self.code_run);
+        if self.code_run == MAX_CODE_BURST + 1 {
+            // Report each offending burst once, as it crosses the bound.
+            report.violations.push(Violation::CodeBurst {
+                at,
+                len: self.code_run,
+                limit: MAX_CODE_BURST,
             });
         }
-        if pf_cv > MAX_CV_X100 {
-            report.violations.push(Violation::GapCv {
-                prefetch_class: true,
-                cv_x100: pf_cv,
-                limit: MAX_CV_X100,
-            });
-        }
+        self.last_query = Some(at);
     }
 
-    // Swap noise must exist across the run once there are enough swaps
-    // for all-zero noise to be a signal rather than chance.
-    if report.stats.swaps >= MIN_CLASS_SAMPLES as u64 && report.stats.noise_pages == 0 {
+    /// The verdict on everything observed so far: windows still open are
+    /// reported unterminated, then the statistical checks run. The fold
+    /// itself is left as it was.
+    pub(crate) fn report(&self) -> AuditReport {
+        let mut report = self.report.clone();
+        if let Some((at, _, _)) = self.rollback {
+            report.violations.push(Violation::UnterminatedRollback { at });
+        }
+        if let Some((at, _, _)) = self.segment {
+            report.violations.push(Violation::UnterminatedSegment { at });
+        }
+        if let Some(at) = self.recovery {
+            report.violations.push(Violation::UnterminatedRecovery { at });
+        }
+
+        // Statistical checks, applied only with enough evidence per class.
+        let enough = |class: &Moments| class.n >= MIN_CLASS_SAMPLES as u64;
+        let (real_mean, real_cv) = self.real_gaps.mean_and_cv_x100();
+        let (pf_mean, pf_cv) = self.prefetch_gaps.mean_and_cv_x100();
+        report.stats.real_gap_mean_ns = real_mean;
+        report.stats.prefetch_gap_mean_ns = pf_mean;
+        if enough(&self.real_gaps) && enough(&self.prefetch_gaps) {
+            report.stats.real_gap_cv_x100 = real_cv;
+            report.stats.prefetch_gap_cv_x100 = pf_cv;
+            if real_mean > 0.0 {
+                let ratio_x100 = (pf_mean / real_mean * 100.0).round() as u64;
+                let (lo, hi) = GAP_MEAN_RATIO_X100;
+                if ratio_x100 < lo || ratio_x100 > hi {
+                    report
+                        .violations
+                        .push(Violation::GapMeanRatio { ratio_x100, band: (lo, hi) });
+                }
+            }
+            for (prefetch_class, cv_x100) in [(false, real_cv), (true, pf_cv)] {
+                if cv_x100 > MAX_CV_X100 {
+                    report.violations.push(Violation::GapCv {
+                        prefetch_class,
+                        cv_x100,
+                        limit: MAX_CV_X100,
+                    });
+                }
+            }
+        }
+
+        // Swap noise must exist across the run once there are enough swaps
+        // for all-zero noise to be a signal rather than chance.
+        if report.stats.swaps >= MIN_CLASS_SAMPLES as u64 && report.stats.noise_pages == 0 {
+            report
+                .violations
+                .push(Violation::SwapNoiseAbsent { swaps: report.stats.swaps });
+        }
+
+        // Prefetch floor (lens 8): a class on the wire that nothing above
+        // verified, judged only once enough real traffic ran for the
+        // comparison to have been expected at all.
+        if enough(&self.real_gaps)
+            && report.stats.prefetch_queries > PREFETCH_IDLE_FLOOR as u64
+            && !enough(&self.prefetch_gaps)
+        {
+            report.violations.push(Violation::PrefetchClassUnderpowered {
+                queries: report.stats.prefetch_queries,
+                floor: PREFETCH_IDLE_FLOOR,
+                needed: MIN_CLASS_SAMPLES,
+            });
+        }
+
         report
-            .violations
-            .push(Violation::SwapNoiseAbsent { swaps: report.stats.swaps });
     }
+}
 
-    // Prefetch floor (§IV-D re-examination): with precise plans the
-    // prefetcher may be nearly idle. At or below the idle floor the gap
-    // statistics are *vacuously* satisfied — no distribution exists to
-    // type. In between the floor and the sample minimum the skip is no
-    // longer vacuous: the class exists on the wire but nothing was
-    // verified about it. Only meaningful once the run carries enough
-    // real traffic for the comparison to have been expected at all.
-    if real_gaps.len() >= MIN_CLASS_SAMPLES
-        && report.stats.prefetch_queries > PREFETCH_IDLE_FLOOR as u64
-        && prefetch_gaps.len() < MIN_CLASS_SAMPLES
-    {
-        report.violations.push(Violation::PrefetchClassUnderpowered {
-            queries: report.stats.prefetch_queries,
-            floor: PREFETCH_IDLE_FLOOR,
-            needed: MIN_CLASS_SAMPLES,
-        });
+/// Audits a recorded slice — such as a copy of the ring, with `dropped`
+/// events lost before it — against the §IV-D invariants. Lost events
+/// make the slice partial evidence: [`Violation::Truncated`] leads the
+/// report. The live audit of a [`Telemetry`](super::Telemetry) sink is
+/// [`Telemetry::audit`](super::Telemetry::audit), which sees every event.
+pub fn audit_events(events: &[TelemetryEvent], dropped: u64, _cfg: &AuditConfig) -> AuditReport {
+    let mut auditor = Auditor::default();
+    if dropped > 0 {
+        auditor.report.violations.push(Violation::Truncated { dropped });
     }
-
-    report
+    for event in events {
+        auditor.observe(event);
+    }
+    auditor.report()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Telemetry;
 
     fn q(at: Nanos, kind: QueryKind) -> TelemetryEvent {
         TelemetryEvent::OramQuery { at, kind, bytes: 1024 }
@@ -1004,17 +1003,26 @@ mod tests {
     }
 
     #[test]
-    fn plan_after_fetch_still_counts() {
-        // The invariant is run-wide set membership, not ordering: a plan
-        // extension later in the stream covers an earlier fetch.
+    fn fetch_is_judged_against_plans_advertised_before_it() {
+        // One pass: a fetch ahead of its contract's first plan is exempt,
+        // and the same fetch once a plan leaves its page out is flagged.
         let addr = [0xcc; 20];
-        let events = [
-            TelemetryEvent::PlanPage { at: 100, address: addr, page: 0 },
-            TelemetryEvent::CodePageFetch { at: 1_000, address: addr, page: 4 },
-            TelemetryEvent::PlanPage { at: 5_000, address: addr, page: 4 },
-        ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let fetch = TelemetryEvent::CodePageFetch { at: 1_000, address: addr, page: 4 };
+        let plan = TelemetryEvent::PlanPage { at: 100, address: addr, page: 0 };
+        let report = audit_events(&[fetch, plan], 0, &AuditConfig::default());
         assert!(report.passed(), "violations: {:?}", report.violations);
+        let report = audit_events(&[plan, fetch], 0, &AuditConfig::default());
+        assert_eq!(
+            report.violations,
+            [Violation::UnplannedCodePage { at: 1_000, address: addr, page: 4 }]
+        );
+
+        // State plans follow the same order rule.
+        let fetch = TelemetryEvent::KvFetch { at: 1_000, address: addr, meta: true, group: [0; 32] };
+        let plan = TelemetryEvent::PlanKv { at: 100, address: addr, meta: false, group: group_id(1) };
+        assert!(audit_events(&[fetch, plan], 0, &AuditConfig::default()).passed());
+        let report = audit_events(&[plan, fetch], 0, &AuditConfig::default());
+        assert!(matches!(report.violations[..], [Violation::UnplannedStateAccess { meta: true, .. }]));
     }
 
     fn group_id(g: u8) -> [u8; 32] {
@@ -1353,6 +1361,61 @@ mod tests {
             .iter()
             .any(|v| matches!(v, Violation::UnverifiedDiskRead { bucket: 42, .. })));
         assert_eq!(report.stats.unverified_disk_reads, 1);
+    }
+
+    #[test]
+    fn live_audit_judges_events_the_ring_evicted() {
+        let t = Telemetry::with_capacity(2);
+        t.record(TelemetryEvent::OramQuery { at: 1_000, kind: QueryKind::Kv, bytes: 512 });
+        for i in 1..=100 {
+            t.record(q(i * 2_300_000, QueryKind::Kv));
+        }
+        let live = t.audit();
+        assert_eq!(
+            live.violations,
+            [Violation::NonUniformBlock {
+                at: 1_000,
+                kind: QueryKind::Kv,
+                bytes: 512,
+                expected: 1024
+            }]
+        );
+        assert_eq!(live.stats.kv_queries, 101);
+        // The ring's copy lost the offending query: partial evidence.
+        let sliced = audit_events(&t.events(), t.dropped(), &AuditConfig::default());
+        assert_eq!(sliced.violations, [Violation::Truncated { dropped: 99 }]);
+    }
+
+    #[test]
+    fn live_audit_equals_the_slice_audit_when_the_ring_holds_everything() {
+        let t = Telemetry::new();
+        let addr = [0xab; 20];
+        t.record(TelemetryEvent::PlanPage { at: 0, address: addr, page: 0 });
+        let mut at = 0;
+        for i in 0..30u64 {
+            at += 2_300_000;
+            t.record(q(at, QueryKind::Kv));
+            at += 2_270_000;
+            t.record(q(at, QueryKind::Prefetch));
+            t.record(cover_swap(at + 1));
+            if i % 3 == 0 {
+                at += 3_000_000;
+                t.record(q(at, QueryKind::Code));
+                t.record(TelemetryEvent::CodePageFetch { at, address: addr, page: i as u32 % 2 });
+            }
+        }
+        t.record(TelemetryEvent::RollbackBegin { at, height: 1, depth: 1, accounts: 1 });
+        // An open window reads as unterminated, and reading leaves it open.
+        let open = t.audit();
+        assert_eq!(open, audit_events(&t.events(), 0, &AuditConfig::default()));
+        assert_eq!(open.stats.unplanned_fetches, 5, "page 1 was never planned");
+        assert!(matches!(open.violations.last(), Some(Violation::UnterminatedRollback { .. })));
+        t.record(sync(at + 1_000));
+        t.record(TelemetryEvent::RollbackEnd { at: at + 2_000, pages: 1 });
+        let closed = t.audit();
+        assert_eq!(closed, audit_events(&t.events(), 0, &AuditConfig::default()));
+        assert_eq!(closed.violations.len(), 5);
+        assert!(closed.stats.real_gap_cv_x100 > 0, "the CV was computed");
     }
 
     #[test]

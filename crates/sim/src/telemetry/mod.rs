@@ -15,8 +15,9 @@
 //!   each event: two runs of the same seed must produce byte-identical
 //!   digests, which makes cross-process replay comparison one string
 //!   compare (the same trick as the gateway [`EventLog`]).
-//! * [`audit`] — the leakage auditor that replays the event stream and
-//!   checks the §IV-D indistinguishability invariants mechanically.
+//! * [`audit`] — the leakage auditor, folded over every event as it is
+//!   recorded ([`Telemetry::audit`]), which checks the §IV-D
+//!   indistinguishability invariants mechanically.
 //!
 //! All timestamps are virtual-clock [`Nanos`]; nothing here reads wall
 //! time, so the whole stream is deterministic by construction.
@@ -29,9 +30,10 @@ use crate::Nanos;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// Default ring-buffer capacity (events). Soak + bench runs stay well
-/// under this; overflow is recorded in [`Telemetry::dropped`] and flagged
-/// by the auditor rather than silently skewing the digest.
+/// Default ring-buffer capacity (events). Overflow is counted in
+/// [`Telemetry::dropped`]; the digest chain and the live audit cover
+/// every event regardless, so only the copy [`Telemetry::events`] is
+/// partial.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 18;
 
 /// Declares a densely indexed id enum from one table: each row is a
@@ -751,6 +753,9 @@ struct TelemetryInner {
     dropped: u64,
     recorded: u64,
     digest: [u8; 32],
+    /// The chain's input, reused: previous digest ‖ event encoding.
+    scratch: Vec<u8>,
+    auditor: audit::Auditor,
 }
 
 /// A cloneable handle to one shared telemetry sink.
@@ -782,6 +787,8 @@ impl Telemetry {
                 dropped: 0,
                 recorded: 0,
                 digest: [0; 32],
+                scratch: Vec::new(),
+                auditor: audit::Auditor::default(),
             })),
         }
     }
@@ -805,15 +812,17 @@ impl Telemetry {
         self.lock().registry.observe(id, value);
     }
 
-    /// Appends an event to the ring and extends the digest chain.
-    /// The digest covers *every* recorded event, including any the ring
-    /// later evicts.
+    /// Appends an event to the ring, extends the digest chain and folds
+    /// the event into the audit. The digest and the audit cover *every*
+    /// recorded event, including any the ring later evicts.
     pub fn record(&self, event: TelemetryEvent) {
-        let mut inner = self.lock();
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&inner.digest);
-        event.encode(&mut buf);
-        inner.digest = tape_crypto::keccak256(&buf).into_bytes();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.scratch.clear();
+        inner.scratch.extend_from_slice(&inner.digest);
+        event.encode(&mut inner.scratch);
+        inner.digest = tape_crypto::keccak256(&inner.scratch).into_bytes();
+        inner.auditor.observe(&event);
         inner.recorded += 1;
         if inner.events.len() >= inner.capacity {
             inner.events.pop_front();
@@ -847,7 +856,12 @@ impl Telemetry {
         self.lock().events.iter().copied().collect()
     }
 
-    /// Events evicted from the ring (0 in a healthy run).
+    /// The §IV-D audit of every event recorded so far.
+    pub fn audit(&self) -> audit::AuditReport {
+        self.lock().auditor.report()
+    }
+
+    /// Events evicted from the ring.
     pub fn dropped(&self) -> u64 {
         self.lock().dropped
     }

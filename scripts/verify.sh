@@ -28,6 +28,9 @@
 #   - unwired-fn lint: every `pub` / `pub(crate)` fn under crates/*/src
 #     is named somewhere other than its own tests — a public function
 #     only its unit tests call is a second path beside the live one;
+#   - audit-path lint: `audit_events` (the audit of a recorded slice) is
+#     named only in crates/sim/src/telemetry/audit.rs and benchmark/src;
+#     everything else reads the live audit, `Telemetry::audit()`;
 #   - scratch hygiene: disk-writing tests go through `tape_sim::Scratch`
 #     (per-seed dirs under target/scratch/, kept and printed on failure).
 #
@@ -57,7 +60,9 @@
 #            two checked-in virtual-time reports are regenerated and must
 #            not differ from git by a byte, then the three negative
 #            controls, which exit 0 only when the audit FAILED the way
-#            the removed protection predicts.
+#            the removed protection predicts, then the paper-scale
+#            (TAPE_EVAL_SCALE=full) pre-execute run, which must print
+#            REPRODUCED with its whole event stream audited (minutes).
 #
 # Everything is hermetic: no network access is required.
 
@@ -230,6 +235,17 @@ lint_gates() {
             }'; then
         echo "unwired-fn lint: a pub fn nothing but its own tests names — delete it, make it" >&2
         echo "  a #[cfg(test)] helper, or give it a caller" >&2
+        exit 1
+    fi
+
+    echo "==> audit-path lint (audit_events is named only in telemetry/audit.rs and benchmark/src)"
+    # One audit path: the auditor folds every event under the digest
+    # chain's lock, and `Telemetry::audit()` reads that verdict. The
+    # slice form re-reads a copy of the bounded ring, which a long run
+    # outgrows; only its own unit tests and the benchmark harness name it.
+    if grep -rnw --include='*.rs' audit_events src crates tests examples \
+        | grep -v '^crates/sim/src/telemetry/audit.rs:'; then
+        echo "audit-path lint: read the live report with Telemetry::audit()" >&2
         exit 1
     fi
 
@@ -431,6 +447,8 @@ if [[ "$RUN_BENCH" -eq 1 ]]; then
         echo "==> negative control: --ablation $ablation (the auditor must detect the leak)"
         repro pre-execute --ablation "$ablation" --out "target/BENCH_pre_execute.$ablation.json"
     done
+    echo "==> paper-scale pre-execute (TAPE_EVAL_SCALE=full: the audit must judge the whole run)"
+    TAPE_EVAL_SCALE=full repro pre-execute --out target/BENCH_pre_execute.full.json
 fi
 
 echo "==> verify: all gates passed"

@@ -28,7 +28,6 @@ use tape_node::{BlockFeed, FeedSet, Node};
 use tape_primitives::{Address, B256, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::interleave;
-use tape_sim::telemetry::audit::{audit_events, AuditConfig};
 use tape_sim::telemetry::CounterId;
 use tape_state::{Account, InMemoryState};
 use tape_tee::channel::verify_bundle;
@@ -449,9 +448,7 @@ fn fleet_chaos_run(seed: u64, crash: bool) -> FleetRunOutcome {
         if router.health_state(device) == HealthState::Failed {
             continue;
         }
-        let telemetry = router.gateway(device).device().telemetry().clone();
-        let report =
-            audit_events(&telemetry.events(), telemetry.dropped(), &AuditConfig::default());
+        let report = router.gateway(device).device().telemetry().audit();
         assert!(
             report.passed(),
             "seed {seed}: device {device} failed the leakage audit: {:?}",

@@ -28,7 +28,6 @@ use tape_hevm::HevmAbort;
 use tape_primitives::{Address, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::interleave;
-use tape_sim::telemetry::audit::{audit_events, AuditConfig};
 use tape_state::{Account, InMemoryState};
 
 const TENANTS: usize = 3;
@@ -240,8 +239,7 @@ fn pooled_run(rig: Rig, seed: u64, workers: usize) -> (String, Receipts) {
     // §IV-D leakage audit must be green at every worker count — the
     // pool must not perturb the event stream the auditor certifies.
     let telemetry = gateway.device().telemetry().clone();
-    let report =
-        audit_events(&telemetry.events(), telemetry.dropped(), &AuditConfig::default());
+    let report = telemetry.audit();
     assert!(
         report.passed(),
         "workers={workers} seed={seed}: leakage audit failed: {:?}",
