@@ -217,13 +217,14 @@ fn shared_key_clients_use_disjoint_nonce_spaces() {
 
     // Indirect but sufficient check: their wire ciphertexts for the same
     // logical write differ in the nonce field (first 12 bytes of every
-    // slot). One path buffer, as the server fills it: root bucket first,
-    // Z slots a bucket, never-written levels flagged and left alone.
+    // slot). The whole path as the server fills it — root bucket first,
+    // Z slots a bucket, never-written levels flagged and left alone — all
+    // in the root-side half, with an empty leaf-side half.
     let slot_len = config.slot_len();
     let bucket_len = config.bucket_capacity * slot_len;
     let nonces = |server: &mut OramServer| -> Vec<Vec<u8>> {
         let mut path = vec![0u8; config.blocks_per_access() as usize * slot_len];
-        let written = server.read_path(0, 0, &mut path).expect("honest in-memory read");
+        let written = server.read_path(0, 0, &mut path, &mut []).expect("honest in-memory read");
         path.chunks_exact(bucket_len)
             .enumerate()
             .filter(|(level, _)| written >> level & 1 == 1)

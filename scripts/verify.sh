@@ -14,6 +14,12 @@
 #   - determinism lint: no host clock and no ambient entropy anywhere in
 #     the workspace — replay digests assume virtual time and seeded
 #     randomness, and host time is measured from outside by benchmark/;
+#   - thread lint: `thread::spawn`, `thread::scope` and `thread::Builder`
+#     appear under crates/*/src and src/ only in crates/core/src/pool.rs
+#     (the gateway's workers) and crates/oram/src/path_oram.rs (the ORAM
+#     client's crypto lane) — each computes a pure function of its
+#     inputs, and a host thread anywhere else could make a digest depend
+#     on scheduling;
 #   - path shape lint: no `Vec<Vec<u8>>` in crates/oram/src outside the
 #     test modules — a path, a bucket and a staged write are flat slices
 #     of fixed-length slots;
@@ -107,6 +113,19 @@ lint_gates() {
     if grep -rnE 'Instant::now|SystemTime|std::time::Instant|rand::|getrandom|from_entropy' \
         src crates tests examples 2>/dev/null; then
         echo "determinism lint: host time or ambient entropy in the workspace" >&2
+        exit 1
+    fi
+
+    echo "==> thread lint (host threads only in the worker pool and the ORAM crypto lane)"
+    # The two places that start threads compute a result that is a pure
+    # function of their inputs: a pool worker runs one prepared task
+    # against a private virtual clock, and the lane opens or seals half an
+    # ORAM path under nonces it is handed. A host thread anywhere else
+    # could make a digest depend on how the host scheduled it.
+    if grep -rnE 'thread::(spawn|scope|Builder)' crates/*/src src \
+        | grep -vE '^crates/(core/src/pool|oram/src/path_oram)\.rs:'; then
+        echo "thread lint: host threads belong in crates/core/src/pool.rs or" >&2
+        echo "  crates/oram/src/path_oram.rs" >&2
         exit 1
     fi
 
