@@ -126,9 +126,10 @@ pub fn encode_record_into(out: &mut Vec<u8>, key: &[u8; 32], record: &Record<'_>
 
 /// Decodes the record starting at `buf[0]`.
 ///
-/// With `verify` false the MAC bytes are skipped without checking —
-/// the checksum-disabled ablation path; every production caller passes
-/// true.
+/// With `verify` false the MAC bytes are skipped without checking: for
+/// a record whose MAC was already computed or checked, for the records
+/// the other recovery lane checks, and under the checksum-disabled
+/// ablation.
 ///
 /// # Errors
 ///

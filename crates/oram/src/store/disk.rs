@@ -27,17 +27,33 @@
 //! stream as a [`RecoveryBegin`]/[`RecoveryEnd`] window so the §IV-D
 //! auditor can prove no ORAM query leaked into it.
 //!
+//! # Two lanes in recovery
+//!
+//! [`DiskStore::open`] starts one helper thread for the whole recovery
+//! (the one host thread this file starts). Each segment is read once
+//! and handed to it over a one-deep channel; it checks the MACs of the
+//! segment's even-numbered records while the calling thread checks the
+//! odd-numbered ones, applies the segment and records all telemetry.
+//! The helper only reads bytes nothing mutates while it holds them, and
+//! the error reported is the first failing record in log order,
+//! whichever lane found it — so no byte, verdict or event depends on how
+//! the host schedules the two.
+//!
 //! [`commit`]: super::BucketBackend::commit
 //! [`RecoveryBegin`]: TelemetryEvent::RecoveryBegin
 //! [`RecoveryEnd`]: TelemetryEvent::RecoveryEnd
 
 use super::codec::{
-    decode_record, encode_record_into, Decoded, Record, HEADER_LEN, RT_BUCKET, RT_COMMIT,
+    decode_record, encode_record_into, CodecError, Decoded, Record, HEADER_LEN, RT_BUCKET,
+    RT_COMMIT,
 };
 use super::{digest_bucket, overwrite, BucketBackend, Staged, StoreError};
 use crate::OramConfig;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, RwLock};
+use std::thread;
 use tape_crypto::Keccak256;
 use tape_primitives::B256;
 use tape_sim::fault::{FaultDecision, FaultKind, FaultPlan, FaultSite};
@@ -52,10 +68,6 @@ pub struct DiskStoreConfig {
     /// Keyed-keccak MAC key for record framing (durability integrity;
     /// the client's AES-GCM remains the security boundary).
     pub key: [u8; 32],
-    /// Tree levels (from the root) whose records are served without
-    /// re-verifying their MAC for as long as they stand unchanged — the
-    /// hot upper levels every access touches.
-    pub tree_top_levels: u32,
     /// Shim: the store reads it nowhere (there is no journal to trim).
     /// It stays, at 8, because the frozen `benchmark/` package still
     /// pads to it; delete it together with `pad_to_trim_boundary`.
@@ -63,8 +75,9 @@ pub struct DiskStoreConfig {
     /// Start a new segment file once the active one holds this many
     /// bytes (checked between transactions; at least 4 KiB).
     pub segment_roll_bytes: usize,
-    /// Verify record MACs on read (`false` only for the
-    /// checksum-disabled ablation, which must fail the audit).
+    /// Verify record MACs in recovery and on reads of unmarked buckets
+    /// (`false` only for the checksum-disabled ablation, which marks no
+    /// bucket, so every read announces itself and fails the audit).
     pub verify_macs: bool,
 }
 
@@ -74,7 +87,6 @@ impl DiskStoreConfig {
         DiskStoreConfig {
             dir: dir.into(),
             key,
-            tree_top_levels: 4,
             wal_trim_every: 8,
             segment_roll_bytes: 1 << 20,
             verify_macs: true,
@@ -111,6 +123,44 @@ fn io_err(op: &'static str, err: std::io::Error) -> StoreError {
 
 fn seg_path(dir: &Path, index: u32) -> PathBuf {
     dir.join(format!("seg-{index:04}.dat"))
+}
+
+fn corrupt(segment: u32, off: usize, what: &dyn core::fmt::Display) -> StoreError {
+    StoreError::Corrupt { detail: format!("segment {segment} offset {off}: {what}") }
+}
+
+/// Why a lock on the resident segment cannot be poisoned: neither lane
+/// panics while holding the write side.
+const UNPOISONED: &str = "the resident segment is replaced only between segments";
+
+/// Whether recovery's helper lane checks the MAC of a segment's `n`th
+/// record (from 0): the even-numbered ones are its, the rest the caller's.
+fn helper_checks(n: usize) -> bool {
+    n.is_multiple_of(2)
+}
+
+/// The helper lane's verdict on one segment: the first record whose
+/// framing, or whose MAC if it is the helper's to check, fails — with its
+/// offset. Up to that record the caller walks the same boundaries.
+fn helper_verdict(key: &[u8; 32], bytes: &[u8], verify: bool) -> Option<(usize, CodecError)> {
+    let (mut off, mut n) = (0, 0);
+    while off < bytes.len() {
+        match decode_record(key, &bytes[off..], verify && helper_checks(n)) {
+            Ok(Decoded::Record(_, used)) => off += used,
+            Ok(Decoded::Incomplete) => break,
+            Err(err) => return Some((off, err)),
+        }
+        n += 1;
+    }
+    None
+}
+
+/// How the caller's walk over one segment ended.
+struct Walk {
+    /// Bytes up to the end of the segment's last commit record.
+    committed: usize,
+    /// Records past it: complete ones, plus one if the segment ends torn.
+    discarded: u32,
 }
 
 impl SimFile {
@@ -158,8 +208,10 @@ pub struct DiskStore {
     /// written), overwritten in place — the in-memory mirror that serves
     /// reads (MAC verified per read unless the bucket is marked below).
     mirror: Vec<Box<[u8]>>,
-    /// For the hot upper tree levels (the first buckets): the mirror
-    /// record's MAC was computed or checked since the record last changed.
+    /// One mark a bucket: the mirror record's MAC was computed or checked
+    /// since the record last changed. Set by `commit` and by recovery,
+    /// and only when MACs are verified; cleared by bit rot and by
+    /// `corrupt_slots`.
     mac_checked: Vec<bool>,
     /// Open transaction: the encoded bucket records staged since the
     /// last commit.
@@ -215,7 +267,7 @@ impl DiskStore {
         }
         segments.sort();
 
-        let tree_top = (1usize << config.tree_top_levels.min(geometry.height + 1)) - 1;
+        let buckets = geometry.buckets() as usize;
         let mut store = DiskStore {
             active: SimFile { path: seg_path(&config.dir, 0), durable: 0, tail: Vec::new() },
             dir: config.dir,
@@ -226,8 +278,8 @@ impl DiskStore {
             verify: config.verify_macs,
             clock: clock.clone(),
             segment: 0,
-            mirror: vec![Box::default(); geometry.buckets() as usize],
-            mac_checked: vec![false; tree_top],
+            mirror: vec![Box::default(); buckets],
+            mac_checked: vec![false; buckets],
             staged: Staged::default(),
             pending_meta: None,
             meta: None,
@@ -258,77 +310,23 @@ impl DiskStore {
         }
     }
 
-    /// Reads the log back in one pass, applying each transaction at its
-    /// commit record, and leaves the last file ending at its last one.
+    /// Reads the log back, applying each transaction at its commit
+    /// record, and leaves the last file ending at its last one.
     fn recover(&mut self, segments: &[(u32, PathBuf)]) -> Result<RecoveryReport, StoreError> {
         let mut report = RecoveryReport::default();
         self.record_event(TelemetryEvent::RecoveryBegin {
             at: self.clock.now(),
             segments: segments.len() as u32,
         });
-
-        for (i, (index, path)) in segments.iter().enumerate() {
-            let bytes = std::fs::read(path).map_err(|e| io_err("read segment", e))?;
-            let corrupt = |off: usize, what: &dyn core::fmt::Display| StoreError::Corrupt {
-                detail: format!("segment {index} offset {off}: {what}"),
-            };
-            // The transaction being read: its bucket records (as ranges
-            // of `bytes`) are held until its commit record arrives.
-            let mut held: Vec<(usize, core::ops::Range<usize>)> = Vec::new();
-            let (mut off, mut committed) = (0, 0);
-            while off < bytes.len() {
-                let (rec, used) = match decode_record(&self.key, &bytes[off..], self.verify) {
-                    Ok(Decoded::Record(rec, used)) => (rec, used),
-                    Ok(Decoded::Incomplete) => break,
-                    Err(err) => return Err(corrupt(off, &err)),
-                };
-                if rec.seq != self.seq + 1 {
-                    let what = format!("sequence {} follows commit {}", rec.seq, self.seq);
-                    return Err(corrupt(off, &what));
-                }
-                if rec.rtype == RT_BUCKET {
-                    if rec.bucket >= self.mirror.len() as u64 {
-                        return Err(corrupt(off, &format!("bucket {} outside the tree", rec.bucket)));
-                    }
-                    if rec.payload.len() != self.bucket_len {
-                        return Err(corrupt(off, &format!("a {}-byte bucket", rec.payload.len())));
-                    }
-                    held.push((rec.bucket as usize, off..off + used));
-                } else {
-                    for (bucket, range) in held.drain(..) {
-                        overwrite(&mut self.mirror[bucket], &bytes[range]);
-                    }
-                    self.meta = (!rec.payload.is_empty()).then(|| rec.payload.to_vec());
-                    self.seq = rec.seq;
-                    report.replayed += 1;
-                    committed = off + used;
-                }
-                off += used;
-            }
-            if committed < bytes.len() {
-                // What trails the last commit record never became
-                // visible. Only a crash mid-transaction leaves that, and
-                // only at the very end of the log; it must go before the
-                // next commit record could adopt it.
-                if i + 1 != segments.len() {
-                    return Err(corrupt(committed, &"torn or uncommitted records mid-log"));
-                }
-                report.discarded += held.len() as u32 + u32::from(off < bytes.len());
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .and_then(|f| f.set_len(committed as u64))
-                    .map_err(|e| io_err("truncate", e))?;
-            }
-            // The last file read is the one appends continue in.
-            self.segment = *index;
-            self.active = SimFile { path: path.clone(), durable: committed, tail: Vec::new() };
+        if !segments.is_empty() {
+            self.replay(segments, &mut report)?;
         }
         report.committed_seq = self.seq;
 
-        // Every record now in the mirror came through `decode_record`.
+        // Every record now in the mirror had its MAC checked on one lane
+        // or the other — on neither under the ablation.
         for (checked, record) in self.mac_checked.iter_mut().zip(&self.mirror) {
-            *checked = !record.is_empty();
+            *checked = self.verify && !record.is_empty();
         }
 
         self.count(CounterId::RecoveryReplays, u64::from(report.replayed));
@@ -338,6 +336,127 @@ impl DiskStore {
             discarded: report.discarded,
         });
         Ok(report)
+    }
+
+    /// The one pass over the segment files, with the MACs checked on two
+    /// lanes (module docs): a segment is judged, and the log truncated,
+    /// only once both verdicts on it are in.
+    fn replay(
+        &mut self,
+        segments: &[(u32, PathBuf)],
+        report: &mut RecoveryReport,
+    ) -> Result<(), StoreError> {
+        // The one resident segment: replaced by this thread between
+        // segments, read by both lanes while one is judged.
+        let resident = RwLock::new(Vec::new());
+        let (key, verify) = (self.key, self.verify);
+        thread::scope(|scope| {
+            let (jobs, inbox) = mpsc::sync_channel::<()>(1);
+            let (outbox, verdicts) = mpsc::sync_channel(1);
+            let shared = &resident;
+            scope.spawn(move || {
+                for () in inbox {
+                    let verdict = helper_verdict(&key, &shared.read().expect(UNPOISONED), verify);
+                    if outbox.send(verdict).is_err() {
+                        break;
+                    }
+                }
+            });
+            for (i, (index, path)) in segments.iter().enumerate() {
+                {
+                    let mut bytes = resident.write().expect(UNPOISONED);
+                    // The last segment goes before the next is read.
+                    *bytes = Vec::new();
+                    *bytes = std::fs::read(path).map_err(|e| io_err("read segment", e))?;
+                }
+                jobs.send(()).expect("the recovery helper is running");
+                let bytes = resident.read().expect(UNPOISONED);
+                let walked = self.apply_segment(*index, &bytes, report);
+                let helper = verdicts.recv().expect("the recovery helper judges every segment");
+                // The first failure in log order, whichever lane found it;
+                // at one record the helper's, as `decode_record` checks a
+                // MAC before this lane checks anything else of the record.
+                let walk = match (walked, helper) {
+                    (walked, Some((at, err)))
+                        if walked.as_ref().err().is_none_or(|(off, _)| at <= *off) =>
+                    {
+                        return Err(corrupt(*index, at, &err));
+                    }
+                    (walked, _) => walked.map_err(|(_, err)| err)?,
+                };
+                if walk.committed < bytes.len() {
+                    // What trails the last commit record never became
+                    // visible. Only a crash mid-transaction leaves that,
+                    // and only at the very end of the log; it must go
+                    // before the next commit record could adopt it.
+                    if i + 1 != segments.len() {
+                        let what = "torn or uncommitted records mid-log";
+                        return Err(corrupt(*index, walk.committed, &what));
+                    }
+                    report.discarded += walk.discarded;
+                    std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(path)
+                        .and_then(|f| f.set_len(walk.committed as u64))
+                        .map_err(|e| io_err("truncate", e))?;
+                }
+                // The last file read is the one appends continue in.
+                self.segment = *index;
+                self.active =
+                    SimFile { path: path.clone(), durable: walk.committed, tail: Vec::new() };
+            }
+            Ok(())
+        })
+    }
+
+    /// This lane's share of one segment: walks every record, checks the
+    /// MAC of those the helper does not and everything else of all of
+    /// them, and applies each transaction at its commit record. A failure
+    /// comes back with its offset, to be weighed against the helper's.
+    fn apply_segment(
+        &mut self,
+        index: u32,
+        bytes: &[u8],
+        report: &mut RecoveryReport,
+    ) -> Result<Walk, (usize, StoreError)> {
+        let fail = |off: usize, what: &dyn core::fmt::Display| (off, corrupt(index, off, what));
+        // The transaction being read: its bucket records (as ranges of
+        // `bytes`) are held until its commit record arrives.
+        let mut held: Vec<(usize, Range<usize>)> = Vec::new();
+        let (mut off, mut committed, mut n) = (0, 0, 0);
+        while off < bytes.len() {
+            let verify = self.verify && !helper_checks(n);
+            let (rec, used) = match decode_record(&self.key, &bytes[off..], verify) {
+                Ok(Decoded::Record(rec, used)) => (rec, used),
+                Ok(Decoded::Incomplete) => break,
+                Err(err) => return Err(fail(off, &err)),
+            };
+            if rec.seq != self.seq + 1 {
+                let what = format!("sequence {} follows commit {}", rec.seq, self.seq);
+                return Err(fail(off, &what));
+            }
+            if rec.rtype == RT_BUCKET {
+                if rec.bucket >= self.mirror.len() as u64 {
+                    return Err(fail(off, &format!("bucket {} outside the tree", rec.bucket)));
+                }
+                if rec.payload.len() != self.bucket_len {
+                    return Err(fail(off, &format!("a {}-byte bucket", rec.payload.len())));
+                }
+                held.push((rec.bucket as usize, off..off + used));
+            } else {
+                for (bucket, range) in held.drain(..) {
+                    overwrite(&mut self.mirror[bucket], &bytes[range]);
+                }
+                self.meta = (!rec.payload.is_empty()).then(|| rec.payload.to_vec());
+                self.seq = rec.seq;
+                report.replayed += 1;
+                committed = off + used;
+            }
+            off += used;
+            n += 1;
+        }
+        let discarded = held.len() as u32 + u32::from(off < bytes.len());
+        Ok(Walk { committed, discarded })
     }
 
     /// Everything that must happen at a disk I/O boundary: run the
@@ -448,9 +567,7 @@ impl BucketBackend for DiskStore {
             let byte = (decision.param % record.len() as u64) as usize;
             if matches!(decision.kind, FaultKind::BitRot) {
                 record[byte] ^= 1 << ((decision.param >> 24) % 8);
-                if let Some(checked) = self.mac_checked.get_mut(at) {
-                    *checked = false;
-                }
+                self.mac_checked[at] = false;
             } else {
                 let (expected, actual) = (record.len() as u32, byte as u32);
                 return Err(StoreError::ShortRead { bucket, expected, actual });
@@ -458,7 +575,7 @@ impl BucketBackend for DiskStore {
         }
         // The MAC is checked (per `verify_macs`) unless the bucket is
         // marked as checked since its record last changed.
-        let due = !self.mac_checked.get(at).is_some_and(|checked| *checked);
+        let due = !self.mac_checked[at];
         if due && !self.verify {
             self.record_event(TelemetryEvent::DiskUnverified { at: self.clock.now(), bucket });
         }
@@ -471,7 +588,8 @@ impl BucketBackend for DiskStore {
             // A bit flip in the length field can make a stored record
             // read as truncated: corruption, not a legal torn tail.
             Ok(Decoded::Incomplete) => "reads truncated".to_string(),
-            // A MAC failure here is bit rot: recovery verified this record.
+            // A MAC failure here is bit rot: this record's MAC was checked
+            // or computed here before it lost its mark.
             Err(err) => err.to_string(),
         };
         Err(StoreError::Corrupt { detail: format!("bucket {bucket}: stored record {what}") })
@@ -516,9 +634,8 @@ impl BucketBackend for DiskStore {
 
         for (bucket, record) in staged.iter() {
             overwrite(&mut self.mirror[bucket as usize], record);
-            if let Some(checked) = self.mac_checked.get_mut(bucket as usize) {
-                *checked = true;
-            }
+            // `write_bucket` computed this record's MAC.
+            self.mac_checked[bucket as usize] = self.verify;
         }
         staged.buckets.clear();
         staged.bytes.clear();
@@ -574,9 +691,7 @@ impl BucketBackend for DiskStore {
             let mut record = Vec::with_capacity(self.mirror[bucket].len());
             encode_record_into(&mut record, &self.key, &Record { payload: &slots, ..rec });
             self.mirror[bucket] = record.into();
-            if let Some(checked) = self.mac_checked.get_mut(bucket) {
-                *checked = false;
-            }
+            self.mac_checked[bucket] = false;
         }
     }
 }

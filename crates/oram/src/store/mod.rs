@@ -8,9 +8,9 @@
 //!   reference in crash-recovery tests);
 //! * [`DiskStore`] — a crash-safe, MAC-authenticated store: one
 //!   append-only log of segment files in which a commit record gates
-//!   the visibility of the bucket records before it, MAC checks skipped
-//!   on the hot upper levels while their records stand unchanged, and
-//!   deterministic disk fault injection ([`FaultSite::Disk`]).
+//!   the visibility of the bucket records before it, a record's MAC
+//!   checked once until the record changes, recovery's MAC checks on two
+//!   lanes, and deterministic disk fault injection ([`FaultSite::Disk`]).
 //!
 //! The crash-consistency contract (see DESIGN.md "Durability & crash
 //! recovery"): one ORAM access is one transaction; a transaction is

@@ -16,8 +16,9 @@
 #     randomness, and host time is measured from outside by benchmark/;
 #   - thread lint: `thread::spawn`, `thread::scope` and `thread::Builder`
 #     appear under crates/*/src and src/ only in crates/core/src/pool.rs
-#     (the gateway's workers) and crates/oram/src/path_oram.rs (the ORAM
-#     client's crypto lane) — each computes a pure function of its
+#     (the gateway's workers), crates/oram/src/path_oram.rs (the ORAM
+#     client's crypto lane) and crates/oram/src/store/disk.rs (the disk
+#     store's recovery helper) — each computes a pure function of its
 #     inputs, and a host thread anywhere else could make a digest depend
 #     on scheduling;
 #   - path shape lint: no `Vec<Vec<u8>>` in crates/oram/src outside the
@@ -116,16 +117,19 @@ lint_gates() {
         exit 1
     fi
 
-    echo "==> thread lint (host threads only in the worker pool and the ORAM crypto lane)"
-    # The two places that start threads compute a result that is a pure
+    echo "==> thread lint (host threads only in the worker pool, the ORAM crypto lane and disk recovery)"
+    # The three places that start threads compute a result that is a pure
     # function of their inputs: a pool worker runs one prepared task
-    # against a private virtual clock, and the lane opens or seals half an
-    # ORAM path under nonces it is handed. A host thread anywhere else
-    # could make a digest depend on how the host scheduled it.
+    # against a private virtual clock, the lane opens or seals half an
+    # ORAM path under nonces it is handed, and the disk store's recovery
+    # helper checks the MACs of segment bytes nothing mutates, its verdict
+    # weighed so that the first failure in log order is the one reported.
+    # A host thread anywhere else could make a digest depend on how the
+    # host scheduled it.
     if grep -rnE 'thread::(spawn|scope|Builder)' crates/*/src src \
-        | grep -vE '^crates/(core/src/pool|oram/src/path_oram)\.rs:'; then
-        echo "thread lint: host threads belong in crates/core/src/pool.rs or" >&2
-        echo "  crates/oram/src/path_oram.rs" >&2
+        | grep -vE '^crates/(core/src/pool|oram/src/path_oram|oram/src/store/disk)\.rs:'; then
+        echo "thread lint: host threads belong in crates/core/src/pool.rs," >&2
+        echo "  crates/oram/src/path_oram.rs or crates/oram/src/store/disk.rs" >&2
         exit 1
     fi
 
