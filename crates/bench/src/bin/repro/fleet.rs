@@ -24,8 +24,8 @@
 //! committed JSON is a pure function of the code;
 //! `scripts/verify.sh --bench` regenerates it and compares byte for byte.
 //!
-//! A dead device's frozen log keeps its never-completed admits; work
-//! resubmitted on a survivor is measured from its re-admission there.
+//! A dead device's completions are left out; work resubmitted on a
+//! survivor is measured from its re-admission there.
 //! The failover gap itself is visible in the makespan, not the
 //! per-bundle latencies.
 //!
@@ -35,7 +35,6 @@
 
 use std::collections::BTreeMap;
 
-use hardtape::gateway::served;
 use hardtape::{Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig};
 use tape_bench::{json_escape, percentile, Verdict};
 use tape_evm::{Env, Transaction};
@@ -217,17 +216,20 @@ fn run_scenario(devices: usize, seed: u64, kill_at: Option<usize>) -> ScenarioOu
     assert_eq!(stats.completed_ok + stats.completed_err, stats.admitted);
     router.converged_head().expect("survivors agree on one head");
 
+    let killed = kill_at.map(|_| KILL_DEVICE);
     let mut latencies = Vec::new();
     let mut makespan_ns = 0u64;
+    for completion in &completions {
+        if completion.outcome.is_ok() && Some(completion.device) != killed {
+            latencies.push(completion.completed_at - completion.admitted_at);
+            makespan_ns = makespan_ns.max(completion.completed_at);
+        }
+    }
     let mut staleness_max_ns = 0u64;
     let mut served_stale = 0u64;
     for d in 0..devices {
-        if kill_at.is_some() && d == KILL_DEVICE {
-            continue; // frozen log: its resubmitted work is measured on survivors
-        }
-        for bundle in served(router.gateway(d).log()) {
-            latencies.push(bundle.completed_at - bundle.admitted_at);
-            makespan_ns = makespan_ns.max(bundle.completed_at);
+        if Some(d) == killed {
+            continue; // its resubmitted work is measured on survivors
         }
         staleness_max_ns = staleness_max_ns.max(router.gateway(d).staleness_ns());
         served_stale += router.gateway(d).stats().served_stale;

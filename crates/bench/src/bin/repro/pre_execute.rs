@@ -27,7 +27,6 @@
 //! within 2x the unloaded baseline) — the committed JSON is the measured
 //! evidence.
 
-use hardtape::gateway::served;
 use hardtape::{
     Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, PrecisionSummary, SecurityConfig,
     ServiceConfig,
@@ -178,6 +177,7 @@ fn tail_run(bombs: bool) -> Result<TailOutcome, String> {
         })
         .collect();
 
+    let mut completions = Vec::new();
     for step in 0..10u64 {
         if bombs {
             // A round retires at most one bomb segment, so one refill
@@ -195,13 +195,13 @@ fn tail_run(bombs: bool) -> Result<TailOutcome, String> {
             ));
             gateway.submit(session, bundle).expect("honest short bundle admitted");
         }
-        gateway.run_round();
+        completions.extend(gateway.run_round());
     }
-    gateway.run_until_idle();
-    let mut latencies: Vec<u64> = served(gateway.log())
+    completions.extend(gateway.run_until_idle());
+    let mut latencies: Vec<u64> = completions
         .iter()
-        .filter(|s| honest.contains(&s.session))
-        .map(|s| s.completed_at - s.admitted_at)
+        .filter(|c| c.outcome.is_ok() && honest.contains(&c.session))
+        .map(|c| c.completed_at - c.admitted_at)
         .collect();
     latencies.sort_unstable();
     Ok(TailOutcome { latencies, preempted: gateway.stats().preempted })

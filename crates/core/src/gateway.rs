@@ -145,19 +145,24 @@ pub struct Completion {
     pub ticket: u64,
     /// The owning session.
     pub session: u64,
+    /// Virtual time, on the device clock, the bundle was admitted.
+    pub admitted_at: Nanos,
+    /// Virtual time, on the device clock, the bundle resolved: the
+    /// instant its `complete`, `error` or `shed` line is logged.
+    pub completed_at: Nanos,
     /// Report, or the typed error that terminated the bundle.
     pub outcome: Result<BundleReport, GatewayError>,
 }
 
 /// Merges per-task completions into the single deterministic global
-/// order the pooled runtime reports: ascending virtual completion
-/// timestamp, ties broken by admission ticket. Workers race on host
-/// time only, so two tasks that finish at the same *virtual* instant
-/// (e.g. two zero-cost sheds in one round) must not surface in
-/// host-arrival order — the ticket tiebreak pins them.
-pub fn merge_completions(mut timed: Vec<(Nanos, Completion)>) -> Vec<Completion> {
-    timed.sort_by_key(|(at, completion)| (*at, completion.ticket));
-    timed.into_iter().map(|(_, completion)| completion).collect()
+/// order the pooled runtime reports: ascending [`Completion::completed_at`],
+/// ties broken by admission ticket. Workers race on host time only, so
+/// two tasks that finish at the same *virtual* instant (e.g. two
+/// zero-cost sheds in one round) must not surface in host-arrival
+/// order — the ticket tiebreak pins them.
+pub fn merge_completions(mut completions: Vec<Completion>) -> Vec<Completion> {
+    completions.sort_by_key(|completion| (completion.completed_at, completion.ticket));
+    completions
 }
 
 /// One queued bundle surrendered by [`Gateway::drain_for_failover`]:
@@ -169,6 +174,9 @@ pub struct FailoverEntry {
     pub session: u64,
     /// The admission ticket the bundle was issued.
     pub ticket: u64,
+    /// Virtual time, on the failed device's clock, the bundle was
+    /// admitted.
+    pub admitted_at: Nanos,
     /// The bundle itself, resubmittable on a surviving device.
     pub bundle: Bundle,
     /// Whether the bundle carried a mid-execution checkpoint. The
@@ -244,6 +252,19 @@ struct Admitted {
     /// bundle discards the pause (its overlay simply evaporates) and
     /// still resolves to exactly one typed completion.
     pause: Option<BundlePause>,
+}
+
+impl Admitted {
+    /// This bundle's one completion, resolved at `completed_at`.
+    fn completion(
+        &self,
+        session: u64,
+        completed_at: Nanos,
+        outcome: Result<BundleReport, GatewayError>,
+    ) -> Completion {
+        let (ticket, admitted_at) = (self.ticket, self.admitted_at);
+        Completion { ticket, session, admitted_at, completed_at, outcome }
+    }
 }
 
 /// The front-end between connected users and the HEVM core pool. See
@@ -363,7 +384,7 @@ impl Gateway {
             queue: BoundedQueue::new(self.config.queue_depth),
         });
         self.by_session.insert(session, index);
-        self.log.record(format!("t={} connect session={session}", self.now()));
+        self.log.record(format_args!("t={} connect session={session}", self.now()));
         Ok(session)
     }
 
@@ -387,7 +408,7 @@ impl Gateway {
         self.tenants[index].session = fresh;
         self.tenants[index].handle = handle;
         self.log
-            .record(format!("t={} reconnect session={session}->{fresh}", self.now()));
+            .record(format_args!("t={} reconnect session={session}->{fresh}", self.now()));
         Ok(fresh)
     }
 
@@ -412,7 +433,7 @@ impl Gateway {
         // cache probe per callee on the hot path.)
         if let Err(err) = self.device.admission_check(&bundle) {
             self.log
-                .record(format!("t={now} reject session={session} static-analysis: {err}"));
+                .record(format_args!("t={now} reject session={session} static-analysis: {err}"));
             return Err(GatewayError::Service(err));
         }
         if self.queued_total >= self.config.admission_budget {
@@ -423,7 +444,7 @@ impl Gateway {
             // a host throughput knob that must not perturb the digest.
             let backlog = u64::try_from(self.backlog_estimate()).unwrap_or(Nanos::MAX);
             self.log
-                .record(format!("t={now} reject session={session} global backlog={backlog}"));
+                .record(format_args!("t={now} reject session={session} global backlog={backlog}"));
             let t = self.device.telemetry();
             t.count(CounterId::GwRejected, 1);
             t.record(TelemetryEvent::Reject {
@@ -450,8 +471,9 @@ impl Gateway {
                 self.next_ticket += 1;
                 self.queued_total += 1;
                 self.stats.admitted += 1;
-                self.log
-                    .record(format!("t={now} admit session={session} ticket={ticket} cost={cost}"));
+                self.log.record(format_args!(
+                    "t={now} admit session={session} ticket={ticket} cost={cost}"
+                ));
                 let t = self.device.telemetry();
                 t.count(CounterId::GwAdmitted, 1);
                 t.record(TelemetryEvent::Admit { at: now, session, ticket });
@@ -462,7 +484,7 @@ impl Gateway {
                 self.stats.rejected_overloaded += 1;
                 let retry_after = self.retry_after_hint();
                 let backlog = u64::try_from(self.backlog_estimate()).unwrap_or(Nanos::MAX);
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={now} reject session={session} tenant-queue backlog={backlog}"
                 ));
                 let t = self.device.telemetry();
@@ -513,7 +535,7 @@ impl Gateway {
             queued: self.queued_total as u32,
             max_deficit,
         });
-        let mut timed: Vec<(Nanos, Completion)> = Vec::new();
+        let mut done: Vec<Completion> = Vec::new();
         let mut dispatches: Vec<Dispatch> = Vec::new();
         let mut tasks: Vec<PreparedTask> = Vec::new();
         for index in 0..self.tenants.len() {
@@ -539,24 +561,18 @@ impl Gateway {
                     self.queued_total -= 1;
                     self.stats.shed_deadline += 1;
                     let session = self.tenants[index].session;
-                    self.log.record(format!(
+                    self.log.record(format_args!(
                         "t={now} shed session={session} ticket={} deadline={}",
                         expired.ticket, expired.deadline
                     ));
                     t.count(CounterId::GwShed, 1);
                     t.record(TelemetryEvent::Shed { at: now, session, ticket: expired.ticket });
-                    timed.push((
+                    let err = GatewayError::DeadlineExceeded {
+                        admitted_at: expired.admitted_at,
+                        deadline: expired.deadline,
                         now,
-                        Completion {
-                            ticket: expired.ticket,
-                            session,
-                            outcome: Err(GatewayError::DeadlineExceeded {
-                                admitted_at: expired.admitted_at,
-                                deadline: expired.deadline,
-                                now,
-                            }),
-                        },
-                    ));
+                    };
+                    done.push(expired.completion(session, now, Err(err)));
                 }
                 let Some(head) = self.tenants[index].queue.peek() else {
                     self.drr.forfeit(index);
@@ -572,7 +588,7 @@ impl Gateway {
                 self.queued_total -= 1;
                 let session = self.tenants[index].session;
                 let now = self.now();
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={now} execute session={session} ticket={} segment={}",
                     admitted.ticket,
                     admitted.pause.as_ref().map_or(0, BundlePause::segments),
@@ -591,7 +607,7 @@ impl Gateway {
                         let dispatch =
                             Dispatch { index, admitted, degraded, dispatched_at: now, charge };
                         if inline {
-                            self.commit(dispatch, Execution::Inline(task), &mut timed);
+                            self.commit(dispatch, Execution::Inline(task), &mut done);
                         } else {
                             dispatches.push(dispatch);
                             tasks.push(task);
@@ -604,18 +620,11 @@ impl Gateway {
                         self.stats.completed_err += 1;
                         t.count(CounterId::GwFailed, 1);
                         let now = self.now();
-                        self.log.record(format!(
+                        self.log.record(format_args!(
                             "t={now} error session={session} ticket={} err={err}",
                             admitted.ticket
                         ));
-                        timed.push((
-                            now,
-                            Completion {
-                                ticket: admitted.ticket,
-                                session,
-                                outcome: Err(err),
-                            },
-                        ));
+                        done.push(admitted.completion(session, now, Err(err)));
                     }
                 }
             }
@@ -626,14 +635,14 @@ impl Gateway {
             dispatches.iter().map(|d| &d.admitted.bundle).zip(tasks),
         );
         for (dispatch, finished) in dispatches.into_iter().zip(finished) {
-            self.commit(dispatch, Execution::Pooled(finished), &mut timed);
+            self.commit(dispatch, Execution::Pooled(finished), &mut done);
         }
-        merge_completions(timed)
+        merge_completions(done)
     }
 
     /// Commits one dispatched segment — executing it first when it is
     /// [`Execution::Inline`] — and does the terminal bookkeeping: a
-    /// timestamped completion for a finished or failed bundle, nothing
+    /// stamped completion for a finished or failed bundle, nothing
     /// on preemption (the bundle re-queued at the back of its tenant
     /// queue carrying its checkpoint; short bundles queued behind it
     /// jump ahead, and its one completion comes from a later dequeue).
@@ -641,7 +650,7 @@ impl Gateway {
         &mut self,
         dispatch: Dispatch,
         execution: Execution,
-        timed: &mut Vec<(Nanos, Completion)>,
+        done: &mut Vec<Completion>,
     ) {
         let Dispatch { index, mut admitted, degraded, dispatched_at, charge } = dispatch;
         self.inflight_ns = self.inflight_ns.saturating_sub(charge);
@@ -654,7 +663,7 @@ impl Gateway {
             Ok(PreExecOutcome::Preempted(pause)) => {
                 self.stats.preempted += 1;
                 let now = self.now();
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={now} preempt session={session} ticket={} segment={}",
                     admitted.ticket,
                     pause.segments(),
@@ -689,7 +698,7 @@ impl Gateway {
         match &outcome {
             Ok(report) => {
                 self.stats.completed_ok += 1;
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={} complete session={session} ticket={} txs={} stale={}",
                     self.now(),
                     admitted.ticket,
@@ -699,14 +708,14 @@ impl Gateway {
             }
             Err(err) => {
                 self.stats.completed_err += 1;
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={} error session={session} ticket={} err={err}",
                     self.now(),
                     admitted.ticket
                 ));
             }
         }
-        timed.push((self.now(), Completion { ticket: admitted.ticket, session, outcome }));
+        done.push(admitted.completion(session, self.now(), outcome));
     }
 
     /// Runs DRR rounds until every queue is empty; every bundle queued
@@ -732,7 +741,7 @@ impl Gateway {
     /// opening the breaker).
     pub fn sync(&mut self, feed: &mut BlockFeed) -> Result<(), GatewayError> {
         self.through_breaker("sync", |device| device.sync_from_feed(feed))?;
-        self.log.record(format!("t={} sync ok", self.now()));
+        self.log.record(format_args!("t={} sync ok", self.now()));
         self.note_breaker();
         Ok(())
     }
@@ -753,7 +762,7 @@ impl Gateway {
         if !self.breaker.call_permitted(now) {
             self.stats.sync_refused += 1;
             let retry_after = self.breaker.retry_after(now);
-            self.log.record(format!("t={now} {label} refused retry_after={retry_after}"));
+            self.log.record(format_args!("t={now} {label} refused retry_after={retry_after}"));
             self.note_breaker();
             return Err(GatewayError::FeedBreakerOpen { retry_after });
         }
@@ -766,7 +775,7 @@ impl Gateway {
             Err(err) => {
                 let now = self.now();
                 self.breaker.record_failure(now);
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={now} {label} err={err} breaker={}",
                     self.breaker.state(now)
                 ));
@@ -795,7 +804,7 @@ impl Gateway {
         let (shed, revalidated) = match &outcome {
             SyncOutcome::Reorged { fork, depth, orphaned, adopted } => {
                 self.last_fork = Some(*fork);
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={} sync-set reorg depth={depth} fork={} adopted={adopted}",
                     self.now(),
                     fork.hash,
@@ -803,11 +812,11 @@ impl Gateway {
                 self.repin_or_shed(*fork, orphaned.clone(), *adopted)
             }
             SyncOutcome::Advanced { blocks } => {
-                self.log.record(format!("t={} sync-set ok blocks={blocks}", self.now()));
+                self.log.record(format_args!("t={} sync-set ok blocks={blocks}", self.now()));
                 (Vec::new(), Vec::new())
             }
             SyncOutcome::AlreadySynced => {
-                self.log.record(format!("t={} sync-set ok (no-op)", self.now()));
+                self.log.record(format_args!("t={} sync-set ok (no-op)", self.now()));
                 (Vec::new(), Vec::new())
             }
         };
@@ -846,7 +855,7 @@ impl Gateway {
                         Ok(()) => {
                             admitted.pinned_head = Some(adopted);
                             revalidated.push(admitted.ticket);
-                            self.log.record(format!(
+                            self.log.record(format_args!(
                                 "t={now} repin session={session} ticket={} head={adopted}",
                                 admitted.ticket
                             ));
@@ -894,14 +903,14 @@ impl Gateway {
         let now = self.now();
         self.queued_total -= 1;
         self.stats.shed_reorg += 1;
-        self.log.record(format!(
+        self.log.record(format_args!(
             "t={now} shed-reorg session={session} ticket={} err={error}",
             admitted.ticket
         ));
         let t = self.device.telemetry();
         t.count(CounterId::GwShed, 1);
         t.record(TelemetryEvent::Shed { at: now, session, ticket: admitted.ticket });
-        shed.push(Completion { ticket: admitted.ticket, session, outcome: Err(error) });
+        shed.push(admitted.completion(session, now, Err(error)));
     }
 
     /// The fork point of the most recent reorg the device applied
@@ -931,9 +940,9 @@ impl Gateway {
         self.tenants.iter().map(|t| (t.session, t.queue.stats())).collect()
     }
 
-    /// The deterministic schedule log (admissions, sheds, executions,
-    /// completions, syncs) — its digest is the soak harness's
-    /// determinism witness.
+    /// The running digest of the schedule (admissions, sheds,
+    /// executions, completions, syncs) — the soak harness's determinism
+    /// witness. Timings are read off [`Completion`]s, not the log.
     pub fn log(&self) -> &EventLog {
         &self.log
     }
@@ -1033,7 +1042,7 @@ impl Gateway {
         for tenant in &mut self.tenants {
             let session = tenant.session;
             while let Some(admitted) = tenant.queue.pop() {
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "t={now} failover-drain session={session} ticket={} paused={}",
                     admitted.ticket,
                     admitted.pause.is_some(),
@@ -1041,6 +1050,7 @@ impl Gateway {
                 drained.push(FailoverEntry {
                     session,
                     ticket: admitted.ticket,
+                    admitted_at: admitted.admitted_at,
                     bundle: admitted.bundle,
                     was_paused: admitted.pause.is_some(),
                 });
@@ -1089,67 +1099,5 @@ fn segments_for(gas_slice: Option<u64>, gas: u64) -> u128 {
     match gas_slice {
         Some(slice) if slice > 0 => u128::from(gas.max(1).div_ceil(slice)),
         _ => 1,
-    }
-}
-
-/// One bundle a gateway admitted and later completed, read back from
-/// its deterministic event log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Served {
-    /// The tenant session.
-    pub session: u64,
-    /// Virtual time of the `admit` line.
-    pub admitted_at: u64,
-    /// Virtual time of the `complete` line.
-    pub completed_at: u64,
-}
-
-/// Every admit→complete pair in a gateway's [`log`](Gateway::log), in
-/// completion order (`t=<ns> admit|complete session=<s> ticket=<k> ...`
-/// lines; anything else is skipped).
-pub fn served(log: &EventLog) -> Vec<Served> {
-    fn field(part: Option<&str>, prefix: &str) -> Option<u64> {
-        part?.strip_prefix(prefix)?.parse().ok()
-    }
-    let mut admits = HashMap::new();
-    let mut out = Vec::new();
-    for line in log.lines() {
-        let mut parts = line.split_whitespace();
-        let Some(at) = field(parts.next(), "t=") else { continue };
-        let verb = parts.next();
-        let (Some(session), Some(ticket)) =
-            (field(parts.next(), "session="), field(parts.next(), "ticket="))
-        else {
-            continue;
-        };
-        match verb {
-            Some("admit") => {
-                admits.insert(ticket, at);
-            }
-            Some("complete") => {
-                if let Some(&admitted_at) = admits.get(&ticket) {
-                    out.push(Served { session, admitted_at, completed_at: at });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn served_pairs_admits_with_completions() {
-        let mut log = EventLog::default();
-        log.record("t=10 admit session=1 ticket=7 cost=1");
-        log.record("t=12 admit session=2 ticket=8 cost=1");
-        log.record("t=15 sync ok");
-        log.record("t=30 complete session=2 ticket=8 txs=1 stale=false");
-        log.record("t=40 error session=1 ticket=7 err=boom");
-        log.record("t=50 complete session=3 ticket=9 txs=1 stale=false"); // never admitted here
-        assert_eq!(served(&log), vec![Served { session: 2, admitted_at: 12, completed_at: 30 }]);
     }
 }

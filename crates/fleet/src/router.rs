@@ -126,6 +126,12 @@ pub struct FleetCompletion {
     /// Device that resolved the ticket (for a failover shed, the dead
     /// device the work was lost on).
     pub device: usize,
+    /// Virtual time, on `device`'s clock, the work was admitted there —
+    /// for a completion the router makes during failover, the admission
+    /// on the failed device.
+    pub admitted_at: Nanos,
+    /// Virtual time, on `device`'s clock, the ticket resolved.
+    pub completed_at: Nanos,
     /// The signed report, or a typed reason there is none.
     pub outcome: Result<BundleReport, FleetError>,
 }
@@ -214,7 +220,7 @@ impl FleetRouter {
         }
         let count = gateways.len();
         let mut log = EventLog::new();
-        log.record(format!("r=0 fleet-boot devices={count}"));
+        log.record(format_args!("r=0 fleet-boot devices={count}"));
         FleetRouter {
             health: (0..count)
                 .map(|_| DeviceHealth::new(config.failure_threshold, config.cooldown_ns))
@@ -271,11 +277,12 @@ impl FleetRouter {
     ///
     /// Panics if `device` is out of range.
     pub fn health_state(&mut self, device: usize) -> HealthState {
-        let now = self.gateways[device].device().clock().now();
+        let now = self.device_now(device);
         self.health[device].state(now)
     }
 
-    /// The router's own event log (device gateways keep their own).
+    /// The router's own schedule digest (device gateways keep their
+    /// own).
     pub fn log(&self) -> &EventLog {
         &self.log
     }
@@ -339,18 +346,23 @@ impl FleetRouter {
         best.map(|(_, index)| index)
     }
 
+    /// Virtual time on `device`'s own clock.
+    fn device_now(&self, device: usize) -> Nanos {
+        self.gateways[device].device().clock().now()
+    }
+
     fn device_eligible(&mut self, device: usize) -> bool {
-        let now = self.gateways[device].device().clock().now();
+        let now = self.device_now(device);
         self.health[device].eligible(now)
     }
 
     /// Records a health transition (if any) in the log and telemetry.
     fn note_health(&mut self, device: usize) {
-        let now = self.gateways[device].device().clock().now();
+        let now = self.device_now(device);
         let state = self.health[device].state(now);
         if state != self.last_health[device] {
             self.telemetry.count(CounterId::FleetHealthTransitions, 1);
-            self.log.record(format!(
+            self.log.record(format_args!(
                 "r={} health device={device} {} -> {}",
                 self.round, self.last_health[device], state
             ));
@@ -359,9 +371,9 @@ impl FleetRouter {
     }
 
     fn strike(&mut self, device: usize, reason: &str) {
-        let now = self.gateways[device].device().clock().now();
+        let now = self.device_now(device);
         self.health[device].strike(now);
-        self.log.record(format!("r={} strike device={device} reason={reason}", self.round));
+        self.log.record(format_args!("r={} strike device={device} reason={reason}", self.round));
         self.note_health(device);
     }
 
@@ -382,7 +394,7 @@ impl FleetRouter {
                 orphaned: false,
             },
         );
-        self.log.record(format!("r={} connect session={session} device={device}", self.round));
+        self.log.record(format_args!("r={} connect session={session} device={device}", self.round));
         Ok(session)
     }
 
@@ -399,7 +411,8 @@ impl FleetRouter {
             record.device_session = fresh;
             record.seed = user_seed.to_vec();
         }
-        self.log.record(format!("r={} reconnect session={session} device={device}", self.round));
+        let round = self.round;
+        self.log.record(format_args!("r={round} reconnect session={session} device={device}"));
         Ok(session)
     }
 
@@ -426,7 +439,7 @@ impl FleetRouter {
         if !self.device_eligible(device) {
             // Quarantined home: the bundle would sit un-dispatched, so
             // reject with the time left on the quarantine clock.
-            let now = self.gateways[device].device().clock().now();
+            let now = self.device_now(device);
             self.stats.rejected += 1;
             return Err(FleetError::Gateway(GatewayError::Overloaded {
                 retry_after: self.health[device].retry_after(now),
@@ -460,6 +473,7 @@ impl FleetRouter {
     /// crashed mid-round).
     pub fn run_round(&mut self) -> Vec<FleetCompletion> {
         self.round += 1;
+        let round = self.round;
         let mut out = Vec::new();
         for device in 0..self.gateways.len() {
             if self.health[device].is_failed() {
@@ -476,14 +490,14 @@ impl FleetRouter {
                 });
             match decision.map(|d| d.kind) {
                 Some(FaultKind::DeviceCrash) => {
-                    self.log.record(format!("r={} fault device={device} kind=crash", self.round));
+                    self.log.record(format_args!("r={round} fault device={device} kind=crash"));
                     out.extend(self.fail_device(device));
                     continue;
                 }
                 Some(FaultKind::DeviceHang) => {
                     // A wedged round: the watchdog sees nothing come
                     // back and strikes; device time still passes.
-                    self.log.record(format!("r={} fault device={device} kind=hang", self.round));
+                    self.log.record(format_args!("r={round} fault device={device} kind=hang"));
                     self.strike(device, "hang");
                     self.gateways[device].device().clock().advance(self.config.idle_tick_ns);
                     continue;
@@ -492,7 +506,7 @@ impl FleetRouter {
             }
             // Apply any pending cooldown transition before deciding.
             self.note_health(device);
-            let now = self.gateways[device].device().clock().now();
+            let now = self.device_now(device);
             let state = self.health[device].state(now);
             if state == HealthState::Quarantined {
                 // Skipped round: burn idle time so the cooldown elapses.
@@ -540,16 +554,28 @@ impl FleetRouter {
             .unwrap_or_else(|| {
                 unreachable!("completion for unmapped device ticket {}", completion.ticket)
             });
-        match completion.outcome {
-            Ok(report) => {
-                self.stats.completed_ok += 1;
-                FleetCompletion { ticket, session, device, outcome: Ok(report) }
-            }
-            Err(err) => {
-                self.stats.completed_err += 1;
-                FleetCompletion { ticket, session, device, outcome: Err(FleetError::Gateway(err)) }
-            }
+        let outcome = completion.outcome.map_err(FleetError::Gateway);
+        match outcome {
+            Ok(_) => self.stats.completed_ok += 1,
+            Err(_) => self.stats.completed_err += 1,
         }
+        let (admitted_at, completed_at) = (completion.admitted_at, completion.completed_at);
+        FleetCompletion { ticket, session, device, admitted_at, completed_at, outcome }
+    }
+
+    /// A completion the router makes itself during failover: a typed
+    /// error, stamped now on `device`'s clock.
+    fn refuse(
+        &mut self,
+        ticket: u64,
+        session: u64,
+        device: usize,
+        admitted_at: Nanos,
+        err: FleetError,
+    ) -> FleetCompletion {
+        self.stats.completed_err += 1;
+        let completed_at = self.device_now(device);
+        FleetCompletion { ticket, session, device, admitted_at, completed_at, outcome: Err(err) }
     }
 
     /// Latches `device` as failed and performs failover:
@@ -572,7 +598,7 @@ impl FleetRouter {
         }
         self.health[device].fail();
         self.stats.device_failures += 1;
-        self.log.record(format!("r={} device-failed device={device}", self.round));
+        self.log.record(format_args!("r={} device-failed device={device}", self.round));
         self.note_health(device);
 
         let drained = self.gateways[device].drain_for_failover();
@@ -607,17 +633,12 @@ impl FleetRouter {
                 // dropped and never double-executed.
                 self.telemetry.count(CounterId::FleetShedOnFailure, 1);
                 self.stats.shed_on_failure += 1;
-                self.stats.completed_err += 1;
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "r={} shed-on-failure ticket={ticket} session={session}",
                     self.round
                 ));
-                out.push(FleetCompletion {
-                    ticket,
-                    session,
-                    device,
-                    outcome: Err(FleetError::DeviceFailed { device }),
-                });
+                let err = FleetError::DeviceFailed { device };
+                out.push(self.refuse(ticket, session, device, entry.admitted_at, err));
                 continue;
             }
             let target = self.tenants.get(&session).and_then(|record| {
@@ -628,7 +649,7 @@ impl FleetRouter {
                     match self.gateways[new_device].submit(device_session, entry.bundle) {
                         Ok(device_ticket) => {
                             self.tickets.insert((new_device, device_ticket), (ticket, session));
-                            self.log.record(format!(
+                            self.log.record(format_args!(
                                 "r={} resubmit ticket={ticket} session={session} device={new_device}",
                                 self.round
                             ));
@@ -636,24 +657,14 @@ impl FleetRouter {
                         Err(err) => {
                             // The survivor refused (e.g. overload): the
                             // refusal is this ticket's one completion.
-                            self.stats.completed_err += 1;
-                            out.push(FleetCompletion {
-                                ticket,
-                                session,
-                                device: new_device,
-                                outcome: Err(FleetError::Gateway(err)),
-                            });
+                            let (at, err) = (entry.admitted_at, FleetError::Gateway(err));
+                            out.push(self.refuse(ticket, session, new_device, at, err));
                         }
                     }
                 }
                 None => {
-                    self.stats.completed_err += 1;
-                    out.push(FleetCompletion {
-                        ticket,
-                        session,
-                        device,
-                        outcome: Err(FleetError::NoEligibleDevice),
-                    });
+                    let err = FleetError::NoEligibleDevice;
+                    out.push(self.refuse(ticket, session, device, entry.admitted_at, err));
                 }
             }
         }
@@ -673,7 +684,7 @@ impl FleetRouter {
             if let Some(record) = self.tenants.get_mut(&session) {
                 record.orphaned = true;
             }
-            self.log.record(format!("r={} orphaned session={session}", self.round));
+            self.log.record(format_args!("r={} orphaned session={session}", self.round));
             return;
         };
         assert_eq!(
@@ -690,7 +701,7 @@ impl FleetRouter {
                 }
                 self.telemetry.count(CounterId::FleetMigrations, 1);
                 self.stats.migrations += 1;
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "r={} migrate session={session} device={from}->{new_device}",
                     self.round
                 ));
@@ -699,7 +710,7 @@ impl FleetRouter {
                 if let Some(record) = self.tenants.get_mut(&session) {
                     record.orphaned = true;
                 }
-                self.log.record(format!(
+                self.log.record(format_args!(
                     "r={} orphaned session={session} attest-err={err}",
                     self.round
                 ));
@@ -730,7 +741,7 @@ impl FleetRouter {
                 Err(err) => outcomes.push((device, Err(err))),
             }
             let head = self.gateways[device].device().head();
-            self.log.record(format!(
+            self.log.record(format_args!(
                 "r={} sync device={device} head={}",
                 self.round,
                 head.map_or_else(|| "none".to_string(), |h| format!("{h:?}"))

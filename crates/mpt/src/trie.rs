@@ -412,8 +412,6 @@ pub enum ProofError {
     MissingNode,
     /// A node failed to decode or had an invalid shape.
     MalformedNode,
-    /// A node's hash did not match its reference.
-    HashMismatch,
 }
 
 impl core::fmt::Display for ProofError {
@@ -421,7 +419,6 @@ impl core::fmt::Display for ProofError {
         match self {
             ProofError::MissingNode => write!(f, "proof is missing a referenced node"),
             ProofError::MalformedNode => write!(f, "proof contains a malformed node"),
-            ProofError::HashMismatch => write!(f, "proof node hash mismatch"),
         }
     }
 }
@@ -436,8 +433,10 @@ impl std::error::Error for ProofError {}
 ///
 /// # Errors
 ///
-/// Returns [`ProofError`] if any node is missing, malformed, or fails its
-/// hash check.
+/// [`ProofError::MissingNode`] if no proof node hashes to a reference
+/// on the path — nodes are looked up by their hash, so a node that does
+/// not match its reference is missing; [`ProofError::MalformedNode`] if
+/// a node fails to decode or has an invalid shape.
 pub fn verify_proof(
     root: B256,
     key: &[u8],

@@ -14,7 +14,8 @@
 //! * a running keccak **digest chain** over the canonical encoding of
 //!   each event: two runs of the same seed must produce byte-identical
 //!   digests, which makes cross-process replay comparison one string
-//!   compare (the same trick as the gateway [`EventLog`]).
+//!   compare. The gateway's schedule [`EventLog`] is likewise a running
+//!   digest, of its text lines, and keeps nothing else of them.
 //! * [`audit`] — the leakage auditor, folded over every event as it is
 //!   recorded ([`Telemetry::audit`]), which checks the §IV-D
 //!   indistinguishability invariants mechanically.

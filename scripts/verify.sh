@@ -35,6 +35,10 @@
 #   - unwired-fn lint: every `pub` / `pub(crate)` fn under crates/*/src
 #     is named somewhere other than its own tests — a public function
 #     only its unit tests call is a second path beside the live one;
+#   - error-variant lint: every variant of a `pub enum …Error` under
+#     crates/*/src is named by non-test code somewhere other than its
+#     declaration and its enum's own `impl Display` — an error nothing
+#     raises is a case every caller matches and no test can reach;
 #   - audit-path lint: `audit_events` (the audit of a recorded slice) is
 #     named only in crates/sim/src/telemetry/audit.rs and benchmark/src;
 #     everything else reads the live audit, `Telemetry::audit()`;
@@ -258,6 +262,68 @@ lint_gates() {
             }'; then
         echo "unwired-fn lint: a pub fn nothing but its own tests names — delete it, make it" >&2
         echo "  a #[cfg(test)] helper, or give it a caller" >&2
+        exit 1
+    fi
+
+    echo "==> error-variant lint (every variant of a pub enum …Error is named beyond its declaration)"
+    # An error nobody raises is a case every caller must match and no
+    # test can reach: ProofError::HashMismatch sat beside MissingNode,
+    # which the lookup by hash reports instead. The check is by name,
+    # over non-test code (crates/*/src, src, examples, benchmark/src,
+    # each file up to its first `#[cfg(test)]`, comments stripped): a
+    # variant of a `pub enum …Error` declared under crates/*/src fails
+    # when `Enum::Variant` (or `Self::Variant` inside an `impl` of the
+    # enum) appears nowhere but in the enum's own `impl Display`. To
+    # clear a failure: delete the variant, or raise it.
+    # Allowed, each for its reason, as `Enum::Variant` (none).
+    error_variants_allowed=()
+    error_sources=$({ find crates -path 'crates/*/src/*' -name '*.rs'
+                      find src examples benchmark/src -name '*.rs'; } | sort)
+    # shellcheck disable=SC2086 # one operand per file
+    if ! awk -v allowed=" ${error_variants_allowed[*]} " '
+            FNR == 1 { in_tests = 0; enum = ""; impl_type = ""; display = 0 }
+            /^#\[cfg\(test\)\]/ { in_tests = 1 }
+            in_tests { next }
+            pass == 1 {
+                if (FILENAME !~ /^crates\/[^\/]+\/src\//) next
+                if ($0 ~ /^pub enum [A-Za-z0-9_]*Error[ {]/) {
+                    enum = $3; sub(/[^A-Za-z0-9_].*/, "", enum); next
+                }
+                if (enum != "" && /^}/) { enum = ""; next }
+                if (enum != "" && match($0, /^    [A-Z][A-Za-z0-9_]*/)) {
+                    n++; variant[n] = enum "::" substr($0, 5, RLENGTH - 4)
+                    where[n] = FILENAME ":" FNR
+                }
+                next
+            }
+            /^impl/ {
+                impl_type = $0; sub(/ *\{.*/, "", impl_type)
+                sub(/.* for /, "", impl_type); sub(/^impl(<[^>]*>)? /, "", impl_type)
+                sub(/[^A-Za-z0-9_].*/, "", impl_type)
+                display = ($0 ~ /Display for /)
+            }
+            /^}/ { impl_type = ""; display = 0 }
+            {
+                rest = $0; sub(/\/\/.*/, "", rest)
+                while (match(rest, /[A-Za-z_][A-Za-z0-9_]*::[A-Z][A-Za-z0-9_]*/)) {
+                    path = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+                    split(path, part, "::")
+                    if (part[1] == "Self") part[1] = impl_type
+                    if (display && part[1] == impl_type) continue  # its own Display arm
+                    used[part[1] "::" part[2]] = 1
+                }
+            }
+            END {
+                bad = 0
+                for (i = 1; i <= n; i++) {
+                    if (variant[i] in used || index(allowed, " " variant[i] " ")) continue
+                    print where[i] ": " variant[i]
+                    bad = 1
+                }
+                exit bad
+            }' pass=1 $error_sources pass=2 $error_sources; then
+        echo "error-variant lint: an error variant nothing raises or matches — delete it," >&2
+        echo "  or raise it" >&2
         exit 1
     fi
 

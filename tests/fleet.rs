@@ -583,19 +583,22 @@ fn seeded_device_crash_fails_over_queued_work() {
     );
 }
 
-#[test]
-fn crash_sheds_in_flight_paused_work_with_typed_completions() {
-    let mut router = fleet_router_with(2, 0x9A5B, GatewayConfig::default());
-    // Find a tenant homed on device 0.
-    let mut victim = None;
+/// Connects tenants until one is homed on device 0; returns its fleet
+/// session and tenant index.
+fn tenant_on_device_0(router: &mut FleetRouter) -> (u64, usize) {
     for i in 0..8 {
         let session = router.connect(format!("pause tenant {i}").as_bytes()).expect("attested");
         if router.tenant_device(session) == Some(0) {
-            victim = Some((session, i));
-            break;
+            return (session, i);
         }
     }
-    let (victim, index) = victim.expect("8 tenants always land one on device 0");
+    panic!("8 tenants always land one on device 0");
+}
+
+#[test]
+fn crash_sheds_in_flight_paused_work_with_typed_completions() {
+    let mut router = fleet_router_with(2, 0x9A5B, GatewayConfig::default());
+    let (victim, index) = tenant_on_device_0(&mut router);
 
     let ticket = router.submit(victim, fleet_bomb(index)).expect("bomb admitted");
     // One round: the bomb burns one 100k slice, pauses, re-queues.
@@ -620,6 +623,36 @@ fn crash_sheds_in_flight_paused_work_with_typed_completions() {
     assert_eq!(done.device, 1, "post-migration work runs on the survivor");
     assert!(done.outcome.as_ref().expect("succeeds").results[0].success);
     assert!(router.run_round().is_empty(), "nothing left in flight");
+}
+
+#[test]
+fn failover_stamps_the_shed_on_the_dead_device_and_resubmits_on_the_survivor() {
+    let mut router = fleet_router_with(2, 0x9A5B, GatewayConfig::default());
+    let (victim, index) = tenant_on_device_0(&mut router);
+
+    let bomb_admitted_at = router.gateway(0).device().clock().now();
+    let bomb = router.submit(victim, fleet_bomb(index)).expect("bomb admitted");
+    assert!(router.run_round().is_empty(), "the bomb must still be in flight");
+    let queued = router.submit(victim, fleet_transfer(index, 1)).expect("transfer admitted");
+
+    let completions = router.fail_device(0);
+    let dead_now = router.gateway(0).device().clock().now();
+    let survivor_now = router.gateway(1).device().clock().now();
+    assert_ne!(dead_now, survivor_now, "the two clocks must be told apart");
+    assert_eq!(completions.len(), 1, "only the paused bomb resolves at the crash");
+    let shed = &completions[0];
+    assert_eq!(shed.ticket, bomb);
+    assert!(matches!(shed.outcome, Err(FleetError::DeviceFailed { device: 0 })));
+    assert_eq!(shed.device, 0);
+    assert_eq!(shed.admitted_at, bomb_admitted_at, "the shed keeps the original admission");
+    assert_eq!(shed.completed_at, dead_now, "the shed reads the dead device's clock");
+
+    let completions = router.run_until_idle();
+    let done = completions.iter().find(|c| c.ticket == queued).expect("resubmitted work completes");
+    assert_eq!(done.device, 1, "resubmitted work completes on the survivor");
+    assert!(done.outcome.is_ok());
+    assert!(done.admitted_at <= survivor_now, "re-admitted on the survivor's clock at failover");
+    assert!(done.admitted_at < done.completed_at);
 }
 
 #[test]

@@ -357,18 +357,16 @@ fn retry_hints_divide_the_same_backlog_by_the_worker_count() {
 fn equal_virtual_timestamp_completions_merge_in_ticket_order() {
     // The merge rule itself, directed: same virtual timestamp → ticket
     // order decides; earlier timestamps always come first.
-    let completion = |ticket: u64| Completion {
+    let completion = |completed_at: u64, ticket: u64| Completion {
         ticket,
         session: 1,
+        admitted_at: 0,
+        completed_at,
         outcome: Err(GatewayError::Overloaded { retry_after: 1 }),
     };
-    let timed = vec![
-        (500, completion(7)),
-        (500, completion(3)),
-        (400, completion(9)),
-        (500, completion(5)),
-    ];
-    let order: Vec<u64> = merge_completions(timed).iter().map(|c| c.ticket).collect();
+    let stamped =
+        vec![completion(500, 7), completion(500, 3), completion(400, 9), completion(500, 5)];
+    let order: Vec<u64> = merge_completions(stamped).iter().map(|c| c.ticket).collect();
     assert_eq!(order, vec![9, 3, 5, 7], "ties must break by ticket, not arrival");
 }
 

@@ -124,6 +124,19 @@ fn soak_workers() -> usize {
     }
 }
 
+/// One gateway round whose completions must come back ordered by
+/// `(completed_at, ticket)` — the merge rule, read off the stamps.
+fn checked_round(gateway: &mut Gateway) -> Vec<Completion> {
+    let completions = gateway.run_round();
+    assert!(
+        completions
+            .windows(2)
+            .all(|w| (w[0].completed_at, w[0].ticket) < (w[1].completed_at, w[1].ticket)),
+        "a round's completions are out of (completed_at, ticket) order"
+    );
+    completions
+}
+
 /// One full chaos run: interleaved submissions from all tenants, armed
 /// channel + feed adversaries, periodic breaker-guarded syncs, DRR
 /// drains under pressure. Returns `(log digest, per-tenant completion
@@ -189,7 +202,7 @@ fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
                 rejected += 1;
                 // Shed pressure, then retry once — second rejection is
                 // accepted as final (typed, accounted, not silent).
-                completions.extend(gateway.run_round());
+                completions.extend(checked_round(&mut gateway));
                 match gateway.submit(sessions[tenant], transfer_bundle(tenant, step)) {
                     Ok(ticket) => {
                         assert!(admitted.insert(ticket), "ticket {ticket} issued twice");
@@ -204,7 +217,7 @@ fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
         // Periodic pressure relief and feed sync; both go through the
         // gateway so they land in the same deterministic event log.
         if op % 4 == 3 {
-            completions.extend(gateway.run_round());
+            completions.extend(checked_round(&mut gateway));
         }
         if op % 16 == 15 {
             let _ = gateway.sync(&mut feed);
@@ -225,8 +238,9 @@ fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
             session_owner.insert(sessions[tenant], tenant);
         }
     }
-    completions.extend(gateway.run_until_idle());
-    assert_eq!(gateway.queued(), 0, "drain left work queued");
+    while gateway.queued() > 0 {
+        completions.extend(checked_round(&mut gateway));
+    }
 
     // Exactly-once: the set of completed tickets IS the set of admitted
     // tickets — nothing lost, nothing duplicated, nothing invented.
@@ -251,6 +265,11 @@ fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
             .get(&completion.session)
             .expect("completion for an unknown session");
         per_tenant[tenant] += 1;
+        assert!(
+            completion.admitted_at <= completion.completed_at,
+            "ticket {} completed before it was admitted",
+            completion.ticket
+        );
         if let Ok(report) = &completion.outcome {
             let own = [tenant_addr(tenant), sink_addr(tenant)];
             for (addr, _, _) in &report.changes.balances {
