@@ -166,8 +166,8 @@ pub fn merge_completions(mut completions: Vec<Completion>) -> Vec<Completion> {
 }
 
 /// One queued bundle surrendered by [`Gateway::drain_for_failover`]:
-/// everything a fleet router needs to re-home the work — or to refuse
-/// to, with a typed completion — after its device failed.
+/// everything a fleet router needs to re-home the work after its
+/// device failed.
 #[derive(Debug)]
 pub struct FailoverEntry {
     /// The owning session on the failed gateway.
@@ -179,11 +179,6 @@ pub struct FailoverEntry {
     pub admitted_at: Nanos,
     /// The bundle itself, resubmittable on a surviving device.
     pub bundle: Bundle,
-    /// Whether the bundle carried a mid-execution checkpoint. The
-    /// checkpoint is unrecoverable (a [`BundlePause`] dies with its
-    /// device); such entries must be failed, not resubmitted, or the
-    /// already-executed prefix would run twice.
-    pub was_paused: bool,
 }
 
 /// What one [`Gateway::sync_set`] round did: the chain outcome plus the
@@ -1027,11 +1022,10 @@ impl Gateway {
     }
 
     /// Pulls every queued bundle off this gateway for fleet failover,
-    /// emptying all tenant queues. Each entry reports whether it
-    /// carried a mid-execution checkpoint: the pause itself dies here —
-    /// a [`BundlePause`] is not clonable and cannot outlive its device,
-    /// so the caller must convert paused entries into typed failure
-    /// completions while fresh ones may be resubmitted elsewhere.
+    /// emptying all tenant queues. A paused entry's checkpoint dies
+    /// here — a [`BundlePause`] cannot outlive its device — and the
+    /// bundle is returned like a fresh one: re-run from the start on a
+    /// survivor, it gives the receipt the lost run would have.
     ///
     /// The drained work is *not* accounted as completed in this
     /// gateway's stats — ownership of the exactly-once obligation moves
@@ -1052,7 +1046,6 @@ impl Gateway {
                     ticket: admitted.ticket,
                     admitted_at: admitted.admitted_at,
                     bundle: admitted.bundle,
-                    was_paused: admitted.pause.is_some(),
                 });
             }
         }

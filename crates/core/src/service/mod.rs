@@ -649,23 +649,6 @@ impl HarDTape {
         &self.config
     }
 
-    /// The Hypervisor's current ORAM bucket-encryption key. In a fleet
-    /// this is the escrow that lets a surviving device serve a migrated
-    /// tenant's world state: every device shares one key
-    /// ([`Self::share_oram_key`]), exactly as the trusted
-    /// device-to-device channel of the paper's §VI-D deployment would.
-    pub fn oram_key(&self) -> [u8; 16] {
-        self.hypervisor.oram_key()
-    }
-
-    /// Installs the fleet-shared ORAM key on this device's Hypervisor
-    /// (the receiving end of the trusted device-to-device key share).
-    /// The ORAM client copied its key at boot, so joining the fleet
-    /// escrow never re-keys buckets already written.
-    pub fn share_oram_key(&mut self, key: [u8; 16]) {
-        self.hypervisor.share_oram_key(key);
-    }
-
     /// The service-wide virtual clock.
     pub fn clock(&self) -> &Clock {
         &self.clock

@@ -10,10 +10,10 @@
 //! happens when one of K devices wedges or dies. The contract the
 //! router keeps is the same one the single-device gateway keeps —
 //! every admitted bundle resolves to exactly one typed completion —
-//! extended across device failure via migration (tenants re-attest on
-//! a survivor, readable thanks to the fleet ORAM-key escrow) and typed
-//! shedding of in-flight work whose execution state died with the
-//! device.
+//! extended across device failure via migration: tenants re-attest on
+//! a survivor, which serves them from its own replica, and every
+//! bundle the dead device held — paused mid-run or not — runs again
+//! there from the start under its original ticket.
 //!
 //! Entry point: [`FleetRouter`].
 

@@ -13,14 +13,16 @@
 //!   [`FaultKind::DeviceHang`] at [`FaultSite::Device`]). Quarantined
 //!   devices are skipped; crashed devices are failed over.
 //! * **Migration** — when a device fails, its tenants re-attest on the
-//!   surviving device their rendezvous weight now elects (the fleet
-//!   ORAM-key escrow makes the survivor's world state readable), queued
-//!   bundles are resubmitted under their original fleet tickets, and
-//!   in-flight paused work — whose [`hardtape::BundlePause`] lived only
-//!   on the dead device and is not `Clone` by construction — is shed
-//!   with a typed [`FleetError::DeviceFailed`] completion. Every
-//!   admitted fleet ticket still resolves to exactly one
-//!   [`FleetCompletion`].
+//!   surviving device their rendezvous weight now elects, and every
+//!   bundle drained from the dead device is resubmitted there under its
+//!   original fleet ticket, whether it was queued or paused mid-run. A
+//!   run is a pure function of the bundle and the pinned head, so a
+//!   paused bundle re-run from the start gives the receipt its lost run
+//!   would have. Nothing crosses devices but the tenant's attestation
+//!   seed: each survivor serves from its own replica, synced from the
+//!   same [`FeedSet`] and sealed under its own ORAM key. Every admitted
+//!   fleet ticket still resolves to exactly one [`FleetCompletion`],
+//!   timed from its first admission.
 //!
 //! The router also owns fleet-wide chain sync: all devices sync from
 //! the *same* [`FeedSet`] and are expected to adopt the same head;
@@ -72,12 +74,6 @@ impl Default for FleetConfig {
 /// produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
-    /// The tenant's device crashed with this work in flight; the paused
-    /// execution state died with it and cannot be replayed elsewhere.
-    DeviceFailed {
-        /// Index of the crashed device.
-        device: usize,
-    },
     /// No device in the fleet is currently eligible for new work.
     NoEligibleDevice,
     /// The fleet session id is not registered with the router.
@@ -94,9 +90,6 @@ pub enum FleetError {
 impl core::fmt::Display for FleetError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            FleetError::DeviceFailed { device } => {
-                write!(f, "device {device} failed with this work in flight")
-            }
             FleetError::NoEligibleDevice => write!(f, "no eligible device in the fleet"),
             FleetError::UnknownSession(session) => write!(f, "unknown fleet session {session}"),
             FleetError::SplitHead { heads } => {
@@ -123,17 +116,28 @@ pub struct FleetCompletion {
     pub ticket: u64,
     /// Fleet session the work belonged to.
     pub session: u64,
-    /// Device that resolved the ticket (for a failover shed, the dead
-    /// device the work was lost on).
+    /// Device that resolved the ticket: the one that ran it, or, for a
+    /// refusal the router makes during failover, the survivor that
+    /// refused it (the dead device itself when none is left).
     pub device: usize,
-    /// Virtual time, on `device`'s clock, the work was admitted there —
-    /// for a completion the router makes during failover, the admission
-    /// on the failed device.
+    /// Virtual time, on `device`'s clock, the work was admitted there.
     pub admitted_at: Nanos,
     /// Virtual time, on `device`'s clock, the ticket resolved.
     pub completed_at: Nanos,
+    /// Wait the ticket served on devices that died holding it, each
+    /// measured on its own clock; 0 for work that never moved.
+    pub carried_ns: Nanos,
     /// The signed report, or a typed reason there is none.
     pub outcome: Result<BundleReport, FleetError>,
+}
+
+impl FleetCompletion {
+    /// Admit→complete latency from the ticket's *first* admission: the
+    /// time on `device` plus the wait carried from dead devices. No two
+    /// clocks are compared.
+    pub fn latency_ns(&self) -> Nanos {
+        self.completed_at - self.admitted_at + self.carried_ns
+    }
 }
 
 /// Aggregate router counters (instrumentation for tests and ops).
@@ -149,8 +153,6 @@ pub struct FleetStats {
     pub completed_err: u64,
     /// Tenant sessions re-attested onto a surviving device.
     pub migrations: u64,
-    /// In-flight paused bundles shed with `DeviceFailed` on a crash.
-    pub shed_on_failure: u64,
     /// Devices latched into the terminal `Failed` state.
     pub device_failures: u64,
 }
@@ -175,8 +177,6 @@ struct TenantRecord {
     device: usize,
     /// The home gateway's session id for this tenant.
     device_session: u64,
-    /// How many times this tenant has been migrated.
-    generation: u32,
     /// True once the tenant's device failed with no eligible survivor;
     /// later submissions get `NoEligibleDevice`.
     orphaned: bool,
@@ -190,34 +190,30 @@ pub struct FleetRouter {
     last_health: Vec<HealthState>,
     /// fleet session → routing record.
     tenants: HashMap<u64, TenantRecord>,
-    /// (device index, device ticket) → (fleet ticket, fleet session).
-    /// Entries move between devices on failover and are removed when
-    /// the completion is adopted — exactly-once by construction.
-    tickets: HashMap<(usize, u64), (u64, u64)>,
+    /// (device index, device ticket) → (fleet ticket, fleet session,
+    /// wait served on dead devices). Entries move between devices on
+    /// failover, adding the wait on the device they leave, and are
+    /// removed when the completion is adopted — exactly-once by
+    /// construction.
+    tickets: HashMap<(usize, u64), (u64, u64, Nanos)>,
     next_session: u64,
     next_ticket: u64,
     round: u64,
     faults: Option<FaultPlan>,
-    fleet_key: [u8; 16],
     log: EventLog,
     telemetry: Telemetry,
     stats: FleetStats,
 }
 
 impl FleetRouter {
-    /// Builds a router over `gateways` and establishes the fleet
-    /// ORAM-key escrow: device 0's key is shared to every other device
-    /// so any survivor can serve a migrated tenant's world state.
+    /// Builds a router over `gateways`. Each device keeps the ORAM key
+    /// it drew at boot.
     ///
     /// # Panics
     ///
     /// Panics if `gateways` is empty.
-    pub fn new(mut gateways: Vec<Gateway>, config: FleetConfig) -> Self {
+    pub fn new(gateways: Vec<Gateway>, config: FleetConfig) -> Self {
         assert!(!gateways.is_empty(), "a fleet needs at least one device");
-        let fleet_key = gateways[0].device().oram_key();
-        for gateway in gateways.iter_mut().skip(1) {
-            gateway.device_mut().share_oram_key(fleet_key);
-        }
         let count = gateways.len();
         let mut log = EventLog::new();
         log.record(format_args!("r=0 fleet-boot devices={count}"));
@@ -234,7 +230,6 @@ impl FleetRouter {
             next_ticket: 1,
             round: 0,
             faults: None,
-            fleet_key,
             log,
             telemetry: Telemetry::new(),
             stats: FleetStats::default(),
@@ -390,7 +385,6 @@ impl FleetRouter {
                 seed: user_seed.to_vec(),
                 device,
                 device_session,
-                generation: 0,
                 orphaned: false,
             },
         );
@@ -432,10 +426,10 @@ impl FleetRouter {
             return Err(FleetError::NoEligibleDevice);
         }
         let (device, device_session) = (record.device, record.device_session);
-        if self.health[device].is_failed() {
-            self.stats.rejected += 1;
-            return Err(FleetError::DeviceFailed { device });
-        }
+        assert!(
+            !self.health[device].is_failed(),
+            "fail_device migrates or orphans every tenant homed on the device it fails"
+        );
         if !self.device_eligible(device) {
             // Quarantined home: the bundle would sit un-dispatched, so
             // reject with the time left on the quarantine clock.
@@ -449,7 +443,7 @@ impl FleetRouter {
             Ok(device_ticket) => {
                 let ticket = self.next_ticket;
                 self.next_ticket += 1;
-                self.tickets.insert((device, device_ticket), (ticket, session));
+                self.tickets.insert((device, device_ticket), (ticket, session, 0));
                 self.stats.admitted += 1;
                 Ok(ticket)
             }
@@ -469,8 +463,8 @@ impl FleetRouter {
 
     /// Runs one scheduling round on every live device, in device order,
     /// consulting the armed fault plan per device first. Returns the
-    /// round's fleet completions (including failover sheds if a device
-    /// crashed mid-round).
+    /// round's fleet completions (including failover refusals if a
+    /// device crashed mid-round).
     pub fn run_round(&mut self) -> Vec<FleetCompletion> {
         self.round += 1;
         let round = self.round;
@@ -548,7 +542,7 @@ impl FleetRouter {
     /// Translates a device completion into the fleet's ticket space and
     /// retires the ticket mapping (exactly-once).
     fn adopt_completion(&mut self, device: usize, completion: Completion) -> FleetCompletion {
-        let (ticket, session) = self
+        let (ticket, session, carried_ns) = self
             .tickets
             .remove(&(device, completion.ticket))
             .unwrap_or_else(|| {
@@ -560,34 +554,39 @@ impl FleetRouter {
             Err(_) => self.stats.completed_err += 1,
         }
         let (admitted_at, completed_at) = (completion.admitted_at, completion.completed_at);
-        FleetCompletion { ticket, session, device, admitted_at, completed_at, outcome }
+        FleetCompletion { ticket, session, device, admitted_at, completed_at, carried_ns, outcome }
     }
 
     /// A completion the router makes itself during failover: a typed
-    /// error, stamped now on `device`'s clock.
+    /// error, admitted and completed now on `device`'s clock, so its
+    /// whole latency is the wait `carried_ns` it served before.
     fn refuse(
         &mut self,
-        ticket: u64,
-        session: u64,
+        (ticket, session, carried_ns): (u64, u64, Nanos),
         device: usize,
-        admitted_at: Nanos,
         err: FleetError,
     ) -> FleetCompletion {
         self.stats.completed_err += 1;
-        let completed_at = self.device_now(device);
-        FleetCompletion { ticket, session, device, admitted_at, completed_at, outcome: Err(err) }
+        let now = self.device_now(device);
+        FleetCompletion {
+            ticket,
+            session,
+            device,
+            admitted_at: now,
+            completed_at: now,
+            carried_ns,
+            outcome: Err(err),
+        }
     }
 
     /// Latches `device` as failed and performs failover:
     ///
     /// 1. Tenants homed on the device re-attest on the survivor their
-    ///    rendezvous weight elects (readable thanks to the fleet
-    ///    ORAM-key escrow), or are orphaned if no device is eligible.
-    /// 2. Queued-but-unstarted bundles are resubmitted on the tenant's
-    ///    new home under their original fleet tickets.
-    /// 3. In-flight paused bundles — whose execution state died with
-    ///    the device — are shed with one typed
-    ///    [`FleetError::DeviceFailed`] completion each.
+    ///    rendezvous weight elects, or are orphaned if no device is
+    ///    eligible.
+    /// 2. Every drained bundle, queued or paused mid-run, is resubmitted
+    ///    on its tenant's new home under its original fleet ticket and
+    ///    runs from the start, carrying the wait it served here.
     ///
     /// Public so a test rig or operator can kill a device directly; the
     /// seeded [`FaultKind::DeviceCrash`] path goes through here too.
@@ -616,31 +615,18 @@ impl FleetRouter {
             self.migrate(session, device);
         }
 
-        // Resolve drained work: resubmit fresh bundles on the new home,
-        // shed paused ones. Either way each fleet ticket stays on track
-        // for exactly one completion.
+        // Resubmit drained work on the new home, paused or not. Each
+        // fleet ticket stays on track for exactly one completion.
+        let dead_now = self.device_now(device);
         let mut out = Vec::new();
         for entry in drained {
-            let (ticket, session) = self
+            let (ticket, session, carried_ns) = self
                 .tickets
                 .remove(&(device, entry.ticket))
                 .unwrap_or_else(|| {
                     unreachable!("drained device ticket {} has no fleet mapping", entry.ticket)
                 });
-            if entry.was_paused {
-                // The BundlePause died with the device; there is no
-                // checkpoint to replay. Typed shed, never silently
-                // dropped and never double-executed.
-                self.telemetry.count(CounterId::FleetShedOnFailure, 1);
-                self.stats.shed_on_failure += 1;
-                self.log.record(format_args!(
-                    "r={} shed-on-failure ticket={ticket} session={session}",
-                    self.round
-                ));
-                let err = FleetError::DeviceFailed { device };
-                out.push(self.refuse(ticket, session, device, entry.admitted_at, err));
-                continue;
-            }
+            let routed = (ticket, session, carried_ns + (dead_now - entry.admitted_at));
             let target = self.tenants.get(&session).and_then(|record| {
                 (!record.orphaned).then_some((record.device, record.device_session))
             });
@@ -648,7 +634,7 @@ impl FleetRouter {
                 Some((new_device, device_session)) => {
                     match self.gateways[new_device].submit(device_session, entry.bundle) {
                         Ok(device_ticket) => {
-                            self.tickets.insert((new_device, device_ticket), (ticket, session));
+                            self.tickets.insert((new_device, device_ticket), routed);
                             self.log.record(format_args!(
                                 "r={} resubmit ticket={ticket} session={session} device={new_device}",
                                 self.round
@@ -657,24 +643,21 @@ impl FleetRouter {
                         Err(err) => {
                             // The survivor refused (e.g. overload): the
                             // refusal is this ticket's one completion.
-                            let (at, err) = (entry.admitted_at, FleetError::Gateway(err));
-                            out.push(self.refuse(ticket, session, new_device, at, err));
+                            let err = FleetError::Gateway(err);
+                            out.push(self.refuse(routed, new_device, err));
                         }
                     }
                 }
-                None => {
-                    let err = FleetError::NoEligibleDevice;
-                    out.push(self.refuse(ticket, session, device, entry.admitted_at, err));
-                }
+                None => out.push(self.refuse(routed, device, FleetError::NoEligibleDevice)),
             }
         }
         out
     }
 
     /// Re-homes one tenant after its device failed: rendezvous over the
-    /// survivors, re-attest there with the retained seed, bump the
-    /// migration generation. Orphans the tenant if no device is
-    /// eligible or the survivor refuses the attestation.
+    /// survivors, re-attest there with the retained seed. Orphans the
+    /// tenant if no device is eligible or the survivor refuses the
+    /// attestation.
     fn migrate(&mut self, session: u64, from: usize) {
         let seed = match self.tenants.get(&session) {
             Some(record) => record.seed.clone(),
@@ -687,17 +670,11 @@ impl FleetRouter {
             self.log.record(format_args!("r={} orphaned session={session}", self.round));
             return;
         };
-        assert_eq!(
-            self.gateways[new_device].device().oram_key(),
-            self.fleet_key,
-            "survivor missing the fleet ORAM-key escrow"
-        );
         match self.gateways[new_device].connect(&seed) {
             Ok(device_session) => {
                 if let Some(record) = self.tenants.get_mut(&session) {
                     record.device = new_device;
                     record.device_session = device_session;
-                    record.generation += 1;
                 }
                 self.telemetry.count(CounterId::FleetMigrations, 1);
                 self.stats.migrations += 1;

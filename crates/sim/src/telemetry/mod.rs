@@ -138,9 +138,6 @@ id_table! {
         FleetHealthTransitions => "fleet_health_transitions",
         /// Fleet: tenant sessions migrated to a surviving device.
         FleetMigrations => "fleet_migrations",
-        /// Fleet: bundles shed with a typed `DeviceFailed` completion
-        /// because their device (and any checkpoint on it) was lost.
-        FleetShedOnFailure => "fleet_shed_on_failure",
         /// Disk store: records appended to the log (buckets + commits).
         DiskWrites => "disk_writes",
         /// Disk store: fsync barriers issued at commit boundaries.

@@ -69,7 +69,7 @@ pub struct Hypervisor {
     rng: SecureRng,
     slots: Vec<SlotState>,
     next_session: u64,
-    /// The fleet-shared ORAM key (paper §IV-D "ORAM key protection").
+    /// This device's ORAM key (paper §IV-D "ORAM key protection").
     oram_key: [u8; 16],
     /// Consecutive hardware-level failures per slot; reset on success.
     failures: Vec<u32>,
@@ -84,9 +84,8 @@ impl core::fmt::Debug for Hypervisor {
 impl Hypervisor {
     /// Boots the Hypervisor with `hevm_count` cores (the XCZU15EV fits 3).
     pub fn boot(attester: Attester, hevm_count: usize, mut rng: SecureRng) -> Self {
-        // The first device in a fleet picks the ORAM key at random; later
-        // devices fetch it over a device-to-device DHKE channel (modeled
-        // by `share_oram_key`).
+        // Every device draws its own ORAM key, and it never leaves the
+        // chip: in a fleet each device seals its own replica.
         let mut oram_key = [0u8; 16];
         rng.fill_bytes(&mut oram_key);
         Hypervisor {
@@ -99,15 +98,9 @@ impl Hypervisor {
         }
     }
 
-    /// The fleet ORAM key (shared between trusted Hypervisors only).
+    /// This device's ORAM key.
     pub fn oram_key(&self) -> [u8; 16] {
         self.oram_key
-    }
-
-    /// Adopts the ORAM key from an existing fleet member (new device
-    /// joining, paper §IV-D).
-    pub fn share_oram_key(&mut self, key: [u8; 16]) {
-        self.oram_key = key;
     }
 
     /// Responds to a remote-attestation request, opening a new session.
@@ -233,16 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn oram_key_sharing() {
-        let mut a = hypervisor_seeded(1, b"device-a");
-        let mut b = hypervisor_seeded(1, b"device-b");
-        // Freshly booted devices have independent keys...
-        assert_ne!(a.oram_key(), b.oram_key());
-        // ...until the newcomer adopts the fleet key.
-        let fleet = a.oram_key();
-        b.share_oram_key(fleet);
-        assert_eq!(a.oram_key(), b.oram_key());
-        let _ = &mut a;
+    fn oram_keys_are_per_device() {
+        let a = hypervisor_seeded(1, b"device-a");
+        let b = hypervisor_seeded(1, b"device-b");
+        assert_ne!(a.oram_key(), b.oram_key(), "freshly booted devices draw independent keys");
     }
 
     #[test]

@@ -402,14 +402,16 @@ preempt_digest() {
 }
 
 fleet_digest() {
-    # Prints the FLEET_DIGEST line for one fresh-process fleet chaos
-    # soak (4 devices, mid-soak crash + migration + reorg;
-    # exactly-once, head convergence, and the §IV-D audit asserted
-    # in-test).
+    # Prints the FLEET_DIGEST and FLEET_RERUN lines for one
+    # fresh-process fleet chaos soak (4 devices, mid-soak crash +
+    # migration + reorg; exactly-once, head convergence, the §IV-D
+    # audit and the re-run paused work's receipts asserted in-test).
+    # FLEET_RERUN counts the paused bundles re-run on survivors and the
+    # segments the dead device had already run of them.
     # Optional second arg: worker-pool size (default 1).
     HARDTAPE_SOAK_SEED="$1" HARDTAPE_SOAK_WORKERS="${2:-1}" cargo test -q --test fleet \
         fleet_chaos_soak_is_deterministic_and_survives_device_loss -- --nocapture \
-        | grep -E '^FLEET_DIGEST '
+        | grep -E '^FLEET_(DIGEST|RERUN) '
 }
 
 shared_state_digests() {
