@@ -635,3 +635,57 @@ fn calldataload_at_max_offset_reads_zero() {
     let h = hevm.transact(&Transaction::call(sender, target, input)).unwrap();
     assert_eq!(r, h);
 }
+
+/// `calldata[0]` iterations of a five-instruction loop (~26 gas each).
+fn gasbomb() -> Vec<u8> {
+    Asm::new()
+        .push(0u64)
+        .op(op::CALLDATALOAD)
+        .op(op::DUP1)
+        .op(op::ISZERO)
+        .jumpi("done")
+        .label("loop")
+        .push(1u64)
+        .op(op::SWAP1)
+        .op(op::SUB)
+        .op(op::DUP1)
+        .jumpi("loop")
+        .label("done")
+        .op(op::POP)
+        .push(1u64)
+        .ret_top()
+        .build()
+}
+
+#[test]
+fn gas_runs_out_on_every_instruction_of_a_loop() {
+    // One iteration costs 26 gas, so 27 consecutive limits run out on
+    // every instruction of the body; the traces are compared step by step.
+    let state = backend(gasbomb(), vec![]);
+    for limit in 22_000..=22_026u64 {
+        let mut tx = call_tx(U256::from(50_000u64).to_be_bytes().to_vec());
+        tx.gas_limit = limit;
+        assert_equivalent(&state, &tx, &format!("gas limit {limit}"));
+    }
+}
+
+#[test]
+fn stack_limits_at_the_edge_of_a_straight_line_stretch() {
+    // 1 022 `PUSH0`s and a `CALLVALUE` leave 1 023 words: one more push
+    // fits, a second overflows. Then a stretch entered one word short.
+    let tower = |pushes: u64| {
+        let mut a = Asm::new();
+        for _ in 0..1_022 {
+            a = a.op(op::PUSH0);
+        }
+        a = a.op(op::CALLVALUE);
+        for i in 0..pushes {
+            a = a.push(i + 1);
+        }
+        a.stop().build()
+    };
+    let short = Asm::new().op(op::CALLVALUE).push(1u64).op(op::ADD).op(op::ADD).stop().build();
+    for (label, code) in [("fits", tower(1)), ("overflows", tower(2)), ("one word short", short)] {
+        assert_equivalent(&backend(code, vec![]), &call_tx(vec![]), label);
+    }
+}
