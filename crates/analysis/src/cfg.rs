@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
-use tape_evm::opcode::{self, op, JumpTable};
+use tape_evm::opcode::{self, op};
 
 /// One decoded instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,14 +85,14 @@ pub struct Cfg {
 impl Cfg {
     /// Decodes `code` into instructions and basic blocks.
     pub fn build(code: &[u8]) -> Cfg {
-        let jump_table = JumpTable::analyze(code);
         let mut instrs = Vec::new();
         let mut jumpdests = BTreeSet::new();
         let mut pc = 0usize;
         while pc < code.len() {
             let opcode = code[pc];
             let imm_len = opcode::immediate_len(opcode);
-            if opcode == op::JUMPDEST && jump_table.is_valid(pc) {
+            // `pc` is an instruction start, never push data.
+            if opcode == op::JUMPDEST {
                 jumpdests.insert(pc);
             }
             instrs.push(Instr { pc, opcode, imm_len });

@@ -7,7 +7,7 @@ use crate::config::SecurityConfig;
 use std::sync::Arc;
 use tape_oram::ObliviousState;
 use tape_primitives::{Address, B256, U256};
-use tape_state::{AccountInfo, InMemoryState, StateReader};
+use tape_state::{AccountInfo, Code, InMemoryState, StateReader};
 
 /// A reader that splits queries between the local mirror and the ORAM.
 ///
@@ -62,7 +62,7 @@ impl StateReader for HybridState<'_> {
         }
     }
 
-    fn code(&self, address: &Address) -> Arc<Vec<u8>> {
+    fn code(&self, address: &Address) -> Arc<Code> {
         if self.config.oram_code() {
             self.oram().code(address)
         } else {

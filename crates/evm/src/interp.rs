@@ -7,16 +7,17 @@
 
 use crate::gas::{self, Gas};
 use crate::memory::Memory;
-use crate::opcode::{self, op, JumpTable};
+use crate::opcode::{self, op};
 use crate::precompile;
-use crate::stack::{Stack, StackError};
+use crate::run::{self, Run, Runs};
+use crate::stack::{Stack, StackError, Words, STACK_LIMIT};
 use crate::types::{
     Env, FrameEnd, FrameStart, Inspector, StateAccess, StepInfo, Transaction, TxError, TxResult,
     VmError,
 };
 use std::sync::Arc;
 use tape_primitives::{rlp, Address, B256, U256};
-use tape_state::{JournaledState, Log, StateReader};
+use tape_state::{Code, JournaledState, Log, StateReader};
 
 impl From<StackError> for VmError {
     fn from(e: StackError) -> Self {
@@ -31,8 +32,7 @@ impl From<StackError> for VmError {
 /// memory-likes, frame state, and a view of the world-state version via
 /// the journal checkpoint held by the caller).
 struct Frame {
-    code: Arc<Vec<u8>>,
-    jump_table: JumpTable,
+    code: Arc<Code>,
     pc: usize,
     stack: Stack,
     memory: Memory,
@@ -71,7 +71,7 @@ enum StepAction {
     SubCreate {
         created: Address,
         value: U256,
-        initcode: Vec<u8>,
+        initcode: Arc<Code>,
         gas: u64,
     },
 }
@@ -150,6 +150,7 @@ pub struct Evm<R, I = crate::types::NoopInspector> {
     refund: i64,
     origin: Address,
     gas_price: U256,
+    runs: Runs,
 }
 
 impl<R: StateReader> Evm<R> {
@@ -169,6 +170,7 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
             refund: 0,
             origin: Address::ZERO,
             gas_price: U256::ZERO,
+            runs: Runs::new(),
         }
     }
 
@@ -288,7 +290,7 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
                 tx.from,
                 created,
                 tx.value,
-                tx.data.clone(),
+                Arc::new(Code::new(tx.data.clone())),
                 gas.remaining(),
                 1,
             ) {
@@ -419,10 +421,8 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
         }
 
         self.inspector.state_access(&StateAccess::Code(msg.code_address, code.len()));
-        let jump_table = JumpTable::analyze(&code);
         let frame = Frame {
             code,
-            jump_table,
             pc: 0,
             stack: Stack::new(),
             memory: Memory::new(),
@@ -444,7 +444,7 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
         creator: Address,
         created: Address,
         value: U256,
-        initcode: Vec<u8>,
+        initcode: Arc<Code>,
         gas: u64,
         depth: usize,
     ) -> Prepared {
@@ -489,11 +489,8 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
             });
         }
 
-        let code = Arc::new(initcode);
-        let jump_table = JumpTable::analyze(&code);
         let frame = Frame {
-            code,
-            jump_table,
+            code: initcode,
             pc: 0,
             stack: Stack::new(),
             memory: Memory::new(),
@@ -569,9 +566,25 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
         }
     }
 
-    /// Steps a frame until it ends or requests a sub-frame.
+    /// Executes a frame until it ends or requests a sub-frame: a whole
+    /// straight-line run at a time where the run's entry check passes,
+    /// one instruction at a time through [`Self::step`] otherwise.
     fn run_frame(&mut self, frame: &mut Frame) -> StepAction {
+        // Instructions of a refused run still to step one at a time.
+        let mut refused = 0;
         loop {
+            if refused == 0 {
+                let run = self.runs.at(&frame.code, frame.pc);
+                if run.fits(frame.gas.remaining(), frame.stack.len()) {
+                    if let Err(err) = self.run_straight(frame, run) {
+                        frame.gas.consume_all();
+                        return StepAction::Done(FrameOutcome::Halt(err));
+                    }
+                    continue;
+                }
+                refused = run.count;
+            }
+            refused = refused.saturating_sub(1);
             match self.step(frame) {
                 Ok(StepAction::Continue) => {}
                 Ok(action) => return action,
@@ -581,6 +594,39 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
                 }
             }
         }
+    }
+
+    /// Executes a run whose entry check passed: its static gas is
+    /// charged up front, and no instruction inside can run out of gas or
+    /// leave the stack bounds. The inspector still sees every step with
+    /// the gas it had before that instruction.
+    fn run_straight(&mut self, frame: &mut Frame, run: Run) -> Result<(), VmError> {
+        let Frame { code, pc, stack, memory, gas, address, depth, .. } = frame;
+        let mut left = gas.remaining();
+        let charged = gas.charge(u64::from(run.gas));
+        debug_assert!(charged, "the entry check covers the run's gas");
+        let inspector = &mut self.inspector;
+        let mut at = *pc;
+        let bytes: &[u8] = code;
+        stack.open(run.peak as usize, |words| {
+            for _ in 0..run.count {
+                let opcode = bytes[at];
+                inspector.step(&StepInfo {
+                    pc: at,
+                    opcode,
+                    gas_remaining: left,
+                    depth: *depth,
+                    stack: words.as_slice(),
+                    memory_size: memory.size(),
+                    address: *address,
+                });
+                left -= opcode::info(opcode).base_gas;
+                at = straight(words, code, opcode, at)?;
+            }
+            Ok::<_, VmError>(())
+        })?;
+        *pc = at;
+        Ok(())
     }
 
     /// Settles a finished job: CREATE deployment epilogue, journal
@@ -665,21 +711,23 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
         }
 
         let pc = frame.pc;
-        frame.pc += 1; // default advance; PUSH/JUMP adjust below
+        if run::is_pure(opcode) || matches!(opcode, op::JUMP | op::JUMPI) {
+            let height = frame.stack.len();
+            if height < usize::from(info.inputs) {
+                return Err(VmError::StackUnderflow);
+            }
+            if height - usize::from(info.inputs) + usize::from(info.outputs) > STACK_LIMIT {
+                return Err(VmError::StackOverflow);
+            }
+            frame.pc = frame.stack.open(1, |words| straight(words, &frame.code, opcode, pc))?;
+            return Ok(StepAction::Continue);
+        }
+        frame.pc += 1;
 
         match opcode {
             op::STOP => return Ok(StepAction::Done(FrameOutcome::Stop)),
 
             // --- Arithmetic -------------------------------------------------
-            op::ADD => binary(frame, |a, b| a.wrapping_add(b))?,
-            op::MUL => binary(frame, |a, b| a.wrapping_mul(b))?,
-            op::SUB => binary(frame, |a, b| a.wrapping_sub(b))?,
-            op::DIV => binary(frame, |a, b| a.div_evm(b))?,
-            op::SDIV => binary(frame, |a, b| a.sdiv_evm(b))?,
-            op::MOD => binary(frame, |a, b| a.rem_evm(b))?,
-            op::SMOD => binary(frame, |a, b| a.smod_evm(b))?,
-            op::ADDMOD => ternary(frame, |a, b, m| a.add_mod(b, m))?,
-            op::MULMOD => ternary(frame, |a, b, m| a.mul_mod(b, m))?,
             op::EXP => {
                 let base = frame.stack.pop()?;
                 let exponent = frame.stack.pop()?;
@@ -688,39 +736,6 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
                 }
                 frame.stack.push(base.wrapping_pow(exponent))?;
             }
-            op::SIGNEXTEND => binary(frame, |b, x| x.sign_extend(b))?,
-
-            // --- Comparison / bitwise --------------------------------------
-            op::LT => binary(frame, |a, b| U256::from(a < b))?,
-            op::GT => binary(frame, |a, b| U256::from(a > b))?,
-            op::SLT => binary(frame, |a, b| {
-                U256::from(a.signed_cmp(&b) == core::cmp::Ordering::Less)
-            })?,
-            op::SGT => binary(frame, |a, b| {
-                U256::from(a.signed_cmp(&b) == core::cmp::Ordering::Greater)
-            })?,
-            op::EQ => binary(frame, |a, b| U256::from(a == b))?,
-            op::ISZERO => {
-                let a = frame.stack.pop()?;
-                frame.stack.push(U256::from(a.is_zero()))?;
-            }
-            op::AND => binary(frame, |a, b| a & b)?,
-            op::OR => binary(frame, |a, b| a | b)?,
-            op::XOR => binary(frame, |a, b| a ^ b)?,
-            op::NOT => {
-                let a = frame.stack.pop()?;
-                frame.stack.push(!a)?;
-            }
-            op::BYTE => binary(frame, |i, x| x.byte_be(i))?,
-            op::SHL => binary(frame, |shift, v| {
-                v.shl_word(shift.try_into_u64().map(|s| s.min(256) as u32).unwrap_or(256))
-            })?,
-            op::SHR => binary(frame, |shift, v| {
-                v.shr_word(shift.try_into_u64().map(|s| s.min(256) as u32).unwrap_or(256))
-            })?,
-            op::SAR => binary(frame, |shift, v| {
-                v.sar_word(shift.try_into_u64().map(|s| s.min(256) as u32).unwrap_or(256))
-            })?,
 
             // --- Keccak -----------------------------------------------------
             op::KECCAK256 => {
@@ -848,29 +863,6 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
             }
             op::BASEFEE => frame.stack.push(self.env.base_fee)?,
 
-            // --- Stack ------------------------------------------------------
-            op::POP => {
-                frame.stack.pop()?;
-            }
-            op::PUSH0 => frame.stack.push(U256::ZERO)?,
-            _ if opcode::is_push(opcode) => {
-                let n = opcode::immediate_len(opcode);
-                let start = (pc + 1).min(frame.code.len());
-                let end = (pc + 1 + n).min(frame.code.len());
-                let bytes = &frame.code[start..end];
-                // Truncated push data is zero-padded on the right.
-                let mut word = [0u8; 32];
-                word[32 - n..32 - n + bytes.len()].copy_from_slice(bytes);
-                frame.stack.push(U256::from_be_bytes(word))?;
-                frame.pc = pc + 1 + n;
-            }
-            _ if (op::DUP1..=op::DUP16).contains(&opcode) => {
-                frame.stack.dup((opcode - op::DUP1 + 1) as usize)?;
-            }
-            _ if (op::SWAP1..=op::SWAP16).contains(&opcode) => {
-                frame.stack.swap((opcode - op::SWAP1 + 1) as usize)?;
-            }
-
             // --- Memory -----------------------------------------------------
             op::MLOAD => {
                 let offset = frame.stack.pop()?;
@@ -952,20 +944,7 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
             }
 
             // --- Control flow -----------------------------------------------
-            op::JUMP => {
-                let target = frame.stack.pop()?;
-                frame.pc = validate_jump(frame, target)?;
-            }
-            op::JUMPI => {
-                let target = frame.stack.pop()?;
-                let condition = frame.stack.pop()?;
-                if !condition.is_zero() {
-                    frame.pc = validate_jump(frame, target)?;
-                }
-            }
-            op::PC => frame.stack.push(U256::from(pc))?,
             op::GAS => frame.stack.push(U256::from(frame.gas.remaining()))?,
-            op::JUMPDEST => {}
 
             // --- Logs -------------------------------------------------------
             _ if (op::LOG0..=op::LOG4).contains(&opcode) => {
@@ -1188,8 +1167,9 @@ impl<R: StateReader, I: Inspector> Evm<R, I> {
         }
 
         let nonce = self.state.inc_nonce(&frame.address);
+        let initcode = Arc::new(Code::new(initcode));
         let created = match salt {
-            Some(salt) => create2_address(&frame.address, &salt, &initcode),
+            Some(salt) => create2_address(&frame.address, &salt, &initcode.hash()),
             None => create_address(&frame.address, nonce),
         };
 
@@ -1236,30 +1216,16 @@ pub fn create_address(sender: &Address, nonce: u64) -> Address {
     Address::from_slice(&tape_crypto::keccak256(encoded).as_bytes()[12..])
 }
 
-/// `keccak256(0xff ++ sender ++ salt ++ keccak256(initcode))[12..]` —
-/// the CREATE2 address rule.
-pub fn create2_address(sender: &Address, salt: &U256, initcode: &[u8]) -> Address {
+/// `keccak256(0xff ++ sender ++ salt ++ init_hash)[12..]` — the CREATE2
+/// address rule, where `init_hash` is the initcode image's
+/// [`Code::hash`].
+pub fn create2_address(sender: &Address, salt: &U256, init_hash: &B256) -> Address {
     let mut buf = Vec::with_capacity(85);
     buf.push(0xff);
     buf.extend_from_slice(sender.as_bytes());
     buf.extend_from_slice(&salt.to_be_bytes());
-    buf.extend_from_slice(tape_crypto::keccak256(initcode).as_bytes());
+    buf.extend_from_slice(init_hash.as_bytes());
     Address::from_slice(&tape_crypto::keccak256(buf).as_bytes()[12..])
-}
-
-fn binary(frame: &mut Frame, f: impl FnOnce(U256, U256) -> U256) -> Result<(), VmError> {
-    let a = frame.stack.pop()?;
-    let b = frame.stack.pop()?;
-    frame.stack.push(f(a, b))?;
-    Ok(())
-}
-
-fn ternary(frame: &mut Frame, f: impl FnOnce(U256, U256, U256) -> U256) -> Result<(), VmError> {
-    let a = frame.stack.pop()?;
-    let b = frame.stack.pop()?;
-    let c = frame.stack.pop()?;
-    frame.stack.push(f(a, b, c))?;
-    Ok(())
 }
 
 /// Charges memory-expansion gas for `offset..offset+len` and expands the
@@ -1300,9 +1266,98 @@ fn copy_params(frame: &mut Frame) -> Result<(usize, usize, usize), VmError> {
     Ok((dst, src, len))
 }
 
-fn validate_jump(frame: &Frame, target: U256) -> Result<usize, VmError> {
+/// The one implementation of every instruction a straight-line run can
+/// hold, shared by [`Evm::run_straight`] and the per-instruction step.
+/// The caller has bounded the stack and charged the static gas; the only
+/// error left is a `JUMP` / `JUMPI` to an invalid destination. Returns
+/// the next pc.
+#[inline(always)]
+fn straight(stack: &mut Words<'_>, code: &Code, opcode: u8, pc: usize) -> Result<usize, VmError> {
+    use core::cmp::Ordering;
+    fn shift(s: U256) -> u32 {
+        s.try_into_u64().map(|s| s.min(256) as u32).unwrap_or(256)
+    }
+    /// Pops the top word `a` and replaces the next one, `b`, in place.
+    #[inline(always)]
+    fn binary(stack: &mut Words<'_>, f: impl FnOnce(U256, U256) -> U256) {
+        let a = stack.pop();
+        let b = stack.top();
+        *b = f(a, *b);
+    }
+    match opcode {
+        op::ADD => binary(stack, |a, b| a.wrapping_add(b)),
+        op::MUL => binary(stack, |a, b| a.wrapping_mul(b)),
+        op::SUB => binary(stack, |a, b| a.wrapping_sub(b)),
+        op::DIV => binary(stack, |a, b| a.div_evm(b)),
+        op::SDIV => binary(stack, |a, b| a.sdiv_evm(b)),
+        op::MOD => binary(stack, |a, b| a.rem_evm(b)),
+        op::SMOD => binary(stack, |a, b| a.smod_evm(b)),
+        op::ADDMOD | op::MULMOD => {
+            let a = stack.pop();
+            let b = stack.pop();
+            let m = stack.top();
+            *m = if opcode == op::ADDMOD { a.add_mod(b, *m) } else { a.mul_mod(b, *m) };
+        }
+        op::SIGNEXTEND => binary(stack, |b, x| x.sign_extend(b)),
+        op::LT => binary(stack, |a, b| U256::from(a < b)),
+        op::GT => binary(stack, |a, b| U256::from(a > b)),
+        op::SLT => binary(stack, |a, b| U256::from(a.signed_cmp(&b) == Ordering::Less)),
+        op::SGT => binary(stack, |a, b| U256::from(a.signed_cmp(&b) == Ordering::Greater)),
+        op::EQ => binary(stack, |a, b| U256::from(a == b)),
+        op::ISZERO => {
+            let top = stack.top();
+            *top = U256::from(top.is_zero());
+        }
+        op::AND => binary(stack, |a, b| a & b),
+        op::OR => binary(stack, |a, b| a | b),
+        op::XOR => binary(stack, |a, b| a ^ b),
+        op::NOT => {
+            let top = stack.top();
+            *top = !*top;
+        }
+        op::BYTE => binary(stack, |i, x| x.byte_be(i)),
+        op::SHL => binary(stack, |s, v| v.shl_word(shift(s))),
+        op::SHR => binary(stack, |s, v| v.shr_word(shift(s))),
+        op::SAR => binary(stack, |s, v| v.sar_word(shift(s))),
+        op::POP => {
+            stack.pop();
+        }
+        op::PUSH0 => stack.push(U256::ZERO),
+        op::PUSH1..=op::PUSH8 if pc + 1 + opcode::immediate_len(opcode) <= code.len() => {
+            let n = opcode::immediate_len(opcode);
+            let value = code[pc + 1..pc + 1 + n].iter().fold(0u64, |v, &b| v << 8 | u64::from(b));
+            stack.push(U256::from(value));
+            return Ok(pc + 1 + n);
+        }
+        op::PUSH1..=op::PUSH32 => {
+            let n = opcode::immediate_len(opcode);
+            let start = (pc + 1).min(code.len());
+            let end = (pc + 1 + n).min(code.len());
+            // Truncated push data is zero-padded on the right.
+            let mut word = [0u8; 32];
+            word[32 - n..32 - n + (end - start)].copy_from_slice(&code[start..end]);
+            stack.push(U256::from_be_bytes(word));
+            return Ok(pc + 1 + n);
+        }
+        op::DUP1..=op::DUP16 => stack.dup(usize::from(opcode - op::DUP1) + 1),
+        op::SWAP1..=op::SWAP16 => stack.swap(usize::from(opcode - op::SWAP1) + 1),
+        op::PC => stack.push(U256::from(pc)),
+        op::JUMPDEST => {}
+        op::JUMP => return jump_target(code, stack.pop()),
+        op::JUMPI => {
+            let target = stack.pop();
+            if !stack.pop().is_zero() {
+                return jump_target(code, target);
+            }
+        }
+        _ => unreachable!("{opcode:#04x} is not a straight-line instruction"),
+    }
+    Ok(pc + 1)
+}
+
+fn jump_target(code: &Code, target: U256) -> Result<usize, VmError> {
     let target = target.try_into_usize().ok_or(VmError::InvalidJump)?;
-    if !frame.jump_table.is_valid(target) {
+    if !code.jumpdests().is_valid(target) {
         return Err(VmError::InvalidJump);
     }
     Ok(target)

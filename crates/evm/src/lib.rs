@@ -25,13 +25,15 @@ mod interp;
 mod memory;
 pub mod opcode;
 pub mod precompile;
+mod run;
 mod stack;
 mod tracer;
 mod types;
 
 pub use interp::{create2_address, create_address, Evm};
 pub use memory::Memory;
-pub use stack::{Stack, StackError, STACK_LIMIT};
+pub use run::{is_pure, Run};
+pub use stack::{Stack, StackError, Words, STACK_LIMIT};
 pub use tracer::{StructTracer, TraceCall, TraceStep};
 pub use types::{
     Env, FrameEnd, FrameStart, Inspector, NoopInspector, StateAccess, StepInfo, Transaction,

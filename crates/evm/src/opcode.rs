@@ -252,34 +252,6 @@ pub fn immediate_len(opcode: u8) -> usize {
     }
 }
 
-/// Precomputed set of valid `JUMPDEST` positions for a code blob
-/// (positions inside PUSH immediates are excluded).
-#[derive(Debug, Clone, Default)]
-pub struct JumpTable {
-    valid: Vec<bool>,
-}
-
-impl JumpTable {
-    /// Analyzes `code`.
-    pub fn analyze(code: &[u8]) -> Self {
-        let mut valid = vec![false; code.len()];
-        let mut pc = 0;
-        while pc < code.len() {
-            let opcode = code[pc];
-            if opcode == op::JUMPDEST {
-                valid[pc] = true;
-            }
-            pc += 1 + immediate_len(opcode);
-        }
-        JumpTable { valid }
-    }
-
-    /// Returns `true` if `target` is a valid jump destination.
-    pub fn is_valid(&self, target: usize) -> bool {
-        self.valid.get(target).copied().unwrap_or(false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,27 +286,5 @@ mod tests {
         assert!(is_push(op::PUSH7));
         assert!(!is_push(op::PUSH0));
         assert!(!is_push(op::DUP1));
-    }
-
-    #[test]
-    fn jump_table_skips_push_data() {
-        // PUSH2 0x5b5b JUMPDEST — the two 0x5b bytes inside the push are
-        // NOT valid destinations; the trailing one is.
-        let code = [op::PUSH2, 0x5b, 0x5b, op::JUMPDEST];
-        let table = JumpTable::analyze(&code);
-        assert!(!table.is_valid(1));
-        assert!(!table.is_valid(2));
-        assert!(table.is_valid(3));
-        assert!(!table.is_valid(4));
-        assert!(!table.is_valid(999));
-    }
-
-    #[test]
-    fn jump_table_truncated_push() {
-        // PUSH32 with only 3 bytes of code left must not panic.
-        let code = [op::JUMPDEST, op::PUSH32, 0x5b];
-        let table = JumpTable::analyze(&code);
-        assert!(table.is_valid(0));
-        assert!(!table.is_valid(2));
     }
 }

@@ -13,19 +13,22 @@
 
 use crate::layers::{Layer3Pager, SwapEvent, SwappedFrame};
 use crate::memlike::{copy_padded, MemLike};
+use crate::run::{self, Run, Runs};
 use std::sync::Arc;
 use tape_crypto::SecureRng;
 use tape_evm::gas::{self, Gas};
-use tape_evm::opcode::{self, op, JumpTable};
+use tape_evm::opcode::{self, op};
 use tape_evm::precompile;
 use tape_evm::{
     create2_address, create_address, Env, FrameEnd, FrameStart, Inspector, NoopInspector, Stack,
-    StateAccess, StepInfo, Transaction, TxError, TxResult, VmError,
+    StateAccess, StepInfo, Transaction, TxError, TxResult, VmError, Words, STACK_LIMIT,
 };
 use tape_primitives::{Address, B256, U256};
 use tape_sim::resources::MemoryConfig;
 use tape_sim::{Clock, CostModel, Nanos};
-use tape_state::{Checkpoint as JournalMark, JournalSuspend, JournaledState, Log, StateReader};
+use tape_state::{
+    Checkpoint as JournalMark, Code, JournalSuspend, JournaledState, Log, StateReader,
+};
 
 /// HEVM configuration: memory partitioning and unit costs.
 #[derive(Debug, Clone)]
@@ -141,8 +144,7 @@ impl std::error::Error for HevmAbort {}
 /// pager never exposes to untrusted memory.
 #[derive(Clone)]
 struct FrameMeta {
-    code: Arc<Vec<u8>>,
-    jump: Arc<JumpTable>,
+    code: Arc<Code>,
     address: Address,
     caller: Address,
     value: U256,
@@ -271,7 +273,7 @@ enum Next {
     Step,
     End(Ended),
     Call { msg: CallMsg, out_offset: usize, out_len: usize },
-    Create { created: Address, value: U256, initcode: Vec<u8>, gas: u64 },
+    Create { created: Address, value: U256, initcode: Arc<Code>, gas: u64 },
     /// The gas-slice budget for this segment ran out; the frame stack
     /// is intact and the driver must yield to the caller.
     Preempt,
@@ -501,11 +503,8 @@ pub struct Hevm<R, I = NoopInspector> {
     /// `world()` settles it before the stepper touches state, and
     /// `execute_top` after every run.
     unticked_ns: Nanos,
-    /// One jump-destination analysis per distinct code image for the
-    /// life of the engine, keyed by the image's allocation — the journal
-    /// overlay hands out one `Arc` per account, and the clone held here
-    /// keeps that address from being reused.
-    jump_tables: Vec<(Arc<Vec<u8>>, Arc<JumpTable>)>,
+    /// The straight-line runs this engine has entered.
+    runs: Runs,
 }
 
 impl<R: StateReader> Hevm<R> {
@@ -580,7 +579,7 @@ impl<R: StateReader> Hevm<R> {
             root_gas,
             slice_used_start: 0,
             unticked_ns: 0,
-            jump_tables: Vec::new(),
+            runs: Runs::new(),
         }
     }
 }
@@ -624,7 +623,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             root_gas: 0,
             slice_used_start: 0,
             unticked_ns: 0,
-            jump_tables: Vec::new(),
+            runs: Runs::new(),
         }
     }
 
@@ -817,7 +816,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 creator: tx.from,
                 created,
                 value: tx.value,
-                initcode: tx.data.clone(),
+                initcode: Arc::new(Code::new(tx.data.clone())),
                 gas: counter.remaining(),
                 depth: 1,
             })?
@@ -987,7 +986,7 @@ enum Work {
         creator: Address,
         created: Address,
         value: U256,
-        initcode: Vec<u8>,
+        initcode: Arc<Code>,
         gas: u64,
         depth: usize,
     },
@@ -1176,10 +1175,8 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
 
         self.inspector.state_access(&StateAccess::Code(msg.code_address, code.len()));
         self.charge_local_code_fetch(code.len());
-        let jump = self.jump_table(&code);
         let meta = FrameMeta {
             code,
-            jump,
             address: msg.address,
             caller: msg.caller,
             value: msg.value,
@@ -1207,7 +1204,7 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         creator: Address,
         created: Address,
         value: U256,
-        initcode: Vec<u8>,
+        initcode: Arc<Code>,
         gas: u64,
         depth: usize,
     ) -> Result<Admitted, HevmAbort> {
@@ -1249,11 +1246,8 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             }));
         }
 
-        let code = Arc::new(initcode);
-        let jump = Arc::new(JumpTable::analyze(&code));
         let meta = FrameMeta {
-            code,
-            jump,
+            code: initcode,
             address: created,
             caller: creator,
             value,
@@ -1500,7 +1494,23 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
     ) -> Result<Next, HevmAbort> {
         let deadline = self.watchdog_deadline;
         let slice = self.config.gas_slice.filter(|_| self.pending.is_some());
+        // Instructions of a refused run still to step one at a time. The
+        // first instruction after an entry (`balanced` is `None`) always
+        // runs alone, so that layer 2 is rebalanced right behind it.
+        let mut refused = 0;
         loop {
+            if refused == 0 && balanced.is_some() {
+                let run = self.runs.at(&meta.code, data.pc, &self.config.cost);
+                if self.run_fits(&run, meta, data, gas_below, deadline, slice) {
+                    if let Err(err) = self.run_straight(meta, data, run) {
+                        meta.gas.consume_all();
+                        return Ok(Next::End(Ended::Halt(err)));
+                    }
+                    continue;
+                }
+                refused = run.count;
+            }
+            refused = refused.saturating_sub(1);
             // A runaway execution (adversarial bytecode, a huge honest
             // loop, or an engine defect) must not stall the core: the
             // watchdog bounds each segment in virtual time.
@@ -1515,11 +1525,8 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             // its budget. Checked at the same boundary as the watchdog;
             // the caller puts the frame back, so the engine is
             // suspendable as soon as this returns.
-            if let Some(slice) = slice {
-                let used = self.root_gas.saturating_sub(gas_below + meta.gas.remaining());
-                if used.saturating_sub(self.slice_used_start) >= slice {
-                    return Ok(Next::Preempt);
-                }
+            if slice.is_some_and(|slice| self.slice_used(gas_below, meta) >= slice) {
+                return Ok(Next::Preempt);
             }
             let next = match self.step(meta, data) {
                 Ok(next) => next,
@@ -1532,6 +1539,72 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 return Ok(next);
             }
         }
+    }
+
+    /// Gas this segment has executed, with `gas_below` held by the
+    /// frames under `meta`.
+    #[inline]
+    fn slice_used(&self, gas_below: u64, meta: &FrameMeta) -> u64 {
+        let used = self.root_gas.saturating_sub(gas_below + meta.gas.remaining());
+        used.saturating_sub(self.slice_used_start)
+    }
+
+    /// The entry check of a run: true only if none of the checks made
+    /// before each instruction — gas, stack, watchdog, gas slice — could
+    /// fire anywhere inside it.
+    fn run_fits(
+        &self,
+        run: &Run,
+        meta: &FrameMeta,
+        data: &FrameData,
+        gas_below: u64,
+        deadline: Option<Nanos>,
+        slice: Option<u64>,
+    ) -> bool {
+        let height = data.stack.len();
+        run.count > 0
+            && meta.gas.remaining() >= u64::from(run.gas)
+            && height >= run.need as usize
+            && height + run.peak as usize <= STACK_LIMIT
+            && deadline.is_none_or(|at| self.clock.now() + self.unticked_ns + run.ns <= at)
+            && slice.is_none_or(|slice| self.slice_used(gas_below, meta) + u64::from(run.gas) < slice)
+    }
+
+    /// Executes a run whose entry check passed: its instructions, gas and
+    /// virtual time are retired in one sum. The inspector still sees
+    /// every step with the gas it had before that instruction.
+    fn run_straight(
+        &mut self,
+        meta: &mut FrameMeta,
+        data: &mut FrameData,
+        run: Run,
+    ) -> Result<(), VmError> {
+        self.stats.instructions += u64::from(run.count);
+        self.unticked_ns += run.ns;
+        let mut left = meta.gas.remaining();
+        let charged = meta.gas.charge(u64::from(run.gas));
+        debug_assert!(charged, "the entry check covers the run's gas");
+        let (inspector, memory_size) = (&mut self.inspector, data.memory.len());
+        let (bytes, mut pc): (&[u8], _) = (&meta.code, data.pc);
+        data.stack.open(run.peak as usize, |words| {
+            for _ in 0..run.count {
+                let byte = bytes[pc];
+                inspector.step(&StepInfo {
+                    pc,
+                    opcode: byte,
+                    gas_remaining: left,
+                    depth: meta.depth,
+                    stack: words.as_slice(),
+                    memory_size,
+                    address: meta.address,
+                });
+                left -= opcode::info(byte).base_gas;
+                pc = straight(words, &meta.code, byte, pc)?;
+            }
+            Ok::<_, VmError>(())
+        })?;
+        data.pc = pc;
+        Ok(())
     }
 
     /// Puts the retired-but-unticked virtual time on the shared clock.
@@ -1549,17 +1622,6 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
     fn world(&mut self) -> &mut JournaledState<R> {
         self.tick();
         &mut self.state
-    }
-
-    /// The jump-destination table of `code`, analysed once per image.
-    fn jump_table(&mut self, code: &Arc<Vec<u8>>) -> Arc<JumpTable> {
-        let known = self.jump_tables.iter().find(|(image, _)| Arc::ptr_eq(image, code));
-        if let Some((_, jump)) = known {
-            return Arc::clone(jump);
-        }
-        let jump = Arc::new(JumpTable::analyze(code));
-        self.jump_tables.push((Arc::clone(code), Arc::clone(&jump)));
-        jump
     }
 
     /// Decode + execute one instruction (the fetch/decode stages of the
@@ -1593,11 +1655,36 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         }
 
         let pc = data.pc;
+        if run::is_pure(byte) || matches!(byte, op::JUMP | op::JUMPI) {
+            let height = data.stack.len();
+            if height < usize::from(info.inputs) {
+                return Err(VmError::StackUnderflow);
+            }
+            if height - usize::from(info.inputs) + usize::from(info.outputs) > STACK_LIMIT {
+                return Err(VmError::StackOverflow);
+            }
+            data.pc = data.stack.open(1, |words| straight(words, &meta.code, byte, pc))?;
+            return Ok(Next::Step);
+        }
         data.pc += 1;
 
         use tape_evm::opcode::OpCategory as C;
         match info.category {
-            C::Arithmetic => exec_arithmetic(byte, meta, data)?,
+            // What is left of these three once the straight-line
+            // instructions are out: `EXP`, whose gas depends on its
+            // operand, and `STOP`.
+            C::Arithmetic | C::Stack | C::Flow => match byte {
+                op::EXP => {
+                    let base = data.stack.pop()?;
+                    let exponent = data.stack.pop()?;
+                    if !meta.gas.charge(gas::exp_cost(&exponent)) {
+                        return Err(VmError::OutOfGas);
+                    }
+                    data.stack.push(base.wrapping_pow(exponent))?;
+                }
+                op::STOP => return Ok(Next::End(Ended::Stop)),
+                other => unreachable!("{other:#04x} is a straight-line instruction"),
+            },
             C::Keccak => {
                 let offset = data.stack.pop()?;
                 let len = data.stack.pop()?;
@@ -1609,26 +1696,8 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 data.stack.push(hash.into_u256())?;
             }
             C::FrameState => self.exec_frame_state(byte, meta, data)?,
-            C::Stack => exec_stack(byte, pc, meta, data)?,
             C::Memory => self.exec_memory(byte, meta, data)?,
             C::Storage => self.exec_storage(byte, meta, data)?,
-            C::Flow => match byte {
-                op::STOP => return Ok(Next::End(Ended::Stop)),
-                op::JUMP => {
-                    let target = data.stack.pop()?;
-                    data.pc = check_jump(meta, target)?;
-                }
-                op::JUMPI => {
-                    let target = data.stack.pop()?;
-                    let cond = data.stack.pop()?;
-                    if !cond.is_zero() {
-                        data.pc = check_jump(meta, target)?;
-                    }
-                }
-                op::PC => data.stack.push(U256::from(pc))?,
-                op::JUMPDEST => {}
-                _ => return Err(VmError::InvalidOpcode(byte)),
-            },
             C::Log => {
                 if meta.is_static {
                     return Err(VmError::StaticViolation);
@@ -2062,8 +2131,9 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         }
 
         let nonce = self.world().inc_nonce(&meta.address);
+        let initcode = Arc::new(Code::new(initcode));
         let created = match salt {
-            Some(salt) => create2_address(&meta.address, &salt, &initcode),
+            Some(salt) => create2_address(&meta.address, &salt, &initcode.hash()),
             None => create_address(&meta.address, nonce),
         };
         Ok(Next::Create { created, value, initcode, gas: child_gas })
@@ -2079,94 +2149,97 @@ enum Admitted {
 // Pure instruction helpers (the ALU of the pipeline)
 // ---------------------------------------------------------------------
 
-fn exec_arithmetic(byte: u8, meta: &mut FrameMeta, data: &mut FrameData) -> Result<(), VmError> {
+/// The ALU and stack stage for every instruction a straight-line run can
+/// hold — the single implementation both [`Hevm::run_straight`] and the
+/// per-instruction step drive. Stack bounds and static gas are settled
+/// before it is called; a jump to a non-`JUMPDEST` is the one fault left.
+/// Returns the next pc.
+#[inline(always)]
+fn straight(stack: &mut Words<'_>, code: &Code, byte: u8, pc: usize) -> Result<usize, VmError> {
     use core::cmp::Ordering;
-    let stack = &mut data.stack;
-    let shift_amount = |s: U256| s.try_into_u64().map(|v| v.min(256) as u32).unwrap_or(256);
-    match byte {
-        op::ADD => bin(stack, |a, b| a.wrapping_add(b))?,
-        op::MUL => bin(stack, |a, b| a.wrapping_mul(b))?,
-        op::SUB => bin(stack, |a, b| a.wrapping_sub(b))?,
-        op::DIV => bin(stack, |a, b| a.div_evm(b))?,
-        op::SDIV => bin(stack, |a, b| a.sdiv_evm(b))?,
-        op::MOD => bin(stack, |a, b| a.rem_evm(b))?,
-        op::SMOD => bin(stack, |a, b| a.smod_evm(b))?,
-        op::ADDMOD => tri(stack, |a, b, m| a.add_mod(b, m))?,
-        op::MULMOD => tri(stack, |a, b, m| a.mul_mod(b, m))?,
-        op::EXP => {
-            let base = stack.pop()?;
-            let exponent = stack.pop()?;
-            if !meta.gas.charge(gas::exp_cost(&exponent)) {
-                return Err(VmError::OutOfGas);
-            }
-            stack.push(base.wrapping_pow(exponent))?;
-        }
-        op::SIGNEXTEND => bin(stack, |b, x| x.sign_extend(b))?,
-        op::LT => bin(stack, |a, b| U256::from(a < b))?,
-        op::GT => bin(stack, |a, b| U256::from(a > b))?,
-        op::SLT => bin(stack, |a, b| U256::from(a.signed_cmp(&b) == Ordering::Less))?,
-        op::SGT => bin(stack, |a, b| U256::from(a.signed_cmp(&b) == Ordering::Greater))?,
-        op::EQ => bin(stack, |a, b| U256::from(a == b))?,
-        op::ISZERO => {
-            let a = stack.pop()?;
-            stack.push(U256::from(a.is_zero()))?;
-        }
-        op::AND => bin(stack, |a, b| a & b)?,
-        op::OR => bin(stack, |a, b| a | b)?,
-        op::XOR => bin(stack, |a, b| a ^ b)?,
-        op::NOT => {
-            let a = stack.pop()?;
-            stack.push(!a)?;
-        }
-        op::BYTE => bin(stack, |i, x| x.byte_be(i))?,
-        op::SHL => bin(stack, |s, v| v.shl_word(shift_amount(s)))?,
-        op::SHR => bin(stack, |s, v| v.shr_word(shift_amount(s)))?,
-        op::SAR => bin(stack, |s, v| v.sar_word(shift_amount(s)))?,
-        other => return Err(VmError::InvalidOpcode(other)),
+    #[inline(always)]
+    fn alu(stack: &mut Words<'_>, f: impl FnOnce(U256, U256) -> U256) {
+        let a = stack.pop();
+        let b = stack.top();
+        *b = f(a, *b);
     }
-    Ok(())
-}
-
-fn exec_stack(byte: u8, pc: usize, meta: &FrameMeta, data: &mut FrameData) -> Result<(), VmError> {
+    fn shift_amount(s: U256) -> u32 {
+        s.try_into_u64().map(|v| v.min(256) as u32).unwrap_or(256)
+    }
     match byte {
-        op::POP => {
-            data.stack.pop()?;
+        op::ADD => alu(stack, |a, b| a.wrapping_add(b)),
+        op::MUL => alu(stack, |a, b| a.wrapping_mul(b)),
+        op::SUB => alu(stack, |a, b| a.wrapping_sub(b)),
+        op::DIV => alu(stack, |a, b| a.div_evm(b)),
+        op::SDIV => alu(stack, |a, b| a.sdiv_evm(b)),
+        op::MOD => alu(stack, |a, b| a.rem_evm(b)),
+        op::SMOD => alu(stack, |a, b| a.smod_evm(b)),
+        op::ADDMOD => {
+            let a = stack.pop();
+            let b = stack.pop();
+            let m = stack.top();
+            *m = a.add_mod(b, *m);
         }
-        op::PUSH0 => data.stack.push(U256::ZERO)?,
-        _ if opcode::is_push(byte) => {
+        op::MULMOD => {
+            let a = stack.pop();
+            let b = stack.pop();
+            let m = stack.top();
+            *m = a.mul_mod(b, *m);
+        }
+        op::SIGNEXTEND => alu(stack, |b, x| x.sign_extend(b)),
+        op::LT => alu(stack, |a, b| U256::from(a < b)),
+        op::GT => alu(stack, |a, b| U256::from(a > b)),
+        op::SLT => alu(stack, |a, b| U256::from(a.signed_cmp(&b) == Ordering::Less)),
+        op::SGT => alu(stack, |a, b| U256::from(a.signed_cmp(&b) == Ordering::Greater)),
+        op::EQ => alu(stack, |a, b| U256::from(a == b)),
+        op::ISZERO => {
+            let top = stack.top();
+            *top = U256::from(top.is_zero());
+        }
+        op::AND => alu(stack, |a, b| a & b),
+        op::OR => alu(stack, |a, b| a | b),
+        op::XOR => alu(stack, |a, b| a ^ b),
+        op::NOT => {
+            let top = stack.top();
+            *top = !*top;
+        }
+        op::BYTE => alu(stack, |i, x| x.byte_be(i)),
+        op::SHL => alu(stack, |s, v| v.shl_word(shift_amount(s))),
+        op::SHR => alu(stack, |s, v| v.shr_word(shift_amount(s))),
+        op::SAR => alu(stack, |s, v| v.sar_word(shift_amount(s))),
+        op::POP => {
+            stack.pop();
+        }
+        op::PUSH0 => stack.push(U256::ZERO),
+        op::PUSH1..=op::PUSH32 => {
             let n = opcode::immediate_len(byte);
-            let start = (pc + 1).min(meta.code.len());
-            let end = (pc + 1 + n).min(meta.code.len());
-            let imm = &meta.code[start..end];
+            if let Some(imm) = code.get(pc + 1..pc + 1 + n).filter(|_| n <= 8) {
+                let value = imm.iter().fold(0u64, |v, &b| v << 8 | u64::from(b));
+                stack.push(U256::from(value));
+                return Ok(pc + 1 + n);
+            }
+            let imm = code.get(pc + 1..).unwrap_or_default();
+            let imm = &imm[..n.min(imm.len())];
             let mut word = [0u8; 32];
             word[32 - n..32 - n + imm.len()].copy_from_slice(imm);
-            data.stack.push(U256::from_be_bytes(word))?;
-            data.pc = pc + 1 + n;
+            stack.push(U256::from_be_bytes(word));
+            return Ok(pc + 1 + n);
         }
-        _ if (op::DUP1..=op::DUP16).contains(&byte) => {
-            data.stack.dup((byte - op::DUP1 + 1) as usize)?;
+        op::DUP1..=op::DUP16 => stack.dup(usize::from(byte - op::DUP1 + 1)),
+        op::SWAP1..=op::SWAP16 => stack.swap(usize::from(byte - op::SWAP1 + 1)),
+        op::PC => stack.push(U256::from(pc)),
+        op::JUMPDEST => {}
+        op::JUMP => return check_jump(code, stack.pop()),
+        op::JUMPI => {
+            let target = stack.pop();
+            let cond = stack.pop();
+            if !cond.is_zero() {
+                return check_jump(code, target);
+            }
         }
-        _ if (op::SWAP1..=op::SWAP16).contains(&byte) => {
-            data.stack.swap((byte - op::SWAP1 + 1) as usize)?;
-        }
-        other => return Err(VmError::InvalidOpcode(other)),
+        other => unreachable!("{other:#04x} is not a straight-line instruction"),
     }
-    Ok(())
-}
-
-fn bin(stack: &mut Stack, f: impl FnOnce(U256, U256) -> U256) -> Result<(), VmError> {
-    let a = stack.pop()?;
-    let b = stack.pop()?;
-    stack.push(f(a, b))?;
-    Ok(())
-}
-
-fn tri(stack: &mut Stack, f: impl FnOnce(U256, U256, U256) -> U256) -> Result<(), VmError> {
-    let a = stack.pop()?;
-    let b = stack.pop()?;
-    let c = stack.pop()?;
-    stack.push(f(a, b, c))?;
-    Ok(())
+    Ok(pc + 1)
 }
 
 /// Memory expansion metering, identical to the reference engine's rules.
@@ -2205,9 +2278,9 @@ fn copy_triplet(meta: &mut FrameMeta, data: &mut FrameData) -> Result<(usize, us
     Ok((dst, src, len))
 }
 
-fn check_jump(meta: &FrameMeta, target: U256) -> Result<usize, VmError> {
+fn check_jump(code: &Code, target: U256) -> Result<usize, VmError> {
     let target = target.try_into_usize().ok_or(VmError::InvalidJump)?;
-    if !meta.jump.is_valid(target) {
+    if !code.jumpdests().is_valid(target) {
         return Err(VmError::InvalidJump);
     }
     Ok(target)

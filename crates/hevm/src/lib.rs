@@ -24,7 +24,9 @@
 mod engine;
 mod layers;
 mod memlike;
+mod run;
 
 pub use engine::{Checkpoint, Hevm, HevmAbort, HevmConfig, HevmStats, SliceOutcome};
 pub use layers::{Layer3Pager, Layer3Tampered, SwapEvent, SwappedFrame};
 pub use memlike::MemLike;
+pub use run::{is_pure, Run};

@@ -7,11 +7,12 @@
 //! Tier-1 runs [`CASES`] cases per property on the default hierarchy.
 //! The `#[ignore]`d soak at the bottom (`scripts/verify.sh --soak`, in
 //! release) runs twenty times as many, then the same generators again
-//! on a tiny layer 2 (frames spill to layer 3 and come back) and with
-//! a small gas slice (every few dozen instructions a segment ends and
-//! the next continues in place).
+//! on a tiny layer 2 (frames spill to layer 3 and come back), with a
+//! small gas slice (every few dozen instructions a segment ends and the
+//! next continues in place) and with a gas slice drawn per case from
+//! 1..=64 (segments end inside straight-line runs at every offset).
 
-use tape_crypto::prop::check;
+use tape_crypto::prop::{check, Gen};
 use tape_evm::asm::Asm;
 use tape_evm::opcode::op;
 use tape_evm::{Env, Evm, StructTracer, Transaction};
@@ -43,23 +44,33 @@ struct Rig {
     /// single-frame limit: the HEVM then aborts the bundle (§IV-B), the
     /// reference engine has no such notion, and the case says nothing.
     may_overflow: bool,
+    /// Draw the gas slice per case from 1..=64 instead of using the
+    /// configured one.
+    drawn_slice: bool,
 }
 
 impl Rig {
     fn tiny_layer2() -> Self {
         let mem = MemoryConfig { layer2_bytes: 128 * 1024, ..MemoryConfig::default() };
-        Rig { config: HevmConfig { mem, ..HevmConfig::default() }, may_overflow: true }
+        Rig { config: HevmConfig { mem, ..HevmConfig::default() }, may_overflow: true, ..Rig::default() }
     }
 
     fn small_slice() -> Self {
-        Rig { config: HevmConfig { gas_slice: Some(400), ..HevmConfig::default() }, may_overflow: false }
+        Rig { config: HevmConfig { gas_slice: Some(400), ..HevmConfig::default() }, ..Rig::default() }
+    }
+
+    fn drawn_slice() -> Self {
+        Rig { drawn_slice: true, ..Rig::default() }
     }
 }
 
 /// Runs one case on both engines and returns the HEVM's statistics
-/// (`None` when the rig's layer 2 made it abort the bundle).
+/// (`None` when the rig's layer 2 made it abort the bundle). A
+/// drawn-slice rig draws the case's gas slice from `g` after the
+/// property's own draws, so every rig sees the same programs.
 fn run_both(
     rig: &Rig,
+    g: &mut Gen,
     code: Vec<u8>,
     helper_code: Vec<u8>,
     input: Vec<u8>,
@@ -80,13 +91,12 @@ fn run_both(
 
     let mut reference = Evm::with_inspector(Env::default(), &backend, StructTracer::new());
     let expected = reference.transact(&tx).expect("reference accepts");
-    let mut hevm = Hevm::with_inspector(
-        rig.config.clone(),
-        Env::default(),
-        &backend,
-        Clock::new(),
-        StructTracer::new(),
-    );
+    let mut config = rig.config.clone();
+    if rig.drawn_slice {
+        config.gas_slice = Some(g.range(1, 65));
+    }
+    let mut hevm =
+        Hevm::with_inspector(config, Env::default(), &backend, Clock::new(), StructTracer::new());
     let actual = match hevm.transact(&tx) {
         Err(HevmAbort::MemoryOverflow { .. }) if rig.may_overflow => return None,
         outcome => outcome.expect("hevm accepts"),
@@ -112,7 +122,7 @@ fn random_bytes(rig: &Rig, cases: u32) {
     check("random_bytes_agree", cases, |g| {
         let code = g.bytes(0, 200);
         let input = g.bytes(0, 64);
-        run_both(rig, code, vec![], input, 300_000);
+        run_both(rig, g, code, vec![], input, 300_000);
     });
 }
 
@@ -122,7 +132,7 @@ fn biased_opcode_soup(rig: &Rig, cases: u32) {
     check("biased_opcode_soup_agrees", cases, |g| {
         let ops = g.vec_of(1, 150, |g| g.below(0xA5) as u8);
         let input = g.bytes(0, 32);
-        run_both(rig, ops, vec![], input, 300_000);
+        run_both(rig, g, ops, vec![], input, 300_000);
     });
 }
 
@@ -170,7 +180,7 @@ fn structured_programs(rig: &Rig, cases: u32) {
             .op(op::SSTORE)
             .ret_top()
             .build();
-        run_both(rig, code, vec![], vec![], 500_000);
+        run_both(rig, g, code, vec![], vec![], 500_000);
     });
 }
 
@@ -197,7 +207,7 @@ fn random_subcalls(rig: &Rig, cases: u32) {
             .op(op::RETURNDATASIZE)
             .ret_top()
             .build();
-        run_both(rig, code, helper_code, vec![0xAB; 4], 400_000);
+        run_both(rig, g, code, helper_code, vec![0xAB; 4], 400_000);
     });
 }
 
@@ -216,7 +226,7 @@ fn random_memory_traffic(rig: &Rig, cases: u32) {
                 _ => asm.push(32u64).push(*a).op(op::KECCAK256).op(op::POP),
             };
         }
-        run_both(rig, asm.op(op::MSIZE).ret_top().build(), vec![], vec![], 2_000_000);
+        run_both(rig, g, asm.op(op::MSIZE).ret_top().build(), vec![], vec![], 2_000_000);
     });
 }
 
@@ -236,7 +246,7 @@ fn gas_exhaustion(rig: &Rig, cases: u32) {
             }
             asm.stop().build()
         };
-        run_both(rig, code, vec![], vec![], gas);
+        run_both(rig, g, code, vec![], vec![], gas);
     });
 }
 
@@ -289,7 +299,7 @@ fn random_recursion(rig: &Rig, cases: u32) {
             .op(op::RETURN)
             .build();
         let input = U256::from(depth).to_be_bytes().to_vec();
-        if let Some(stats) = run_both(rig, code, vec![], input, 3_000_000) {
+        if let Some(stats) = run_both(rig, g, code, vec![], input, 3_000_000) {
             swaps += stats.swaps;
         }
     });
@@ -338,6 +348,7 @@ fn random_memory_traffic_agrees() {
 #[test]
 fn gas_exhaustion_agrees() {
     gas_exhaustion(&Rig::default(), CASES);
+    gas_exhaustion(&Rig::drawn_slice(), CASES);
 }
 
 #[test]
@@ -347,7 +358,8 @@ fn random_recursion_agrees() {
 }
 
 /// The soak: twenty times tier-1's cases per property, on the default
-/// hierarchy, on a tiny layer 2 and with a small gas slice.
+/// hierarchy, on a tiny layer 2, with a small gas slice and with a gas
+/// slice drawn per case.
 #[test]
 #[ignore = "long; scripts/verify.sh --soak runs it in release"]
 fn every_property_holds_at_length_and_under_pressure() {
@@ -355,6 +367,7 @@ fn every_property_holds_at_length_and_under_pressure() {
         ("default", Rig::default()),
         ("tiny_layer2", Rig::tiny_layer2()),
         ("small_slice", Rig::small_slice()),
+        ("drawn_slice", Rig::drawn_slice()),
     ] {
         for (name, property) in PROPERTIES {
             property(&rig, 20 * CASES);

@@ -154,6 +154,7 @@ impl U256 {
     }
 
     /// Converts to `u64` if the value fits.
+    #[inline]
     pub fn try_into_u64(self) -> Option<u64> {
         if self.limbs[1] == 0 && self.limbs[2] == 0 && self.limbs[3] == 0 {
             Some(self.limbs[0])
@@ -163,6 +164,7 @@ impl U256 {
     }
 
     /// Converts to `usize` if the value fits.
+    #[inline]
     pub fn try_into_usize(self) -> Option<usize> {
         self.try_into_u64().and_then(|v| usize::try_from(v).ok())
     }
@@ -704,6 +706,7 @@ impl From<u32> for U256 {
 }
 
 impl From<u64> for U256 {
+    #[inline]
     fn from(v: u64) -> Self {
         U256 { limbs: [v, 0, 0, 0] }
     }

@@ -36,6 +36,7 @@ impl Clock {
     }
 
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> Nanos {
         self.ns.load(Ordering::Relaxed)
     }

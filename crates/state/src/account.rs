@@ -1,6 +1,6 @@
 //! Account state: the four-field record of the Ethereum world state.
 
-use tape_crypto::keccak256;
+use crate::code::Code;
 use tape_primitives::{rlp, B256, U256};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,17 +17,24 @@ pub const EMPTY_CODE_HASH: B256 = B256::new([
 /// This is the materialized form used by the in-memory backend and the
 /// node simulator; execution works against lighter [`AccountInfo`]
 /// snapshots plus on-demand storage loads.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Account {
     /// Wei balance.
     pub balance: U256,
     /// Transaction / creation count.
     pub nonce: u64,
-    /// Contract bytecode (empty for externally owned accounts).
-    pub code: Arc<Vec<u8>>,
+    /// Contract bytecode (the shared empty image for externally owned
+    /// accounts).
+    pub code: Arc<Code>,
     /// Contract storage. BTreeMap keeps iteration deterministic, which the
     /// ORAM page grouping (32 consecutive keys per *block*) relies on.
     pub storage: BTreeMap<U256, U256>,
+}
+
+impl Default for Account {
+    fn default() -> Self {
+        Account { balance: U256::ZERO, nonce: 0, code: Code::empty(), storage: BTreeMap::new() }
+    }
 }
 
 impl Account {
@@ -38,16 +45,12 @@ impl Account {
 
     /// A contract account with the given code.
     pub fn with_code(code: Vec<u8>) -> Self {
-        Account { code: Arc::new(code), ..Default::default() }
+        Account { code: Arc::new(Code::new(code)), ..Default::default() }
     }
 
-    /// keccak256 of the account's code.
+    /// keccak256 of the account's code, computed once per image.
     pub fn code_hash(&self) -> B256 {
-        if self.code.is_empty() {
-            EMPTY_CODE_HASH
-        } else {
-            keccak256(self.code.as_slice())
-        }
+        self.code.hash()
     }
 
     /// Returns `true` if the account matches Ethereum's "empty" predicate
@@ -142,7 +145,7 @@ mod tests {
     #[test]
     fn empty_code_hash_constant() {
         assert_eq!(Account::default().code_hash(), EMPTY_CODE_HASH);
-        assert_eq!(keccak256([]), EMPTY_CODE_HASH);
+        assert_eq!(tape_crypto::keccak256([]), EMPTY_CODE_HASH);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! when the node applies a *block*.
 
 use crate::account::{Account, AccountInfo};
+use crate::code::Code;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tape_primitives::{Address, B256, U256};
@@ -20,8 +21,9 @@ pub trait StateReader {
     /// Loads the account header; `None` if the account does not exist.
     fn account(&self, address: &Address) -> Option<AccountInfo>;
 
-    /// Loads contract code. Empty slice for code-less accounts.
-    fn code(&self, address: &Address) -> Arc<Vec<u8>>;
+    /// Loads contract code: the shared empty image for code-less
+    /// accounts.
+    fn code(&self, address: &Address) -> Arc<Code>;
 
     /// Loads a storage slot (zero when absent).
     fn storage(&self, address: &Address, key: &U256) -> U256;
@@ -37,7 +39,7 @@ impl<T: StateReader + ?Sized> StateReader for &T {
     fn account(&self, address: &Address) -> Option<AccountInfo> {
         (**self).account(address)
     }
-    fn code(&self, address: &Address) -> Arc<Vec<u8>> {
+    fn code(&self, address: &Address) -> Arc<Code> {
         (**self).code(address)
     }
     fn storage(&self, address: &Address, key: &U256) -> U256 {
@@ -140,11 +142,8 @@ impl StateReader for InMemoryState {
         self.accounts.get(address).map(Account::info)
     }
 
-    fn code(&self, address: &Address) -> Arc<Vec<u8>> {
-        self.accounts
-            .get(address)
-            .map(|a| Arc::clone(&a.code))
-            .unwrap_or_default()
+    fn code(&self, address: &Address) -> Arc<Code> {
+        self.accounts.get(address).map_or_else(Code::empty, |a| Arc::clone(&a.code))
     }
 
     fn storage(&self, address: &Address, key: &U256) -> U256 {

@@ -33,11 +33,13 @@
 
 mod account;
 mod backend;
+mod code;
 mod journal;
 mod undo;
 
 pub use account::{Account, AccountInfo, Log, EMPTY_CODE_HASH};
 pub use backend::{InMemoryState, StateReader};
+pub use code::{Code, JumpDests};
 pub use journal::{
     Checkpoint, InsufficientBalance, JournalSuspend, JournaledState, SloadResult, SstoreResult,
     StateChanges,

@@ -58,7 +58,8 @@
 #            §IV-D audit are asserted inside the tests. Then the
 #            HEVM-vs-reference differential fuzz at length, in release:
 #            20x tier-1's cases per property, then the same generators
-#            on a tiny layer 2 and with a small gas slice. Last, the
+#            on a tiny layer 2, with a small gas slice and with a gas
+#            slice drawn per case from 1..=64. Last, the
 #            secp256k1 differential soak, in release: 4 096 cases of
 #            mul / sign -> verify / recover / ecdh against the
 #            double-and-add oracle in crates/crypto/tests/props.rs.
@@ -469,9 +470,16 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
         fi
         echo "$kind: 2-worker digest matches 1-worker"
     done
-    echo "==> differential fuzz soak (release: 20x cases, tiny layer 2, small gas slice)"
-    cargo test -q --release -p tape-hevm --test fuzz_differential -- --ignored --nocapture \
-        | grep -E '^FUZZ_SOAK '
+    echo "==> differential fuzz soak (release: 20x cases, tiny layer 2, small and drawn gas slices)"
+    fuzz_soak="$(cargo test -q --release -p tape-hevm --test fuzz_differential -- --ignored --nocapture \
+        | grep -E '^FUZZ_SOAK ')"
+    echo "$fuzz_soak"
+    for rig in default tiny_layer2 small_slice drawn_slice; do
+        if [[ "$(grep -c "^FUZZ_SOAK $rig " <<< "$fuzz_soak")" -ne 7 ]]; then
+            echo "fuzz soak: rig $rig did not run all seven properties" >&2
+            exit 1
+        fi
+    done
     echo "==> ECDSA differential soak (release: comb, endomorphism ladder and gcd inverse against double-and-add)"
     cargo test -q --release -p tape-crypto --test props -- --ignored --nocapture \
         | grep -E '^ECDSA_SOAK '
