@@ -282,12 +282,6 @@ pub struct Gateway {
     /// into [`StalenessBound`]s so degraded reports disclose that the
     /// chain behind them was recently rewritten.
     last_fork: Option<ForkPoint>,
-    /// Estimated cost of work dispatched to the worker pool but not yet
-    /// committed. Charged into [`Self::retry_after_hint`]'s backlog so
-    /// a caller observing the gateway mid-round (or a future async
-    /// front-end) is quoted the in-flight work too, not just what is
-    /// still queued.
-    inflight_ns: Nanos,
 }
 
 /// One prepared dispatch awaiting commit: the queue entry it came
@@ -298,7 +292,6 @@ struct Dispatch {
     admitted: Admitted,
     degraded: bool,
     dispatched_at: Nanos,
-    charge: Nanos,
 }
 
 impl core::fmt::Debug for Gateway {
@@ -334,7 +327,6 @@ impl Gateway {
             stats: GatewayStats::default(),
             last_breaker: BreakerState::Closed,
             last_fork: None,
-            inflight_ns: 0,
         }
     }
 
@@ -590,7 +582,6 @@ impl Gateway {
                 ));
                 self.note_breaker();
                 let degraded = self.last_breaker != BreakerState::Closed;
-                let charge = self.entry_charge(&admitted);
                 let resume = admitted.pause.take();
                 match self.device.prepare_task(
                     &mut self.tenants[index].handle,
@@ -598,9 +589,7 @@ impl Gateway {
                     resume,
                 ) {
                     Ok(task) => {
-                        self.inflight_ns = self.inflight_ns.saturating_add(charge);
-                        let dispatch =
-                            Dispatch { index, admitted, degraded, dispatched_at: now, charge };
+                        let dispatch = Dispatch { index, admitted, degraded, dispatched_at: now };
                         if inline {
                             self.commit(dispatch, Execution::Inline(task), &mut done);
                         } else {
@@ -647,8 +636,7 @@ impl Gateway {
         execution: Execution,
         done: &mut Vec<Completion>,
     ) {
-        let Dispatch { index, mut admitted, degraded, dispatched_at, charge } = dispatch;
-        self.inflight_ns = self.inflight_ns.saturating_sub(charge);
+        let Dispatch { index, mut admitted, degraded, dispatched_at } = dispatch;
         let session = self.tenants[index].session;
         let outcome = match self.device.commit_task(
             &mut self.tenants[index].handle,
@@ -969,9 +957,9 @@ impl Gateway {
     /// device's nominal `hevm_count` (which sizes the hypervisor's
     /// slot table, not the drain rate; quoting it under-estimated the
     /// wait whenever fewer workers than cores were configured). The
-    /// backlog also charges work already dispatched to the pool but
-    /// not yet committed (`inflight_ns`), not just what is still
-    /// queued.
+    /// backlog is the queued work: a round dispatches and commits
+    /// inside one [`Self::run_round`] call, so nothing is in flight
+    /// when a caller asks.
     ///
     /// Per queued bundle the charge is its *remaining* work: a fresh
     /// bundle owes the full [`PER_BUNDLE_ESTIMATE_NS`],
@@ -997,28 +985,17 @@ impl Gateway {
     }
 
     /// The undivided backlog: estimated remaining virtual-time work
-    /// across every queued bundle plus what is in flight in the pool.
-    /// This is what reject logs and [`TelemetryEvent::Reject`] record —
-    /// unlike the hint it does not depend on the worker count, so the
-    /// digest stays byte-identical across pool sizes.
+    /// across every queued bundle. This is what reject logs and
+    /// [`TelemetryEvent::Reject`] record — unlike the hint it does not
+    /// depend on the worker count, so the digest stays byte-identical
+    /// across pool sizes.
     fn backlog_estimate(&self) -> u128 {
         let hevm = &self.device.config().hevm;
-        let mut backlog_ns: u128 = u128::from(self.inflight_ns);
-        for tenant in &self.tenants {
-            for entry in tenant.queue.iter() {
-                backlog_ns += entry_cost_ns(hevm, &entry.bundle, entry.pause.as_ref());
-            }
-        }
-        backlog_ns
-    }
-
-    /// The [`entry_cost_ns`] estimate for one queue entry, saturated to
-    /// [`Nanos`] — the amount charged to `inflight_ns` while the entry
-    /// is dispatched to the pool.
-    fn entry_charge(&self, entry: &Admitted) -> Nanos {
-        let hevm = &self.device.config().hevm;
-        u64::try_from(entry_cost_ns(hevm, &entry.bundle, entry.pause.as_ref()))
-            .unwrap_or(Nanos::MAX)
+        self.tenants
+            .iter()
+            .flat_map(|tenant| tenant.queue.iter())
+            .map(|entry| entry_cost_ns(hevm, &entry.bundle, entry.pause.as_ref()))
+            .sum()
     }
 
     /// Pulls every queued bundle off this gateway for fleet failover,
@@ -1062,9 +1039,8 @@ const PER_BUNDLE_ESTIMATE_NS: Nanos = 164_400_000;
 /// Estimated remaining drain cost for one queued bundle: the
 /// gas-prorated share of [`PER_BUNDLE_ESTIMATE_NS`] still unburned,
 /// plus one scheduler dispatch per remaining resume and one per yield
-/// between segments (`2·segments − 1`). Shared by
-/// [`Gateway::retry_after_hint`]'s backlog sum and the in-flight
-/// charge taken at dispatch.
+/// between segments (`2·segments − 1`): one term of
+/// [`Gateway::retry_after_hint`]'s backlog sum.
 fn entry_cost_ns(hevm: &HevmConfig, bundle: &Bundle, pause: Option<&BundlePause>) -> u128 {
     let est = u128::from(PER_BUNDLE_ESTIMATE_NS);
     let dispatch = u128::from(hevm.cost.sched_dispatch_ns);

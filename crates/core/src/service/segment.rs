@@ -648,7 +648,7 @@ impl HarDTape {
 // ---- The execute half ------------------------------------------------------
 // Everything below is what a pool worker runs: it names neither the
 // device nor the session, only the task, `ExecCtx` and what the caller
-// hands it (`scripts/verify.sh --lint` holds it to that).
+// hands it (`seam` in tests/gates.rs holds it to that).
 
 /// Executes a prepared task ahead of its commit, off the shared
 /// timeline: a private clock starting at zero, a private telemetry

@@ -15,8 +15,6 @@ macro_rules! fixed_bytes {
         impl $name {
             /// The all-zero value.
             pub const ZERO: $name = $name([0u8; $len]);
-            /// The byte length of the type.
-            pub const LEN: usize = $len;
 
             /// Creates a new value from a byte array.
             #[inline]
@@ -28,7 +26,7 @@ macro_rules! fixed_bytes {
             ///
             /// # Panics
             ///
-            /// Panics if `bytes.len() != Self::LEN`.
+            /// Panics unless `bytes` holds exactly the type's length.
             pub fn from_slice(bytes: &[u8]) -> Self {
                 let mut buf = [0u8; $len];
                 buf.copy_from_slice(bytes);
@@ -107,7 +105,7 @@ macro_rules! fixed_bytes {
             type Err = hex::FromHexError;
 
             /// Parses a hex string, with or without a `0x` prefix. The
-            /// string must encode exactly `Self::LEN` bytes.
+            /// string must encode exactly the type's length in bytes.
             fn from_str(s: &str) -> Result<Self, Self::Err> {
                 let s = s.strip_prefix("0x").unwrap_or(s);
                 let bytes = hex::decode(s)?;

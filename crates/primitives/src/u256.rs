@@ -41,8 +41,6 @@ impl U256 {
     pub const ONE: U256 = U256 { limbs: [1, 0, 0, 0] };
     /// The maximum value, `2^256 - 1`.
     pub const MAX: U256 = U256 { limbs: [u64::MAX; 4] };
-    /// The number of bits in the type.
-    pub const BITS: u32 = 256;
     /// `2^255`, i.e. the sign bit when the value is viewed as two's complement.
     pub const SIGN_BIT: U256 = U256 { limbs: [0, 0, 0, 1 << 63] };
 

@@ -29,7 +29,7 @@
 //!
 //! let mut fired = 0;
 //! for _ in 0..64 {
-//!     if plan.decide(FaultSite::Channel).is_some() {
+//!     if plan.decide_for(FaultSite::Channel, &[FaultKind::ChannelTamper]).is_some() {
 //!         fired += 1;
 //!     }
 //! }
@@ -59,10 +59,6 @@ pub enum FaultSite {
     /// The full node supplying block headers and state deltas
     /// (attack A1: forged chain data, plus transient unavailability).
     NodeFeed,
-    /// A registered tenant driving the gateway (resource-exhaustion
-    /// adversary: well-formed but gas-saturating traffic aimed at the
-    /// shared HEVM cores rather than at any cryptographic boundary).
-    Tenant,
     /// A whole HarDTAPE device in a fleet (availability adversary:
     /// power loss, firmware wedge, board-level failure). Not part of
     /// the paper's cryptographic threat model — the fleet router must
@@ -77,7 +73,7 @@ pub enum FaultSite {
 }
 
 /// The number of distinct [`FaultSite`] variants.
-const SITE_COUNT: usize = 7;
+const SITE_COUNT: usize = 6;
 
 impl FaultSite {
     fn index(self) -> usize {
@@ -86,9 +82,8 @@ impl FaultSite {
             FaultSite::OramServer => 1,
             FaultSite::Channel => 2,
             FaultSite::NodeFeed => 3,
-            FaultSite::Tenant => 4,
-            FaultSite::Device => 5,
-            FaultSite::Disk => 6,
+            FaultSite::Device => 4,
+            FaultSite::Disk => 5,
         }
     }
 }
@@ -132,10 +127,6 @@ pub enum FaultKind {
     /// Feed freezes: keeps serving a stale head while the rest of the
     /// network advances.
     StallHead,
-    /// Tenant swaps its next bundle for a gas bomb: a well-formed
-    /// transaction that burns its entire (maximal) gas limit in a
-    /// compute loop, monopolizing a core unless execution is sliced.
-    GasBomb,
     /// Device dies permanently: every session, queued bundle, and
     /// in-flight checkpoint on it is lost. The fleet router must fail
     /// over — migrate tenants to survivors and convert lost work into
@@ -249,7 +240,7 @@ struct Inner {
 /// Cloning is cheap and shares the underlying state: the service wires
 /// the same plan into every boundary, and all of them draw from one
 /// DRBG stream so the global schedule is a pure function of the seed
-/// and the sequence of `decide` calls.
+/// and the sequence of `decide_for` calls.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     clock: Clock,
@@ -266,7 +257,7 @@ impl FaultPlan {
             clock: clock.clone(),
             inner: Arc::new(Mutex::new(Inner {
                 rng: SecureRng::from_seed(&seed_bytes),
-                sites: [None, None, None, None, None, None, None],
+                sites: [None, None, None, None, None, None],
                 log: Vec::new(),
             })),
         }
@@ -327,20 +318,11 @@ impl FaultPlan {
 
     /// Consulted by boundary code at each operation: should a fault be
     /// injected here, now? Returns the action (and its random argument)
-    /// or `None`. Decrements the site budget and appends to the audit
-    /// log when it fires.
-    pub fn decide(&self, site: FaultSite) -> Option<FaultDecision> {
-        let mut inner = self.inner.lock().expect("fault plan lock");
-        let decision = self.draw(&mut inner, site)?;
-        self.commit(&mut inner, site, decision);
-        Some(decision)
-    }
-
-    /// Like [`decide`](Self::decide), but only commits (budget, audit
-    /// log) when the drawn kind is in `accept`. Boundary code whose
-    /// operation can only express a subset of the armed kinds — e.g. a
-    /// path *read* cannot drop a *write* — uses this so inapplicable
-    /// draws are discarded rather than silently eating the budget.
+    /// or `None`. A drawn kind not in `accept` is discarded, so an
+    /// operation that can express only a subset of the armed kinds (a
+    /// path *read* cannot drop a *write*) never eats the budget with
+    /// it; a fault that fires decrements the site budget and is
+    /// appended to the audit log.
     ///
     /// Kinds are matched by *variant*, not field values, so an accept
     /// list can name `FaultKind::Reorg { depth: 0 }` to admit a reorg
@@ -384,7 +366,7 @@ mod tests {
         let clock = Clock::new();
         let plan = FaultPlan::new(1, &clock);
         for _ in 0..100 {
-            assert_eq!(plan.decide(FaultSite::PageStore), None);
+            assert_eq!(plan.decide_for(FaultSite::PageStore, &[FaultKind::BitFlip]), None);
         }
         assert!(plan.log().is_empty());
     }
@@ -394,7 +376,9 @@ mod tests {
         let clock = Clock::new();
         let plan = FaultPlan::new(2, &clock);
         plan.arm(FaultSite::Channel, &[FaultKind::ChannelDrop], 1, 3);
-        let fired = (0..10).filter(|_| plan.decide(FaultSite::Channel).is_some()).count();
+        let fired = (0..10)
+            .filter(|_| plan.decide_for(FaultSite::Channel, &[FaultKind::ChannelDrop]).is_some())
+            .count();
         assert_eq!(fired, 3);
         assert_eq!(plan.remaining_budget(FaultSite::Channel), 0);
     }
@@ -404,15 +388,11 @@ mod tests {
         let run = || {
             let clock = Clock::new();
             let plan = FaultPlan::new(0xDEAD, &clock);
-            plan.arm(
-                FaultSite::OramServer,
-                &[FaultKind::WrongPath, FaultKind::DropWrite],
-                3,
-                8,
-            );
+            let kinds = [FaultKind::WrongPath, FaultKind::DropWrite];
+            plan.arm(FaultSite::OramServer, &kinds, 3, 8);
             for _ in 0..60 {
                 clock.advance(10);
-                plan.decide(FaultSite::OramServer);
+                plan.decide_for(FaultSite::OramServer, &kinds);
             }
             plan.log()
         };
@@ -428,7 +408,7 @@ mod tests {
             let plan = FaultPlan::new(seed, &clock);
             plan.arm(FaultSite::PageStore, &[FaultKind::BitFlip], 2, 32);
             (0..64)
-                .map(|_| plan.decide(FaultSite::PageStore).is_some())
+                .map(|_| plan.decide_for(FaultSite::PageStore, &[FaultKind::BitFlip]).is_some())
                 .collect::<Vec<_>>()
         };
         assert_ne!(schedule(1), schedule(2));
@@ -440,9 +420,9 @@ mod tests {
         let plan = FaultPlan::new(7, &clock);
         plan.arm(FaultSite::NodeFeed, &[FaultKind::Unavailable], 1, 2);
         clock.advance(500);
-        plan.decide(FaultSite::NodeFeed);
+        plan.decide_for(FaultSite::NodeFeed, &[FaultKind::Unavailable]);
         clock.advance(250);
-        plan.decide(FaultSite::NodeFeed);
+        plan.decide_for(FaultSite::NodeFeed, &[FaultKind::Unavailable]);
         let log = plan.log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].at, 500);
@@ -456,7 +436,7 @@ mod tests {
         let plan = FaultPlan::new(9, &clock);
         let alias = plan.clone();
         plan.arm(FaultSite::Channel, &[FaultKind::ChannelTamper], 1, 1);
-        assert!(alias.decide(FaultSite::Channel).is_some());
+        assert!(alias.decide_for(FaultSite::Channel, &[FaultKind::ChannelTamper]).is_some());
         assert_eq!(plan.injected(), 1);
         assert_eq!(plan.remaining_budget(FaultSite::Channel), 0);
     }

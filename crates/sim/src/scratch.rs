@@ -3,8 +3,9 @@
 //! Everything a test or bench writes to disk must live under one
 //! workspace-local scratch root (`target/scratch/`), so artifacts never
 //! leak into the source tree, `/tmp`, or the host home directory — the
-//! `verify.sh --lint` gate greps for violations. A [`Scratch`] names a
-//! per-(test, seed) directory beneath that root and cleans up by RAII:
+//! `scratch` gate in `tests/gates.rs` fails a test file that writes to
+//! disk without one. A [`Scratch`] names a per-(test, seed) directory
+//! beneath that root and cleans up by RAII:
 //! removed when the owning test succeeds, preserved — with the path
 //! printed — when it panics, so the on-disk evidence of a failure
 //! survives for inspection.

@@ -72,11 +72,6 @@ impl UndoRing {
         Some(popped)
     }
 
-    /// The delta recorded for the newest block, if any.
-    pub fn newest(&self) -> Option<&UndoDelta> {
-        self.deltas.back()
-    }
-
     /// Number of block deltas currently retained.
     pub fn len(&self) -> usize {
         self.deltas.len()
@@ -122,7 +117,7 @@ mod tests {
             ring.push(delta(h));
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.newest().unwrap().height, 5);
+        assert_eq!(ring.deltas.back().unwrap().height, 5);
         // Fork point 1 is below the retained window (2..=5 kept 3..=5).
         assert!(ring.pop_above(1).is_none());
     }
@@ -137,7 +132,7 @@ mod tests {
         let heights: Vec<u64> = popped.iter().map(|d| d.height).collect();
         assert_eq!(heights, vec![5, 4, 3]);
         assert_eq!(ring.len(), 2);
-        assert_eq!(ring.newest().unwrap().height, 2);
+        assert_eq!(ring.deltas.back().unwrap().height, 2);
     }
 
     #[test]
@@ -160,6 +155,6 @@ mod tests {
         replay.block_hash = hash(0x33);
         ring.push(replay);
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.newest().unwrap().block_hash, hash(0x33));
+        assert_eq!(ring.deltas.back().unwrap().block_hash, hash(0x33));
     }
 }

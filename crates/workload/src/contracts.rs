@@ -482,8 +482,7 @@ pub fn memhog_runtime() -> Vec<u8> {
 /// (~26 gas each), then returns 1. Calibrated with more iterations than
 /// the gas limit covers, it is a *well-formed* transaction that burns
 /// its entire budget and monopolizes an HEVM core unless execution is
-/// sliced — the resource-exhaustion adversary
-/// ([`tape_sim::fault::FaultKind::GasBomb`]) made concrete.
+/// sliced.
 pub fn gasbomb_runtime() -> Vec<u8> {
     Asm::new()
         .push(0u64)

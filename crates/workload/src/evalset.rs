@@ -67,9 +67,7 @@ pub struct EvalSet {
     /// The roll-up style batch writer.
     pub batcher: Address,
     /// The gas-bomb contract: a compute loop that burns a whole gas
-    /// limit. Never drawn by [`sample_transaction`](EvalSet::generate)
-    /// — adversarial tenants request it explicitly via
-    /// [`EvalSet::gas_bomb_tx`].
+    /// limit. Never drawn by [`sample_transaction`](EvalSet::generate).
     pub gasbomb: Address,
     /// Computed-jump soup: chained multi-way dispatches only the
     /// value-set analysis resolves precisely (constant storage keys —
@@ -196,24 +194,6 @@ impl EvalSet {
     /// Flattened view of every transaction.
     pub fn all_transactions(&self) -> impl Iterator<Item = &Transaction> {
         self.blocks.iter().flatten()
-    }
-
-    /// A gas-bomb transaction from `from`: the loop count is calibrated
-    /// to *overshoot* `gas_limit` (~26 gas per iteration, requested at
-    /// one iteration per 20 gas), so the transaction is well-formed but
-    /// reliably burns its entire budget before halting out-of-gas. One
-    /// such transaction pins an HEVM core for `gas_limit` worth of
-    /// virtual time unless execution is sliced.
-    pub fn gas_bomb_tx(&self, from: Address, gas_limit: u64) -> Transaction {
-        let iterations = gas_limit / 20;
-        Transaction {
-            gas_limit,
-            ..Transaction::call(
-                from,
-                self.gasbomb,
-                U256::from(iterations).to_be_bytes().to_vec(),
-            )
-        }
     }
 
     fn pick_user(&self, rng: &mut SecureRng) -> Address {
@@ -456,7 +436,12 @@ mod tests {
     #[test]
     fn gas_bomb_burns_its_entire_limit() {
         let set = EvalSet::generate(&EvalSetConfig::small());
-        let tx = set.gas_bomb_tx(set.users[0], 2_000_000);
+        // ~26 gas an iteration, requested at one iteration per 20 gas.
+        let iterations = U256::from(2_000_000u64 / 20);
+        let tx = Transaction {
+            gas_limit: 2_000_000,
+            ..Transaction::call(set.users[0], set.gasbomb, iterations.to_be_bytes().to_vec())
+        };
         let mut evm = Evm::new(set.env.clone(), &set.genesis);
         let result = evm.transact(&tx).expect("well-formed tx");
         // The bomb overshoots: it halts out-of-gas with zero gas left,

@@ -8,44 +8,14 @@
 # crates/crypto/src/aes.rs the three that answer in seconds are
 # `cargo test -p tape-crypto --test props`, `cargo test --test crypto_kat`
 # and `cargo test -p tape-oram --test wire_pin`), then the static gates:
-#   - clippy over every crate, warnings denied, `.unwrap()` forbidden
-#     (an allow-listed exception carries a justifying comment);
-#   - `#![forbid(unsafe_code)]` in every crate root;
-#   - determinism lint: no host clock and no ambient entropy anywhere in
-#     the workspace — replay digests assume virtual time and seeded
-#     randomness, and host time is measured from outside by benchmark/;
-#   - thread lint: `thread::spawn`, `thread::scope` and `thread::Builder`
-#     appear under crates/*/src and src/ only in crates/core/src/pool.rs
-#     (the gateway's workers), crates/oram/src/path_oram.rs (the ORAM
-#     client's crypto lane) and crates/oram/src/store/disk.rs (the disk
-#     store's recovery helper) — each computes a pure function of its
-#     inputs, and a host thread anywhere else could make a digest depend
-#     on scheduling;
-#   - path shape lint: no `Vec<Vec<u8>>` in crates/oram/src outside the
-#     test modules — a path, a bucket and a staged write are flat slices
-#     of fixed-length slots;
-#   - options lint: every `pub` field of a `pub struct …Config` under
-#     crates/*/src is assigned, by name, in some .rs file other than the
-#     one that defines it — a field only its own `Default` sets is a
-#     constant wearing a config's clothes;
-#   - seam lint: the execute half of crates/core/src/service/segment.rs
-#     (what a pool worker runs) names neither `HarDTape` nor
-#     `UserHandle`, and crates/core/src carries no `too_many_arguments`
-#     or `type_complexity` waiver;
-#   - unwired-fn lint: every `pub` / `pub(crate)` fn under crates/*/src
-#     is named somewhere other than its own tests — a public function
-#     only its unit tests call is a second path beside the live one;
-#   - error-variant lint: every variant of a `pub enum …Error` under
-#     crates/*/src is named by non-test code somewhere other than its
-#     declaration and its enum's own `impl Display` — an error nothing
-#     raises is a case every caller matches and no test can reach;
-#   - audit-path lint: `audit_events` (the audit of a recorded slice) is
-#     named only in crates/sim/src/telemetry/audit.rs and benchmark/src;
-#     everything else reads the live audit, `Telemetry::audit()`;
-#   - scratch hygiene: disk-writing tests go through `tape_sim::Scratch`
-#     (per-seed dirs under target/scratch/, kept and printed on failure).
+# clippy over every crate, warnings denied, `.unwrap()` forbidden (an
+# allow-listed exception carries a justifying comment);
+# `#![forbid(unsafe_code)]` in every crate root; and the source gates of
+# tests/gates.rs, which tier-1 runs too (each gate's rule, scan roots and
+# allow-list are documented there).
 #
-# --lint     only the static gates; no build, no tests.
+# --lint     only the static gates: clippy, the forbid check and
+#            `cargo test -q --test gates`; no release build, no suite.
 # --soak     every seeded schedule — gateway chaos (SOAK), depth-3 reorg
 #            (REORG), gas-bomb preemption (PREEMPT), 4-device fleet with
 #            a crash, migration and reorg (FLEET) — under three seeds,
@@ -91,7 +61,10 @@ for arg in "$@"; do
         --bench) RUN_BENCH=1 ;;
         --recover) RUN_RECOVER=1 ;;
         --lint) LINT_ONLY=1 ;;
-        *) echo "usage: scripts/verify.sh [--soak] [--bench] [--recover] [--lint]" >&2; exit 2 ;;
+        *)
+            echo "usage: scripts/verify.sh [--soak] [--bench] [--recover] [--lint]" >&2
+            echo "  --lint: clippy, forbid(unsafe_code) and the source gates (tests/gates.rs) only" >&2
+            exit 2 ;;
     esac
 done
 
@@ -111,255 +84,8 @@ lint_gates() {
         exit 1
     fi
 
-    echo "==> determinism lint (no host clocks or ambient entropy in the workspace)"
-    # Replay determinism is load-bearing: every schedule digest in the
-    # soaks, the telemetry digest in the audit and both checked-in
-    # reports assume virtual time (the simulator Clock) and seeded
-    # randomness (the DRBG).
-    if grep -rnE 'Instant::now|SystemTime|std::time::Instant|rand::|getrandom|from_entropy' \
-        src crates tests examples 2>/dev/null; then
-        echo "determinism lint: host time or ambient entropy in the workspace" >&2
-        exit 1
-    fi
-
-    echo "==> thread lint (host threads only in the worker pool, the ORAM crypto lane and disk recovery)"
-    # The three places that start threads compute a result that is a pure
-    # function of their inputs: a pool worker runs one prepared task
-    # against a private virtual clock, the lane opens or seals half an
-    # ORAM path under nonces it is handed, and the disk store's recovery
-    # helper checks the MACs of segment bytes nothing mutates, its verdict
-    # weighed so that the first failure in log order is the one reported.
-    # A host thread anywhere else could make a digest depend on how the
-    # host scheduled it.
-    if grep -rnE 'thread::(spawn|scope|Builder)' crates/*/src src \
-        | grep -vE '^crates/(core/src/pool|oram/src/path_oram|oram/src/store/disk)\.rs:'; then
-        echo "thread lint: host threads belong in crates/core/src/pool.rs," >&2
-        echo "  crates/oram/src/path_oram.rs or crates/oram/src/store/disk.rs" >&2
-        exit 1
-    fi
-
-    echo "==> path shape lint (no Vec<Vec<u8>> outside #[cfg(test)] under crates/oram/src)"
-    # The §IV-D wire shape is fixed at boot: (height + 1) * Z slots of
-    # OramConfig::slot_len bytes. Client, server and both backends move
-    # it as one flat buffer and slices of it; a nested vector anywhere
-    # on that route brings back a per-slot allocation and a length that
-    # has to be re-checked at every hand-off.
-    nested=0
-    for f in $(find crates/oram/src -name '*.rs'); do
-        if awk '/^#\[cfg\(test\)\]/ { exit } /Vec<Vec<u8>>/ { print FILENAME ":" FNR ": " $0; hit = 1 }
-                END { exit !hit }' "$f"; then
-            nested=1
-        fi
-    done
-    if [[ "$nested" -ne 0 ]]; then
-        echo "path shape lint: nested slot vectors under crates/oram/src" >&2
-        exit 1
-    fi
-
-    echo "==> options lint (every pub field of a pub struct …Config is assigned outside its own file)"
-    # An option with one value is a constant: a field that only its own
-    # `Default` ever sets multiplies the configurations tests must cover
-    # and buys nothing. The check is by name — a struct-literal
-    # `field: value` or a `.field = value` in any other .rs file counts,
-    # a declaration (`field: Type`) does not — so it can pass a field
-    # that merely shares its name with another struct's: passing is
-    # necessary, not sufficient.
-    # Allowed, each for its reason:
-    #   DiskStoreConfig::wal_trim_every — ROADMAP item 3's shim: the
-    #     frozen benchmark/ still reads it; it goes when that does.
-    #   MemoryConfig::* — DESIGN §2's table of model constants (like
-    #     `CostModel`, which is not named Config and so not scanned):
-    #     the synthesized geometry, not deployment options.
-    decl='(&|\[|\(|[A-Z][A-Za-z0-9]*|u8|u16|u32|u64|u128|usize|i32|i64|bool|f64)[A-Za-z0-9_<>, ()&\[\]'"'"']*'
-    unset_fields=0
-    for def in $(grep -rlE '^pub struct [A-Za-z]*Config\b' crates/*/src); do
-        while read -r name field; do
-            case "$name::$field" in
-                DiskStoreConfig::wal_trim_every | MemoryConfig::*) continue ;;
-            esac
-            if ! grep -rE "(^|[ {(,])${field}: |\.${field}(\.[a-z_0-9]+)* = " --include='*.rs' \
-                    crates src tests examples benchmark/src \
-                | grep -vE "^${def}:|^[^:]+:\s*(pub(\([a-z]+\))? )?${field}: ${decl},?\s*$|fn " \
-                | grep -q .; then
-                echo "options lint: $name::$field ($def) is set nowhere outside its own file" >&2
-                unset_fields=1
-            fi
-        done < <(awk '/^pub struct [A-Za-z]*Config[ {]/ { name = $3; sub(/[^A-Za-z].*/, "", name); on = 1; next }
-                      on && /^}/ { on = 0 }
-                      on && /^    pub [a-z_0-9]+:/ { f = $2; sub(/:.*/, "", f); print name, f }' "$def")
-    done
-    if [[ "$unset_fields" -ne 0 ]]; then
-        echo "options lint: make the field a constant, or show the second value" >&2
-        exit 1
-    fi
-
-    echo "==> seam lint (the execute half of service/segment.rs names no device or session; no argument-count waivers)"
-    # Pool workers run `execute_detached` and below against an
-    # `ExecCtx`, a private clock and a `TaskBuffer`; the moment that
-    # half mentions the device or a session it has grown a path back to
-    # shared mutable state. And a 16-parameter driver came from
-    # threading one value through as six: the waiver is the symptom.
-    segment=crates/core/src/service/segment.rs
-    if ! grep -q '^// ---- The execute half' "$segment"; then
-        echo "seam lint: $segment lost its execute-half marker" >&2
-        exit 1
-    fi
-    if awk '/^\/\/ ---- The execute half/ { on = 1 }
-            on && /HarDTape|UserHandle/ { print FILENAME ":" FNR ": " $0; hit = 1 }
-            END { exit !hit }' "$segment"; then
-        echo "seam lint: the execute half of $segment names the device or a session" >&2
-        exit 1
-    fi
-    if grep -rnE 'clippy::(too_many_arguments|type_complexity)' crates/core/src; then
-        echo "seam lint: argument-count / type-complexity waiver under crates/core/src" >&2
-        exit 1
-    fi
-
-    echo "==> unwired-fn lint (every pub / pub(crate) fn under crates/*/src is named outside its own tests)"
-    # A modelled defense beside the live path is neither small nor
-    # evidence: an A.E.DMA and an interrupt queue that only their own
-    # unit tests called once sat next to the channel every bundle took.
-    # The check is by name, so approximate — a shared name passes. A fn
-    # fails when its name appears in no other .rs file of crates/, src/,
-    # tests/, examples/ or benchmark/src/, and nowhere in its own file
-    # above the first `#[cfg(test)]` but its definition. A fn marked
-    # `#[cfg(test)]` is exempt. To clear a failure: delete the fn, make
-    # it a `#[cfg(test)]` helper, or give it a caller.
-    # Allowed, each for its reason, as `path:name` (none).
-    unwired_allowed=()
-    if ! find crates src tests examples benchmark/src -name '*.rs' | sort \
-        | xargs awk -v allowed=" ${unwired_allowed[*]} " '
-            FNR == 1 { in_tests = 0; test_item = 0 }
-            /^#\[cfg\(test\)\]/ { in_tests = 1 }
-            {
-                name = ""
-                if (!in_tests && FILENAME ~ /^crates\/[^\/]+\/src\// &&
-                    match($0, /^[ \t]*pub(\(crate\))? (const )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
-                    name = substr($0, RSTART, RLENGTH)
-                    sub(/.* fn /, "", name)
-                    if (!test_item) { n++; file[n] = FILENAME; line[n] = FNR; fname[n] = name }
-                }
-                if ($0 ~ /^[ \t]*#\[cfg\(test\)\]/) test_item = 1
-                else if ($0 !~ /^[ \t]*#\[/) test_item = 0
-                rest = $0
-                while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
-                    word = substr(rest, RSTART, RLENGTH)
-                    rest = substr(rest, RSTART + RLENGTH)
-                    if (word == name) { name = ""; continue }  # the definition itself
-                    if (!in_tests) own[FILENAME, word] = 1
-                    if (!((FILENAME, word) in seen)) { seen[FILENAME, word] = 1; files[word]++ }
-                }
-            }
-            END {
-                bad = 0
-                for (i = 1; i <= n; i++) {
-                    elsewhere = files[fname[i]] - ((file[i], fname[i]) in seen)
-                    if (elsewhere > 0 || (file[i], fname[i]) in own) continue
-                    if (index(allowed, " " file[i] ":" fname[i] " ")) continue
-                    print file[i] ":" line[i] ": " fname[i]
-                    bad = 1
-                }
-                exit bad
-            }'; then
-        echo "unwired-fn lint: a pub fn nothing but its own tests names — delete it, make it" >&2
-        echo "  a #[cfg(test)] helper, or give it a caller" >&2
-        exit 1
-    fi
-
-    echo "==> error-variant lint (every variant of a pub enum …Error is named beyond its declaration)"
-    # An error nobody raises is a case every caller must match and no
-    # test can reach: ProofError::HashMismatch sat beside MissingNode,
-    # which the lookup by hash reports instead. The check is by name,
-    # over non-test code (crates/*/src, src, examples, benchmark/src,
-    # each file up to its first `#[cfg(test)]`, comments stripped): a
-    # variant of a `pub enum …Error` declared under crates/*/src fails
-    # when `Enum::Variant` (or `Self::Variant` inside an `impl` of the
-    # enum) appears nowhere but in the enum's own `impl Display`. To
-    # clear a failure: delete the variant, or raise it.
-    # Allowed, each for its reason, as `Enum::Variant` (none).
-    error_variants_allowed=()
-    error_sources=$({ find crates -path 'crates/*/src/*' -name '*.rs'
-                      find src examples benchmark/src -name '*.rs'; } | sort)
-    # shellcheck disable=SC2086 # one operand per file
-    if ! awk -v allowed=" ${error_variants_allowed[*]} " '
-            FNR == 1 { in_tests = 0; enum = ""; impl_type = ""; display = 0 }
-            /^#\[cfg\(test\)\]/ { in_tests = 1 }
-            in_tests { next }
-            pass == 1 {
-                if (FILENAME !~ /^crates\/[^\/]+\/src\//) next
-                if ($0 ~ /^pub enum [A-Za-z0-9_]*Error[ {]/) {
-                    enum = $3; sub(/[^A-Za-z0-9_].*/, "", enum); next
-                }
-                if (enum != "" && /^}/) { enum = ""; next }
-                if (enum != "" && match($0, /^    [A-Z][A-Za-z0-9_]*/)) {
-                    n++; variant[n] = enum "::" substr($0, 5, RLENGTH - 4)
-                    where[n] = FILENAME ":" FNR
-                }
-                next
-            }
-            /^impl/ {
-                impl_type = $0; sub(/ *\{.*/, "", impl_type)
-                sub(/.* for /, "", impl_type); sub(/^impl(<[^>]*>)? /, "", impl_type)
-                sub(/[^A-Za-z0-9_].*/, "", impl_type)
-                display = ($0 ~ /Display for /)
-            }
-            /^}/ { impl_type = ""; display = 0 }
-            {
-                rest = $0; sub(/\/\/.*/, "", rest)
-                while (match(rest, /[A-Za-z_][A-Za-z0-9_]*::[A-Z][A-Za-z0-9_]*/)) {
-                    path = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
-                    split(path, part, "::")
-                    if (part[1] == "Self") part[1] = impl_type
-                    if (display && part[1] == impl_type) continue  # its own Display arm
-                    used[part[1] "::" part[2]] = 1
-                }
-            }
-            END {
-                bad = 0
-                for (i = 1; i <= n; i++) {
-                    if (variant[i] in used || index(allowed, " " variant[i] " ")) continue
-                    print where[i] ": " variant[i]
-                    bad = 1
-                }
-                exit bad
-            }' pass=1 $error_sources pass=2 $error_sources; then
-        echo "error-variant lint: an error variant nothing raises or matches — delete it," >&2
-        echo "  or raise it" >&2
-        exit 1
-    fi
-
-    echo "==> audit-path lint (audit_events is named only in telemetry/audit.rs and benchmark/src)"
-    # One audit path: the auditor folds every event under the digest
-    # chain's lock, and `Telemetry::audit()` reads that verdict. The
-    # slice form re-reads a copy of the bounded ring, which a long run
-    # outgrows; only its own unit tests and the benchmark harness name it.
-    if grep -rnw --include='*.rs' audit_events src crates tests examples \
-        | grep -v '^crates/sim/src/telemetry/audit.rs:'; then
-        echo "audit-path lint: read the live report with Telemetry::audit()" >&2
-        exit 1
-    fi
-
-    echo "==> scratch hygiene (tests write files only under the seeded scratch root)"
-    # Disk-writing tests must route through tape_sim::Scratch: a
-    # per-seed directory under target/scratch/ that is removed on
-    # success and preserved (with its path printed) on failure. A test
-    # file that touches the filesystem without Scratch either leaks
-    # droppings into the repo or hides its state when a seed fails.
-    bad=0
-    for f in $(grep -rlE 'std::fs::(write|create_dir|File)|File::create|OpenOptions' \
-        tests crates/*/tests 2>/dev/null); do
-        if ! grep -q 'Scratch' "$f"; then
-            echo "scratch lint: $f writes to disk without tape_sim::Scratch" >&2
-            bad=1
-        fi
-    done
-    if grep -rnE 'env::temp_dir|"/tmp' tests crates/*/tests 2>/dev/null; then
-        echo "scratch lint: tests must not write outside target/scratch/" >&2
-        bad=1
-    fi
-    if [[ "$bad" -ne 0 ]]; then
-        exit 1
-    fi
+    echo "==> source gates (tests/gates.rs)"
+    cargo test -q --test gates
 }
 
 if [[ "$LINT_ONLY" -eq 1 ]]; then

@@ -24,6 +24,7 @@ use hardtape::{
 use std::collections::{BTreeMap, BTreeSet};
 use tape_evm::{Env, Transaction};
 use tape_node::{BlockFeed, BreakerState, FeedSet, Node};
+use tape_crypto::SecureRng;
 use tape_primitives::{Address, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::interleave;
@@ -819,9 +820,9 @@ fn bomb_bundle() -> Bundle {
 
 /// One seeded preemption chaos run: three honest tenants submitting
 /// short transfer bundles interleaved with one adversarial tenant whose
-/// gas bombs are drawn from a seeded [`FaultPlan`] at the new
-/// [`FaultSite::Tenant`] site. The device runs with a 100k gas slice,
-/// so every bomb yields repeatedly and re-queues with its checkpoint.
+/// gas bombs are drawn from a seeded coin. The device runs with a 100k
+/// gas slice, so every bomb yields repeatedly and re-queues with its
+/// checkpoint.
 /// Asserts exactly-once across preemptions, that bombs actually
 /// preempted, and that the §IV-D audit (segment lens included) passes;
 /// returns the combined schedule + telemetry digest.
@@ -839,11 +840,16 @@ fn preempt_chaos_run(seed: u64) -> String {
         },
     );
 
-    // The gas-bomb adversary: a seeded tenant-site plan decides, per
-    // adversarial submission slot, whether the bomb tenant attacks or
-    // behaves (an honest transfer).
-    let plan = FaultPlan::new(seed ^ 0xB04B, gateway.device().clock());
-    plan.arm(FaultSite::Tenant, &[FaultKind::GasBomb], 2, 24);
+    // The gas-bomb adversary: a seeded coin decides, per adversarial
+    // submission slot, whether the bomb tenant attacks (at most 24
+    // times) or behaves (an honest transfer). It is seeded the way
+    // `FaultPlan::new` seeds its DRBG and draws in the order of
+    // `FaultPlan::decide_for` (the coin, then a kind and a parameter on
+    // a hit), so the schedule behind every recorded PREEMPT_DIGEST is
+    // unchanged.
+    let mut coin =
+        SecureRng::from_seed(&[&b"faultpln"[..], &(seed ^ 0xB04B).to_be_bytes()].concat());
+    let mut bombs_left = 24;
 
     let mut sessions = Vec::new();
     for i in 0..3 {
@@ -875,7 +881,12 @@ fn preempt_chaos_run(seed: u64) -> String {
         // Every third op the adversarial tenant submits: a gas bomb when
         // the seeded plan fires, an honest transfer otherwise.
         if op % 3 == 2 {
-            let attack = plan.decide(FaultSite::Tenant).is_some();
+            let attack = bombs_left > 0 && coin.next_below(2) == 0;
+            if attack {
+                bombs_left -= 1;
+                coin.next_below(1);
+                coin.next_u64();
+            }
             let bundle = if attack {
                 bomb_bundle()
             } else {
