@@ -130,20 +130,6 @@ fn tail_sink(i: u64) -> Address {
     Address::from_low_u64(0xEE00 + i)
 }
 
-fn tail_bomb_contract() -> Address {
-    Address::from_low_u64(0x6A5B)
-}
-
-fn tail_bomb_tx() -> Transaction {
-    let mut tx = Transaction::call(
-        tail_tenant(3),
-        tail_bomb_contract(),
-        U256::from(TAIL_BOMB_GAS / 20).to_be_bytes().to_vec(),
-    );
-    tx.gas_limit = TAIL_BOMB_GAS;
-    tx
-}
-
 struct TailOutcome {
     latencies: Vec<u64>,
     preempted: u64,
@@ -159,7 +145,10 @@ fn tail_run(bombs: bool) -> Result<TailOutcome, String> {
     for i in 0..4u64 {
         genesis.put_account(tail_tenant(i), Account::with_balance(U256::from(u64::MAX)));
     }
-    genesis.put_account(tail_bomb_contract(), Account::with_code(contracts::gasbomb_runtime()));
+    genesis.put_account(
+        contracts::gasbomb_address(),
+        Account::with_code(contracts::gasbomb_runtime()),
+    );
     let mut config =
         ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Es) };
     config.hevm.gas_slice = Some(TAIL_SLICE);
@@ -182,7 +171,10 @@ fn tail_run(bombs: bool) -> Result<TailOutcome, String> {
         if bombs {
             // A round retires at most one bomb segment, so one refill
             // per step saturates; tenant-local overload is expected.
-            match gateway.submit(bomber, Bundle::single(tail_bomb_tx())) {
+            match gateway.submit(
+                bomber,
+                Bundle::single(contracts::gasbomb_tx(tail_tenant(3), TAIL_BOMB_GAS)),
+            ) {
                 Ok(_) | Err(GatewayError::Overloaded { .. }) => {}
                 Err(other) => return Err(format!("unexpected bomber submit error: {other}")),
             }

@@ -86,69 +86,102 @@ pub const G2: U256 = U256::from_limbs([
 /// Arithmetic modulo `m = 2^256 − c` with `c` held in `L` limbs. Both of
 /// the curve's moduli have this special form, so a 512-bit product is
 /// reduced by folding its high half back in as `hi·c` — no division.
-/// Operands and results are fully reduced.
+/// Operands and results are fully reduced, and no operation branches on
+/// their values: each picks between candidates by a mask.
 struct Field<const L: usize> {
     m: U256,
     c: [u64; L],
+    /// How many limbs above the low four each of `mul`'s folds takes; the
+    /// last leaves at most a carry out of bit 256.
+    folds: &'static [usize],
 }
 
-/// The coordinate field: `c = 2^32 + 977`.
-const FP: Field<1> = Field { m: P, c: [0x1_0000_03d1] };
+/// The coordinate field: `c = 2^32 + 977`. A product is below 2^512;
+/// folding its four high limbs leaves `lo + hi·c < 2^290`, and folding
+/// the fifth limb leaves below `2^256 + 2^67`.
+const FP: Field<1> = Field { m: P, c: [0x1_0000_03d1], folds: &[4, 1] };
 
-/// The scalar field: `c = 2^256 − n ≈ 2^128.1`.
-const FN: Field<3> = Field { m: N, c: [0x402d_a173_2fc9_bebf, 0x4551_2319_50b7_5fc4, 1] };
+/// The scalar field: `c = 2^256 − n ≈ 2^128.1`. The folds leave below
+/// 2^386 (three high limbs), 2^261 (one limb) and `2^256 + 2^133`.
+const FN: Field<3> =
+    Field { m: N, c: [0x402d_a173_2fc9_bebf, 0x4551_2319_50b7_5fc4, 1], folds: &[4, 3, 1] };
+
+/// `a` where `mask` is all ones, `b` where it is zero.
+#[inline]
+fn select(mask: u64, a: U256, b: U256) -> U256 {
+    let (a, mut out) = (a.into_limbs(), b.into_limbs());
+    for (out, a) in out.iter_mut().zip(a) {
+        *out ^= (a ^ *out) & mask;
+    }
+    U256::from_limbs(out)
+}
+
+/// All ones for `true`, zero for `false`.
+#[inline]
+fn mask(flag: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(flag))
+}
 
 impl<const L: usize> Field<L> {
+    /// `c & mask` as a `U256`: `c` or zero.
+    #[inline]
+    fn c_masked(&self, mask: u64) -> U256 {
+        let mut limbs = [0; 4];
+        for (limb, c) in limbs.iter_mut().zip(self.c) {
+            *limb = c & mask;
+        }
+        U256::from_limbs(limbs)
+    }
+
+    /// `carry·2^256 + a`, known to be below `2m`, reduced below `m`. It is
+    /// at least `m` exactly when it carries out of bit 256 or `a + c` does,
+    /// and then `a + c mod 2^256` is its difference with `m`.
+    #[inline]
+    fn reduce_once(&self, a: U256, carry: bool) -> U256 {
+        let (diff, over) = a.overflowing_add(self.c_masked(u64::MAX));
+        select(mask(carry | over), diff, a)
+    }
+
     #[inline]
     fn add(&self, a: U256, b: U256) -> U256 {
         let (sum, carry) = a.overflowing_add(b);
-        if carry || sum >= self.m {
-            sum.wrapping_sub(self.m)
-        } else {
-            sum
-        }
+        self.reduce_once(sum, carry)
     }
 
     #[inline]
     fn sub(&self, a: U256, b: U256) -> U256 {
+        // A borrow leaves a − b + 2^256; adding m is subtracting c.
         let (diff, borrow) = a.overflowing_sub(b);
-        if borrow {
-            diff.wrapping_add(self.m)
-        } else {
-            diff
-        }
+        diff.wrapping_sub(self.c_masked(mask(borrow)))
     }
 
     #[inline]
     fn mul(&self, a: U256, b: U256) -> U256 {
         let mut w = a.mul_wide(b);
-        // 2^256 ≡ c, so lo + hi·2^256 ≡ lo + hi·c. That sum fits 4 + L
-        // limbs (c is far below 2^(64·L)), and each fold shortens the high
-        // half by 256 − 64·L bits or more until nothing is left of it.
-        while w[4] | w[5] | w[6] | w[7] != 0 {
-            let hi = [w[4], w[5], w[6], w[7]];
-            w = [w[0], w[1], w[2], w[3], 0, 0, 0, 0];
-            for i in 0..4 {
+        // 2^256 ≡ c, so lo + hi·2^256 ≡ lo + hi·c: each fold moves the
+        // `high` limbs above the low four down as their product with c.
+        for &high in self.folds {
+            let mut hi_c = [0u64; 8];
+            for i in 0..high {
                 let mut carry = 0u128;
                 for j in 0..L {
-                    let acc = hi[i] as u128 * self.c[j] as u128 + w[i + j] as u128 + carry;
-                    w[i + j] = acc as u64;
+                    let acc = w[4 + i] as u128 * self.c[j] as u128 + hi_c[i + j] as u128 + carry;
+                    hi_c[i + j] = acc as u64;
                     carry = acc >> 64;
                 }
-                for limb in &mut w[i + L..4 + L] {
-                    let acc = *limb as u128 + carry;
-                    *limb = acc as u64;
-                    carry = acc >> 64;
-                }
+                hi_c[i + L] = carry as u64;
+            }
+            let mut carry = 0u128;
+            for (k, limb) in w.iter_mut().enumerate() {
+                let lo = if k < 4 { *limb } else { 0 };
+                let acc = lo as u128 + hi_c[k] as u128 + carry;
+                *limb = acc as u64;
+                carry = acc >> 64;
             }
         }
-        // m > 2^255, so what is left is below 2m.
-        let r = U256::from_limbs([w[0], w[1], w[2], w[3]]);
-        if r >= self.m {
-            r.wrapping_sub(self.m)
-        } else {
-            r
-        }
+        debug_assert!(w[4] <= 1 && w[5..] == [0; 3], "folds left a high half");
+        // What is left is below 2^256 + 2^133 < 2m.
+        self.reduce_once(U256::from_limbs([w[0], w[1], w[2], w[3]]), w[4] != 0)
     }
 
     #[inline]
@@ -378,43 +411,89 @@ struct Jacobian {
     z: U256,
 }
 
-/// The `i`-th 4-bit digit of `k`, least significant first.
-#[inline]
-fn nibble(k: U256, i: usize) -> usize {
-    (k.limbs()[i / 16] >> (4 * (i % 16))) as usize & 0xf
+/// The multi-comb for `k·G` (Hamburg, "Fast and compact elliptic-curve
+/// cryptography", 2012; the layout of libsecp256k1's `ecmult_gen`): 264
+/// scalar bits in 11 blocks of 6 teeth spaced 4 bits apart, so bit
+/// `24·b + 4·t + s` is tooth `t` of block `b` at offset `s`.
+const COMB_BLOCKS: usize = 11;
+const COMB_TEETH: usize = 6;
+const COMB_SPACING: usize = 4;
+/// One entry for each pattern of a block's lower five teeth; the top
+/// tooth's bit picks the entry's sign.
+const COMB_ENTRIES: usize = 1 << (COMB_TEETH - 1);
+
+/// `(2^264 − 1) mod n`.
+const COMB_OFFSET: U256 =
+    U256::from_limbs([0x2da1_732f_c9be_beff, 0x5123_1950_b75f_c440, 0x145, 0]);
+
+/// `(n + 1)/2`, the inverse of 2 mod n.
+const HALF: U256 = U256::from_limbs([
+    0xdfe9_2f46_681b_20a1,
+    0x5d57_6e73_57a4_501d,
+    0xffff_ffff_ffff_ffff,
+    0x7fff_ffff_ffff_ffff,
+]);
+
+/// `COMB[32·b + j] = Σₜ (2·jₜ − 1)·2^(24·b + 4·t)·G` over the six teeth,
+/// with `j₅ = 1`, in affine coordinates: every signed-digit pattern of a
+/// block is one entry or its negative. 352 × 64 bytes = 22 KiB, the same
+/// for every key, so it lives in one static (zero-initialised `.bss`, not
+/// heap) filled on first use.
+static COMB: OnceLock<[(U256, U256); COMB_BLOCKS * COMB_ENTRIES]> = OnceLock::new();
+
+fn build_comb() -> [(U256, U256); COMB_BLOCKS * COMB_ENTRIES] {
+    let mut entries = [Jacobian::INFINITY; COMB_BLOCKS * COMB_ENTRIES];
+    // Each call returns the next tooth, 2^(24·b + 4·t)·G, walking up the
+    // doubling chain.
+    let mut chain = Jacobian { x: GX, y: GY, z: U256::ONE };
+    let mut next_tooth = || {
+        let tooth = chain;
+        chain = (0..COMB_SPACING).fold(tooth, |p, _| p.double());
+        tooth
+    };
+    for block in entries.chunks_exact_mut(COMB_ENTRIES) {
+        // Entry 0 is the top tooth minus the lower five; setting lower
+        // tooth t turns its −1 into +1, which adds twice that tooth.
+        let mut lower = Jacobian::INFINITY;
+        let mut twice = [Jacobian::INFINITY; COMB_TEETH - 1];
+        for doubled in &mut twice {
+            let tooth = next_tooth();
+            lower = lower.add(tooth);
+            *doubled = tooth.double();
+        }
+        block[0] = next_tooth().add(lower.neg());
+        for j in 1..COMB_ENTRIES {
+            let t = j.ilog2() as usize;
+            block[j] = block[j - (1 << t)].add(twice[t]);
+        }
+    }
+    batch_to_affine(&entries)
 }
 
-/// `COMB[i][j − 1] = j·16^i·G` in affine coordinates: with one row per
-/// scalar nibble, `k·G` is a sum of at most 64 table entries and needs no
-/// doublings. 64 × 15 × 64 bytes = 60 KiB, the same for every key, so it
-/// lives in one static (zero-initialised `.bss`, not heap) filled on first
-/// use.
-static COMB: OnceLock<[[(U256, U256); 15]; 64]> = OnceLock::new();
-
-fn build_comb() -> [[(U256, U256); 15]; 64] {
-    let mut table = [[(U256::ZERO, U256::ZERO); 15]; 64];
-    let mut base = (GX, GY);
-    for row in &mut table {
-        // 1·B … 16·B in Jacobian form, then one shared inversion
-        // (Montgomery's trick) brings the whole row back to affine.
-        let mut multiples = [Jacobian { x: base.0, y: base.1, z: U256::ONE }; 16];
-        let mut prefix = [U256::ONE; 16];
-        for j in 1..16 {
-            multiples[j] = multiples[j - 1].add_affine(base);
-            prefix[j] = FP.mul(prefix[j - 1], multiples[j - 1].z);
-        }
-        let mut inv = FP.inv(FP.mul(prefix[15], multiples[15].z));
-        let mut affine = [base; 16];
-        for j in (0..16).rev() {
-            let zi = FP.mul(inv, prefix[j]);
-            inv = FP.mul(inv, multiples[j].z);
-            let zi2 = FP.sqr(zi);
-            affine[j] = (FP.mul(multiples[j].x, zi2), FP.mul(multiples[j].y, FP.mul(zi2, zi)));
-        }
-        row.copy_from_slice(&affine[..15]);
-        base = affine[15];
+/// Brings points, none of them infinity, to affine coordinates with one
+/// shared inversion (Montgomery's trick): invert the product of every z,
+/// then peel the z's off it one at a time.
+fn batch_to_affine<const K: usize>(points: &[Jacobian; K]) -> [(U256, U256); K] {
+    // prefix[i] = z₀·…·zᵢ₋₁
+    let mut prefix = [U256::ONE; K];
+    for i in 1..K {
+        prefix[i] = FP.mul(prefix[i - 1], points[i - 1].z);
     }
-    table
+    let mut inv = FP.inv(FP.mul(prefix[K - 1], points[K - 1].z));
+    let mut affine = [(U256::ZERO, U256::ZERO); K];
+    for i in (0..K).rev() {
+        let zi = FP.mul(inv, prefix[i]);
+        inv = FP.mul(inv, points[i].z);
+        let zi2 = FP.sqr(zi);
+        affine[i] = (FP.mul(points[i].x, zi2), FP.mul(points[i].y, FP.mul(zi2, zi)));
+    }
+    affine
+}
+
+/// An affine point, negated if `negative`.
+#[inline]
+fn signed((x, y): (U256, U256), negative: bool) -> (U256, U256) {
+    (x, select(mask(negative), FP.sub(U256::ZERO, y), y))
 }
 
 impl Jacobian {
@@ -425,6 +504,10 @@ impl Jacobian {
             Point::Infinity => Jacobian::INFINITY,
             Point::Affine { x, y } => Jacobian { x, y, z: U256::ONE },
         }
+    }
+
+    fn neg(self) -> Jacobian {
+        Jacobian { y: FP.sub(U256::ZERO, self.y), ..self }
     }
 
     fn to_affine(self) -> Point {
@@ -501,15 +584,26 @@ impl Jacobian {
         Jacobian { x: x3, y: y3, z: FP.mul(h, z) }
     }
 
-    /// Fixed-base `k·G` off the comb table: one mixed addition per
-    /// non-zero nibble of `k`.
+    /// Fixed-base `k·G` off the multi-comb, for `k < n`. With
+    /// `B = (k + 2^264 − 1)/2 mod n`, `k ≡ Σᵢ (2·bitᵢ(B) − 1)·2^i`: every
+    /// bit is a digit ±1, and a block's six digits at one offset are one
+    /// signed table entry times `2^offset`. Four offsets, highest first,
+    /// with a doubling between them: 44 mixed additions and 3 doublings.
     fn mul_g(k: U256) -> Jacobian {
         let comb = COMB.get_or_init(build_comb);
+        let b = FN.mul(FN.add(k, COMB_OFFSET), HALF);
         let mut acc = Jacobian::INFINITY;
-        for (i, row) in comb.iter().enumerate() {
-            match nibble(k, i) {
-                0 => {}
-                j => acc = acc.add_affine(row[j - 1]),
+        for offset in (0..COMB_SPACING).rev() {
+            acc = acc.double();
+            for (block, entries) in comb.chunks_exact(COMB_ENTRIES).enumerate() {
+                let first = COMB_TEETH * COMB_SPACING * block + offset;
+                let teeth = (0..COMB_TEETH)
+                    .fold(0, |teeth, t| teeth | usize::from(b.bit(first + COMB_SPACING * t)) << t);
+                // A clear top tooth is the negative of the pattern with
+                // every tooth flipped.
+                let negative = teeth >> (COMB_TEETH - 1) == 0;
+                let index = (teeth ^ (mask(negative) as usize)) % COMB_ENTRIES;
+                acc = acc.add_affine(signed(entries[index], negative));
             }
         }
         acc
@@ -519,14 +613,20 @@ impl Jacobian {
     /// `φ(self) = λ·self`: with `k = k₁ + k₂·λ` the product is
     /// `k₁·self + k₂·φ(self)`, two 128-bit halves that share their
     /// doublings (Strauss–Shamir) and, up to one multiplication by `β` an
-    /// entry, their table of odd multiples.
+    /// entry, their affine table of odd multiples: every addition is mixed.
     fn mul_glv(self, k: U256) -> Jacobian {
+        // The table below needs finite points, and the odd multiples of a
+        // finite point of prime order n are finite.
+        if self.z.is_zero() {
+            return Jacobian::INFINITY;
+        }
         let twice = self.double();
         let mut odd = [self; 8];
         for j in 1..8 {
             odd[j] = odd[j - 1].add(twice);
         }
-        let phi = odd.map(|q| Jacobian { x: FP.mul(q.x, BETA), ..q });
+        let odd = batch_to_affine(&odd);
+        let phi = odd.map(|(x, y)| (FP.mul(x, BETA), y));
         let halves = split_scalar(k).map(|(negative, magnitude)| (negative, wnaf(magnitude)));
         let mut acc = Jacobian::INFINITY;
         for i in (0..129).rev() {
@@ -534,9 +634,7 @@ impl Jacobian {
             for (table, (negative, digits)) in [&odd, &phi].into_iter().zip(&halves) {
                 if digits[i] != 0 {
                     let entry = table[usize::from(digits[i].unsigned_abs() / 2)];
-                    let minus = (digits[i] < 0) != *negative;
-                    let y = if minus { FP.sub(U256::ZERO, entry.y) } else { entry.y };
-                    acc = acc.add(Jacobian { y, ..entry });
+                    acc = acc.add_affine(signed(entry, (digits[i] < 0) != *negative));
                 }
             }
         }
@@ -886,6 +984,21 @@ mod tests {
         assert_eq!(f.add(f.sub(a, b), b), a);
     }
 
+    /// The mask-selected `add` and `sub` where their candidates swap: sums
+    /// `m − 1`, `m`, `m + 1` and `2^256 + c`, differences `0` and `−1`.
+    fn add_sub_edges<const L: usize>(f: &Field<L>) {
+        let one_less = f.m.wrapping_sub(U256::ONE);
+        let two_c_plus_one = f.c_masked(u64::MAX).shl_word(1).wrapping_add(U256::ONE);
+        for b in [U256::ZERO, U256::ONE, U256::from(2u64), two_c_plus_one] {
+            assert_eq!(f.add(one_less, b), one_less.add_mod(b, f.m), "(m − 1) + {b:x}");
+            assert_eq!(f.add(b, one_less), one_less.add_mod(b, f.m), "{b:x} + (m − 1)");
+        }
+        for a in [U256::ZERO, U256::ONE, one_less] {
+            assert_eq!(f.sub(a, a), U256::ZERO);
+            assert_eq!(f.sub(a, f.add(a, U256::ONE)), one_less, "{a:x} − ({a:x} + 1)");
+        }
+    }
+
     #[test]
     fn special_form_fields_match_generic_reduction() {
         // c really is 2^256 − m.
@@ -901,6 +1014,8 @@ mod tests {
                 agrees_with_generic(&FN, a, b);
             }
         }
+        add_sub_edges(&FP);
+        add_sub_edges(&FN);
         check("special_form_fields_match_generic_reduction", 512, |g| {
             let (a, b) = (U256::from_be_bytes(g.array()), U256::from_be_bytes(g.array()));
             agrees_with_generic(&FP, a, b);
@@ -910,13 +1025,28 @@ mod tests {
         });
     }
 
+    /// `2^e mod n` by doubling.
+    fn pow2_mod_n(e: usize) -> U256 {
+        (0..e).fold(U256::ONE, |v, _| v.add_mod(v, N))
+    }
+
     #[test]
-    fn comb_rows_are_the_nibble_multiples_of_g() {
+    fn comb_entries_match_their_definition() {
+        assert_eq!(COMB_OFFSET, pow2_mod_n(264).add_mod(N.wrapping_sub(U256::ONE), N));
+        assert_eq!(HALF.mul_mod(U256::from(2u64), N), U256::ONE);
         let comb = COMB.get_or_init(build_comb);
-        for (i, j) in [(0, 1), (0, 15), (1, 1), (17, 9), (63, 15)] {
-            let (x, y) = comb[i][j - 1];
-            let k = U256::from(j as u64).shl_word(4 * i as u32);
-            assert_eq!(Point::Affine { x, y }, Point::GENERATOR.mul(k), "{j}·16^{i}·G");
+        for (i, &(x, y)) in comb.iter().enumerate() {
+            let (block, j) = (i / COMB_ENTRIES, i % COMB_ENTRIES | COMB_ENTRIES);
+            let k = (0..COMB_TEETH).fold(U256::ZERO, |k, t| {
+                let tooth = pow2_mod_n(COMB_TEETH * COMB_SPACING * block + COMB_SPACING * t);
+                let digit = if j >> t & 1 == 1 { tooth } else { N.wrapping_sub(tooth) };
+                k.add_mod(digit, N)
+            });
+            assert_eq!(
+                Point::Affine { x, y },
+                Point::GENERATOR.mul(k),
+                "entry {j} of block {block}"
+            );
         }
     }
 

@@ -404,19 +404,83 @@ fn minus(k: U256) -> U256 {
     secp::N.wrapping_sub(k)
 }
 
+/// `2^e mod n` by doubling.
+fn pow2_mod_n(e: usize) -> U256 {
+    (0..e).fold(U256::ONE, |v, _| v.add_mod(v, secp::N))
+}
+
+/// `(2^264 − 1) mod n`.
+fn comb_offset() -> U256 {
+    pow2_mod_n(264).add_mod(minus(U256::ONE), secp::N)
+}
+
+/// `k·G`'s multi-comb recoding `B = (k + 2^264 − 1)/2 mod n`, which makes
+/// `k ≡ Σᵢ (2·bitᵢ(B) − 1)·2^i`: bit `24·b + 4·t + s` of `B` is tooth `t`
+/// of block `b` (of 11) at offset `s` (of 4).
+fn comb_recoding(k: U256) -> U256 {
+    let half = secp::N.shr_word(1).wrapping_add(U256::ONE);
+    k.add_mod(comb_offset(), secp::N).mul_mod(half, secp::N)
+}
+
+/// The `k` whose recoding is `b`: `2·b − (2^264 − 1) mod n`.
+fn comb_scalar(b: U256) -> U256 {
+    b.add_mod(b, secp::N).add_mod(minus(comb_offset()), secp::N)
+}
+
+/// Scalars at the edges of the multi-comb recoding, all below n: the ends
+/// and the middle of the scalar range; every digit −1 (`B = 0`) and the
+/// top of `B`'s range; the top block's teeth below bit 256 all set or all
+/// clear (its two teeth above bit 256 are always clear); and the one `k`
+/// whose last mixed addition (block 10, offset 0) meets an accumulator
+/// equal to its entry `E`, i.e. `k ≡ 2·E`, which must double.
+fn comb_edges() -> Vec<U256> {
+    let half_n = secp::N.shr_word(1);
+    let top_block = |k: U256| comb_recoding(k).shr_word(240);
+    let doubling = (0..16u64)
+        .map(|teeth| {
+            let entry = (0..6).fold(U256::ZERO, |e, t| {
+                let tooth = pow2_mod_n(240 + 4 * t);
+                e.add_mod(if teeth >> t & 1 == 1 { tooth } else { minus(tooth) }, secp::N)
+            });
+            (teeth, entry.add_mod(entry, secp::N))
+        })
+        .find(|&(teeth, k)| (0..4).all(|t| top_block(k).bit(4 * t) == (teeth >> t & 1 == 1)))
+        .expect("a pattern of the last block's teeth recodes to itself")
+        .1;
+    let edges = vec![
+        U256::ZERO,
+        U256::ONE,
+        half_n,
+        half_n.wrapping_add(U256::ONE),
+        minus(U256::ONE),
+        comb_scalar(U256::ZERO),
+        comb_scalar(minus(U256::ONE)),
+        comb_scalar(U256::from(0xffffu64).shl_word(240)),
+        comb_scalar(U256::ONE.shl_word(240).wrapping_sub(U256::ONE)),
+        doubling,
+    ];
+    assert_eq!(comb_recoding(edges[5]), U256::ZERO);
+    assert_eq!(comb_recoding(edges[6]), minus(U256::ONE));
+    assert_eq!((top_block(edges[7]), top_block(edges[8])), (U256::from(0xffffu64), U256::ZERO));
+    assert!(edges.iter().all(|&k| k < secp::N && comb_scalar(comb_recoding(k)) == k));
+    edges
+}
+
 #[test]
 fn point_mul_matches_double_and_add_oracle() {
     let gen = secp::Point::GENERATOR;
-    // Scalars at the edges of a digit recoding: nothing set, a single low
-    // / top nibble, every nibble 0xF (reduced mod n), and the ends of the
-    // scalar range.
-    let top = |nibble: u64| U256::from(nibble).shl_word(252);
-    let minus_one = secp::N.wrapping_sub(U256::ONE);
-    let (fifteen, sixteen) = (U256::from(15u64), U256::from(16u64));
-    let edges =
-        [U256::ZERO, U256::ONE, fifteen, sixteen, top(1), top(15), U256::MAX, minus_one, secp::N];
-    for k in edges {
+    let minus_gen = oracle_mul(minus(U256::ONE), gen);
+    // `Point::mul` reduces its scalar mod n first.
+    let mut edges = comb_edges();
+    edges.extend([U256::MAX, secp::N]);
+    for &k in &edges {
+        // The ladder on Q = ±G, whose table entries are odd multiples of G.
         assert_eq!(gen.mul(k), oracle_mul(k, gen), "k = {k:x}");
+        assert_eq!(minus_gen.mul(k), oracle_mul(k, minus_gen), "k = {k:x}");
+        // The multi-comb, through key generation.
+        if let Ok(sk) = SecretKey::from_scalar(k) {
+            assert_eq!(sk.public_key().point(), oracle_mul(k, gen), "k = {k:x}");
+        }
     }
     check("point_mul_matches_double_and_add_oracle", CASES, |g| {
         let (k, l) = (scalar(g), scalar(g));
@@ -430,6 +494,27 @@ fn point_mul_matches_double_and_add_oracle() {
             assert_eq!(sk.public_key().point(), oracle_mul(k, gen));
         }
     });
+}
+
+#[test]
+fn comb_edges_through_verify_and_recover() {
+    // The multi-comb serves the u₁·G half of both: pick the digest that
+    // makes u₁ each edge scalar (u₁ = 0 is a digest ≡ 0 mod n).
+    let sk = SecretKey::from_seed(b"comb edges");
+    let pk = sk.public_key();
+    let sig = sk.sign(&keccak256(b"comb edges"));
+    let r_point = secp::Point::lift_x(sig.r, sig.v == 1).expect("r of a signature lifts");
+    for u1 in comb_edges() {
+        // verify: u₁ = z/s.
+        let z = u1.mul_mod(sig.s, secp::N);
+        let accepted = pk.verify(&B256::new(z.to_be_bytes()), &sig).is_ok();
+        assert_eq!(accepted, oracle_accepts(pk.point(), z, &sig), "u₁ = {u1:x}");
+        // recover: u₁ = −z/r; for u₁ = 0 the digest is n itself.
+        let z = secp::N.wrapping_sub(u1.mul_mod(sig.r, secp::N));
+        let recovered = secp::recover(&B256::new(z.to_be_bytes()), &sig);
+        let expected = oracle_recovers(r_point, z, &sig);
+        assert_eq!(recovered.ok().map(|q| q.point()), expected, "u₁ = {u1:x}");
+    }
 }
 
 /// What `verify` must decide, computed by the oracle: is the x
@@ -891,8 +976,11 @@ fn b256_zero_hash_distinct_from_hash_of_zeroes() {
 fn ecdsa_differential_soak() {
     const SOAK_CASES: u32 = 4096;
     let gen = secp::Point::GENERATOR;
+    // A quarter of the scalars come from the multi-comb's edge classes.
+    let edges = comb_edges();
+    let draw = |g: &mut Gen| if g.below(4) == 0 { edges[g.index(edges.len())] } else { scalar(g) };
     check("ecdsa_differential_soak", SOAK_CASES, |g| {
-        let (d, e) = (scalar(g).rem_evm(secp::N).max(U256::ONE), scalar(g));
+        let (d, e) = (draw(g).rem_evm(secp::N).max(U256::ONE), draw(g));
         let (sk, pk) = (SecretKey::from_scalar(d).unwrap(), oracle_mul(d, gen));
         assert_eq!(sk.public_key().point(), pk);
         // mul and ecdh: an arbitrary scalar on an arbitrary point.

@@ -662,6 +662,7 @@ fn div_rem_generic(dividend: &[u64], divisor: &[u64; 4]) -> ([u64; 8], [u64; 4])
     (quotient, remainder)
 }
 
+#[inline]
 fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
     for i in (0..a.len()).rev() {
@@ -674,12 +675,14 @@ fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
 }
 
 impl PartialOrd for U256 {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for U256 {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         cmp_limbs(&self.limbs, &other.limbs)
     }

@@ -11,6 +11,7 @@
 use tape_crypto::keccak256;
 use tape_evm::asm::Asm;
 use tape_evm::opcode::op;
+use tape_evm::Transaction;
 use tape_primitives::{Address, U256};
 
 /// First four bytes of `keccak256(signature)` as a `u32`.
@@ -501,6 +502,23 @@ pub fn gasbomb_runtime() -> Vec<u8> {
         .push(1u64)
         .ret_top()
         .build()
+}
+
+/// Where the preemption tests, soaks and `repro pre-execute` deploy
+/// [`gasbomb_runtime`].
+pub fn gasbomb_address() -> Address {
+    Address::from_low_u64(0x6A5B)
+}
+
+/// A call from `from` to the gas bomb at [`gasbomb_address`] asking for
+/// `gas_limit / 20` iterations: more than the limit covers, so the
+/// transaction burns all of it.
+pub fn gasbomb_tx(from: Address, gas_limit: u64) -> Transaction {
+    let data = U256::from(gas_limit / 20).to_be_bytes().to_vec();
+    Transaction {
+        gas_limit,
+        ..Transaction::call(from, gasbomb_address(), data)
+    }
 }
 
 /// A roll-up style batcher: writes `calldata[0]` storage slots starting

@@ -32,6 +32,7 @@ use tape_sim::queue::interleave;
 use tape_sim::telemetry::CounterId;
 use tape_state::{Account, InMemoryState};
 use tape_tee::channel::verify_bundle;
+use tape_workload::contracts;
 
 fn genesis() -> InMemoryState {
     let mut state = InMemoryState::new();
@@ -122,6 +123,9 @@ const FLEET_DEVICES: usize = 4;
 const FLEET_TENANTS: usize = 1_000;
 /// The device the chaos soak kills mid-run (1 of 4).
 const CRASH_DEVICE: usize = 1;
+/// A gas bomb's budget: at a 100k gas slice it yields ~20 times, so at
+/// crash time its `BundlePause` checkpoint is sitting in the dead
+/// device's queue.
 const FLEET_BOMB_GAS: u64 = 2_000_000;
 
 fn fleet_tenant_addr(i: usize) -> Address {
@@ -141,10 +145,6 @@ fn chain_producer() -> Address {
     Address::from_low_u64(0xC0DE)
 }
 
-fn fleet_bomb_contract() -> Address {
-    Address::from_low_u64(0x6A5B)
-}
-
 /// Genesis with one funded account per tenant, the chain producer, and
 /// the gas-bomb contract (for exercising in-flight paused work).
 fn fleet_genesis() -> InMemoryState {
@@ -154,8 +154,8 @@ fn fleet_genesis() -> InMemoryState {
     }
     state.put_account(chain_producer(), Account::with_balance(U256::from(u64::MAX)));
     state.put_account(
-        fleet_bomb_contract(),
-        Account::with_code(tape_workload::contracts::gasbomb_runtime()),
+        contracts::gasbomb_address(),
+        Account::with_code(contracts::gasbomb_runtime()),
     );
     state
 }
@@ -166,19 +166,6 @@ fn fleet_transfer(tenant: usize, step: usize) -> Bundle {
         fleet_sink_addr(tenant),
         U256::from(1 + step as u64),
     ))
-}
-
-/// A 2M-gas bomb from `tenant`: at a 100k gas slice it yields ~20
-/// times, so at crash time its `BundlePause` checkpoint is sitting in
-/// the dead device's queue.
-fn fleet_bomb(tenant: usize) -> Bundle {
-    let mut tx = Transaction::call(
-        fleet_tenant_addr(tenant),
-        fleet_bomb_contract(),
-        U256::from(FLEET_BOMB_GAS / 20).to_be_bytes().to_vec(),
-    );
-    tx.gas_limit = FLEET_BOMB_GAS;
-    Bundle::single(tx)
 }
 
 /// Three independent feeds over identical nodes; the whole fleet syncs
@@ -378,8 +365,15 @@ fn fleet_chaos_run(seed: u64, crash: bool) -> FleetRunOutcome {
                 .collect();
             assert_eq!(victims.len(), 2, "rendezvous left the crash device nearly empty");
             for &victim in &victims {
-                let ticket =
-                    router.submit(sessions[victim], fleet_bomb(victim)).expect("bomb admitted");
+                let ticket = router
+                    .submit(
+                        sessions[victim],
+                        Bundle::single(contracts::gasbomb_tx(
+                            fleet_tenant_addr(victim),
+                            FLEET_BOMB_GAS,
+                        )),
+                    )
+                    .expect("bomb admitted");
                 assert!(admitted.insert(ticket), "fleet ticket {ticket} issued twice");
                 ticket_meta.insert(ticket, (victim, 9_999));
                 bomb_tickets.insert(ticket);
@@ -654,7 +648,12 @@ fn crash_reruns_paused_work_on_the_survivor_with_the_uninterrupted_receipt() {
     let mut router = fleet_router_with(2, 0x9A5B, GatewayConfig::default());
     let (victim, index) = tenant_on_device_0(&mut router);
 
-    let ticket = router.submit(victim, fleet_bomb(index)).expect("bomb admitted");
+    let ticket = router
+        .submit(
+            victim,
+            Bundle::single(contracts::gasbomb_tx(fleet_tenant_addr(index), FLEET_BOMB_GAS)),
+        )
+        .expect("bomb admitted");
     // One round: the bomb burns one 100k slice, pauses, re-queues.
     assert!(router.run_round().is_empty(), "the bomb must still be in flight");
     assert_eq!(router.gateway(0).stats().preempted, 1, "the bomb paused on device 0");
@@ -671,7 +670,10 @@ fn crash_reruns_paused_work_on_the_survivor_with_the_uninterrupted_receipt() {
     let report = bomb[0].outcome.as_ref().expect("the re-run succeeds");
     assert_eq!(
         format!("{:?}", report.results),
-        uninterrupted_receipt(fleet_bomb(index)),
+        uninterrupted_receipt(Bundle::single(contracts::gasbomb_tx(
+            fleet_tenant_addr(index),
+            FLEET_BOMB_GAS
+        ))),
         "the re-run's receipt differs from an uninterrupted run's"
     );
 
@@ -695,7 +697,12 @@ fn failover_carries_the_wait_served_on_dead_devices() {
     let mut router = fleet_router_with(2, 0x9A5B, GatewayConfig::default());
     let (victim, index) = tenant_on_device_0(&mut router);
     let bomb_admitted_at = now_on(&router, 0);
-    let bomb = router.submit(victim, fleet_bomb(index)).expect("bomb admitted");
+    let bomb = router
+        .submit(
+            victim,
+            Bundle::single(contracts::gasbomb_tx(fleet_tenant_addr(index), FLEET_BOMB_GAS)),
+        )
+        .expect("bomb admitted");
     for _ in 0..3 {
         assert!(router.run_round().is_empty(), "the bomb must still be in flight");
     }
@@ -724,7 +731,12 @@ fn failover_carries_the_wait_served_on_dead_devices() {
     let mut router = fleet_router_with(3, 0x9A5B, GatewayConfig::default());
     let (victim, index) = tenant_on_device_0(&mut router);
     let admitted_at = now_on(&router, 0);
-    let bomb = router.submit(victim, fleet_bomb(index)).expect("bomb admitted");
+    let bomb = router
+        .submit(
+            victim,
+            Bundle::single(contracts::gasbomb_tx(fleet_tenant_addr(index), FLEET_BOMB_GAS)),
+        )
+        .expect("bomb admitted");
     assert!(router.run_round().is_empty(), "the bomb must still be in flight");
     assert!(router.fail_device(0).is_empty(), "failover sheds nothing");
     let first_wait = now_on(&router, 0) - admitted_at;

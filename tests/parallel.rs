@@ -43,17 +43,13 @@ fn sink_addr(i: usize) -> Address {
     Address::from_low_u64(0xF000 + i as u64)
 }
 
-fn bomb_contract() -> Address {
-    Address::from_low_u64(0x6A5B)
-}
-
 fn genesis() -> InMemoryState {
     let mut state = InMemoryState::new();
     for i in 0..=TENANTS {
         state.put_account(tenant_addr(i), Account::with_balance(U256::from(u64::MAX)));
     }
     state.put_account(
-        bomb_contract(),
+        tape_workload::contracts::gasbomb_address(),
         Account::with_code(tape_workload::contracts::gasbomb_runtime()),
     );
     state
@@ -65,16 +61,6 @@ fn transfer_bundle(tenant: usize, step: usize) -> Bundle {
         sink_addr(tenant),
         U256::from(1 + step as u64),
     ))
-}
-
-fn bomb_bundle() -> Bundle {
-    let mut tx = Transaction::call(
-        tenant_addr(TENANTS),
-        bomb_contract(),
-        U256::from(BOMB_GAS / 20).to_be_bytes().to_vec(),
-    );
-    tx.gas_limit = BOMB_GAS;
-    Bundle::single(tx)
 }
 
 /// One receipt per completion, in completion order: the full encoded
@@ -182,7 +168,13 @@ fn pooled_run(rig: Rig, seed: u64, workers: usize) -> (String, Receipts) {
             Err(other) => panic!("unexpected submit error: {other}"),
         }
         if op % 5 == 4 {
-            match gateway.submit(bomber, bomb_bundle()) {
+            match gateway.submit(
+                bomber,
+                Bundle::single(tape_workload::contracts::gasbomb_tx(
+                    tenant_addr(TENANTS),
+                    BOMB_GAS,
+                )),
+            ) {
                 Ok(ticket) => {
                     assert!(admitted.insert(ticket), "ticket {ticket} issued twice");
                 }

@@ -34,10 +34,6 @@ fn sink_addr(i: usize) -> Address {
     Address::from_low_u64(0xE100 + i as u64)
 }
 
-fn bomb_contract() -> Address {
-    Address::from_low_u64(0x6A5B)
-}
-
 /// Funded tenants (index 0..=3; 3 is the bomber) plus the gas-bomb
 /// contract.
 fn genesis() -> InMemoryState {
@@ -45,7 +41,10 @@ fn genesis() -> InMemoryState {
     for i in 0..4 {
         state.put_account(tenant_addr(i), Account::with_balance(U256::from(u64::MAX)));
     }
-    state.put_account(bomb_contract(), Account::with_code(contracts::gasbomb_runtime()));
+    state.put_account(
+        contracts::gasbomb_address(),
+        Account::with_code(contracts::gasbomb_runtime()),
+    );
     state
 }
 
@@ -55,20 +54,6 @@ fn transfer_bundle(tenant: usize, step: usize) -> Bundle {
         sink_addr(tenant),
         U256::from(1 + step as u64),
     ))
-}
-
-fn bomb_tx(gas_limit: u64) -> Transaction {
-    let mut tx = Transaction::call(
-        tenant_addr(3),
-        bomb_contract(),
-        U256::from(gas_limit / 20).to_be_bytes().to_vec(),
-    );
-    tx.gas_limit = gas_limit;
-    tx
-}
-
-fn bomb_bundle() -> Bundle {
-    Bundle::single(bomb_tx(BOMB_GAS))
 }
 
 /// An `-ES` service (scheduling is under test, not the ORAM) with the
@@ -134,7 +119,10 @@ fn tail_latency_run(bombs: bool, gas_slice: Option<u64>) -> Vec<u64> {
             // Keep the bomber's queue non-empty (a round retires at most
             // one bomb segment, so one refill per step saturates);
             // tenant-local overload on the refill is expected and fine.
-            match gateway.submit(bomber, Bundle::single(bomb_tx(TAIL_BOMB_GAS))) {
+            match gateway.submit(
+                bomber,
+                Bundle::single(contracts::gasbomb_tx(tenant_addr(3), TAIL_BOMB_GAS)),
+            ) {
                 Ok(_) | Err(GatewayError::Overloaded { .. }) => {}
                 Err(other) => panic!("unexpected bomber submit error: {other}"),
             }
@@ -191,7 +179,7 @@ fn preempted_then_resumed_bundle_matches_uninterrupted_receipt() {
     let bundle = Bundle {
         transactions: vec![
             Transaction::transfer(tenant_addr(0), sink_addr(0), U256::from(7u64)),
-            bomb_tx(1_000_000),
+            contracts::gasbomb_tx(tenant_addr(3), 1_000_000),
             Transaction::transfer(tenant_addr(0), sink_addr(0), U256::from(9u64)),
         ],
     };
@@ -247,10 +235,14 @@ fn retry_hints_shrink_as_preempted_bombs_near_completion() {
     );
     let bomber = gateway.connect(b"hint bomber").expect("attestation succeeds");
     for _ in 0..4 {
-        gateway.submit(bomber, bomb_bundle()).expect("bomb admitted");
+        gateway
+            .submit(bomber, Bundle::single(contracts::gasbomb_tx(tenant_addr(3), BOMB_GAS)))
+            .expect("bomb admitted");
     }
     let reject_hint = |gateway: &mut Gateway| -> u64 {
-        match gateway.submit(bomber, bomb_bundle()) {
+        match gateway
+            .submit(bomber, Bundle::single(contracts::gasbomb_tx(tenant_addr(3), BOMB_GAS)))
+        {
             Err(GatewayError::Overloaded { retry_after }) => retry_after,
             other => panic!("expected Overloaded, got {other:?}"),
         }
@@ -286,7 +278,7 @@ fn watchdog_is_a_per_segment_backstop_through_the_service() {
         HarDTape::new(config, Env::default(), &genesis()).expect("device boots");
     let mut user = unsliced.connect_user(b"watchdog user").expect("attestation succeeds");
     let err = unsliced
-        .pre_execute(&mut user, &Bundle::single(bomb_tx(2_000_000)))
+        .pre_execute(&mut user, &Bundle::single(contracts::gasbomb_tx(tenant_addr(3), 2_000_000)))
         .expect_err("a whole 2M-gas bomb must out-run a 3ms watchdog");
     assert!(
         matches!(err, ServiceError::Hevm(HevmAbort::Watchdog { .. })),
@@ -298,7 +290,7 @@ fn watchdog_is_a_per_segment_backstop_through_the_service() {
     let mut sliced = HarDTape::new(config, Env::default(), &genesis()).expect("device boots");
     let mut user = sliced.connect_user(b"watchdog user").expect("attestation succeeds");
     let report = sliced
-        .pre_execute(&mut user, &Bundle::single(bomb_tx(2_000_000)))
+        .pre_execute(&mut user, &Bundle::single(contracts::gasbomb_tx(tenant_addr(3), 2_000_000)))
         .expect("no single 100k-gas segment can trip the watchdog");
     // The bomb still burns its whole budget (out-of-gas, not success) —
     // the watchdog no longer fires on long-but-live executions.
@@ -313,7 +305,7 @@ fn checkpoint_cover_ablation_fails_the_segment_audit() {
     let mut covered = device(Some(GAS_SLICE));
     let mut user = covered.connect_user(b"cover user").expect("attestation succeeds");
     covered
-        .pre_execute(&mut user, &Bundle::single(bomb_tx(1_000_000)))
+        .pre_execute(&mut user, &Bundle::single(contracts::gasbomb_tx(tenant_addr(3), 1_000_000)))
         .expect("covered run completes");
     let report = covered.telemetry().audit();
     assert!(report.passed(), "covered checkpoints must pass: {:?}", report.violations);
@@ -340,7 +332,7 @@ fn checkpoint_cover_ablation_fails_the_segment_audit() {
     .expect("ablated device boots");
     let mut user = ablated.connect_user(b"ablation user").expect("attestation succeeds");
     ablated
-        .pre_execute(&mut user, &Bundle::single(bomb_tx(1_000_000)))
+        .pre_execute(&mut user, &Bundle::single(contracts::gasbomb_tx(tenant_addr(3), 1_000_000)))
         .expect("ablated run still completes");
     let report = ablated.telemetry().audit();
     assert!(!report.passed(), "uncovered checkpoints must fail the audit");
@@ -362,7 +354,9 @@ fn preempted_bomb_completes_exactly_once_through_the_gateway() {
     );
     let bomber = gateway.connect(b"once bomber").expect("attestation succeeds");
     let honest = gateway.connect(b"once honest").expect("attestation succeeds");
-    let bomb_ticket = gateway.submit(bomber, bomb_bundle()).expect("bomb admitted");
+    let bomb_ticket = gateway
+        .submit(bomber, Bundle::single(contracts::gasbomb_tx(tenant_addr(3), BOMB_GAS)))
+        .expect("bomb admitted");
     let honest_ticket =
         gateway.submit(honest, transfer_bundle(0, 0)).expect("transfer admitted");
 
@@ -397,7 +391,9 @@ fn preempted_bomb_completes_exactly_once_through_the_gateway() {
 fn reconnect_with_a_paused_bundle_queued_is_a_typed_refusal() {
     let mut gateway = Gateway::new(device(Some(GAS_SLICE)), GatewayConfig::default());
     let bomber = gateway.connect(b"refused bomber").expect("attestation succeeds");
-    let ticket = gateway.submit(bomber, bomb_bundle()).expect("bomb admitted");
+    let ticket = gateway
+        .submit(bomber, Bundle::single(contracts::gasbomb_tx(tenant_addr(3), BOMB_GAS)))
+        .expect("bomb admitted");
     assert!(gateway.run_round().is_empty(), "the first segment only preempts");
     assert_eq!(gateway.stats().preempted, 1);
 
@@ -415,7 +411,9 @@ fn reconnect_with_a_paused_bundle_queued_is_a_typed_refusal() {
     // The other order: the tenant is already re-attested when its next
     // bundle is preempted, so every pause carries the fresh session and
     // the bundle resumes to its one completion.
-    let ticket = gateway.submit(fresh, Bundle::single(bomb_tx(3 * GAS_SLICE))).expect("admitted");
+    let ticket = gateway
+        .submit(fresh, Bundle::single(contracts::gasbomb_tx(tenant_addr(3), 3 * GAS_SLICE)))
+        .expect("admitted");
     let completions = gateway.run_until_idle();
     assert_eq!(completions.len(), 1);
     assert_eq!(completions[0].ticket, ticket);
@@ -431,7 +429,7 @@ fn foreign_session_pause_is_refused_by_the_service() {
     let mut device = device(Some(GAS_SLICE));
     let mut owner = device.connect_user(b"pause owner").expect("attestation succeeds");
     let mut other = device.connect_user(b"pause thief").expect("attestation succeeds");
-    let bundle = bomb_bundle();
+    let bundle = Bundle::single(contracts::gasbomb_tx(tenant_addr(3), BOMB_GAS));
     let pause = match device.pre_execute_preemptible(&mut owner, &bundle, None) {
         Ok(PreExecOutcome::Preempted(pause)) => pause,
         other => panic!("an {BOMB_GAS}-gas bomb must outlast one slice, got {other:?}"),
@@ -458,7 +456,7 @@ fn dispatch_cost_is_charged_2s_minus_1_times_into_the_timeline() {
         let mut device =
             HarDTape::new(config, Env::default(), &genesis()).expect("device boots");
         let mut user = device.connect_user(b"dispatch pin").expect("attestation succeeds");
-        let bundle = Bundle::single(bomb_tx(1_000_000));
+        let bundle = Bundle::single(contracts::gasbomb_tx(tenant_addr(3), 1_000_000));
         let start = device.clock().now();
         let mut outcome = device
             .pre_execute_preemptible(&mut user, &bundle, None)

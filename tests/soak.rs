@@ -789,33 +789,19 @@ fn seeded_reorg_schedule_is_deterministic_and_exactly_once() {
     println!("REORG_DIGEST seed={seed} digest={digest_a}");
 }
 
+/// A saturating gas bomb from the adversarial tenant (index `TENANTS`):
+/// well-formed, burns its entire budget in a compute loop.
 const BOMB_GAS: u64 = 2_000_000;
-
-fn bomb_contract() -> Address {
-    Address::from_low_u64(0x6A5B)
-}
 
 /// Soak genesis plus the gas-bomb contract and a funded bomb tenant.
 fn preempt_genesis() -> InMemoryState {
     let mut state = soak_genesis();
     state.put_account(
-        bomb_contract(),
+        tape_workload::contracts::gasbomb_address(),
         Account::with_code(tape_workload::contracts::gasbomb_runtime()),
     );
     state.put_account(tenant_addr(TENANTS), Account::with_balance(U256::from(u64::MAX)));
     state
-}
-
-/// A saturating gas bomb from the adversarial tenant (index `TENANTS`):
-/// well-formed, burns its entire 2M-gas budget in a compute loop.
-fn bomb_bundle() -> Bundle {
-    let mut tx = Transaction::call(
-        tenant_addr(TENANTS),
-        bomb_contract(),
-        U256::from(BOMB_GAS / 20).to_be_bytes().to_vec(),
-    );
-    tx.gas_limit = BOMB_GAS;
-    Bundle::single(tx)
 }
 
 /// One seeded preemption chaos run: three honest tenants submitting
@@ -888,7 +874,10 @@ fn preempt_chaos_run(seed: u64) -> String {
                 coin.next_u64();
             }
             let bundle = if attack {
-                bomb_bundle()
+                Bundle::single(tape_workload::contracts::gasbomb_tx(
+                    tenant_addr(TENANTS),
+                    BOMB_GAS,
+                ))
             } else {
                 bomb_steps += 1;
                 Bundle::single(Transaction::transfer(
