@@ -519,7 +519,10 @@ impl HarDTape {
             );
             state.set_telemetry(telemetry.clone());
             if config.store_dir.is_some() {
-                state.make_durable();
+                // A warm restart adopts the sync table sealed with the
+                // client, so the next block diffs against the recovered
+                // tree rather than against nothing.
+                state.make_durable().map_err(ServiceError::Oram)?;
             }
             if config.security.oram_code() {
                 // §IV-D prefetcher: its own DRBG stream, seeded with the

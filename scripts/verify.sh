@@ -33,6 +33,10 @@
 #            secp256k1 differential soak, in release: 4 096 cases of
 #            mul / sign -> verify / recover / ecdh against the
 #            double-and-add oracle in crates/crypto/tests/props.rs.
+#            Last, the sync-scale row: one ERC-20 transfer a block
+#            against a token with 8 192 holders (tests/sync.rs, in
+#            release) prints SYNC_SCALE and fails unless its ORAM
+#            writes and virtual time a block equal the 8-holder cost.
 # --recover  disk-recovery soak: one uninterrupted run, then for every
 #            bundle index a run aborted (real process abort) right after
 #            that bundle and a recovery run over the killed directory
@@ -209,6 +213,9 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
     echo "==> ECDSA differential soak (release: comb, endomorphism ladder and gcd inverse against double-and-add)"
     cargo test -q --release -p tape-crypto --test props -- --ignored --nocapture \
         | grep -E '^ECDSA_SOAK '
+    echo "==> sync scale (release: writes and virtual time a block at 8 192 holders equal 8 holders')"
+    cargo test -q --release --test sync -- --ignored --nocapture \
+        | grep -E '^SYNC_SCALE '
 fi
 
 recover_soak() {

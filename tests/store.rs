@@ -948,3 +948,68 @@ fn device_warm_restart_resumes_from_the_disk_store() {
     let warm_report = device.pre_execute(&mut user, &transfer).unwrap();
     assert_eq!(warm_report.results, cold_report.results, "restart changed execution results");
 }
+
+/// The sync table (what the ORAM's pages hold, per account) travels in
+/// the sealed client checkpoint. A warm-booted device that forgot it
+/// would never zero a storage group that vanished after the restart,
+/// and a holder that sent its whole balance would keep reading it.
+#[test]
+fn warm_restart_keeps_the_sync_table() {
+    use hardtape::{Bundle, HarDTape, SecurityConfig, ServiceConfig};
+    use tape_evm::{Env, Transaction};
+    use tape_node::Node;
+    use tape_primitives::{Address, U256};
+    use tape_state::{Account, InMemoryState};
+    use tape_workload::contracts;
+
+    let scratch = Scratch::new("sync-table-restart", 0x5AB);
+    let (a, b, token) =
+        (Address::from_low_u64(0xA), Address::from_low_u64(0xB), Address::from_low_u64(0x7E));
+    let mut genesis = InMemoryState::new();
+    genesis.put_account(a, Account::with_balance(U256::from(u64::MAX)));
+    genesis.put_account(b, Account::with_balance(U256::from(u64::MAX)));
+    let mut erc20 = Account::with_code(contracts::erc20_runtime());
+    erc20.storage.insert(contracts::balance_slot(&a), U256::from(100u64));
+    erc20.storage.insert(contracts::balance_slot(&b), U256::ONE);
+    genesis.put_account(token, erc20);
+    let config = || ServiceConfig {
+        oram_height: 8,
+        store_dir: Some(scratch.path().to_path_buf()),
+        ..ServiceConfig::at_level(SecurityConfig::Full)
+    };
+    let call = |from: Address, selector: u32, args: &[U256]| Transaction {
+        gas_limit: 300_000,
+        ..Transaction::call(from, token, contracts::encode_call(selector, args))
+    };
+
+    let mut node = Node::new(genesis.clone(), Env::default());
+    node.produce_block(vec![Transaction::transfer(a, b, U256::ONE)]);
+    node.produce_block(vec![call(
+        a,
+        contracts::sel::transfer(),
+        &[b.into_word(), U256::from(100u64)],
+    )]);
+    let block = |i: usize| {
+        (node.block(i).expect("block exists").header.clone(), node.state_delta(i).expect("delta"))
+    };
+
+    {
+        let mut device = HarDTape::new(config(), Env::default(), &genesis).expect("cold boot");
+        let (header, delta) = block(0);
+        device.sync_block(&header, &delta).expect("block 1 syncs");
+    }
+    let mut device = HarDTape::new(config(), Env::default(), &genesis).expect("warm boot");
+    assert!(device.recovery_report().expect("disk store").committed_seq > 0, "a warm boot");
+    let (header, delta) = block(1);
+    device.sync_block(&header, &delta).expect("block 2 syncs");
+
+    let mut user = device.connect_user(b"sync table reader").unwrap();
+    let balance_of = |device: &mut HarDTape, user: &mut _, holder: Address| {
+        let bundle =
+            Bundle::single(call(b, contracts::sel::balance_of(), &[holder.into_word()]));
+        let report = device.pre_execute(user, &bundle).expect("balanceOf runs");
+        U256::from_be_slice(&report.results[0].output)
+    };
+    assert_eq!(balance_of(&mut device, &mut user, a), U256::ZERO, "A's emptied group was zeroed");
+    assert_eq!(balance_of(&mut device, &mut user, b), U256::from(101u64));
+}
