@@ -74,7 +74,7 @@ impl Code {
     /// The valid `JUMPDEST` positions.
     #[inline]
     pub fn jumpdests(&self) -> &JumpDests {
-        self.jumpdests.get_or_init(|| JumpDests::analyze(&self.bytes))
+        self.jumpdests.get_or_init(|| JumpDests::scan(&self.bytes, |_| ()))
     }
 
     /// A value no other image built in this process carries: a key for
@@ -117,10 +117,14 @@ pub struct JumpDests {
 }
 
 impl JumpDests {
-    fn analyze(code: &[u8]) -> Self {
+    /// Builds the table of `code` in one pass, handing each instruction's
+    /// opcode to `visit` in pc order (push data skipped), so a caller
+    /// that needs its own per-instruction count pays for no second scan.
+    pub fn scan(code: &[u8], mut visit: impl FnMut(u8)) -> Self {
         let mut bits = vec![0u64; code.len().div_ceil(64)];
         let mut pc = 0;
         while let Some(&opcode) = code.get(pc) {
+            visit(opcode);
             if opcode == JUMPDEST {
                 bits[pc / 64] |= 1 << (pc % 64);
             }
@@ -147,7 +151,7 @@ mod tests {
     fn jump_table_skips_push_data() {
         // PUSH2 0x5b5b JUMPDEST — the two 0x5b bytes inside the push are
         // NOT valid destinations; the trailing one is.
-        let dests = JumpDests::analyze(&[0x61, JUMPDEST, JUMPDEST, JUMPDEST]);
+        let dests = JumpDests::scan(&[0x61, JUMPDEST, JUMPDEST, JUMPDEST], |_| ());
         assert!(!dests.is_valid(1));
         assert!(!dests.is_valid(2));
         assert!(dests.is_valid(3));
@@ -159,7 +163,7 @@ mod tests {
     #[test]
     fn jump_table_truncated_push() {
         // PUSH32 with only one byte of code left must not panic.
-        let dests = JumpDests::analyze(&[JUMPDEST, PUSH32, JUMPDEST]);
+        let dests = JumpDests::scan(&[JUMPDEST, PUSH32, JUMPDEST], |_| ());
         assert!(dests.is_valid(0));
         assert!(!dests.is_valid(2));
     }
@@ -169,7 +173,7 @@ mod tests {
         let mut code = vec![0x00; 200];
         code[64] = JUMPDEST;
         code[199] = JUMPDEST;
-        let dests = JumpDests::analyze(&code);
+        let dests = JumpDests::scan(&code, |_| ());
         assert!(dests.is_valid(64) && dests.is_valid(199));
         assert!(!dests.is_valid(63) && !dests.is_valid(65) && !dests.is_valid(200));
     }
