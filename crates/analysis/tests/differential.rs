@@ -38,128 +38,132 @@ fn analysis_for<'a>(
         .or_insert_with(|| analyze(&set.genesis.code(&address)))
 }
 
-#[test]
-fn analyzer_claims_hold_on_every_workload_execution() {
-    let set = EvalSet::generate(&EvalSetConfig::small());
-    let mut cache: HashMap<Address, CodeAnalysis> = HashMap::new();
+/// Checks every analyzer claim against every step of `sets` small
+/// evaluation sets, drawn from consecutive seeds starting at the small
+/// configuration's own.
+fn workload_claims(sets: u64) {
     let mut steps_checked = 0usize;
     let mut jumps_checked = 0usize;
     let mut edges_checked = 0usize;
     let mut keys_checked = 0usize;
+    for k in 0..sets {
+        let small = EvalSetConfig::small();
+        let set = EvalSet::generate(&EvalSetConfig { seed: small.seed + k, ..small });
+        let mut cache: HashMap<Address, CodeAnalysis> = HashMap::new();
+        for block in &set.blocks {
+            for tx in block {
+                let mut evm =
+                    Evm::with_inspector(set.env.clone(), &set.genesis, StructTracer::new());
+                // Failures are fine (reverts happen in the workload); the
+                // trace up to the failure still constrains the analyzer.
+                let _ = evm.transact(tx);
+                let tracer = evm.into_inspector();
+                for step in tracer.steps() {
+                    let a = analysis_for(&mut cache, &set, step.address);
+                    steps_checked += 1;
 
-    for block in &set.blocks {
-        for tx in block {
-            let mut evm =
-                Evm::with_inspector(set.env.clone(), &set.genesis, StructTracer::new());
-            // Failures are fine (reverts happen in the workload); the
-            // trace up to the failure still constrains the analyzer.
-            let _ = evm.transact(tx);
-            let tracer = evm.into_inspector();
-            for step in tracer.steps() {
-                let a = analysis_for(&mut cache, &set, step.address);
-                steps_checked += 1;
-
-                // Coverage: the executed pc's page was declared
-                // reachable — a miss here means the ORAM plan would
-                // zero-fill code the interpreter actually ran.
-                assert!(
-                    a.page_reachable(step.pc),
-                    "pc {} of {} executed on an unplanned page (pages {:?})",
-                    step.pc,
-                    step.address,
-                    a.reachable_pages,
-                );
-
-                // Every executed JUMPDEST must be one the analyzer
-                // validated (push-data bytes cannot masquerade).
-                if step.opcode == op::JUMPDEST {
+                    // Coverage: the executed pc's page was declared
+                    // reachable — a miss here means the ORAM plan would
+                    // zero-fill code the interpreter actually ran.
                     assert!(
-                        a.is_valid_jumpdest(step.pc),
-                        "executed JUMPDEST at pc {} of {} not statically valid",
+                        a.page_reachable(step.pc),
+                        "pc {} of {} executed on an unplanned page (pages {:?})",
                         step.pc,
                         step.address,
+                        a.reachable_pages,
                     );
-                }
 
-                // Taken jump targets must be statically valid.
-                let taken = match step.opcode {
-                    op::JUMP => true,
-                    op::JUMPI => {
-                        step.stack.len() >= 2
-                            && step.stack[step.stack.len() - 2] != U256::ZERO
-                    }
-                    _ => false,
-                };
-                if taken {
-                    let target = step.stack.last().expect("jump has a target operand");
-                    let target = target.try_into_usize().expect("in-range target");
-                    jumps_checked += 1;
-                    assert!(
-                        a.is_valid_jumpdest(target),
-                        "interpreter jumped to pc {target} of {} which the analyzer \
-                         does not consider a valid JUMPDEST",
-                        step.address,
-                    );
-                    // When the value-set layer claimed a precise edge
-                    // set for this jump, the taken edge must be in it;
-                    // jumps absent from the map are covered by the full
-                    // JUMPDEST table, which the assert above checked.
-                    if let Some(targets) = a.jump_targets.get(&step.pc) {
-                        edges_checked += 1;
+                    // Every executed JUMPDEST must be one the analyzer
+                    // validated (push-data bytes cannot masquerade).
+                    if step.opcode == op::JUMPDEST {
                         assert!(
-                            targets.contains(&target),
-                            "taken edge {} -> {target} of {} escapes the resolved \
-                             target set {targets:?}",
+                            a.is_valid_jumpdest(step.pc),
+                            "executed JUMPDEST at pc {} of {} not statically valid",
                             step.pc,
                             step.address,
                         );
                     }
-                }
 
-                // Executed storage keys must be advertised by the plan
-                // unless the plan already declared itself dynamic.
-                if step.opcode == op::SLOAD || step.opcode == op::SSTORE {
-                    let key = *step.stack.last().expect("storage op has a key operand");
-                    keys_checked += 1;
+                    // Taken jump targets must be statically valid.
+                    let taken = match step.opcode {
+                        op::JUMP => true,
+                        op::JUMPI => {
+                            step.stack.len() >= 2
+                                && step.stack[step.stack.len() - 2] != U256::ZERO
+                        }
+                        _ => false,
+                    };
+                    if taken {
+                        let target = step.stack.last().expect("jump has a target operand");
+                        let target = target.try_into_usize().expect("in-range target");
+                        jumps_checked += 1;
+                        assert!(
+                            a.is_valid_jumpdest(target),
+                            "interpreter jumped to pc {target} of {} which the analyzer \
+                             does not consider a valid JUMPDEST",
+                            step.address,
+                        );
+                        // When the value-set layer claimed a precise edge
+                        // set for this jump, the taken edge must be in it;
+                        // jumps absent from the map are covered by the full
+                        // JUMPDEST table, which the assert above checked.
+                        if let Some(targets) = a.jump_targets.get(&step.pc) {
+                            edges_checked += 1;
+                            assert!(
+                                targets.contains(&target),
+                                "taken edge {} -> {target} of {} escapes the resolved \
+                                 target set {targets:?}",
+                                step.pc,
+                                step.address,
+                            );
+                        }
+                    }
+
+                    // Executed storage keys must be advertised by the plan
+                    // unless the plan already declared itself dynamic.
+                    if step.opcode == op::SLOAD || step.opcode == op::SSTORE {
+                        let key = *step.stack.last().expect("storage op has a key operand");
+                        keys_checked += 1;
+                        assert!(
+                            a.state_plan.dynamic || a.state_plan.slots.contains(&key),
+                            "executed storage key {key} at pc {} of {} is neither in the \
+                             plan {:?} nor covered by a dynamic declaration",
+                            step.pc,
+                            step.address,
+                            a.state_plan.slots,
+                        );
+                    }
+                    if matches!(
+                        step.opcode,
+                        op::BALANCE | op::EXTCODESIZE | op::EXTCODEHASH | op::EXTCODECOPY
+                    ) {
+                        let word = *step.stack.last().expect("account op has an operand");
+                        let account = Address::from_word(word);
+                        assert!(
+                            a.state_plan.dynamic || a.state_plan.accounts.contains(&account),
+                            "queried account {account} at pc {} of {} is neither in the \
+                             plan {:?} nor covered by a dynamic declaration",
+                            step.pc,
+                            step.address,
+                            a.state_plan.accounts,
+                        );
+                    }
+
+                    // Stack-bound soundness: observed depth ≤ static bound.
                     assert!(
-                        a.state_plan.dynamic || a.state_plan.slots.contains(&key),
-                        "executed storage key {key} at pc {} of {} is neither in the \
-                         plan {:?} nor covered by a dynamic declaration",
+                        !a.unbounded_stack,
+                        "workload contract {} reported as unbounded",
+                        step.address
+                    );
+                    assert!(
+                        step.stack.len() <= a.max_stack,
+                        "observed stack depth {} at pc {} of {} exceeds static bound {}",
+                        step.stack.len(),
                         step.pc,
                         step.address,
-                        a.state_plan.slots,
+                        a.max_stack,
                     );
                 }
-                if matches!(
-                    step.opcode,
-                    op::BALANCE | op::EXTCODESIZE | op::EXTCODEHASH | op::EXTCODECOPY
-                ) {
-                    let word = *step.stack.last().expect("account op has an operand");
-                    let account = Address::from_word(word);
-                    assert!(
-                        a.state_plan.dynamic || a.state_plan.accounts.contains(&account),
-                        "queried account {account} at pc {} of {} is neither in the \
-                         plan {:?} nor covered by a dynamic declaration",
-                        step.pc,
-                        step.address,
-                        a.state_plan.accounts,
-                    );
-                }
-
-                // Stack-bound soundness: observed depth ≤ static bound.
-                assert!(
-                    !a.unbounded_stack,
-                    "workload contract {} reported as unbounded",
-                    step.address
-                );
-                assert!(
-                    step.stack.len() <= a.max_stack,
-                    "observed stack depth {} at pc {} of {} exceeds static bound {}",
-                    step.stack.len(),
-                    step.pc,
-                    step.address,
-                    a.max_stack,
-                );
             }
         }
     }
@@ -168,6 +172,19 @@ fn analyzer_claims_hold_on_every_workload_execution() {
     assert!(jumps_checked > 200, "workload too small: {jumps_checked} jumps");
     assert!(edges_checked > 0, "no VSA-resolved edge was ever exercised");
     assert!(keys_checked > 50, "workload too small: {keys_checked} storage keys");
+}
+
+#[test]
+fn analyzer_claims_hold_on_every_workload_execution() {
+    workload_claims(1);
+}
+
+/// The soak: twenty times tier-1's evaluation sets.
+#[test]
+#[ignore = "long; scripts/verify.sh --soak runs it in release"]
+fn workload_claims_hold_at_length() {
+    workload_claims(20);
+    println!("ANALYSIS_SOAK differential workload_claims: 20x tier-1 cases hold");
 }
 
 #[test]

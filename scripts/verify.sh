@@ -29,7 +29,12 @@
 #            HEVM-vs-reference differential fuzz at length, in release:
 #            20x tier-1's cases per property, then the same generators
 #            on a tiny layer 2, with a small gas slice and with a gas
-#            slice drawn per case from 1..=64. Last, the
+#            slice drawn per case from 1..=64. Then the static
+#            analyzer's properties at length, in release: 20x tier-1's
+#            cases for each property of crates/analysis/tests/prop.rs
+#            and 20x tier-1's evaluation sets for the analyzer-vs-
+#            interpreter check of differential.rs, one ANALYSIS_SOAK
+#            line per property. Then the
 #            secp256k1 differential soak, in release: 4 096 cases of
 #            mul / sign -> verify / recover / ecdh against the
 #            double-and-add oracle in crates/crypto/tests/props.rs.
@@ -207,6 +212,18 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
     for rig in default tiny_layer2 small_slice drawn_slice; do
         if [[ "$(grep -c "^FUZZ_SOAK $rig " <<< "$fuzz_soak")" -ne 7 ]]; then
             echo "fuzz soak: rig $rig did not run all seven properties" >&2
+            exit 1
+        fi
+    done
+    echo "==> analysis soak (release: 20x tier-1's cases per analyzer property)"
+    analysis_soak="$( (cargo test -q --release -p tape-analysis --test prop -- --ignored --nocapture
+        cargo test -q --release -p tape-analysis --test differential -- --ignored --nocapture) \
+        | grep -E '^ANALYSIS_SOAK ')"
+    echo "$analysis_soak"
+    for property in "prop straight_line_stack_bound" "prop structured_forward_jumps" \
+        "prop byte_soup_totality" "prop value_set_lattice" "differential workload_claims"; do
+        if ! grep -q "^ANALYSIS_SOAK $property: " <<< "$analysis_soak"; then
+            echo "analysis soak: property '$property' did not run" >&2
             exit 1
         fi
     done
