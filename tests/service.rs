@@ -287,6 +287,41 @@ fn block_sync_applies_verified_deltas() {
 }
 
 #[test]
+fn block_past_a_gap_is_refused_until_the_gap_is_synced() {
+    let carol = Address::from_low_u64(0xCA401);
+    let ether = U256::from(1_000_000_000_000_000_000u64);
+    let mut node = tape_node::Node::new(genesis(), Env::default());
+    // Blocks 1 and 3 move alice and bob; block 2 funds carol, whom
+    // block 3 does not touch.
+    node.produce_block(vec![Transaction::transfer(alice(), bob(), U256::ONE)]);
+    node.produce_block(vec![Transaction::transfer(bob(), carol, ether)]);
+    node.produce_block(vec![Transaction::transfer(alice(), bob(), U256::ONE)]);
+    let block = |i| (node.block(i).unwrap().header.clone(), node.state_delta(i).unwrap());
+    let [(h1, d1), (h2, d2), (h3, d3)] = [block(0), block(1), block(2)];
+    let mut device = small_service(SecurityConfig::Full);
+    device.sync_block(&h1, &d1).unwrap();
+
+    // Block 3's delta says nothing about carol: applied over block 1 it
+    // would serve a world state no block has.
+    match device.sync_block(&h3, &d3) {
+        Err(ServiceError::ReorgDetected { expected, got, height }) => {
+            assert_eq!((expected, got, height), (h1.hash(), h2.hash(), h1.number));
+        }
+        other => panic!("expected ReorgDetected for a block past a gap, got {other:?}"),
+    }
+    assert_eq!(device.head(), Some(h1.hash()), "a refused block must not move the head");
+
+    // Synced as direct children, both apply, and carol holds what
+    // block 2 gave her.
+    device.sync_block(&h2, &d2).unwrap();
+    device.sync_block(&h3, &d3).unwrap();
+    let mut user = device.connect_user(b"gap user").unwrap();
+    let spend = Transaction::transfer(carol, alice(), ether / U256::from(2u64));
+    let report = device.pre_execute(&mut user, &Bundle::single(spend)).unwrap();
+    assert!(report.results[0].success, "carol spends her block-2 balance");
+}
+
+#[test]
 fn forged_block_sync_rejected_without_side_effects() {
     let mut node = tape_node::Node::new(genesis(), Env::default());
     let mut device = small_service(SecurityConfig::Full);
