@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use hardtape::{Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig};
 use tape_bench::{json_escape, percentile, Verdict};
 use tape_evm::{Env, Transaction};
-use tape_fleet::{FleetConfig, FleetError, FleetRouter, FleetStats};
+use tape_fleet::{FleetError, FleetRouter, FleetStats};
 use tape_node::{BlockFeed, FeedSet, Node};
 use tape_primitives::{Address, U256};
 use tape_sim::queue::interleave;
@@ -117,7 +117,7 @@ fn router(devices: usize, seed: u64) -> FleetRouter {
             )
         })
         .collect();
-    FleetRouter::new(gateways, FleetConfig::default())
+    FleetRouter::new(gateways)
 }
 
 struct ScenarioOutcome {

@@ -1,10 +1,8 @@
 //! Security configurations: the paper's `-raw`/`-E`/`-ES`/`-ESO`/`-full`
 //! ladder (Fig. 4). Each level adds one protection on top of the last;
-//! the SP deploys `Full`. Also the gateway's overload-policy knobs
-//! ([`GatewayConfig`]): how much demand is admitted, how long admitted
-//! work stays fresh, and when the full-node circuit breaker trips.
-
-use tape_sim::Nanos;
+//! the SP deploys `Full`. Also the gateway's deployment settings
+//! ([`GatewayConfig`]): how much demand is admitted, and how many host
+//! threads drain it.
 
 /// The cumulative security-feature ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,25 +67,7 @@ impl core::fmt::Display for SecurityConfig {
     }
 }
 
-/// Circuit-breaker policy for the full-node path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failed syncs before the breaker opens.
-    pub failure_threshold: u32,
-    /// Virtual time the breaker stays open before a half-open probe.
-    pub cooldown_ns: Nanos,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        // Three strikes (matching the HEVM core-quarantine discipline),
-        // then back off for one mainnet block interval of virtual time.
-        BreakerConfig { failure_threshold: 3, cooldown_ns: 12_000_000_000 }
-    }
-}
-
-/// Overload policy for the multi-tenant gateway: what gets admitted,
-/// how long it stays fresh, and how tenants share the HEVM pool.
+/// Admission bounds and host parallelism for the multi-tenant gateway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatewayConfig {
     /// Per-tenant bounded-FIFO depth.
@@ -95,19 +75,6 @@ pub struct GatewayConfig {
     /// Global cap on simultaneously queued bundles across all tenants
     /// (the admission budget; the default is cores × queue depth).
     pub admission_budget: usize,
-    /// Virtual-time budget from admission to dequeue: work older than
-    /// this is shed before it wastes a core.
-    pub deadline_ns: Nanos,
-    /// Deficit-round-robin quantum (cost units credited per round; a
-    /// bundle costs its transaction count).
-    pub quantum: u64,
-    /// Full-node circuit-breaker policy.
-    pub breaker: BreakerConfig,
-    /// When a reorg orphans the block a queued bundle was admitted
-    /// against, re-run admission against the new head instead of
-    /// shedding it outright. Shedding (false) is the conservative
-    /// policy: the tenant is told exactly why via a typed error.
-    pub revalidate_on_reorg: bool,
     /// Host worker threads draining bundles in parallel on
     /// pool-eligible devices (clamped to at least 1). The schedule and
     /// every digest are identical for any value — workers change host
@@ -123,12 +90,6 @@ impl Default for GatewayConfig {
             queue_depth: 8,
             // The default chip has 3 HEVM cores.
             admission_budget: 3 * 8,
-            // Generous default: the ServiceConfig watchdog (30 virtual
-            // seconds) per queue slot a bundle may wait behind.
-            deadline_ns: 8 * 30_000_000_000,
-            quantum: 1,
-            breaker: BreakerConfig::default(),
-            revalidate_on_reorg: true,
             // One worker: sequential host execution unless the
             // deployment opts into parallelism.
             workers: 1,

@@ -51,7 +51,7 @@ mod pool;
 mod reader;
 mod service;
 
-pub use config::{BreakerConfig, GatewayConfig, SecurityConfig};
+pub use config::{GatewayConfig, SecurityConfig};
 pub use gateway::{
     merge_completions, Completion, FailoverEntry, Gateway, GatewayError, GatewayStats, SyncReport,
 };

@@ -51,25 +51,24 @@ impl core::fmt::Display for HealthState {
     }
 }
 
-/// Health tracking for one device: a [`CircuitBreaker`] plus the
-/// terminal crash latch.
+/// Consecutive strikes before a device is quarantined.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Time, on the struck device's own clock, a quarantine lasts.
+const COOLDOWN_NS: Nanos = 2_000_000_000;
+/// Time a skipped (hung or quarantined) device burns per round, so its quarantine elapses.
+pub(crate) const IDLE_TICK_NS: Nanos = 500_000_000;
+
+/// Health tracking for one device: a [`CircuitBreaker`] plus a crash latch.
 #[derive(Debug, Clone)]
-pub struct DeviceHealth {
+pub(crate) struct DeviceHealth {
     breaker: CircuitBreaker,
     failed: bool,
 }
 
 impl DeviceHealth {
-    /// A healthy device that quarantines after `failure_threshold`
-    /// consecutive strikes and probes after `cooldown_ns` of the
-    /// device's virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failure_threshold` is zero (inherited from
-    /// [`CircuitBreaker::new`]).
-    pub fn new(failure_threshold: u32, cooldown_ns: Nanos) -> Self {
-        DeviceHealth { breaker: CircuitBreaker::new(failure_threshold, cooldown_ns), failed: false }
+    /// A healthy device.
+    pub(crate) fn new() -> Self {
+        DeviceHealth { breaker: CircuitBreaker::new(FAILURE_THRESHOLD, COOLDOWN_NS), failed: false }
     }
 
     /// The current state at `now` (the device's own clock), applying
@@ -133,42 +132,48 @@ mod tests {
 
     #[test]
     fn strikes_walk_healthy_suspect_quarantined_probation() {
-        let mut health = DeviceHealth::new(2, 1_000);
+        let mut health = DeviceHealth::new();
         assert_eq!(health.state(0), HealthState::Healthy);
         health.strike(10);
         assert_eq!(health.state(10), HealthState::Suspect);
         health.strike(20);
-        assert_eq!(health.state(20), HealthState::Quarantined);
-        assert!(!health.eligible(500));
-        assert_eq!(health.state(1_020), HealthState::Probation);
-        assert!(health.eligible(1_020), "probation admits the probe");
+        assert_eq!(health.state(20), HealthState::Suspect);
+        health.strike(30);
+        assert_eq!(health.state(30), HealthState::Quarantined);
+        assert!(!health.eligible(30 + COOLDOWN_NS / 2));
+        assert_eq!(health.state(30 + COOLDOWN_NS), HealthState::Probation);
+        assert!(health.eligible(30 + COOLDOWN_NS), "probation admits the probe");
         health.healed();
-        assert_eq!(health.state(1_020), HealthState::Healthy);
+        assert_eq!(health.state(30 + COOLDOWN_NS), HealthState::Healthy);
     }
 
     #[test]
     fn clean_round_clears_a_suspect_streak() {
-        let mut health = DeviceHealth::new(2, 1_000);
+        let mut health = DeviceHealth::new();
         health.strike(10);
-        health.healed();
         health.strike(20);
-        assert_eq!(health.state(20), HealthState::Suspect, "streak restarted, not resumed");
+        health.healed();
+        health.strike(30);
+        health.strike(40);
+        assert_eq!(health.state(40), HealthState::Suspect, "streak restarted, not resumed");
     }
 
     #[test]
     fn failed_probe_requarantines_with_a_fresh_cooldown() {
-        let mut health = DeviceHealth::new(1, 1_000);
-        health.strike(0);
-        assert_eq!(health.state(1_000), HealthState::Probation);
-        health.strike(1_100);
-        assert_eq!(health.state(1_100), HealthState::Quarantined);
-        assert_eq!(health.state(2_000), HealthState::Quarantined, "cooldown restarted");
-        assert_eq!(health.state(2_100), HealthState::Probation);
+        let mut health = DeviceHealth::new();
+        for _ in 0..FAILURE_THRESHOLD {
+            health.strike(0);
+        }
+        assert_eq!(health.state(COOLDOWN_NS), HealthState::Probation);
+        health.strike(COOLDOWN_NS + 100);
+        assert_eq!(health.state(COOLDOWN_NS + 100), HealthState::Quarantined);
+        assert_eq!(health.state(2 * COOLDOWN_NS), HealthState::Quarantined, "cooldown restarted");
+        assert_eq!(health.state(2 * COOLDOWN_NS + 100), HealthState::Probation);
     }
 
     #[test]
     fn failure_is_terminal() {
-        let mut health = DeviceHealth::new(3, 1_000);
+        let mut health = DeviceHealth::new();
         health.fail();
         assert!(health.is_failed());
         assert_eq!(health.state(u64::MAX), HealthState::Failed, "no cooldown revives a crash");

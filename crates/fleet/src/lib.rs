@@ -20,7 +20,5 @@
 pub mod health;
 pub mod router;
 
-pub use health::{DeviceHealth, HealthState};
-pub use router::{
-    FleetCompletion, FleetConfig, FleetError, FleetRouter, FleetStats, FleetSyncReport,
-};
+pub use health::HealthState;
+pub use router::{FleetCompletion, FleetError, FleetRouter, FleetStats, FleetSyncReport};

@@ -42,32 +42,7 @@ use tape_sim::queue::EventLog;
 use tape_sim::telemetry::{CounterId, Telemetry};
 use tape_sim::Nanos;
 
-use crate::health::{DeviceHealth, HealthState};
-
-/// Tuning knobs for the fleet's health policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetConfig {
-    /// Consecutive strikes before a device is quarantined.
-    pub failure_threshold: u32,
-    /// Virtual time (on the struck device's own clock) a quarantine
-    /// lasts before the device earns a probation probe.
-    pub cooldown_ns: Nanos,
-    /// Virtual time a skipped device (hung or quarantined) burns per
-    /// round. Without this a quarantined device's clock would freeze —
-    /// it only advances while executing — and its cooldown would never
-    /// elapse.
-    pub idle_tick_ns: Nanos,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            failure_threshold: 3,
-            cooldown_ns: 2_000_000_000,  // 2 s of device time
-            idle_tick_ns: 500_000_000,   // 500 ms per skipped round
-        }
-    }
-}
+use crate::health::{DeviceHealth, HealthState, IDLE_TICK_NS};
 
 /// Typed fleet-level failures. Gateway-level errors pass through in
 /// [`FleetError::Gateway`]; the other variants only the router can
@@ -185,7 +160,6 @@ struct TenantRecord {
 /// The fleet router. See the [module docs](self) for the design.
 pub struct FleetRouter {
     gateways: Vec<Gateway>,
-    config: FleetConfig,
     health: Vec<DeviceHealth>,
     last_health: Vec<HealthState>,
     /// fleet session → routing record.
@@ -212,18 +186,15 @@ impl FleetRouter {
     /// # Panics
     ///
     /// Panics if `gateways` is empty.
-    pub fn new(gateways: Vec<Gateway>, config: FleetConfig) -> Self {
+    pub fn new(gateways: Vec<Gateway>) -> Self {
         assert!(!gateways.is_empty(), "a fleet needs at least one device");
         let count = gateways.len();
         let mut log = EventLog::new();
         log.record(format_args!("r=0 fleet-boot devices={count}"));
         FleetRouter {
-            health: (0..count)
-                .map(|_| DeviceHealth::new(config.failure_threshold, config.cooldown_ns))
-                .collect(),
+            health: vec![DeviceHealth::new(); count],
             last_health: vec![HealthState::Healthy; count],
             gateways,
-            config,
             tenants: HashMap::new(),
             tickets: HashMap::new(),
             next_session: 1,
@@ -493,7 +464,7 @@ impl FleetRouter {
                     // back and strikes; device time still passes.
                     self.log.record(format_args!("r={round} fault device={device} kind=hang"));
                     self.strike(device, "hang");
-                    self.gateways[device].device().clock().advance(self.config.idle_tick_ns);
+                    self.gateways[device].device().clock().advance(IDLE_TICK_NS);
                     continue;
                 }
                 _ => {}
@@ -504,7 +475,7 @@ impl FleetRouter {
             let state = self.health[device].state(now);
             if state == HealthState::Quarantined {
                 // Skipped round: burn idle time so the cooldown elapses.
-                self.gateways[device].device().clock().advance(self.config.idle_tick_ns);
+                self.gateways[device].device().clock().advance(IDLE_TICK_NS);
                 continue;
             }
             let completions = self.gateways[device].run_round();
@@ -529,8 +500,7 @@ impl FleetRouter {
 
     /// Drains the fleet: rounds until no surviving device has queued
     /// work. Terminates even through quarantines because skipped rounds
-    /// advance the skipped device's clock (see
-    /// [`FleetConfig::idle_tick_ns`]).
+    /// advance the skipped device's clock by a fixed idle tick.
     pub fn run_until_idle(&mut self) -> Vec<FleetCompletion> {
         let mut out = Vec::new();
         while self.queued_total() > 0 {

@@ -128,8 +128,8 @@ impl<T> BoundedQueue<T> {
 
 /// Deficit-round-robin bookkeeping over queues addressed by index.
 ///
-/// Each round, an *active* (non-empty) queue earns one quantum of
-/// credit; serving an item spends its cost. A queue whose head costs
+/// Each round, an *active* (non-empty) queue earns `QUANTUM` units
+/// of credit; serving an item spends its cost. A queue whose head costs
 /// more than its accumulated deficit waits — so a tenant submitting
 /// heavyweight bundles gets proportionally *fewer* of them served per
 /// round, and light tenants are never starved. An emptied queue
@@ -141,28 +141,22 @@ impl<T> BoundedQueue<T> {
 /// ```
 /// use tape_sim::queue::Drr;
 ///
-/// let mut drr = Drr::new(2);
+/// let mut drr = Drr::default();
 /// drr.begin_round(0);
-/// assert!(drr.try_spend(0, 2)); // 2 units of credit cover cost 2
-/// assert!(!drr.try_spend(0, 1)); // credit spent; wait for next round
+/// assert!(!drr.try_spend(0, 2)); // one round's credit does not cover cost 2
+/// drr.begin_round(0);
+/// assert!(drr.try_spend(0, 2)); // two rounds' credit does
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Drr {
-    quantum: u64,
     deficits: Vec<u64>,
 }
 
-impl Drr {
-    /// DRR state with `quantum` credit earned per queue per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero (no queue could ever be served).
-    pub fn new(quantum: u64) -> Self {
-        assert!(quantum > 0, "DRR quantum must be positive");
-        Drr { quantum, deficits: Vec::new() }
-    }
+/// Credit a queue earns per round; a gateway bundle costs its
+/// transaction count, so a 4-transaction bundle waits four rounds.
+const QUANTUM: u64 = 1;
 
+impl Drr {
     fn slot(&mut self, index: usize) -> &mut u64 {
         if index >= self.deficits.len() {
             self.deficits.resize(index + 1, 0);
@@ -170,12 +164,11 @@ impl Drr {
         &mut self.deficits[index]
     }
 
-    /// Credits queue `index` with one quantum (call once per round per
-    /// active queue).
+    /// Credits queue `index` with one `QUANTUM` (call once per round
+    /// per active queue).
     pub fn begin_round(&mut self, index: usize) {
-        let quantum = self.quantum;
         let slot = self.slot(index);
-        *slot = slot.saturating_add(quantum);
+        *slot = slot.saturating_add(QUANTUM);
     }
 
     /// Spends `cost` from queue `index` if its deficit covers it.
@@ -298,7 +291,7 @@ mod tests {
 
     #[test]
     fn drr_heavy_costs_wait_for_credit() {
-        let mut drr = Drr::new(1);
+        let mut drr = Drr::default();
         drr.begin_round(0);
         // Cost 3 needs three rounds of quantum-1 credit.
         assert!(!drr.try_spend(0, 3));
@@ -311,8 +304,10 @@ mod tests {
 
     #[test]
     fn drr_forfeit_drops_hoarded_credit() {
-        let mut drr = Drr::new(5);
-        drr.begin_round(2);
+        let mut drr = Drr::default();
+        for _ in 0..5 {
+            drr.begin_round(2);
+        }
         assert_eq!(drr.deficit(2), 5);
         drr.forfeit(2);
         assert_eq!(drr.deficit(2), 0);

@@ -24,7 +24,7 @@ use hardtape::{
     Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig,
 };
 use tape_evm::{Env, Transaction};
-use tape_fleet::{FleetCompletion, FleetConfig, FleetError, FleetRouter, FleetStats, HealthState};
+use tape_fleet::{FleetCompletion, FleetError, FleetRouter, FleetStats, HealthState};
 use tape_node::{BlockFeed, FeedSet, Node};
 use tape_primitives::{Address, B256, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
@@ -219,7 +219,7 @@ fn fleet_router_with(devices: usize, seed: u64, config: GatewayConfig) -> FleetR
             )
         })
         .collect();
-    FleetRouter::new(gateways, FleetConfig::default())
+    FleetRouter::new(gateways)
 }
 
 fn fleet_router(seed: u64) -> FleetRouter {
@@ -589,7 +589,7 @@ fn full_fleet_failover_serves_the_crash_free_receipt() {
                 )
             })
             .collect();
-        let mut router = FleetRouter::new(gateways, FleetConfig::default());
+        let mut router = FleetRouter::new(gateways);
         let (session, _) = tenant_on_device_0(&mut router);
         let tickets: Vec<u64> = (0..2u64)
             .map(|step| {
@@ -770,25 +770,20 @@ fn hang_faults_walk_quarantine_and_probation_back_to_healthy() {
             )
         })
         .collect();
-    let mut router = FleetRouter::new(
-        gateways,
-        FleetConfig {
-            failure_threshold: 2,
-            cooldown_ns: 1_000_000_000,
-            idle_tick_ns: 600_000_000,
-        },
-    );
-    // every=1, budget=4: rounds 1 and 2 hang both devices — two
-    // consecutive strikes each, tripping the threshold-2 quarantine.
+    let mut router = FleetRouter::new(gateways);
+    // every=1, budget=6: rounds 1 to 3 hang both devices — three
+    // consecutive strikes each, tripping the three-strike quarantine.
     let plan = FaultPlan::new(7, router.gateway(0).device().clock());
-    plan.arm(FaultSite::Device, &[FaultKind::DeviceHang], 1, 4);
+    plan.arm(FaultSite::Device, &[FaultKind::DeviceHang], 1, 6);
     router.arm_faults(plan);
 
     let session = router.connect(b"hang tenant").expect("attested");
     let home = router.tenant_device(session).expect("tenant is homed");
 
-    assert!(router.run_round().is_empty());
-    assert_eq!(router.health_state(0), HealthState::Suspect);
+    for _ in 0..2 {
+        assert!(router.run_round().is_empty());
+        assert_eq!(router.health_state(0), HealthState::Suspect);
+    }
     assert!(router.run_round().is_empty());
     assert_eq!(router.health_state(0), HealthState::Quarantined);
     assert_eq!(router.health_state(1), HealthState::Quarantined);
@@ -801,9 +796,14 @@ fn hang_faults_walk_quarantine_and_probation_back_to_healthy() {
         other => panic!("expected Overloaded from a quarantined home, got {other:?}"),
     }
 
-    // Skipped rounds burn idle time; after the cooldown the next round
-    // is a probation probe, which passes (the hang budget is spent).
-    assert!(router.run_round().is_empty());
+    // Every round burns 500 ms of idle time on a skipped device: the
+    // 2 s cooldown from the third strike holds through two skipped
+    // rounds and is over after the third. The next round is then a
+    // probation probe, which passes (the hang budget is spent).
+    for _ in 0..2 {
+        assert!(router.run_round().is_empty());
+    }
+    assert_eq!(router.health_state(home), HealthState::Quarantined, "cooldown not yet over");
     assert!(router.run_round().is_empty());
     assert!(matches!(
         router.health_state(home),
@@ -848,7 +848,7 @@ fn overload_hint_quotes_the_home_device_not_an_idle_sibling() {
             )
         })
         .collect();
-    let mut router = FleetRouter::new(gateways, FleetConfig::default());
+    let mut router = FleetRouter::new(gateways);
 
     // Find a tenant homed on the tiny device.
     let mut victim = None;

@@ -377,11 +377,7 @@ fn same_timestamp_sheds_surface_in_ticket_order_end_to_end() {
             &genesis(),
         )
         .expect("device boots"),
-        GatewayConfig {
-            deadline_ns: 1_000_000,
-            workers: 2,
-            ..GatewayConfig::default()
-        },
+        GatewayConfig { workers: 2, ..GatewayConfig::default() },
     );
     let tenant_a = gateway.connect(b"merge tenant A").expect("attestation succeeds");
     let tenant_b = gateway.connect(b"merge tenant B").expect("attestation succeeds");
@@ -389,7 +385,8 @@ fn same_timestamp_sheds_surface_in_ticket_order_end_to_end() {
     let second = gateway.submit(tenant_a, transfer_bundle(0, 0)).expect("admitted");
     assert!(first < second, "admission order must invert tenant order");
 
-    gateway.device().clock().advance(2_000_000);
+    // Stall for twice the gateway's deadline (8 × 30 virtual seconds).
+    gateway.device().clock().advance(2 * 8 * 30_000_000_000);
     let completions = gateway.run_round();
     let order: Vec<u64> = completions.iter().map(|c| c.ticket).collect();
     assert_eq!(order, vec![first, second], "same-timestamp sheds must sort by ticket");

@@ -81,7 +81,7 @@ fn grow_branch_a(device: &mut HarDTape, feeds: &mut FeedSet, blocks: u64) {
 }
 
 /// Rewinds feed `i` to one block and produces `blocks` branch-B blocks
-/// on top, leaving it one block taller than the 4-block branch A.
+/// on top, leaving it one block taller than a `blocks`-block branch A.
 fn adopt_branch_b(feeds: &mut FeedSet, i: usize, blocks: u64) {
     let node = feeds.feed_mut(i).expect("feed exists").node_mut();
     assert!(node.revert_to(1), "rewind to the first block");
@@ -360,27 +360,18 @@ fn rollback_outside_oram_path_fails_the_audit() {
 #[test]
 fn reorg_below_finality_depth_is_refused() {
     let mut feeds = three_feeds();
-    let mut device = HarDTape::new(
-        ServiceConfig {
-            oram_height: 10,
-            finality_depth: 2,
-            ..ServiceConfig::at_level(SecurityConfig::Full)
-        },
-        Env::default(),
-        &genesis(),
-    )
-    .expect("device boots");
-    grow_branch_a(&mut device, &mut feeds, 4);
+    let mut device = full_device();
+    grow_branch_a(&mut device, &mut feeds, 10);
     let head_before = device.head();
 
-    // A depth-3 rewrite against finality depth 2: the device must refuse
-    // and keep its head rather than unwind finalized state.
+    // A depth-9 rewrite against the finality depth of 8: the device must
+    // refuse and keep its head rather than unwind finalized state.
     for i in 0..3 {
-        adopt_branch_b(&mut feeds, i, 4);
+        adopt_branch_b(&mut feeds, i, 10);
     }
     let err = device.sync_from_feeds(&mut feeds).expect_err("finality must hold");
     assert!(
-        matches!(err, ServiceError::FinalityViolation { depth: 3, finality: 2 }),
+        matches!(err, ServiceError::FinalityViolation { depth: 9, finality: 8 }),
         "expected a finality violation, got {err:?}"
     );
     assert_eq!(device.head(), head_before, "refused reorg must not move the head");
@@ -388,38 +379,32 @@ fn reorg_below_finality_depth_is_refused() {
 
 #[test]
 fn reorg_at_exactly_finality_depth_is_followed() {
-    // The boundary between the two tests around it: the same depth-3
-    // rewrite against a non-default finality depth of exactly 3 is
-    // legal, so the undo window must reach the fork point and the
-    // device must follow — and end up where a clean sync ends up.
-    let config = ServiceConfig {
-        oram_height: 10,
-        finality_depth: 3,
-        ..ServiceConfig::at_level(SecurityConfig::Full)
-    };
+    // The boundary of the test above: a depth-8 rewrite against the
+    // finality depth of 8 is legal, so the undo window must reach the
+    // fork point and the device must follow — and end up where a clean
+    // sync ends up.
     let mut feeds = three_feeds();
-    let mut device =
-        HarDTape::new(config.clone(), Env::default(), &genesis()).expect("device boots");
-    grow_branch_a(&mut device, &mut feeds, 4);
+    let mut device = full_device();
+    grow_branch_a(&mut device, &mut feeds, 9);
 
     let base = Env::default().block_number;
     let old_head = device.head().expect("synced head");
     let fork_hash =
         feeds.feed_mut(0).expect("feed exists").node().block(0).expect("block 1").header.hash();
     for i in 0..3 {
-        adopt_branch_b(&mut feeds, i, 4);
+        adopt_branch_b(&mut feeds, i, 9);
     }
 
-    let outcome = device.sync_from_feeds(&mut feeds).expect("a depth-3 reorg is within finality");
+    let outcome = device.sync_from_feeds(&mut feeds).expect("a depth-8 reorg is within finality");
     let SyncOutcome::Reorged { fork, depth, orphaned, adopted } = outcome else {
         panic!("expected a reorg, got {outcome:?}");
     };
-    assert_eq!(depth, 3, "fork point is exactly finality_depth below the old head");
+    assert_eq!(depth, 8, "fork point is exactly the finality depth below the old head");
     assert_eq!(fork, ForkPoint { height: base, hash: fork_hash });
-    assert_eq!(orphaned.len(), 3, "three abandoned blocks");
+    assert_eq!(orphaned.len(), 8, "eight abandoned blocks");
     assert_eq!(orphaned[0], old_head, "orphans are reported newest first");
     assert_eq!(device.head(), Some(adopted));
-    assert_eq!(device.head_height(), Some(base + 4), "winning branch is one taller");
+    assert_eq!(device.head_height(), Some(base + 9), "winning branch is one taller");
 
     let bundle = Bundle::single(Transaction::transfer(
         user(),
@@ -429,7 +414,7 @@ fn reorg_at_exactly_finality_depth_is_followed() {
     let mut session = device.connect_user(b"reorg user").expect("attestation succeeds");
     let report = device.pre_execute(&mut session, &bundle).expect("pre-execution succeeds");
 
-    let mut clean = HarDTape::new(config, Env::default(), &genesis()).expect("device boots");
+    let mut clean = full_device();
     {
         let winner = feeds.feed_mut(0).expect("feed exists").node();
         for i in 0..winner.height() {
