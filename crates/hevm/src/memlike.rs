@@ -4,9 +4,8 @@
 //! Each memory-like tracks its byte contents plus how many 1 KB pages it
 //! occupies in the execution frame; accesses beyond the layer-1 cache
 //! partition are layer-2 hits. The engine *counts* them
-//! (`HevmStats::l1_misses`) but charges no virtual time for them yet:
-//! `CostModel::l1_miss_ns` exists and nothing reads it (ROADMAP, "Found,
-//! not fixed").
+//! (`HevmStats::l1_misses`) but charges no virtual time for them yet
+//! (ROADMAP item 4 (i)).
 
 use tape_primitives::U256;
 

@@ -48,11 +48,6 @@ pub struct CostModel {
     /// Fetching locally-prefetched world-state data when the ORAM is
     /// disabled (`-raw`/`-E`/`-ES` configurations).
     pub local_state_fetch_ns: u64,
-    /// Layer-1 cache miss penalty (refill from layer 2), per access.
-    /// Not charged anywhere yet: the HEVM counts misses
-    /// (`HevmStats::l1_misses`) but nothing reads this constant, so a
-    /// miss costs no virtual time (ROADMAP, "Found, not fixed").
-    pub l1_miss_ns: u64,
     /// Scheduler dispatch overhead per segment suspend *or* resume: the
     /// Hypervisor's A53 parks one HEVM context and readies another
     /// (register save/restore, run-queue bookkeeping — everything a
@@ -79,7 +74,6 @@ impl Default for CostModel {
             aes_per_byte_ns: 550,
             layer3_swap_page_ns: 20_000,
             local_state_fetch_ns: 4_000,
-            l1_miss_ns: 500,
             sched_dispatch_ns: 5_000, // ~7k A53 cycles of context switch
         }
     }
