@@ -435,6 +435,31 @@ fn reorg_at_exactly_finality_depth_is_followed() {
 }
 
 #[test]
+fn stale_winner_the_device_already_applied_leaves_the_head_alone() {
+    // A feed serving an older block of the device's own chain is behind,
+    // not forking: the device keeps its head and rolls nothing back.
+    let one_feed = || FeedSet::new(vec![BlockFeed::new(Node::new(genesis(), Env::default()))]);
+    let mut ahead = one_feed();
+    let mut device = full_device();
+    grow_branch_a(&mut device, &mut ahead, 3);
+    let (head, height) = (device.head(), device.head_height());
+
+    let mut behind = one_feed();
+    for h in 1..=2 {
+        behind.feed_mut(0).expect("feed exists").node_mut().produce_block(branch_a_txs(h));
+    }
+    let outcome = device.sync_from_feeds(&mut behind).expect("a stale winner is no error");
+    assert_eq!(outcome, SyncOutcome::AlreadySynced);
+    assert_eq!((device.head(), device.head_height()), (head, height), "the head moved");
+    let telemetry = device.telemetry();
+    assert_eq!(telemetry.counter(CounterId::ReorgsApplied), 0);
+    assert!(
+        !telemetry.events().iter().any(|ev| matches!(ev, TelemetryEvent::RollbackBegin { .. })),
+        "a stale winner must not start a rollback"
+    );
+}
+
+#[test]
 fn equivocation_without_quorum_is_a_typed_error() {
     // Two feeds, both armed to equivocate from the start of the fork:
     // once both are quarantined there is no verified winner, and the
