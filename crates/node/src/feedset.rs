@@ -108,7 +108,8 @@ pub struct PollReport {
     pub newly_quarantined: Vec<(usize, QuarantineReason)>,
     /// Every verified head observed this poll: `(feed, height, hash)`.
     pub heads: Vec<(usize, u64, B256)>,
-    /// Feeds that failed to answer (outage or empty chain).
+    /// Feeds that answered [`FeedError::Unavailable`] (a transient
+    /// outage; an empty chain does not count).
     pub unavailable: u32,
 }
 
@@ -208,10 +209,11 @@ impl FeedSet {
             }
             let (header, delta) = match self.feeds[i].fetch_head() {
                 Ok(pair) => pair,
-                Err(_) => {
+                Err(FeedError::Unavailable) => {
                     report.unavailable += 1;
                     continue;
                 }
+                Err(FeedError::NoBlock) => continue,
             };
             // Independent verification: header/delta binding plus every
             // Merkle proof. Failure is cryptographic evidence of forgery.
