@@ -170,6 +170,7 @@ fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
     let feed_plan = FaultPlan::new(seed ^ 0xFEED, gateway.device().clock());
     feed_plan.arm(FaultSite::NodeFeed, &[FaultKind::Unavailable], 2, 12);
     feed.arm_faults(feed_plan.clone());
+    let mut feeds = FeedSet::new(vec![feed]);
 
     let mut sessions = Vec::new();
     // Sessions rotate on revocation; remember every one a tenant held.
@@ -224,7 +225,7 @@ fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
             completions.extend(checked_round(&mut gateway));
         }
         if op % 16 == 15 {
-            let _ = gateway.sync(&mut feed);
+            let _ = gateway.sync_set(&mut feeds);
         }
 
         // A detected channel attack revokes the session; re-attest with
@@ -428,8 +429,8 @@ fn feed_outage_opens_breaker_and_reports_carry_staleness_bounds() {
     let session = gateway.connect(b"stale tenant").expect("attestation succeeds");
 
     // A healthy sync first, so staleness is measured against a real head.
-    let mut feed = soak_feed();
-    gateway.sync(&mut feed).expect("honest sync succeeds");
+    let mut feeds = FeedSet::new(vec![soak_feed()]);
+    gateway.sync_set(&mut feeds).expect("honest sync succeeds");
     let attested_head = gateway.device().head().expect("sync set the head");
 
     // Fresh reports carry no staleness bound.
@@ -444,9 +445,9 @@ fn feed_outage_opens_breaker_and_reports_carry_staleness_bounds() {
     // three sync attempts, tripping the three-strike breaker.
     let plan = FaultPlan::new(7, gateway.device().clock());
     plan.arm(FaultSite::NodeFeed, &[FaultKind::Unavailable], 1, 64);
-    feed.arm_faults(plan.clone());
+    feeds.feed_mut(0).expect("feed exists").arm_faults(plan.clone());
     for _ in 0..3 {
-        match gateway.sync(&mut feed) {
+        match gateway.sync_set(&mut feeds) {
             Err(GatewayError::Service(ServiceError::NodeUnavailable)) => {}
             other => panic!("expected NodeUnavailable, got {other:?}"),
         }
@@ -455,7 +456,7 @@ fn feed_outage_opens_breaker_and_reports_carry_staleness_bounds() {
 
     // Open breaker: refused without touching the feed (no new injections).
     let injected_before = plan.injected();
-    match gateway.sync(&mut feed) {
+    match gateway.sync_set(&mut feeds) {
         Err(GatewayError::FeedBreakerOpen { retry_after }) => assert!(retry_after > 0),
         other => panic!("expected FeedBreakerOpen, got {other:?}"),
     }
@@ -476,7 +477,7 @@ fn feed_outage_opens_breaker_and_reports_carry_staleness_bounds() {
     plan.disarm(FaultSite::NodeFeed);
     gateway.device().clock().advance(12_000_000_000);
     assert_eq!(gateway.breaker_state(), BreakerState::HalfOpen);
-    gateway.sync(&mut feed).expect("half-open probe succeeds");
+    gateway.sync_set(&mut feeds).expect("half-open probe succeeds");
     assert_eq!(gateway.breaker_state(), BreakerState::Closed);
     gateway.submit(session, transfer_bundle(0, 2)).expect("admitted");
     let completions = gateway.run_until_idle();
