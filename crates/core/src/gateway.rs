@@ -59,7 +59,7 @@ use crate::service::{
 };
 use std::collections::HashMap;
 use tape_hevm::HevmConfig;
-use tape_node::{BlockFeed, BreakerState, CircuitBreaker, FeedSet};
+use tape_node::{BreakerState, CircuitBreaker, FeedSet};
 use tape_primitives::B256;
 use tape_sim::queue::{BoundedQueue, Drr, EventLog, QueueStats};
 use tape_sim::telemetry::{CounterId, GaugeId, TelemetryEvent};
@@ -706,77 +706,50 @@ impl Gateway {
         completions
     }
 
-    /// Synchronizes the device from `feed` through the circuit breaker.
-    /// While the breaker is open, no fetch (and no inline retry budget)
-    /// is spent — the call is refused immediately with a typed error
-    /// and the device keeps serving from its last attested head.
+    /// Synchronizes the device from a Byzantine-tolerant [`FeedSet`]
+    /// (one feed or many) through the circuit breaker. While the breaker
+    /// is open, no feed is polled (and no inline retry budget is spent):
+    /// the call is refused immediately with a typed error and the device
+    /// keeps serving from its last attested head. On a reorg, every
+    /// queued bundle whose admission-time head was orphaned is
+    /// re-validated against the new head: re-pinned if it still passes
+    /// admission, shed with the typed [`ServiceError::AnalysisReject`]
+    /// otherwise. Either way each such bundle still resolves to exactly
+    /// one completion.
     ///
     /// # Errors
     ///
     /// [`GatewayError::FeedBreakerOpen`] while the breaker is open; the
-    /// underlying [`ServiceError`] otherwise (which also counts toward
-    /// opening the breaker).
-    pub fn sync(&mut self, feed: &mut BlockFeed) -> Result<(), GatewayError> {
-        self.through_breaker("sync", |device| device.sync_from_feed(feed))?;
-        self.log.record(format_args!("t={} sync ok", self.now()));
-        self.note_breaker();
-        Ok(())
-    }
-
-    /// The circuit-breaker protocol both sync flavours share: refuse
-    /// while the breaker is open, otherwise run `call` on the device and
-    /// settle the breaker with its result. `label` prefixes the log
-    /// lines. On success the caller logs what happened and then calls
-    /// [`note_breaker`](Self::note_breaker) — in that order, so a reorg's
-    /// shed events precede the breaker transition in the telemetry
-    /// stream.
-    fn through_breaker<T>(
-        &mut self,
-        label: &str,
-        call: impl FnOnce(&mut HarDTape) -> Result<T, ServiceError>,
-    ) -> Result<T, GatewayError> {
+    /// underlying [`ServiceError`] otherwise (an outage through every
+    /// retry, equivocation without a quorum winner, finality violations,
+    /// forged history — all of which also count toward opening the
+    /// breaker).
+    pub fn sync_set(&mut self, feeds: &mut FeedSet) -> Result<SyncReport, GatewayError> {
         let now = self.now();
         if !self.breaker.call_permitted(now) {
             self.stats.sync_refused += 1;
             let retry_after = self.breaker.retry_after(now);
-            self.log.record(format_args!("t={now} {label} refused retry_after={retry_after}"));
+            self.log.record(format_args!("t={now} sync-set refused retry_after={retry_after}"));
             self.note_breaker();
             return Err(GatewayError::FeedBreakerOpen { retry_after });
         }
-        match call(&mut self.device) {
-            Ok(value) => {
-                self.breaker.record_success();
-                self.last_sync_at = Some(self.now());
-                Ok(value)
-            }
+        let outcome = match self.device.sync_from_feeds(feeds) {
+            Ok(outcome) => outcome,
             Err(err) => {
                 let now = self.now();
                 self.breaker.record_failure(now);
                 self.log.record(format_args!(
-                    "t={now} {label} err={err} breaker={}",
+                    "t={now} sync-set err={err} breaker={}",
                     self.breaker.state(now)
                 ));
                 self.note_breaker();
-                Err(GatewayError::Service(err))
+                return Err(GatewayError::Service(err));
             }
-        }
-    }
-
-    /// Synchronizes the device from a Byzantine-tolerant [`FeedSet`]
-    /// through the circuit breaker. On a reorg, every queued bundle
-    /// whose admission-time head was orphaned is re-validated against
-    /// the new head: re-pinned if it still passes admission, shed with
-    /// the typed [`ServiceError::AnalysisReject`] otherwise. Either way
-    /// each such bundle still resolves to exactly one completion.
-    ///
-    /// # Errors
-    ///
-    /// [`GatewayError::FeedBreakerOpen`] while the breaker is open; the
-    /// underlying [`ServiceError`] otherwise (equivocation without a
-    /// quorum winner, finality violations, forged proofs — all of which
-    /// also count toward opening the breaker).
-    pub fn sync_set(&mut self, feeds: &mut FeedSet) -> Result<SyncReport, GatewayError> {
-        let outcome = self.through_breaker("sync-set", |device| device.sync_from_feeds(feeds))?;
+        };
+        self.breaker.record_success();
+        self.last_sync_at = Some(self.now());
+        // Log and shed first, then note the breaker: a reorg's shed
+        // events precede the breaker transition in the telemetry stream.
         let (shed, revalidated) = match &outcome {
             SyncOutcome::Reorged { fork, depth, orphaned, adopted } => {
                 self.last_fork = Some(*fork);

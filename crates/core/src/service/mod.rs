@@ -298,9 +298,9 @@ pub enum ServiceError {
     },
     /// A verified head does not extend the device's chain: the block at
     /// `height` is on a different branch, or the head skips blocks the
-    /// device has not applied. A single-feed sync refuses it outright;
-    /// the multi-feed path resolves it via fork-choice, gap download,
-    /// rollback, and replay.
+    /// device has not applied. [`HarDTape::sync_block`] refuses it
+    /// outright; [`HarDTape::sync_from_feeds`] resolves it via
+    /// fork-choice, gap download, rollback, and replay.
     ReorgDetected {
         /// The head the device expected the new block to build on.
         expected: B256,

@@ -266,7 +266,7 @@ fn forge_proof(delta: &mut StateDelta, param: u64) {
 }
 
 /// Retry discipline for transient feed unavailability, in virtual
-/// time: fetch attempts one sync makes before it gives up.
+/// time: feed polls one sync makes before it gives up.
 pub const RETRY_MAX_ATTEMPTS: u32 = 5;
 /// Backoff before the second attempt.
 const RETRY_BASE_BACKOFF_NS: Nanos = 2_000_000;
@@ -312,8 +312,8 @@ impl core::fmt::Display for BreakerState {
 
 /// A circuit breaker over the block-feed path.
 ///
-/// The device's `sync_from_feed` already retries *within* one sync
-/// ([`RETRY_MAX_ATTEMPTS`] fetches, [`backoff_ns`] apart); the breaker
+/// The device's `sync_from_feeds` already retries *within* one sync
+/// ([`RETRY_MAX_ATTEMPTS`] polls, [`backoff_ns`] apart); the breaker
 /// sits above it so a persistent outage stops consuming that retry
 /// budget inline: after
 /// `failure_threshold` consecutive failed syncs the breaker opens and
