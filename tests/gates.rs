@@ -406,7 +406,22 @@ fn path_shape(tree: &[File]) -> Vec<String> {
 
 /// Fields of a `…Config` exempt from [`options`], each for its reason.
 /// `None` exempts every field of the struct.
-const OPTIONS_ALLOWED: [(&str, Option<&str>, &str); 6] = [
+const OPTIONS_ALLOWED: [(&str, Option<&str>, &str); 9] = [
+    (
+        "ServiceConfig",
+        Some("security"),
+        "the rung of the security ladder (Fig. 4): every caller picks it through `ServiceConfig::at_level`, which sets it in the field's own file",
+    ),
+    (
+        "HevmConfig",
+        Some("cost"),
+        "DESIGN §2's table of model constants (`CostModel`, as for `MemoryConfig`), carried as one value so the engine, the service and the gateway read one table",
+    ),
+    (
+        "DiskStoreConfig",
+        Some("key"),
+        "a per-device secret: `HarDTape::new` derives it and passes it to `DiskStoreConfig::new`, so it cannot be a constant",
+    ),
     (
         "DiskStoreConfig",
         Some("dir"),
@@ -439,47 +454,63 @@ const OPTIONS_ALLOWED: [(&str, Option<&str>, &str); 6] = [
     ),
 ];
 
-/// The field names a file's non-test code assigns: `field: value`
-/// directly inside a brace that is not a `struct` / `enum` / `union`
-/// body (a struct literal or pattern), a shorthand `field` directly
-/// inside a struct literal (a brace after a capitalised path, outside
-/// an item header or a condition), or `.field = value` /
-/// `.field.sub = value`.
-fn assigned_fields<'a>(f: &File<'a>) -> HashSet<&'a str> {
+/// The `(struct, field)` pairs a file's non-test code assigns:
+/// `field: value` directly inside a brace that is not a `struct` /
+/// `enum` / `union` body (a struct literal or pattern), a shorthand
+/// `field` directly inside a struct literal (a brace after a capitalised
+/// path, outside an item header or a condition), or `.field = value` /
+/// `.field.sub = value`. A literal's struct is the path's last name, or
+/// the `impl`'s type for `Self`; it is `None`, matching any struct, for
+/// `.field` (the lexer has no types) and for a brace after no path.
+fn assigned_fields<'a>(f: &File<'a>) -> HashSet<(Option<&'a str>, &'a str)> {
     #[derive(PartialEq)]
-    enum Frame {
+    enum Frame<'a> {
         Declaration,
-        Literal,
+        Literal(Option<&'a str>),
         Expression,
         Group,
     }
     let toks = &f.code;
-    let mut frames: Vec<Frame> = Vec::new();
+    // Per open delimiter: its frame, and the type of the impl it opens.
+    let mut frames: Vec<(Frame, Option<&str>)> = Vec::new();
+    let mut pending = None;
     let mut set = HashSet::new();
     for (i, t) in toks.iter().enumerate() {
         match t.code() {
+            Some("impl")
+                if i == 0
+                    || matches!(toks[i - 1].code(), Some("}" | ";" | "{" | "]" | "unsafe")) =>
+            {
+                pending = Some(impl_header(toks, i).0);
+            }
             Some("{") => {
                 let start = toks[..i]
                     .iter()
                     .rposition(|p| matches!(p.code(), Some(";" | "{" | "}")))
                     .map_or(0, |s| s + 1);
-                let declares = frames.last() == Some(&Frame::Declaration)
+                let declares = frames.last().is_some_and(|f| f.0 == Frame::Declaration)
                     || (start..i).any(|j| {
                         matches!(toks[j].code(), Some("struct" | "enum" | "union"))
                             && toks[j + 1].kind == Kind::Ident
                     });
-                let literal = toks[..i].last().is_some_and(|p| {
+                let path = toks[..i].last().filter(|p| {
                     p.kind == Kind::Ident && p.text.starts_with(|c: char| c.is_ascii_uppercase())
-                }) && !toks[start..i].iter().any(|t| {
-                    matches!(t.code(), Some("fn" | "impl" | "trait" | "if" | "while" | "match"))
                 });
-                frames.push(match (declares, literal) {
+                let literal = path.is_some()
+                    && !toks[start..i].iter().any(|t| {
+                        matches!(t.code(), Some("fn" | "impl" | "trait" | "if" | "while" | "match"))
+                    });
+                let frame = match (declares, literal) {
                     (true, _) => Frame::Declaration,
-                    (false, true) => Frame::Literal,
+                    (false, true) => Frame::Literal(match path.map(|p| p.text) {
+                        Some("Self") => frames.iter().rev().find_map(|f| f.1),
+                        name => name,
+                    }),
                     (false, false) => Frame::Expression,
-                });
+                };
+                frames.push((frame, pending.take()));
             }
-            Some("(" | "[") => frames.push(Frame::Group),
+            Some("(" | "[") => frames.push((Frame::Group, None)),
             Some("}" | ")" | "]") => {
                 frames.pop();
             }
@@ -493,19 +524,21 @@ fn assigned_fields<'a>(f: &File<'a>) -> HashSet<&'a str> {
                     j += 2;
                 }
                 if seq(toks, j, &["="]) {
-                    set.insert(field.text);
+                    set.insert((None, field.text));
                 }
             }
-            _ if t.kind == Kind::Ident
-                && i > 0
-                && matches!(toks[i - 1].code(), Some("{" | ","))
-                && match frames.last() {
-                    Some(Frame::Literal) => [":", ",", "}"].iter().any(|p| seq(toks, i + 1, &[p])),
-                    Some(Frame::Expression) => seq(toks, i + 1, &[":"]),
-                    _ => false,
-                } =>
-            {
-                set.insert(t.text);
+            _ if t.kind == Kind::Ident && i > 0 && matches!(toks[i - 1].code(), Some("{" | ",")) => {
+                match frames.last() {
+                    Some((Frame::Literal(name), _))
+                        if [":", ",", "}"].iter().any(|p| seq(toks, i + 1, &[p])) =>
+                    {
+                        set.insert((*name, t.text));
+                    }
+                    Some((Frame::Expression, _)) if seq(toks, i + 1, &[":"]) => {
+                        set.insert((None, t.text));
+                    }
+                    _ => {}
+                }
             }
             _ => {}
         }
@@ -514,8 +547,9 @@ fn assigned_fields<'a>(f: &File<'a>) -> HashSet<&'a str> {
 }
 
 /// Every `pub` field of a `pub struct …Config` under `crates/*/src` is
-/// assigned, by name, by program code in a file other than the one that
-/// defines it: non-test code under `crates/*/src` (the `repro` binary in
+/// assigned by program code in a file other than the one that defines
+/// it — in a literal or pattern of that struct (`Self` inside its
+/// `impl`), or by name as `.field = value` — non-test code under `crates/*/src` (the `repro` binary in
 /// `crates/bench` included), `src/` or `benchmark/src`. A field only its
 /// own `Default` sets is a constant wearing a config's clothes, and it
 /// multiplies the configurations tests must cover for nothing. A test's
@@ -523,7 +557,7 @@ fn assigned_fields<'a>(f: &File<'a>) -> HashSet<&'a str> {
 /// is no second caller: it covers a configuration nothing deploys.
 fn options(tree: &[File]) -> Vec<String> {
     let program = |f: &File| f.in_crates("src") || f.under(&["src", "benchmark/src"]);
-    let assigned: Vec<HashSet<&str>> = tree
+    let assigned: Vec<HashSet<(Option<&str>, &str)>> = tree
         .iter()
         .map(|f| if program(f) { assigned_fields(f) } else { HashSet::new() })
         .collect();
@@ -560,8 +594,11 @@ fn options(tree: &[File]) -> Vec<String> {
                 let allowed = OPTIONS_ALLOWED
                     .iter()
                     .any(|(s, f, _)| *s == name.text && f.is_none_or(|f| f == field.text));
-                let elsewhere =
-                    assigned.iter().enumerate().any(|(k, set)| k != d && set.contains(field.text));
+                let elsewhere = assigned.iter().enumerate().any(|(k, set)| {
+                    k != d
+                        && (set.contains(&(Some(name.text), field.text))
+                            || set.contains(&(None, field.text)))
+                });
                 if !allowed && !elsewhere {
                     found.push(def.at(
                         field.line,
@@ -1091,6 +1128,16 @@ fn options_self_test() {
         assert_reports(options, &[files[0], files[1], (program, literal)], &[]);
         assert_reports(options, &[files[0], files[1], (program, shorthand)], &[]);
     }
+    // A literal counts for the struct it names; `Self` for the impl's type.
+    let other = "fn f() -> Other {\n    Other { unset: 5 }\n}\n\
+                 impl Other {\n    fn g() -> Self { Self { unset: 5 } }\n}\n";
+    assert_reports(
+        options,
+        &[files[0], files[1], ("src/other.rs", other)],
+        &["crates/x/src/config.rs:3"],
+    );
+    let own = "impl XConfig {\n    fn g(x: u8) -> Self { Self { set: x, unset: 5 } }\n}\n";
+    assert_reports(options, &[files[0], files[1], ("src/own.rs", own)], &[]);
     let blocks = "impl XConfig {\n    fn f(unset: u8) -> Self { unset }\n}\n\
                   fn g(unset: u8) -> u8 {\n    if unset > X::MAX { unset } else { 0 }\n}\n";
     assert_reports(
