@@ -19,7 +19,11 @@
 # --soak     every seeded schedule — gateway chaos (SOAK), depth-3 reorg
 #            (REORG), gas-bomb preemption (PREEMPT), 4-device fleet with
 #            a crash, migration and reorg (FLEET) — under three seeds,
-#            each in two fresh processes whose digest lines must agree;
+#            each in two fresh processes whose digest lines must agree
+#            (each schedule prints its log + telemetry digest and a
+#            *_COMPLETIONS line: keccak over every completion's ticket,
+#            completion time and outcome, so a change that moves only
+#            the log half shows its deliveries unchanged);
 #            the checked-in -full / armed-page-store rig digests
 #            (FULL, PAGESTORE); then one seed of each pooled schedule
 #            and the rigs again at 2 workers, which must reproduce the
@@ -112,34 +116,37 @@ cargo test -q
 lint_gates
 
 soak_digest() {
-    # Prints the SOAK_DIGEST line for one fresh-process chaos run.
+    # Prints the SOAK_DIGEST and SOAK_COMPLETIONS lines for one
+    # fresh-process chaos run.
     # Optional second arg: worker-pool size (default 1).
     HARDTAPE_SOAK_SEED="$1" HARDTAPE_SOAK_WORKERS="${2:-1}" cargo test -q --test soak \
         chaos_soak_is_deterministic_and_exactly_once -- --nocapture \
-        | grep -E '^SOAK_DIGEST '
+        | grep -E '^SOAK_(DIGEST|COMPLETIONS) '
 }
 
 reorg_digest() {
-    # Prints the REORG_DIGEST line for one fresh-process reorg-schedule
-    # run (depth-3 reorg mid-schedule, exactly-once asserted in-test).
+    # Prints the REORG_DIGEST and REORG_COMPLETIONS lines for one
+    # fresh-process reorg-schedule run (depth-3 reorg mid-schedule,
+    # exactly-once asserted in-test).
     HARDTAPE_SOAK_SEED="$1" cargo test -q --test soak \
         seeded_reorg_schedule_is_deterministic_and_exactly_once -- --nocapture \
-        | grep -E '^REORG_DIGEST '
+        | grep -E '^REORG_(DIGEST|COMPLETIONS) '
 }
 
 preempt_digest() {
-    # Prints the PREEMPT_DIGEST line for one fresh-process preemption
-    # soak (gas-bomb adversary armed on a gas-sliced gateway;
-    # exactly-once + segment audit asserted in-test).
+    # Prints the PREEMPT_DIGEST and PREEMPT_COMPLETIONS lines for one
+    # fresh-process preemption soak (gas-bomb adversary armed on a
+    # gas-sliced gateway; exactly-once + segment audit asserted
+    # in-test).
     # Optional second arg: worker-pool size (default 1).
     HARDTAPE_SOAK_SEED="$1" HARDTAPE_SOAK_WORKERS="${2:-1}" cargo test -q --test soak \
         seeded_preemption_schedule_is_deterministic_and_exactly_once -- --nocapture \
-        | grep -E '^PREEMPT_DIGEST '
+        | grep -E '^PREEMPT_(DIGEST|COMPLETIONS) '
 }
 
 fleet_digest() {
-    # Prints the FLEET_DIGEST and FLEET_RERUN lines for one
-    # fresh-process fleet chaos soak (4 devices, mid-soak crash +
+    # Prints the FLEET_DIGEST, FLEET_COMPLETIONS and FLEET_RERUN lines
+    # for one fresh-process fleet chaos soak (4 devices, mid-soak crash +
     # migration + reorg; exactly-once, head convergence, the §IV-D
     # audit and the re-run paused work's receipts asserted in-test).
     # FLEET_RERUN counts the paused bundles re-run on survivors and the
@@ -147,7 +154,7 @@ fleet_digest() {
     # Optional second arg: worker-pool size (default 1).
     HARDTAPE_SOAK_SEED="$1" HARDTAPE_SOAK_WORKERS="${2:-1}" cargo test -q --test fleet \
         fleet_chaos_soak_is_deterministic_and_survives_device_loss -- --nocapture \
-        | grep -E '^FLEET_(DIGEST|RERUN) '
+        | grep -E '^FLEET_(DIGEST|COMPLETIONS|RERUN) '
 }
 
 shared_state_digests() {

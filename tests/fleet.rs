@@ -256,6 +256,9 @@ fn fleet_workers() -> usize {
 /// crash-vs-clean comparisons need.
 struct FleetRunOutcome {
     digest: String,
+    /// Keccak over every completion's `(ticket, completed_at, outcome)`,
+    /// sorted by ticket (`FLEET_COMPLETIONS`).
+    delivered: String,
     head: Option<B256>,
     /// (tenant, step) → `Debug` rendering of the report's per-tx
     /// results for every OK completion. Signatures and timings
@@ -470,8 +473,15 @@ fn fleet_chaos_run(seed: u64, crash: bool) -> FleetRunOutcome {
         }
     }
 
+    let mut sorted: Vec<&FleetCompletion> = completions.iter().collect();
+    sorted.sort_by_key(|c| (c.ticket, c.completed_at));
+    let text: String = sorted
+        .iter()
+        .map(|c| format!("{} {} {:?}\n", c.ticket, c.completed_at, c.outcome))
+        .collect();
     FleetRunOutcome {
         digest: router.digest(),
+        delivered: tape_crypto::keccak256(text.as_bytes()).to_string(),
         head,
         receipts,
         migrated,
@@ -488,6 +498,7 @@ fn fleet_chaos_soak_is_deterministic_and_survives_device_loss() {
     let crash_a = fleet_chaos_run(seed, true);
     let crash_b = fleet_chaos_run(seed, true);
     assert_eq!(crash_a.digest, crash_b.digest, "seed {seed}: fleet schedules diverged");
+    assert_eq!(crash_a.delivered, crash_b.delivered, "seed {seed}: fleet completions diverged");
     assert_eq!(crash_a.stats, crash_b.stats, "seed {seed}: fleet stats diverged");
     assert_eq!(crash_a.head, crash_b.head, "seed {seed}: adopted heads diverged");
 
@@ -529,6 +540,7 @@ fn fleet_chaos_soak_is_deterministic_and_survives_device_loss() {
     // Greppable witnesses for scripts/verify.sh --soak; the per-device
     // audits are asserted inside `fleet_chaos_run`.
     println!("FLEET_DIGEST seed={seed} digest={}", crash_a.digest);
+    println!("FLEET_COMPLETIONS seed={seed} digest={}", crash_a.delivered);
     println!("FLEET_RERUN seed={seed} paused={} segments={segments}", paused.len());
     println!("FLEET_AUDIT seed={seed} passed=1");
 }

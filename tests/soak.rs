@@ -141,11 +141,26 @@ fn checked_round(gateway: &mut Gateway) -> Vec<Completion> {
     completions
 }
 
+/// Keccak over every completion's `(ticket, completed_at, outcome)`,
+/// sorted by ticket: what a schedule delivered to its users, apart from
+/// the lines the gateway logged on the way. `verify.sh --soak` compares
+/// the `*_COMPLETIONS` line it backs across processes and worker counts.
+fn completions_digest(completions: &[Completion]) -> String {
+    let mut sorted: Vec<&Completion> = completions.iter().collect();
+    sorted.sort_by_key(|c| (c.ticket, c.completed_at));
+    let text: String = sorted
+        .iter()
+        .map(|c| format!("{} {} {:?}\n", c.ticket, c.completed_at, c.outcome))
+        .collect();
+    tape_crypto::keccak256(text.as_bytes()).to_string()
+}
+
 /// One full chaos run: interleaved submissions from all tenants, armed
 /// channel + feed adversaries, periodic breaker-guarded syncs, DRR
-/// drains under pressure. Returns `(log digest, per-tenant completion
-/// counts)` and asserts the exactly-once and isolation contracts.
-fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
+/// drains under pressure. Returns `(log digest, completions digest,
+/// per-tenant completion counts)` and asserts the exactly-once and
+/// isolation contracts.
+fn chaos_run(seed: u64) -> (String, String, Vec<(u64, usize)>) {
     let mut gateway = soak_gateway(GatewayConfig {
         queue_depth: 6,
         admission_budget: 18,
@@ -314,19 +329,22 @@ fn chaos_run(seed: u64) -> (String, Vec<(u64, usize)>) {
     // stream — scheduling *and* instrumentation must replay identically.
     let digest = format!("{}:{}", gateway.log().digest(), telemetry.digest());
     let final_sessions = gateway.tenant_queue_stats().iter().map(|s| s.0).collect::<Vec<_>>();
-    (digest, final_sessions.into_iter().zip(per_tenant).collect())
+    let delivered = completions_digest(&completions);
+    (digest, delivered, final_sessions.into_iter().zip(per_tenant).collect())
 }
 
 #[test]
 fn chaos_soak_is_deterministic_and_exactly_once() {
     let seed = soak_seed();
-    let (digest_a, tenants_a) = chaos_run(seed);
-    let (digest_b, tenants_b) = chaos_run(seed);
+    let (digest_a, delivered_a, tenants_a) = chaos_run(seed);
+    let (digest_b, delivered_b, tenants_b) = chaos_run(seed);
     assert_eq!(digest_a, digest_b, "seed {seed}: schedules diverged across runs");
+    assert_eq!(delivered_a, delivered_b, "seed {seed}: completions diverged across runs");
     assert_eq!(tenants_a, tenants_b, "seed {seed}: per-tenant outcomes diverged");
     // Greppable witnesses for scripts/verify.sh --soak. The audit is
     // asserted inside `chaos_run`; reaching this line means it passed.
     println!("SOAK_DIGEST seed={seed} digest={digest_a}");
+    println!("SOAK_COMPLETIONS seed={seed} digest={delivered_a}");
     println!("SOAK_AUDIT seed={seed} passed=1");
 }
 
@@ -721,8 +739,8 @@ fn reorged_pin_failing_revalidation_is_shed_with_its_analysis_reject() {
 /// submissions, periodic quorum syncs, the reorg re-validating every
 /// queued bundle pinned to an orphaned head (the repin lines land in
 /// the digest), and a full drain. Returns the combined schedule +
-/// telemetry digest.
-fn reorg_chaos_run(seed: u64) -> String {
+/// telemetry digest and the completions digest.
+fn reorg_chaos_run(seed: u64) -> (String, String) {
     let mut gateway = soak_gateway(GatewayConfig {
         queue_depth: 6,
         admission_budget: 18,
@@ -791,17 +809,20 @@ fn reorg_chaos_run(seed: u64) -> String {
     assert_eq!(tickets.len(), completions.len(), "seed {seed}: a ticket completed twice");
     assert_eq!(stats.admitted as usize, completions.len(), "seed {seed}: lost completions");
 
-    format!("{}:{}", gateway.log().digest(), gateway.device().telemetry().digest())
+    let digest = format!("{}:{}", gateway.log().digest(), gateway.device().telemetry().digest());
+    (digest, completions_digest(&completions))
 }
 
 #[test]
 fn seeded_reorg_schedule_is_deterministic_and_exactly_once() {
     let seed = soak_seed();
-    let digest_a = reorg_chaos_run(seed);
-    let digest_b = reorg_chaos_run(seed);
+    let (digest_a, delivered_a) = reorg_chaos_run(seed);
+    let (digest_b, delivered_b) = reorg_chaos_run(seed);
     assert_eq!(digest_a, digest_b, "seed {seed}: reorg schedules diverged across runs");
-    // Greppable witness for scripts/verify.sh --soak.
+    assert_eq!(delivered_a, delivered_b, "seed {seed}: reorg completions diverged across runs");
+    // Greppable witnesses for scripts/verify.sh --soak.
     println!("REORG_DIGEST seed={seed} digest={digest_a}");
+    println!("REORG_COMPLETIONS seed={seed} digest={delivered_a}");
 }
 
 /// A saturating gas bomb from the adversarial tenant (index `TENANTS`):
@@ -826,8 +847,9 @@ fn preempt_genesis() -> InMemoryState {
 /// checkpoint.
 /// Asserts exactly-once across preemptions, that bombs actually
 /// preempted, and that the §IV-D audit (segment lens included) passes;
-/// returns the combined schedule + telemetry digest.
-fn preempt_chaos_run(seed: u64) -> String {
+/// returns the combined schedule + telemetry digest and the completions
+/// digest.
+fn preempt_chaos_run(seed: u64) -> (String, String) {
     let mut service =
         ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Es) };
     service.hevm.gas_slice = Some(100_000);
@@ -938,17 +960,20 @@ fn preempt_chaos_run(seed: u64) -> String {
     );
     assert!(report.stats.segments > 0, "seed {seed}: audit saw no segment windows");
 
-    format!("{}:{}", gateway.log().digest(), telemetry.digest())
+    let digest = format!("{}:{}", gateway.log().digest(), telemetry.digest());
+    (digest, completions_digest(&completions))
 }
 
 #[test]
 fn seeded_preemption_schedule_is_deterministic_and_exactly_once() {
     let seed = soak_seed();
-    let digest_a = preempt_chaos_run(seed);
-    let digest_b = preempt_chaos_run(seed);
+    let (digest_a, delivered_a) = preempt_chaos_run(seed);
+    let (digest_b, delivered_b) = preempt_chaos_run(seed);
     assert_eq!(digest_a, digest_b, "seed {seed}: preemption schedules diverged across runs");
-    // Greppable witness for scripts/verify.sh --soak.
+    assert_eq!(delivered_a, delivered_b, "seed {seed}: preempted completions diverged");
+    // Greppable witnesses for scripts/verify.sh --soak.
     println!("PREEMPT_DIGEST seed={seed} digest={digest_a}");
+    println!("PREEMPT_COMPLETIONS seed={seed} digest={delivered_a}");
 }
 
 /// Crash-recovery soak over the disk-backed ORAM (driven by
