@@ -145,7 +145,7 @@ fn run_scenario(devices: usize, seed: u64, kill_at: Option<usize>) -> ScenarioOu
     let mut feeds = feedset();
     produce_on_all(&mut feeds, 0);
     let boot_sync = router.sync_all(&mut feeds);
-    for (device, outcome) in &boot_sync.outcomes {
+    for (device, outcome) in &boot_sync {
         assert!(outcome.is_ok(), "boot sync on device {device}: {outcome:?}");
     }
 
@@ -191,11 +191,9 @@ fn run_scenario(devices: usize, seed: u64, kill_at: Option<usize>) -> ScenarioOu
         if op % 48 == 23 {
             produced += 1;
             produce_on_all(&mut feeds, produced);
-            let report = router.sync_all(&mut feeds);
-            for (device, outcome) in &report.outcomes {
+            for (device, outcome) in &router.sync_all(&mut feeds) {
                 assert!(outcome.is_ok(), "mid-run sync on device {device}: {outcome:?}");
             }
-            completions.extend(report.shed);
         }
     }
     completions.extend(router.run_until_idle());

@@ -60,7 +60,6 @@ use crate::service::{
 use std::collections::HashMap;
 use tape_hevm::HevmConfig;
 use tape_node::{BreakerState, CircuitBreaker, FeedSet};
-use tape_primitives::B256;
 use tape_sim::queue::{BoundedQueue, Drr, EventLog, QueueStats};
 use tape_sim::telemetry::{CounterId, GaugeId, TelemetryEvent};
 use tape_sim::Nanos;
@@ -167,21 +166,6 @@ pub struct FailoverEntry {
     pub bundle: Bundle,
 }
 
-/// What one [`Gateway::sync_set`] round did: the chain outcome plus the
-/// fate of every queued bundle the outcome touched.
-#[derive(Debug)]
-pub struct SyncReport {
-    /// The chain-level outcome of the quorum sync.
-    pub outcome: SyncOutcome,
-    /// Completions (typed errors) for queued bundles pinned to an
-    /// orphaned head that fail admission against the new one. Empty
-    /// unless the sync reorged.
-    pub shed: Vec<Completion>,
-    /// Tickets whose bundles were re-validated against the new head and
-    /// re-pinned.
-    pub revalidated: Vec<u64>,
-}
-
 /// Aggregate gateway counters (instrumentation for tests and ops).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayStats {
@@ -193,15 +177,17 @@ pub struct GatewayStats {
     pub shed_deadline: u64,
     /// Bundles that reached a core and returned a report.
     pub completed_ok: u64,
-    /// Bundles that reached a core (or were refused by the service) and
+    /// Bundles that reached a core, or were refused by the device at
+    /// dequeue (revoked session, channel attack, static admission), and
     /// returned a typed error.
     pub completed_err: u64,
     /// Reports stamped with a staleness bound (feed breaker not closed).
     pub served_stale: u64,
     /// Syncs refused because the breaker was open.
     pub sync_refused: u64,
-    /// Queued bundles shed because a reorg orphaned the head they were
-    /// admitted against and they failed re-validation on the new one.
+    /// Always 0: the device judges a bundle at its dequeue, against the
+    /// head of that moment, so a reorg sheds nothing from the queues.
+    /// `benchmark/` still reads it (ROADMAP finding (a)).
     pub shed_reorg: u64,
     /// Segment preemptions: a bundle yielded its core at a gas-slice
     /// boundary and was re-queued with its checkpoint. One bundle can
@@ -221,17 +207,12 @@ struct Admitted {
     admitted_at: Nanos,
     deadline: Nanos,
     cost: u64,
-    /// The device head at admission time: the world state the static
-    /// admission verdict was computed against. Re-validated (and shed
-    /// with a typed error if it fails) if a reorg orphans this block
-    /// while the bundle is still queued.
-    pinned_head: Option<B256>,
     /// Mid-execution checkpoint from a preempted segment. `Some` means
     /// the bundle already ran at least one gas slice and re-queued; the
-    /// next dequeue resumes it instead of starting over. Deadline and
-    /// reorg policy still apply while re-queued — a shed preempted
-    /// bundle discards the pause (its overlay simply evaporates) and
-    /// still resolves to exactly one typed completion.
+    /// next dequeue resumes it instead of starting over. The deadline
+    /// still applies while re-queued — a shed preempted bundle discards
+    /// the pause (its overlay simply evaporates) and still resolves to
+    /// exactly one typed completion.
     pause: Option<BundlePause>,
 }
 
@@ -395,7 +376,8 @@ impl Gateway {
 
     /// Submits a bundle for `session`. On admission, returns a ticket
     /// that will appear in exactly one [`Completion`]; the bundle's
-    /// deadline starts now.
+    /// deadline starts now. What the bundle calls is not judged here:
+    /// the device decides static admission at its dequeue.
     ///
     /// # Errors
     ///
@@ -408,15 +390,6 @@ impl Gateway {
             .get(&session)
             .ok_or(GatewayError::UnknownSession(session))?;
         let now = self.now();
-        // Static admission first: a bundle the analyzer can prove would
-        // blow a hardware stack limit never occupies queue budget or a
-        // core. (The verdict is memoized by code hash, so this costs one
-        // cache probe per callee on the hot path.)
-        if let Err(err) = self.device.admission_check(&bundle) {
-            self.log
-                .record(format_args!("t={now} reject session={session} static-analysis: {err}"));
-            return Err(GatewayError::Service(err));
-        }
         if self.queued_total >= self.config.admission_budget {
             self.stats.rejected_overloaded += 1;
             let retry_after = self.retry_after_hint();
@@ -444,7 +417,6 @@ impl Gateway {
             admitted_at: now,
             deadline: now.saturating_add(DEADLINE_NS),
             cost,
-            pinned_head: self.device.head(),
             pause: None,
         };
         match self.tenants[index].queue.push(admitted) {
@@ -487,19 +459,20 @@ impl Gateway {
     /// dequeue (no credit spent — they never reach a core).
     ///
     /// Each served bundle is *prepared* on the shared clock (revocation,
-    /// channel delivery, admission, per-dispatch RNG draws) and then
-    /// executes and commits at one of two points. When executing
-    /// mutates state other bundles share — an ORAM, or a page-store /
-    /// ORAM-server fault budget that is still armed — it does so at
-    /// once, on the shared clock, before the next bundle is dequeued
-    /// (so deadlines are re-read after every bundle). Otherwise the
-    /// round's tasks fan out across [`GatewayConfig::workers`] host
-    /// threads after the DRR loop and commit in dispatch order. A fault
-    /// budget drains while the gateway serves, so the rule is read once
-    /// per round: a device changes class between rounds, never inside
-    /// one. The worker count is never consulted, so a 1-worker run
-    /// takes the same code as an N-worker run and their digests compare
-    /// byte for byte.
+    /// channel delivery, static admission, per-dispatch RNG draws); a
+    /// bundle the device refuses there completes at once with its typed
+    /// error and never takes a core. A prepared bundle executes and
+    /// commits at one of two points. When executing mutates state other
+    /// bundles share — an ORAM, or a page-store fault budget that is
+    /// still armed — it does so at once, on the shared clock, before the
+    /// next bundle is dequeued (so deadlines are re-read after every
+    /// bundle). Otherwise the round's tasks fan out across
+    /// [`GatewayConfig::workers`] host threads after the DRR loop and
+    /// commit in dispatch order. A fault budget drains while the gateway
+    /// serves, so the rule is read once per round: a device changes
+    /// class between rounds, never inside one. The worker count is never
+    /// consulted, so a 1-worker run takes the same code as an N-worker
+    /// run and their digests compare byte for byte.
     ///
     /// Returns the completions produced this round, merged by
     /// [`merge_completions`].
@@ -592,8 +565,8 @@ impl Gateway {
                         }
                     }
                     Err(err) => {
-                        // Failed before taking a core (revoked session,
-                        // channel attack, admission).
+                        // Refused before taking a core (revoked session,
+                        // channel attack, static admission).
                         let err = GatewayError::Service(err);
                         self.stats.completed_err += 1;
                         t.count(CounterId::GwFailed, 1);
@@ -710,12 +683,9 @@ impl Gateway {
     /// (one feed or many) through the circuit breaker. While the breaker
     /// is open, no feed is polled (and no inline retry budget is spent):
     /// the call is refused immediately with a typed error and the device
-    /// keeps serving from its last attested head. On a reorg, every
-    /// queued bundle whose admission-time head was orphaned is
-    /// re-validated against the new head: re-pinned if it still passes
-    /// admission, shed with the typed [`ServiceError::AnalysisReject`]
-    /// otherwise. Either way each such bundle still resolves to exactly
-    /// one completion.
+    /// keeps serving from its last attested head. A reorg touches no
+    /// queue: every queued bundle is judged at its dequeue, against the
+    /// head of that moment.
     ///
     /// # Errors
     ///
@@ -724,7 +694,7 @@ impl Gateway {
     /// retry, equivocation without a quorum winner, finality violations,
     /// forged history — all of which also count toward opening the
     /// breaker).
-    pub fn sync_set(&mut self, feeds: &mut FeedSet) -> Result<SyncReport, GatewayError> {
+    pub fn sync_set(&mut self, feeds: &mut FeedSet) -> Result<SyncOutcome, GatewayError> {
         let now = self.now();
         if !self.breaker.call_permitted(now) {
             self.stats.sync_refused += 1;
@@ -748,92 +718,24 @@ impl Gateway {
         };
         self.breaker.record_success();
         self.last_sync_at = Some(self.now());
-        // Log and shed first, then note the breaker: a reorg's shed
-        // events precede the breaker transition in the telemetry stream.
-        let (shed, revalidated) = match &outcome {
-            SyncOutcome::Reorged { fork, depth, orphaned, adopted } => {
+        match &outcome {
+            SyncOutcome::Reorged { fork, depth, adopted, .. } => {
                 self.last_fork = Some(*fork);
                 self.log.record(format_args!(
                     "t={} sync-set reorg depth={depth} fork={} adopted={adopted}",
                     self.now(),
                     fork.hash,
                 ));
-                self.repin_or_shed(orphaned, *adopted)
             }
             SyncOutcome::Advanced { blocks } => {
                 self.log.record(format_args!("t={} sync-set ok blocks={blocks}", self.now()));
-                (Vec::new(), Vec::new())
             }
             SyncOutcome::AlreadySynced => {
                 self.log.record(format_args!("t={} sync-set ok (no-op)", self.now()));
-                (Vec::new(), Vec::new())
-            }
-        };
-        self.note_breaker();
-        Ok(SyncReport { outcome, shed, revalidated })
-    }
-
-    /// Walks every tenant queue after a reorg: bundles pinned to an
-    /// orphaned head are re-validated and re-pinned to `adopted`, or
-    /// shed with the analyzer's typed reason when they no longer pass
-    /// admission on the new branch. Queue order of the survivors is
-    /// preserved.
-    fn repin_or_shed(&mut self, orphaned: &[B256], adopted: B256) -> (Vec<Completion>, Vec<u64>) {
-        let mut shed = Vec::new();
-        let mut revalidated = Vec::new();
-        for index in 0..self.tenants.len() {
-            let session = self.tenants[index].session;
-            let mut survivors = Vec::new();
-            while let Some(mut admitted) = self.tenants[index].queue.pop() {
-                if !admitted.pinned_head.is_some_and(|pinned| orphaned.contains(&pinned)) {
-                    survivors.push(admitted);
-                    continue;
-                }
-                let now = self.now();
-                match self.device.admission_check(&admitted.bundle) {
-                    Ok(()) => {
-                        admitted.pinned_head = Some(adopted);
-                        revalidated.push(admitted.ticket);
-                        self.log.record(format_args!(
-                            "t={now} repin session={session} ticket={} head={adopted}",
-                            admitted.ticket
-                        ));
-                        survivors.push(admitted);
-                    }
-                    Err(err) => {
-                        let err = GatewayError::Service(err);
-                        self.shed_for_reorg(&mut shed, session, &admitted, err);
-                    }
-                }
-            }
-            for admitted in survivors {
-                if self.tenants[index].queue.push(admitted).is_err() {
-                    unreachable!("re-pushing a drained queue cannot overflow");
-                }
             }
         }
-        (shed, revalidated)
-    }
-
-    /// Records one reorg shed: stats, telemetry, log, completion.
-    fn shed_for_reorg(
-        &mut self,
-        shed: &mut Vec<Completion>,
-        session: u64,
-        admitted: &Admitted,
-        error: GatewayError,
-    ) {
-        let now = self.now();
-        self.queued_total -= 1;
-        self.stats.shed_reorg += 1;
-        self.log.record(format_args!(
-            "t={now} shed-reorg session={session} ticket={} err={error}",
-            admitted.ticket
-        ));
-        let t = self.device.telemetry();
-        t.count(CounterId::GwShed, 1);
-        t.record(TelemetryEvent::Shed { at: now, session, ticket: admitted.ticket });
-        shed.push(admitted.completion(session, now, Err(error)));
+        self.note_breaker();
+        Ok(outcome)
     }
 
     /// The fork point of the most recent reorg the device applied

@@ -53,7 +53,7 @@ mod service;
 
 pub use config::{GatewayConfig, SecurityConfig};
 pub use gateway::{
-    merge_completions, Completion, FailoverEntry, Gateway, GatewayError, GatewayStats, SyncReport,
+    merge_completions, Completion, FailoverEntry, Gateway, GatewayError, GatewayStats,
 };
 pub use reader::HybridState;
 pub use tape_analysis::PrecisionSummary;

@@ -389,11 +389,10 @@ pub struct HarDTape {
     /// ORAM-disabled configurations (and for code under `-ESO`).
     local: InMemoryState,
     oram: Option<ObliviousState>,
-    expected_head: Option<B256>,
-    /// Height of the expected head (`None` until the first sync).
-    head_height: Option<u64>,
-    /// Recently applied `(height, hash)` heads — the window a reorg's
-    /// fork point is searched in. Bounded by the undo window plus one.
+    /// Recently applied `(height, hash)` heads, ascending — the window a
+    /// reorg's fork point is searched in. The last entry is the head
+    /// (empty until the first sync). Bounded by the undo window plus
+    /// one.
     recent_heads: Vec<(u64, B256)>,
     /// Per-block world-state pre-images enabling in-place rollback.
     undo: UndoRing,
@@ -565,8 +564,6 @@ impl HarDTape {
             rng,
             local: genesis.clone(),
             oram,
-            expected_head: None,
-            head_height: None,
             recent_heads: Vec::new(),
             undo,
             faults: None,
@@ -719,11 +716,34 @@ impl HarDTape {
 
     /// The most recently synchronized block hash.
     pub fn head(&self) -> Option<B256> {
-        self.expected_head
+        self.recent_heads.last().map(|&(_, hash)| hash)
     }
 
     /// The most recently synchronized block height.
     pub fn head_height(&self) -> Option<u64> {
-        self.head_height
+        self.recent_heads.last().map(|&(height, _)| height)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tape_sim::fault::{FaultKind, FaultSite};
+
+    /// A device without an ORAM never draws from `OramServer`, so a
+    /// budget armed there must not pin it to the inline path: the
+    /// budget would never drain.
+    #[test]
+    fn es_device_armed_only_at_the_oram_server_is_pool_eligible() {
+        let config = ServiceConfig::at_level(SecurityConfig::Es);
+        let genesis = InMemoryState::new();
+        let mut device = HarDTape::new(config, Env::default(), &genesis).expect("device boots");
+        assert!(device.pooled_eligible(), "an unarmed -ES device pools");
+        let plan = FaultPlan::new(7, device.clock());
+        plan.arm(FaultSite::OramServer, &[FaultKind::BitFlip], 1, 4);
+        device.arm_faults(plan.clone());
+        assert!(device.pooled_eligible(), "an OramServer budget leaves -ES pool-eligible");
+        plan.arm(FaultSite::PageStore, &[FaultKind::BitFlip], 1, 4);
+        assert!(!device.pooled_eligible(), "an armed PageStore budget still pins inline");
     }
 }

@@ -2,10 +2,11 @@
 // One bundle segment: prepare → execute → commit.
 //
 // * `prepare_task` (shared clock, `&mut` device) — revocation check,
-//   channel delivery with its fault draws and sequence numbers, static
-//   admission, lint and prefetch-plan construction, and the
-//   per-dispatch RNG draws for the HEVM config. Everything that touches
-//   shared mutable state before a core is taken.
+//   channel delivery with its fault draws and sequence numbers, one
+//   static pass over the top-level callees (admission, lints, prefetch
+//   plans), and the per-dispatch RNG draws for the HEVM config.
+//   Everything that touches shared mutable state before a core is
+//   taken.
 // * `execute_task` (no `&self`) — ECDSA sign/verify, the HEVM segment,
 //   and trace signing, against whatever clock, telemetry sink and ORAM
 //   the caller hands it. A pure function of the prepared task and
@@ -285,45 +286,20 @@ impl HarDTape {
         Some(analysis)
     }
 
-    /// The static admission gate: every top-level callee's sound stack
-    /// bound must fit the Layer-1/Layer-2 capacities, or the bundle is
-    /// refused here with a typed verdict instead of faulting mid-bundle
-    /// on a hardware limit.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::AnalysisReject`] naming the first offending
-    /// callee.
-    pub fn admission_check(&mut self, bundle: &Bundle) -> Result<(), ServiceError> {
-        let mut seen = std::collections::BTreeSet::new();
-        for tx in &bundle.transactions {
-            let Some(to) = tx.to else { continue };
-            if !seen.insert(to) {
-                continue;
-            }
-            if let Some(analysis) = self.analyze_code(&to) {
-                if let Err(reason) = self.limits.admit(&analysis) {
-                    self.telemetry.count(CounterId::AnalysisRejects, 1);
-                    return Err(ServiceError::AnalysisReject { address: to, reason });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Whether executing a bundle leaves every piece of state other
     /// bundles share untouched, so tasks may run ahead of their commit
     /// on the worker pool: no ORAM (its tree and the shared clock move
-    /// with every query), and no armed `PageStore`/`OramServer` fault
-    /// budget (an armed site draws from the shared fault RNG
-    /// mid-execution). The budget drains during a run, so this can
-    /// turn true while a gateway is serving.
+    /// with every query), and no armed `PageStore` fault budget (an
+    /// armed site draws from the shared fault RNG mid-execution). Only
+    /// an ORAM draws from `OramServer`, so a budget there never decides.
+    /// The budget drains during a run, so this can turn true while a
+    /// gateway is serving.
     pub(crate) fn pooled_eligible(&self) -> bool {
         self.oram.is_none()
-            && self.faults.as_ref().is_none_or(|plan| {
-                plan.remaining_budget(FaultSite::PageStore) == 0
-                    && plan.remaining_budget(FaultSite::OramServer) == 0
-            })
+            && self
+                .faults
+                .as_ref()
+                .is_none_or(|plan| plan.remaining_budget(FaultSite::PageStore) == 0)
     }
 
     /// The execution context tasks read (see [`ExecCtx`]).
@@ -342,6 +318,12 @@ impl HarDTape {
     /// the `Receive` phase, static admission, lint and prefetch-plan
     /// construction, and the per-dispatch RNG draws for the engine
     /// config.
+    ///
+    /// Static admission is decided here and nowhere else: every
+    /// top-level callee's sound stack bound must fit the Layer-1/Layer-2
+    /// capacities, or the bundle is refused, naming the first offending
+    /// callee in transaction order, before a core is assigned, instead
+    /// of faulting mid-bundle on a hardware limit.
     ///
     /// # Errors
     ///
@@ -381,9 +363,6 @@ impl HarDTape {
             debug_assert_eq!(opened, payload);
         }
         record_phase_into(&mut self.telemetry.clone(), &self.clock, PhaseKind::Receive, started);
-        // Static admission: refuse bundles whose callees cannot fit the
-        // hardware stack capacities before a core is even assigned.
-        self.admission_check(bundle)?;
 
         // Static pass over the bundle's top-level callees (§IV-D): the
         // decode phase already knows every `to` address.
@@ -391,10 +370,15 @@ impl HarDTape {
         let mut seen = std::collections::BTreeSet::new();
         for tx in &bundle.transactions {
             let Some(to) = tx.to else { continue };
-            if seen.insert(to) {
-                if let Some(analysis) = self.analyze_code(&to) {
-                    callees.push((to, analysis));
+            if !seen.insert(to) {
+                continue;
+            }
+            if let Some(analysis) = self.analyze_code(&to) {
+                if let Err(reason) = self.limits.admit(&analysis) {
+                    self.telemetry.count(CounterId::AnalysisRejects, 1);
+                    return Err(ServiceError::AnalysisReject { address: to, reason });
                 }
+                callees.push((to, analysis));
             }
         }
         // Secret-dependency lints, surfaced per bundle in the signed

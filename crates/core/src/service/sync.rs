@@ -51,10 +51,10 @@ impl HarDTape {
     /// direct child is refused with [`ServiceError::ReorgDetected`].
     fn extend(&mut self, header: &BlockHeader, delta: &StateDelta) -> Result<(), ServiceError> {
         let hash = header.hash();
-        if self.expected_head == Some(hash) {
+        if self.head() == Some(hash) {
             return Ok(());
         }
-        if let (Some(expected), Some(height)) = (self.expected_head, self.head_height) {
+        if let Some(&(height, expected)) = self.recent_heads.last() {
             if header.number <= height {
                 // A verified sibling (or ancestor) of an applied block:
                 // this branch conflicts with ours.
@@ -106,8 +106,6 @@ impl HarDTape {
         }
         self.undo.push(UndoDelta { height: header.number, block_hash: hash, pre });
         self.local.put_block_hash(header.number, hash);
-        self.expected_head = Some(hash);
-        self.head_height = Some(header.number);
         self.recent_heads.retain(|&(h, _)| h < header.number);
         self.recent_heads.push((header.number, hash));
         let cap = UNDO_WINDOW + 1;
@@ -188,7 +186,7 @@ impl HarDTape {
             // the feeds are behind, not forking. Nothing moves backwards.
             return Ok(SyncOutcome::AlreadySynced);
         }
-        let Some(height) = self.head_height else {
+        let Some(height) = self.head_height() else {
             // First sync ever: adopt the winner directly.
             self.extend(&header, &delta)?;
             return Ok(SyncOutcome::Advanced { blocks: 1 });
@@ -294,8 +292,7 @@ impl HarDTape {
         self.telemetry.observe(HistId::ReorgDepth, depth);
         self.telemetry.count(CounterId::ReorgsApplied, 1);
 
-        self.expected_head = Some(fork.hash);
-        self.head_height = Some(fork.height);
+        // The fork point is an applied head, so it is the last one left.
         self.recent_heads.retain(|&(h, _)| h <= fork.height);
         Ok(popped.iter().map(|d| d.block_hash).collect())
     }

@@ -21,4 +21,4 @@ pub mod health;
 pub mod router;
 
 pub use health::HealthState;
-pub use router::{FleetCompletion, FleetError, FleetRouter, FleetStats, FleetSyncReport};
+pub use router::{FleetCompletion, FleetError, FleetRouter, FleetStats};

@@ -132,16 +132,6 @@ pub struct FleetStats {
     pub device_failures: u64,
 }
 
-/// Outcome of a fleet-wide sync pass against one [`FeedSet`].
-#[derive(Debug)]
-pub struct FleetSyncReport {
-    /// Per surviving device: the chain outcome of its sync, in device
-    /// order.
-    pub outcomes: Vec<(usize, Result<SyncOutcome, GatewayError>)>,
-    /// Reorg-shed completions across the fleet (typed, exactly-once).
-    pub shed: Vec<FleetCompletion>,
-}
-
 /// A tenant's routing record.
 #[derive(Debug, Clone)]
 struct TenantRecord {
@@ -670,23 +660,18 @@ impl FleetRouter {
     /// only strikes feeds whose head *lags* the best claim, so honest
     /// feeds re-serving the winning head to each device in turn are
     /// never penalised, and re-serving the same claim is not
-    /// equivocation.
-    pub fn sync_all(&mut self, feeds: &mut FeedSet) -> FleetSyncReport {
+    /// equivocation. Returns each surviving device's chain outcome, in
+    /// device order.
+    pub fn sync_all(
+        &mut self,
+        feeds: &mut FeedSet,
+    ) -> Vec<(usize, Result<SyncOutcome, GatewayError>)> {
         let mut outcomes = Vec::new();
-        let mut shed = Vec::new();
         for device in 0..self.gateways.len() {
             if self.health[device].is_failed() {
                 continue;
             }
-            match self.gateways[device].sync_set(feeds) {
-                Ok(report) => {
-                    for completion in report.shed {
-                        shed.push(self.adopt_completion(device, completion));
-                    }
-                    outcomes.push((device, Ok(report.outcome)));
-                }
-                Err(err) => outcomes.push((device, Err(err))),
-            }
+            outcomes.push((device, self.gateways[device].sync_set(feeds)));
             let head = self.gateways[device].device().head();
             self.log.record(format_args!(
                 "r={} sync device={device} head={}",
@@ -694,7 +679,7 @@ impl FleetRouter {
                 head.map_or_else(|| "none".to_string(), |h| format!("{h:?}"))
             ));
         }
-        FleetSyncReport { outcomes, shed }
+        outcomes
     }
 
     /// `(device index, adopted head)` for every surviving device.

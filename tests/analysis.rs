@@ -1,9 +1,10 @@
 //! Tier-1 integration tests for the static-analysis admission gate:
 //! bundles whose callees cannot satisfy the Layer-1/Layer-2 budgets are
-//! rejected with a typed error *before* any HEVM cycle or ORAM query is
-//! spent — at the service and at the multi-tenant gateway — while
-//! admissible bundles carry the analyzer's secret-dependency lints in
-//! their reports.
+//! rejected by the device with a typed error *before* any HEVM cycle or
+//! ORAM query is spent — called directly, or dequeued by the
+//! multi-tenant gateway, which queues a bundle without judging it —
+//! while admissible bundles carry the analyzer's secret-dependency lints
+//! in their reports.
 
 use hardtape::{
     Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig,
@@ -13,6 +14,7 @@ use tape_analysis::AnalysisReject;
 use tape_evm::opcode::op;
 use tape_evm::{Env, Transaction};
 use tape_primitives::{Address, U256};
+use tape_sim::telemetry::{CounterId, PhaseKind, TelemetryEvent};
 use tape_state::{Account, InMemoryState, StateReader};
 use tape_workload::contracts;
 
@@ -109,11 +111,61 @@ fn gateway_rejects_before_spending_cycles() {
     let genesis = genesis(stack_hog_code());
     let mut gateway = Gateway::new(device(&genesis), GatewayConfig::default());
     let session = gateway.connect(b"tenant").expect("attestation");
-    let err = gateway.submit(session, hog_bundle()).expect_err("must reject");
+    let ticket = gateway.submit(session, hog_bundle()).expect("the gateway queues unjudged");
+    let completions = gateway.run_until_idle();
+    assert_eq!(completions.len(), 1, "one completion per ticket");
+    assert_eq!(completions[0].ticket, ticket);
+    let err = completions[0].outcome.as_ref().expect_err("must reject");
     assert!(
         matches!(err, GatewayError::Service(ServiceError::AnalysisReject { .. })),
-        "expected the admission gate at the gateway, got {err}"
+        "expected the device's admission gate at dequeue, got {err}"
     );
+    assert_eq!(gateway.device().telemetry().counter(CounterId::Bundles), 0, "no core ran it");
+}
+
+#[test]
+fn refused_hog_takes_no_core_from_an_honest_tenant_in_its_round() {
+    let genesis = genesis(stack_hog_code());
+    let mut gateway = Gateway::new(device(&genesis), GatewayConfig::default());
+    let hogger = gateway.connect(b"hog tenant").expect("attestation");
+    let honest = gateway.connect(b"honest tenant").expect("attestation");
+    let hog_ticket = gateway.submit(hogger, hog_bundle()).expect("submit admits the hog");
+    let transfer = Transaction::transfer(alice(), Address::from_low_u64(0xB0B), U256::from(5u64));
+    let honest_ticket = gateway.submit(honest, Bundle::single(transfer)).expect("admitted");
+
+    // One round dequeues both: the hog first (its tenant connected
+    // first), refused before a core; then the honest bundle, served.
+    let completions = gateway.run_round();
+    assert_eq!(completions.len(), 2, "both bundles are dequeued in the same round");
+    assert_eq!(gateway.queued(), 0);
+    let hog_completions: Vec<_> = completions.iter().filter(|c| c.ticket == hog_ticket).collect();
+    assert_eq!(hog_completions.len(), 1, "the hog completes exactly once");
+    match &hog_completions[0].outcome {
+        Err(GatewayError::Service(ServiceError::AnalysisReject {
+            address,
+            reason: AnalysisReject::StackOverflow { .. },
+        })) => assert_eq!(*address, hog(), "the reject names the callee"),
+        other => panic!("expected the analyzer's typed reject, got {other:?}"),
+    }
+    let honest_completion = completions
+        .iter()
+        .find(|c| c.ticket == honest_ticket)
+        .expect("the honest bundle completes");
+    let report = honest_completion.outcome.as_ref().expect("the honest bundle is served");
+    assert!(report.results[0].success);
+
+    // No core ran the hog: only the honest bundle was executed.
+    let telemetry = gateway.device().telemetry();
+    assert_eq!(telemetry.counter(CounterId::Bundles), 1, "only the honest bundle ran");
+    assert_eq!(telemetry.counter(CounterId::AnalysisRejects), 1);
+    let executes = telemetry
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TelemetryEvent::Phase { phase: PhaseKind::Execute, .. }))
+        .count();
+    assert_eq!(executes, 1, "the hog has no Execute phase");
+    let stats = gateway.stats();
+    assert_eq!((stats.completed_ok, stats.completed_err), (1, 1));
 }
 
 #[test]

@@ -309,7 +309,7 @@ fn fleet_chaos_run(seed: u64, crash: bool) -> FleetRunOutcome {
     let mut feeds = fleet_feedset();
     fleet_produce_on_all(&mut feeds, 0);
     let sync = router.sync_all(&mut feeds);
-    assert!(sync.outcomes.iter().all(|(_, o)| o.is_ok()), "initial fleet sync failed");
+    assert!(sync.iter().all(|(_, o)| o.is_ok()), "initial fleet sync failed");
 
     let counts = vec![2usize; FLEET_TENANTS];
     let order = interleave(&counts, seed);
@@ -354,8 +354,7 @@ fn fleet_chaos_run(seed: u64, crash: bool) -> FleetRunOutcome {
             produced += 1;
             fleet_produce_on_all(&mut feeds, produced);
             let sync = router.sync_all(&mut feeds);
-            assert!(sync.outcomes.iter().all(|(_, o)| o.is_ok()), "extension sync failed");
-            completions.extend(sync.shed);
+            assert!(sync.iter().all(|(_, o)| o.is_ok()), "extension sync failed");
         }
 
         if op == crash_at {
@@ -407,13 +406,12 @@ fn fleet_chaos_run(seed: u64, crash: bool) -> FleetRunOutcome {
             // branch; every surviving device must roll back and adopt.
             fleet_reorg_all(&mut feeds, 12, seed);
             let sync = router.sync_all(&mut feeds);
-            for (device, outcome) in &sync.outcomes {
+            for (device, outcome) in &sync {
                 assert!(
                     matches!(outcome, Ok(hardtape::SyncOutcome::Reorged { .. })),
                     "device {device} missed the reorg: {outcome:?}"
                 );
             }
-            completions.extend(sync.shed);
         }
     }
     completions.extend(router.run_until_idle());
@@ -915,7 +913,7 @@ fn split_heads_surface_as_typed_divergence() {
 
     // A fleet-wide sync against the same FeedSet restores convergence.
     let sync = router.sync_all(&mut feeds);
-    assert!(sync.outcomes.iter().all(|(_, o)| o.is_ok()));
+    assert!(sync.iter().all(|(_, o)| o.is_ok()));
     let head = router.converged_head().expect("fleet re-converged");
     assert!(head.is_some());
 }

@@ -613,7 +613,7 @@ fn reorged_pins_are_revalidated_and_fork_point_reaches_degraded_reports() {
     gateway.sync_set(&mut feeds).expect("first quorum sync succeeds");
     produce_on_all(&mut feeds, 1);
     gateway.sync_set(&mut feeds).expect("extension sync succeeds");
-    let pinned_head = gateway.device().head().expect("sync set the head");
+    let submitted_head = gateway.device().head().expect("sync set the head");
 
     // Queue a bundle against the current head — and leave it queued
     // while the chain underneath it is rewritten.
@@ -621,13 +621,12 @@ fn reorged_pins_are_revalidated_and_fork_point_reaches_degraded_reports() {
 
     // Every feed adopts a heavier branch forking one block down.
     reorg_all(&mut feeds, 2, 0);
-    let sync = gateway.sync_set(&mut feeds).expect("quorum resolves the reorg");
-    let SyncOutcome::Reorged { fork, ref orphaned, .. } = sync.outcome else {
-        panic!("expected a reorg, got {:?}", sync.outcome);
+    let outcome = gateway.sync_set(&mut feeds).expect("quorum resolves the reorg");
+    let SyncOutcome::Reorged { fork, ref orphaned, .. } = outcome else {
+        panic!("expected a reorg, got {outcome:?}");
     };
-    assert!(orphaned.contains(&pinned_head), "the pinned head was orphaned");
-    assert_eq!(sync.revalidated, vec![ticket], "queued bundle re-validated, not shed");
-    assert!(sync.shed.is_empty(), "a bundle that still passes admission is not shed");
+    assert!(orphaned.contains(&submitted_head), "the head at submission was orphaned");
+    assert_eq!(gateway.queued(), 1, "the reorg leaves the queued bundle queued");
     assert_eq!(gateway.last_fork(), Some(fork));
 
     // A persistent outage opens the breaker (three failed quorum syncs).
@@ -644,30 +643,30 @@ fn reorged_pins_are_revalidated_and_fork_point_reaches_degraded_reports() {
     }
     assert_eq!(gateway.breaker_state(), BreakerState::Open);
 
-    // The pre-reorg bundle finally executes, degraded: its report's
+    // The pre-reorg bundle finally executes, degraded: the device
+    // admits it at dequeue against the adopted head, and its report's
     // staleness bound carries the fork point — the user learns both how
     // old the head is and that the chain behind it was rewritten.
     let completions = gateway.run_until_idle();
-    let completion = completions
-        .iter()
-        .find(|c| c.ticket == ticket)
-        .expect("queued bundle completes exactly once");
-    let report = completion.outcome.as_ref().expect("revalidated bundle executes");
+    assert_eq!(completions.len(), 1, "the queued bundle completes exactly once");
+    let completion = &completions[0];
+    assert_eq!(completion.ticket, ticket);
+    let report = completion.outcome.as_ref().expect("the bundle passes admission and executes");
     let bound = report.staleness.expect("degraded report must carry a staleness bound");
     assert_eq!(bound.head, gateway.device().head());
     assert_eq!(bound.fork_point, Some(fork), "fork point survives queueing into the report");
 
     let stats = gateway.stats();
-    assert_eq!(stats.shed_reorg, 0);
     assert_eq!(
-        stats.completed_ok + stats.completed_err + stats.shed_deadline + stats.shed_reorg,
+        stats.completed_ok + stats.completed_err + stats.shed_deadline,
         stats.admitted,
         "exactly-once must hold across the reorg"
     );
 }
 
 /// Code whose worst-case stack (1 100 pushes) exceeds the 1 024-word
-/// layer-1 stack: the admission gate refuses any bundle that calls it.
+/// layer-1 stack: the device's admission refuses any bundle that calls
+/// it.
 fn stack_hog_runtime() -> Vec<u8> {
     let mut code = [op::PUSH1, 0x01].repeat(1_100);
     code.push(op::STOP);
@@ -692,7 +691,7 @@ fn reorged_pin_failing_revalidation_is_shed_with_its_analysis_reject() {
 
     let call = Transaction::call(tenant_addr(0), callee, vec![]);
     let bundle = Bundle::single(Transaction { gas_limit: 100_000, ..call });
-    let ticket = gateway.submit(session, bundle).expect("the harmless callee admits");
+    let ticket = gateway.submit(session, bundle).expect("the bundle queues");
 
     // The winning branch forks below the deployment: the same deployer
     // and nonce put the stack hog at the same address.
@@ -709,36 +708,39 @@ fn reorged_pin_failing_revalidation_is_shed_with_its_analysis_reject() {
             U256::from(700u64),
         )]);
     }
-    let sync = gateway.sync_set(&mut feeds).expect("quorum resolves the reorg");
-    let SyncOutcome::Reorged { depth: 1, .. } = sync.outcome else {
-        panic!("expected a depth-1 reorg, got {:?}", sync.outcome);
+    let outcome = gateway.sync_set(&mut feeds).expect("quorum resolves the reorg");
+    let SyncOutcome::Reorged { depth: 1, .. } = outcome else {
+        panic!("expected a depth-1 reorg, got {outcome:?}");
     };
-    assert!(sync.revalidated.is_empty(), "the bundle no longer passes admission");
-    assert_eq!(sync.shed.len(), 1, "the queued bundle is shed");
-    let shed = &sync.shed[0];
-    assert_eq!(shed.ticket, ticket);
-    match &shed.outcome {
+    assert_eq!(gateway.queued(), 1, "the reorg leaves the queued bundle queued");
+
+    // At its dequeue the device judges the callee it finds now — the
+    // stack hog — and refuses the bundle with the analyzer's verdict.
+    let completions = gateway.run_until_idle();
+    assert_eq!(completions.len(), 1, "the queued bundle completes exactly once");
+    let refused = &completions[0];
+    assert_eq!(refused.ticket, ticket);
+    match &refused.outcome {
         Err(GatewayError::Service(ServiceError::AnalysisReject {
             address,
             reason: AnalysisReject::StackOverflow { .. },
         })) => assert_eq!(*address, callee),
         other => panic!("expected the analyzer's typed reject, got {other:?}"),
     }
-    assert_eq!(gateway.queued(), 0, "the shed bundle freed its queue slot");
+    assert_eq!(gateway.queued(), 0, "the refused bundle freed its queue slot");
     let stats = gateway.stats();
-    assert_eq!(stats.shed_reorg, 1);
+    assert_eq!(stats.completed_err, 1);
     assert_eq!(
-        stats.completed_ok + stats.completed_err + stats.shed_deadline + stats.shed_reorg,
+        stats.completed_ok + stats.completed_err + stats.shed_deadline,
         stats.admitted,
         "every admitted bundle is accounted to exactly one outcome"
     );
-    assert!(gateway.run_until_idle().is_empty(), "nothing is left to complete");
 }
 
 /// One seeded chaos run with a mid-schedule depth-3 reorg: interleaved
-/// submissions, periodic quorum syncs, the reorg re-validating every
-/// queued bundle pinned to an orphaned head (the repin lines land in
-/// the digest), and a full drain. Returns the combined schedule +
+/// submissions, periodic quorum syncs, the reorg rewriting the chain
+/// under queued bundles (each is judged at its dequeue, against the
+/// adopted head), and a full drain. Returns the combined schedule +
 /// telemetry digest and the completions digest.
 fn reorg_chaos_run(seed: u64) -> (String, String) {
     let mut gateway = soak_gateway(GatewayConfig {
@@ -786,22 +788,20 @@ fn reorg_chaos_run(seed: u64) -> (String, String) {
             reorged = true;
             // Depth-3 rewrite: blocks 2..4 abandoned for a heavier branch.
             reorg_all(&mut feeds, 5, seed);
-            let sync = gateway.sync_set(&mut feeds).expect("reorg sync succeeds");
-            match sync.outcome {
+            match gateway.sync_set(&mut feeds).expect("reorg sync succeeds") {
                 SyncOutcome::Reorged { depth, .. } => assert_eq!(depth, 3),
                 other => panic!("schedule must produce a depth-3 reorg, got {other:?}"),
             }
-            completions.extend(sync.shed);
         }
     }
     completions.extend(gateway.run_until_idle());
     assert!(reorged, "the schedule must have hit the reorg point");
 
-    // Exactly-once across the reorg: admitted = ok + err + shed
-    // (deadline and reorg), and no ticket completes twice.
+    // Exactly-once across the reorg: admitted = ok + err + shed, and
+    // no ticket completes twice.
     let stats = gateway.stats();
     assert_eq!(
-        stats.completed_ok + stats.completed_err + stats.shed_deadline + stats.shed_reorg,
+        stats.completed_ok + stats.completed_err + stats.shed_deadline,
         stats.admitted,
         "seed {seed}: exactly-once broke across the reorg"
     );
