@@ -4,9 +4,10 @@
 
 use tape_evm::asm::Asm;
 use tape_evm::opcode::op;
-use tape_evm::{Env, Transaction};
+use tape_evm::{Env, Transaction, TxResult};
 use tape_hevm::{Hevm, HevmAbort, HevmConfig, SliceOutcome};
 use tape_primitives::{Address, U256};
+use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::resources::MemoryConfig;
 use tape_sim::Clock;
 use tape_state::{Account, InMemoryState};
@@ -220,6 +221,50 @@ fn checkpoint_cover_seals_resident_frames() {
     assert!(boundary.pages_out > 0 && boundary.true_pages_out > 0);
     // Noised like any ordinary spill: observed ≥ true.
     assert!(boundary.pages_out >= boundary.true_pages_out);
+}
+
+/// Runs the sliced burner to its first yield, suspends (sealing the
+/// resident frame out as cover) and resumes. With `tamper`, the
+/// untrusted layer-3 store flips one bit of every ciphertext written
+/// after that first yield — armed through the same [`FaultPlan`] the
+/// failure matrix uses, so the cover frame is the one it corrupts.
+fn resume_after_cover(tamper: bool) -> Result<TxResult, HevmAbort> {
+    let b = backend(burner(40_000));
+    let tx = burner_tx();
+    let clock = Clock::new();
+    let plan = FaultPlan::new(7, &clock);
+    let config = HevmConfig { faults: Some(plan.clone()), ..sliced(100_000) };
+    let mut hevm = Hevm::new(config.clone(), Env::default(), &b, clock.clone());
+
+    let outcome = hevm.transact_sliced(&tx)?;
+    assert!(matches!(outcome, SliceOutcome::Preempted { segment: 1 }));
+    if tamper {
+        plan.arm(FaultSite::PageStore, &[FaultKind::BitFlip], 1, 1);
+    }
+    let (reader, checkpoint) = hevm.suspend();
+    assert_eq!(checkpoint.covered_frames(), 1);
+    assert_eq!(plan.injected(), usize::from(tamper));
+    let mut hevm = Hevm::resume(config.clone(), Env::default(), reader, clock.clone(), checkpoint);
+    let mut outcome = hevm.continue_transact()?;
+    loop {
+        match outcome {
+            SliceOutcome::Done(result) => return Ok(result),
+            SliceOutcome::Preempted { .. } => outcome = hevm.continue_transact()?,
+        }
+    }
+}
+
+#[test]
+fn tampered_checkpoint_cover_frame_fails_its_resume() {
+    assert_eq!(resume_after_cover(true), Err(HevmAbort::Layer3Tampered));
+}
+
+#[test]
+fn untampered_checkpoint_cover_frame_resumes_to_the_unsliced_receipt() {
+    let b = backend(burner(40_000));
+    let mut plain = Hevm::new(HevmConfig::default(), Env::default(), &b, Clock::new());
+    let expected = plain.transact(&burner_tx()).unwrap();
+    assert_eq!(resume_after_cover(false), Ok(expected));
 }
 
 #[test]
