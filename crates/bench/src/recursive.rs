@@ -135,12 +135,6 @@ impl RecursiveOram {
         self.levels.len()
     }
 
-    /// Entries currently held in the on-chip top map.
-    #[cfg(test)]
-    fn top_map_len(&self) -> usize {
-        self.top_map.len()
-    }
-
     /// Total server queries across every level (each data access costs
     /// one query per level — the classic recursion overhead).
     pub fn total_queries(&self) -> u64 {
@@ -271,24 +265,30 @@ impl RecursiveOram {
         )
         .map(|old| if was_present { old } else { None })
     }
-
-    /// The leaves observed by the adversary at every level, flattened —
-    /// the complete wire view.
-    #[cfg(test)]
-    fn observed_leaves(&self) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        for (k, level) in self.levels.iter().enumerate() {
-            for access in level.server.observed() {
-                out.push((k, access.leaf));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RecursiveOram {
+        /// Entries currently held in the on-chip top map.
+        fn top_map_len(&self) -> usize {
+            self.top_map.len()
+        }
+
+        /// The leaves observed by the adversary at every level,
+        /// flattened — the complete wire view.
+        fn observed_leaves(&self) -> Vec<(usize, u64)> {
+            let mut out = Vec::new();
+            for (k, level) in self.levels.iter().enumerate() {
+                for access in level.server.observed() {
+                    out.push((k, access.leaf));
+                }
+            }
+            out
+        }
+    }
 
     fn oram(capacity: u64, on_chip: u64) -> (RecursiveOram, Clock, CostModel) {
         let config = OramConfig { block_size: 64, bucket_capacity: 4, height: 8 };

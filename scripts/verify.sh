@@ -10,12 +10,13 @@
 # and `cargo test -p tape-oram --test wire_pin`), then the static gates:
 # clippy over every crate, warnings denied, `.unwrap()` forbidden (an
 # allow-listed exception carries a justifying comment);
-# `#![forbid(unsafe_code)]` in every crate root; and the source gates of
+# `#![forbid(unsafe_code)]` in every crate root; the source gates of
 # tests/gates.rs, which tier-1 runs too (each gate's rule, scan roots and
-# allow-list are documented there).
+# allow-list are documented there); and the NONTEST_LINES count.
 #
 # --lint     only the static gates: clippy, the forbid check and
-#            `cargo test -q --test gates`; no release build, no suite.
+#            `cargo test -q --test gates`, then NONTEST_LINES; no release
+#            build, no suite.
 # --soak     every seeded schedule — gateway chaos (SOAK), depth-3 reorg
 #            (REORG), gas-bomb preemption (PREEMPT), 4-device fleet with
 #            a crash, migration and reorg (FLEET) — under three seeds,
@@ -99,6 +100,15 @@ lint_gates() {
 
     echo "==> source gates (tests/gates.rs)"
     cargo test -q --test gates
+
+    # The program's size: every line above a file's first #[cfg(test)]
+    # under crates/*/src and src/. The test_tail gate keeps test code at
+    # the end of those files, so the sum is exact.
+    find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#!?\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { n++ }
+        END { print "NONTEST_LINES " n }'
 }
 
 if [[ "$LINT_ONLY" -eq 1 ]]; then

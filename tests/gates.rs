@@ -7,7 +7,7 @@
 //! Comments are dropped and a string literal is one token, so text in a
 //! comment or a string neither trips a gate nor satisfies one.
 //! `#[cfg(test)]` items and modules are found by brace depth
-//! ([`split_tests`]), wherever they sit in a file. A gate returns one
+//! ([`test_spans`]), wherever they sit in a file. A gate returns one
 //! `path:line: what` finding per violation; each has a self-test that
 //! plants a violation in an in-memory source and checks the same text
 //! inside a comment or a string.
@@ -208,17 +208,17 @@ fn seq(toks: &[Tok], i: usize, pattern: &[&str]) -> bool {
     toks.len() >= i + pattern.len() && toks[i..].iter().zip(pattern).all(|(t, p)| t.is(p))
 }
 
-/// The tokens outside `#[cfg(test)]` items and modules. Such an item
-/// runs from its attribute to the `}` that closes its first top-level
-/// brace or to its top-level `;`, whichever comes first; a
-/// `#![cfg(test)]` covers the rest of the block it sits in.
-fn split_tests<'a>(toks: &[Tok<'a>]) -> Vec<Tok<'a>> {
-    let mut code = Vec::with_capacity(toks.len());
+/// The `[start, end)` token spans of the outermost `#[cfg(test)]` items
+/// and modules. Such an item runs from its attribute to the `}` that
+/// closes its first top-level brace or to its top-level `;`, whichever
+/// comes first; a `#![cfg(test)]` covers the rest of the block it sits
+/// in.
+fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {
         let inner = seq(toks, i, &["#", "!", "[", "cfg", "(", "test", ")", "]"]);
         if !inner && !seq(toks, i, &["#", "[", "cfg", "(", "test", ")", "]"]) {
-            code.push(toks[i]);
             i += 1;
             continue;
         }
@@ -245,8 +245,21 @@ fn split_tests<'a>(toks: &[Tok<'a>]) -> Vec<Tok<'a>> {
                 _ => {}
             }
         }
+        spans.push((i, end));
         i = end;
     }
+    spans
+}
+
+/// The tokens outside `#[cfg(test)]` items and modules ([`test_spans`]).
+fn split_tests<'a>(toks: &[Tok<'a>]) -> Vec<Tok<'a>> {
+    let mut code = Vec::with_capacity(toks.len());
+    let mut from = 0;
+    for (start, end) in test_spans(toks) {
+        code.extend_from_slice(&toks[from..start]);
+        from = end;
+    }
+    code.extend_from_slice(&toks[from..]);
     code
 }
 
@@ -960,6 +973,28 @@ fn scratch(tree: &[File]) -> Vec<String> {
     found
 }
 
+/// Under `crates/*/src` and `src`, a `#[cfg(test)]` opens one of its
+/// file's last top-level items: nothing but `#[cfg(test)]` items follows
+/// it. Then the lines above a file's first `#[cfg(test)]` are exactly
+/// its program lines, which is how `scripts/verify.sh` counts
+/// `NONTEST_LINES`; a test helper mid-file, or one inside an `impl`,
+/// hides the program lines below it from that count. Put it in the
+/// file's test module.
+fn test_tail(tree: &[File]) -> Vec<String> {
+    let mut found = Vec::new();
+    for f in tree.iter().filter(|f| f.in_crates("src") || f.under(&["src"])) {
+        let spans = test_spans(&f.toks);
+        let tail = spans
+            .iter()
+            .rev()
+            .fold(f.toks.len(), |tail, &(start, end)| if end == tail { start } else { tail });
+        for &(start, _) in spans.iter().filter(|&&(start, _)| start < tail) {
+            found.push(f.at(f.toks[start].line, "a `#[cfg(test)]` item above program code"));
+        }
+    }
+    found
+}
+
 // ---- The gates over the tree ------------------------------------------------
 
 fn assert_clean(gate: Gate, remedy: &str) {
@@ -1019,6 +1054,11 @@ fn one_audit_path() {
 #[test]
 fn tests_write_only_under_scratch() {
     assert_clean(scratch, "route the test's files through tape_sim::Scratch");
+}
+
+#[test]
+fn test_code_only_at_the_end_of_a_file() {
+    assert_clean(test_tail, "move the item into the file's test module");
 }
 
 // ---- Self-tests: planted violations -----------------------------------------
@@ -1219,4 +1259,18 @@ fn scratch_self_test() {
     let scoped =
         "use tape_sim::Scratch;\nfn f() { std::fs::write(\"out\", b\"x\").expect(\"written\"); }\n";
     assert_reports(scratch, &[("tests/planted.rs", scoped)], &[]);
+}
+
+#[test]
+fn test_tail_self_test() {
+    let path = "crates/x/src/lib.rs";
+    let planted = "fn a() {}\n#[cfg(test)]\nfn helper() {}\nimpl A {\n    #[cfg(test)]\n    fn b() {}\n}\n\
+                   #[cfg(test)]\nmod tests {}\n";
+    assert_reports(test_tail, &[(path, planted)], &[&format!("{path}:2"), &format!("{path}:5")]);
+    let tail = "fn a() {}\n#[cfg(test)]\nmod tests {\n    #[cfg(test)]\n    fn h() {}\n}\n\
+                #[cfg(test)]\nmod probe {}\n";
+    assert_reports(test_tail, &[(path, tail)], &[]);
+    assert_reports(test_tail, &[("tests/planted.rs", planted)], &[]);
+    let hidden = format!("{}fn b() {{}}\n", hidden("#[cfg(test)]"));
+    assert_reports(test_tail, &[(path, &hidden)], &[]);
 }
