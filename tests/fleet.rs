@@ -227,7 +227,6 @@ fn fleet_router(seed: u64) -> FleetRouter {
         FLEET_DEVICES,
         seed,
         GatewayConfig {
-            queue_depth: 8,
             admission_budget: 10_000,
             workers: fleet_workers(),
             ..GatewayConfig::default()
@@ -840,7 +839,7 @@ fn overload_hint_quotes_the_home_device_not_an_idle_sibling() {
     // a home that had not drained and was rejected again.)
     let genesis = fleet_genesis();
     let configs = [
-        GatewayConfig { queue_depth: 6, admission_budget: 6, ..GatewayConfig::default() },
+        GatewayConfig { admission_budget: 6, ..GatewayConfig::default() },
         GatewayConfig::default(),
     ];
     let gateways = configs

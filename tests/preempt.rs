@@ -102,7 +102,7 @@ const TAIL_SLICE: u64 = 2_000_000;
 fn tail_latency_run(bombs: bool, gas_slice: Option<u64>) -> Vec<u64> {
     let mut gateway = Gateway::new(
         device(gas_slice),
-        GatewayConfig { queue_depth: 8, admission_budget: 40, ..GatewayConfig::default() },
+        GatewayConfig { admission_budget: 40, ..GatewayConfig::default() },
     );
     let bomber = gateway.connect(b"tail bomber").expect("attestation succeeds");
     let honest: Vec<u64> = (0..3)
@@ -231,7 +231,7 @@ fn retry_hints_shrink_as_preempted_bombs_near_completion() {
     config.hevm_count = 1;
     let mut gateway = Gateway::new(
         HarDTape::new(config, Env::default(), &genesis()).expect("device boots"),
-        GatewayConfig { queue_depth: 4, admission_budget: 4, ..GatewayConfig::default() },
+        GatewayConfig { admission_budget: 4, ..GatewayConfig::default() },
     );
     let bomber = gateway.connect(b"hint bomber").expect("attestation succeeds");
     for _ in 0..4 {
@@ -350,7 +350,7 @@ fn checkpoint_cover_ablation_fails_the_segment_audit() {
 fn preempted_bomb_completes_exactly_once_through_the_gateway() {
     let mut gateway = Gateway::new(
         device(Some(GAS_SLICE)),
-        GatewayConfig { queue_depth: 4, admission_budget: 8, ..GatewayConfig::default() },
+        GatewayConfig { admission_budget: 8, ..GatewayConfig::default() },
     );
     let bomber = gateway.connect(b"once bomber").expect("attestation succeeds");
     let honest = gateway.connect(b"once honest").expect("attestation succeeds");

@@ -162,7 +162,6 @@ fn completions_digest(completions: &[Completion]) -> String {
 /// isolation contracts.
 fn chaos_run(seed: u64) -> (String, String, Vec<(u64, usize)>) {
     let mut gateway = soak_gateway(GatewayConfig {
-        queue_depth: 6,
         admission_budget: 18,
         workers: soak_workers(),
         ..GatewayConfig::default()
@@ -351,7 +350,6 @@ fn chaos_soak_is_deterministic_and_exactly_once() {
 #[test]
 fn full_queue_burst_rejects_with_typed_overload_only() {
     let mut gateway = soak_gateway(GatewayConfig {
-        queue_depth: 4,
         admission_budget: 4,
         ..GatewayConfig::default()
     });
@@ -367,7 +365,7 @@ fn full_queue_burst_rejects_with_typed_overload_only() {
             Err(err) => rejections.push(err),
         }
     }
-    assert_eq!(tickets.len(), 4, "exactly the queue capacity is admitted");
+    assert_eq!(tickets.len(), 4, "exactly the admission budget is admitted");
     assert_eq!(rejections.len(), 6, "everything past capacity is refused");
     for err in &rejections {
         match err {
@@ -396,7 +394,6 @@ fn heavy_tenant_cannot_starve_light_tenant() {
     // credit, the light tenant's singles cost one — DRR serves the light
     // tenant four bundles for every heavy one.
     let mut gateway = soak_gateway(GatewayConfig {
-        queue_depth: 8,
         admission_budget: 16,
         ..GatewayConfig::default()
     });
@@ -554,15 +551,15 @@ fn tenant_local_rejection_hints_shrink_as_the_backlog_drains() {
     };
     let mut gateway = Gateway::new(
         HarDTape::new(service, Env::default(), &soak_genesis()).expect("device boots"),
-        GatewayConfig { queue_depth: 4, admission_budget: 24, ..GatewayConfig::default() },
+        GatewayConfig { admission_budget: 24, ..GatewayConfig::default() },
     );
     let victim = gateway.connect(b"hint tenant A").expect("attestation succeeds");
     let other = gateway.connect(b"hint tenant B").expect("attestation succeeds");
 
-    // Fill the victim's queue (depth 4) plus backlog from the other
+    // Fill the victim's queue (depth 8) plus backlog from the other
     // tenant; the global budget (24) stays clear, so every rejection
     // below is tenant-local, not an admission-budget refusal.
-    for step in 0..4 {
+    for step in 0..8 {
         gateway.submit(victim, transfer_bundle(0, step)).expect("victim queue has room");
         gateway.submit(other, transfer_bundle(1, step)).expect("other queue has room");
     }
@@ -744,7 +741,6 @@ fn reorged_pin_failing_revalidation_is_shed_with_its_analysis_reject() {
 /// telemetry digest and the completions digest.
 fn reorg_chaos_run(seed: u64) -> (String, String) {
     let mut gateway = soak_gateway(GatewayConfig {
-        queue_depth: 6,
         admission_budget: 18,
         workers: soak_workers(),
         ..GatewayConfig::default()
@@ -856,8 +852,7 @@ fn preempt_chaos_run(seed: u64) -> (String, String) {
     let mut gateway = Gateway::new(
         HarDTape::new(service, Env::default(), &preempt_genesis()).expect("device boots"),
         GatewayConfig {
-            queue_depth: 6,
-            admission_budget: 24,
+                admission_budget: 24,
             workers: soak_workers(),
             ..GatewayConfig::default()
         },
