@@ -113,7 +113,7 @@ fn router(devices: usize, seed: u64) -> FleetRouter {
             };
             Gateway::new(
                 HarDTape::new(service, Env::default(), &genesis).expect("device boots"),
-                GatewayConfig { queue_depth: 8, admission_budget: 10_000, ..GatewayConfig::default() },
+                GatewayConfig { admission_budget: 10_000, ..GatewayConfig::default() },
             )
         })
         .collect();

@@ -155,7 +155,7 @@ fn tail_run(bombs: bool) -> Result<TailOutcome, String> {
     let device = HarDTape::new(config, Env::default(), &genesis).expect("tail device boots");
     let mut gateway = Gateway::new(
         device,
-        GatewayConfig { queue_depth: 8, admission_budget: 40, ..GatewayConfig::default() },
+        GatewayConfig { admission_budget: 40, ..GatewayConfig::default() },
     );
     let bomber = gateway.connect(b"bench tail bomber").expect("attestation");
     let honest: Vec<u64> = (0..3u64)

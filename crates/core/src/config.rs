@@ -4,6 +4,8 @@
 //! ([`GatewayConfig`]): how much demand is admitted, and how many host
 //! threads drain it.
 
+use crate::gateway::QUEUE_DEPTH;
+
 /// The cumulative security-feature ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SecurityConfig {
@@ -70,8 +72,6 @@ impl core::fmt::Display for SecurityConfig {
 /// Admission bounds and host parallelism for the multi-tenant gateway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatewayConfig {
-    /// Per-tenant bounded-FIFO depth.
-    pub queue_depth: usize,
     /// Global cap on simultaneously queued bundles across all tenants
     /// (the admission budget; the default is cores × queue depth).
     pub admission_budget: usize,
@@ -87,9 +87,8 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            queue_depth: 8,
             // The default chip has 3 HEVM cores.
-            admission_budget: 3 * 8,
+            admission_budget: 3 * QUEUE_DEPTH,
             // One worker: sequential host execution unless the
             // deployment opts into parallelism.
             workers: 1,

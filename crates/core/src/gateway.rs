@@ -6,10 +6,10 @@
 //! HEVM pool and makes overload a first-class, *typed* state instead of
 //! an unbounded queue:
 //!
-//! * **Admission control** — each tenant gets a bounded FIFO
-//!   ([`tape_sim::queue::BoundedQueue`]); a global admission budget
-//!   ([`GatewayConfig::admission_budget`], cores × queue depth by
-//!   default) caps total queued work. Beyond either bound, submission
+//! * **Admission control** — each tenant gets a bounded FIFO of eight
+//!   bundles ([`tape_sim::queue::BoundedQueue`]); a global admission
+//!   budget ([`GatewayConfig::admission_budget`], cores × queue depth
+//!   by default) caps total queued work. Beyond either bound, submission
 //!   is refused with [`GatewayError::Overloaded`] carrying a
 //!   `retry_after` hint.
 //! * **Deadline propagation** — every bundle is stamped with a
@@ -229,10 +229,13 @@ impl Admitted {
     }
 }
 
+/// Bundles one tenant may have queued: the depth of its bounded FIFO.
+pub(crate) const QUEUE_DEPTH: usize = 8;
+
 /// Virtual time from admission to dequeue before a queued bundle is
 /// shed: the service watchdog (30 virtual seconds) per slot of the
-/// default queue depth a bundle may wait behind.
-const DEADLINE_NS: Nanos = 8 * 30_000_000_000;
+/// tenant queue a bundle may wait behind.
+const DEADLINE_NS: Nanos = QUEUE_DEPTH as Nanos * 30_000_000_000;
 
 /// Consecutive failed syncs before the feed breaker opens: three
 /// strikes, the HEVM core-quarantine discipline.
@@ -343,7 +346,7 @@ impl Gateway {
         self.tenants.push(Tenant {
             session,
             handle,
-            queue: BoundedQueue::new(self.config.queue_depth),
+            queue: BoundedQueue::new(QUEUE_DEPTH),
         });
         self.by_session.insert(session, index);
         self.log.record(format_args!("t={} connect session={session}", self.now()));
