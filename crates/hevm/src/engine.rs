@@ -360,8 +360,6 @@ pub struct Checkpoint {
     origin: Address,
     gas_price: U256,
     stats: HevmStats,
-    swap_outs: u64,
-    tamper_on_swap: Option<u64>,
     frame_misses_seen: u64,
     pending: PendingTx,
     root_gas: u64,
@@ -480,10 +478,6 @@ pub struct Hevm<R, I = NoopInspector> {
     stats: HevmStats,
     /// The explicit layer-2 call stack.
     slots: Vec<Slot>,
-    /// Test hook: corrupt the layer-3 ciphertext written by the n-th
-    /// swap-out (0-based), simulating attack A4 mid-execution.
-    tamper_on_swap: Option<u64>,
-    swap_outs: u64,
     /// Cumulative miss count of the current top frame at the last step
     /// (for delta-based accumulation into `stats.l1_misses`).
     frame_misses_seen: u64,
@@ -541,8 +535,6 @@ impl<R: StateReader> Hevm<R> {
             origin,
             gas_price,
             stats,
-            swap_outs,
-            tamper_on_swap,
             frame_misses_seen,
             pending,
             root_gas,
@@ -571,8 +563,6 @@ impl<R: StateReader> Hevm<R> {
             gas_price,
             stats,
             slots,
-            tamper_on_swap,
-            swap_outs,
             frame_misses_seen,
             watchdog_deadline: None,
             pending: Some(pending),
@@ -615,8 +605,6 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             gas_price: U256::ZERO,
             stats: HevmStats::default(),
             slots: Vec::new(),
-            tamper_on_swap: None,
-            swap_outs: 0,
             frame_misses_seen: 0,
             watchdog_deadline: None,
             pending: None,
@@ -670,13 +658,6 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
     /// The adversary-visible layer-3 swap log.
     pub fn swap_log(&self) -> &[SwapEvent] {
         self.pager.swap_log()
-    }
-
-    /// Test hook: corrupts the ciphertext produced by the `nth` swap-out
-    /// (0-based) as soon as it is written — an adversary flipping bits in
-    /// untrusted memory mid-execution (attack A4).
-    pub fn tamper_on_swap(&mut self, nth: u64) {
-        self.tamper_on_swap = Some(nth);
     }
 
     fn charge_local_fetch(&mut self) {
@@ -929,10 +910,6 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                     let bytes = data.serialize();
                     let hold = if self.config.checkpoint_cover {
                         let handle = self.pager.swap_out(&bytes, &self.clock, &self.config.cost);
-                        if self.tamper_on_swap == Some(self.swap_outs) {
-                            self.pager.tamper(handle.index);
-                        }
-                        self.swap_outs += 1;
                         self.stats.swaps += 1;
                         self.stats.exceptions += 1;
                         covered += 1;
@@ -956,8 +933,6 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             origin: self.origin,
             gas_price: self.gas_price,
             stats: self.stats,
-            swap_outs: self.swap_outs,
-            tamper_on_swap: self.tamper_on_swap,
             frame_misses_seen: self.frame_misses_seen,
             pending,
             root_gas: self.root_gas,
@@ -1398,10 +1373,6 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
             let Slot::Resident { meta, data } = slot else { unreachable!("position matched") };
             let bytes = data.serialize();
             let handle = self.pager.swap_out(&bytes, &self.clock, &self.config.cost);
-            if self.tamper_on_swap == Some(self.swap_outs) {
-                self.pager.tamper(handle.index);
-            }
-            self.swap_outs += 1;
             self.stats.swaps += 1;
             self.stats.exceptions += 1;
             self.slots[victim_idx] = Slot::Swapped { meta, handle };

@@ -209,23 +209,6 @@ impl Layer3Pager {
     pub fn take_swap_log(&mut self) -> Vec<SwapEvent> {
         std::mem::take(&mut self.swap_log)
     }
-
-    /// Test hook: corrupts a stored ciphertext (simulates attack A4).
-    pub fn tamper(&mut self, index: usize) {
-        if let Some(sealed) = self.store.get_mut(index) {
-            if let Some(last) = sealed.last_mut() {
-                *last ^= 0xFF;
-            }
-        }
-    }
-
-    /// Test hook: replays an old ciphertext into another slot.
-    pub fn replay(&mut self, from: usize, to: usize) {
-        if from < self.store.len() && to < self.store.len() {
-            let copy = self.store[from].clone();
-            self.store[to] = copy;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +236,8 @@ mod tests {
     fn tamper_detected() {
         let (mut p, clock, cost) = pager();
         let handle = p.swap_out(&[1, 2, 3], &clock, &cost);
-        p.tamper(handle.index);
+        // The adversary flips the last tag byte in untrusted memory.
+        *p.store[handle.index].last_mut().unwrap() ^= 0xFF;
         assert_eq!(p.swap_in(handle, &clock, &cost), Err(Layer3Tampered));
     }
 
@@ -263,7 +247,7 @@ mod tests {
         let h0 = p.swap_out(&[0xAA; 100], &clock, &cost);
         let h1 = p.swap_out(&[0xBB; 100], &clock, &cost);
         // Adversary replaces frame 1's ciphertext with frame 0's.
-        p.replay(h0.index, h1.index);
+        p.store[h1.index] = p.store[h0.index].clone();
         // The AAD binds the slot index, so the replay fails to open.
         assert_eq!(p.swap_in(h1, &clock, &cost), Err(Layer3Tampered));
     }

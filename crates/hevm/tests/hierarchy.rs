@@ -7,6 +7,7 @@ use tape_evm::opcode::op;
 use tape_evm::{Env, Transaction};
 use tape_hevm::{Hevm, HevmAbort, HevmConfig};
 use tape_primitives::{Address, U256};
+use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::resources::MemoryConfig;
 use tape_sim::Clock;
 use tape_state::{Account, InMemoryState};
@@ -141,12 +142,16 @@ fn layer3_tampering_aborts() {
     let b = backend(memory_hog(2));
     let mut tx = Transaction::call(sender(), contract(), vec![]);
     tx.gas_limit = 8_000_000;
-    let mut hevm = Hevm::new(tiny_layer2(), Env::default(), &b, Clock::new());
+    let clock = Clock::new();
 
-    // The adversary flips bits in the first frame written to untrusted
+    // The adversary flips a bit in the first frame written to untrusted
     // memory, mid-execution.
-    hevm.tamper_on_swap(0);
+    let plan = FaultPlan::new(1, &clock);
+    plan.arm(FaultSite::PageStore, &[FaultKind::BitFlip], 1, 1);
+    let config = HevmConfig { faults: Some(plan.clone()), ..tiny_layer2() };
+    let mut hevm = Hevm::new(config, Env::default(), &b, clock);
     let result = hevm.transact(&tx);
+    assert_eq!(plan.injected(), 1);
     match result {
         Err(HevmAbort::Layer3Tampered) => {}
         other => panic!("expected Layer3Tampered, got {other:?}"),

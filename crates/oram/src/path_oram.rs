@@ -200,13 +200,6 @@ impl OramServer {
         self.backend.state_digest()
     }
 
-    /// Adversary hook: mutates stored slot ciphertexts in place (the
-    /// malicious SP rewriting its own storage — caught only by the
-    /// client's AES-GCM).
-    pub fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8])) {
-        self.backend.corrupt_slots(f);
-    }
-
     /// Fills one path — [`OramConfig::blocks_per_access`] slots of
     /// [`OramConfig::slot_len`] bytes, root bucket first, given as two
     /// halves split at a bucket boundary, root side first — with the
@@ -1043,6 +1036,31 @@ mod tests {
         vec![fill; config_size]
     }
 
+    /// The malicious SP rewriting its own storage through its own path
+    /// reads and write-backs: `f(bucket, slot)` sees each slot of every
+    /// bucket ever written, each bucket once. A path goes back only when
+    /// every bucket on it was written, and every written bucket lies on
+    /// such a path (the write-back that wrote it).
+    fn corrupt_stored(server: &mut OramServer, f: &mut dyn FnMut(usize, &mut [u8])) {
+        let config = server.config().clone();
+        let (bucket_len, levels) = (config.bucket_len(), config.path_len() as u32);
+        let mut path = vec![0u8; levels as usize * bucket_len];
+        let mut seen = std::collections::HashSet::new();
+        for leaf in 0..config.leaves() {
+            let written = server.read_path(leaf, 0, &mut path, &mut []).expect("honest store");
+            if written != (1 << levels) - 1 {
+                continue;
+            }
+            for (level, bucket) in (0..levels).zip(path.chunks_exact_mut(bucket_len)) {
+                let index = config.bucket_index(leaf, level);
+                if seen.insert(index) {
+                    bucket.chunks_exact_mut(config.slot_len()).for_each(|slot| f(index, slot));
+                }
+            }
+            server.write_path(leaf, &path, &[]).expect("honest store");
+        }
+    }
+
     #[test]
     fn bucket_index_geometry() {
         let c = OramConfig { block_size: 1, bucket_capacity: 1, height: 2 };
@@ -1120,13 +1138,11 @@ mod tests {
     fn server_tampering_detected() {
         let (mut server, mut client, clock, cost) = setup();
         client.write(&mut server, &clock, &cost, &bid(1), block(64, 5)).unwrap();
-        // Corrupt every non-empty slot ciphertext (the malicious SP
-        // rewriting its storage — store framing stays valid).
-        server.corrupt_slots(&mut |_, _, slot| {
-            if !slot.is_empty() {
-                let last = slot.len() - 1;
-                slot[last] ^= 0xFF;
-            }
+        // Corrupt every stored slot ciphertext (the malicious SP
+        // rewriting its storage).
+        corrupt_stored(&mut server, &mut |_, slot| {
+            let last = slot.len() - 1;
+            slot[last] ^= 0xFF;
         });
         let err = client.read(&mut server, &clock, &cost, &bid(1)).unwrap_err();
         assert_eq!(err, OramError::Tampered);
@@ -1156,7 +1172,8 @@ mod tests {
                     client.write(&mut server, &clock, &cost, &bid(i % 4), data).unwrap();
                 }
                 let mut flipped = Vec::new();
-                server.corrupt_slots(&mut |bucket, _, slot| {
+                corrupt_stored(&mut server, &mut |bucket, slot| {
+                    let bucket = bucket as u64;
                     if !buckets.contains(&bucket) || flipped.contains(&bucket) {
                         return;
                     }

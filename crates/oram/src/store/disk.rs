@@ -210,8 +210,7 @@ pub struct DiskStore {
     mirror: Vec<Box<[u8]>>,
     /// One mark a bucket: the mirror record's MAC was computed or checked
     /// since the record last changed. Set by `commit` and by recovery,
-    /// and only when MACs are verified; cleared by bit rot and by
-    /// `corrupt_slots`.
+    /// and only when MACs are verified; cleared by bit rot.
     mac_checked: Vec<bool>,
     /// Open transaction: the encoded bucket records staged since the
     /// last commit.
@@ -672,26 +671,5 @@ impl BucketBackend for DiskStore {
             digest_bucket(&mut h, bucket as u64, slots, self.capacity);
         }
         h.finalize()
-    }
-
-    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8])) {
-        // The malicious SP rewrites its own storage: slots are mutated
-        // and re-framed with valid MACs — only the client's AES-GCM can
-        // catch this, which is exactly the layering under test.
-        for bucket in 0..self.mirror.len() {
-            let Ok(Decoded::Record(rec, _)) = decode_record(&self.key, &self.mirror[bucket], false)
-            else {
-                continue;
-            };
-            let mut slots = rec.payload.to_vec();
-            let slot_len = (slots.len() / self.capacity).max(1);
-            for (i, slot) in slots.chunks_exact_mut(slot_len).enumerate() {
-                f(bucket as u64, i, slot);
-            }
-            let mut record = Vec::with_capacity(self.mirror[bucket].len());
-            encode_record_into(&mut record, &self.key, &Record { payload: &slots, ..rec });
-            self.mirror[bucket] = record.into();
-            self.mac_checked[bucket] = false;
-        }
     }
 }

@@ -123,12 +123,6 @@ pub trait BucketBackend: core::fmt::Debug {
     /// logical tree produce the same digest — the byte-identity oracle
     /// crash-recovery tests compare against an in-memory twin.
     fn state_digest(&self) -> B256;
-
-    /// Test/adversary hook: mutates stored slot ciphertexts in place via
-    /// `f(bucket, slot, bytes)`. Models the malicious SP rewriting its
-    /// own storage (store-level framing stays valid; only the client's
-    /// AES-GCM can catch it).
-    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8]));
 }
 
 /// Digest helper shared by backends: extends `h` with one bucket's
@@ -251,15 +245,6 @@ impl BucketBackend for MemBackend {
             digest_bucket(&mut h, bucket as u64, slots, self.capacity);
         }
         h.finalize()
-    }
-
-    fn corrupt_slots(&mut self, f: &mut dyn FnMut(u64, usize, &mut [u8])) {
-        for (bucket, slots) in self.buckets.iter_mut().enumerate() {
-            let slot_len = (slots.len() / self.capacity).max(1);
-            for (i, slot) in slots.chunks_exact_mut(slot_len).enumerate() {
-                f(bucket as u64, i, slot);
-            }
-        }
     }
 }
 
