@@ -11,6 +11,9 @@
 //! small gas slice (every few dozen instructions a segment ends and the
 //! next continues in place) and with a gas slice drawn per case from
 //! 1..=64 (segments end inside straight-line runs at every offset).
+//! One property builds deep stacks on purpose: long straight-line runs
+//! entered within a few words of the 1 024-word limit or of the run's
+//! need, where every word a run moves is compared at every step.
 
 use tape_crypto::prop::{check, Gen};
 use tape_evm::asm::Asm;
@@ -306,11 +309,121 @@ fn random_recursion(rig: &Rig, cases: u32) {
     assert!(swaps > 0 || !rig.may_overflow, "the tiny layer 2 never spilled a frame");
 }
 
+/// The pure ALU ops a straight-line run can hold.
+const RUN_ALU: &[u8] = &[
+    op::ADD,
+    op::MUL,
+    op::SUB,
+    op::DIV,
+    op::SDIV,
+    op::MOD,
+    op::SMOD,
+    op::ADDMOD,
+    op::MULMOD,
+    op::SIGNEXTEND,
+    op::LT,
+    op::GT,
+    op::SLT,
+    op::SGT,
+    op::EQ,
+    op::ISZERO,
+    op::AND,
+    op::OR,
+    op::XOR,
+    op::NOT,
+    op::BYTE,
+    op::SHL,
+    op::SHR,
+    op::SAR,
+];
+
+/// A word with exactly one nonzero limb, all ones, zero, a small value
+/// (a shift amount, a byte index) or arbitrary.
+fn run_word(g: &mut Gen) -> U256 {
+    match g.below(5) {
+        0 => {
+            let mut limbs = [0; 4];
+            limbs[g.index(4)] = g.u64() | 1 << g.below(64);
+            U256::from_limbs(limbs)
+        }
+        1 => U256::MAX,
+        2 => U256::ZERO,
+        3 => U256::from(g.below(300)),
+        _ => U256::from_limbs([g.u64(), g.u64(), g.u64(), g.u64()]),
+    }
+}
+
+/// Deep straight-line runs: a body of DUP1–16, SWAP1–16, PUSH1–32 and
+/// ALU ops closed by a JUMPI, entered (after a `JUMP`, so it is a run of
+/// its own) at a height within two words of the body's need or of the
+/// height at which its peak touches the 1 024-word limit — on both
+/// sides, so the per-instruction path meets the underflow and overflow
+/// the entry check refused. Traces include every stack snapshot.
+fn deep_straight_runs(rig: &Rig, cases: u32) {
+    check("deep_straight_runs_agree", cases, |g| {
+        let mut body = Asm::new();
+        let (mut height, mut need, mut peak) = (0i64, 0i64, 0i64);
+        let mut step = |inputs: i64, outputs: i64| {
+            need = need.max(inputs - height);
+            height += outputs - inputs;
+            peak = peak.max(height);
+        };
+        for _ in 0..g.range(16, 160) {
+            body = match g.below(10) {
+                0..=2 => {
+                    let n = g.range(1, 17) as u8;
+                    step(i64::from(n), i64::from(n) + 1);
+                    body.op(op::DUP1 + n - 1)
+                }
+                3..=5 => {
+                    let n = g.range(1, 17) as u8;
+                    step(i64::from(n) + 1, i64::from(n) + 1);
+                    body.op(op::SWAP1 + n - 1)
+                }
+                6 => {
+                    let value = run_word(g);
+                    let least = value.to_be_bytes_trimmed().len().max(1) as u64;
+                    step(0, 1);
+                    body.push_width(value, g.range(least, 33) as usize)
+                }
+                _ => {
+                    let alu = *g.choose(RUN_ALU);
+                    let info = tape_evm::opcode::info(alu);
+                    step(i64::from(info.inputs), i64::from(info.outputs));
+                    body.op(alu)
+                }
+            };
+        }
+        // The condition is whatever the body left on top.
+        step(1, 1);
+        let (need, peak) = (need as usize, peak.max(height + 1) as usize);
+        let room = 1024usize.saturating_sub(peak);
+        let near = if g.bool() { need } else { room.max(need) };
+        // One word stays free for the `JUMP` into the body.
+        let entry = (near + g.index(5)).saturating_sub(2).min(1023);
+
+        let mut asm = Asm::new();
+        for _ in 0..entry {
+            asm = asm.push(run_word(g));
+        }
+        let code = asm
+            .jump("body")
+            .label("body")
+            .ops(&body.build())
+            .jumpi("taken")
+            .stop()
+            .label("taken")
+            .ret_top()
+            .build();
+        run_both(rig, g, code, vec![], vec![], 1_000_000);
+    });
+}
+
 /// A property: runs `cases` seeded cases against a rig.
 type Property = fn(&Rig, u32);
 
 /// Every property, by name.
-const PROPERTIES: [(&str, Property); 7] = [
+const PROPERTIES: [(&str, Property); 8] = [
     ("random_bytes", random_bytes),
     ("biased_opcode_soup", biased_opcode_soup),
     ("structured_programs", structured_programs),
@@ -318,6 +431,7 @@ const PROPERTIES: [(&str, Property); 7] = [
     ("random_memory_traffic", random_memory_traffic),
     ("gas_exhaustion", gas_exhaustion),
     ("random_recursion", random_recursion),
+    ("deep_straight_runs", deep_straight_runs),
 ];
 
 #[test]
@@ -355,6 +469,12 @@ fn gas_exhaustion_agrees() {
 fn random_recursion_agrees() {
     random_recursion(&Rig::default(), CASES);
     random_recursion(&Rig::tiny_layer2(), CASES);
+}
+
+#[test]
+fn deep_straight_runs_agree() {
+    deep_straight_runs(&Rig::default(), CASES);
+    deep_straight_runs(&Rig::drawn_slice(), CASES);
 }
 
 /// The soak: twenty times tier-1's cases per property, on the default
