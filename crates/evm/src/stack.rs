@@ -103,8 +103,9 @@ impl Stack {
     pub fn open<R>(&mut self, room: usize, f: impl FnOnce(&mut Words<'_>) -> R) -> R {
         let top = self.data.len();
         debug_assert!(top + room <= STACK_LIMIT, "stack bound checked by the caller");
+        let head = self.data.last().map_or([0; 2], halves);
         self.data.resize(top + room, U256::ZERO);
-        let mut words = Words { words: &mut self.data, top };
+        let mut words = Words { words: &mut self.data, top, head };
         let out = f(&mut words);
         let top = words.top;
         self.data.truncate(top);
@@ -112,12 +113,45 @@ impl Stack {
     }
 }
 
-/// An opened [`Stack`]: the words plus spare room, and the height as a
-/// plain index (see [`Stack::open`]).
+/// An opened [`Stack`]: the words plus spare room, the height as a
+/// plain index, and the top word in a local (see [`Stack::open`]).
+///
+/// Nearly every instruction reads the top word, and usually the one
+/// before it wrote it. A word copied through memory as a whole is read
+/// back with 16-byte vector loads, while arithmetic writes it as four
+/// 8-byte limbs; such a load cannot be forwarded from those stores and
+/// waits for them to retire. So the top word lives in `head`, and the
+/// slots are touched only limb by limb: every write to the top is
+/// written through to its slot from `head`, which keeps [`as_slice`]
+/// exact, and memory is read only for a word below the top, straight
+/// into `head`.
+///
+/// `head` holds the word as two `u128` halves rather than as a
+/// [`U256`]: the compiler packs a local `U256`'s adjacent `u64` limbs
+/// into vector lanes when it finds that cheaper, which brings the wide
+/// loads back, while a `u128` stays a pair of general registers that
+/// loads and stores 8 bytes at a time.
+///
+/// [`as_slice`]: Words::as_slice
 #[derive(Debug)]
 pub struct Words<'a> {
     words: &'a mut [U256],
     top: usize,
+    /// `words[top - 1]` as low and high halves; zero on an empty stack.
+    head: [u128; 2],
+}
+
+/// A word as its low and high 128-bit halves (see [`Words`]).
+#[inline(always)]
+fn halves(word: &U256) -> [u128; 2] {
+    let [a, b, c, d] = *word.limbs();
+    [u128::from(a) | u128::from(b) << 64, u128::from(c) | u128::from(d) << 64]
+}
+
+/// The word with halves `[low, high]`.
+#[inline(always)]
+fn word([low, high]: [u128; 2]) -> U256 {
+    U256::from_limbs([low as u64, (low >> 64) as u64, high as u64, (high >> 64) as u64])
 }
 
 impl Words<'_> {
@@ -130,33 +164,57 @@ impl Words<'_> {
     /// Pushes a word.
     #[inline]
     pub fn push(&mut self, value: U256) {
-        self.words[self.top] = value;
-        self.top += 1;
+        self.push_halves(halves(&value));
     }
 
     /// Pops a word.
     #[inline]
     pub fn pop(&mut self) -> U256 {
+        let value = word(self.head);
         self.top -= 1;
-        self.words[self.top]
+        self.head = self.top.checked_sub(1).map_or([0; 2], |below| halves(&self.words[below]));
+        value
     }
 
-    /// The top word, in place.
+    /// The top word.
     #[inline]
-    pub fn top(&mut self) -> &mut U256 {
-        &mut self.words[self.top - 1]
+    pub fn top(&self) -> U256 {
+        word(self.head)
+    }
+
+    /// Replaces the top word.
+    #[inline]
+    pub fn set_top(&mut self, value: U256) {
+        self.set_head(halves(&value));
     }
 
     /// `DUPn`: pushes a copy of the `n`-th word from the top (1-based).
     #[inline]
     pub fn dup(&mut self, n: usize) {
-        self.push(self.words[self.top - n]);
+        let value = if n == 1 { self.head } else { halves(&self.words[self.top - n]) };
+        self.push_halves(value);
     }
 
     /// `SWAPn`: swaps the top with the `n`-th word below it (1-based).
     #[inline]
     pub fn swap(&mut self, n: usize) {
-        self.words.swap(self.top - 1, self.top - 1 - n);
+        let slot = self.top - 1 - n;
+        let below = halves(&self.words[slot]);
+        self.words[slot] = word(self.head);
+        self.set_head(below);
+    }
+
+    #[inline(always)]
+    fn push_halves(&mut self, value: [u128; 2]) {
+        self.words[self.top] = word(value);
+        self.head = value;
+        self.top += 1;
+    }
+
+    #[inline(always)]
+    fn set_head(&mut self, value: [u128; 2]) {
+        self.words[self.top - 1] = word(value);
+        self.head = value;
     }
 }
 
@@ -198,9 +256,9 @@ mod tests {
             w.push(u(9)); // [1, 2, 1, 9]
             w.swap(3); // [9, 2, 1, 1]
             let a = w.pop();
-            *w.top() += a; // [9, 2, 2]
+            w.set_top(w.top() + a); // [9, 2, 2]
             assert_eq!(w.as_slice(), &[u(9), u(2), u(2)]);
-            *w.top()
+            w.top()
         });
         assert_eq!(top, u(2));
         assert_eq!(s.as_slice(), &[u(9), u(2), u(2)]);

@@ -108,9 +108,14 @@ impl U256 {
     }
 
     /// Returns `true` if the value is zero.
+    ///
+    /// Limb by limb: an array compare, or one OR over all four limbs,
+    /// compiles to two 16-byte vector loads, which cannot be forwarded
+    /// from the four 8-byte stores that usually just wrote the word.
     #[inline]
     pub fn is_zero(&self) -> bool {
-        self.limbs == [0; 4]
+        let [a, b, c, d] = self.limbs;
+        a == 0 && b == 0 && c == 0 && d == 0
     }
 
     /// Returns the number of significant bits (0 for zero).
@@ -154,11 +159,9 @@ impl U256 {
     /// Converts to `u64` if the value fits.
     #[inline]
     pub fn try_into_u64(self) -> Option<u64> {
-        if self.limbs[1] == 0 && self.limbs[2] == 0 && self.limbs[3] == 0 {
-            Some(self.limbs[0])
-        } else {
-            None
-        }
+        // Limb by limb, as in `is_zero`.
+        let [low, b, c, d] = self.limbs;
+        (b | c | d == 0).then_some(low)
     }
 
     /// Converts to `usize` if the value fits.
