@@ -230,7 +230,7 @@ impl Admitted {
 }
 
 /// Bundles one tenant may have queued: the depth of its bounded FIFO.
-pub(crate) const QUEUE_DEPTH: usize = 8;
+pub const QUEUE_DEPTH: usize = 8;
 
 /// Virtual time from admission to dequeue before a queued bundle is
 /// shed: the service watchdog (30 virtual seconds) per slot of the

@@ -54,6 +54,7 @@ mod service;
 pub use config::{GatewayConfig, SecurityConfig};
 pub use gateway::{
     merge_completions, Completion, FailoverEntry, Gateway, GatewayError, GatewayStats,
+    QUEUE_DEPTH,
 };
 pub use reader::HybridState;
 pub use tape_analysis::PrecisionSummary;

@@ -19,7 +19,7 @@
 
 use hardtape::{
     Bundle, Completion, Gateway, GatewayConfig, GatewayError, HarDTape,
-    SecurityConfig, ServiceConfig, ServiceError, SyncOutcome,
+    SecurityConfig, ServiceConfig, ServiceError, SyncOutcome, QUEUE_DEPTH,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use tape_analysis::AnalysisReject;
@@ -349,15 +349,19 @@ fn chaos_soak_is_deterministic_and_exactly_once() {
 
 #[test]
 fn full_queue_burst_rejects_with_typed_overload_only() {
+    use tape_sim::telemetry::TelemetryEvent;
+
+    // A global budget above the tenant queue's depth: the burst fills
+    // the queue, and every refusal past it is tenant-local.
     let mut gateway = soak_gateway(GatewayConfig {
-        admission_budget: 4,
+        admission_budget: 2 * QUEUE_DEPTH,
         ..GatewayConfig::default()
     });
     let session = gateway.connect(b"burst tenant").expect("attestation succeeds");
 
     let mut tickets = BTreeSet::new();
     let mut rejections = Vec::new();
-    for step in 0..10 {
+    for step in 0..QUEUE_DEPTH + 6 {
         match gateway.submit(session, transfer_bundle(0, step)) {
             Ok(ticket) => {
                 tickets.insert(ticket);
@@ -365,7 +369,7 @@ fn full_queue_burst_rejects_with_typed_overload_only() {
             Err(err) => rejections.push(err),
         }
     }
-    assert_eq!(tickets.len(), 4, "exactly the admission budget is admitted");
+    assert_eq!(tickets.len(), QUEUE_DEPTH, "exactly the queue capacity is admitted");
     assert_eq!(rejections.len(), 6, "everything past capacity is refused");
     for err in &rejections {
         match err {
@@ -375,6 +379,14 @@ fn full_queue_burst_rejects_with_typed_overload_only() {
             other => panic!("burst rejection must be Overloaded, got {other}"),
         }
     }
+    let tenant_local_rejects = gateway
+        .device()
+        .telemetry()
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TelemetryEvent::Reject { tenant_local: true, .. }))
+        .count();
+    assert_eq!(tenant_local_rejects, 6, "the full queue, not the budget, refused the burst");
 
     // Nothing admitted is dropped: the burst drains to exactly the
     // admitted tickets, all successful.
