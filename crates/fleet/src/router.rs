@@ -39,7 +39,6 @@ use tape_node::FeedSet;
 use tape_primitives::B256;
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::EventLog;
-use tape_sim::telemetry::{CounterId, Telemetry};
 use tape_sim::Nanos;
 
 use crate::health::{DeviceHealth, HealthState, IDLE_TICK_NS};
@@ -130,6 +129,9 @@ pub struct FleetStats {
     pub migrations: u64,
     /// Devices latched into the terminal `Failed` state.
     pub device_failures: u64,
+    /// Device health-state transitions (Healthy/Suspect/Quarantined/
+    /// Probation edges, plus terminal Failed).
+    pub health_transitions: u64,
 }
 
 /// A tenant's routing record.
@@ -165,7 +167,6 @@ pub struct FleetRouter {
     round: u64,
     faults: Option<FaultPlan>,
     log: EventLog,
-    telemetry: Telemetry,
     stats: FleetStats,
 }
 
@@ -192,7 +193,6 @@ impl FleetRouter {
             round: 0,
             faults: None,
             log,
-            telemetry: Telemetry::new(),
             stats: FleetStats::default(),
         }
     }
@@ -243,11 +243,6 @@ impl FleetRouter {
         &self.log
     }
 
-    /// The router's telemetry registry (fleet counters live here).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Aggregate router counters.
     pub fn stats(&self) -> FleetStats {
         self.stats
@@ -268,11 +263,11 @@ impl FleetRouter {
         self.tenants.get(&session).map(|record| record.device)
     }
 
-    /// Deterministic fleet digest: the router's log and telemetry plus
-    /// every device's gateway log and device telemetry, in device
-    /// order. Two runs with the same seeds must produce the same value.
+    /// Deterministic fleet digest: the router's log plus every device's
+    /// gateway log and device telemetry, in device order. Two runs with
+    /// the same seeds must produce the same value.
     pub fn digest(&self) -> String {
-        let mut parts = vec![self.log.digest(), self.telemetry.digest()];
+        let mut parts = vec![self.log.digest()];
         for gateway in &self.gateways {
             parts.push(gateway.log().digest());
             parts.push(gateway.device().telemetry().digest());
@@ -312,12 +307,12 @@ impl FleetRouter {
         self.health[device].eligible(now)
     }
 
-    /// Records a health transition (if any) in the log and telemetry.
+    /// Records a health transition (if any) in the log and the stats.
     fn note_health(&mut self, device: usize) {
         let now = self.device_now(device);
         let state = self.health[device].state(now);
         if state != self.last_health[device] {
-            self.telemetry.count(CounterId::FleetHealthTransitions, 1);
+            self.stats.health_transitions += 1;
             self.log.record(format_args!(
                 "r={} health device={device} {} -> {}",
                 self.round, self.last_health[device], state
@@ -636,7 +631,6 @@ impl FleetRouter {
                     record.device = new_device;
                     record.device_session = device_session;
                 }
-                self.telemetry.count(CounterId::FleetMigrations, 1);
                 self.stats.migrations += 1;
                 self.log.record(format_args!(
                     "r={} migrate session={session} device={from}->{new_device}",

@@ -29,7 +29,6 @@ use tape_node::{BlockFeed, FeedSet, Node};
 use tape_primitives::{Address, B256, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::queue::interleave;
-use tape_sim::telemetry::CounterId;
 use tape_state::{Account, InMemoryState};
 use tape_tee::channel::verify_bundle;
 use tape_workload::contracts;
@@ -272,7 +271,6 @@ struct FleetRunOutcome {
     /// byte-identical to the clean run's.
     post_crash_ok: BTreeSet<(usize, usize)>,
     stats: FleetStats,
-    health_transitions: u64,
     /// Bombs still in flight on the crashed device when it died, and
     /// the segments it had run of them (crash runs only): the work the
     /// survivors run again.
@@ -484,7 +482,6 @@ fn fleet_chaos_run(seed: u64, crash: bool) -> FleetRunOutcome {
         migrated,
         post_crash_ok,
         stats,
-        health_transitions: router.telemetry().counter(CounterId::FleetHealthTransitions),
         rerun,
     }
 }
@@ -507,7 +504,7 @@ fn fleet_chaos_soak_is_deterministic_and_survives_device_loss() {
         crash_a.migrated.len() as u64,
         "every tenant on the dead device re-attested on a survivor"
     );
-    assert!(crash_a.health_transitions >= 1, "health transitions must be observable");
+    assert!(crash_a.stats.health_transitions >= 1, "health transitions must be observable");
 
     // Migrated tenants' post-crash receipts are byte-identical to a
     // crash-free fleet run: migration moved the session, not the
@@ -823,7 +820,7 @@ fn hang_faults_walk_quarantine_and_probation_back_to_healthy() {
     assert!(completions.iter().any(|c| c.ticket == ticket && c.outcome.is_ok()));
     assert_eq!(router.health_state(home), HealthState::Healthy);
     assert!(
-        router.telemetry().counter(CounterId::FleetHealthTransitions) >= 4,
+        router.stats().health_transitions >= 4,
         "healthy->suspect->quarantined->probation->healthy must all be observable"
     );
 }
