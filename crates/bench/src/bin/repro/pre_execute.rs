@@ -36,7 +36,7 @@ use tape_evm::{Env, Transaction};
 use tape_primitives::{Address, U256};
 use tape_sim::fault::Ablation;
 use tape_sim::telemetry::audit::{AuditReport, Violation};
-use tape_sim::telemetry::{CounterId, GaugeId, HistId};
+use tape_sim::telemetry::{CounterId, HistId};
 use tape_state::{Account, InMemoryState};
 use tape_workload::{contracts, EvalSet};
 
@@ -91,10 +91,10 @@ fn sweep(set: &EvalSet, ablation: Option<Ablation>) -> RunOutcome {
 
     let t = device.telemetry().clone();
     let stats = device.oram_stats().expect("full device has ORAM");
-    let (issued, drained) = device
+    let (issued, drained, gap_ema_ns) = device
         .prefetch_stats()
-        .map(|p| (p.issued, p.drained))
-        .unwrap_or((0, 0));
+        .map(|p| (p.issued, p.drained, p.avg_gap_ns))
+        .unwrap_or((0, 0, 0));
     RunOutcome {
         latencies,
         chip_ns,
@@ -107,7 +107,7 @@ fn sweep(set: &EvalSet, ablation: Option<Ablation>) -> RunOutcome {
         precision: device.analysis_precision(),
         prefetch_issued: issued,
         prefetch_drained: drained,
-        gap_ema_ns: t.gauge_cell(GaugeId::PrefetchGapEmaNs).value,
+        gap_ema_ns,
         execute_mean_ns: t.hist(HistId::ExecuteNs).mean(),
         bundle_mean_ns: t.hist(HistId::BundleLatencyNs).mean(),
         digest: t.digest(),

@@ -60,8 +60,8 @@ use crate::service::{
 use std::collections::HashMap;
 use tape_hevm::HevmConfig;
 use tape_node::{BreakerState, CircuitBreaker, FeedSet};
-use tape_sim::queue::{BoundedQueue, Drr, EventLog, QueueStats};
-use tape_sim::telemetry::{CounterId, GaugeId, TelemetryEvent};
+use tape_sim::queue::{BoundedQueue, Drr, EventLog};
+use tape_sim::telemetry::TelemetryEvent;
 use tape_sim::Nanos;
 
 /// Typed gateway-level failures. Service-level errors pass through as
@@ -314,8 +314,7 @@ impl Gateway {
         let now = self.now();
         let state = self.breaker.state(now);
         if state != self.last_breaker {
-            let t = self.device.telemetry();
-            t.record(TelemetryEvent::Breaker {
+            self.device.telemetry().record(TelemetryEvent::Breaker {
                 at: now,
                 state: match state {
                     BreakerState::Closed => 0,
@@ -323,9 +322,6 @@ impl Gateway {
                     BreakerState::HalfOpen => 2,
                 },
             });
-            if state == BreakerState::Open {
-                t.count(CounterId::BreakerOpens, 1);
-            }
             self.last_breaker = state;
         }
     }
@@ -402,9 +398,7 @@ impl Gateway {
             let backlog = u64::try_from(self.backlog_estimate()).unwrap_or(Nanos::MAX);
             self.log
                 .record(format_args!("t={now} reject session={session} global backlog={backlog}"));
-            let t = self.device.telemetry();
-            t.count(CounterId::GwRejected, 1);
-            t.record(TelemetryEvent::Reject {
+            self.device.telemetry().record(TelemetryEvent::Reject {
                 at: now,
                 session,
                 tenant_local: false,
@@ -430,10 +424,7 @@ impl Gateway {
                 self.log.record(format_args!(
                     "t={now} admit session={session} ticket={ticket} cost={cost}"
                 ));
-                let t = self.device.telemetry();
-                t.count(CounterId::GwAdmitted, 1);
-                t.record(TelemetryEvent::Admit { at: now, session, ticket });
-                t.gauge(GaugeId::GwQueueDepth, self.queued_total as u64);
+                self.device.telemetry().record(TelemetryEvent::Admit { at: now, session, ticket });
                 Ok(ticket)
             }
             Err(_) => {
@@ -443,9 +434,7 @@ impl Gateway {
                 self.log.record(format_args!(
                     "t={now} reject session={session} tenant-queue backlog={backlog}"
                 ));
-                let t = self.device.telemetry();
-                t.count(CounterId::GwRejected, 1);
-                t.record(TelemetryEvent::Reject {
+                self.device.telemetry().record(TelemetryEvent::Reject {
                     at: now,
                     session,
                     tenant_local: true,
@@ -485,8 +474,6 @@ impl Gateway {
         let max_deficit =
             (0..self.tenants.len()).map(|i| self.drr.deficit(i)).max().unwrap_or(0);
         let t = self.device.telemetry().clone();
-        t.gauge(GaugeId::GwQueueDepth, self.queued_total as u64);
-        t.gauge(GaugeId::DrrDeficit, max_deficit);
         t.record(TelemetryEvent::QueueDepth {
             at: self.now(),
             queued: self.queued_total as u32,
@@ -522,7 +509,6 @@ impl Gateway {
                         "t={now} shed session={session} ticket={} deadline={}",
                         expired.ticket, expired.deadline
                     ));
-                    t.count(CounterId::GwShed, 1);
                     t.record(TelemetryEvent::Shed { at: now, session, ticket: expired.ticket });
                     let err = GatewayError::DeadlineExceeded {
                         admitted_at: expired.admitted_at,
@@ -572,7 +558,6 @@ impl Gateway {
                         // channel attack, static admission).
                         let err = GatewayError::Service(err);
                         self.stats.completed_err += 1;
-                        t.count(CounterId::GwFailed, 1);
                         let now = self.now();
                         self.log.record(format_args!(
                             "t={now} error session={session} ticket={} err={err}",
@@ -644,10 +629,6 @@ impl Gateway {
             }
             Err(err) => Err(GatewayError::Service(err)),
         };
-        self.device.telemetry().count(
-            if outcome.is_ok() { CounterId::GwExecuted } else { CounterId::GwFailed },
-            1,
-        );
         match &outcome {
             Ok(report) => {
                 self.stats.completed_ok += 1;
@@ -761,11 +742,6 @@ impl Gateway {
     /// Aggregate counters.
     pub fn stats(&self) -> GatewayStats {
         self.stats
-    }
-
-    /// Per-tenant queue instrumentation, in registration order.
-    pub fn tenant_queue_stats(&self) -> Vec<(u64, QueueStats)> {
-        self.tenants.iter().map(|t| (t.session, t.queue.stats())).collect()
     }
 
     /// The running digest of the schedule (admissions, sheds,

@@ -36,9 +36,7 @@ use tape_hevm::{Checkpoint, Hevm, HevmAbort, HevmConfig, HevmStats, SliceOutcome
 use tape_oram::ObliviousState;
 use tape_primitives::{Address, U256};
 use tape_sim::fault::{Ablation, FaultSite};
-use tape_sim::telemetry::{
-    CounterId, GaugeId, HistId, PhaseKind, Sink, TaskBuffer, TelemetryEvent,
-};
+use tape_sim::telemetry::{CounterId, HistId, PhaseKind, Sink, TaskBuffer, TelemetryEvent};
 use tape_sim::{Clock, CostModel, Nanos};
 use tape_state::{InMemoryState, StateChanges};
 use tape_tee::channel::{sign_bundle, verify_bundle};
@@ -388,7 +386,6 @@ impl HarDTape {
             lints.extend(analysis.lints.iter().map(|l| (*addr, *l)));
         }
         lints.sort_unstable();
-        self.telemetry.count(CounterId::LintFindings, lints.len() as u64);
         let plans = self.oram.is_some().then(|| self.prefetch_plans(bundle, callees, &seen));
 
         let mut hevm_config = self.config.hevm.clone();
@@ -620,8 +617,6 @@ impl HarDTape {
                 record_phase_into(sink, &self.clock, PhaseKind::Seal, seal_started);
                 report.total_ns = self.clock.now() - started;
                 self.telemetry.count(CounterId::Bundles, 1);
-                self.telemetry
-                    .count(CounterId::Transactions, report.results.len() as u64);
                 self.telemetry.observe(HistId::BundleLatencyNs, report.total_ns);
                 Ok(PreExecOutcome::Done(report))
             }
@@ -718,7 +713,7 @@ fn execute_task<S: Sink>(
         None => Hevm::new(config, env, reader, clock.clone()),
         Some(checkpoint) => Hevm::resume(config, env, reader, clock.clone(), checkpoint),
     };
-    let segment = drive_segment(bundle, hevm, progress, resumed, execute_started, oram, sink);
+    let segment = drive_segment(bundle, hevm, progress, resumed, oram, sink);
     record_phase_into(sink, clock, PhaseKind::Execute, execute_started);
     sink.observe(HistId::ExecuteNs, clock.now() - execute_started);
     if let Some(oram) = oram {
@@ -762,7 +757,6 @@ fn drive_segment<S: Sink>(
     mut hevm: Hevm<HybridState<'_>>,
     mut progress: Progress,
     resumed: bool,
-    segment_started: Nanos,
     oram: Option<&ObliviousState>,
     sink: &mut S,
 ) -> Result<SegmentOutcome, ServiceError> {
@@ -772,7 +766,7 @@ fn drive_segment<S: Sink>(
     // bundle's first dispatch or the Hypervisor's scheduler restoring
     // a parked HEVM: charged inside the segment window (but outside
     // per-transaction time), so preemption's overhead shows up in
-    // SliceNs and every latency built on it, and a bundle suspended
+    // every latency built on the segment, and a bundle suspended
     // S−1 times carries exactly 2S−1 dispatch charges — S dispatches
     // plus S−1 parks.
     clock.advance(dispatch_ns);
@@ -835,9 +829,6 @@ fn drive_segment<S: Sink>(
                     at: clock.now(),
                     swaps: cover,
                 });
-                sink.count(CounterId::Segments, 1);
-                sink.count(CounterId::Preemptions, 1);
-                sink.observe(HistId::SliceNs, clock.now() - segment_started);
                 // `started` and `session` are stamped at commit.
                 return Ok(SegmentOutcome::Yielded(BundlePause {
                     checkpoint,
@@ -850,26 +841,15 @@ fn drive_segment<S: Sink>(
     }
     let changes = hevm.state().changes();
     let stats = hevm.stats();
-    // Swap traffic + occupancy into telemetry while the engine is
-    // still alive (the swap log dies with it).
+    // Swap traffic into telemetry while the engine is still alive (the
+    // swap log dies with it).
     for swap in hevm.swap_log() {
         record_swap_into(sink, swap);
-    }
-    if resumed {
-        // The closing segment of a bundle that was preempted at
-        // least once.
-        sink.count(CounterId::Segments, 1);
-        sink.observe(HistId::SliceNs, clock.now() - segment_started);
-    }
-    sink.gauge(GaugeId::L2PeakPages, stats.peak_l2_pages as u64);
-    sink.gauge(GaugeId::CallDepth, stats.max_depth as u64);
-    if let Some(pf) = oram.and_then(|o| o.prefetch_stats()) {
-        sink.gauge(GaugeId::PrefetchGapEmaNs, pf.avg_gap_ns);
     }
     Ok(SegmentOutcome::Finished { progress, changes, stats })
 }
 
-/// One layer-3 swap event into counters and the event stream.
+/// One layer-3 swap event into the event stream.
 fn record_swap_into<S: Sink>(sink: &mut S, swap: &tape_hevm::SwapEvent) {
     let out = swap.pages_out > 0;
     let (observed, true_pages) = if out {
@@ -877,12 +857,6 @@ fn record_swap_into<S: Sink>(sink: &mut S, swap: &tape_hevm::SwapEvent) {
     } else {
         (swap.pages_in, swap.true_pages_in)
     };
-    sink.count(
-        if out { CounterId::SwapOuts } else { CounterId::SwapIns },
-        1,
-    );
-    sink.count(CounterId::SwapTruePages, true_pages as u64);
-    sink.count(CounterId::SwapNoisePages, observed.saturating_sub(true_pages) as u64);
     sink.record(TelemetryEvent::Swap {
         at: swap.at,
         out,

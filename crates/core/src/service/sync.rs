@@ -5,7 +5,7 @@ use super::{ForkPoint, HarDTape, ServiceError, SyncOutcome};
 use tape_node::{backoff_ns, BlockHeader, FeedSet, StateDelta, RETRY_MAX_ATTEMPTS};
 use tape_primitives::{Address, B256};
 use tape_sim::fault::Ablation;
-use tape_sim::telemetry::{CounterId, HistId, TelemetryEvent};
+use tape_sim::telemetry::{CounterId, TelemetryEvent};
 use tape_state::UndoDelta;
 
 /// Deepest reorg the device follows: a winning branch forking more than
@@ -289,7 +289,6 @@ impl HarDTape {
         }
         self.telemetry
             .record(TelemetryEvent::RollbackEnd { at: self.clock.now(), pages: pages as u32 });
-        self.telemetry.observe(HistId::ReorgDepth, depth);
         self.telemetry.count(CounterId::ReorgsApplied, 1);
 
         // The fork point is an applied head, so it is the last one left.

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use tape_crypto::{Keccak256, SecureRng};
 use tape_primitives::{Address, B256, U256};
 use tape_sim::fault::{Ablation, FaultPlan};
-use tape_sim::telemetry::{CounterId, GaugeId, HistId, QueryKind, Telemetry, TelemetryEvent};
+use tape_sim::telemetry::{CounterId, QueryKind, Telemetry, TelemetryEvent};
 use tape_sim::{Clock, CostModel, Nanos};
 use tape_state::{Account, AccountInfo, Code, StateReader};
 
@@ -284,8 +284,6 @@ struct Inner {
     durable: bool,
     /// Telemetry sink, when attached.
     telemetry: Option<Telemetry>,
-    /// Start time of the previous wire query (for the gap histogram).
-    last_wire_at: Option<Nanos>,
     /// First integrity failure observed during the current bundle.
     ///
     /// [`StateReader`] returns plain values, so a mid-execution ORAM
@@ -347,7 +345,6 @@ impl ObliviousState {
                 ablation,
                 durable: false,
                 telemetry: None,
-                last_wire_at: None,
                 fault: None,
             }),
         }
@@ -444,7 +441,6 @@ impl ObliviousState {
                 }
             }
             let at = inner.clock.now();
-            t.count(CounterId::PlannedPages, advertised.len() as u64);
             for page in advertised {
                 t.record(TelemetryEvent::PlanPage {
                     at,
@@ -681,7 +677,6 @@ impl ObliviousState {
         };
         if drained > 0 {
             if let Some(t) = &inner.telemetry {
-                t.count(CounterId::PrefetchDrained, drained as u64);
                 t.record(TelemetryEvent::PrefetchDrained {
                     at: inner.clock.now(),
                     pages: drained as u32,
@@ -826,7 +821,7 @@ impl Inner {
     /// bookkeeping on purpose: they happen between bundles, and the
     /// §IV-D statistics describe query traffic, not synchronization —
     /// a rollback must look exactly like forward sync, and neither may
-    /// skew the demand-path gap histogram.
+    /// skew the demand-path gap statistics.
     fn record_sync_write(&mut self) {
         let Some(t) = &self.telemetry else {
             return;
@@ -897,26 +892,12 @@ impl Inner {
 
     /// Records one wire query of `kind` in the telemetry stream (at the
     /// query's start time, before the wire cost is charged).
-    fn record_query(&mut self, kind: QueryKind) {
+    fn record_query(&self, kind: QueryKind) {
         let Some(t) = &self.telemetry else {
             return;
         };
         let at = self.clock.now();
-        t.count(
-            match kind {
-                QueryKind::Kv => CounterId::OramKv,
-                QueryKind::Code => CounterId::OramCode,
-                QueryKind::Prefetch => CounterId::OramPrefetch,
-                QueryKind::Sync => unreachable!("sync writes use record_sync_write"),
-            },
-            1,
-        );
-        if let Some(last) = self.last_wire_at {
-            t.observe(HistId::OramGapNs, at.saturating_sub(last));
-        }
-        self.last_wire_at = Some(at);
         t.record(TelemetryEvent::OramQuery { at, kind, bytes: self.page_size as u32 });
-        t.gauge(GaugeId::OramStash, self.client.len() as u64);
     }
 
     /// One prefetch query on the wire: the real page when it is not yet
@@ -945,14 +926,7 @@ impl Inner {
                 } else {
                     pf.on_query(now);
                 }
-                let due = pf.poll(now);
-                if due.is_some() {
-                    if let Some(t) = &self.telemetry {
-                        t.count(CounterId::PrefetchIssued, 1);
-                        t.gauge(GaugeId::PrefetchGapEmaNs, pf.avg_gap_ns());
-                    }
-                }
-                due
+                pf.poll(now)
             }
             None => None,
         };
@@ -1084,6 +1058,14 @@ mod tests {
         oblivious_under(None, accounts)
     }
 
+    /// The `OramQuery` events of `kind` in `t`'s stream.
+    fn queries(t: &Telemetry, kind: QueryKind) -> u64 {
+        let of_kind = |ev: &&TelemetryEvent| {
+            matches!(ev, TelemetryEvent::OramQuery { kind: k, .. } if *k == kind)
+        };
+        t.events().iter().filter(of_kind).count() as u64
+    }
+
     fn oblivious_under(
         ablation: Option<Ablation>,
         accounts: Vec<(Address, Account)>,
@@ -1209,8 +1191,9 @@ mod tests {
         state.storage(&addr, &U256::ONE); // kv query point, timer can fire
         state.code(&addr); // remaining pages are paced demand fetches
 
-        assert_eq!(t.counter(CounterId::OramKv), 2);
-        let covered = t.counter(CounterId::OramCode) + t.counter(CounterId::OramPrefetch);
+        let stats = state.stats();
+        assert_eq!((stats.kv_queries, queries(&t, QueryKind::Kv)), (2, 2));
+        let covered = stats.code_queries + stats.prefetch_queries;
         assert!(covered >= 3, "all 3 code pages hit the wire, covered={covered}");
         // Every wire query is one uniform block.
         let events = t.events();
@@ -1222,12 +1205,11 @@ mod tests {
             })
             .collect();
         assert!(queries.iter().all(|&b| b == 1024));
-        assert_eq!(queries.len() as u64, t.counter(CounterId::OramKv) + covered);
+        assert_eq!(queries.len() as u64, stats.total());
         // Nothing left to drain: demand fetches acknowledged their keys.
         state.clear_cache();
-        assert_eq!(t.counter(CounterId::PrefetchDrained), 0);
         let stats = state.prefetch_stats().expect("prefetcher enabled");
-        assert_eq!(stats.pending, 0);
+        assert_eq!((stats.pending, stats.drained), (0, 0));
     }
 
     #[test]
@@ -1243,12 +1225,11 @@ mod tests {
         state.account(&addr);
         state.code(&addr); // back-to-back demand fetches: the burst
 
-        assert_eq!(t.counter(CounterId::OramPrefetch), 0, "timer never fires");
-        assert_eq!(t.counter(CounterId::OramCode), 3);
+        assert_eq!(queries(&t, QueryKind::Prefetch), 0, "timer never fires");
+        assert_eq!((state.stats().code_queries, queries(&t, QueryKind::Code)), (3, 3));
         state.clear_cache();
-        assert_eq!(t.counter(CounterId::PrefetchDrained), 3, "starved pages drain");
         let stats = state.prefetch_stats().expect("prefetcher enabled");
-        assert_eq!((stats.issued, stats.drained), (0, 3));
+        assert_eq!((stats.issued, stats.drained), (0, 3), "starved pages drain");
     }
 
     #[test]
@@ -1275,12 +1256,11 @@ mod tests {
             .count();
         assert_eq!(sync_events, 4, "each sync write is one uniform wire block");
         // Sync writes are invisible to the demand-path statistics: no
-        // kv/code counters, and no gap sample even for the first demand
-        // query that follows.
-        assert_eq!(t.counter(CounterId::OramKv), 0);
+        // query in the stats, and the first demand query that follows
+        // is the stream's first kv query.
+        assert_eq!(state.stats().total(), 0);
         state.account(&addr);
-        assert_eq!(t.counter(CounterId::OramKv), 1);
-        assert_eq!(t.hist(HistId::OramGapNs).count(), 0);
+        assert_eq!((state.stats().total(), queries(&t, QueryKind::Kv)), (1, 1));
 
         // Removal rewrites the meta page and zeroes the one group.
         let removed = state.remove_account(&addr).unwrap();
@@ -1523,10 +1503,10 @@ mod tests {
         assert!(stats.prefetch_queries >= 1, "timer fired at least once");
         assert_eq!(
             stats.prefetch_queries,
-            t.counter(CounterId::OramPrefetch),
-            "the stat mirrors the telemetry counter one-for-one"
+            queries(&t, QueryKind::Prefetch),
+            "the stat mirrors the telemetry stream one-for-one"
         );
-        assert_eq!(stats.code_queries, t.counter(CounterId::OramCode));
+        assert_eq!(stats.code_queries, queries(&t, QueryKind::Code));
         assert!(
             stats.prefetch_queries + stats.code_queries >= 3,
             "all three pages crossed the wire one way or the other"

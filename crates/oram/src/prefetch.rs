@@ -211,12 +211,6 @@ impl CodePrefetcher {
         self.drained += pages.len() as u64;
         pages
     }
-
-    /// Current average-gap estimate (for tests and the evaluation
-    /// harness).
-    pub fn avg_gap_ns(&self) -> u64 {
-        self.avg_gap_ns
-    }
 }
 
 #[cfg(test)]
@@ -257,19 +251,19 @@ mod tests {
     fn gap_estimate_tracks_queries() {
         let mut p = prefetcher();
         p.schedule(Address::from_low_u64(1), 1);
-        let initial = p.avg_gap_ns();
+        let initial = p.stats().avg_gap_ns;
         // A run of tightly spaced queries shrinks the estimate.
         for i in 0..20u64 {
             p.on_query(i * 10_000);
         }
-        assert!(p.avg_gap_ns() < initial);
+        assert!(p.stats().avg_gap_ns < initial);
         // Spaced-out queries grow it back.
         let mut t = 1_000_000;
         for _ in 0..20 {
             t += 5_000_000;
             p.on_query(t);
         }
-        assert!(p.avg_gap_ns() > 1_000_000);
+        assert!(p.stats().avg_gap_ns > 1_000_000);
     }
 
     #[test]

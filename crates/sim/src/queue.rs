@@ -6,8 +6,7 @@
 //! can instrument them directly:
 //!
 //! * [`BoundedQueue`] — a fixed-capacity FIFO that *refuses* instead of
-//!   growing, with high-watermark / rejection instrumentation
-//!   ([`QueueStats`]).
+//!   growing, handing the refused item back.
 //! * [`Drr`] — deficit-round-robin bookkeeping: per-queue deficit
 //!   counters that make one heavy tenant unable to starve the others,
 //!   independent of what the queues hold.
@@ -21,19 +20,6 @@ use core::fmt;
 use std::collections::VecDeque;
 use tape_crypto::{Keccak256, SecureRng};
 
-/// Occupancy and rejection counters for one bounded queue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Items accepted over the queue's lifetime.
-    pub enqueued: u64,
-    /// Items refused because the queue was full.
-    pub rejected: u64,
-    /// Items removed from the queue.
-    pub dequeued: u64,
-    /// Maximum simultaneous occupancy ever observed.
-    pub high_watermark: usize,
-}
-
 /// A fixed-capacity FIFO that sheds instead of growing.
 ///
 /// # Examples
@@ -46,13 +32,11 @@ pub struct QueueStats {
 /// assert!(q.push(2).is_ok());
 /// assert_eq!(q.push(3), Err(3)); // full: the item comes back
 /// assert_eq!(q.pop(), Some(1));
-/// assert_eq!(q.stats().rejected, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    stats: QueueStats,
 }
 
 impl<T> BoundedQueue<T> {
@@ -64,7 +48,7 @@ impl<T> BoundedQueue<T> {
     /// is a configuration error, not a policy.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "BoundedQueue capacity must be positive");
-        BoundedQueue { items: VecDeque::with_capacity(capacity), capacity, stats: QueueStats::default() }
+        BoundedQueue { items: VecDeque::with_capacity(capacity), capacity }
     }
 
     /// Appends `item`, or returns it to the caller when full.
@@ -75,22 +59,15 @@ impl<T> BoundedQueue<T> {
     /// typed error instead of losing it.
     pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.items.len() >= self.capacity {
-            self.stats.rejected += 1;
             return Err(item);
         }
         self.items.push_back(item);
-        self.stats.enqueued += 1;
-        self.stats.high_watermark = self.stats.high_watermark.max(self.items.len());
         Ok(())
     }
 
     /// Removes the oldest item.
     pub fn pop(&mut self) -> Option<T> {
-        let item = self.items.pop_front();
-        if item.is_some() {
-            self.stats.dequeued += 1;
-        }
-        item
+        self.items.pop_front()
     }
 
     /// The oldest item, without removing it.
@@ -113,16 +90,6 @@ impl<T> BoundedQueue<T> {
     /// `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// The admission capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lifetime instrumentation.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
     }
 }
 
@@ -276,11 +243,7 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some(0));
         assert!(q.push(99).is_ok());
-        let stats = q.stats();
-        assert_eq!(stats.enqueued, 4);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.dequeued, 1);
-        assert_eq!(stats.high_watermark, 3);
+        assert_eq!(q.iter().copied().collect::<Vec<_>>(), [1, 2, 99]);
     }
 
     #[test]

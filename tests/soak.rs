@@ -327,9 +327,9 @@ fn chaos_run(seed: u64) -> (String, String, Vec<(u64, usize)>) {
     // The digest covers both the gateway event log and the telemetry
     // stream — scheduling *and* instrumentation must replay identically.
     let digest = format!("{}:{}", gateway.log().digest(), telemetry.digest());
-    let final_sessions = gateway.tenant_queue_stats().iter().map(|s| s.0).collect::<Vec<_>>();
+    // Each tenant's last session, from its own connect / reconnect calls.
     let delivered = completions_digest(&completions);
-    (digest, delivered, final_sessions.into_iter().zip(per_tenant).collect())
+    (digest, delivered, sessions.into_iter().zip(per_tenant).collect())
 }
 
 #[test]
@@ -552,7 +552,7 @@ fn expired_bundles_are_shed_at_dequeue_with_typed_errors() {
 
 #[test]
 fn tenant_local_rejection_hints_shrink_as_the_backlog_drains() {
-    use tape_sim::telemetry::{CounterId, TelemetryEvent};
+    use tape_sim::telemetry::TelemetryEvent;
 
     // One core makes the hint arithmetic exact — hint = queued_total ×
     // per-bundle estimate — so a drained backlog must shrink the hint.
@@ -602,15 +602,20 @@ fn tenant_local_rejection_hints_shrink_as_the_backlog_drains() {
     );
     assert!(hint_drained_more > 0, "a shrinking hint must stay usable (nonzero)");
 
-    // The telemetry stream saw every rejection, flagged tenant-local.
-    let telemetry = gateway.device().telemetry().clone();
-    assert_eq!(telemetry.counter(CounterId::GwRejected), 3);
-    let tenant_local_rejects = telemetry
+    // The gateway counted every rejection, and the telemetry stream saw
+    // each one, flagged tenant-local.
+    assert_eq!(gateway.stats().rejected_overloaded, 3);
+    let rejects: Vec<bool> = gateway
+        .device()
+        .telemetry()
         .events()
         .iter()
-        .filter(|e| matches!(e, TelemetryEvent::Reject { tenant_local: true, .. }))
-        .count();
-    assert_eq!(tenant_local_rejects, 3, "rejections must be recorded as tenant-local");
+        .filter_map(|e| match e {
+            TelemetryEvent::Reject { tenant_local, .. } => Some(*tenant_local),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejects, [true; 3], "rejections must be recorded as tenant-local");
 }
 
 #[test]
