@@ -227,8 +227,8 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
         | grep -E '^FUZZ_SOAK ')"
     echo "$fuzz_soak"
     for rig in default tiny_layer2 small_slice drawn_slice; do
-        if [[ "$(grep -c "^FUZZ_SOAK $rig " <<< "$fuzz_soak")" -ne 8 ]]; then
-            echo "fuzz soak: rig $rig did not run all eight properties" >&2
+        if [[ "$(grep -c "^FUZZ_SOAK $rig " <<< "$fuzz_soak")" -ne 9 ]]; then
+            echo "fuzz soak: rig $rig did not run all nine properties" >&2
             exit 1
         fi
     done
