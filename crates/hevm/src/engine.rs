@@ -1472,8 +1472,10 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         loop {
             if refused == 0 && balanced.is_some() {
                 let run = self.runs.at(&meta.code, data.pc, &self.config.cost);
-                if self.run_fits(&run, meta, data, gas_below, deadline, slice) {
-                    if let Err(err) = self.run_straight(meta, data, run) {
+                let slice = slice.map(|slice| slice.saturating_sub(self.slice_used(gas_below, meta)));
+                let (height, now) = (data.stack.len(), self.clock.now() + self.unticked_ns);
+                if run.fits(meta.gas.remaining(), height, STACK_LIMIT, now, deadline, slice) {
+                    if let Err(err) = self.run_straight(meta, data, run, deadline, slice) {
                         meta.gas.consume_all();
                         return Ok(Next::End(Ended::Halt(err)));
                     }
@@ -1520,46 +1522,36 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
         used.saturating_sub(self.slice_used_start)
     }
 
-    /// The entry check of a run: true only if none of the checks made
-    /// before each instruction — gas, stack, watchdog, gas slice — could
-    /// fire anywhere inside it.
-    fn run_fits(
-        &self,
-        run: &Run,
-        meta: &FrameMeta,
-        data: &FrameData,
-        gas_below: u64,
-        deadline: Option<Nanos>,
-        slice: Option<u64>,
-    ) -> bool {
-        let height = data.stack.len();
-        run.count > 0
-            && meta.gas.remaining() >= u64::from(run.gas)
-            && height >= run.need as usize
-            && height + run.peak as usize <= STACK_LIMIT
-            && deadline.is_none_or(|at| self.clock.now() + self.unticked_ns + run.ns <= at)
-            && slice.is_none_or(|slice| self.slice_used(gas_below, meta) + u64::from(run.gas) < slice)
-    }
-
-    /// Executes a run whose entry check passed: its instructions, gas and
-    /// virtual time are retired in one sum. The inspector still sees
-    /// every step with the gas it had before that instruction.
+    /// Executes a run whose entry check passed, then each run a closing
+    /// `JUMP` / `JUMPI` leads to, for as long as that run passes the same
+    /// check against the room already opened: the stack stays open across
+    /// the chain. Each run's instructions, gas and virtual time are
+    /// retired in one sum; `slice` is the gas the slice has left. The
+    /// inspector still sees every step with the gas it had before that
+    /// instruction.
     fn run_straight(
         &mut self,
         meta: &mut FrameMeta,
         data: &mut FrameData,
-        run: Run,
+        mut run: Run,
+        deadline: Option<Nanos>,
+        mut slice: Option<u64>,
     ) -> Result<(), VmError> {
-        self.stats.instructions += u64::from(run.count);
-        self.unticked_ns += run.ns;
-        let mut left = meta.gas.remaining();
-        let charged = meta.gas.charge(u64::from(run.gas));
-        debug_assert!(charged, "the entry check covers the run's gas");
+        let (room, now) = (data.stack.len() + run.peak as usize, self.clock.now());
         let (inspector, memory_size) = (&mut self.inspector, data.memory.len());
+        let (runs, cost, stats) = (&mut self.runs, &self.config.cost, &mut self.stats);
+        let unticked = &mut self.unticked_ns;
         let (bytes, mut pc): (&[u8], _) = (&meta.code, data.pc);
-        data.stack.open(run.peak as usize, |words| {
+        data.stack.open(run.peak as usize, |words| loop {
+            stats.instructions += u64::from(run.count);
+            *unticked += run.ns;
+            slice = slice.map(|left| left - u64::from(run.gas));
+            let mut left = meta.gas.remaining();
+            let charged = meta.gas.charge(u64::from(run.gas));
+            debug_assert!(charged, "the entry check covers the run's gas");
+            let mut byte = op::STOP;
             for _ in 0..run.count {
-                let byte = bytes[pc];
+                byte = bytes[pc];
                 inspector.step(&StepInfo {
                     pc,
                     opcode: byte,
@@ -1572,7 +1564,14 @@ impl<R: StateReader, I: Inspector> Hevm<R, I> {
                 left -= opcode::info(byte).base_gas;
                 pc = straight(words, &meta.code, byte, pc)?;
             }
-            Ok::<_, VmError>(())
+            if !matches!(byte, op::JUMP | op::JUMPI) {
+                return Ok::<_, VmError>(());
+            }
+            run = runs.at(&meta.code, pc, cost);
+            let (gas, height) = (meta.gas.remaining(), words.as_slice().len());
+            if !run.fits(gas, height, room, now + *unticked, deadline, slice) {
+                return Ok(());
+            }
         })?;
         data.pc = pc;
         Ok(())

@@ -9,10 +9,10 @@
 //! so the run's static gas, virtual time and stack extremes are known
 //! before it starts. The engine enters a run only when they prove that
 //! none of its per-instruction checks — gas, stack, watchdog, slice —
-//! could fire inside it.
+//! could fire inside it ([`Run::fits`]).
 
 use tape_evm::opcode::{self, op, OpCategory};
-use tape_sim::CostModel;
+use tape_sim::{CostModel, Nanos};
 use tape_state::Code;
 
 /// What the entry check needs to know about the run starting at a pc.
@@ -62,6 +62,30 @@ impl Run {
             pc += 1 + opcode::immediate_len(byte);
         }
         run
+    }
+
+    /// The entry check: true only if none of the checks made before each
+    /// instruction — gas, stack, watchdog, gas slice — could fire
+    /// anywhere inside the run, started with `gas` left and `height`
+    /// words on a stack that may grow to `room` words, at virtual time
+    /// `now`. `deadline` is the watchdog's and `slice` the gas the slice
+    /// has left, each only if armed.
+    #[inline]
+    pub fn fits(
+        &self,
+        gas: u64,
+        height: usize,
+        room: usize,
+        now: Nanos,
+        deadline: Option<Nanos>,
+        slice: Option<u64>,
+    ) -> bool {
+        self.count > 0
+            && gas >= u64::from(self.gas)
+            && height >= self.need as usize
+            && height + self.peak as usize <= room
+            && deadline.is_none_or(|at| now + self.ns <= at)
+            && slice.is_none_or(|left| u64::from(self.gas) < left)
     }
 }
 
