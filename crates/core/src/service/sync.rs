@@ -171,7 +171,6 @@ impl HarDTape {
                 return Err(ServiceError::NodeUnavailable);
             }
             let backoff = backoff_ns(attempt - 1);
-            self.telemetry.count(CounterId::NodeRetries, 1);
             self.telemetry.record(TelemetryEvent::NodeRetry {
                 at: self.clock.now(),
                 attempt,
@@ -289,7 +288,6 @@ impl HarDTape {
         }
         self.telemetry
             .record(TelemetryEvent::RollbackEnd { at: self.clock.now(), pages: pages as u32 });
-        self.telemetry.count(CounterId::ReorgsApplied, 1);
 
         // The fork point is an applied head, so it is the last one left.
         self.recent_heads.retain(|&(h, _)| h <= fork.height);

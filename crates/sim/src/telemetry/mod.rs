@@ -78,14 +78,10 @@ id_table! {
         /// ORAM page writes issued by block synchronization (forward sync
         /// *and* rollback — the two must be indistinguishable on the bus).
         OramSync,
-        /// Node: sync retries after transient feed faults.
-        NodeRetries,
         /// Feed equivocations detected by the multi-feed quorum.
         EquivocationsDetected,
         /// Feeds quarantined (forged proofs, equivocation, stalled heads).
         FeedsQuarantined,
-        /// Reorgs applied: rollback to a fork point + winning-branch replay.
-        ReorgsApplied,
         /// Disk store: records appended to the log (buckets + commits).
         DiskWrites,
         /// Disk store: fsync barriers issued at commit boundaries.

@@ -135,7 +135,9 @@ fn depth_three_reorg_rolls_back_replays_and_matches_clean_run() {
     let telemetry = device.telemetry().clone();
     assert!(telemetry.counter(CounterId::EquivocationsDetected) >= 1);
     assert!(telemetry.counter(CounterId::FeedsQuarantined) >= 1);
-    assert_eq!(telemetry.counter(CounterId::ReorgsApplied), 1);
+    let rollbacks =
+        telemetry.events().iter().filter(|ev| matches!(ev, TelemetryEvent::RollbackEnd { .. })).count();
+    assert_eq!(rollbacks, 1, "one reorg applied");
 
     // Receipt equivalence: a bundle pre-executed after the reorg must be
     // byte-identical to one from a device that only ever synced the
@@ -452,9 +454,13 @@ fn stale_winner_the_device_already_applied_leaves_the_head_alone() {
     assert_eq!(outcome, SyncOutcome::AlreadySynced);
     assert_eq!((device.head(), device.head_height()), (head, height), "the head moved");
     let telemetry = device.telemetry();
-    assert_eq!(telemetry.counter(CounterId::ReorgsApplied), 0);
+    let events = telemetry.events();
     assert!(
-        !telemetry.events().iter().any(|ev| matches!(ev, TelemetryEvent::RollbackBegin { .. })),
+        !events.iter().any(|ev| matches!(ev, TelemetryEvent::RollbackEnd { .. })),
+        "a stale winner must not apply a reorg"
+    );
+    assert!(
+        !events.iter().any(|ev| matches!(ev, TelemetryEvent::RollbackBegin { .. })),
         "a stale winner must not start a rollback"
     );
 }
