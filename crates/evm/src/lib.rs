@@ -16,6 +16,12 @@
 //! This engine plays two roles in the evaluation: ground truth for the
 //! §VI-B correctness comparison against the independently implemented
 //! hardware EVM, and the "Geth" baseline for Figures 4 and 5.
+//!
+//! It executes one instruction at a time through one `match`, on a
+//! [`Stack`] checked at every pop and push, as the Geth interpreter does.
+//! [`Words`] and [`Stack::open`] are here for the HEVM's straight-line
+//! runs only; this engine does not use them, so the §VI-B comparison
+//! holds the HEVM's block path to an engine that shares none of it.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -25,14 +31,12 @@ mod interp;
 mod memory;
 pub mod opcode;
 pub mod precompile;
-mod run;
 mod stack;
 mod tracer;
 mod types;
 
 pub use interp::{create2_address, create_address, Evm};
 pub use memory::Memory;
-pub use run::{is_pure, Run};
 pub use stack::{Stack, StackError, Words, STACK_LIMIT};
 pub use tracer::{StructTracer, TraceCall, TraceStep};
 pub use types::{

@@ -89,6 +89,30 @@ impl Stack {
         self.data.pop().ok_or(StackError::Underflow)
     }
 
+    /// `DUPn`: pushes a copy of the `n`-th word from the top (1-based).
+    ///
+    /// # Errors
+    ///
+    /// [`StackError::Underflow`] with fewer than `n` words,
+    /// [`StackError::Overflow`] on a full stack.
+    #[inline]
+    pub fn dup(&mut self, n: usize) -> Result<(), StackError> {
+        let at = self.data.len().checked_sub(n).ok_or(StackError::Underflow)?;
+        self.push(self.data[at])
+    }
+
+    /// `SWAPn`: swaps the top with the `n`-th word below it (1-based).
+    ///
+    /// # Errors
+    ///
+    /// [`StackError::Underflow`] with fewer than `n + 1` words.
+    #[inline]
+    pub fn swap(&mut self, n: usize) -> Result<(), StackError> {
+        let below = self.data.len().checked_sub(n + 1).ok_or(StackError::Underflow)?;
+        self.data.swap(below, below + n);
+        Ok(())
+    }
+
     /// The stack contents, bottom first (for tracing).
     pub fn as_slice(&self) -> &[U256] {
         &self.data

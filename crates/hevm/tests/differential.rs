@@ -4,9 +4,12 @@
 //! workload. This mirrors the paper's comparison against
 //! `debug_traceTransaction` ground truth.
 
+mod common;
+
+use common::Capped;
 use tape_evm::asm::Asm;
 use tape_evm::opcode::op;
-use tape_evm::{Env, Evm, StructTracer, Transaction};
+use tape_evm::{Env, Evm, Transaction};
 use tape_hevm::{Hevm, HevmConfig};
 use tape_primitives::{Address, U256};
 use tape_sim::Clock;
@@ -37,23 +40,25 @@ fn backend(main_code: Vec<u8>, aux_code: Vec<u8>) -> InMemoryState {
 }
 
 /// Runs a transaction on both engines and asserts identical traces and
-/// results.
+/// results. The reference engine runs first, under a step ceiling from
+/// the gas limit; the HEVM may take one step more than it did.
 fn assert_equivalent(backend: &InMemoryState, tx: &Transaction, label: &str) {
-    let mut reference = Evm::with_inspector(Env::default(), backend, StructTracer::new());
+    let mut reference =
+        Evm::with_inspector(Env::default(), backend, Capped::reference(tx.gas_limit));
     let ref_result = reference.transact(tx).expect("reference accepts tx");
     let ref_changes = reference.state().changes();
-    let ref_trace = reference.into_inspector();
+    let ref_trace = reference.into_inspector().trace;
 
     let mut hevm = Hevm::with_inspector(
         HevmConfig::default(),
         Env::default(),
         backend,
         Clock::new(),
-        StructTracer::new(),
+        Capped::hevm(&ref_trace),
     );
     let hevm_result = hevm.transact(tx).expect("hevm accepts tx");
     let hevm_changes = hevm.state().changes();
-    let hevm_trace = hevm.into_inspector();
+    let hevm_trace = hevm.into_inspector().trace;
 
     if let Some(step) = ref_trace.first_divergence(&hevm_trace) {
         let r = ref_trace.steps().get(step);

@@ -18,10 +18,13 @@
 //! iteration's run into the next inside one opened stack until a link
 //! meets the opened room, an underflow, the limit or the end of its gas.
 
+mod common;
+
+use common::Capped;
 use tape_crypto::prop::{check, Gen};
 use tape_evm::asm::Asm;
 use tape_evm::opcode::op;
-use tape_evm::{Env, Evm, StructTracer, Transaction};
+use tape_evm::{Env, Evm, Transaction};
 use tape_hevm::{Hevm, HevmAbort, HevmConfig, HevmStats};
 use tape_primitives::{Address, U256};
 use tape_sim::resources::MemoryConfig;
@@ -95,22 +98,22 @@ fn run_both(
     let mut tx = Transaction::call(sender(), target(), input);
     tx.gas_limit = gas;
 
-    let mut reference = Evm::with_inspector(Env::default(), &backend, StructTracer::new());
+    let mut reference = Evm::with_inspector(Env::default(), &backend, Capped::reference(gas));
     let expected = reference.transact(&tx).expect("reference accepts");
+    let ref_trace = &reference.inspector().trace;
     let mut config = rig.config.clone();
     if rig.drawn_slice {
         config.gas_slice = Some(g.range(1, 65));
     }
-    let mut hevm =
-        Hevm::with_inspector(config, Env::default(), &backend, Clock::new(), StructTracer::new());
+    let capped = Capped::hevm(ref_trace);
+    let mut hevm = Hevm::with_inspector(config, Env::default(), &backend, Clock::new(), capped);
     let actual = match hevm.transact(&tx) {
         Err(HevmAbort::MemoryOverflow { .. }) if rig.may_overflow => return None,
         outcome => outcome.expect("hevm accepts"),
     };
 
     assert_eq!(expected, actual, "tx result");
-    let ref_trace = reference.inspector();
-    let hevm_trace = hevm.inspector();
+    let hevm_trace = &hevm.inspector().trace;
     if let Some(step) = ref_trace.first_divergence(hevm_trace) {
         panic!(
             "trace diverges at step {step}:\n  ref:  {:?}\n  hevm: {:?}",

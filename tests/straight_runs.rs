@@ -1,8 +1,9 @@
-//! Both engines' straight-line run information against a naive
+//! The HEVM's straight-line run information against a naive
 //! recomputation, at every instruction start of the evaluation set's
-//! contracts and of the differential fuzzer's byte soup.
+//! contracts and of the differential fuzzer's byte soup. (The reference
+//! engine steps one instruction at a time and has no runs.)
 //!
-//! A run is what an engine executes after one entry check: a maximal
+//! A run is what the HEVM executes after one entry check: a maximal
 //! stretch of pure instructions, optionally closed by `JUMP` or `JUMPI`.
 //! Its instruction count, static gas, HEVM virtual time, the stack words
 //! it needs on entry and the highest it climbs must all equal what
@@ -87,22 +88,17 @@ fn naive(code: &[u8], pc: usize, cost: &CostModel) -> Naive {
     }
 }
 
-/// Checks both engines at every instruction start of `code`, and the
+/// Checks the HEVM at every instruction start of `code`, and the
 /// image's jump destinations against the instruction starts.
 fn check_code(code: &[u8], what: &str) {
     let cost = CostModel::default();
     let image = Code::new(code.to_vec());
     let starts = starts(code);
     for &pc in &starts {
-        let want = naive(code, pc, &cost);
-        let evm = tape_evm::Run::at(code, pc);
         let hevm = tape_hevm::Run::at(code, pc, &cost);
-        let got_evm =
-            Naive { count: evm.count, gas: evm.gas, ns: want.ns, need: evm.need, peak: evm.peak };
-        let got_hevm =
+        let got =
             Naive { count: hevm.count, gas: hevm.gas, ns: hevm.ns, need: hevm.need, peak: hevm.peak };
-        assert_eq!(got_evm, want, "{what}: reference run at pc {pc}");
-        assert_eq!(got_hevm, want, "{what}: HEVM run at pc {pc}");
+        assert_eq!(got, naive(code, pc, &cost), "{what}: HEVM run at pc {pc}");
     }
     // Push data is never an instruction start, so never a destination.
     for (pc, &byte) in code.iter().enumerate() {
@@ -112,10 +108,9 @@ fn check_code(code: &[u8], what: &str) {
 }
 
 #[test]
-fn pure_instructions_agree_across_engines() {
+fn hevm_pure_instructions_are_the_listed_ones() {
     for byte in 0..=u8::MAX {
-        assert_eq!(tape_evm::is_pure(byte), pure(byte), "reference, {byte:#04x}");
-        assert_eq!(tape_hevm::is_pure(byte), pure(byte), "HEVM, {byte:#04x}");
+        assert_eq!(tape_hevm::is_pure(byte), pure(byte), "{byte:#04x}");
     }
 }
 
@@ -157,15 +152,16 @@ fn a_truncated_push_closes_its_run() {
     // PUSH1 1; DUP1; PUSH32 with two of its 32 bytes: the push runs off
     // the end of the code and is the run's last instruction.
     let code = [op::PUSH1, 0x01, op::DUP1, op::PUSH32, 0xAA, 0xBB];
+    let cost = CostModel::default();
     check_code(&code, "truncated push");
-    let run = tape_evm::Run::at(&code, 0);
+    let run = tape_hevm::Run::at(&code, 0, &cost);
     assert_eq!((run.count, run.gas, run.need, run.peak), (3, 9, 0, 3));
-    assert_eq!(tape_hevm::Run::at(&code, 3, &CostModel::default()).count, 1);
+    assert_eq!(tape_hevm::Run::at(&code, 3, &cost).count, 1);
     // A closing JUMP ends the run even with pure code behind it; a
     // non-pure op ends it before itself.
     let code = [op::JUMPDEST, op::JUMP, op::JUMPDEST, op::CALLVALUE, op::POP];
     check_code(&code, "closers");
-    assert_eq!(tape_evm::Run::at(&code, 0).count, 2);
-    assert_eq!(tape_evm::Run::at(&code, 2).count, 1);
-    assert_eq!(tape_hevm::Run::at(&code, 3, &CostModel::default()).count, 0);
+    assert_eq!(tape_hevm::Run::at(&code, 0, &cost).count, 2);
+    assert_eq!(tape_hevm::Run::at(&code, 2, &cost).count, 1);
+    assert_eq!(tape_hevm::Run::at(&code, 3, &cost).count, 0);
 }
