@@ -228,9 +228,7 @@ fn structured_forward_jumps(scale: u32) {
             }
             // Drain the model stack so JUMPI conditions are explicit
             // pushes and every block is stack-neutral.
-            for _ in 0..depth {
-                body.push(op::POP);
-            }
+            body.extend(std::iter::repeat_n(op::POP, depth));
             let jump = if i + 1 < block_count {
                 let target = g.range(i as u64 + 1, block_count as u64) as usize;
                 Some((target, g.bool()))

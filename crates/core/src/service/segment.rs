@@ -30,7 +30,8 @@ use crate::config::SecurityConfig;
 use crate::reader::HybridState;
 use std::sync::Arc;
 use tape_analysis::{AnalysisConfig, CodeAnalysis, LintFinding};
-use tape_crypto::{PublicKey, SecretKey};
+use tape_crypto::secp::VerifyingKey;
+use tape_crypto::SecretKey;
 use tape_evm::{Env, TxResult};
 use tape_hevm::{Checkpoint, Hevm, HevmAbort, HevmConfig, HevmStats, SliceOutcome};
 use tape_oram::ObliviousState;
@@ -190,8 +191,9 @@ enum TaskKind {
         /// The user's signing key, cloned so the (host-expensive)
         /// bundle signature can be computed by whoever executes.
         user_key: SecretKey,
-        /// Its public half, which the device verifies against.
-        user_public: PublicKey,
+        /// Its public half, prepared at connect, which the device
+        /// verifies against.
+        user_public: Arc<VerifyingKey>,
         /// Secret-dependency lint findings for the signed report.
         lints: Vec<(Address, LintFinding)>,
         /// Prefetch plans (`None` without an ORAM).
@@ -413,7 +415,7 @@ impl HarDTape {
             kind: TaskKind::Fresh {
                 payload,
                 user_key: user.user_key.clone(),
-                user_public: user.user_public,
+                user_public: Arc::clone(&user.user_public),
                 lints,
                 plans,
                 hevm_config,

@@ -2,6 +2,8 @@
 //! the secure channel with its injected faults and revocations.
 
 use super::{HarDTape, ServiceError};
+use std::sync::Arc;
+use tape_crypto::secp::VerifyingKey;
 use tape_crypto::{PublicKey, SecretKey, SecureRng};
 use tape_sim::fault::{FaultKind, FaultSite};
 use tape_tee::attestation::session_key;
@@ -12,8 +14,9 @@ pub struct UserHandle {
     /// Hypervisor session id.
     pub session: u64,
     pub(super) user_key: SecretKey,
-    /// `user_key`'s public half, derived once at connect.
-    pub(super) user_public: PublicKey,
+    /// `user_key`'s public half, derived and prepared for verifying once
+    /// at connect; every bundle of the session shares it.
+    pub(super) user_public: Arc<VerifyingKey>,
     to_device: Channel,
     pub(super) from_device: Channel,
     /// Device session secret and channels (held by the Hypervisor;
@@ -36,7 +39,7 @@ impl UserHandle {
     /// The user's verification key (the device checks bundle signatures
     /// against it).
     pub fn public_key(&self) -> PublicKey {
-        self.user_public
+        self.user_public.public_key()
     }
 
     /// The device's attested session key (from the verified quote); the
@@ -73,7 +76,7 @@ impl HarDTape {
 
         Ok(UserHandle {
             session,
-            user_public: user_key.public_key(),
+            user_public: Arc::new(VerifyingKey::new(user_key.public_key())),
             user_key,
             to_device: Channel::new(&k_user, MessageType::Bundle),
             from_device: Channel::new(&k_user, MessageType::Report),

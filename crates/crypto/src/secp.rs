@@ -584,62 +584,98 @@ impl Jacobian {
         Jacobian { x: x3, y: y3, z: FP.mul(h, z) }
     }
 
-    /// Fixed-base `k·G` off the multi-comb, for `k < n`. With
-    /// `B = (k + 2^264 − 1)/2 mod n`, `k ≡ Σᵢ (2·bitᵢ(B) − 1)·2^i`: every
-    /// bit is a digit ±1, and a block's six digits at one offset are one
-    /// signed table entry times `2^offset`. Four offsets, highest first,
-    /// with a doubling between them: 44 mixed additions and 3 doublings.
-    fn mul_g(k: U256) -> Jacobian {
-        let comb = COMB.get_or_init(build_comb);
-        let b = FN.mul(FN.add(k, COMB_OFFSET), HALF);
-        let mut acc = Jacobian::INFINITY;
-        for offset in (0..COMB_SPACING).rev() {
-            acc = acc.double();
-            for (block, entries) in comb.chunks_exact(COMB_ENTRIES).enumerate() {
-                let first = COMB_TEETH * COMB_SPACING * block + offset;
-                let teeth = (0..COMB_TEETH)
-                    .fold(0, |teeth, t| teeth | usize::from(b.bit(first + COMB_SPACING * t)) << t);
-                // A clear top tooth is the negative of the pattern with
-                // every tooth flipped.
-                let negative = teeth >> (COMB_TEETH - 1) == 0;
-                let index = (teeth ^ (mask(negative) as usize)) % COMB_ENTRIES;
-                acc = acc.add_affine(signed(entries[index], negative));
-            }
-        }
-        acc
-    }
-
-    /// Variable-base `k·self` for `k < n` and `self` on the curve, where
-    /// `φ(self) = λ·self`: with `k = k₁ + k₂·λ` the product is
-    /// `k₁·self + k₂·φ(self)`, two 128-bit halves that share their
-    /// doublings (Strauss–Shamir) and, up to one multiplication by `β` an
-    /// entry, their affine table of odd multiples: every addition is mixed.
-    fn mul_glv(self, k: U256) -> Jacobian {
-        // The table below needs finite points, and the odd multiples of a
-        // finite point of prime order n are finite.
-        if self.z.is_zero() {
-            return Jacobian::INFINITY;
-        }
+    /// `{1, 3, …, 15}·self` for a finite `self`; the odd multiples of a
+    /// finite point of prime order n are finite.
+    fn odd_multiples(self) -> [Jacobian; 8] {
         let twice = self.double();
         let mut odd = [self; 8];
         for j in 1..8 {
             odd[j] = odd[j - 1].add(twice);
         }
-        let odd = batch_to_affine(&odd);
-        let phi = odd.map(|(x, y)| (FP.mul(x, BETA), y));
-        let halves = split_scalar(k).map(|(negative, magnitude)| (negative, wnaf(magnitude)));
-        let mut acc = Jacobian::INFINITY;
-        for i in (0..129).rev() {
-            acc = acc.double();
-            for (table, (negative, digits)) in [&odd, &phi].into_iter().zip(&halves) {
-                if digits[i] != 0 {
-                    let entry = table[usize::from(digits[i].unsigned_abs() / 2)];
-                    acc = acc.add_affine(signed(entry, (digits[i] < 0) != *negative));
-                }
+        odd
+    }
+
+    /// Adds the multi-comb's entries at one offset: with
+    /// `b = (k + 2^264 − 1)/2 mod n`, `k ≡ Σᵢ (2·bitᵢ(b) − 1)·2^i`, every
+    /// bit is a digit ±1, and a block's six digits at one offset are one
+    /// signed table entry times `2^offset`.
+    fn add_comb(mut self, comb: &[(U256, U256)], b: U256, offset: usize) -> Jacobian {
+        for (block, entries) in comb.chunks_exact(COMB_ENTRIES).enumerate() {
+            let first = COMB_TEETH * COMB_SPACING * block + offset;
+            let teeth = (0..COMB_TEETH)
+                .fold(0, |teeth, t| teeth | usize::from(b.bit(first + COMB_SPACING * t)) << t);
+            // A clear top tooth is the negative of the pattern with every
+            // tooth flipped.
+            let negative = teeth >> (COMB_TEETH - 1) == 0;
+            let index = (teeth ^ (mask(negative) as usize)) % COMB_ENTRIES;
+            self = self.add_affine(signed(entries[index], negative));
+        }
+        self
+    }
+
+    /// Fixed-base `k·G` for `k < n`: the ladder with no variable terms,
+    /// four steps of 11 comb entries each — 44 mixed additions and three
+    /// doublings.
+    fn mul_g(k: U256) -> Jacobian {
+        ladder(COMB_SPACING, &[], Some(k))
+    }
+
+    /// Variable-base `k·p + g·G` for `k < n`, `g < n` and a finite `p` on
+    /// the curve, where `φ(p) = λ·p`: with `k = k₁ + k₂·λ` the product is
+    /// `k₁·p + k₂·φ(p)`, two 128-bit terms of the ladder that share one
+    /// affine table of odd multiples, built here for this call.
+    fn mul_glv((x, y): (U256, U256), k: U256, g: Option<U256>) -> Jacobian {
+        let table = batch_to_affine(&Jacobian { x, y, z: U256::ONE }.odd_multiples());
+        let [k1, k2] = split_scalar(k);
+        let term = |phi, (negative, half): (bool, u128)| Term {
+            table: &table,
+            phi,
+            negative,
+            digits: wnaf(half),
+        };
+        ladder(129, &[term(false, k1), term(true, k2)], g)
+    }
+}
+
+/// One scalar of the ladder: its width-5 digits, least significant first,
+/// and the table they index, the affine odd multiples `{1, 3, …, 15}·P`
+/// of its base. With `phi` the base is `φ(P)`, each entry's image taken
+/// as it is used: one multiplication of x by `β`.
+struct Term<'a> {
+    table: &'a [(U256, U256)],
+    phi: bool,
+    /// The whole term is negated.
+    negative: bool,
+    digits: [i8; 129],
+}
+
+/// `Σ terms + g·G` (Strauss–Shamir): every term's digits below `steps`
+/// share one chain of `steps` doublings, and every addition is mixed. The
+/// multi-comb for `g·G` (four offsets, highest first, with a doubling
+/// between them) rides the same chain: its offsets are added at the last
+/// four steps, so it costs no doublings and no general addition of its
+/// own. The only scalar multiplication in this module: [`Jacobian::mul_g`]
+/// (no terms), [`Jacobian::mul_glv`] (two 129-digit terms) and
+/// [`VerifyingKey::verify`] (four 65-digit ones) all run on it.
+fn ladder(steps: usize, terms: &[Term<'_>], g: Option<U256>) -> Jacobian {
+    debug_assert!(steps >= COMB_SPACING, "the comb needs the last four steps");
+    let comb = g.map(|k| (COMB.get_or_init(build_comb), FN.mul(FN.add(k, COMB_OFFSET), HALF)));
+    let mut acc = Jacobian::INFINITY;
+    for i in (0..steps).rev() {
+        acc = acc.double();
+        for term in terms {
+            let digit = term.digits[i];
+            if digit != 0 {
+                let (x, y) = term.table[usize::from(digit.unsigned_abs() / 2)];
+                let x = if term.phi { FP.mul(x, BETA) } else { x };
+                acc = acc.add_affine(signed((x, y), (digit < 0) != term.negative));
             }
         }
-        acc
+        if let Some((comb, b)) = comb.filter(|_| i < COMB_SPACING) {
+            acc = acc.add_comb(comb, b, i);
+        }
     }
+    acc
 }
 
 impl Point {
@@ -669,7 +705,10 @@ impl Point {
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, k: U256) -> Point {
         debug_assert!(self.is_on_curve(), "scalar multiple of an off-curve point");
-        Jacobian::from_affine(self).mul_glv(k.rem_evm(N)).to_affine()
+        match self {
+            Point::Infinity => Point::Infinity,
+            Point::Affine { x, y } => Jacobian::mul_glv((x, y), k.rem_evm(N), None).to_affine(),
+        }
     }
 
     /// Point addition.
@@ -913,26 +952,98 @@ impl PublicKey {
     /// Returns [`EcdsaError::BadSignature`] if verification fails, or
     /// [`EcdsaError::InvalidScalar`] if `r`/`s` are out of range.
     pub fn verify(&self, digest: &B256, sig: &Signature) -> Result<(), EcdsaError> {
-        if sig.r.is_zero() || sig.r >= N || sig.s.is_zero() || sig.s >= N {
-            return Err(EcdsaError::InvalidScalar);
-        }
-        let z = digest.into_u256().rem_evm(N);
-        let s_inv = FN.inv(sig.s);
-        let u1 = FN.mul(z, s_inv);
-        let u2 = FN.mul(sig.r, s_inv);
-        // u₁·G + u₂·Q = (X, Y, Z) stands for the affine x = X/Z². Instead
-        // of dividing, compare X with the candidates times Z²: x ≡ r
-        // (mod n) and x < p < 2n leave only x = r and, when it is below p,
-        // x = r + n.
-        let sum = Jacobian::mul_g(u1).add(Jacobian::from_affine(self.point).mul_glv(u2));
-        let z2 = FP.sqr(sum.z);
-        let matches = |x: U256| x < P && FP.mul(x, z2) == sum.x;
-        let (r_plus_n, carry) = sig.r.overflowing_add(N);
-        if !sum.z.is_zero() && (matches(sig.r) || (!carry && matches(r_plus_n))) {
-            Ok(())
-        } else {
-            Err(EcdsaError::BadSignature)
-        }
+        let (u1, u2) = verify_scalars(digest, sig)?;
+        let Point::Affine { x, y } = self.point else { unreachable!("a public key is finite") };
+        x_matches(Jacobian::mul_glv((x, y), u2, Some(u1)), sig.r)
+    }
+}
+
+/// `u₁ = z/s` and `u₂ = r/s` of a signature whose `r` and `s` lie in
+/// `[1, n)`: it verifies when `u₁·G + u₂·Q` has x ≡ r (mod n).
+fn verify_scalars(digest: &B256, sig: &Signature) -> Result<(U256, U256), EcdsaError> {
+    if sig.r.is_zero() || sig.r >= N || sig.s.is_zero() || sig.s >= N {
+        return Err(EcdsaError::InvalidScalar);
+    }
+    let z = digest.into_u256().rem_evm(N);
+    let s_inv = FN.inv(sig.s);
+    Ok((FN.mul(z, s_inv), FN.mul(sig.r, s_inv)))
+}
+
+/// Whether `sum = u₁·G + u₂·Q` accepts `r`. `(X, Y, Z)` stands for the
+/// affine x = X/Z²; instead of dividing, compare X with the candidates
+/// times Z²: x ≡ r (mod n) and x < p < 2n leave only x = r and, when it
+/// is below p, x = r + n.
+fn x_matches(sum: Jacobian, r: U256) -> Result<(), EcdsaError> {
+    let z2 = FP.sqr(sum.z);
+    let matches = |x: U256| x < P && FP.mul(x, z2) == sum.x;
+    let (r_plus_n, carry) = r.overflowing_add(N);
+    if !sum.z.is_zero() && (matches(r) || (!carry && matches(r_plus_n))) {
+        Ok(())
+    } else {
+        Err(EcdsaError::BadSignature)
+    }
+}
+
+/// A public key prepared for verifying many signatures: besides the key,
+/// the affine odd multiples `{1, 3, …, 15}·Q` and `{1, 3, …, 15}·2^64·Q`,
+/// 16 points (1 KiB) built once. [`VerifyingKey::verify`] splits `u₂` by
+/// GLV and each 128-bit half again at bit 64; the four 64-bit pieces, on
+/// `Q`, `2^64·Q` and their `φ` images, share a ladder of 65 doublings where
+/// [`PublicKey::verify`] walks 129 and rebuilds `Q`'s table every call.
+pub struct VerifyingKey {
+    key: PublicKey,
+    table: [(U256, U256); 16],
+}
+
+impl fmt::Debug for VerifyingKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VerifyingKey").field("key", &self.key).finish_non_exhaustive()
+    }
+}
+
+impl VerifyingKey {
+    /// Prepares `key`: 64 doublings, two tables of seven additions, and
+    /// one batched inversion for all 16 entries.
+    pub fn new(key: PublicKey) -> Self {
+        let q = Jacobian::from_affine(key.point);
+        let q64 = (0..64).fold(q, |p, _| p.double());
+        let mut both = [Jacobian::INFINITY; 16];
+        both[..8].copy_from_slice(&q.odd_multiples());
+        both[8..].copy_from_slice(&q64.odd_multiples());
+        VerifyingKey { key, table: batch_to_affine(&both) }
+    }
+
+    /// The key this was prepared from.
+    pub fn public_key(&self) -> PublicKey {
+        self.key
+    }
+
+    /// [`PublicKey::verify`], decision for decision, off the prepared
+    /// tables.
+    ///
+    /// # Errors
+    ///
+    /// As [`PublicKey::verify`].
+    pub fn verify(&self, digest: &B256, sig: &Signature) -> Result<(), EcdsaError> {
+        let (u1, u2) = verify_scalars(digest, sig)?;
+        let (q, q64) = self.table.split_at(8);
+        let [k1, k2] = split_scalar(u2);
+        // A half ±k is ±(k mod 2^64) ± ⌊k/2^64⌋·2^64: its low piece runs on
+        // Q's table, its high piece on 2^64·Q's.
+        let piece = |table, phi, (negative, half): (bool, u128), shift: u32| Term {
+            table,
+            phi,
+            negative,
+            digits: wnaf(half >> shift & u128::from(u64::MAX)),
+        };
+        let terms = [
+            piece(q, false, k1, 0),
+            piece(q64, false, k1, 64),
+            piece(q, true, k2, 0),
+            piece(q64, true, k2, 64),
+        ];
+        // A 64-bit piece has 65 digits: rounding up can carry out of bit 63.
+        x_matches(ladder(65, &terms, Some(u1)), sig.r)
     }
 }
 
@@ -947,13 +1058,15 @@ pub fn recover(digest: &B256, sig: &Signature) -> Result<PublicKey, EcdsaError> 
     if sig.r.is_zero() || sig.r >= N || sig.s.is_zero() || sig.s >= N || sig.v > 1 {
         return Err(EcdsaError::InvalidScalar);
     }
-    let r_point = Point::lift_x(sig.r, sig.v == 1).ok_or(EcdsaError::RecoveryFailed)?;
+    let Some(Point::Affine { x, y }) = Point::lift_x(sig.r, sig.v == 1) else {
+        return Err(EcdsaError::RecoveryFailed);
+    };
     let z = digest.into_u256().rem_evm(N);
     let r_inv = FN.inv(sig.r);
     // Q = r⁻¹(s·R − z·G) = (s·r⁻¹)·R + (−z·r⁻¹)·G
     let u1 = FN.sub(U256::ZERO, FN.mul(z, r_inv));
     let u2 = FN.mul(sig.s, r_inv);
-    let q = Jacobian::mul_g(u1).add(Jacobian::from_affine(r_point).mul_glv(u2));
+    let q = Jacobian::mul_glv((x, y), u2, Some(u1));
     PublicKey::from_point(q.to_affine()).map_err(|_| EcdsaError::RecoveryFailed)
 }
 
@@ -1036,7 +1149,7 @@ mod tests {
         assert_eq!(HALF.mul_mod(U256::from(2u64), N), U256::ONE);
         let comb = COMB.get_or_init(build_comb);
         for (i, &(x, y)) in comb.iter().enumerate() {
-            let (block, j) = (i / COMB_ENTRIES, i % COMB_ENTRIES | COMB_ENTRIES);
+            let (block, j) = (i / COMB_ENTRIES, (i % COMB_ENTRIES) | COMB_ENTRIES);
             let k = (0..COMB_TEETH).fold(U256::ZERO, |k, t| {
                 let tooth = pow2_mod_n(COMB_TEETH * COMB_SPACING * block + COMB_SPACING * t);
                 let digit = if j >> t & 1 == 1 { tooth } else { N.wrapping_sub(tooth) };

@@ -5,6 +5,7 @@
 //! operation against the double-and-add oracle 4 096 times over.
 
 use tape_crypto::prop::{check, Gen};
+use tape_crypto::secp::VerifyingKey;
 use tape_crypto::{keccak256, secp, Aes128, AesGcm, AuthError, Keccak256, SecretKey, SecureRng};
 use tape_primitives::{B256, U256};
 
@@ -161,7 +162,7 @@ mod oracle {
             block[..chunk.len()].copy_from_slice(chunk);
             y = ghash_mul(y ^ u128::from_be_bytes(block), h);
         }
-        y = ghash_mul(y ^ ((aad.len() as u128 * 8) << 64 | out.len() as u128 * 8), h);
+        y = ghash_mul(y ^ (((aad.len() as u128 * 8) << 64) | (out.len() as u128 * 8)), h);
         out.extend_from_slice(&(y ^ u128::from_be_bytes(ek(1))).to_be_bytes());
         out
     }
@@ -436,17 +437,8 @@ fn comb_scalar(b: U256) -> U256 {
 fn comb_edges() -> Vec<U256> {
     let half_n = secp::N.shr_word(1);
     let top_block = |k: U256| comb_recoding(k).shr_word(240);
-    let doubling = (0..16u64)
-        .map(|teeth| {
-            let entry = (0..6).fold(U256::ZERO, |e, t| {
-                let tooth = pow2_mod_n(240 + 4 * t);
-                e.add_mod(if teeth >> t & 1 == 1 { tooth } else { minus(tooth) }, secp::N)
-            });
-            (teeth, entry.add_mod(entry, secp::N))
-        })
-        .find(|&(teeth, k)| (0..4).all(|t| top_block(k).bit(4 * t) == (teeth >> t & 1 == 1)))
-        .expect("a pattern of the last block's teeth recodes to itself")
-        .1;
+    let doubling =
+        comb_doubling(U256::ZERO).expect("a pattern of the last block's teeth recodes to itself");
     let edges = vec![
         U256::ZERO,
         U256::ONE,
@@ -464,6 +456,25 @@ fn comb_edges() -> Vec<U256> {
     assert_eq!((top_block(edges[7]), top_block(edges[8])), (U256::from(0xffffu64), U256::ZERO));
     assert!(edges.iter().all(|&k| k < secp::N && comb_scalar(comb_recoding(k)) == k));
     edges
+}
+
+/// A `k` whose multi-comb ends on an entry `E` (block 10, offset 0) with
+/// `k + c ≡ 2·E`: when everything else the ladder adds sums to `c·G`, its
+/// last mixed addition meets an accumulator equal to `E` and must double.
+/// `None` when no pattern of that block's four teeth below bit 256 (its
+/// two above are always clear) recodes to itself.
+fn comb_doubling(c: U256) -> Option<U256> {
+    let top_block = |k: U256| comb_recoding(k).shr_word(240);
+    (0..16u64)
+        .map(|teeth| {
+            let entry = (0..6).fold(U256::ZERO, |e, t| {
+                let tooth = pow2_mod_n(240 + 4 * t);
+                e.add_mod(if teeth >> t & 1 == 1 { tooth } else { minus(tooth) }, secp::N)
+            });
+            (teeth, entry.add_mod(entry, secp::N).add_mod(secp::N.wrapping_sub(c), secp::N))
+        })
+        .find(|&(teeth, k)| (0..4).all(|t| top_block(k).bit(4 * t) == (teeth >> t & 1 == 1)))
+        .map(|(_, k)| k)
 }
 
 #[test]
@@ -652,6 +663,108 @@ fn ladder_collisions_match_oracle() {
             assert_eq!(q.mul(k), oracle_mul(k, q), "{k:x}·({d:x}·G)");
         }
     }
+
+    // The prepared key's ladder runs u₂ as four 64-bit pieces: the low and
+    // high 64 bits of each GLV half, on Q's and 2^64·Q's tables. Each u₂
+    // below makes pieces vanish, coincide or carry into bit 64 (a low
+    // piece near 2^64 rounds up to it; a high one stays below 2^63, as
+    // the halves do below 2^127); the split it takes is asserted.
+    let (a, b, ones) = (0xdead_beef_cafe_f00d_u128, 0xdead_beef_u128, u128::from(u64::MAX));
+    let word = |k: u128| U256::from(k);
+    let plus_lambda =
+        |k1: u128, k2: u128| word(k1).add_mod(word(k2).mul_mod(secp::LAMBDA, secp::N), secp::N);
+    let pieces = [
+        // Three of four vanish, each in turn the one left.
+        (word(a), [(false, a), (false, 0)]),
+        (word(b << 64), [(false, b << 64), (false, 0)]),
+        (plus_lambda(0, a), [(false, 0), (false, a)]),
+        (plus_lambda(0, b << 64), [(false, 0), (false, b << 64)]),
+        // All four coincide.
+        (plus_lambda(b | b << 64, b | b << 64), [(false, b | b << 64); 2]),
+        // Carries: one low piece, both, and beside a high piece.
+        (word(ones), [(false, ones), (false, 0)]),
+        (plus_lambda(ones, ones), [(false, ones); 2]),
+        (plus_lambda(ones | b << 64, a), [(false, ones | b << 64), (false, a)]),
+        // Negative halves.
+        (minus(word(a)), [(true, a), (false, 0)]),
+        (word(a).add_mod(minus(plus_lambda(0, b << 64)), secp::N), [(false, a), (true, b << 64)]),
+    ];
+    let pow64 = U256::ONE.shl_word(64);
+    for d in [U256::ONE, secp::LAMBDA, pow64].into_iter().flat_map(|d| [d, minus(d)]) {
+        let q = SecretKey::from_scalar(d).unwrap().public_key();
+        let prepared = VerifyingKey::new(q);
+        for (i, &(u2, halves)) in pieces.iter().enumerate() {
+            assert_eq!(secp::split_scalar(u2), halves, "u₂ {i}");
+            // The sum is (u₁ + u₂·d)·G. Take u₁ so that it is a nonce point
+            // (accepted), the point at infinity (the last comb entry cancels
+            // the accumulator: rejected), or twice the last comb entry (it
+            // meets an accumulator equal to itself and must double).
+            let u2d = u2.mul_mod(d, secp::N);
+            let nonce = U256::from(0x5eed_u64 + i as u64);
+            let doubling =
+                comb_doubling(u2d).expect("a pattern of the last block's teeth recodes to itself");
+            let sums = [
+                (nonce.add_mod(minus(u2d), secp::N), Some(nonce)),
+                (minus(u2d), None),
+                (doubling, Some(doubling.add_mod(u2d, secp::N))),
+            ];
+            let u2_inv = oracle_inv_n(u2);
+            for (u1, sum) in sums {
+                let (r, _) = r_and_v(oracle_mul(sum.unwrap_or(nonce), gen));
+                let s = r.mul_mod(u2_inv, secp::N);
+                let z = u1.mul_mod(s, secp::N);
+                let (digest, sig) = (B256::new(z.to_be_bytes()), secp::Signature { r, s, v: 0 });
+                let expected = sum.map(|_| ()).ok_or(secp::EcdsaError::BadSignature);
+                assert_eq!(prepared.verify(&digest, &sig), expected, "d = {d:x}, u₂ {i}, u₁ = {u1:x}");
+                assert_eq!(q.verify(&digest, &sig), expected, "d = {d:x}, u₂ {i}, u₁ = {u1:x}");
+                assert_eq!(oracle_accepts(q.point(), z, &sig), expected.is_ok());
+            }
+        }
+    }
+}
+
+#[test]
+fn verifying_key_decides_as_public_key_verify() {
+    check("verifying_key_decides_as_public_key_verify", CASES, |g| {
+        let sk = SecretKey::from_seed(&g.array::<8>());
+        let (key, tenant) = (sk.public_key(), SecretKey::from_seed(&g.array::<8>()).public_key());
+        let (prepared, prepared_tenant) = (VerifyingKey::new(key), VerifyingKey::new(tenant));
+        assert_eq!(prepared.public_key(), key);
+        let digest = keccak256(g.bytes(0, 64));
+        let sig = sk.sign(&digest);
+        let bit = U256::ONE.shl_word(g.below(256) as u32);
+        let cases = [
+            (digest, sig),
+            (digest, secp::Signature { s: secp::N.wrapping_sub(sig.s), v: sig.v ^ 1, ..sig }),
+            (digest, secp::Signature { r: sig.r ^ bit, ..sig }),
+            (digest, secp::Signature { s: sig.s ^ bit, ..sig }),
+            (B256::new((digest.into_u256() ^ bit).to_be_bytes()), sig),
+        ];
+        for (i, (digest, sig)) in cases.iter().enumerate() {
+            assert_eq!(prepared.verify(digest, sig), key.verify(digest, sig), "case {i}");
+            assert_eq!(prepared_tenant.verify(digest, sig), tenant.verify(digest, sig), "case {i}");
+        }
+        assert_eq!(prepared.verify(&digest, &sig), Ok(()));
+        if tenant != key {
+            assert_eq!(prepared_tenant.verify(&digest, &sig), Err(secp::EcdsaError::BadSignature));
+        }
+
+        // r + n: the nonce point's x lies in [n, p), so r = x − n. With
+        // R = lift_x(n + r), Q = r⁻¹(s·R − z·G) is the key the signature
+        // verifies under. p − n > 2^128, so any 128-bit r qualifies.
+        let r = U256::from(g.u128()).max(U256::ONE);
+        let Some(r_point) = secp::Point::lift_x(secp::N.wrapping_add(r), g.below(2) == 1) else {
+            return;
+        };
+        let [s, z] = [scalar(g), scalar(g)].map(|k| k.rem_evm(secp::N).max(U256::ONE));
+        let q = ec_oracle::mul_add(s, r_point, minus(z), secp::Point::GENERATOR);
+        let Ok(key) = secp::PublicKey::from_point(oracle_mul(oracle_inv_n(r), q)) else {
+            return;
+        };
+        let (digest, sig) = (B256::new(z.to_be_bytes()), secp::Signature { r, s, v: 0 });
+        assert_eq!(key.verify(&digest, &sig), Ok(()));
+        assert_eq!(VerifyingKey::new(key).verify(&digest, &sig), Ok(()));
+    });
 }
 
 /// The sum `k₁ + k₂·λ (mod n)` of a split, halves given as (negative?,
@@ -970,7 +1083,8 @@ fn b256_zero_hash_distinct_from_hash_of_zeroes() {
 }
 
 /// The soak: every public secp256k1 operation against the oracle, on
-/// arbitrary keys, digests and scalars.
+/// arbitrary keys, digests and scalars; `verify` both one-shot and off a
+/// prepared `VerifyingKey`.
 #[test]
 #[ignore = "long; scripts/verify.sh --soak runs it in release"]
 fn ecdsa_differential_soak() {
@@ -996,6 +1110,8 @@ fn ecdsa_differential_soak() {
         let sig = sk.sign(&digest);
         assert!(oracle_accepts(pk, z, &sig));
         assert_eq!(sk.public_key().verify(&digest, &sig), Ok(()));
+        let prepared = VerifyingKey::new(sk.public_key());
+        assert_eq!(prepared.verify(&digest, &sig), Ok(()));
         assert_eq!(secp::recover(&digest, &sig).map(|q| q.point()), Ok(pk));
         let bit = U256::ONE.shl_word(g.below(256) as u32);
         let moved = match g.below(3) {
@@ -1005,10 +1121,12 @@ fn ecdsa_differential_soak() {
         };
         if moved.r.is_zero() || moved.r >= secp::N || moved.s.is_zero() || moved.s >= secp::N {
             assert_eq!(secp::recover(&digest, &moved), Err(secp::EcdsaError::InvalidScalar));
+            assert_eq!(prepared.verify(&digest, &moved), Err(secp::EcdsaError::InvalidScalar));
             return;
         }
         let accepted = sk.public_key().verify(&digest, &moved).is_ok();
         assert_eq!(accepted, oracle_accepts(pk, z, &moved));
+        assert_eq!(prepared.verify(&digest, &moved).is_ok(), accepted);
         let expected = secp::Point::lift_x(moved.r, moved.v == 1)
             .and_then(|r_point| oracle_recovers(r_point, z, &moved));
         assert_eq!(secp::recover(&digest, &moved).ok().map(|q| q.point()), expected);

@@ -67,7 +67,7 @@ fn different_patterns_have_indistinguishable_leaf_statistics() {
     };
 
     // Pattern A: sequential sweep; Pattern B: hammer one block.
-    let a: Vec<u64> = (0..1000).map(|i| run_pattern_a(i)).collect();
+    let a: Vec<u64> = (0..1000).map(run_pattern_a).collect();
     let b: Vec<u64> = vec![7; 1000];
     let leaves_a = run(&a);
     let leaves_b = run(&b);

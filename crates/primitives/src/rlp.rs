@@ -284,7 +284,7 @@ mod tests {
     fn nested_lists() {
         // [ [], [[]], [ [], [[]] ] ] — the famous set-theoretic example.
         let empty = encode_list(&[]);
-        let l1 = encode_list(&[empty.clone()]);
+        let l1 = encode_list(std::slice::from_ref(&empty));
         let l2 = encode_list(&[empty.clone(), l1.clone()]);
         let enc = encode_list(&[empty, l1, l2]);
         assert_eq!(enc, vec![0xc7, 0xc0, 0xc1, 0xc0, 0xc3, 0xc0, 0xc1, 0xc0]);

@@ -843,7 +843,7 @@ mod tests {
                 events.push(q(t, QueryKind::Code));
             }
         }
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert!(report.stats.longest_code_burst <= 1);
         assert!(report.stats.prefetch_queries >= 8);
@@ -863,7 +863,7 @@ mod tests {
             t += 2_270_000; // tight: bare query cost, no pacing
             events.push(q(t, QueryKind::Code));
         }
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(!report.passed());
         assert!(report
             .violations
@@ -882,7 +882,7 @@ mod tests {
             t += 3_100_000;
             events.push(q(t, QueryKind::Code));
         }
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
     }
 
@@ -892,7 +892,7 @@ mod tests {
             q(1_000, QueryKind::Kv),
             TelemetryEvent::OramQuery { at: 2_000_000, kind: QueryKind::Kv, bytes: 512 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -910,7 +910,7 @@ mod tests {
             t += 20_000_000;
             events.push(q(t, QueryKind::Prefetch));
         }
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -926,7 +926,7 @@ mod tests {
             q(100_000_000, QueryKind::Prefetch),
             q(102_000_000, QueryKind::Kv),
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.prefetch_gap_cv_x100, 0, "not computed");
     }
@@ -935,7 +935,7 @@ mod tests {
     fn swap_noise_invariants() {
         // Uncovered swap: observed < true.
         let bad = [TelemetryEvent::Swap { at: 1, out: true, true_pages: 4, observed_pages: 2 }];
-        let report = audit_events(&bad, 0, &AuditConfig::default());
+        let report = audit_events(&bad, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -945,7 +945,7 @@ mod tests {
         let flat: Vec<TelemetryEvent> = (0..10)
             .map(|i| TelemetryEvent::Swap { at: i, out: i % 2 == 0, true_pages: 2, observed_pages: 2 })
             .collect();
-        let report = audit_events(&flat, 0, &AuditConfig::default());
+        let report = audit_events(&flat, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -955,7 +955,7 @@ mod tests {
         let good: Vec<TelemetryEvent> = (0..10)
             .map(|i| TelemetryEvent::Swap { at: i, out: true, true_pages: 2, observed_pages: 2 + (i as u32 % 3) })
             .collect();
-        let report = audit_events(&good, 0, &AuditConfig::default());
+        let report = audit_events(&good, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert!(report.stats.noise_pages > 0);
     }
@@ -969,14 +969,14 @@ mod tests {
 
         // Fetches inside the advertised plan: clean.
         let ok = [plan(0), plan(1), plan(3), fetch(1_000, 0), fetch(2_000, 3)];
-        let report = audit_events(&ok, 0, &AuditConfig::default());
+        let report = audit_events(&ok, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.planned_pages, 3);
         assert_eq!(report.stats.code_page_fetches, 2);
 
         // A fetch outside the plan: leak-or-bug.
         let bad = [plan(0), plan(1), fetch(1_000, 0), fetch(2_000, 2)];
-        let report = audit_events(&bad, 0, &AuditConfig::default());
+        let report = audit_events(&bad, 0, &AuditConfig);
         assert!(!report.passed());
         assert!(report
             .violations
@@ -996,7 +996,7 @@ mod tests {
             TelemetryEvent::CodePageFetch { at: 1_000, address: planned, page: 0 },
             TelemetryEvent::CodePageFetch { at: 2_000, address: wild, page: 7 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.code_page_fetches, 2);
         assert_eq!(report.stats.unplanned_fetches, 0);
@@ -1009,9 +1009,9 @@ mod tests {
         let addr = [0xcc; 20];
         let fetch = TelemetryEvent::CodePageFetch { at: 1_000, address: addr, page: 4 };
         let plan = TelemetryEvent::PlanPage { at: 100, address: addr, page: 0 };
-        let report = audit_events(&[fetch, plan], 0, &AuditConfig::default());
+        let report = audit_events(&[fetch, plan], 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
-        let report = audit_events(&[plan, fetch], 0, &AuditConfig::default());
+        let report = audit_events(&[plan, fetch], 0, &AuditConfig);
         assert_eq!(
             report.violations,
             [Violation::UnplannedCodePage { at: 1_000, address: addr, page: 4 }]
@@ -1020,8 +1020,8 @@ mod tests {
         // State plans follow the same order rule.
         let fetch = TelemetryEvent::KvFetch { at: 1_000, address: addr, meta: true, group: [0; 32] };
         let plan = TelemetryEvent::PlanKv { at: 100, address: addr, meta: false, group: group_id(1) };
-        assert!(audit_events(&[fetch, plan], 0, &AuditConfig::default()).passed());
-        let report = audit_events(&[plan, fetch], 0, &AuditConfig::default());
+        assert!(audit_events(&[fetch, plan], 0, &AuditConfig).passed());
+        let report = audit_events(&[plan, fetch], 0, &AuditConfig);
         assert!(matches!(report.violations[..], [Violation::UnplannedStateAccess { meta: true, .. }]));
     }
 
@@ -1051,14 +1051,14 @@ mod tests {
 
         // Fetches inside the advertised plan: clean.
         let ok = [plan_meta, plan_group(1), fetch(1_000, true, 0), fetch(2_000, false, 1)];
-        let report = audit_events(&ok, 0, &AuditConfig::default());
+        let report = audit_events(&ok, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.planned_kv_records, 2);
         assert_eq!(report.stats.kv_record_fetches, 2);
 
         // A group outside the plan: leak-or-bug.
         let bad = [plan_meta, plan_group(1), fetch(1_000, false, 2)];
-        let report = audit_events(&bad, 0, &AuditConfig::default());
+        let report = audit_events(&bad, 0, &AuditConfig);
         assert!(!report.passed());
         assert!(report
             .violations
@@ -1068,7 +1068,7 @@ mod tests {
 
         // A meta fetch when only groups were advertised: same teeth.
         let bad_meta = [plan_group(1), fetch(1_000, true, 0)];
-        let report = audit_events(&bad_meta, 0, &AuditConfig::default());
+        let report = audit_events(&bad_meta, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1098,7 +1098,7 @@ mod tests {
             },
             TelemetryEvent::KvFetch { at: 2_000, address: wild, meta: true, group: [0; 32] },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.kv_record_fetches, 2);
         assert_eq!(report.stats.unplanned_kv_fetches, 0);
@@ -1124,7 +1124,7 @@ mod tests {
             t += 1_000; // bare write-back cadence, far below burst_gap_ns
             events.push(sync(t));
         }
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.sync_queries, 50);
     }
@@ -1140,7 +1140,7 @@ mod tests {
             TelemetryEvent::RollbackEnd { at: 14_000, pages: 3 },
             sync(20_000), // replay of the winning branch
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.rollbacks, 1);
         assert_eq!(report.stats.rollback_sync_writes, 3);
@@ -1154,7 +1154,7 @@ mod tests {
             q(12_000, QueryKind::Kv),
             TelemetryEvent::RollbackEnd { at: 14_000, pages: 1 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1169,7 +1169,7 @@ mod tests {
             TelemetryEvent::RollbackBegin { at: 10_000, height: 5, depth: 3, accounts: 4 },
             TelemetryEvent::RollbackEnd { at: 11_000, pages: 0 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1183,7 +1183,7 @@ mod tests {
     fn unterminated_rollback_is_a_violation() {
         let events =
             [TelemetryEvent::RollbackBegin { at: 9_000, height: 2, depth: 1, accounts: 1 }];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1204,7 +1204,7 @@ mod tests {
             TelemetryEvent::SegmentEnd { at: 13_000, swaps: 2 },
             cover_swap(20_000), // execution resumes, spills continue
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.segments, 1);
         assert_eq!(report.stats.segment_cover_swaps, 2);
@@ -1218,7 +1218,7 @@ mod tests {
             TelemetryEvent::SegmentYield { at: 10_000, segment: 3, frames: 2 },
             TelemetryEvent::SegmentEnd { at: 10_500, swaps: 0 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1237,7 +1237,7 @@ mod tests {
             TelemetryEvent::Swap { at: 11_000, out: false, true_pages: 2, observed_pages: 3 },
             TelemetryEvent::SegmentEnd { at: 12_000, swaps: 0 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1252,7 +1252,7 @@ mod tests {
             q(12_000, QueryKind::Kv),
             TelemetryEvent::SegmentEnd { at: 13_000, swaps: 1 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1262,7 +1262,7 @@ mod tests {
     #[test]
     fn unterminated_segment_is_a_violation() {
         let events = [TelemetryEvent::SegmentYield { at: 9_000, segment: 1, frames: 1 }];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1281,7 +1281,7 @@ mod tests {
         }
         t += 2_270_000;
         events.push(q(t, QueryKind::Prefetch));
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
     }
 
@@ -1299,7 +1299,7 @@ mod tests {
                 events.push(q(t, QueryKind::Prefetch));
             }
         }
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1316,7 +1316,7 @@ mod tests {
             TelemetryEvent::RecoveryEnd { at: 1_000, replayed: 3, discarded: 1 },
             q(2_000_000, QueryKind::Kv),
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.stats.recoveries, 1);
         assert_eq!(report.stats.recovery_replayed, 3);
@@ -1329,7 +1329,7 @@ mod tests {
             q(500, QueryKind::Kv),
             TelemetryEvent::RecoveryEnd { at: 1_000, replayed: 1, discarded: 0 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1339,7 +1339,7 @@ mod tests {
     #[test]
     fn unterminated_recovery_is_a_violation() {
         let events = [TelemetryEvent::RecoveryBegin { at: 7_000, segments: 2 }];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(report
             .violations
             .iter()
@@ -1354,7 +1354,7 @@ mod tests {
             q(2_000_000, QueryKind::Kv),
             TelemetryEvent::DiskUnverified { at: 2_100_000, bucket: 42 },
         ];
-        let report = audit_events(&events, 0, &AuditConfig::default());
+        let report = audit_events(&events, 0, &AuditConfig);
         assert!(!report.passed());
         assert!(report
             .violations
@@ -1382,7 +1382,7 @@ mod tests {
         );
         assert_eq!(live.stats.kv_queries, 101);
         // The ring's copy lost the offending query: partial evidence.
-        let sliced = audit_events(&t.events(), t.dropped(), &AuditConfig::default());
+        let sliced = audit_events(&t.events(), t.dropped(), &AuditConfig);
         assert_eq!(sliced.violations, [Violation::Truncated { dropped: 99 }]);
     }
 
@@ -1407,20 +1407,20 @@ mod tests {
         t.record(TelemetryEvent::RollbackBegin { at, height: 1, depth: 1, accounts: 1 });
         // An open window reads as unterminated, and reading leaves it open.
         let open = t.audit();
-        assert_eq!(open, audit_events(&t.events(), 0, &AuditConfig::default()));
+        assert_eq!(open, audit_events(&t.events(), 0, &AuditConfig));
         assert_eq!(open.stats.unplanned_fetches, 5, "page 1 was never planned");
         assert!(matches!(open.violations.last(), Some(Violation::UnterminatedRollback { .. })));
         t.record(sync(at + 1_000));
         t.record(TelemetryEvent::RollbackEnd { at: at + 2_000, pages: 1 });
         let closed = t.audit();
-        assert_eq!(closed, audit_events(&t.events(), 0, &AuditConfig::default()));
+        assert_eq!(closed, audit_events(&t.events(), 0, &AuditConfig));
         assert_eq!(closed.violations.len(), 5);
         assert!(closed.stats.real_gap_cv_x100 > 0, "the CV was computed");
     }
 
     #[test]
     fn truncated_stream_is_a_violation() {
-        let report = audit_events(&[], 3, &AuditConfig::default());
+        let report = audit_events(&[], 3, &AuditConfig);
         assert!(!report.passed());
         assert!(matches!(report.violations[0], Violation::Truncated { dropped: 3 }));
     }

@@ -153,8 +153,7 @@ mod tests {
         assert!(Account::default().is_empty());
         assert!(!Account::with_balance(U256::ONE).is_empty());
         assert!(!Account::with_code(vec![0x60]).is_empty());
-        let mut a = Account::default();
-        a.nonce = 1;
+        let a = Account { nonce: 1, ..Account::default() };
         assert!(!a.is_empty());
     }
 

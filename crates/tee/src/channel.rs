@@ -9,7 +9,8 @@
 //! moves the payload. The nonce is the header's first 12 bytes, so the
 //! two cannot disagree.
 
-use tape_crypto::{keccak256, AesGcm, PublicKey, SecretKey, Signature};
+use tape_crypto::secp::VerifyingKey;
+use tape_crypto::{keccak256, AesGcm, SecretKey, Signature};
 
 /// Length of the fixed message header.
 pub const HEADER_LEN: usize = 32;
@@ -173,7 +174,7 @@ pub fn sign_bundle(key: &SecretKey, payload: &[u8]) -> Signature {
 ///
 /// [`ChannelError::Signature`] when verification fails.
 pub fn verify_bundle(
-    key: &PublicKey,
+    key: &VerifyingKey,
     payload: &[u8],
     signature: &Signature,
 ) -> Result<(), ChannelError> {
@@ -299,14 +300,15 @@ mod tests {
         let user = rng.next_secret_key();
         let payload = b"tx1|tx2|tx3";
         let sig = sign_bundle(&user, payload);
-        verify_bundle(&user.public_key(), payload, &sig).unwrap();
+        let user_key = VerifyingKey::new(user.public_key());
+        verify_bundle(&user_key, payload, &sig).unwrap();
         assert_eq!(
-            verify_bundle(&user.public_key(), b"tx1|tx2|tampered", &sig),
+            verify_bundle(&user_key, b"tx1|tx2|tampered", &sig),
             Err(ChannelError::Signature)
         );
         let other = rng.next_secret_key();
         assert_eq!(
-            verify_bundle(&other.public_key(), payload, &sig),
+            verify_bundle(&VerifyingKey::new(other.public_key()), payload, &sig),
             Err(ChannelError::Signature)
         );
     }

@@ -9,7 +9,8 @@
 # `cargo test -p tape-crypto --test props`, `cargo test --test crypto_kat`
 # and `cargo test -p tape-oram --test wire_pin`), then the static gates:
 # clippy over every crate, warnings denied, `.unwrap()` forbidden (an
-# allow-listed exception carries a justifying comment);
+# allow-listed exception carries a justifying comment), then over every
+# target (tests and examples too), warnings denied, `.unwrap()` allowed;
 # `#![forbid(unsafe_code)]` in every crate root; the source gates of
 # tests/gates.rs, which tier-1 runs too (each gate's rule, scan roots and
 # allow-list are documented there); and the NONTEST_LINES count.
@@ -41,8 +42,10 @@
 #            interpreter check of differential.rs, one ANALYSIS_SOAK
 #            line per property. Then the
 #            secp256k1 differential soak, in release: 4 096 cases of
-#            mul / sign -> verify / recover / ecdh against the
-#            double-and-add oracle in crates/crypto/tests/props.rs.
+#            mul / sign -> verify (one-shot and off a prepared
+#            VerifyingKey, on the honest and a moved signature) /
+#            recover / ecdh against the double-and-add oracle in
+#            crates/crypto/tests/props.rs.
 #            Last, the sync-scale row: one ERC-20 transfer a block
 #            against a token with 8 192 holders (tests/sync.rs, in
 #            release) prints SYNC_SCALE and fails unless its ORAM
@@ -85,6 +88,8 @@ done
 lint_gates() {
     echo "==> cargo clippy --workspace (deny warnings + unwrap_used, all crates)"
     cargo clippy --workspace -- -D warnings -D clippy::unwrap_used
+    echo "==> cargo clippy --workspace --all-targets (deny warnings in test code too)"
+    cargo clippy --workspace --all-targets -- -D warnings
 
     echo "==> forbid(unsafe_code) in every crate root"
     missing=0
@@ -244,7 +249,7 @@ if [[ "$RUN_SOAK" -eq 1 ]]; then
             exit 1
         fi
     done
-    echo "==> ECDSA differential soak (release: comb, endomorphism ladder and gcd inverse against double-and-add)"
+    echo "==> ECDSA differential soak (release: the one ladder — comb, two- and four-piece GLV — and gcd inverse against double-and-add)"
     cargo test -q --release -p tape-crypto --test props -- --ignored --nocapture \
         | grep -E '^ECDSA_SOAK '
     echo "==> sync scale (release: writes and virtual time a block at 8 192 holders equal 8 holders')"

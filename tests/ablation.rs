@@ -43,7 +43,8 @@ fn every_oram_ablation_fails_the_audit_with_its_own_violation() {
     assert!(clean.passed(), "un-ablated twin must pass: {:?}", clean.violations);
     let mut digests = vec![report_digest(&clean)];
 
-    let table: [(Ablation, fn(&Violation) -> bool); 3] = [
+    type Expected = fn(&Violation) -> bool;
+    let table: [(Ablation, Expected); 3] = [
         (Ablation::Starve, |v| matches!(v, Violation::CodeBurst { .. })),
         (Ablation::OmitPlan, |v| matches!(v, Violation::UnplannedCodePage { .. })),
         (Ablation::OmitStatePlan, |v| matches!(v, Violation::UnplannedStateAccess { .. })),

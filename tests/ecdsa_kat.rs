@@ -17,11 +17,12 @@
 //! any replacement arithmetic must reproduce them unchanged. What
 //! `verify` and `recover` *decide* — honest, mirrored, tampered and
 //! cross-key inputs on the same grid — is pinned by `GRID_DECISIONS`,
-//! recorded on the comb-and-window implementation, and the one case no
+//! recorded on the comb-and-window implementation (a key prepared as a
+//! `VerifyingKey` must decide every cell as `verify` does), and the one case no
 //! honest signature reaches (`R`'s x coordinate above `n`) by a crafted
 //! vector of its own.
 
-use tape_crypto::secp::{self, EcdsaError, Point, PublicKey, Signature, N, P};
+use tape_crypto::secp::{self, EcdsaError, Point, PublicKey, Signature, VerifyingKey, N, P};
 use tape_crypto::{keccak256, sha256, Keccak256, SecretKey};
 use tape_primitives::{hex, Address, B256, U256};
 
@@ -185,6 +186,8 @@ fn verify_decisions_and_recovered_addresses_are_pinned() {
     let publics: Vec<_> = (0..GRID_KEYS)
         .map(|i| SecretKey::from_seed(format!("ecdsa-kat-key-{i}").as_bytes()).public_key())
         .collect();
+    // Each cell's decision again, off the key prepared once per session.
+    let prepared: Vec<_> = publics.iter().map(|&key| VerifyingKey::new(key)).collect();
     for (j, (digest, expected)) in grid_digests().iter().zip(GRID_DECISIONS).enumerate() {
         let mut column = Keccak256::new();
         for i in 0..GRID_KEYS {
@@ -195,15 +198,16 @@ fn verify_decisions_and_recovered_addresses_are_pinned() {
             let bit = (37 * i + 101 * j) % 256;
             let flipped_digest = B256::new(flip(digest.into_u256(), bit).to_be_bytes());
             let cases = [
-                (publics[i], *digest, sig),
-                (publics[i], *digest, Signature { s: N.wrapping_sub(sig.s), v: sig.v ^ 1, ..sig }),
-                (publics[i], *digest, Signature { r: flip(sig.r, bit), ..sig }),
-                (publics[i], *digest, Signature { s: flip(sig.s, bit), ..sig }),
-                (publics[i], flipped_digest, sig),
-                (publics[(i + 1) % GRID_KEYS], *digest, sig),
+                (i, *digest, sig),
+                (i, *digest, Signature { s: N.wrapping_sub(sig.s), v: sig.v ^ 1, ..sig }),
+                (i, *digest, Signature { r: flip(sig.r, bit), ..sig }),
+                (i, *digest, Signature { s: flip(sig.s, bit), ..sig }),
+                (i, flipped_digest, sig),
+                ((i + 1) % GRID_KEYS, *digest, sig),
             ];
-            for (case, (key, digest, sig)) in cases.iter().enumerate() {
-                let verdict = key.verify(digest, sig);
+            for (case, (k, digest, sig)) in cases.iter().enumerate() {
+                let verdict = publics[*k].verify(digest, sig);
+                assert_eq!(prepared[*k].verify(digest, sig), verdict, "key {i}, digest {j}, case {case}");
                 assert_eq!(verdict.is_ok(), case < 2, "key {i}, digest {j}, case {case}");
                 column.update(&[decision(verdict)]);
                 match secp::recover(digest, sig) {
@@ -243,6 +247,7 @@ fn nonce_point_with_x_above_n_verifies_under_the_reduced_r() {
     let key = PublicKey::from_point(q).expect("on the curve");
     for v in 0..2 {
         assert_eq!(key.verify(&digest, &Signature { r, s, v }), Ok(()));
+        assert_eq!(VerifyingKey::new(key).verify(&digest, &Signature { r, s, v }), Ok(()));
         let three = Signature { r: U256::from(3u64), s, v };
         assert_eq!(key.verify(&digest, &three), Err(EcdsaError::BadSignature));
         // `recover` lifts `r` itself, never `r + n`: it names another key.

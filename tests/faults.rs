@@ -416,7 +416,8 @@ fn persistent_node_outage_reported_after_retries() {
 
 #[test]
 fn forged_feed_responses_rejected_with_typed_errors() {
-    let cases: &[(FaultKind, fn(&ServiceError) -> bool)] = &[
+    type Expected = fn(&ServiceError) -> bool;
+    let cases: &[(FaultKind, Expected)] = &[
         (FaultKind::BadProof, |e| matches!(e, ServiceError::BadDelta(_))),
         (FaultKind::ContentLie, |e| {
             matches!(e, ServiceError::BadDelta(tape_node::DeltaError::ContentMismatch(_)))

@@ -107,7 +107,6 @@ fn pooled_run(rig: Rig, seed: u64, workers: usize) -> (String, Receipts) {
         GatewayConfig {
             admission_budget: 24,
             workers,
-            ..GatewayConfig::default()
         },
     );
     let plan = FaultPlan::new(seed, gateway.device().clock());
@@ -146,7 +145,7 @@ fn pooled_run(rig: Rig, seed: u64, workers: usize) -> (String, Receipts) {
 
     let counts = [24usize, 16, 10];
     let order = interleave(&counts, seed);
-    let mut steps = vec![0usize; TENANTS];
+    let mut steps = [0usize; TENANTS];
     let mut admitted = BTreeSet::new();
     let mut completions: Vec<Completion> = Vec::new();
 

@@ -364,7 +364,7 @@ fn preempted_bomb_completes_exactly_once_through_the_gateway() {
     assert_eq!(completions.len(), 2, "one completion per admitted bundle");
     let stats = gateway.stats();
     assert!(
-        stats.preempted as u64 >= BOMB_GAS / GAS_SLICE / 2,
+        stats.preempted >= BOMB_GAS / GAS_SLICE / 2,
         "an {BOMB_GAS}-gas bomb must preempt many times, saw {}",
         stats.preempted
     );

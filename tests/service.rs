@@ -5,6 +5,7 @@
 use hardtape::{
     Bundle, Gateway, GatewayConfig, HarDTape, SecurityConfig, ServiceConfig, ServiceError,
 };
+use tape_crypto::secp::VerifyingKey;
 use tape_crypto::SecureRng;
 use tape_evm::asm::Asm;
 use tape_evm::opcode::op;
@@ -558,12 +559,13 @@ fn trace_signature_covers_log_topics() {
     tx.gas_limit = 100_000;
     let report = device.pre_execute(&mut user, &Bundle::single(tx)).unwrap();
     let sig = report.signature.unwrap();
-    tape_tee::channel::verify_bundle(&user.device_key(), &report.encode(), &sig).unwrap();
+    let device_key = VerifyingKey::new(user.device_key());
+    tape_tee::channel::verify_bundle(&device_key, &report.encode(), &sig).unwrap();
 
     let mut forged = report.clone();
     forged.results[0].logs[0].topics[0] = tape_primitives::B256::new([0xEE; 32]);
     assert!(
-        tape_tee::channel::verify_bundle(&user.device_key(), &forged.encode(), &sig).is_err(),
+        tape_tee::channel::verify_bundle(&device_key, &forged.encode(), &sig).is_err(),
         "signature must commit to log topics"
     );
 }

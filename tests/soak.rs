@@ -164,7 +164,6 @@ fn chaos_run(seed: u64) -> (String, String, Vec<(u64, usize)>) {
     let mut gateway = soak_gateway(GatewayConfig {
         admission_budget: 18,
         workers: soak_workers(),
-        ..GatewayConfig::default()
     });
 
     // Seeded adversaries on both untrusted boundaries: the secure
@@ -206,8 +205,8 @@ fn chaos_run(seed: u64) -> (String, String, Vec<(u64, usize)>) {
     let mut admitted = BTreeSet::new();
     let mut rejected = 0usize;
     let mut completions: Vec<Completion> = Vec::new();
-    let mut steps = vec![0usize; TENANTS];
-    let mut reattests = vec![0usize; TENANTS];
+    let mut steps = [0usize; TENANTS];
+    let mut reattests = [0usize; TENANTS];
 
     for (op, &tenant) in order.iter().enumerate() {
         let step = steps[tenant];
@@ -760,7 +759,6 @@ fn reorg_chaos_run(seed: u64) -> (String, String) {
     let mut gateway = soak_gateway(GatewayConfig {
         admission_budget: 18,
         workers: soak_workers(),
-        ..GatewayConfig::default()
     });
     let mut feeds = soak_feedset();
     let mut sessions = Vec::new();
@@ -774,7 +772,7 @@ fn reorg_chaos_run(seed: u64) -> (String, String) {
 
     let counts = [30usize, 24, 18, 12];
     let order = interleave(&counts, seed);
-    let mut steps = vec![0usize; TENANTS];
+    let mut steps = [0usize; TENANTS];
     let mut completions: Vec<Completion> = Vec::new();
     let mut produced = 0u64;
     let mut reorged = false;
@@ -869,9 +867,8 @@ fn preempt_chaos_run(seed: u64) -> (String, String) {
     let mut gateway = Gateway::new(
         HarDTape::new(service, Env::default(), &preempt_genesis()).expect("device boots"),
         GatewayConfig {
-                admission_budget: 24,
+            admission_budget: 24,
             workers: soak_workers(),
-            ..GatewayConfig::default()
         },
     );
 
@@ -898,7 +895,7 @@ fn preempt_chaos_run(seed: u64) -> (String, String) {
 
     let counts = [36usize, 27, 18];
     let order = interleave(&counts, seed);
-    let mut steps = vec![0usize; 3];
+    let mut steps = [0usize; 3];
     let mut bomb_steps = 0usize;
     let mut completions: Vec<Completion> = Vec::new();
 

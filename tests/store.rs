@@ -148,7 +148,7 @@ fn reopen_and_finish(cfg: DiskStoreConfig, total: u64, twins: &[B256]) -> Recove
     let mut client = match server.meta() {
         Some(sealed) => {
             assert!(s > 0, "meta blob present with no committed transaction");
-            OramClient::restore_state(geometry(), &KEY, &sealed).expect("restore sealed client")
+            OramClient::restore_state(geometry(), &KEY, sealed).expect("restore sealed client")
         }
         None => {
             assert_eq!(s, 0, "committed transactions but no sealed client recovered");
@@ -195,7 +195,7 @@ fn disk_backed_roundtrip_matches_twin_and_survives_reopen() {
     assert_eq!(reopened.state_digest(), twins[total as usize], "cold start diverges");
     let sealed = reopened.meta().expect("sealed client in meta slot");
     let mut restored =
-        OramClient::restore_state(geometry(), &KEY, &sealed).expect("restore client");
+        OramClient::restore_state(geometry(), &KEY, sealed).expect("restore client");
     // The in-process client did `total` post-commit reads the sealed
     // snapshot predates, so only durable state may be compared — the
     // restored client must serve every committed block.
@@ -389,7 +389,7 @@ fn short_read_is_typed_and_transient() {
     assert_eq!(report.committed_seq, total);
     let sealed = server.meta().expect("sealed client");
     let mut restored =
-        OramClient::restore_state(geometry(), &KEY, &sealed).expect("restore client");
+        OramClient::restore_state(geometry(), &KEY, sealed).expect("restore client");
     let (c, cost) = (Clock::new(), CostModel::default());
     let err = restored.read(&mut server, &c, &cost, &bid(1)).expect_err("short read surfaces");
     match err {
