@@ -22,38 +22,31 @@
 //! applied (later records override earlier). Whatever trails the last
 //! commit record of the last file — torn or merely uncommitted — is
 //! truncated away, so a later commit can never adopt it; the same shape
-//! anywhere else, a MAC failure or a gap in the commit sequence is
-//! [`StoreError::Corrupt`]. Recovery is announced on the telemetry
-//! stream as a [`RecoveryBegin`]/[`RecoveryEnd`] window so the §IV-D
-//! auditor can prove no ORAM query leaked into it.
+//! anywhere else, a checksum failure or a gap in the commit sequence is
+//! [`StoreError::Corrupt`], naming the first such record in log order.
+//! Recovery is announced on the telemetry stream as a
+//! [`RecoveryBegin`]/[`RecoveryEnd`] window so the §IV-D auditor can
+//! prove no ORAM query leaked into it.
 //!
-//! # Two lanes in recovery
+//! # Checksums
 //!
-//! [`DiskStore::open`] starts one helper thread for the whole recovery
-//! (the one host thread this file starts). Each segment is read once
-//! and handed to it over a one-deep channel; it checks the MACs of the
-//! segment's even-numbered records while the calling thread checks the
-//! odd-numbered ones, applies the segment and records all telemetry.
-//! The helper only reads bytes nothing mutates while it holds them, and
-//! the error reported is the first failing record in log order,
-//! whichever lane found it — so no byte, verdict or event depends on how
-//! the host schedules the two.
+//! Every record carries a CRC-32C ([`super::codec`]). Recovery checks
+//! each record as it walks the log, on the calling thread, and every
+//! read of the in-memory mirror checks the record it serves, so bit rot
+//! in the serving copy surfaces at the next read of that bucket.
 //!
 //! [`commit`]: super::BucketBackend::commit
 //! [`RecoveryBegin`]: TelemetryEvent::RecoveryBegin
 //! [`RecoveryEnd`]: TelemetryEvent::RecoveryEnd
 
 use super::codec::{
-    decode_record, encode_record_into, CodecError, Decoded, Record, HEADER_LEN, RT_BUCKET,
-    RT_COMMIT,
+    decode_record, encode_record_into, Decoded, Record, HEADER_LEN, RT_BUCKET, RT_COMMIT,
 };
 use super::{digest_bucket, overwrite, BucketBackend, Staged, StoreError};
 use crate::OramConfig;
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, RwLock};
-use std::thread;
 use tape_crypto::Keccak256;
 use tape_primitives::B256;
 use tape_sim::fault::{FaultDecision, FaultKind, FaultPlan, FaultSite};
@@ -65,9 +58,6 @@ use tape_sim::Clock;
 pub struct DiskStoreConfig {
     /// Directory holding the segment files.
     pub dir: PathBuf,
-    /// Keyed-keccak MAC key for record framing (durability integrity;
-    /// the client's AES-GCM remains the security boundary).
-    pub key: [u8; 32],
     /// Shim: the store reads it nowhere (there is no journal to trim).
     /// It stays, at 8, because the frozen `benchmark/` package still
     /// pads to it; delete it together with `pad_to_trim_boundary`.
@@ -75,21 +65,22 @@ pub struct DiskStoreConfig {
     /// Start a new segment file once the active one holds this many
     /// bytes (checked between transactions; at least 4 KiB).
     pub segment_roll_bytes: usize,
-    /// Verify record MACs in recovery and on reads of unmarked buckets
-    /// (`false` only for the checksum-disabled ablation, which marks no
-    /// bucket, so every read announces itself and fails the audit).
-    pub verify_macs: bool,
+    /// Check record checksums in recovery and on every read (`false`
+    /// only for the checksum-disabled ablation: nothing is checked, and
+    /// every read announces itself and fails the audit).
+    pub verify_checksums: bool,
 }
 
 impl DiskStoreConfig {
-    /// Defaults for `dir` with MAC key `key`.
-    pub fn new(dir: impl Into<PathBuf>, key: [u8; 32]) -> Self {
+    /// Defaults for `dir`. Shim: `_key` is ignored (records carry a
+    /// checksum, not a MAC). The argument stays because the frozen
+    /// `benchmark/` package passes one; drop it with `wal_trim_every`.
+    pub fn new(dir: impl Into<PathBuf>, _key: [u8; 32]) -> Self {
         DiskStoreConfig {
             dir: dir.into(),
-            key,
             wal_trim_every: 8,
             segment_roll_bytes: 1 << 20,
-            verify_macs: true,
+            verify_checksums: true,
         }
     }
 }
@@ -129,33 +120,7 @@ fn corrupt(segment: u32, off: usize, what: &dyn core::fmt::Display) -> StoreErro
     StoreError::Corrupt { detail: format!("segment {segment} offset {off}: {what}") }
 }
 
-/// Why a lock on the resident segment cannot be poisoned: neither lane
-/// panics while holding the write side.
-const UNPOISONED: &str = "the resident segment is replaced only between segments";
-
-/// Whether recovery's helper lane checks the MAC of a segment's `n`th
-/// record (from 0): the even-numbered ones are its, the rest the caller's.
-fn helper_checks(n: usize) -> bool {
-    n.is_multiple_of(2)
-}
-
-/// The helper lane's verdict on one segment: the first record whose
-/// framing, or whose MAC if it is the helper's to check, fails — with its
-/// offset. Up to that record the caller walks the same boundaries.
-fn helper_verdict(key: &[u8; 32], bytes: &[u8], verify: bool) -> Option<(usize, CodecError)> {
-    let (mut off, mut n) = (0, 0);
-    while off < bytes.len() {
-        match decode_record(key, &bytes[off..], verify && helper_checks(n)) {
-            Ok(Decoded::Record(_, used)) => off += used,
-            Ok(Decoded::Incomplete) => break,
-            Err(err) => return Some((off, err)),
-        }
-        n += 1;
-    }
-    None
-}
-
-/// How the caller's walk over one segment ended.
+/// How the walk over one segment ended.
 struct Walk {
     /// Bytes up to the end of the segment's last commit record.
     committed: usize,
@@ -194,7 +159,6 @@ enum Io {
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
-    key: [u8; 32],
     capacity: usize,
     /// Bytes of one bucket: the only payload a bucket record may carry.
     bucket_len: usize,
@@ -206,12 +170,8 @@ pub struct DiskStore {
     active: SimFile,
     /// Latest committed *encoded record* per bucket (empty = never
     /// written), overwritten in place — the in-memory mirror that serves
-    /// reads (MAC verified per read unless the bucket is marked below).
+    /// reads (its checksum checked on every read).
     mirror: Vec<Box<[u8]>>,
-    /// One mark a bucket: the mirror record's MAC was computed or checked
-    /// since the record last changed. Set by `commit` and by recovery,
-    /// and only when MACs are verified; cleared by bit rot.
-    mac_checked: Vec<bool>,
     /// Open transaction: the encoded bucket records staged since the
     /// last commit.
     staged: Staged,
@@ -235,7 +195,7 @@ impl DiskStore {
     ///
     /// [`StoreError::Io`] on host filesystem failure;
     /// [`StoreError::Corrupt`] on anything no crash of this store can
-    /// explain: MAC-bad, mis-framed or out-of-sequence records, a bucket
+    /// explain: checksum-bad, mis-framed or out-of-sequence records, a bucket
     /// record that does not hold exactly one bucket of this geometry, a
     /// torn or uncommitted tail anywhere but the end of the last
     /// segment, or a directory in an older format.
@@ -270,15 +230,13 @@ impl DiskStore {
         let mut store = DiskStore {
             active: SimFile { path: seg_path(&config.dir, 0), durable: 0, tail: Vec::new() },
             dir: config.dir,
-            key: config.key,
             capacity: geometry.bucket_capacity,
             bucket_len: geometry.bucket_capacity * geometry.slot_len(),
             roll_bytes: config.segment_roll_bytes.max(1 << 12),
-            verify: config.verify_macs,
+            verify: config.verify_checksums,
             clock: clock.clone(),
             segment: 0,
             mirror: vec![Box::default(); buckets],
-            mac_checked: vec![false; buckets],
             staged: Staged::default(),
             pending_meta: None,
             meta: None,
@@ -321,13 +279,6 @@ impl DiskStore {
             self.replay(segments, &mut report)?;
         }
         report.committed_seq = self.seq;
-
-        // Every record now in the mirror had its MAC checked on one lane
-        // or the other — on neither under the ablation.
-        for (checked, record) in self.mac_checked.iter_mut().zip(&self.mirror) {
-            *checked = self.verify && !record.is_empty();
-        }
-
         self.count(CounterId::RecoveryReplays, u64::from(report.replayed));
         self.record_event(TelemetryEvent::RecoveryEnd {
             at: self.clock.now(),
@@ -337,103 +288,67 @@ impl DiskStore {
         Ok(report)
     }
 
-    /// The one pass over the segment files, with the MACs checked on two
-    /// lanes (module docs): a segment is judged, and the log truncated,
-    /// only once both verdicts on it are in.
+    /// The one pass over the segment files: each is read, walked and
+    /// applied, and the log truncated after its last commit record.
     fn replay(
         &mut self,
         segments: &[(u32, PathBuf)],
         report: &mut RecoveryReport,
     ) -> Result<(), StoreError> {
-        // The one resident segment: refilled by this thread between
-        // segments, read by both lanes while one is judged. One buffer,
-        // sized once to the longest segment, serves the whole log, so
-        // recovery allocates the same whatever order the lengths come in.
+        // The one resident segment. One buffer, sized once to the longest
+        // segment, serves the whole log, so recovery allocates the same
+        // whatever order the lengths come in.
         let mut longest = 0;
         for (_, path) in segments {
             let len = std::fs::metadata(path).map_err(|e| io_err("read segment", e))?.len();
             longest = longest.max(len);
         }
-        let resident = RwLock::new(Vec::with_capacity(longest as usize));
-        let (key, verify) = (self.key, self.verify);
-        thread::scope(|scope| {
-            let (jobs, inbox) = mpsc::sync_channel::<()>(1);
-            let (outbox, verdicts) = mpsc::sync_channel(1);
-            let shared = &resident;
-            scope.spawn(move || {
-                for () in inbox {
-                    let verdict = helper_verdict(&key, &shared.read().expect(UNPOISONED), verify);
-                    if outbox.send(verdict).is_err() {
-                        break;
-                    }
+        let mut bytes = Vec::with_capacity(longest as usize);
+        for (i, (index, path)) in segments.iter().enumerate() {
+            bytes.clear();
+            std::fs::File::open(path)
+                .and_then(|mut file| file.read_to_end(&mut bytes))
+                .map_err(|e| io_err("read segment", e))?;
+            let walk = self.apply_segment(*index, &bytes, report)?;
+            if walk.committed < bytes.len() {
+                // What trails the last commit record never became
+                // visible. Only a crash mid-transaction leaves that,
+                // and only at the very end of the log; it must go
+                // before the next commit record could adopt it.
+                if i + 1 != segments.len() {
+                    let what = "torn or uncommitted records mid-log";
+                    return Err(corrupt(*index, walk.committed, &what));
                 }
-            });
-            for (i, (index, path)) in segments.iter().enumerate() {
-                {
-                    let mut bytes = resident.write().expect(UNPOISONED);
-                    bytes.clear();
-                    std::fs::File::open(path)
-                        .and_then(|mut file| file.read_to_end(&mut bytes))
-                        .map_err(|e| io_err("read segment", e))?;
-                }
-                jobs.send(()).expect("the recovery helper is running");
-                let bytes = resident.read().expect(UNPOISONED);
-                let walked = self.apply_segment(*index, &bytes, report);
-                let helper = verdicts.recv().expect("the recovery helper judges every segment");
-                // The first failure in log order, whichever lane found it;
-                // at one record the helper's, as `decode_record` checks a
-                // MAC before this lane checks anything else of the record.
-                let walk = match (walked, helper) {
-                    (walked, Some((at, err)))
-                        if walked.as_ref().err().is_none_or(|(off, _)| at <= *off) =>
-                    {
-                        return Err(corrupt(*index, at, &err));
-                    }
-                    (walked, _) => walked.map_err(|(_, err)| err)?,
-                };
-                if walk.committed < bytes.len() {
-                    // What trails the last commit record never became
-                    // visible. Only a crash mid-transaction leaves that,
-                    // and only at the very end of the log; it must go
-                    // before the next commit record could adopt it.
-                    if i + 1 != segments.len() {
-                        let what = "torn or uncommitted records mid-log";
-                        return Err(corrupt(*index, walk.committed, &what));
-                    }
-                    report.discarded += walk.discarded;
-                    std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(path)
-                        .and_then(|f| f.set_len(walk.committed as u64))
-                        .map_err(|e| io_err("truncate", e))?;
-                }
-                // The last file read is the one appends continue in.
-                self.segment = *index;
-                self.active =
-                    SimFile { path: path.clone(), durable: walk.committed, tail: Vec::new() };
+                report.discarded += walk.discarded;
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(path)
+                    .and_then(|f| f.set_len(walk.committed as u64))
+                    .map_err(|e| io_err("truncate", e))?;
             }
-            Ok(())
-        })
+            // The last file read is the one appends continue in.
+            self.segment = *index;
+            self.active = SimFile { path: path.clone(), durable: walk.committed, tail: Vec::new() };
+        }
+        Ok(())
     }
 
-    /// This lane's share of one segment: walks every record, checks the
-    /// MAC of those the helper does not and everything else of all of
-    /// them, and applies each transaction at its commit record. A failure
-    /// comes back with its offset, to be weighed against the helper's.
+    /// Walks every record of one segment, checking its checksum, sequence
+    /// number and shape, and applies each transaction at its commit
+    /// record.
     fn apply_segment(
         &mut self,
         index: u32,
         bytes: &[u8],
         report: &mut RecoveryReport,
-    ) -> Result<Walk, (usize, StoreError)> {
-        let fail = |off: usize, what: &dyn core::fmt::Display| (off, corrupt(index, off, what));
+    ) -> Result<Walk, StoreError> {
+        let fail = |off: usize, what: &dyn core::fmt::Display| corrupt(index, off, what);
         // The transaction being read: its bucket records (as ranges of
         // `bytes`) are held until its commit record arrives.
         let mut held: Vec<(usize, Range<usize>)> = Vec::new();
-        let (mut off, mut committed, mut n) = (0, 0, 0);
+        let (mut off, mut committed) = (0, 0);
         while off < bytes.len() {
-            let verify = self.verify && !helper_checks(n);
-            let (rec, used) = match decode_record(&self.key, &bytes[off..], verify) {
+            let (rec, used) = match decode_record(&bytes[off..], self.verify) {
                 Ok(Decoded::Record(rec, used)) => (rec, used),
                 Ok(Decoded::Incomplete) => break,
                 Err(err) => return Err(fail(off, &err)),
@@ -460,7 +375,6 @@ impl DiskStore {
                 committed = off + used;
             }
             off += used;
-            n += 1;
         }
         let discarded = held.len() as u32 + u32::from(off < bytes.len());
         Ok(Walk { committed, discarded })
@@ -560,9 +474,9 @@ impl BucketBackend for DiskStore {
             return Ok(true);
         }
         let at = bucket as usize;
-        // Disk read-path faults: bit rot lands in the stored record (and
-        // clears the bucket's mark so the MAC check actually runs); a
-        // short read returns a truncated record without mutating it.
+        // Disk read-path faults: bit rot lands in the stored record, for
+        // this read's checksum to catch; a short read returns a
+        // truncated record without mutating it.
         let fault = self.faults.as_ref().and_then(|plan| {
             plan.decide_for(FaultSite::Disk, &[FaultKind::BitRot, FaultKind::ShortRead])
         });
@@ -574,19 +488,15 @@ impl BucketBackend for DiskStore {
             let byte = (decision.param % record.len() as u64) as usize;
             if matches!(decision.kind, FaultKind::BitRot) {
                 record[byte] ^= 1 << ((decision.param >> 24) % 8);
-                self.mac_checked[at] = false;
             } else {
                 let (expected, actual) = (record.len() as u32, byte as u32);
                 return Err(StoreError::ShortRead { bucket, expected, actual });
             }
         }
-        // The MAC is checked (per `verify_macs`) unless the bucket is
-        // marked as checked since its record last changed.
-        let due = !self.mac_checked[at];
-        if due && !self.verify {
+        if !self.verify {
             self.record_event(TelemetryEvent::DiskUnverified { at: self.clock.now(), bucket });
         }
-        let what = match decode_record(&self.key, &self.mirror[at], due && self.verify) {
+        let what = match decode_record(&self.mirror[at], self.verify) {
             Ok(Decoded::Record(rec, _)) if rec.payload.len() == slots.len() => {
                 slots.copy_from_slice(rec.payload);
                 return Ok(true);
@@ -595,8 +505,8 @@ impl BucketBackend for DiskStore {
             // A bit flip in the length field can make a stored record
             // read as truncated: corruption, not a legal torn tail.
             Ok(Decoded::Incomplete) => "reads truncated".to_string(),
-            // A MAC failure here is bit rot: this record's MAC was checked
-            // or computed here before it lost its mark.
+            // A checksum failure here is bit rot: recovery checked the
+            // record, or `write_bucket` encoded it, before it was mirrored.
             Err(err) => err.to_string(),
         };
         Err(StoreError::Corrupt { detail: format!("bucket {bucket}: stored record {what}") })
@@ -604,10 +514,10 @@ impl BucketBackend for DiskStore {
 
     fn write_bucket(&mut self, bucket: u64, slots: &[u8]) -> Result<(), StoreError> {
         self.guard()?;
-        // Framed and MACed once, here; `commit` moves the bytes.
+        // Framed and checksummed once, here; `commit` moves the bytes.
         let rec = Record { rtype: RT_BUCKET, bucket, seq: self.seq + 1, payload: slots };
         self.staged.buckets.push(bucket);
-        encode_record_into(&mut self.staged.bytes, &self.key, &rec);
+        encode_record_into(&mut self.staged.bytes, &rec);
         Ok(())
     }
 
@@ -634,15 +544,13 @@ impl BucketBackend for DiskStore {
         self.before_append()?;
         let payload = meta.as_deref().or(self.meta.as_deref()).unwrap_or_default();
         let rec = Record { rtype: RT_COMMIT, bucket: 0, seq, payload };
-        encode_record_into(&mut self.active.tail, &self.key, &rec);
+        encode_record_into(&mut self.active.tail, &rec);
 
         // The durability point: the fsync gates visibility.
         self.fsync()?;
 
         for (bucket, record) in staged.iter() {
             overwrite(&mut self.mirror[bucket as usize], record);
-            // `write_bucket` computed this record's MAC.
-            self.mac_checked[bucket as usize] = self.verify;
         }
         staged.buckets.clear();
         staged.bytes.clear();
@@ -669,7 +577,7 @@ impl BucketBackend for DiskStore {
     fn state_digest(&self) -> B256 {
         let mut h = Keccak256::new();
         for (bucket, record) in self.mirror.iter().enumerate() {
-            let slots = match decode_record(&self.key, record, false) {
+            let slots = match decode_record(record, false) {
                 _ if record.is_empty() => &[][..],
                 Ok(Decoded::Record(rec, _)) => rec.payload,
                 // Undecodable content still changes the digest (never

@@ -365,15 +365,11 @@ fn determinism(tree: &[File]) -> Vec<String> {
 /// The files that may start host threads, each for its reason. Each
 /// thread computes a pure function of its inputs; one anywhere else could
 /// make a digest depend on how the host scheduled it.
-const THREAD_FILES: [(&str, &str); 3] = [
+const THREAD_FILES: [(&str, &str); 2] = [
     ("crates/core/src/pool.rs", "a pool worker runs one prepared task on a private clock"),
     (
         "crates/oram/src/path_oram.rs",
         "the crypto lane opens or seals half a path under nonces it is handed",
-    ),
-    (
-        "crates/oram/src/store/disk.rs",
-        "recovery's helper checks MACs of bytes nothing mutates; the first failure in log order wins",
     ),
 ];
 
@@ -391,7 +387,7 @@ fn threads(tree: &[File]) -> Vec<String> {
             {
                 found.push(f.at(
                     t.line,
-                    "a host thread outside the worker pool, the ORAM crypto lane and disk recovery",
+                    "a host thread outside the worker pool and the ORAM crypto lane",
                 ));
             }
         }
@@ -419,7 +415,7 @@ fn path_shape(tree: &[File]) -> Vec<String> {
 
 /// Fields of a `…Config` exempt from [`options`], each for its reason.
 /// `None` exempts every field of the struct.
-const OPTIONS_ALLOWED: [(&str, Option<&str>, &str); 9] = [
+const OPTIONS_ALLOWED: [(&str, Option<&str>, &str); 8] = [
     (
         "ServiceConfig",
         Some("security"),
@@ -429,11 +425,6 @@ const OPTIONS_ALLOWED: [(&str, Option<&str>, &str); 9] = [
         "HevmConfig",
         Some("cost"),
         "DESIGN §2's table of model constants (`CostModel`, as for `MemoryConfig`), carried as one value so the engine, the service and the gateway read one table",
-    ),
-    (
-        "DiskStoreConfig",
-        Some("key"),
-        "a per-device secret: `HarDTape::new` derives it and passes it to `DiskStoreConfig::new`, so it cannot be a constant",
     ),
     (
         "DiskStoreConfig",
@@ -452,8 +443,8 @@ const OPTIONS_ALLOWED: [(&str, Option<&str>, &str); 9] = [
     ),
     (
         "DiskStoreConfig",
-        Some("verify_macs"),
-        "the checksum negative control; ROADMAP item 11 deletes it",
+        Some("verify_checksums"),
+        "the checksum negative control; item 1 turns it into the root-check ablation",
     ),
     (
         "ServiceConfig",

@@ -449,23 +449,66 @@ fn recovery_is_idempotent() {
     }
 }
 
-/// Flips one bit of record `record` of segment file `segment` (`bytes`):
-/// the last bit of its MAC, or of its sequence number if `in_seq`.
-/// Returns the error recovery must name it by — a MAC failure either way,
-/// as a record's MAC is checked before its sequence number.
-fn flip_bit(bytes: &mut [u8], segment: usize, record: usize, in_seq: bool) -> String {
+/// Where [`flip_bit`] strikes a record: the last bit of one of its
+/// fields, or (`Relabel`) its bucket index rewritten to the next
+/// bucket's, the checksum left as it was — a splice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    Type,
+    Bucket,
+    Seq,
+    Length,
+    Payload,
+    Checksum,
+    Relabel,
+}
+
+/// Every [`Field`], for a table of strikes on one bucket record.
+const FIELDS: [Field; 7] = [
+    Field::Type,
+    Field::Bucket,
+    Field::Seq,
+    Field::Length,
+    Field::Payload,
+    Field::Checksum,
+    Field::Relabel,
+];
+
+/// Strikes `field` of record `record` of segment file `segment` (`bytes`).
+/// Returns the error recovery must name it by: an unknown record type for
+/// the type field, and a checksum failure for every other, as a record's
+/// checksum is checked before its sequence number or its shape.
+fn flip_bit(bytes: &mut [u8], segment: usize, record: usize, field: Field) -> String {
     let (mut off, mut n) = (0, 0);
     loop {
-        let Ok(codec::Decoded::Record(rec, used)) =
-            codec::decode_record(&MAC_KEY, &bytes[off..], false)
+        let Ok(codec::Decoded::Record(rec, used)) = codec::decode_record(&bytes[off..], false)
         else {
             panic!("segment {segment} has no record {record}");
         };
         if n == record {
-            let bad_mac = codec::CodecError::BadMac { rtype: rec.rtype, bucket: rec.bucket };
-            // The sequence number is header bytes 11..19.
-            bytes[if in_seq { off + 18 } else { off + used - 1 }] ^= 1;
-            return format!("segment {segment} offset {off}: {bad_mac}");
+            // Header: magic 0..2, type 2, bucket 3..11, seq 11..19, length
+            // 19..23; the checksum is the record's last four bytes.
+            let (rtype, mut bucket) = (rec.rtype, rec.bucket);
+            match field {
+                Field::Type => bytes[off + 2] ^= 1,
+                Field::Bucket => {
+                    bytes[off + 10] ^= 1;
+                    bucket ^= 1;
+                }
+                Field::Seq => bytes[off + 18] ^= 1,
+                Field::Length => bytes[off + 22] ^= 1,
+                Field::Payload => bytes[off + codec::HEADER_LEN + 5] ^= 1,
+                Field::Checksum => bytes[off + used - 1] ^= 1,
+                Field::Relabel => {
+                    bucket += 1;
+                    bytes[off + 3..off + 11].copy_from_slice(&bucket.to_be_bytes());
+                }
+            }
+            let err = match field {
+                Field::Type => codec::CodecError::Malformed("unknown record type"),
+                _ => codec::CodecError::BadChecksum { rtype, bucket },
+            };
+            return format!("segment {segment} offset {off}: {err}");
         }
         (off, n) = (off + used, n + 1);
     }
@@ -475,9 +518,7 @@ fn flip_bit(bytes: &mut [u8], segment: usize, record: usize, in_seq: bool) -> St
 fn record_count(bytes: &[u8]) -> usize {
     let mut off = 0;
     let mut n = 0;
-    while let Ok(codec::Decoded::Record(_, used)) =
-        codec::decode_record(&MAC_KEY, &bytes[off..], false)
-    {
+    while let Ok(codec::Decoded::Record(_, used)) = codec::decode_record(&bytes[off..], false) {
         (off, n) = (off + used, n + 1);
         if off == bytes.len() {
             break;
@@ -486,12 +527,14 @@ fn record_count(bytes: &[u8]) -> usize {
     n
 }
 
-/// MAC failures in two records of one segment, one early and one late,
-/// and in a third in the last segment, which also ends torn. Recovery
-/// names the earliest, by segment and offset, and changes no byte of the
-/// directory; with the first two mended it names the third and still
-/// leaves the torn tail in place. A record whose sequence number is
-/// broken is named by its MAC failure. Run once with the early record
+/// Checksum failures in two records of one segment, one early and one
+/// late, and in a third in the last segment, which also ends torn.
+/// Recovery names the earliest, by segment and offset, and changes no
+/// byte of the directory; with the first two mended it names the third
+/// and still leaves the torn tail in place. A bucket record with one bit
+/// of any field flipped, or relabelled to another bucket, is named by its
+/// checksum failure (by its unknown type, for the type field). Run once
+/// with the early record
 /// among the segment's even-numbered records and the late one among its
 /// odd-numbered ones, and once the other way round.
 #[test]
@@ -517,7 +560,7 @@ fn recovery_names_the_first_mac_failure_in_log_order() {
         match DiskStore::open(rolling(scratch.path()), &geometry(), &Clock::new(), None) {
             Err(StoreError::Corrupt { detail }) => assert_eq!(detail, expected, "{case}"),
             Err(err) => panic!("{case}: expected typed corruption, got {err}"),
-            Ok(_) => panic!("{case}: a log with a bad MAC opened"),
+            Ok(_) => panic!("{case}: a log with a bad checksum opened"),
         }
         assert_eq!(dir_bytes(scratch.path()), before, "{case}: a failed open wrote");
     };
@@ -527,10 +570,10 @@ fn recovery_names_the_first_mac_failure_in_log_order() {
         let mut files = pristine.clone();
         let mid = files.get_mut(names[1]).expect("segment 1");
         let late = records - 1 - usize::from((records - 1) % 2 == parity);
-        let early = flip_bit(mid, 1, 2 + parity, false);
-        flip_bit(mid, 1, late, false);
+        let early = flip_bit(mid, 1, 2 + parity, Field::Checksum);
+        flip_bit(mid, 1, late, Field::Checksum);
         let tail = files.get_mut(names[last]).expect("last segment");
-        let third = flip_bit(tail, last, parity, false);
+        let third = flip_bit(tail, last, parity, Field::Checksum);
         // The last segment ends inside its last record, as a crash
         // mid-fsync leaves it.
         tail.truncate(tail.len() - 7);
@@ -540,17 +583,18 @@ fn recovery_names_the_first_mac_failure_in_log_order() {
         write_all(&files);
         open_names(&third, &format!("parity {parity}, the later segment"));
 
-        let mut files = pristine.clone();
-        let mid = files.get_mut(names[1]).expect("segment 1");
-        let broken = flip_bit(mid, 1, 2 + parity, true);
-        write_all(&files);
-        open_names(&broken, &format!("parity {parity}, a broken sequence number"));
+        for field in FIELDS {
+            let mut files = pristine.clone();
+            let mid = files.get_mut(names[1]).expect("segment 1");
+            let broken = flip_bit(mid, 1, 2 + parity, field);
+            write_all(&files);
+            open_names(&broken, &format!("parity {parity}, {field:?}"));
+        }
     }
 }
 
-/// Every committed bucket is marked as MAC-checked, so reads copy marked
-/// records out without recomputing their MACs: the tree they serve is the
-/// twin's, block for block.
+/// Every read checks the checksum of the committed record it serves, and
+/// the tree the reads serve is the twin's, block for block.
 #[test]
 fn marked_buckets_serve_the_twins_tree() {
     let total = 8u64;
@@ -573,13 +617,13 @@ fn marked_buckets_serve_the_twins_tree() {
 #[test]
 fn checksum_ablation_fails_the_audit() {
     let total = 6u64;
-    // Ablation: MAC verification disabled. Every mirror decode announces
-    // itself, and a single announcement fails the §IV-D audit.
+    // Ablation: checksum verification disabled. Every mirror decode
+    // announces itself, and a single announcement fails the §IV-D audit.
     let scratch = Scratch::new("store-ablation", 1);
     let telemetry = Telemetry::new();
     let clock = Clock::new();
     let mut cfg = DiskStoreConfig::new(scratch.path(), MAC_KEY);
-    cfg.verify_macs = false;
+    cfg.verify_checksums = false;
     let (store, _) = DiskStore::open(cfg, &geometry(), &clock, Some(telemetry.clone()))
         .expect("open unverified store");
     let mut server = OramServer::with_backend(geometry(), Box::new(store));
@@ -596,12 +640,12 @@ fn checksum_ablation_fails_the_audit() {
     );
     assert!(report.stats.unverified_disk_reads > 0);
 
-    // Reopened, the ablated store recovers without checking a MAC either,
-    // and the restored client's reads fail the audit again.
+    // Reopened, the ablated store recovers without checking a checksum
+    // either, and the restored client's reads fail the audit again.
     drop(server);
     let reopened = Telemetry::new();
     let mut cfg = DiskStoreConfig::new(scratch.path(), MAC_KEY);
-    cfg.verify_macs = false;
+    cfg.verify_checksums = false;
     let (store, _) = DiskStore::open(cfg, &geometry(), &clock, Some(reopened.clone()))
         .expect("reopen unverified store");
     // Autocommit on: each read's write-back is committed, so the next
@@ -617,8 +661,8 @@ fn checksum_ablation_fails_the_audit() {
     }
     let report = reopened.audit();
     assert!(!report.passed(), "the ablation must FAIL the audit after a reopen too");
-    // Nothing is marked as checked under the ablation, by recovery or by
-    // a commit: every read announces itself, the root's on every access.
+    // Nothing is checked under the ablation, in recovery or on a read:
+    // every read announces itself, the root's on every access.
     let root_reads = report
         .violations
         .iter()
@@ -820,29 +864,22 @@ fn old_format_directory_is_refused_as_corrupt() {
         DiskStore::open(config(dir), &geometry(), &Clock::new(), None).map(|(_, report)| report)
     };
 
-    // A v1 segment record: magic 0xD15C, type 3, bucket 0, seq 1, empty
-    // payload, MAC.
-    let scratch = Scratch::new("store-old-format", 1);
-    let mut v1 = vec![0xD1, 0x5C, 3];
-    v1.extend_from_slice(&[0; 8]);
-    v1.extend_from_slice(&1u64.to_be_bytes());
-    v1.extend_from_slice(&[0; 4 + 32]);
-    std::fs::write(scratch.join("seg-0000.dat"), &v1).expect("write v1 segment");
-    let err = open(scratch.path()).expect_err("v1 segment must not open");
-    assert!(matches!(err, StoreError::Corrupt { .. }), "expected typed corruption, got {err}");
+    // A v1 segment record (magic 0xD15C, type 3), and a v2 and a v3 commit
+    // record (0xD15D and 0xD15E, type 2): bucket 0, seq 1, empty payload,
+    // a 32-byte MAC. Each is refused at its first record's magic.
+    for (version, magic, rtype, scratch_id) in [(1, 0x5C, 3, 1), (2, 0x5D, 2, 3), (3, 0x5E, 2, 5)] {
+        let scratch = Scratch::new("store-old-format", scratch_id);
+        let mut old = vec![0xD1, magic, rtype];
+        old.extend_from_slice(&[0; 8]);
+        old.extend_from_slice(&1u64.to_be_bytes());
+        old.extend_from_slice(&[0; 4 + 32]);
+        std::fs::write(scratch.join("seg-0000.dat"), &old).expect("write old segment");
+        let err = open(scratch.path()).expect_err("an old segment must not open");
+        let at_magic = format!("segment 0 offset 0: {}", codec::CodecError::BadMagic);
+        assert_eq!(err, StoreError::Corrupt { detail: at_magic }, "v{version}");
+    }
 
-    // A v2 record: magic 0xD15D, a commit record (type 2, bucket 0,
-    // seq 1) with an empty payload, MAC.
-    let scratch = Scratch::new("store-old-format", 3);
-    let mut v2 = vec![0xD1, 0x5D, 2];
-    v2.extend_from_slice(&[0; 8]);
-    v2.extend_from_slice(&1u64.to_be_bytes());
-    v2.extend_from_slice(&[0; 4 + 32]);
-    std::fs::write(scratch.join("seg-0000.dat"), &v2).expect("write v2 segment");
-    let err = open(scratch.path()).expect_err("v2 segment must not open");
-    assert!(matches!(err, StoreError::Corrupt { .. }), "expected typed corruption, got {err}");
-
-    // Current framing, valid MAC, a bucket inside the tree — and a
+    // Current framing, valid checksum, a bucket inside the tree — and a
     // payload one byte short of the bucket this geometry stores. The
     // same record at full length, behind its commit record, opens.
     let scratch = Scratch::new("store-old-format", 4);
@@ -852,7 +889,7 @@ fn old_format_directory_is_refused_as_corrupt() {
         let mut log = Vec::new();
         for (rtype, payload) in [(codec::RT_BUCKET, &payload[..]), (codec::RT_COMMIT, &[][..])] {
             let rec = codec::Record { rtype, bucket: 0, seq: 1, payload };
-            codec::encode_record_into(&mut log, &MAC_KEY, &rec);
+            codec::encode_record_into(&mut log, &rec);
         }
         log
     };
