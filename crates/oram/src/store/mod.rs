@@ -6,11 +6,11 @@
 //!
 //! * [`MemBackend`] — the in-memory tree (the default, and the "twin"
 //!   reference in crash-recovery tests);
-//! * [`DiskStore`] — a crash-safe, MAC-authenticated store: one
-//!   append-only log of segment files in which a commit record gates
-//!   the visibility of the bucket records before it, a record's MAC
-//!   checked once until the record changes, recovery's MAC checks on two
-//!   lanes, and deterministic disk fault injection ([`FaultSite::Disk`]).
+//! * [`DiskStore`] — a crash-safe, checksummed store: one append-only
+//!   log of segment files in which a commit record gates the visibility
+//!   of the bucket records before it, each record's CRC-32C checked in
+//!   recovery and on every read, and deterministic disk fault injection
+//!   ([`FaultSite::Disk`]).
 //!
 //! The crash-consistency contract (see DESIGN.md "Durability & crash
 //! recovery"): one ORAM access is one transaction; a transaction is
@@ -40,7 +40,7 @@ pub enum StoreError {
         /// The host error text.
         detail: String,
     },
-    /// A stored record failed framing or MAC verification somewhere a
+    /// A stored record failed framing or checksum verification somewhere a
     /// torn trailing write cannot explain (mid-file, or bit rot caught
     /// on a read).
     Corrupt {

@@ -142,7 +142,7 @@ pub enum FaultKind {
     /// Recovery must detect the torn tail and discard it.
     TornWrite,
     /// At-rest corruption: a stored disk record has a bit flipped under
-    /// the store's feet. The per-record MAC must catch it on read.
+    /// the store's feet. The per-record checksum must catch it on read.
     BitRot,
     /// Disk returns fewer bytes than the record it acknowledged — a
     /// truncated read that must surface as a typed error, not a panic.

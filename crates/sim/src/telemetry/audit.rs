@@ -61,7 +61,7 @@
 //!    window (it would correlate log replay with specific accesses), and
 //!    the window must close. Independently, one
 //!    [`TelemetryEvent::DiskUnverified`] anywhere — a bucket record used
-//!    without MAC verification, the checksum-ablation negative control —
+//!    without checksum verification, the checksum-ablation negative control —
 //!    fails the audit: §IV-D assumes every off-chip byte is authenticated
 //!    inside the trust boundary.
 //!
@@ -273,7 +273,7 @@ pub enum Violation {
         /// When the recovery began.
         at: Nanos,
     },
-    /// A disk bucket record was served without MAC verification — the
+    /// A disk bucket record was served without checksum verification — the
     /// checksum-ablation negative control, or a genuine integrity hole.
     UnverifiedDiskRead {
         /// When the unverified read happened.
@@ -388,7 +388,7 @@ impl core::fmt::Display for Violation {
             }
             Violation::UnverifiedDiskRead { at, bucket } => write!(
                 f,
-                "unverified disk read at {at}: bucket {bucket} served without MAC verification"
+                "unverified disk read at {at}: bucket {bucket} served without checksum verification"
             ),
             Violation::Truncated { dropped } => {
                 write!(f, "event ring dropped {dropped} events: stream is partial")
@@ -447,7 +447,7 @@ pub struct AuditStats {
     pub recoveries: u64,
     /// Committed transactions read back across all recoveries.
     pub recovery_replayed: u64,
-    /// Disk bucket records served without MAC verification.
+    /// Disk bucket records served without checksum verification.
     pub unverified_disk_reads: u64,
 }
 

@@ -496,7 +496,7 @@ event_table! {
             /// Torn/uncommitted trailing records discarded.
             discarded: u32,
         },
-        /// A disk bucket record was served WITHOUT its MAC being verified
+        /// A disk bucket record was served WITHOUT its checksum being verified
         /// (the checksum-ablation negative control). Any occurrence is an
         /// integrity-audit violation: the §IV-D argument assumes every
         /// off-chip byte is authenticated inside the trust boundary.
